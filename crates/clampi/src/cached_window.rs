@@ -151,6 +151,11 @@ impl<T: Copy + Send + Sync> CachedWindow<T> {
     ///   pass (the copy+intersect kernel of `rmatc-core`); the landed buffer
     ///   is then inserted into the cache with `score`.
     ///
+    /// * A quarantined cache retains nothing, so the bypass read allocates
+    ///   nothing either: the row lands in `landing` — the caller's reusable
+    ///   buffer, whose capacity survives across reads — and `on_row` runs
+    ///   over it there.
+    ///
     /// This is how the LCC hot path intersects a remote row against the local
     /// row in the same pass that lands it in the cache, with identical hit /
     /// miss / uncacheable accounting to the plain read.
@@ -170,6 +175,7 @@ impl<T: Copy + Send + Sync> CachedWindow<T> {
         offset: usize,
         len: usize,
         score: f64,
+        landing: &mut Vec<T>,
         on_row: impl FnOnce(&[T]) -> R,
         on_transfer: impl FnMut(&[T]) -> (Arc<[T]>, R),
     ) -> Result<R, RmaError> {
@@ -190,9 +196,8 @@ impl<T: Copy + Send + Sync> CachedWindow<T> {
         }
         if self.quarantined {
             ep.record_cache_bypass_read();
-            let (_arc, result) =
-                ep.get_map_with_retry(&self.window, target, offset, len, on_transfer)?;
-            return Ok(result);
+            land_plain(ep, &self.window, target, offset, len, landing)?;
+            return Ok(on_row(landing));
         }
         let (arc, result) =
             ep.get_map_with_retry(&self.window, target, offset, len, on_transfer)?;
@@ -261,6 +266,23 @@ impl<T: Copy + Send + Sync> CachedWindow<T> {
     }
 }
 
+/// The plain borrowed-landing read of the quarantine-bypass paths (shared
+/// with [`crate::ShardedCachedWindow`]): `landing` ends up holding exactly the
+/// verified-clean region, reusing its capacity.
+pub(crate) fn land_plain<T: Copy + Send + Sync>(
+    ep: &mut Endpoint,
+    window: &Window<T>,
+    target: usize,
+    offset: usize,
+    len: usize,
+    landing: &mut Vec<T>,
+) -> Result<(), RmaError> {
+    ep.get_into_with_retry(window, target, offset, len, landing, |wire, landing| {
+        landing.clear();
+        landing.extend_from_slice(wire);
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,6 +347,7 @@ mod tests {
     fn fused_reads_match_plain_reads_and_stats() {
         let (window, mut ep) = setup();
         let mut cw = CachedWindow::new(window, ClampiConfig::always_cache(4096, 64));
+        let mut landing = Vec::new();
         // Miss: the transfer closure computes during the copy.
         let sum = cw
             .get_fused(
@@ -333,6 +356,7 @@ mod tests {
                 0,
                 4,
                 0.0,
+                &mut landing,
                 |row| row.iter().copied().sum::<u32>(),
                 |src| (Arc::from(src), src.iter().copied().sum::<u32>()),
             )
@@ -347,6 +371,7 @@ mod tests {
                 0,
                 4,
                 0.0,
+                &mut landing,
                 |row| row.iter().copied().sum::<u32>(),
                 |_| unreachable!("second read must hit"),
             )
@@ -361,6 +386,7 @@ mod tests {
                 5,
                 3,
                 0.0,
+                &mut landing,
                 |row| row.to_vec(),
                 |_| unreachable!("local reads never transfer"),
             )
@@ -508,6 +534,42 @@ mod tests {
     }
 
     #[test]
+    fn quarantined_fused_reads_land_in_the_callers_buffer() {
+        let (window, _) = setup();
+        let plan = FaultPlan {
+            cache_corrupt_p: 1.0,
+            ..FaultPlan::reliable(12)
+        };
+        let mut ep = faulted_endpoint(plan);
+        let cfg = ClampiConfig::always_cache(4096, 64).with_quarantine_threshold(1);
+        let mut cw = CachedWindow::new(window, cfg);
+        let mut landing = Vec::new();
+        let expected: u32 = (1000..1008).sum();
+        let read = |cw: &mut CachedWindow<u32>, ep: &mut Endpoint, landing: &mut Vec<u32>| {
+            cw.get_fused(
+                ep,
+                1,
+                0,
+                8,
+                0.0,
+                landing,
+                |row| row.iter().copied().sum::<u32>(),
+                |src| (Arc::from(src), src.iter().copied().sum::<u32>()),
+            )
+            .unwrap()
+        };
+        // Miss, then a corrupted hit that trips the threshold of one.
+        assert_eq!(read(&mut cw, &mut ep, &mut landing), expected);
+        assert_eq!(read(&mut cw, &mut ep, &mut landing), expected);
+        assert!(cw.quarantined());
+        let (gets, bypasses) = (ep.stats().gets, ep.stats().cache_bypass_reads);
+        assert_eq!(read(&mut cw, &mut ep, &mut landing), expected);
+        assert_eq!(landing, (1000..1008).collect::<Vec<u32>>());
+        assert_eq!(ep.stats().gets, gets + 1, "a bypass read is one plain get");
+        assert_eq!(ep.stats().cache_bypass_reads, bypasses + 1);
+    }
+
+    #[test]
     fn injected_insert_rejections_keep_data_correct() {
         let (window, _) = setup();
         let plan = FaultPlan {
@@ -535,6 +597,7 @@ mod tests {
         let mut ep = faulted_endpoint(plan);
         let cfg = ClampiConfig::always_cache(4096, 64).with_quarantine_threshold(1_000);
         let mut cw = CachedWindow::new(window, cfg);
+        let mut landing = Vec::new();
         let expected: u32 = (1000..1008).sum();
         for _ in 0..4 {
             let sum = cw
@@ -544,6 +607,7 @@ mod tests {
                     0,
                     8,
                     0.0,
+                    &mut landing,
                     |row| row.iter().copied().sum::<u32>(),
                     |src| (Arc::from(src), src.iter().copied().sum::<u32>()),
                 )

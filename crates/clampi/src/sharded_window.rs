@@ -25,6 +25,7 @@
 //! proptests).
 
 use crate::cache::Clampi;
+use crate::cached_window::land_plain;
 use crate::config::ClampiConfig;
 use crate::entry::EntryKey;
 use crate::row::RowRef;
@@ -176,7 +177,9 @@ impl<T: Copy + Send + Sync> ShardedCachedWindow<T> {
     /// local reads run `on_row` on the in-place slice, misses hand the
     /// exposed source region to `on_transfer` (landing buffer + result in one
     /// pass) and insert the landed buffer — with the key's shard held across
-    /// the whole miss round, so concurrent same-key misses coalesce.
+    /// the whole miss round, so concurrent same-key misses coalesce. A
+    /// quarantined cache lands the row in the calling thread's `landing`
+    /// buffer and runs `on_row` there, allocating nothing.
     ///
     /// # Errors
     ///
@@ -189,6 +192,7 @@ impl<T: Copy + Send + Sync> ShardedCachedWindow<T> {
         offset: usize,
         len: usize,
         score: f64,
+        landing: &mut Vec<T>,
         on_row: impl FnOnce(&[T]) -> R,
         mut on_transfer: impl FnMut(&[T]) -> (Arc<[T]>, R),
     ) -> Result<R, RmaError> {
@@ -196,6 +200,9 @@ impl<T: Copy + Send + Sync> ShardedCachedWindow<T> {
             return Ok(on_row(ep.local_read(&self.window, offset, len)));
         }
         let key = self.key_for(target, offset, len);
+        // Consumed by exactly one of the hit (under the shard lock) and the
+        // bypass (after it).
+        let mut on_row = Some(on_row);
         if !self.quarantined() {
             let looked = self.cache.with_shard(&key, |shard| {
                 if let Some(salt) = ep.fault_roll_cache_corrupt() {
@@ -204,6 +211,7 @@ impl<T: Copy + Send + Sync> ShardedCachedWindow<T> {
                 if let Some((data, stored)) = shard.lookup_entry(key) {
                     if self.verify_hit_locked(ep, shard, key, &data, stored) {
                         ep.record_cache_hit(len * std::mem::size_of::<T>());
+                        let on_row = on_row.take().expect("a read resolves once");
                         return Looked::Done(Ok(on_row(&data)));
                     }
                     if self.quarantined() {
@@ -225,9 +233,9 @@ impl<T: Copy + Send + Sync> ShardedCachedWindow<T> {
             }
         }
         ep.record_cache_bypass_read();
-        let (_arc, result) =
-            ep.get_map_with_retry(&self.window, target, offset, len, &mut on_transfer)?;
-        Ok(result)
+        land_plain(ep, &self.window, target, offset, len, landing)?;
+        let on_row = on_row.take().expect("a read resolves once");
+        Ok(on_row(landing))
     }
 
     /// Issue-time half of a split (pipelined) read: rolls resident-entry
@@ -501,6 +509,23 @@ mod tests {
             clean
         );
         assert_eq!(ep.stats().cache_bypass_reads, bypasses + 1);
+        // A fused bypass read lands in the caller's buffer and computes there.
+        let mut landing = Vec::new();
+        let sum = scw
+            .get_fused(
+                &mut ep,
+                1,
+                0,
+                8,
+                0.0,
+                &mut landing,
+                |row| row.iter().copied().sum::<u32>(),
+                |_| unreachable!("a quarantined cache admits nothing"),
+            )
+            .unwrap();
+        assert_eq!(sum, clean.iter().sum::<u32>());
+        assert_eq!(landing, clean);
+        assert_eq!(ep.stats().cache_bypass_reads, bypasses + 2);
         // Probes report bypass too, and admit becomes a no-op.
         assert!(matches!(scw.probe(&mut ep, 1, 0, 8), CacheProbe::Bypass));
         scw.admit(&mut ep, 1, 0, 8, Arc::from(vec![0u32; 8]), 0.0);
@@ -513,6 +538,7 @@ mod tests {
         let (window, mut ep) = setup();
         let scw = ShardedCachedWindow::new(window, ClampiConfig::always_cache(4096, 64), 2);
         let expected: u32 = (1000..1004).sum();
+        let mut landing = Vec::new();
         let sum = scw
             .get_fused(
                 &mut ep,
@@ -520,6 +546,7 @@ mod tests {
                 0,
                 4,
                 0.0,
+                &mut landing,
                 |row| row.iter().copied().sum::<u32>(),
                 |src| (Arc::from(src), src.iter().copied().sum::<u32>()),
             )
@@ -533,6 +560,7 @@ mod tests {
                 0,
                 4,
                 0.0,
+                &mut landing,
                 |row| row.iter().copied().sum::<u32>(),
                 |_| unreachable!("second read must hit"),
             )

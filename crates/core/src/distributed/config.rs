@@ -162,7 +162,14 @@ pub struct DistConfig {
     /// Network cost model for remote reads.
     pub network: NetworkModel,
     /// Overlap the communication of the next edge with the computation of the
-    /// current one (Section III-A's double buffering).
+    /// current one (Section III-A's double buffering). Modeled as a credit:
+    /// every [`rmatc_rma::cputime::COMPUTE_STRIDE`] edges the worker banks all
+    /// the thread-CPU time it spent since the last banking — local and remote
+    /// edges alike — and later get completions are charged only for what the
+    /// bank does not cover ([`rmatc_rma::RankStats::overlapped_ns`]). The bank
+    /// is unbounded, so this is an upper bound on what a finite prefetch
+    /// depth hides; see `docs/OVERLAP.md`, "Measuring the overlap". Answers
+    /// and every integer counter are identical either way.
     pub double_buffering: bool,
     /// CLaMPI caching; `None` runs the non-cached variant.
     pub cache: Option<CacheSpec>,

@@ -48,18 +48,20 @@
 //!   deterministic (the same rule `run_ranks` applies across ranks).
 
 use super::config::{DistConfig, ResolvedCaches, ScoreMode};
-use super::reader::{compressed_transfer_count_closing, transfer_count_closing};
+use super::reader::{
+    compressed_transfer_count_closing, read_offsets_plain, transfer_count_closing,
+};
 use super::windows::GraphWindows;
 use super::worker::WorkerOutput;
 use crate::intersect::{CostModel, ParallelIntersector};
 use crate::local::{compressed_count_closing_at, count_closing_at};
 use rayon::prelude::*;
-use rmatc_clampi::{CacheProbe, CacheStats, RowRef, ShardedCachedWindow};
+use rmatc_clampi::{CacheProbe, CacheStats, ShardedCachedWindow};
 use rmatc_graph::compressed::decoded_len;
 use rmatc_graph::partition::PartitionedGraph;
 use rmatc_graph::types::{Direction, VertexId};
 use rmatc_graph::GraphStorage;
-use rmatc_rma::{Endpoint, PendingGet, RankStats, RmaError, ThreadTimer};
+use rmatc_rma::{ComputeMeter, Endpoint, PendingGet, RankStats, RmaError, ThreadTimer};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
@@ -143,16 +145,13 @@ impl SharedReader {
         target: usize,
         local_idx: usize,
     ) -> Result<(usize, usize), RmaError> {
-        let row = match &self.offsets_cache {
-            Some(cache) => cache.get_scored(ep, target, local_idx, 2, 0.0)?,
-            None if target == ep.rank() => {
-                RowRef::Window(ep.local_read(&self.offsets_plain, local_idx, 2))
+        match &self.offsets_cache {
+            Some(cache) => {
+                let row = cache.get_scored(ep, target, local_idx, 2, 0.0)?;
+                Ok((row[0] as usize, row[1] as usize))
             }
-            None => {
-                RowRef::Fetched(ep.get_with_retry(&self.offsets_plain, target, local_idx, 2)?)
-            }
-        };
-        Ok((row[0] as usize, row[1] as usize))
+            None => read_offsets_plain(ep, &self.offsets_plain, target, local_idx),
+        }
     }
 
     /// The application-defined eviction score of an adjacency row (the degree
@@ -452,6 +451,7 @@ fn run_thread(
     let mut fifo: VecDeque<Slot<'_>> = VecDeque::with_capacity(config.effective_pipeline_depth());
     ep.lock_all();
     let timer = ThreadTimer::start();
+    let meter = config.double_buffering.then(|| ComputeMeter::new(timer));
     let outcome = thread_loop(
         rank,
         range.clone(),
@@ -464,7 +464,7 @@ fn run_thread(
         &mut triangles,
         &mut edges_processed,
         &mut remote_edges,
-        &timer,
+        meter,
     );
     match outcome {
         Ok(()) => {
@@ -504,7 +504,7 @@ fn thread_loop<'a>(
     triangles: &mut [u64],
     edges_processed: &mut u64,
     remote_edges: &mut u64,
-    timer: &ThreadTimer,
+    mut meter: Option<ComputeMeter>,
 ) -> Result<(), RmaError> {
     let part = &pg.partitions[rank];
     let direction = pg.direction;
@@ -516,6 +516,12 @@ fn thread_loop<'a>(
         let adj_u = part.neighbours_of_local(local_idx);
         for (k, &v) in adj_u.iter().enumerate() {
             *edges_processed += 1;
+            if let Some(meter) = meter.as_mut() {
+                // Double buffering, as in the sequential worker: bank the
+                // thread's compute as overlap credit, one clock read per
+                // stride of edges.
+                meter.tick(ep);
+            }
             let owner = pg.partitioner.owner(v);
             if owner == rank {
                 let v_local = pg.partitioner.local_index(v);
@@ -525,7 +531,6 @@ fn thread_loop<'a>(
             }
             *remote_edges += 1;
             let v_local = pg.partitioner.local_index(v);
-            let compute_start = timer.elapsed_ns();
             // The remote row arrives as stored: raw ids under plain storage,
             // compressed words under compressed storage — pick the matching
             // pair of in-place / fused-transfer kernels.
@@ -562,12 +567,11 @@ fn thread_loop<'a>(
                     });
                 }
             }
-            if config.double_buffering {
-                // As in the sequential worker: bank this round's issue-side
-                // compute as overlap credit for upcoming completions.
-                ep.note_compute_ns((timer.elapsed_ns() - compute_start) as f64);
-            }
         }
+    }
+    if let Some(meter) = meter.as_mut() {
+        // The tail since the last stride hides the drain's completions.
+        meter.bank(ep);
     }
     // Drain the tail in issue order.
     while let Some(slot) = fifo.pop_front() {

@@ -4,14 +4,15 @@
 use super::config::{DistConfig, ResolvedCaches, ScoreMode};
 use super::windows::GraphWindows;
 use crate::intersect::{
-    copy_decode_intersect, fused, CostModel, IntersectMethod, ParallelIntersector,
+    copy_decode_intersect, copy_decode_intersect_into, fused, CostModel, IntersectMethod,
+    ParallelIntersector,
 };
-use crate::local::{compressed_count_closing_at, count_closing_at};
+use crate::local::{compressed_closing_operands, compressed_count_closing_at, count_closing_at};
 use rmatc_clampi::{CacheStats, CachedWindow, RowRef};
 use rmatc_graph::compressed::decoded_len;
 use rmatc_graph::types::{Direction, VertexId};
 use rmatc_graph::GraphStorage;
-use rmatc_rma::{Endpoint, RmaError};
+use rmatc_rma::{Endpoint, RmaError, Window};
 use std::sync::Arc;
 
 /// Per-rank reader of remote adjacency lists.
@@ -34,6 +35,10 @@ pub struct RemoteReader {
     storage: GraphStorage,
     /// Cost model the compressed kernels dispatch through (merge vs skip).
     model: CostModel,
+    /// Where the adjacency reads nobody retains land — non-cached protocol
+    /// rounds and quarantine-bypass reads: the paper's double buffer. It
+    /// grows to the longest row read and is then reused allocation-free.
+    landing: Vec<VertexId>,
 }
 
 impl RemoteReader {
@@ -52,6 +57,7 @@ impl RemoteReader {
             score_mode: config.score_mode,
             storage: windows.storage,
             model: config.cost_model,
+            landing: Vec::new(),
         }
     }
 
@@ -77,16 +83,13 @@ impl RemoteReader {
         target: usize,
         local_idx: usize,
     ) -> Result<(usize, usize), RmaError> {
-        let row = match &mut self.offsets_cache {
-            Some(cache) => cache.get(ep, target, local_idx, 2)?,
-            None if target == ep.rank() => {
-                RowRef::Window(ep.local_read(&self.offsets_plain, local_idx, 2))
+        match &mut self.offsets_cache {
+            Some(cache) => {
+                let row = cache.get(ep, target, local_idx, 2)?;
+                Ok((row[0] as usize, row[1] as usize))
             }
-            None => {
-                RowRef::Fetched(ep.get_with_retry(&self.offsets_plain, target, local_idx, 2)?)
-            }
-        };
-        Ok((row[0] as usize, row[1] as usize))
+            None => read_offsets_plain(ep, &self.offsets_plain, target, local_idx),
+        }
     }
 
     /// The application-defined eviction score of an adjacency row of `len`
@@ -147,7 +150,10 @@ impl RemoteReader {
     /// pass that lands the row in the transfer buffer handed to the cache;
     /// pairs the hybrid cost model routes to a search-class kernel fall back
     /// to a plain transfer followed by the configured kernel over the landed
-    /// buffer. The intersection runs on the caller's thread either way, so
+    /// buffer. Without a cache the same pass lands in the reader's reusable
+    /// landing buffer instead ([`Endpoint::get_into_with_retry`]), so a
+    /// non-cached round allocates nothing once that buffer has grown. The
+    /// intersection runs on the caller's thread either way, so
     /// `intersector` should be a sequential one (the distributed experiments
     /// map one rank per core, as in the paper).
     #[allow(clippy::too_many_arguments)]
@@ -188,6 +194,7 @@ impl RemoteReader {
                 start,
                 len,
                 score,
+                &mut self.landing,
                 |row| count_closing_at(direction, adj_u, row, v, neighbour_idx, intersector),
                 |src| transfer_count_closing(direction, adj_u, v, neighbour_idx, intersector, src),
             ),
@@ -202,13 +209,24 @@ impl RemoteReader {
                     intersector,
                 ))
             }
-            None => {
-                let (_data, count) =
-                    ep.get_map_with_retry(&self.adj_plain, target, start, len, |src| {
-                        transfer_count_closing(direction, adj_u, v, neighbour_idx, intersector, src)
-                    })?;
-                Ok(count)
-            }
+            None => ep.get_into_with_retry(
+                &self.adj_plain,
+                target,
+                start,
+                len,
+                &mut self.landing,
+                |src, landing| {
+                    land_count_closing(
+                        direction,
+                        adj_u,
+                        v,
+                        neighbour_idx,
+                        intersector,
+                        src,
+                        landing,
+                    )
+                },
+            ),
         }
     }
 
@@ -243,6 +261,7 @@ impl RemoteReader {
                     start,
                     len,
                     score,
+                    &mut self.landing,
                     |row| {
                         compressed_count_closing_at(direction, adj_u, row, v, neighbour_idx, model)
                     },
@@ -274,20 +293,24 @@ impl RemoteReader {
                     model,
                 ))
             }
-            None => {
-                let (_data, count) =
-                    ep.get_map_with_retry(&self.adj_plain, target, start, len, |src| {
-                        compressed_transfer_count_closing(
-                            direction,
-                            adj_u,
-                            v,
-                            neighbour_idx,
-                            model,
-                            src,
-                        )
-                    })?;
-                Ok(count)
-            }
+            None => ep.get_into_with_retry(
+                &self.adj_plain,
+                target,
+                start,
+                len,
+                &mut self.landing,
+                |src, landing| {
+                    let (a, bound) =
+                        compressed_closing_operands(direction, adj_u, v, neighbour_idx);
+                    // SAFETY: `copy_decode_intersect_into` initialises every
+                    // element of its destination.
+                    unsafe {
+                        fused::land_in_vec(landing, src.len(), |dst| {
+                            copy_decode_intersect_into(src, a, bound, model, dst)
+                        })
+                    }
+                },
+            ),
         }
     }
 
@@ -302,13 +325,56 @@ impl RemoteReader {
     }
 }
 
+/// The non-cached first get of the protocol, shared by every reader
+/// (`RemoteReader`, the pipelined `SharedReader`, the service's `fetch_row`):
+/// the `(start, end)` offsets pair of row `local_idx` on `target`, borrowed
+/// from the window when the row is the caller's own, otherwise landed in a
+/// two-word stack buffer — nobody retains it, so it allocates nothing.
+pub(crate) fn read_offsets_plain(
+    ep: &mut Endpoint,
+    offsets: &Window<u64>,
+    target: usize,
+    local_idx: usize,
+) -> Result<(usize, usize), RmaError> {
+    let mut pair = [0u64; 2];
+    if target == ep.rank() {
+        pair.copy_from_slice(ep.local_read(offsets, local_idx, 2));
+    } else {
+        ep.get_into_with_retry(offsets, target, local_idx, 2, &mut pair, |wire, pair| {
+            pair.copy_from_slice(wire)
+        })?;
+    }
+    Ok((pair[0] as usize, pair[1] as usize))
+}
+
+/// What a landing transfer of the plain row `src` intersects, and how: the
+/// local operand, the start of the remote operand within `src`, and whether
+/// the resolved kernel is the merge-class SIMD block kernel the fused
+/// copy+intersect pass *is*. Operands come from the same helpers
+/// `count_closing_at` uses and the kernel choice from the same resolver
+/// `ParallelIntersector::count` applies — the landing paths cannot diverge
+/// from the hit path, nor from each other.
+fn closing_transfer_plan<'a>(
+    direction: Direction,
+    adj_u: &'a [VertexId],
+    v: VertexId,
+    neighbour_idx: usize,
+    intersector: &ParallelIntersector,
+    src: &[VertexId],
+) -> (&'a [VertexId], usize, bool) {
+    let a = crate::local::closing_a_side(direction, adj_u, neighbour_idx);
+    let from = crate::local::closing_b_start(direction, src, v);
+    let fused = intersector.resolved_method(a.len(), src.len() - from) == IntersectMethod::Simd;
+    (a, from, fused)
+}
+
 /// The miss-path transfer closure of [`RemoteReader::count_closing_remote`]:
-/// lands the exposed source row `src` in a shared buffer and computes the
-/// closing count of the edge `(u, v)` against it, fusing the two passes when
-/// the resolved kernel is the merge-class SIMD block kernel (the fused kernel
-/// *is* that kernel). Search-class pairs copy plainly and run the configured
-/// kernel — exactly what [`count_closing_at`] would have done on the landed
-/// buffer, so the count is identical either way.
+/// lands the exposed source row `src` in a shared buffer the cache (or a
+/// pipeline slot) will hold, and computes the closing count of the edge
+/// `(u, v)` against it, fusing the two passes for merge-class pairs.
+/// Search-class pairs copy plainly and run the configured kernel — exactly
+/// what [`count_closing_at`] would have done on the landed buffer, so the
+/// count is identical either way.
 pub(crate) fn transfer_count_closing(
     direction: Direction,
     adj_u: &[VertexId],
@@ -317,12 +383,9 @@ pub(crate) fn transfer_count_closing(
     intersector: &ParallelIntersector,
     src: &[VertexId],
 ) -> (Arc<[VertexId]>, u64) {
-    // Operands come from the same helpers `count_closing_at` uses, and the
-    // kernel choice from the same resolver `ParallelIntersector::count`
-    // applies — the fused miss path cannot diverge from the hit path.
-    let a = crate::local::closing_a_side(direction, adj_u, neighbour_idx);
-    let from = crate::local::closing_b_start(direction, src, v);
-    if intersector.resolved_method(a.len(), src.len() - from) == IntersectMethod::Simd {
+    let (a, from, fused) =
+        closing_transfer_plan(direction, adj_u, v, neighbour_idx, intersector, src);
+    if fused {
         fused::copy_intersect(src, from, a)
     } else {
         let arc: Arc<[VertexId]> = Arc::from(src);
@@ -331,12 +394,39 @@ pub(crate) fn transfer_count_closing(
     }
 }
 
+/// [`transfer_count_closing`] for a row nobody retains: the same plan, landed
+/// in the reader's reusable buffer instead of a fresh allocation.
+fn land_count_closing(
+    direction: Direction,
+    adj_u: &[VertexId],
+    v: VertexId,
+    neighbour_idx: usize,
+    intersector: &ParallelIntersector,
+    src: &[VertexId],
+    landing: &mut Vec<VertexId>,
+) -> u64 {
+    let (a, from, fused) =
+        closing_transfer_plan(direction, adj_u, v, neighbour_idx, intersector, src);
+    if fused {
+        // SAFETY: `copy_intersect_into` initialises every element of its
+        // destination.
+        unsafe {
+            fused::land_in_vec(landing, src.len(), |dst| {
+                fused::copy_intersect_into(src, from, a, dst)
+            })
+        }
+    } else {
+        landing.clear();
+        landing.extend_from_slice(src);
+        intersector.count(a, &landing[from..])
+    }
+}
+
 /// Compressed counterpart of [`transfer_count_closing`]: `src` is a
 /// compressed row, landed word-for-word in the single transfer buffer while
 /// each block is decoded into a stack buffer and intersected
-/// ([`copy_decode_intersect`]). The operands are derived exactly as the hit
-/// path's [`compressed_count_closing_at`] derives them, so miss and hit
-/// counts cannot diverge.
+/// ([`copy_decode_intersect`]). The operands are those of the hit path's
+/// [`compressed_count_closing_at`], so miss and hit counts cannot diverge.
 pub(crate) fn compressed_transfer_count_closing(
     direction: Direction,
     adj_u: &[VertexId],
@@ -345,11 +435,7 @@ pub(crate) fn compressed_transfer_count_closing(
     model: &CostModel,
     src: &[u32],
 ) -> (Arc<[u32]>, u64) {
-    let a = crate::local::closing_a_side(direction, adj_u, neighbour_idx);
-    let bound = match direction {
-        Direction::Undirected => Some(v),
-        Direction::Directed => None,
-    };
+    let (a, bound) = compressed_closing_operands(direction, adj_u, v, neighbour_idx);
     copy_decode_intersect(src, a, bound, model)
 }
 

@@ -9,7 +9,7 @@ use crate::intersect::ParallelIntersector;
 use crate::local::count_closing_at;
 use rmatc_clampi::CacheStats;
 use rmatc_graph::partition::PartitionedGraph;
-use rmatc_rma::{Endpoint, RankStats, RmaError, ThreadTimer};
+use rmatc_rma::{ComputeMeter, Endpoint, RankStats, RmaError, ThreadTimer};
 
 /// Everything a rank produces: its local triangle counts plus the statistics the
 /// evaluation aggregates.
@@ -81,6 +81,15 @@ pub fn run_worker(
     // no synchronization with any other rank in between.
     ep.lock_all();
     let timer = ThreadTimer::start();
+    // Double buffering: the computation of one edge overlaps the communication
+    // of the next, so the rank's compute is banked as overlap credit for the
+    // endpoint's later get completions. The credit covers everything the
+    // thread does — local intersections, cache probes, landing copies — since
+    // all of it is CPU work a prefetching double buffer hides behind in-flight
+    // gets; the modeled communication cost is virtual time and never part of
+    // it. The meter reads the thread clock once per stride of edges: the read
+    // is a syscall that costs more than one protocol round.
+    let mut meter = config.double_buffering.then(|| ComputeMeter::new(timer));
     for (local_idx, triangles_slot) in local_triangles.iter_mut().enumerate() {
         let adj_u = part.neighbours_of_local(local_idx);
         let mut triangles = 0u64;
@@ -89,6 +98,9 @@ pub fn run_worker(
         // the shared-memory path uses (`count_closing_at`).
         for (k, &v) in adj_u.iter().enumerate() {
             edges_processed += 1;
+            if let Some(meter) = meter.as_mut() {
+                meter.tick(&mut ep);
+            }
             let owner = pg.partitioner.owner(v);
             let count = if owner == rank {
                 // Neighbour owned locally: its row is in this rank's partition.
@@ -101,8 +113,7 @@ pub fn run_worker(
                 // One fused protocol round: the remote row is intersected where
                 // it lives (cache entry on a hit) or in the same pass that
                 // lands it in the cache (miss) — no per-edge buffer is built.
-                let compute_start = timer.elapsed_ns();
-                let c = match reader.count_closing_remote(
+                match reader.count_closing_remote(
                     &mut ep,
                     owner,
                     v_local,
@@ -119,23 +130,14 @@ pub fn run_worker(
                         ep.unlock_all();
                         return Err(e);
                     }
-                };
-                if config.double_buffering {
-                    // Double buffering: the computation of this edge overlaps the
-                    // communication of the next one, so bank its duration as overlap
-                    // credit for the endpoint's next get completions. The credit
-                    // deliberately covers the whole fused round — cache probe,
-                    // landing copy, intersection — because all of it is local CPU
-                    // work the paper's scheme hides behind the in-flight get; the
-                    // modeled communication cost itself is virtual time and is
-                    // never part of the measured duration.
-                    ep.note_compute_ns((timer.elapsed_ns() - compute_start) as f64);
                 }
-                c
             };
             triangles += count;
         }
         *triangles_slot = triangles;
+    }
+    if let Some(meter) = meter.as_mut() {
+        meter.bank(&mut ep);
     }
     let compute_ns = timer.elapsed_ns();
     ep.unlock_all();
@@ -276,5 +278,31 @@ mod tests {
             "overlap credit must never increase charged communication time"
         );
         assert!(with.rma.overlapped_ns > 0.0);
+    }
+
+    #[test]
+    fn overlap_credit_never_exceeds_the_ranks_compute_time() {
+        // With a network far slower than the CPU every banked nanosecond is
+        // consumed, so the overlapped total *is* the banked credit — which the
+        // meter takes from the same timer `compute_ns` is read from.
+        let (pg, windows, mut config) = setup(2);
+        config.double_buffering = true;
+        config.network = NetworkModel {
+            alpha_ns: 1e6,
+            beta_ns_per_byte: 1.0,
+            local_read_ns: 10.0,
+            injection_scale: 0.0,
+        };
+        for depth in [1usize, 4] {
+            config.pipeline_depth = depth;
+            let out = run_worker(0, &pg, &windows, &config).unwrap();
+            assert!(out.rma.overlapped_ns > 0.0, "depth {depth}");
+            assert!(
+                out.rma.overlapped_ns <= out.compute_ns as f64,
+                "depth {depth}: {} ns hidden by {} ns of compute",
+                out.rma.overlapped_ns,
+                out.compute_ns
+            );
+        }
     }
 }

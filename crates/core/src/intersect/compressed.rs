@@ -31,7 +31,9 @@
 //! row is landed verbatim (word-for-word, so cache checksums and future
 //! decodes see exactly the transferred bytes) into the single `Arc<[u32]>`
 //! allocation the cache will retain, while each landed block is decoded and
-//! intersected in the same pass.
+//! intersected in the same pass. [`copy_decode_intersect_into`] is the same
+//! pass into a destination the caller names — the reusable landing buffer of
+//! a read nobody retains.
 //!
 //! All kernels share one contract: they count
 //! `|a ∩ {x ∈ decode(row) : x > bound}|` for a sorted duplicate-free `a`,
@@ -279,11 +281,8 @@ fn write_words(dst: &mut [MaybeUninit<u32>], at: usize, src: &[u32]) {
 /// intersecting each block against `a` in the same pass. Returns the landed
 /// buffer (an exact copy of `src`) and
 /// `|a ∩ {x ∈ decode(src) : x > bound}|` — the compressed counterpart of
-/// [`copy_intersect`](super::fused::copy_intersect).
-///
-/// Blocks that cannot contribute (header maximum below the bound or the
-/// current key) are landed by the word copy but never decoded; the count is
-/// identical to [`compressed_count_closing`] on the landed row.
+/// [`copy_intersect`](super::fused::copy_intersect), and like it a thin
+/// allocating wrapper over the `_into` form.
 pub fn copy_decode_intersect(
     src: &[u32],
     a: &[VertexId],
@@ -292,6 +291,32 @@ pub fn copy_decode_intersect(
 ) -> (Arc<[u32]>, u64) {
     let mut buf = Arc::new_uninit_slice(src.len());
     let dst = Arc::get_mut(&mut buf).expect("freshly allocated Arc is unique");
+    let count = copy_decode_intersect_into(src, a, bound, model, dst);
+    // SAFETY: `copy_decode_intersect_into` initialises every element of `dst`.
+    (unsafe { buf.assume_init() }, count)
+}
+
+/// Copies the compressed row `src` word-for-word into `dst`, decoding and
+/// intersecting each block against `a` in the same pass; returns
+/// `|a ∩ {x ∈ decode(src) : x > bound}|`. On return **every element of `dst`
+/// is initialised** to the corresponding word of `src`.
+///
+/// Blocks that cannot contribute (header maximum below the bound or the
+/// current key) are landed by the word copy but never decoded; the count is
+/// identical to [`compressed_count_closing`] on the landed row.
+///
+/// # Panics
+///
+/// If `dst.len() != src.len()`.
+pub fn copy_decode_intersect_into(
+    src: &[u32],
+    a: &[VertexId],
+    bound: Option<VertexId>,
+    model: &CostModel,
+    dst: &mut [MaybeUninit<u32>],
+) -> u64 {
+    // A hard check: `write_words` copies through raw pointers.
+    assert_eq!(dst.len(), src.len(), "destination must fit the row exactly");
     let n = rmatc_graph::compressed::decoded_len(src);
     let use_skip = !(a.is_empty() || n == 0)
         && a.len() <= n
@@ -328,10 +353,10 @@ pub fn copy_decode_intersect(
             ai = hi;
         }
     }
+    // Every word of `src` lands: blocks by the loop, the count word and any
+    // trailing words by this final copy.
     write_words(dst, copied, &src[copied..]);
-    // SAFETY: every word of `src` was landed — blocks by the loop, the count
-    // word and any trailing words by the final copy.
-    (unsafe { buf.assume_init() }, count)
+    count
 }
 
 #[cfg(test)]
@@ -394,6 +419,7 @@ mod tests {
     fn all_kernels_agree_with_reference_on_random_pairs() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(41);
         let model = CostModel::Analytic;
+        let mut landing = vec![u32::MAX; 5];
         for _ in 0..200 {
             let la = rng.gen_range(0..400);
             let lb = rng.gen_range(0..400);
@@ -414,6 +440,14 @@ mod tests {
                 let (landed, count) = copy_decode_intersect(&row, &a, bound, &model);
                 assert_eq!(&*landed, &row[..], "landed row must be an exact copy");
                 assert_eq!(count, expected, "fused");
+                // SAFETY: the `_into` kernel initialises its whole destination.
+                let count = unsafe {
+                    crate::intersect::fused::land_in_vec(&mut landing, row.len(), |dst| {
+                        copy_decode_intersect_into(&row, &a, bound, &model, dst)
+                    })
+                };
+                assert_eq!(landing, row, "the reused landing buffer holds the row");
+                assert_eq!(count, expected, "fused into a reused buffer");
             }
         }
     }

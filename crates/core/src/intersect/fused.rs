@@ -9,7 +9,10 @@
 //! destination buffer, so the row is intersected *in the same pass that lands
 //! it in the cache*.
 //!
-//! The destination is allocated here as the `Arc<[u32]>` the cache insert
+//! The kernel writes where it is told ([`copy_intersect_into`]): into the
+//! caller's reusable landing buffer when nobody retains the row (the
+//! non-cached protocol round — no allocation), or, through the
+//! [`copy_intersect`] wrapper, into a fresh `Arc<[u32]>` the cache insert
 //! takes by refcount — the transfer's single allocation, never copied again.
 //! Like [`simd_count`], the kernel requires both inputs sorted and
 //! duplicate-free, and is merge-class (`O(|A| + |B|)`): callers route skewed
@@ -25,20 +28,64 @@ use std::sync::Arc;
 
 /// Copies `src` into a freshly allocated shared buffer and counts
 /// `|src[from..] ∩ local|` in the same pass. Returns the landed buffer (an
-/// exact copy of `src`) and the count.
+/// exact copy of `src`) and the count. For rows a cache will retain; a row
+/// nobody keeps lands allocation-free through [`copy_intersect_into`].
+pub fn copy_intersect(src: &[VertexId], from: usize, local: &[VertexId]) -> (Arc<[VertexId]>, u64) {
+    let mut buf = Arc::new_uninit_slice(src.len());
+    let dst = Arc::get_mut(&mut buf).expect("freshly allocated Arc is unique");
+    let count = copy_intersect_into(src, from, local, dst);
+    // SAFETY: `copy_intersect_into` initialises every element of `dst`.
+    (unsafe { buf.assume_init() }, count)
+}
+
+/// Copies `src` into `dst` and counts `|src[from..] ∩ local|` in the same
+/// pass. On return **every element of `dst` is initialised** to the
+/// corresponding element of `src` — callers rely on that to `assume_init` /
+/// `set_len` the destination.
 ///
 /// `from` is the start of the intersecting suffix: the upper-triangle
 /// offsetting of the LCC worker excludes the prefix of the remote row up to
-/// the current edge's endpoint, but the *whole* row still has to land in the
-/// cache. The prefix is copied wholesale, the suffix through the fused loop.
-pub fn copy_intersect(src: &[VertexId], from: usize, local: &[VertexId]) -> (Arc<[VertexId]>, u64) {
+/// the current edge's endpoint, but the *whole* row still has to land. The
+/// prefix is copied wholesale, the suffix through the fused loop.
+///
+/// # Panics
+///
+/// If `dst.len() != src.len()` or `from > src.len()`.
+pub fn copy_intersect_into(
+    src: &[VertexId],
+    from: usize,
+    local: &[VertexId],
+    dst: &mut [MaybeUninit<VertexId>],
+) -> u64 {
+    // Hard checks: the block kernels store through raw pointers.
+    assert_eq!(dst.len(), src.len(), "destination must fit the row exactly");
     assert!(from <= src.len(), "suffix start {from} > row {}", src.len());
-    let mut buf = Arc::new_uninit_slice(src.len());
-    let dst = Arc::get_mut(&mut buf).expect("freshly allocated Arc is unique");
     write_block(dst, 0, &src[..from]);
-    let count = fused_tail(&src[from..], local, dst, from);
-    // SAFETY: write_block landed [0, from) and fused_tail landed [from, len).
-    (unsafe { buf.assume_init() }, count)
+    fused_tail(&src[from..], local, dst, from)
+}
+
+/// Runs a landing kernel over the reusable buffer `landing`: clears it,
+/// reserves `len` elements (a no-op once it has grown to the longest row),
+/// hands the kernel the uninitialised destination and sets the length.
+///
+/// # Safety
+///
+/// `kernel` must initialise every element of the slice it is given —
+/// [`copy_intersect_into`] and
+/// [`copy_decode_intersect_into`](super::compressed::copy_decode_intersect_into)
+/// guarantee it.
+pub(crate) unsafe fn land_in_vec<R>(
+    landing: &mut Vec<u32>,
+    len: usize,
+    kernel: impl FnOnce(&mut [MaybeUninit<u32>]) -> R,
+) -> R {
+    landing.clear();
+    landing.reserve(len);
+    let result = kernel(&mut landing.spare_capacity_mut()[..len]);
+    // SAFETY: capacity for `len` elements was reserved above and the caller
+    // guarantees the kernel initialised all of them.
+    unsafe { landing.set_len(len) };
+    result
 }
 
 /// Lands `src` into `dst[at..at + src.len()]`.
@@ -208,6 +255,35 @@ mod tests {
                 "src={src:?} from={from} local={local:?}"
             );
         }
+    }
+
+    #[test]
+    fn landing_in_a_reused_vec_matches_the_arc_wrapper() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
+        // Stale contents and a stale length must not survive a landing.
+        let mut landing = vec![u32::MAX; 7];
+        for _ in 0..200 {
+            let (la, lb) = (rng.gen_range(0..400), rng.gen_range(0..400));
+            let src = random_sorted(&mut rng, la, 600);
+            let local = random_sorted(&mut rng, lb, 600);
+            let from = rng.gen_range(0..=src.len());
+            let (arc, expected) = copy_intersect(&src, from, &local);
+            // SAFETY: `copy_intersect_into` initialises its whole destination.
+            let count = unsafe {
+                land_in_vec(&mut landing, src.len(), |dst| {
+                    copy_intersect_into(&src, from, &local, dst)
+                })
+            };
+            assert_eq!(count, expected);
+            assert_eq!(landing[..], arc[..]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "destination must fit the row exactly")]
+    fn a_short_destination_is_rejected() {
+        let mut dst = [MaybeUninit::uninit(); 3];
+        copy_intersect_into(&[1, 2, 3, 4], 0, &[2], &mut dst);
     }
 
     #[test]

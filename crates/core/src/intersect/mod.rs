@@ -46,9 +46,9 @@ pub use binary::binary_search_count;
 pub use calibrate::{CostModel, CostProfile};
 pub use compressed::{
     compressed_count_closing, compressed_scalar_count, compressed_simd_count,
-    compressed_skip_count, copy_decode_intersect,
+    compressed_skip_count, copy_decode_intersect, copy_decode_intersect_into,
 };
-pub use fused::copy_intersect;
+pub use fused::{copy_intersect, copy_intersect_into};
 pub use galloping::galloping_count;
 pub use hybrid::{galloping_is_faster, select_kernel, ssi_is_faster, IntersectMethod};
 pub use parallel::ParallelIntersector;

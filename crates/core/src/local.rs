@@ -595,12 +595,26 @@ pub fn compressed_count_closing_at(
         direction == Direction::Directed || adj_u[neighbour_idx] == v,
         "neighbour_idx must locate v in adj_u"
     );
-    let a = closing_a_side(direction, adj_u, neighbour_idx);
+    let (a, bound) = compressed_closing_operands(direction, adj_u, v, neighbour_idx);
+    compressed_count_closing(a, row_v, bound, model)
+}
+
+/// Operands of a compressed closing count: the `adj_u`-side slice
+/// ([`closing_a_side`]) and the upper-triangle filter on the compressed `v`
+/// row as the kernels' `bound`. Shared between
+/// [`compressed_count_closing_at`] and the distributed reader's landing
+/// transfers so hit and miss counts can never diverge.
+pub(crate) fn compressed_closing_operands(
+    direction: Direction,
+    adj_u: &[VertexId],
+    v: VertexId,
+    neighbour_idx: usize,
+) -> (&[VertexId], Option<VertexId>) {
     let bound = match direction {
         Direction::Undirected => Some(v),
         Direction::Directed => None,
     };
-    compressed_count_closing(a, row_v, bound, model)
+    (closing_a_side(direction, adj_u, neighbour_idx), bound)
 }
 
 /// Counts the closed triplets anchored at `u`, using the O(1) incremental

@@ -4,6 +4,7 @@
 use super::stats::{LatencyPercentiles, ServiceStats};
 use super::{Query, QueryAnswer, QueryId, ServiceConfig, ServiceError};
 use crate::distributed::config::{ResolvedCaches, ScoreMode};
+use crate::distributed::reader::read_offsets_plain;
 use crate::distributed::windows::GraphWindows;
 use crate::intersect::{compressed_count_closing, CostModel, Intersector, ParallelIntersector};
 use crate::jaccard::{edge_similarity, top_k_edges, EdgeSimilarity};
@@ -558,14 +559,7 @@ fn fetch_row<'c>(
             let row = cache.get_scored(ep, target, v_local, 2, 0.0)?;
             (row[0] as usize, row[1] as usize)
         }
-        None if target == ep.rank() => {
-            let row = ep.local_read(&windows.offsets, v_local, 2);
-            (row[0] as usize, row[1] as usize)
-        }
-        None => {
-            let row = ep.get_with_retry(&windows.offsets, target, v_local, 2)?;
-            (row[0] as usize, row[1] as usize)
-        }
+        None => read_offsets_plain(ep, &windows.offsets, target, v_local)?,
     };
     let len = end - start;
     if len == 0 {

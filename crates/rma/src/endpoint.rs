@@ -6,13 +6,24 @@
 //! buffer (detected by the [`crate::fault::checksum`] stamped at the source
 //! window), or straggle past the [`RetryPolicy`] timeout. [`Endpoint::get`] /
 //! [`Endpoint::get_map`] therefore return `Result`, and the
-//! [`Endpoint::get_with_retry`] / [`Endpoint::get_map_with_retry`] wrappers
-//! implement the self-healing path: exponential backoff between attempts,
-//! every retry and backoff nanosecond charged through the same α+βs cost
-//! accounting as ordinary traffic. Epoch misuse remains a panic — that is a
-//! programming error, the moral equivalent of an `MPI_ERR_RMA_SYNC` abort.
-//! Without an injector the fault machinery is entirely skipped (no checksum
-//! is computed), so the fault-off hot path is unchanged.
+//! [`Endpoint::get_with_retry`] / [`Endpoint::get_map_with_retry`] /
+//! [`Endpoint::get_into_with_retry`] wrappers implement the self-healing
+//! path: exponential backoff between attempts, every retry and backoff
+//! nanosecond charged through the same α+βs cost accounting as ordinary
+//! traffic. Epoch misuse remains a panic — that is a programming error, the
+//! moral equivalent of an `MPI_ERR_RMA_SYNC` abort. Without an injector the
+//! fault machinery is entirely skipped (no checksum is computed), so the
+//! fault-off hot path is unchanged.
+//!
+//! There is one protocol and two *landers*. Every get is issued and completed
+//! by the same private pair (`Endpoint::issue` / `Endpoint::complete`); what
+//! differs is only who owns the buffer the transfer lands in. The owned
+//! lander ([`Endpoint::get_map`] and its wrappers) lands in a fresh
+//! `Arc<[T]>` — right when a cache will retain the row, a pipeline slot holds
+//! it in flight, or it is returned to the caller. The borrowed lander
+//! ([`Endpoint::get_into_with_retry`]) lands in a buffer the caller keeps
+//! across gets — right for every synchronous read whose buffer nobody
+//! retains, which then costs no heap allocation at all.
 
 use crate::fault::{self, FaultInjector, RetryPolicy, RmaError};
 use crate::network::NetworkModel;
@@ -32,6 +43,13 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct PendingGet<T> {
     data: Arc<[T]>,
+    ticket: Ticket,
+}
+
+/// The issue-side record of one get — everything its completion needs except
+/// the landed data, which the lander owns.
+#[derive(Debug)]
+struct Ticket {
     cost_ns: f64,
     epoch: u64,
     target: usize,
@@ -59,41 +77,7 @@ impl<T: Copy> PendingGet<T> {
     /// transfer cost is still charged — the bytes did cross the wire).
     #[inline]
     pub fn wait(self, ep: &mut Endpoint) -> Result<Arc<[T]>, RmaError> {
-        assert_eq!(
-            self.epoch, ep.epoch_counter,
-            "PendingGet completed in a different access epoch than it was issued in"
-        );
-        // The base cost was added to `outstanding_ns` at issue time; completing
-        // the get individually removes it from the outstanding pool.
-        ep.outstanding_ns = (ep.outstanding_ns - self.cost_ns).max(0.0);
-        ep.stats.flushes += 1;
-        let factor = self.delay_factor.unwrap_or(1.0);
-        let total_ns = self.cost_ns * factor;
-        if self.cost_ns > 0.0 && factor > 1.0 {
-            if let Some(timeout_ns) = ep.retry.timeout_ns {
-                if total_ns > timeout_ns {
-                    // The caller waited out the whole timeout before giving up.
-                    ep.charge_raw(timeout_ns);
-                    ep.stats.timeouts += 1;
-                    return Err(RmaError::Timeout {
-                        target: self.target,
-                        waited_ns: total_ns,
-                        timeout_ns,
-                    });
-                }
-            }
-            ep.stats.delayed_gets += 1;
-        }
-        ep.charge_raw(total_ns);
-        ep.network.maybe_inject_since(total_ns, self.issued_at);
-        if let Some(expected) = self.expected_checksum {
-            if fault::checksum(&self.data) != expected {
-                ep.stats.checksum_failures += 1;
-                return Err(RmaError::ChecksumMismatch {
-                    target: self.target,
-                });
-            }
-        }
+        ep.complete(&self.ticket, &self.data)?;
         Ok(self.data)
     }
 }
@@ -102,12 +86,12 @@ impl<T> PendingGet<T> {
     /// The modeled cost of this get, in nanoseconds (available before completion so
     /// callers can reason about prefetch depth).
     pub fn cost_ns(&self) -> f64 {
-        self.cost_ns
+        self.ticket.cost_ns
     }
 
     /// The rank this get targets.
     pub fn target(&self) -> usize {
-        self.target
+        self.ticket.target
     }
 
     /// Number of elements transferred.
@@ -279,6 +263,31 @@ impl Endpoint {
         len: usize,
         transfer: impl FnOnce(&[T]) -> (Arc<[T]>, R),
     ) -> Result<(PendingGet<T>, R), RmaError> {
+        let (ticket, (data, result)) = self.issue(window, target, offset, len, |wire| {
+            let landed = transfer(wire);
+            // A hard check, not a debug assertion: a short or long landed
+            // buffer would be cached under this get's key and served as
+            // wrong-length "hits" forever after — silent corruption in
+            // release builds.
+            assert_eq!(landed.0.len(), len, "transfer must land the full region");
+            landed
+        })?;
+        Ok((PendingGet { data, ticket }, result))
+    }
+
+    /// The issue half every get shares: epoch assertion, fault rolls, the
+    /// source checksum stamp, the transfer itself (`land` runs over the wire —
+    /// corrupted when the injector says so — and puts the data wherever its
+    /// lander keeps it), statistics and the outstanding-cost pool.
+    #[inline]
+    fn issue<T: Copy + Send + Sync, R>(
+        &mut self,
+        window: &Window<T>,
+        target: usize,
+        offset: usize,
+        len: usize,
+        land: impl FnOnce(&[T]) -> R,
+    ) -> Result<(Ticket, R), RmaError> {
         assert!(self.epoch_open, "RMA get issued outside an access epoch");
         let src = window.exposed(target, offset, len);
         let remote = target != self.rank;
@@ -299,17 +308,10 @@ impl Endpoint {
                 delay_factor = inj.completion_delay();
             }
         }
-        let (data, result) = match corruption {
-            Some(salt) => {
-                let corrupted = fault::corrupt_copy(src, salt);
-                transfer(&corrupted)
-            }
-            None => transfer(src),
+        let landed = match corruption {
+            Some(salt) => land(&fault::corrupt_copy(src, salt)),
+            None => land(src),
         };
-        // A hard check, not a debug assertion: a short or long landed buffer
-        // would be cached under this get's key and served as wrong-length
-        // "hits" forever after — silent corruption in release builds.
-        assert_eq!(data.len(), len, "transfer must land the full region");
         let bytes = len * window.element_size();
         let cost_ns = if remote {
             self.stats.record_get(target, bytes);
@@ -319,18 +321,92 @@ impl Endpoint {
             0.0
         };
         self.outstanding_ns += cost_ns;
-        Ok((
-            PendingGet {
-                data,
-                cost_ns,
-                epoch: self.epoch_counter,
-                target,
-                expected_checksum,
-                delay_factor,
-                issued_at: (self.network.injection_scale > 0.0).then(std::time::Instant::now),
-            },
-            result,
-        ))
+        let ticket = Ticket {
+            cost_ns,
+            epoch: self.epoch_counter,
+            target,
+            expected_checksum,
+            delay_factor,
+            issued_at: (self.network.injection_scale > 0.0).then(std::time::Instant::now),
+        };
+        Ok((ticket, landed))
+    }
+
+    /// The completion half every get shares (see [`PendingGet::wait`] for the
+    /// contract): flush accounting, straggler timeout, overlap charging,
+    /// latency injection, and checksum verification over `landed`.
+    #[inline]
+    fn complete<T: Copy>(&mut self, ticket: &Ticket, landed: &[T]) -> Result<(), RmaError> {
+        assert_eq!(
+            ticket.epoch, self.epoch_counter,
+            "PendingGet completed in a different access epoch than it was issued in"
+        );
+        // The base cost was added to `outstanding_ns` at issue time; completing
+        // the get individually removes it from the outstanding pool.
+        self.outstanding_ns = (self.outstanding_ns - ticket.cost_ns).max(0.0);
+        self.stats.flushes += 1;
+        let factor = ticket.delay_factor.unwrap_or(1.0);
+        let total_ns = ticket.cost_ns * factor;
+        if ticket.cost_ns > 0.0 && factor > 1.0 {
+            if let Some(timeout_ns) = self.retry.timeout_ns {
+                if total_ns > timeout_ns {
+                    // The caller waited out the whole timeout before giving up.
+                    self.charge_raw(timeout_ns);
+                    self.stats.timeouts += 1;
+                    return Err(RmaError::Timeout {
+                        target: ticket.target,
+                        waited_ns: total_ns,
+                        timeout_ns,
+                    });
+                }
+            }
+            self.stats.delayed_gets += 1;
+        }
+        self.charge_raw(total_ns);
+        self.network.maybe_inject_since(total_ns, ticket.issued_at);
+        if let Some(expected) = ticket.expected_checksum {
+            if fault::checksum(landed) != expected {
+                self.stats.checksum_failures += 1;
+                return Err(RmaError::ChecksumMismatch {
+                    target: ticket.target,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The retry loop every self-healing read shares: runs `attempt` until it
+    /// succeeds or the [`RetryPolicy`] budget is spent, with exponential
+    /// backoff before each retry — an idle stall, charged as communication
+    /// time without consuming overlap credit. `first_failure` is the outcome
+    /// of an attempt the caller already made (it counts as attempt 1).
+    #[inline]
+    fn retrying<R>(
+        &mut self,
+        target: usize,
+        first_failure: Option<RmaError>,
+        mut attempt: impl FnMut(&mut Self) -> Result<R, RmaError>,
+    ) -> Result<R, RmaError> {
+        let attempts = self.retry.max_attempts.max(1);
+        let first = if first_failure.is_some() { 2 } else { 1 };
+        let mut last = first_failure;
+        for n in first..=attempts {
+            if n > 1 {
+                let backoff = self.retry.backoff_ns(n - 1);
+                self.stats.retries += 1;
+                self.stats.backoff_ns += backoff;
+                self.stats.record_completion(backoff, 0.0);
+            }
+            match attempt(self) {
+                Ok(out) => return Ok(out),
+                Err(e) => last = Some(e),
+            }
+        }
+        Err(RmaError::RetriesExhausted {
+            target,
+            attempts,
+            last: Box::new(last.expect("at least one attempt always runs")),
+        })
     }
 
     /// A self-healing [`Endpoint::get`]: retries transient failures, timeouts
@@ -369,29 +445,53 @@ impl Endpoint {
         len: usize,
         mut transfer: impl FnMut(&[T]) -> (Arc<[T]>, R),
     ) -> Result<(Arc<[T]>, R), RmaError> {
-        let attempts = self.retry.max_attempts.max(1);
-        let mut last: Option<RmaError> = None;
-        for attempt in 1..=attempts {
-            if attempt > 1 {
-                // Exponential backoff before each retry: an idle stall, charged
-                // as communication time without consuming overlap credit.
-                let backoff = self.retry.backoff_ns(attempt - 1);
-                self.stats.retries += 1;
-                self.stats.backoff_ns += backoff;
-                self.stats.record_completion(backoff, 0.0);
-            }
-            match self
-                .get_map(window, target, offset, len, &mut transfer)
-                .and_then(|(pending, aux)| Ok((pending.wait(self)?, aux)))
-            {
-                Ok(out) => return Ok(out),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(RmaError::RetriesExhausted {
-            target,
-            attempts,
-            last: Box::new(last.expect("at least one attempt always runs")),
+        self.retrying(target, None, |ep| {
+            let (pending, aux) = ep.get_map(window, target, offset, len, &mut transfer)?;
+            Ok((pending.wait(ep)?, aux))
+        })
+    }
+
+    /// The borrowed lander: a self-healing synchronous get whose transfer
+    /// lands in `landing`, a buffer the caller owns and reuses — the paper's
+    /// double buffer. `transfer` receives the wire and the landing buffer,
+    /// must leave exactly the `len` transferred elements in it (a `Vec` is
+    /// cleared and refilled, keeping its capacity; a fixed-size array is
+    /// overwritten), and may compute a result in the same pass; the result of
+    /// the verified-clean attempt is returned and `landing` then holds the
+    /// region.
+    ///
+    /// Use this for every read whose buffer nobody retains — the non-cached
+    /// protocol rounds, quarantine-bypass reads, the two-word offsets read —
+    /// and [`Endpoint::get_map_with_retry`] when the landed row outlives the
+    /// call (cache admission, a row handed back to the caller). Epochs, fault
+    /// rolls, checksums, timeouts, retries, statistics and overlap charging
+    /// are those of [`Endpoint::get_map_with_retry`], operation for operation.
+    ///
+    /// # Errors
+    ///
+    /// [`RmaError::RetriesExhausted`] when every allowed attempt failed.
+    #[inline]
+    pub fn get_into_with_retry<T: Copy + Send + Sync, L: AsRef<[T]> + ?Sized, R>(
+        &mut self,
+        window: &Window<T>,
+        target: usize,
+        offset: usize,
+        len: usize,
+        landing: &mut L,
+        mut transfer: impl FnMut(&[T], &mut L) -> R,
+    ) -> Result<R, RmaError> {
+        self.retrying(target, None, |ep| {
+            let (ticket, result) = ep.issue(window, target, offset, len, |wire| {
+                let result = transfer(wire, landing);
+                assert_eq!(
+                    (*landing).as_ref().len(),
+                    len,
+                    "transfer must land the full region"
+                );
+                result
+            })?;
+            ep.complete(&ticket, (*landing).as_ref())?;
+            Ok(result)
         })
     }
 
@@ -416,31 +516,13 @@ impl Endpoint {
         offset: usize,
         len: usize,
     ) -> Result<Arc<[T]>, RmaError> {
-        debug_assert_eq!(pending.target, target, "reissue coordinates must match");
-        let first = match pending.wait(self) {
-            Ok(data) => return Ok(data),
-            Err(e) => e,
-        };
-        let attempts = self.retry.max_attempts.max(1);
-        let mut last = first;
-        for attempt in 2..=attempts {
-            let backoff = self.retry.backoff_ns(attempt - 1);
-            self.stats.retries += 1;
-            self.stats.backoff_ns += backoff;
-            self.stats.record_completion(backoff, 0.0);
-            match self
-                .get(window, target, offset, len)
-                .and_then(|p| p.wait(self))
-            {
-                Ok(data) => return Ok(data),
-                Err(e) => last = e,
-            }
+        debug_assert_eq!(pending.target(), target, "reissue coordinates must match");
+        match pending.wait(self) {
+            Ok(data) => Ok(data),
+            Err(first) => self.retrying(target, Some(first), |ep| {
+                ep.get(window, target, offset, len)?.wait(ep)
+            }),
         }
-        Err(RmaError::RetriesExhausted {
-            target,
-            attempts,
-            last: Box::new(last),
-        })
     }
 
     /// Issues a get, healing *issue-time* transient failures with the same
@@ -461,25 +543,7 @@ impl Endpoint {
         offset: usize,
         len: usize,
     ) -> Result<PendingGet<T>, RmaError> {
-        let attempts = self.retry.max_attempts.max(1);
-        let mut last: Option<RmaError> = None;
-        for attempt in 1..=attempts {
-            if attempt > 1 {
-                let backoff = self.retry.backoff_ns(attempt - 1);
-                self.stats.retries += 1;
-                self.stats.backoff_ns += backoff;
-                self.stats.record_completion(backoff, 0.0);
-            }
-            match self.get(window, target, offset, len) {
-                Ok(pending) => return Ok(pending),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(RmaError::RetriesExhausted {
-            target,
-            attempts,
-            last: Box::new(last.expect("at least one attempt always runs")),
-        })
+        self.retrying(target, None, |ep| ep.get(window, target, offset, len))
     }
 
     /// Abandons every outstanding (issued, never waited) get: their modeled
@@ -751,7 +815,7 @@ mod tests {
         let mut ep = Endpoint::new(0, 2, NetworkModel::aries());
         ep.lock_all();
         let pending = ep.get(&w, 1, 0, 2).unwrap();
-        assert!(pending.expected_checksum.is_none());
+        assert!(pending.ticket.expected_checksum.is_none());
         let _ = pending.wait(&mut ep).unwrap();
         ep.unlock_all();
         assert_eq!(ep.stats().fault_events(), 0);
@@ -927,6 +991,153 @@ mod tests {
         }
         ep.unlock_all();
         assert!(ep.stats().checksum_failures > 0, "p=0.5 must corrupt some");
+    }
+
+    /// The borrowed lander's plain transfer: clear and refill the landing
+    /// `Vec`, summing the wire in the same pass.
+    fn land_and_sum(wire: &[u32], landing: &mut Vec<u32>) -> u32 {
+        landing.clear();
+        landing.extend_from_slice(wire);
+        wire.iter().copied().sum()
+    }
+
+    #[test]
+    fn borrowed_lander_is_the_owned_lander_operation_for_operation() {
+        // Same plan, same seed, same reads: the two landers must agree on the
+        // closure result, the landed bytes, and every statistic — integer
+        // counters and f64 charges alike — including runs that exhaust the
+        // retry budget. A straggler timeout and banked overlap credit are in
+        // play so every branch of the completion half is compared.
+        let w = Window::from_parts(vec![vec![1u32, 2, 3, 4], (10..74u32).collect()]);
+        let net = NetworkModel::aries();
+        let retry = RetryPolicy {
+            max_attempts: 3,
+            timeout_ns: Some(net.remote_cost_ns(64 * 4) * 20.0),
+            ..RetryPolicy::default()
+        };
+        for seed in [1u64, 7, 42] {
+            for plan in [
+                FaultPlan::reliable(seed),
+                FaultPlan::light(seed),
+                FaultPlan::heavy(seed),
+            ] {
+                let endpoint = || {
+                    let mut ep = Endpoint::new(0, 2, net)
+                        .with_retry(retry)
+                        .with_faults(plan.injector(0));
+                    ep.lock_all();
+                    ep
+                };
+                let (mut owned, mut borrowed) = (endpoint(), endpoint());
+                let mut landing = Vec::new();
+                let mut failures = 0;
+                for i in 0..200usize {
+                    let (offset, len) = (i % 7, 1 + (i * 5) % 57);
+                    owned.note_compute_ns(150.0);
+                    borrowed.note_compute_ns(150.0);
+                    let a = owned.get_map_with_retry(&w, 1, offset, len, |wire| {
+                        (Arc::from(wire), wire.iter().copied().sum::<u32>())
+                    });
+                    let b = borrowed.get_into_with_retry(
+                        &w,
+                        1,
+                        offset,
+                        len,
+                        &mut landing,
+                        land_and_sum,
+                    );
+                    match (a, b) {
+                        (Ok((data, sum_a)), Ok(sum_b)) => {
+                            assert_eq!(sum_a, sum_b, "{plan:?} read {i}");
+                            assert_eq!(&*data, &landing[..], "{plan:?} read {i}");
+                            assert_eq!(&landing[..], &w.local_part(1)[offset..offset + len]);
+                        }
+                        (Err(a), Err(b)) => {
+                            assert_eq!(a, b, "{plan:?} read {i}");
+                            failures += 1;
+                        }
+                        (a, b) => panic!("landers diverged at read {i}: {a:?} vs {b:?}"),
+                    }
+                    assert_eq!(owned.stats(), borrowed.stats(), "{plan:?} read {i}");
+                }
+                owned.unlock_all();
+                borrowed.unlock_all();
+                if plan.is_reliable() {
+                    assert_eq!(owned.stats().fault_events(), 0);
+                } else {
+                    assert!(owned.stats().retries > 0, "{plan:?} must retry");
+                }
+                if plan == FaultPlan::heavy(seed) {
+                    assert!(failures > 0, "three attempts cannot outlast a heavy plan");
+                    assert!(owned.stats().timeouts > 0, "heavy stragglers must time out");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn borrowed_lander_never_leaks_a_corrupted_pass() {
+        let w = window2();
+        let plan = FaultPlan {
+            corrupt_p: 0.5,
+            ..FaultPlan::reliable(6)
+        };
+        let retry = RetryPolicy {
+            max_attempts: 64,
+            ..RetryPolicy::default()
+        };
+        let mut ep = Endpoint::new(0, 2, NetworkModel::zero())
+            .with_retry(retry)
+            .with_faults(plan.injector(0));
+        ep.lock_all();
+        let mut landing = Vec::new();
+        let mut passes = 0u64;
+        for _ in 0..30 {
+            let sum = ep
+                .get_into_with_retry(&w, 1, 1, 3, &mut landing, |wire, landing| {
+                    passes += 1;
+                    land_and_sum(wire, landing)
+                })
+                .unwrap();
+            // However many corrupted passes preceded it, both the returned
+            // result and the bytes left in the landing buffer come from the
+            // verified-clean one.
+            assert_eq!(sum, 20 + 30 + 40);
+            assert_eq!(landing, [20, 30, 40]);
+        }
+        ep.unlock_all();
+        assert!(ep.stats().checksum_failures > 0, "p=0.5 must corrupt some");
+        assert_eq!(passes, 30 + ep.stats().checksum_failures);
+        assert_eq!(ep.stats().retries, ep.stats().checksum_failures);
+    }
+
+    #[test]
+    fn borrowed_lander_lands_in_a_stack_array() {
+        let w = Window::from_parts(vec![vec![0u64; 4], vec![5u64, 9, 12, 12]]);
+        let mut ep = Endpoint::new(0, 2, NetworkModel::aries());
+        ep.lock_all();
+        let mut pair = [0u64; 2];
+        ep.get_into_with_retry(&w, 1, 1, 2, &mut pair, |wire, pair| {
+            pair.copy_from_slice(wire)
+        })
+        .unwrap();
+        ep.unlock_all();
+        assert_eq!(pair, [9, 12]);
+        assert_eq!((ep.stats().gets, ep.stats().bytes), (1, 16));
+    }
+
+    #[test]
+    #[should_panic(expected = "transfer must land the full region")]
+    fn borrowed_lander_rejects_a_short_landing() {
+        let w = window2();
+        let mut ep = Endpoint::new(0, 2, NetworkModel::zero());
+        ep.lock_all();
+        let mut landing = Vec::new();
+        let _ =
+            ep.get_into_with_retry(&w, 1, 0, 3, &mut landing, |wire, landing: &mut Vec<u32>| {
+                landing.clear();
+                landing.extend_from_slice(&wire[..2]);
+            });
     }
 
     #[test]

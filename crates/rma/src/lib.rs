@@ -33,11 +33,13 @@
 //! vertices especially worthwhile), and the complete absence of target-side
 //! synchronization during computation.
 //!
-//! Transfers land in a shared `Arc<[T]>` buffer — the get's single
-//! allocation, which the CLaMPI layer retains by refcount — and
-//! [`Endpoint::get_map`] additionally exposes the transfer itself as a hook,
-//! so a fused kernel can compute over the data in the same pass that copies
-//! it off the (simulated) wire.
+//! Transfers land either in a shared `Arc<[T]>` buffer — the get's single
+//! allocation, which the CLaMPI layer retains by refcount — or, for reads
+//! whose buffer nobody keeps, in a buffer the caller reuses across gets
+//! ([`Endpoint::get_into_with_retry`], no allocation at all). Both landers
+//! expose the transfer itself as a hook ([`Endpoint::get_map`]), so a fused
+//! kernel can compute over the data in the same pass that copies it off the
+//! (simulated) wire.
 //!
 //! # Paper map
 //!
@@ -59,7 +61,7 @@ pub mod runner;
 pub mod stats;
 pub mod window;
 
-pub use cputime::ThreadTimer;
+pub use cputime::{ComputeMeter, ThreadTimer};
 pub use endpoint::{Endpoint, PendingGet};
 pub use fault::{FaultInjector, FaultPlan, RetryPolicy, RmaError};
 pub use network::NetworkModel;

@@ -31,6 +31,12 @@ docs:
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p rmatc -p rmatc-core -p rmatc-clampi -p rmatc-rma -p rmatc-graph -p rmatc-tric -p rmatc-bench
     cargo test --workspace --doc -q
 
+# The repo benchmark (BENCHMARK.json's command, suite mode): every workload,
+# untraced then traced, one fresh process per pass; prints every metric by
+# name and writes benchmark/out/results.json. See benchmark/README.md.
+bench-e2e:
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --
+
 # Fit this machine's kernel-crossover cost profile and persist it to the
 # default profile path (RMATC_PROFILE or ~/.cache/rmatc/). See docs/TUNING.md.
 calibrate:

@@ -108,6 +108,42 @@ fn lcc_is_bit_identical_under_recoverable_fault_plans() {
 }
 
 #[test]
+fn non_cached_lcc_heals_corrupted_landings_in_the_reused_buffer() {
+    // The sequential non-cached worker lands every remote read in a buffer it
+    // reuses (adjacency rows) or on the stack (offsets pairs). A corrupted
+    // landing must be caught by the checksum over that buffer and overwritten
+    // by the retry — never intersected into the answer — under both storage
+    // modes.
+    let g = graph();
+    for storage in [GraphStorage::Plain, GraphStorage::Compressed] {
+        let base = DistConfig::non_cached(2).with_storage(storage);
+        let clean = DistLcc::new(base).run(&g);
+        for seed in chaos_seeds() {
+            let plan = FaultPlan::heavy(seed);
+            with_plan_artifact(&plan, "lcc-landing", || {
+                let cfg = base.with_faults(plan).with_retry(patient_retries());
+                let faulted = DistLcc::new(cfg)
+                    .try_run(&g)
+                    .expect("recoverable plans must heal");
+                assert_eq!(faulted.per_vertex_triangles, clean.per_vertex_triangles);
+                assert_eq!(faulted.lcc, clean.lcc);
+                let checksum_failures: u64 =
+                    faulted.ranks.iter().map(|r| r.rma.checksum_failures).sum();
+                let retries: u64 = faulted.ranks.iter().map(|r| r.rma.retries).sum();
+                assert!(
+                    checksum_failures > 0,
+                    "the heavy plan must corrupt some landing (seed {seed}, {storage:?})"
+                );
+                assert!(
+                    retries >= checksum_failures,
+                    "every corrupted landing retries"
+                );
+            });
+        }
+    }
+}
+
+#[test]
 fn cached_lcc_heals_corrupted_cache_entries() {
     let g = graph();
     let cache = 1usize << 20;

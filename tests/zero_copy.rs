@@ -1,8 +1,10 @@
 //! Acceptance tests of the zero-copy remote-adjacency path: the fused
 //! read+intersect worker is observationally identical to a materializing read
 //! loop (same LCC values, same cache statistics, same endpoint counters),
-//! cache hits and local-rank reads perform no heap allocations, and the single
-//! miss allocation is handed to the cache without a second copy.
+//! cache hits and local-rank reads perform no heap allocations, the single
+//! miss allocation is handed to the cache without a second copy, and reads
+//! nobody retains (non-cached rounds, quarantine bypasses) land in a reused
+//! buffer without allocating at all.
 
 use proptest::prelude::*;
 use rmatc::clampi::{CacheStats, RowRef};
@@ -377,6 +379,130 @@ fn compressed_fused_hit_path_allocates_nothing() {
         stats.logical_bytes > stats.stored_bytes && stats.stored_bytes > 0,
         "compressed misses must record logical vs stored bytes"
     );
+}
+
+/// One fused protocol round per remote edge of rank 0's first vertices
+/// (offsets read + adjacency read + intersection), summed.
+fn remote_rounds(
+    pg: &PartitionedGraph,
+    reader: &mut RemoteReader,
+    ep: &mut Endpoint,
+    intersector: &ParallelIntersector,
+) -> u64 {
+    let part = &pg.partitions[0];
+    let (mut total, mut rounds) = (0, 0);
+    for local_idx in 0..part.local_vertex_count() {
+        let adj_u = part.neighbours_of_local(local_idx);
+        for (k, &v) in adj_u.iter().enumerate() {
+            if pg.partitioner.owner(v) == 1 && rounds < 64 {
+                let v_local = pg.partitioner.local_index(v);
+                total += reader
+                    .count_closing_remote(ep, 1, v_local, pg.direction, adj_u, v, k, intersector)
+                    .unwrap();
+                rounds += 1;
+            }
+        }
+    }
+    assert!(rounds > 0, "the partition must have remote edges");
+    total
+}
+
+#[test]
+fn non_cached_rounds_allocate_nothing_once_the_landing_buffer_has_grown() {
+    // Nobody retains a non-cached read, so it lands in the reader's reusable
+    // buffer (adjacency) or on the stack (the two-word offsets pair): after
+    // the first pass has grown the buffer to the longest row, a full protocol
+    // round performs zero heap allocations — under both storage modes.
+    let g = RmatGenerator::paper(8, 8).generate_cleaned(9).into_csr();
+    let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
+    let mut counts = Vec::new();
+    for storage in [
+        rmatc::graph::GraphStorage::Plain,
+        rmatc::graph::GraphStorage::Compressed,
+    ] {
+        let windows = GraphWindows::build_with(&pg, storage);
+        let mut config = base_config(2);
+        config.storage = storage;
+        let mut reader = build_reader(&pg, &windows, &config);
+        let mut ep = Endpoint::new(0, 2, config.network);
+        let intersector = ParallelIntersector::new(config.method, 1, usize::MAX);
+        ep.lock_all();
+        let warm = remote_rounds(&pg, &mut reader, &mut ep, &intersector);
+        let gets = ep.stats().gets;
+        let before = allocations_on_this_thread();
+        let hot = remote_rounds(&pg, &mut reader, &mut ep, &intersector);
+        assert_eq!(
+            allocations_on_this_thread(),
+            before,
+            "non-cached rounds must perform zero heap allocations ({storage:?})"
+        );
+        assert_eq!(warm, hot);
+        assert_eq!(
+            ep.stats().gets,
+            2 * gets,
+            "every round still goes to the network"
+        );
+        ep.unlock_all();
+        counts.push(hot);
+    }
+    assert_eq!(
+        counts[0], counts[1],
+        "compressed counts must match plain counts"
+    );
+}
+
+#[test]
+fn quarantine_bypass_reads_allocate_nothing() {
+    // A quarantined cache retains nothing, so its bypass reads land in the
+    // same reusable buffer as the non-cached rounds. Every lookup rots the
+    // resident entry, so the second pass trips the (default, three-strike)
+    // quarantine; the offsets window is left uncached because a plain cached
+    // read hands its row back to the caller and therefore keeps its `Arc`.
+    let g = RmatGenerator::paper(8, 8).generate_cleaned(9).into_csr();
+    let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
+    let plan = rmatc::rma::FaultPlan {
+        cache_corrupt_p: 1.0,
+        ..rmatc::rma::FaultPlan::reliable(5)
+    };
+    for storage in [
+        rmatc::graph::GraphStorage::Plain,
+        rmatc::graph::GraphStorage::Compressed,
+    ] {
+        let windows = GraphWindows::build_with(&pg, storage);
+        let mut config = base_config(2);
+        config.storage = storage;
+        config.cache = Some(CacheSpec {
+            cache_offsets: false,
+            ..CacheSpec::paper(1 << 22)
+        });
+        let mut reader = build_reader(&pg, &windows, &config);
+        let mut ep = Endpoint::new(0, 2, config.network).with_faults(plan.injector(0));
+        let intersector = ParallelIntersector::new(config.method, 1, usize::MAX);
+        ep.lock_all();
+        let clean = remote_rounds(&pg, &mut reader, &mut ep, &intersector);
+        let sick = remote_rounds(&pg, &mut reader, &mut ep, &intersector);
+        assert!(
+            ep.stats().cache_bypass_reads > 0,
+            "the second pass must quarantine the cache ({storage:?})"
+        );
+        let (bypasses, gets) = (ep.stats().cache_bypass_reads, ep.stats().gets);
+        let before = allocations_on_this_thread();
+        let bypassed = remote_rounds(&pg, &mut reader, &mut ep, &intersector);
+        assert_eq!(
+            allocations_on_this_thread(),
+            before,
+            "quarantine-bypass reads must perform zero heap allocations ({storage:?})"
+        );
+        let adjacency_reads = ep.stats().cache_bypass_reads - bypasses;
+        assert!(adjacency_reads > 0, "the measured pass must bypass");
+        assert_eq!(
+            ep.stats().gets - gets,
+            2 * adjacency_reads,
+            "a bypass round is the plain two-get protocol"
+        );
+        assert_eq!((clean, sick), (bypassed, bypassed), "{storage:?}");
+        ep.unlock_all();
+    }
 }
 
 #[test]
