@@ -51,8 +51,8 @@ fn bench_kernels(c: &mut Criterion) {
     let balanced_b = sorted_random(&mut rng, 4_096, 1 << 20);
     let big_a = sorted_random(&mut rng, 65_536, 1 << 22);
     let big_b = sorted_random(&mut rng, 65_536, 1 << 22);
-    // Hub-leaf: few keys against a huge row — the |B| >= |A|^2 regime where
-    // restart binary search is optimal and the hybrid must pick it.
+    // Hub-leaf: few keys against a huge row — the |B| >= |A|^2 regime the
+    // hybrid routes to restart binary search.
     let hub_keys = sorted_random(&mut rng, 64, 1 << 20);
     let hub_hay = sorted_random(&mut rng, 65_536, 1 << 20);
     // 1000x skew with enough keys (|B| < |A|^2) — galloping's regime.

@@ -31,15 +31,16 @@ impl EntryKey {
 
     /// Hash-table slot for this key given `slots` total slots. A simple multiplicative
     /// hash is sufficient and deterministic across runs.
+    ///
+    /// The window id is part of key *equality* but deliberately not of the
+    /// placement: ids come from a process-global counter, so hashing one would
+    /// make the conflicts a cache sees depend on how many windows anything
+    /// else in the process created first. A cache wraps one window, so the
+    /// id separates no keys it holds.
     pub fn slot(&self, slots: usize) -> usize {
         debug_assert!(slots > 0);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for v in [
-            self.window.0,
-            self.target as u64,
-            self.offset as u64,
-            self.len as u64,
-        ] {
+        for v in [self.target as u64, self.offset as u64, self.len as u64] {
             h ^= v;
             h = h.wrapping_mul(0x1000_0000_01b3);
         }

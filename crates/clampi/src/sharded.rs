@@ -75,15 +75,11 @@ impl<T: Clone> ShardedClampi<T> {
 
     /// Deterministic shard of a key. Uses a splitmix64-style mix over the key
     /// fields — deliberately *not* [`EntryKey::slot`]'s FNV hash, so the
-    /// shard index and the in-shard slot index stay uncorrelated.
+    /// shard index and the in-shard slot index stay uncorrelated. Like the
+    /// slot hash it leaves the process-global window id out.
     pub fn shard_for(&self, key: &EntryKey) -> usize {
         let mut h: u64 = 0x243f_6a88_85a3_08d3;
-        for v in [
-            key.window.0,
-            key.target as u64,
-            key.offset as u64,
-            key.len as u64,
-        ] {
+        for v in [key.target as u64, key.offset as u64, key.len as u64] {
             h = h.wrapping_add(v).wrapping_add(0x9e37_79b9_7f4a_7c15);
             h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -1,0 +1,78 @@
+//! Cache placement must not depend on the process-global window-id counter:
+//! the same reads against the same data produce byte-identical `CacheStats`
+//! however many windows anything else in the process created first. (Window
+//! ids stay part of key equality; they are only kept out of the slot and
+//! shard hashes.)
+
+use rmatc_clampi::{CacheStats, CachedWindow, ClampiConfig, ShardedCachedWindow};
+use rmatc_rma::{Endpoint, NetworkModel, Window};
+
+fn fresh_window() -> Window<u32> {
+    Window::from_parts(vec![(0..64u32).collect(), (0..40_000u32).collect()])
+}
+
+/// A conflict- and eviction-heavy read sequence: 600 reads over 300 distinct
+/// regions through a 64-slot table that holds a fraction of them.
+fn reads() -> impl Iterator<Item = (usize, usize)> {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    (0..600).map(move |_| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let region = (state >> 33) as usize % 300;
+        (region * 128, 8 + region % 96)
+    })
+}
+
+fn config() -> ClampiConfig {
+    ClampiConfig::always_cache(16 << 10, 64)
+}
+
+fn endpoint() -> Endpoint {
+    let mut ep = Endpoint::new(0, 2, NetworkModel::aries());
+    ep.lock_all();
+    ep
+}
+
+fn plain_stats() -> CacheStats {
+    let mut ep = endpoint();
+    let mut cw = CachedWindow::new(fresh_window(), config());
+    for (offset, len) in reads() {
+        cw.get(&mut ep, 1, offset, len).expect("reliable network");
+    }
+    cw.stats().clone()
+}
+
+fn sharded_stats() -> (CacheStats, Vec<CacheStats>) {
+    let mut ep = endpoint();
+    let cw = ShardedCachedWindow::new(fresh_window(), config(), 4);
+    for (offset, len) in reads() {
+        cw.get_scored(&mut ep, 1, offset, len, 0.0)
+            .expect("reliable network");
+    }
+    (cw.stats(), cw.cache().per_shard_stats())
+}
+
+#[test]
+fn cache_stats_do_not_depend_on_how_many_windows_came_first() {
+    let (plain, sharded) = (plain_stats(), sharded_stats());
+    assert!(
+        plain.conflict_evictions > 0 && plain.capacity_evictions > 0,
+        "the sequence must exercise placement: {plain:?}"
+    );
+    for throwaway in [1usize, 7, 64] {
+        for _ in 0..throwaway {
+            drop(Window::from_parts(vec![vec![0u32; 1]]));
+        }
+        assert_eq!(
+            plain_stats(),
+            plain,
+            "plain, after {throwaway} more windows"
+        );
+        assert_eq!(
+            sharded_stats(),
+            sharded,
+            "sharded, after {throwaway} more windows"
+        );
+    }
+}

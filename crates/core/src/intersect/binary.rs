@@ -29,17 +29,6 @@ pub fn binary_search_count(keys: &[VertexId], tree: &[VertexId]) -> u64 {
     count
 }
 
-/// Variant used by the shared-memory parallel kernel: counts matches of
-/// `keys[range]` against the full tree. Exposed separately so chunked parallel
-/// execution can reuse the same code path.
-pub fn binary_search_count_range(
-    keys: &[VertexId],
-    tree: &[VertexId],
-    range: std::ops::Range<usize>,
-) -> u64 {
-    binary_search_count(&keys[range], tree)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,15 +76,5 @@ mod tests {
             assert_eq!(binary_search_count(&a, &b), expected);
             assert_eq!(binary_search_count(&b, &a), expected);
         }
-    }
-
-    #[test]
-    fn range_variant_matches_full_sum() {
-        let keys: Vec<u32> = (0..100).collect();
-        let tree: Vec<u32> = (0..200).step_by(2).collect();
-        let full = binary_search_count(&keys, &tree);
-        let split = binary_search_count_range(&keys, &tree, 0..50)
-            + binary_search_count_range(&keys, &tree, 50..100);
-        assert_eq!(full, split);
     }
 }

@@ -12,8 +12,7 @@
 //! * [`compressed_simd_count`] — the merge-class kernel: blocks are decoded
 //!   by the fastest unpacker available (an AVX2 gather/variable-shift
 //!   bitpack decoder when the CPU has it, the scalar reference otherwise)
-//!   and fed to the existing SSE2/AVX2 block-compare merge
-//!   ([`simd_count`]). Blocks whose header maximum
+//!   and fed to the block merge ([`simd_count`]). Blocks whose header maximum
 //!   falls below the merge cursor are skipped without touching their
 //!   payload.
 //! * [`compressed_skip_count`] — the search-class kernel for skewed pairs:
@@ -187,7 +186,7 @@ pub fn compressed_scalar_count(a: &[VertexId], row: &[u32], bound: Option<Vertex
 }
 
 /// Merge-class kernel: decodes candidate blocks with [`decode_block_fast`]
-/// and feeds them to the SSE2/AVX2 block-compare merge; blocks wholly below
+/// and feeds them to the block merge; blocks wholly below
 /// the bound or the merge cursor are skipped via their header maximum
 /// without touching the payload.
 pub fn compressed_simd_count(a: &[VertexId], row: &[u32], bound: Option<VertexId>) -> u64 {

@@ -1,147 +1,148 @@
-//! Galloping (exponential-probe) search intersection with batched window
-//! resolution.
+//! Galloping search intersection: the block-probe kernel.
 //!
 //! Algorithm 1 binary-searches every key from scratch: `O(|A| · log |B|)`
 //! probes, each search walking the whole tree depth again even though the keys
 //! are sorted and strictly increasing, and each probe waiting on the previous
-//! one — a serial dependent-load chain. This kernel exploits both structural
-//! facts the paper's kernel ignores:
+//! one — a serial dependent-load chain. `probe` exploits the sortedness the
+//! paper's kernel ignores, a block at a time:
 //!
-//! 1. **Sortedness** — a cursor remembers where the previous key landed and
-//!    probes forward with exponentially growing steps (seeded with the
-//!    previous key's observed advance), bracketing each key's window in
-//!    `O(1 + log(|B|/|A|))` probes instead of `log |B|`.
-//! 2. **Batching** — the bracketed windows of up to 64 consecutive keys are
-//!    then resolved *in lockstep*: one branchless binary-search step per key
-//!    per round, so the 64 loads of a round are independent and the memory
-//!    system overlaps them, where per-key binary search serializes on every
-//!    load. This converts the dominant cost from `rounds × latency` into
-//!    `rounds × (latency / memory-level-parallelism)`.
+//! * a running cursor over the haystack's *blocks* (8 values on AVX2, 4 on
+//!   SSE2) remembers where the previous key landed and skips forward by
+//!   comparing the key against each block's last value — one block at a time
+//!   for the first few, then with doubling strides over the block maxima and
+//!   a binary narrowing of the bracket (`gallop`);
+//! * the key is then broadcast against the one block that can hold it: one
+//!   compare answers "is it among these 8", where a scalar search would spend
+//!   three more dependent probes;
+//! * the final partial block is compared under a lane mask.
 //!
 //! Total work is `O(|A| · (1 + log(|B| / |A|)))` — the information-theoretic
 //! optimum for intersecting sorted lists of very different lengths. This is
 //! the search-class kernel the three-way hybrid rule picks for skewed edges
-//! with enough keys to amortize (see [`super::hybrid`]).
-//!
-//! Below one lockstep batch the gallop/batch machinery costs more than it
-//! saves (there are no independent loads to overlap), so key sets under
-//! `BATCH` (64 keys) short-circuit to plain restart binary search — which makes
-//! `IntersectMethod::Galloping` safe to use standalone, not only behind the
-//! hybrid rule's routing.
+//! with enough keys to amortize (see [`super::hybrid`]), and what the block
+//! merge of [`simd`](super::simd) hands its sub-block remainders to.
 
-use super::binary::binary_search_count;
+use super::simd::Isa;
 use rmatc_graph::types::VertexId;
 
-/// Number of key windows resolved in lockstep; 64 states fit comfortably in
-/// one page of stack and give the memory system plenty of independent loads.
-const BATCH: usize = 64;
+/// Blocks the cursor skips one at a time before its stride starts doubling.
+const LINEAR_SKIPS: usize = 4;
 
 /// Counts `|keys ∩ haystack|`. Both slices must be sorted and duplicate-free;
 /// callers should pass the shorter list as `keys` for the complexity bound to
 /// hold, but the result is correct either way.
 pub fn galloping_count(keys: &[VertexId], haystack: &[VertexId]) -> u64 {
-    let len = haystack.len();
-    if len == 0 || keys.is_empty() {
-        return 0;
-    }
-    if keys.len() < BATCH {
-        return binary_search_count(keys, haystack);
-    }
-    let mut count = 0u64;
-    // Cursor invariant: every element before `cursor` is < the next key.
-    let mut cursor = 0usize;
-    // Probe bound, seeded with the expected advance per key and adapted to
-    // each key's observed advance thereafter.
-    let mut hint = (len / keys.len()).next_power_of_two();
-    // (window start, window length, key) per in-flight search.
-    let mut states = [(0usize, 0usize, 0 as VertexId); BATCH];
-    for batch in keys.chunks(BATCH) {
-        if cursor >= len {
-            break;
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2,popcnt")]
+        unsafe fn avx2(keys: &[VertexId], haystack: &[VertexId]) -> u64 {
+            probe::<super::simd::Avx2>(keys, haystack)
         }
-        // Phase 1: gallop each key's bracketing window forward from the
-        // cursor. Serial (each window starts where the previous one did), but
-        // only ~1-2 probes per key thanks to the adaptive bound.
-        let mut n = 0usize;
-        for &x in batch {
-            let (lo, hi) = gallop_window(haystack, cursor, x, hint);
-            hint = (hi - cursor).max(4).next_power_of_two();
-            cursor = lo;
-            states[n] = (lo, hi - lo, x);
-            n += 1;
-            if lo >= len {
+        if super::simd::avx2_available() {
+            // SAFETY: `avx2_available` just confirmed the CPU supports the step.
+            return unsafe { avx2(keys, haystack) };
+        }
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        unsafe { probe::<super::simd::Sse2>(keys, haystack) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        // SAFETY: the scalar step needs no CPU feature.
+        unsafe { probe::<super::simd::Scalar>(keys, haystack) }
+    }
+}
+
+/// The block probe: counts `|keys ∩ hay|`, each key compared against the one
+/// block of `hay` that can hold it.
+///
+/// # Safety
+///
+/// The CPU must support `I`.
+#[inline(always)]
+pub(super) unsafe fn probe<I: Isa>(keys: &[VertexId], hay: &[VertexId]) -> u64 {
+    let w = I::W;
+    let blocks = hay.len() / w;
+    let p = hay.as_ptr();
+    // Callers keep `b < blocks`, so the read is inside the whole blocks.
+    let block_max = |b: usize| *p.add(b * w + w - 1);
+    let mut count = 0u64;
+    // Cursor invariant: every block before `b` ends below the current key
+    // (and so below every later one).
+    let mut b = 0usize;
+    let mut k = 0usize;
+    while k < keys.len() {
+        let key = keys[k];
+        let mut skipped = 0usize;
+        while b < blocks && block_max(b) < key {
+            b += 1;
+            skipped += 1;
+            if skipped == LINEAR_SKIPS {
+                b = gallop(b, blocks, key, &block_max);
                 break;
             }
         }
-        // Phase 2: resolve all windows in lockstep — the loads of one round
-        // belong to different keys and are independent.
-        let mut pending = true;
-        while pending {
-            pending = false;
-            for s in states[..n].iter_mut() {
-                if s.1 > 1 {
-                    let half = s.1 / 2;
-                    // SAFETY: s.0 + s.1 <= len (gallop_window contract), so
-                    // s.0 + half - 1 < len.
-                    s.0 += usize::from(unsafe { *haystack.get_unchecked(s.0 + half - 1) } < s.2)
-                        * half;
-                    s.1 -= half;
-                    pending |= s.1 > 1;
-                }
-            }
+        if b == blocks {
+            break;
         }
-        for &(mut idx, size, x) in &states[..n] {
-            if size == 1 {
-                // SAFETY: idx < len when size == 1 (window within bounds).
-                idx += usize::from(unsafe { *haystack.get_unchecked(idx) } < x);
-            }
-            count += u64::from(idx < len && haystack[idx] == x);
+        count += u64::from(I::find(I::load(p.add(b * w)), key) != 0);
+        k += 1;
+    }
+    // Keys past every whole block can only be in the partial one. Masked load
+    // *and* masked result: vertex id 0 is valid and must not match a lane the
+    // load did not fill.
+    let rest = hay.len() - blocks * w;
+    if rest > 0 && k < keys.len() {
+        let tail = I::load_head(p.add(blocks * w), rest);
+        let lanes = (1u32 << rest) - 1;
+        for &key in &keys[k..] {
+            count += u64::from(I::find(tail, key) & lanes != 0);
         }
     }
     count
 }
 
-/// Range variant for the shared-memory parallel kernel: counts matches of
-/// `keys[range]` against the full haystack, with its own cursor.
-pub fn galloping_count_range(
-    keys: &[VertexId],
-    haystack: &[VertexId],
-    range: std::ops::Range<usize>,
-) -> u64 {
-    galloping_count(&keys[range], haystack)
-}
-
-/// Brackets the lower bound of `x` in `haystack[start..]`: returns `(lo, hi)`
-/// with `lo <= lower_bound(x) <= hi` and `hi <= len`, where every element
-/// before `lo` is `< x`. Exponential probing seeded with `hint`, quadrupling —
-/// half the dependent probes of doubling, at most two extra lockstep rounds.
-///
-/// Relies on the caller iterating *strictly increasing* keys: everything
-/// before `start` is already known to be below `x`, so no downward probe is
-/// needed.
-#[inline]
-fn gallop_window(haystack: &[VertexId], start: usize, x: VertexId, hint: usize) -> (usize, usize) {
-    let len = haystack.len();
-    let mut known_ub = start;
-    let mut bound = hint.max(1);
-    loop {
-        let probe = known_ub + bound;
-        if probe >= len {
-            return (known_ub, len);
+/// First block at or after `b` whose maximum is `>= key`, or `blocks` if
+/// there is none: doubling strides over the block maxima bracket it, a binary
+/// search narrows the bracket.
+#[inline(always)]
+unsafe fn gallop(
+    b: usize,
+    blocks: usize,
+    key: VertexId,
+    block_max: &impl Fn(usize) -> VertexId,
+) -> usize {
+    let (mut lo, mut stride) = (b, 1usize);
+    let hi = loop {
+        let at = lo + stride;
+        if at >= blocks {
+            break blocks;
         }
-        // SAFETY: probe < len was just checked.
-        if unsafe { *haystack.get_unchecked(probe) } >= x {
-            return (known_ub, probe + 1);
+        if block_max(at) >= key {
+            break at;
         }
-        known_ub = probe + 1;
-        bound <<= 2;
+        lo = at + 1;
+        stride *= 2;
+    };
+    // Every block before `lo` ends below the key; `hi` does not (or is the end).
+    let mut n = hi - lo;
+    while n > 0 {
+        let half = n / 2;
+        if block_max(lo + half) < key {
+            lo += half + 1;
+            n -= half + 1;
+        } else {
+            n = half;
+        }
     }
+    lo
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::intersect::binary::binary_search_count;
+    use crate::intersect::simd::simd_count;
+    use proptest::prelude::*;
     use rand::Rng;
     use rand::SeedableRng;
 
@@ -169,11 +170,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_boundaries_are_not_special() {
-        // Key counts straddling the lockstep batch size.
-        let hay: Vec<u32> = (0..10_000).map(|x| x * 2).collect();
-        for nkeys in [1usize, 63, 64, 65, 127, 128, 129, 500] {
-            let keys: Vec<u32> = (0..nkeys as u32).map(|x| x * 7).collect();
+    fn key_counts_from_one_to_hundreds_against_a_long_haystack() {
+        let hay: Vec<u32> = (0..50_000).map(|x| x * 3).collect();
+        for nkeys in [1usize, 2, 7, 8, 9, 31, 63, 64, 65, 127, 128, 129, 500] {
+            let keys: Vec<u32> = (0..nkeys as u32).map(|x| x * 11).collect();
             assert_eq!(
                 galloping_count(&keys, &hay),
                 binary_search_count(&keys, &hay),
@@ -226,27 +226,53 @@ mod tests {
     }
 
     #[test]
-    fn small_key_sets_short_circuit_correctly() {
-        // Under one lockstep batch the kernel must defer to binary search and
-        // stay exact on both sides of the boundary.
-        let hay: Vec<u32> = (0..50_000).map(|x| x * 3).collect();
-        for nkeys in [1usize, 2, 31, 63, 64, 65] {
-            let keys: Vec<u32> = (0..nkeys as u32).map(|x| x * 11).collect();
+    fn the_cursor_gallops_and_narrows_to_every_block() {
+        // One key per target block, from a cold cursor: the stride doubles
+        // past the linear skips and the bracket narrows onto blocks at every
+        // distance, including the last whole block, the partial one and past
+        // the end.
+        let hay: Vec<u32> = (0..100_003).map(|x| x * 2 + 1).collect();
+        for target in (0..hay.len()).step_by(997).chain(hay.len() - 20..hay.len()) {
+            assert_eq!(galloping_count(&[hay[target]], &hay), 1, "hit at {target}");
             assert_eq!(
-                galloping_count(&keys, &hay),
-                binary_search_count(&keys, &hay),
-                "nkeys={nkeys}"
+                galloping_count(&[hay[target] - 1], &hay),
+                0,
+                "miss before {target}"
+            );
+            assert_eq!(
+                galloping_count(&[1, hay[target], u32::MAX], &hay),
+                2,
+                "first, {target}, past the end"
             );
         }
     }
 
-    #[test]
-    fn range_variant_matches_full_sum() {
-        let keys: Vec<u32> = (0..200).map(|x| x * 5).collect();
-        let hay: Vec<u32> = (0..1_000).step_by(2).map(|x| x as u32).collect();
-        let full = galloping_count(&keys, &hay);
-        let split =
-            galloping_count_range(&keys, &hay, 0..77) + galloping_count_range(&keys, &hay, 77..200);
-        assert_eq!(full, split);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Skew up to 1 : 10⁵ with the keys clustered at both ends of the
+        /// haystack (plus a few anywhere), so the exponential skip, its
+        /// narrowing and the masked partial block all run.
+        #[test]
+        fn clustered_keys_agree_with_binary_search_at_any_skew(
+            hay_len in 1usize..200_000,
+            stride in 1u32..20,
+            front in prop::collection::vec(0u32..400, 0..8),
+            back in prop::collection::vec(0u32..400, 0..8),
+            anywhere in prop::collection::vec(0u32..4_000_000, 0..4),
+        ) {
+            let hay: Vec<u32> = (0..hay_len as u32).map(|x| x * stride).collect();
+            let top = *hay.last().expect("hay_len >= 1");
+            let mut keys: Vec<u32> = front;
+            keys.extend(back.iter().map(|&d| top.saturating_sub(d)));
+            keys.extend(back.iter().map(|&d| top.saturating_add(d / 100)));
+            keys.extend(anywhere);
+            keys.sort_unstable();
+            keys.dedup();
+            let expected = binary_search_count(&keys, &hay);
+            prop_assert_eq!(galloping_count(&keys, &hay), expected);
+            prop_assert_eq!(simd_count(&keys, &hay), expected);
+            prop_assert_eq!(simd_count(&hay, &keys), expected);
+        }
     }
 }

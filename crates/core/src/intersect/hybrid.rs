@@ -11,18 +11,20 @@
 //! This reproduction keeps Eq. (3) as the class boundary but upgrades the
 //! kernel chosen *within* each class:
 //!
-//! * merge class — [`simd_count`](super::simd::simd_count) (block-compare
-//!   SIMD/branchless) instead of scalar SSI;
+//! * merge class — [`simd_count`](super::simd::simd_count) (the SIMD block
+//!   merge) instead of scalar SSI;
 //! * search class — [`galloping_count`](super::galloping::galloping_count)
-//!   (exponential probing with a running cursor) instead of
-//!   restart-from-zero binary search.
+//!   (the block probe with a running cursor) instead of restart-from-zero
+//!   binary search, which keeps the pairs with `|B| ≥ |A|²`.
 //!
-//! The upgraded kernels dominate asymptotically but not on every small or
-//! cache-resident shape (e.g. scalar SSI edges out SIMD on ~4k-element pairs,
-//! and restart binary search wins when `|B| >= |A|²` — which is why the
-//! search class itself is split in two). The Eq. (3) crossover is therefore
-//! kept as the paper's approximation of the class boundary, not re-derived
-//! per kernel; `BENCH_intersect.json` records the measured shapes.
+//! The Eq. (3) crossover is kept as the paper's approximation of the class
+//! boundary, not re-derived per kernel; what each arm costs on the benchmark
+//! graphs is recorded in `docs/TUNING.md` and `BENCH_intersect.json`.
+//!
+//! Both rules are stated over `log2`, but the per-pair dispatch decides them
+//! from integer brackets and evaluates the floating-point expression only
+//! where the brackets cannot tell — with answers identical to the
+//! floating-point definitions ([`ssi_is_faster`], [`galloping_is_faster`]).
 
 /// Which intersection kernel to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -104,14 +106,40 @@ impl std::fmt::Display for IntersectMethod {
     }
 }
 
+/// Lengths from which the integer brackets below defer to the
+/// floating-point definitions outright: beneath it both lengths convert to
+/// `f64` exactly and `log2` of a length stays well clear of the next integer,
+/// which is what makes the brackets exact. (Rows of `u32` vertex ids cannot
+/// reach it.)
+const BRACKET_LIMIT: usize = 1 << 40;
+
 /// Eq. (3): for `short_len ≤ long_len`, returns true when a merge-class kernel
 /// (SSI / SIMD) is expected to beat a search-class kernel (binary search /
-/// galloping).
+/// galloping): `|B| / |A| ≤ log2(|B|) − 1`.
+///
+/// Decided without `log2` wherever `⌊log2 |B|⌋` already settles it — the
+/// threshold lies in `[⌊log2 |B|⌋ − 1, ⌊log2 |B|⌋)`, so a ratio at or below
+/// the lower end is merge class, one at or above the upper end is search
+/// class, and only ratios strictly inside the band evaluate the expression.
 pub fn ssi_is_faster(short_len: usize, long_len: usize) -> bool {
     debug_assert!(short_len <= long_len);
     if short_len == 0 || long_len == 0 {
         return true;
     }
+    if long_len < BRACKET_LIMIT {
+        let floor_log = long_len.ilog2() as usize;
+        if long_len >= floor_log * short_len {
+            return false;
+        }
+        if long_len <= (floor_log - 1) * short_len {
+            return true;
+        }
+    }
+    eq3_f64(short_len, long_len)
+}
+
+/// Eq. (3) as defined, for non-empty lists: the floating-point expression.
+fn eq3_f64(short_len: usize, long_len: usize) -> bool {
     let ratio = long_len as f64 / short_len as f64;
     ratio <= (long_len as f64).log2() - 1.0
 }
@@ -125,11 +153,28 @@ pub fn ssi_is_faster(short_len: usize, long_len: usize) -> bool {
 /// `log2(|B|)` — galloping wins exactly when `|B| < |A|²`. Its probes are also
 /// nearly sequential while binary search's are random, so past the cache the
 /// inequality is conservative in galloping's favour.
+///
+/// The rule is defined as `2·log2(|B| / |A|) < log2(|B|)` in `f64`; the two
+/// sides differ by `log2(|B| / |A|²)`, at least `2⁻⁴⁰` in magnitude unless
+/// `|B| = |A|²` — far above the rounding error of the expression — so the
+/// integer comparison decides every other pair.
 pub fn galloping_is_faster(short_len: usize, long_len: usize) -> bool {
     debug_assert!(short_len <= long_len);
     if short_len == 0 || long_len == 0 {
         return true;
     }
+    if long_len < BRACKET_LIMIT {
+        // `short_len ≤ long_len < 2⁴⁰`, so the square fits a `u128`.
+        let square = (short_len as u128) * (short_len as u128);
+        if long_len as u128 != square {
+            return (long_len as u128) < square;
+        }
+    }
+    square_rule_f64(short_len, long_len)
+}
+
+/// The square rule as defined, for non-empty lists.
+fn square_rule_f64(short_len: usize, long_len: usize) -> bool {
     let gap = (long_len as f64 / short_len as f64).max(1.0);
     2.0 * gap.log2() < (long_len as f64).log2()
 }
@@ -229,5 +274,65 @@ mod tests {
         // Degenerate inputs never panic and default to galloping.
         assert!(galloping_is_faster(0, 0));
         assert!(galloping_is_faster(0, 50));
+    }
+
+    fn assert_brackets_agree(short: usize, long: usize) {
+        // Empty lists never reach the expressions: both rules answer true.
+        let empty = short == 0 || long == 0;
+        assert_eq!(
+            ssi_is_faster(short, long),
+            empty || eq3_f64(short, long),
+            "Eq. (3) at ({short}, {long})"
+        );
+        assert_eq!(
+            galloping_is_faster(short, long),
+            empty || square_rule_f64(short, long),
+            "square rule at ({short}, {long})"
+        );
+    }
+
+    #[test]
+    fn integer_brackets_answer_exactly_like_the_float_definitions() {
+        for long in 0..=4096usize {
+            for short in 0..=long {
+                assert_brackets_agree(short, long);
+            }
+        }
+        // Large lengths: random pairs, plus the places the brackets are
+        // tightest — powers of two and their neighbours, ratios on the
+        // integer ends of the Eq. (3) band, and `|B|` around `|A|²`.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        for _ in 0..200_000 {
+            let (long_bits, short_bits) = (rng.gen_range(4..usize::BITS), rng.gen_range(1..40));
+            let long = rng.gen_range(1..usize::MAX >> (usize::BITS - long_bits));
+            let short = rng.gen_range(1..=long.min(1 << short_bits));
+            assert_brackets_agree(short, long);
+            let floor_log = long.ilog2() as usize;
+            for ratio in [floor_log.saturating_sub(1), floor_log, floor_log + 1] {
+                for short in [long / ratio.max(1), long / ratio.max(1) + 1] {
+                    if (1..=long).contains(&short) {
+                        assert_brackets_agree(short, long);
+                    }
+                }
+            }
+            if let Some(square) = short.checked_mul(short) {
+                for long in [square.saturating_sub(1), square, square.saturating_add(1)] {
+                    if long >= short {
+                        assert_brackets_agree(short, long);
+                    }
+                }
+            }
+        }
+        for exp in 1..usize::BITS {
+            let pow = 1usize << exp;
+            for long in [pow - 1, pow, pow.saturating_add(1)] {
+                for short in [1, 2, 3, exp as usize, long / exp as usize, long / 2, long] {
+                    if (1..=long).contains(&short) {
+                        assert_brackets_agree(short, long);
+                    }
+                }
+            }
+        }
     }
 }

@@ -5,14 +5,18 @@
 //! plus a hybrid rule (Eq. 3) that picks per edge, and parallelizes the intersection
 //! itself across threads (Section III-C).
 //!
-//! This reproduction extends the suite with two faster kernels in the same two
-//! cost classes, selected by the same Eq. (3) boundary:
+//! This reproduction extends the suite with two block kernels in the same two
+//! cost classes, selected by the same Eq. (3) boundary, both written once
+//! over a per-ISA block step (AVX2, SSE2, scalar):
 //!
-//! * [`simd`] — branchless/SIMD block-compare merge (`O(|A| + |B|)`), the
-//!   merge-class upgrade of SSI;
-//! * [`galloping`] — exponential-probe search with a running cursor
-//!   (`O(|A| · (1 + log(|B|/|A|)))`), the search-class upgrade of binary search;
-//! * [`fused`] — the copy+intersect variant of the SIMD merge used by the
+//! * [`simd`] — the block merge (`O(|A| + |B|)`), the merge-class upgrade of
+//!   SSI: all-pairs compares of one block from each list, advancing the block
+//!   with the smaller maximum;
+//! * [`galloping`] — the block probe (`O(|A| · (1 + log(|B|/|A|)))`), the
+//!   search-class upgrade of binary search: each key is compared against the
+//!   one block that can hold it, found by a running cursor that gallops over
+//!   block maxima. The block merge hands its sub-block remainders to it;
+//! * [`fused`] — the block merge with landing switched on, used by the
 //!   distributed path: a remote row that missed the CLaMPI cache is
 //!   intersected against the local row in the same block pass that lands it
 //!   in the cache buffer;
@@ -95,16 +99,23 @@ impl Intersector {
     /// Counts `|a ∩ b|` for two sorted, duplicate-free slices.
     pub fn count(&self, a: &[VertexId], b: &[VertexId]) -> u64 {
         let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        match self
+        let method = self
             .method
-            .resolve_with(short.len(), long.len(), &self.model)
-        {
-            IntersectMethod::SortedSetIntersection => ssi_count(short, long),
-            IntersectMethod::BinarySearch => binary_search_count(short, long),
-            IntersectMethod::Simd => simd_count(short, long),
-            IntersectMethod::Galloping => galloping_count(short, long),
-            IntersectMethod::Hybrid => unreachable!("resolve() returns a concrete method"),
-        }
+            .resolve_with(short.len(), long.len(), &self.model);
+        run_kernel(method, short, long)
+    }
+}
+
+/// Runs the sequential kernel a *resolved* method names on a `(short, long)`
+/// pair — the one kernel table behind [`Intersector::count`] and
+/// [`ParallelIntersector::count`].
+pub(crate) fn run_kernel(method: IntersectMethod, short: &[VertexId], long: &[VertexId]) -> u64 {
+    match method {
+        IntersectMethod::SortedSetIntersection => ssi_count(short, long),
+        IntersectMethod::BinarySearch => binary_search_count(short, long),
+        IntersectMethod::Simd => simd_count(short, long),
+        IntersectMethod::Galloping => galloping_count(short, long),
+        IntersectMethod::Hybrid => unreachable!("resolve() returns a concrete method"),
     }
 }
 

@@ -11,12 +11,8 @@
 //! vendored `rayon` facade plays that role here — entering a parallel region
 //! costs an injector push onto already-running workers, not a thread spawn.
 
-use super::binary::binary_search_count;
 use super::calibrate::CostModel;
-use super::galloping::{galloping_count, galloping_count_range};
 use super::hybrid::IntersectMethod;
-use super::simd::{simd_count, simd_count_chunk};
-use super::ssi::{ssi_count, ssi_count_chunk};
 use rayon::prelude::*;
 use rmatc_graph::types::VertexId;
 
@@ -88,65 +84,35 @@ impl ParallelIntersector {
         let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
         let method = self.resolved_method(short.len(), long.len());
         if self.chunks == 1 || long.len() < self.cutoff {
-            return match method {
-                IntersectMethod::SortedSetIntersection => ssi_count(short, long),
-                IntersectMethod::BinarySearch => binary_search_count(short, long),
-                IntersectMethod::Simd => simd_count(short, long),
-                IntersectMethod::Galloping => galloping_count(short, long),
-                IntersectMethod::Hybrid => unreachable!("resolve() returns a concrete method"),
-            };
+            return super::run_kernel(method, short, long);
         }
         rayon::ensure_pool(self.chunks);
-        match method {
-            IntersectMethod::SortedSetIntersection => {
-                self.parallel_merge(short, long, ssi_count_chunk)
-            }
-            IntersectMethod::Simd => self.parallel_merge(short, long, simd_count_chunk),
-            IntersectMethod::BinarySearch => {
-                self.parallel_search(short, long, |keys, hay, range| {
-                    binary_search_count(&keys[range], hay)
-                })
-            }
-            IntersectMethod::Galloping => self.parallel_search(short, long, galloping_count_range),
-            IntersectMethod::Hybrid => unreachable!("resolve() returns a concrete method"),
-        }
-    }
-
-    /// Parallel merge-class kernel: split the longer array into chunks, each
-    /// thread intersects its chunk against (the relevant window of) the
-    /// shorter array.
-    fn parallel_merge(
-        &self,
-        short: &[VertexId],
-        long: &[VertexId],
-        kernel: impl Fn(&[VertexId], &[VertexId], std::ops::Range<usize>) -> u64 + Sync,
-    ) -> u64 {
-        let chunk = long.len().div_ceil(self.chunks).max(1);
+        // Merge-class kernels split the longer array, search-class kernels
+        // the key (shorter) array; every chunk runs the sequential kernel.
+        let merge_class = matches!(
+            method,
+            IntersectMethod::SortedSetIntersection | IntersectMethod::Simd
+        );
+        let split = if merge_class { long } else { short };
+        let chunk = split.len().div_ceil(self.chunks).max(1);
         (0..self.chunks)
             .into_par_iter()
             .map(|c| {
-                let start = (c * chunk).min(long.len());
-                let end = (start + chunk).min(long.len());
-                kernel(short, long, start..end)
-            })
-            .sum()
-    }
-
-    /// Parallel search-class kernel: split the key (shorter) array into chunks,
-    /// each thread looks its keys up in the longer array.
-    fn parallel_search(
-        &self,
-        short: &[VertexId],
-        long: &[VertexId],
-        kernel: impl Fn(&[VertexId], &[VertexId], std::ops::Range<usize>) -> u64 + Sync,
-    ) -> u64 {
-        let chunk = short.len().div_ceil(self.chunks).max(1);
-        (0..self.chunks)
-            .into_par_iter()
-            .map(|c| {
-                let start = (c * chunk).min(short.len());
-                let end = (start + chunk).min(short.len());
-                kernel(short, long, start..end)
+                let start = (c * chunk).min(split.len());
+                let part = &split[start..(start + chunk).min(split.len())];
+                let (Some(&first), Some(&last)) = (part.first(), part.last()) else {
+                    return 0;
+                };
+                if merge_class {
+                    // The chunk spans a known value range: only the window of
+                    // the shorter list inside it can match, so chunks never
+                    // double count.
+                    let lo = short.partition_point(|&x| x < first);
+                    let hi = short.partition_point(|&x| x <= last);
+                    super::run_kernel(method, &short[lo..hi], part)
+                } else {
+                    super::run_kernel(method, part, long)
+                }
             })
             .sum()
     }
@@ -198,6 +164,17 @@ mod tests {
             let ix = ParallelIntersector::with_default_cutoff(method, 4);
             assert_eq!(ix.count(&[], &[1, 2, 3]), 0, "{method:?}");
             assert_eq!(ix.count(&[], &[]), 0, "{method:?}");
+        }
+    }
+
+    #[test]
+    fn more_chunks_than_elements_leaves_empty_chunks_harmless() {
+        let short: Vec<u32> = (0..5).map(|x| x * 3).collect();
+        let long: Vec<u32> = (0..13).collect();
+        for method in IntersectMethod::all() {
+            let ix = ParallelIntersector::new(method, 64, 0);
+            assert_eq!(ix.count(&short, &long), 5, "{method:?}");
+            assert_eq!(ix.count(&[], &long), 0, "{method:?}");
         }
     }
 

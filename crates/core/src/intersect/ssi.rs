@@ -24,24 +24,6 @@ pub fn ssi_count(a: &[VertexId], b: &[VertexId]) -> u64 {
     count
 }
 
-/// Galloping variant used by the parallel SSI kernel: intersects `long[range]`
-/// against the whole of `short`. Because the chunk of the long list spans a known
-/// value range, the relevant window of `short` is located with two binary searches
-/// first, so the chunks can be processed independently without double counting.
-pub fn ssi_count_chunk(
-    short: &[VertexId],
-    long: &[VertexId],
-    range: std::ops::Range<usize>,
-) -> u64 {
-    if range.is_empty() || short.is_empty() {
-        return 0;
-    }
-    let chunk = &long[range];
-    let lo = short.partition_point(|&x| x < chunk[0]);
-    let hi = short.partition_point(|&x| x <= *chunk.last().expect("chunk not empty"));
-    ssi_count(&short[lo..hi], chunk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,24 +68,5 @@ mod tests {
                 rmatc_graph::reference::sorted_intersection_count(&a, &b)
             );
         }
-    }
-
-    #[test]
-    fn chunked_sum_matches_full_count() {
-        let short: Vec<u32> = (0..100).map(|x| x * 3).collect();
-        let long: Vec<u32> = (0..500).collect();
-        let full = ssi_count(&short, &long);
-        let mut split = 0;
-        for start in (0..500).step_by(97) {
-            let end = (start + 97).min(500);
-            split += ssi_count_chunk(&short, &long, start..end);
-        }
-        assert_eq!(full, split);
-    }
-
-    #[test]
-    fn chunk_edge_cases() {
-        assert_eq!(ssi_count_chunk(&[], &[1, 2, 3], 0..3), 0);
-        assert_eq!(ssi_count_chunk(&[1, 2], &[1, 2, 3], 1..1), 0);
     }
 }

@@ -37,6 +37,63 @@ docs:
 bench-e2e:
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --
 
+# A speed claim's protocol in one command: builds the benchmark of `parent`
+# (from a git worktree under target/) and of this tree, runs `pairs`
+# alternating parent/change processes of one workload at BENCHMARK.json's
+# run length on `seed` and on one other seed, and prints each end-to-end
+# metric's per-side median and quartiles and how many pairs the change won.
+# A claim needs >= 9 of 10 pairs and medians apart by more than the parent's
+# own interquartile spread, on both seeds. Don't compile while it measures.
+bench-ab parent pairs="10" workload="rmat14_lcc_cached" seed="7":
+    #!/usr/bin/env bash
+    set -euo pipefail
+    root=$(pwd)
+    ab="$root/target/bench-ab"
+    mkdir -p "$ab"
+    git worktree remove --force "$ab/parent" 2>/dev/null || true
+    git worktree add --quiet --detach "$ab/parent" "{{parent}}"
+    trap 'git worktree remove --force "$ab/parent"' EXIT
+    for side in parent change; do
+        src="$root"; [ "$side" = parent ] && src="$ab/parent"
+        CARGO_TARGET_DIR="$ab/$side-target" cargo build --release --offline --quiet \
+            --manifest-path "$src/benchmark/Cargo.toml"
+    done
+    seconds=$(grep -o '"run_seconds": *[0-9]*' BENCHMARK.json | grep -o '[0-9]*$')
+    run() { # side seed -> one line of "metric=value" fields
+        local src="$root"; [ "$1" = parent ] && src="$ab/parent"
+        (cd "$src" && "$ab/$1-target/release/rmatc-benchmark" --workload "{{workload}}" \
+            --seed "$2" --seconds "$seconds" --trace 0) |
+            awk -F'\t' '$1 == "metric" { printf "%s=%s ", $2, $3 } END { print "" }'
+    }
+    for seed in "{{seed}}" "$(({{seed}} + 4))"; do
+        log="$ab/{{workload}}-seed$seed.log"
+        : > "$log"
+        for i in $(seq 1 "{{pairs}}"); do
+            order="parent change"; [ $((i % 2)) -eq 0 ] && order="change parent"
+            for side in $order; do
+                echo "$i $side $(run "$side" "$seed")" | tee -a "$log"
+            done
+        done
+        echo "== {{workload}}, seed $seed, {{pairs}} pairs of ${seconds} s runs: median [q1, q3]"
+        awk '
+            { for (f = 3; f <= NF; f++) { split($f, kv, "="); v[kv[1], $2, $1] = kv[2]; names[kv[1]] } n = $1 }
+            function quartiles(name, side,    i, j, t, x) {
+                for (i = 1; i <= n; i++) x[i] = v[name, side, i]
+                for (i = 2; i <= n; i++) for (j = i; j > 1 && x[j - 1] > x[j]; j--) { t = x[j]; x[j] = x[j - 1]; x[j - 1] = t }
+                return sprintf("%.4g [%.4g, %.4g]", x[int((n + 1) / 2)], x[int((n + 3) / 4)], x[int((3 * n + 1) / 4)])
+            }
+            END {
+                for (name in names) {
+                    won = 0
+                    for (i = 1; i <= n; i++) {
+                        p = v[name, "parent", i]; c = v[name, "change", i]
+                        won += (name == "items_per_s") ? (c > p) : (c < p)
+                    }
+                    printf "%-12s parent %s  change %s  change better in %d/%d\n", name, quartiles(name, "parent"), quartiles(name, "change"), won, n
+                }
+            }' "$log" | sort
+    done
+
 # Fit this machine's kernel-crossover cost profile and persist it to the
 # default profile path (RMATC_PROFILE or ~/.cache/rmatc/). See docs/TUNING.md.
 calibrate:
