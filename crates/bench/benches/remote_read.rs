@@ -1,18 +1,17 @@
 //! Microbenchmark of the distributed remote-adjacency read + intersect path
-//! (the two-get protocol of Figure 3 behind `RemoteReader`), isolating what
-//! the zero-copy refactor changed: hit-heavy reads served in place from the
-//! CLaMPI cache, cold reads landing rows through the fused copy+intersect
-//! kernel, and the non-cached transfer-per-edge baseline.
+//! (the two-get protocol of Figure 3 behind `RowReader`, one get in flight),
+//! isolating what the zero-copy refactor changed: hit-heavy reads served in
+//! place from the CLaMPI cache, cold reads landing rows through the fused
+//! copy+intersect kernel, and the non-cached transfer-per-edge baseline.
 //!
 //! Wired into `just bench-smoke` / CI with `--json BENCH_remote_read.json
 //! --history bench-history/remote_read.ndjson`, so the `bench-diff` gate
 //! watches this path for regressions like it does the kernels.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rmatc_core::distributed::reader::RemoteReader;
-use rmatc_core::distributed::worker::run_worker;
+use rmatc_core::distributed::reader::{Edge, RowReader, Started};
+use rmatc_core::distributed::worker::{run_worker, ClosingCount};
 use rmatc_core::distributed::{CacheSpec, DistConfig, GraphWindows};
-use rmatc_core::intersect::ParallelIntersector;
 use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
 use rmatc_graph::partition::{PartitionScheme, PartitionedGraph};
 use rmatc_graph::types::VertexId;
@@ -72,40 +71,43 @@ fn bench_remote_read(c: &mut Criterion) {
     };
     let edges = remote_edges(&pg, 2_048);
     assert!(!edges.is_empty(), "the partition must have remote edges");
-    let intersector = ParallelIntersector::new(config.method, 1, usize::MAX);
     let elements: u64 = edges
         .iter()
         .map(|e| 2 + pg.partitions[1].neighbours_of_local(e.v_local).len() as u64)
         .sum();
 
-    let run = |reader: &mut RemoteReader, ep: &mut Endpoint| -> u64 {
+    // One protocol round per edge, each get completed before the next is
+    // issued (pipeline depth 1).
+    let mut landing = Vec::new();
+    let mut run = |reader: &RowReader, op: &ClosingCount, ep: &mut Endpoint| -> u64 {
         let mut total = 0;
         for e in &edges {
-            let adj_u = part.neighbours_of_local(e.u_local);
-            total += reader
-                .count_closing_remote(
-                    ep,
-                    1,
-                    e.v_local,
-                    pg.direction,
-                    adj_u,
-                    e.v,
-                    e.k,
-                    &intersector,
-                )
-                .expect("no faults injected");
+            let edge = Edge {
+                slot: 0,
+                source: part.global_ids[e.u_local],
+                adj_u: part.neighbours_of_local(e.u_local),
+                v: e.v,
+                k: e.k,
+            };
+            total += match reader
+                .start(ep, 1, e.v_local, &mut landing, op, &edge)
+                .expect("no faults injected")
+            {
+                Started::Immediate(count) => count,
+                Started::Deferred(deferred) => reader
+                    .complete(ep, deferred, op, &edge)
+                    .expect("no faults injected"),
+            };
         }
         total
     };
-    let make_reader = |spec: Option<CacheSpec>| -> RemoteReader {
-        match spec {
-            Some(spec) => {
-                let caches =
-                    spec.resolve(pg.global_vertex_count(), windows.adjacency_bytes() as u64);
-                RemoteReader::new(&windows, &caches, &config)
-            }
-            None => RemoteReader::non_cached(&windows, &config),
-        }
+    let op = ClosingCount::new(&config, pg.direction, GraphStorage::Plain);
+    let make_reader = |spec: Option<CacheSpec>| -> RowReader {
+        let config = DistConfig {
+            cache: spec,
+            ..config
+        };
+        RowReader::new(&windows, &config, pg.global_vertex_count(), 1)
     };
 
     // Compressed storage over the same protocol: the adjacency window
@@ -123,20 +125,23 @@ fn bench_remote_read(c: &mut Criterion) {
         adaptive: false,
         policy: Default::default(),
     };
-    let make_compressed_reader = || -> RemoteReader {
-        let caches =
-            compressed_spec.resolve(pg.global_vertex_count(), cwindows.adjacency_bytes() as u64);
-        RemoteReader::new(&cwindows, &caches, &cconfig)
+    let cop = ClosingCount::new(&cconfig, pg.direction, GraphStorage::Compressed);
+    let make_compressed_reader = || -> RowReader {
+        let config = DistConfig {
+            cache: Some(compressed_spec),
+            ..cconfig
+        };
+        RowReader::new(&cwindows, &config, pg.global_vertex_count(), 1)
     };
 
     // Deterministic metric rows first (recorded even when a `--filter` skips
     // the timing functions): how much smaller the wire/stored footprint is,
     // and stored bytes per adjacency read, from one warmed pass.
     {
-        let mut reader = make_compressed_reader();
+        let reader = make_compressed_reader();
         let mut ep = Endpoint::new(0, 2, cconfig.network);
         ep.lock_all();
-        let _warm = run(&mut reader, &mut ep);
+        let _warm = run(&reader, &cop, &mut ep);
         let stats = reader.adjacency_cache_stats().expect("adjacency cache on");
         c.report_metric(
             "remote_read",
@@ -157,11 +162,11 @@ fn bench_remote_read(c: &mut Criterion) {
     // Hit-heavy compressed reads: the gate watches this against `cached_hit`
     // — the in-place fused decode must not regress the zero-copy hit path.
     group.bench_function("compressed_hit", |b| {
-        let mut reader = make_compressed_reader();
+        let reader = make_compressed_reader();
         let mut ep = Endpoint::new(0, 2, cconfig.network);
         ep.lock_all();
-        let _warm = run(&mut reader, &mut ep);
-        b.iter(|| run(&mut reader, &mut ep))
+        let _warm = run(&reader, &cop, &mut ep);
+        b.iter(|| run(&reader, &cop, &mut ep))
     });
 
     // Cold compressed misses: every read transfers and admits a compressed
@@ -171,7 +176,7 @@ fn bench_remote_read(c: &mut Criterion) {
         ep.lock_all();
         b.iter_batched(
             make_compressed_reader,
-            |mut reader| run(&mut reader, &mut ep),
+            |reader| run(&reader, &cop, &mut ep),
             criterion::BatchSize::LargeInput,
         )
     });
@@ -179,11 +184,11 @@ fn bench_remote_read(c: &mut Criterion) {
     // Hit-heavy: the cache holds the whole remote partition, so after one
     // warm pass every read is served in place — the zero-copy win.
     group.bench_function("cached_hit", |b| {
-        let mut reader = make_reader(Some(cached_spec));
+        let reader = make_reader(Some(cached_spec));
         let mut ep = Endpoint::new(0, 2, config.network);
         ep.lock_all();
-        let _warm = run(&mut reader, &mut ep);
-        b.iter(|| run(&mut reader, &mut ep))
+        let _warm = run(&reader, &op, &mut ep);
+        b.iter(|| run(&reader, &op, &mut ep))
     });
 
     // Cold: every read misses and lands its row through the fused
@@ -193,17 +198,17 @@ fn bench_remote_read(c: &mut Criterion) {
         ep.lock_all();
         b.iter_batched(
             || make_reader(Some(cached_spec)),
-            |mut reader| run(&mut reader, &mut ep),
+            |reader| run(&reader, &op, &mut ep),
             criterion::BatchSize::LargeInput,
         )
     });
 
     // Baseline: no cache, one fused transfer per edge.
     group.bench_function("non_cached", |b| {
-        let mut reader = make_reader(None);
+        let reader = make_reader(None);
         let mut ep = Endpoint::new(0, 2, config.network);
         ep.lock_all();
-        b.iter(|| run(&mut reader, &mut ep))
+        b.iter(|| run(&reader, &op, &mut ep))
     });
 
     // The self-healing path with injection disabled: an explicit retry policy
@@ -211,11 +216,11 @@ fn bench_remote_read(c: &mut Criterion) {
     // ever rolled. Guards the robustness layer's promise that the fault-off
     // read path costs nothing over `non_cached`.
     group.bench_function("faulty_path_off", |b| {
-        let mut reader = make_reader(None);
+        let reader = make_reader(None);
         let mut ep =
             Endpoint::new(0, 2, config.network).with_retry(rmatc_rma::RetryPolicy::default());
         ep.lock_all();
-        b.iter(|| run(&mut reader, &mut ep))
+        b.iter(|| run(&reader, &op, &mut ep))
     });
 
     group.finish();
@@ -223,8 +228,8 @@ fn bench_remote_read(c: &mut Criterion) {
 
 /// The overlap benches: a full rank-0 LCC worker pass under latency
 /// *injection* (`NetworkModel::with_injection`), so the modeled Aries α/β
-/// really is spun for in wall time. The non-overlapped loop pays every spin
-/// back-to-back; the pipelined loop issues gets early enough that their
+/// really is spun for in wall time. At depth 1 the loop pays every spin
+/// back-to-back; at depth 8 it issues gets early enough that their
 /// modeled latency elapses while it computes, and the intra-rank threads add
 /// the second overlap axis (Figure 6). Run under `RMATC_THREADS≥2` (the
 /// justfile does) so the thread variants actually get a pool to spread over.
@@ -239,7 +244,7 @@ fn bench_overlap(c: &mut Criterion) {
     let mut group = c.benchmark_group("remote_read");
     group.sample_size(20);
 
-    // Baseline: the sequential worker waits out every injected latency.
+    // Baseline: depth 1 × 1 thread waits out every injected latency.
     group.bench_function("non_overlapped_injected", |b| {
         b.iter(|| run_worker(0, &pg, &windows, &config).expect("no faults injected"))
     });

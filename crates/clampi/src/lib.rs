@@ -25,28 +25,32 @@
 //!   evictions and resizes the hash table (flushing the cache, as the paper warns)
 //!   or the memory buffer.
 //!
-//! The integration point is [`CachedWindow`], which wraps an RMA [`rmatc_rma::Window`]
-//! and intercepts gets exactly where CLaMPI's PMPI layer would: on a hit it charges
-//! the local access cost, on a miss it issues the real RMA get, waits for it, and
-//! inserts the result.
+//! The integration point is [`ShardedCachedWindow`] — the one get-intercepting
+//! window — which wraps an RMA [`rmatc_rma::Window`] and intercepts gets
+//! exactly where CLaMPI's PMPI layer would: on a hit it charges the local
+//! access cost, on a miss it issues the real RMA get, waits for it, and
+//! inserts the result. It is `&self` over the lock-sharded [`ShardedClampi`],
+//! so a multi-threaded rank shares one cache; a single-threaded rank builds it
+//! with one shard, which is a plain [`Clampi`] decision for decision.
 //!
 //! Reads are zero-copy end to end: entries store the transfer buffer itself
-//! (`Arc<[T]>` — an insert is a refcount bump, never a payload clone), reads
-//! resolve to a borrowed [`RowRef`] view of wherever the row already lives,
-//! and [`CachedWindow::get_fused`] lets callers compute over the data in
-//! place — or, on a miss, *during* the transfer (the copy+intersect kernel of
-//! `rmatc-core`). Cache hits and local-rank reads perform no heap
+//! (`Arc<[T]>` — an insert is a refcount bump, never a payload clone) and
+//! reads resolve to a borrowed [`RowRef`] view of wherever the row already
+//! lives. The split read ([`ShardedCachedWindow::probe`] +
+//! [`ShardedCachedWindow::admit`]) leaves the transfer to the caller, who can
+//! compute over the data in place on a hit — or, on a miss, *during* the
+//! transfer (the copy+intersect kernel of `rmatc-core`) — and keep the get in
+//! flight meanwhile. Cache hits and local-rank reads perform no heap
 //! allocations; a miss performs exactly one.
 //!
 //! # Paper map
 //!
 //! | Module | Paper location | What it reproduces |
 //! |---|---|---|
-//! | [`cached_window`] | Fig. 3 steps 5–6; §II-F | Get interception: lookup before the network, insert after the miss |
 //! | [`cache`] | §III-B | The cache proper: slot index, weighted victim selection, admission control |
 //! | [`policy`] | §III-B (generalized) | Pluggable eviction policies: the paper's score rule plus LRU/LFU/GDSF |
+//! | [`sharded_window`] | Fig. 3 steps 5–6; §II-F | Get interception: lookup before the network, insert after the miss — shared by a rank's worker threads, with split probe/admit reads for gets kept in flight |
 //! | [`sharded`] | beyond the paper | Lock-sharded concurrent cache backing multi-threaded ranks |
-//! | [`sharded_window`] | beyond the paper | Concurrent get interception shared by a rank's worker threads, with split probe/admit reads for the pipelined path |
 //! | [`entry`] | §III-B1 | `(window, target, offset, len)` keys and the slot hash |
 //! | [`freelist`] | §II-F / §III-B | Variable-size entry storage with first-fit allocation and coalescing |
 //! | [`config`] | §II-F, §III-B1 | Consistency modes, score policies, and the hash-table sizing rules |
@@ -56,7 +60,6 @@
 
 pub mod adaptive;
 pub mod cache;
-pub mod cached_window;
 pub mod config;
 pub mod entry;
 pub mod freelist;
@@ -67,7 +70,6 @@ pub mod sharded_window;
 pub mod stats;
 
 pub use cache::{CacheInsertOutcome, Clampi};
-pub use cached_window::CachedWindow;
 pub use config::{ClampiConfig, ConsistencyMode, ScorePolicy};
 pub use entry::EntryKey;
 pub use policy::{EntryView, EvictionPolicy, EvictionPolicyKind, PolicyContext};

@@ -78,6 +78,11 @@ impl<T: Clone> ShardedClampi<T> {
     /// shard index and the in-shard slot index stay uncorrelated. Like the
     /// slot hash it leaves the process-global window id out.
     pub fn shard_for(&self, key: &EntryKey) -> usize {
+        if self.shards.len() == 1 {
+            // The single-threaded rank: every read pays this routing, so the
+            // identity split skips the hash and the division.
+            return 0;
+        }
         let mut h: u64 = 0x243f_6a88_85a3_08d3;
         for v in [key.target as u64, key.offset as u64, key.len as u64] {
             h = h.wrapping_add(v).wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -4,7 +4,7 @@
 //! ids stay part of key equality; they are only kept out of the slot and
 //! shard hashes.)
 
-use rmatc_clampi::{CacheStats, CachedWindow, ClampiConfig, ShardedCachedWindow};
+use rmatc_clampi::{CacheStats, Clampi, ClampiConfig, EntryKey, ShardedCachedWindow};
 use rmatc_rma::{Endpoint, NetworkModel, Window};
 
 fn fresh_window() -> Window<u32> {
@@ -34,18 +34,24 @@ fn endpoint() -> Endpoint {
     ep
 }
 
+/// The reads through a plain `Clampi` driven directly (lookup, insert on a
+/// miss) under a fresh window's id.
 fn plain_stats() -> CacheStats {
-    let mut ep = endpoint();
-    let mut cw = CachedWindow::new(fresh_window(), config());
+    let window = fresh_window();
+    let mut cache: Clampi<u32> = Clampi::new(config());
     for (offset, len) in reads() {
-        cw.get(&mut ep, 1, offset, len).expect("reliable network");
+        let key = EntryKey::new(window.id(), 1, offset, len);
+        if cache.lookup(key).is_none() {
+            cache.insert(key, &window.local_part(1)[offset..offset + len], 0.0);
+        }
     }
-    cw.stats().clone()
+    cache.stats().clone()
 }
 
-fn sharded_stats() -> (CacheStats, Vec<CacheStats>) {
+/// The same reads intercepted by the window over `shards` shards.
+fn sharded_stats(shards: usize) -> (CacheStats, Vec<CacheStats>) {
     let mut ep = endpoint();
-    let cw = ShardedCachedWindow::new(fresh_window(), config(), 4);
+    let cw = ShardedCachedWindow::new(fresh_window(), config(), shards);
     for (offset, len) in reads() {
         cw.get_scored(&mut ep, 1, offset, len, 0.0)
             .expect("reliable network");
@@ -55,7 +61,8 @@ fn sharded_stats() -> (CacheStats, Vec<CacheStats>) {
 
 #[test]
 fn cache_stats_do_not_depend_on_how_many_windows_came_first() {
-    let (plain, sharded) = (plain_stats(), sharded_stats());
+    let (plain, sharded) = (plain_stats(), sharded_stats(4));
+    assert_eq!(sharded_stats(1).0, plain, "one shard is the plain cache");
     assert!(
         plain.conflict_evictions > 0 && plain.capacity_evictions > 0,
         "the sequence must exercise placement: {plain:?}"
@@ -70,7 +77,7 @@ fn cache_stats_do_not_depend_on_how_many_windows_came_first() {
             "plain, after {throwaway} more windows"
         );
         assert_eq!(
-            sharded_stats(),
+            sharded_stats(4),
             sharded,
             "sharded, after {throwaway} more windows"
         );

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rmatc_clampi::freelist::FreeList;
-use rmatc_clampi::{CachedWindow, ClampiConfig, ConsistencyMode, ScorePolicy};
+use rmatc_clampi::{ClampiConfig, ConsistencyMode, ScorePolicy, ShardedCachedWindow};
 use rmatc_rma::{Endpoint, NetworkModel, Window};
 
 proptest! {
@@ -53,7 +53,7 @@ proptest! {
         if mode_transparent {
             cfg.mode = ConsistencyMode::Transparent;
         }
-        let mut cached = CachedWindow::new(window, cfg);
+        let cached = ShardedCachedWindow::new(window, cfg, 1);
         let mut ep = Endpoint::new(0, 2, NetworkModel::aries());
         ep.lock_all();
         for (i, (offset, len)) in accesses.into_iter().enumerate() {
@@ -84,11 +84,13 @@ proptest! {
         // The degenerate single-slot table turns every distinct key into a conflict;
         // data correctness must be unaffected.
         let window = Window::from_parts(vec![Vec::new(), (0..64u32).collect()]);
-        let mut cached = CachedWindow::new(window, ClampiConfig::always_cache(1024, 1));
+        let cached = ShardedCachedWindow::new(window, ClampiConfig::always_cache(1024, 1), 1);
         let mut ep = Endpoint::new(0, 2, NetworkModel::zero());
         ep.lock_all();
         for offset in accesses {
-            let got = cached.get(&mut ep, 1, offset, 1).expect("no faults injected");
+            let got = cached
+                .get_scored(&mut ep, 1, offset, 1, 0.0)
+                .expect("no faults injected");
             prop_assert_eq!(got[0], offset as u32);
         }
         ep.unlock_all();

@@ -182,12 +182,11 @@ pub struct DistConfig {
     /// Deterministic fault injection; `None` (the default) runs the reliable
     /// network with zero overhead (no checksums computed).
     pub faults: Option<FaultPlan>,
-    /// Software-pipelining depth of the overlapped worker loop: how many
-    /// remote adjacency gets are kept in flight ahead of the computation.
-    /// `0` or `1` runs the classic issue-wait-compute loop; `D ≥ 2` issues up
-    /// to `D` gets before draining the oldest, overlapping their modeled
-    /// latency with the intersections of already-landed rows (see
-    /// `docs/OVERLAP.md`).
+    /// Software-pipelining depth of the edge loop: how many remote adjacency
+    /// gets are kept in flight ahead of the computation. `0` or `1` is the
+    /// classic issue-wait-compute loop; `D ≥ 2` keeps up to `D` gets issued
+    /// before completing the oldest, overlapping their modeled latency with
+    /// the issue-side work of the following edges (see `docs/OVERLAP.md`).
     pub pipeline_depth: usize,
     /// Worker threads *inside* each rank. `1` (the default) keeps the rank
     /// single-threaded; `T ≥ 2` splits the rank's local vertices across `T`
@@ -269,8 +268,8 @@ impl DistConfig {
         self
     }
 
-    /// Sets the software-pipelining depth of the overlapped worker loop
-    /// (`0` and `1` both mean "no pipelining").
+    /// Sets the software-pipelining depth of the edge loop (`0` and `1` both
+    /// mean "no pipelining").
     pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
         self.pipeline_depth = depth;
         self
@@ -298,12 +297,6 @@ impl DistConfig {
     /// The effective intra-rank thread count (`max(threads, 1)`).
     pub fn effective_intra_threads(&self) -> usize {
         self.intra_threads.max(1)
-    }
-
-    /// Whether this configuration takes the overlapped (pipelined and/or
-    /// intra-rank-threaded) worker path instead of the classic sequential one.
-    pub fn overlapped(&self) -> bool {
-        self.effective_pipeline_depth() > 1 || self.effective_intra_threads() > 1
     }
 }
 
@@ -403,16 +396,10 @@ mod tests {
         let c = DistConfig::non_cached(2);
         assert_eq!(c.pipeline_depth, 1);
         assert_eq!(c.intra_threads, 1);
-        assert!(!c.overlapped());
         // 0 and 1 both mean "off" for either knob.
-        assert!(!c.with_pipeline_depth(0).overlapped());
         assert_eq!(c.with_pipeline_depth(0).effective_pipeline_depth(), 1);
         assert_eq!(c.with_intra_threads(0).effective_intra_threads(), 1);
-        let p = c.with_pipeline_depth(4);
-        assert!(p.overlapped());
-        assert_eq!(p.effective_pipeline_depth(), 4);
-        let t = c.with_intra_threads(3);
-        assert!(t.overlapped());
-        assert_eq!(t.effective_intra_threads(), 3);
+        assert_eq!(c.with_pipeline_depth(4).effective_pipeline_depth(), 4);
+        assert_eq!(c.with_intra_threads(3).effective_intra_threads(), 3);
     }
 }

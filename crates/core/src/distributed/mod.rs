@@ -9,13 +9,23 @@
 //! 3. Ranks compute independently, with no synchronization whatsoever: for every
 //!    locally owned vertex and every neighbour, the neighbour's adjacency list is
 //!    read either locally (same rank) or with the two-get RMA protocol
-//!    ([`reader::RemoteReader`]): one get into `w_offsets` for the (start, end)
+//!    ([`reader::RowReader`]): one get into `w_offsets` for the (start, end)
 //!    pair, one get into `w_adj` for the list itself.
 //! 4. Optionally, both windows are wrapped in CLaMPI caches; the adjacency cache can
 //!    use the degree of the fetched vertex as an application-defined eviction score.
 //! 5. Per-edge intersections use the same kernels as the shared-memory path; double
 //!    buffering overlaps the communication of the next edge with the computation of
 //!    the current one.
+//!
+//! There is one remote-read path. [`reader::RowReader`] is the only
+//! implementation of the two-get protocol, over the one get-intercepting
+//! window of `rmatc_clampi`; [`pipeline`] is the only edge loop, generic over
+//! a small per-edge operation ([`reader::EdgeOp`]) that [`DistLcc`]
+//! ([`worker::ClosingCount`]) and [`crate::DistJaccard`] instantiate; the
+//! resident query service reads its rows through the same reader.
+//! [`DistConfig::pipeline_depth`] and [`DistConfig::intra_threads`] shape that
+//! loop — at `1 × 1` it *is* the classic issue-wait-compute loop, not a
+//! different one.
 //!
 //! The entry point is [`DistLcc::run`], which returns per-vertex LCC scores, the
 //! triangle count, and a per-rank [`RankReport`] with the timing breakdown and the
@@ -27,25 +37,27 @@
 //! |---|---|---|
 //! | 1 | 1D-partition the CSR graph across ranks | [`rmatc_graph::partition`] |
 //! | 2 | Expose `offsets` / `adjacencies` in two RMA windows | [`windows`] |
-//! | 3 | Open the passive-target access epoch, no synchronization | [`worker`] (`lock_all`) |
+//! | 3 | Open the passive-target access epoch, no synchronization | [`pipeline`] (`lock_all`) |
 //! | 4 | Get the `(start, end)` pair from `w_offsets` | [`reader`] (`read_offsets`) |
 //! | 5 | Get the adjacency list from `w_adj`, cache-intercepted | [`reader`] + `rmatc_clampi` |
-//! | 6 | Intersect, accumulate per-vertex closed triplets | [`worker`] + [`crate::intersect`] |
+//! | 6 | Intersect, accumulate per-vertex closed triplets | [`worker`] (`ClosingCount`) + [`crate::intersect`] |
+//! | — | The edge loop: gets kept in flight (§III-A's double buffer) + intra-rank threads (Fig. 6 axis) | [`pipeline`] |
 //! | — | Assemble LCC scores and per-rank reports | [`report`] |
-//! | — | Overlapped worker: pipelined gets + intra-rank threads (Fig. 6 axis) | [`pipeline`] |
 //!
 //! # Zero-copy reads
 //!
 //! The remote-adjacency hot path never materializes a per-edge buffer:
-//! [`reader::RemoteReader::read_adjacency`] returns a borrowed
+//! [`reader::RowReader::read_row`] returns a borrowed
 //! `rmatc_clampi::RowRef` view (local window slice, cached entry, or the
-//! miss's single transfer buffer), and the worker's
-//! [`reader::RemoteReader::count_closing_remote`] goes one step further —
+//! miss's single transfer buffer), and the edge loop's
+//! [`reader::RowReader::start`] goes one step further —
 //! cache hits are intersected in place, and misses run the fused
 //! copy+intersect kernel ([`crate::intersect::fused`]) that counts the
 //! intersection in the same SIMD block pass that lands the row in the buffer
 //! the cache retains. Hits and local-rank reads perform zero heap
-//! allocations; a miss performs exactly one.
+//! allocations; a miss performs exactly one; a read nobody retains
+//! (non-cached, quarantine bypass) lands in the thread's reused buffer and,
+//! once that has grown, performs none.
 //!
 //! # Compressed adjacency
 //!

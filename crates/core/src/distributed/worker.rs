@@ -1,15 +1,26 @@
-//! The per-rank computation of Algorithm 3: iterate over locally owned vertices and
-//! their edges, fetch remote adjacency lists with the two-get protocol, intersect,
-//! and accumulate closed-triplet counts — with no synchronization with other ranks.
+//! The LCC instantiation of the distributed edge loop
+//! ([`super::pipeline`]): the per-edge operation is the closing-vertex count
+//! of Algorithm 3 — intersect the two adjacency rows of an edge and accumulate
+//! closed-triplet counts per locally owned vertex.
 
-use super::config::{DistConfig, ResolvedCaches};
-use super::reader::RemoteReader;
+use super::config::DistConfig;
+use super::pipeline::run_rank;
+use super::reader::{Edge, EdgeOp};
 use super::windows::GraphWindows;
-use crate::intersect::ParallelIntersector;
-use crate::local::count_closing_at;
+use crate::intersect::{
+    copy_decode_intersect, copy_decode_intersect_into, fused, CostModel, IntersectMethod,
+    ParallelIntersector,
+};
+use crate::local::{
+    closing_a_side, closing_b_start, compressed_closing_operands, compressed_count_closing_at,
+    count_closing_at,
+};
 use rmatc_clampi::CacheStats;
 use rmatc_graph::partition::PartitionedGraph;
-use rmatc_rma::{ComputeMeter, Endpoint, RankStats, RmaError, ThreadTimer};
+use rmatc_graph::types::{Direction, VertexId};
+use rmatc_graph::GraphStorage;
+use rmatc_rma::{RankStats, RmaError};
+use std::sync::Arc;
 
 /// Everything a rank produces: its local triangle counts plus the statistics the
 /// evaluation aggregates.
@@ -46,130 +57,155 @@ pub fn run_worker(
     windows: &GraphWindows,
     config: &DistConfig,
 ) -> Result<WorkerOutput, RmaError> {
-    if config.overlapped() {
-        // Pipeline depth or intra-rank threads requested: run the overlapped
-        // worker (same output, same error semantics — `tests/equivalence.rs`
-        // holds it to this loop's results).
-        return super::pipeline::run_worker_overlapped(rank, pg, windows, config);
-    }
-    let part = &pg.partitions[rank];
-    let n_global = pg.global_vertex_count();
-    let caches = match &config.cache {
-        Some(spec) => spec.resolve(n_global, windows.adjacency_bytes() as u64),
-        None => ResolvedCaches {
-            offsets: None,
-            adjacencies: None,
-        },
-    };
-    let mut reader = RemoteReader::new(windows, &caches, config);
-    let mut ep = Endpoint::new(rank, config.ranks, config.network).with_retry(config.retry);
-    if let Some(plan) = config.faults {
-        ep = ep.with_faults(plan.injector(rank));
-    }
-    // The intersection inside one rank is sequential: the paper's shared-memory
-    // parallelism is a separate axis (Figure 6) from the distributed one, and the
-    // distributed experiments map one MPI task per core.
-    let intersector =
-        ParallelIntersector::new(config.method, 1, usize::MAX).with_cost_model(config.cost_model);
-    let direction = pg.direction;
-
-    let mut local_triangles = vec![0u64; part.local_vertex_count()];
-    let mut edges_processed = 0u64;
-    let mut remote_edges = 0u64;
-
-    // Passive-target access epoch: opened once, closed after the full computation —
-    // no synchronization with any other rank in between.
-    ep.lock_all();
-    let timer = ThreadTimer::start();
-    // Double buffering: the computation of one edge overlaps the communication
-    // of the next, so the rank's compute is banked as overlap credit for the
-    // endpoint's later get completions. The credit covers everything the
-    // thread does — local intersections, cache probes, landing copies — since
-    // all of it is CPU work a prefetching double buffer hides behind in-flight
-    // gets; the modeled communication cost is virtual time and never part of
-    // it. The meter reads the thread clock once per stride of edges: the read
-    // is a syscall that costs more than one protocol round.
-    let mut meter = config.double_buffering.then(|| ComputeMeter::new(timer));
-    for (local_idx, triangles_slot) in local_triangles.iter_mut().enumerate() {
-        let adj_u = part.neighbours_of_local(local_idx);
-        let mut triangles = 0u64;
-        // `v` walks `adj_u` in sorted order, so the upper-triangle suffix of
-        // `adj_u` is just `adj_u[k + 1..]` — the same O(1) incremental offset
-        // the shared-memory path uses (`count_closing_at`).
-        for (k, &v) in adj_u.iter().enumerate() {
-            edges_processed += 1;
-            if let Some(meter) = meter.as_mut() {
-                meter.tick(&mut ep);
-            }
-            let owner = pg.partitioner.owner(v);
-            let count = if owner == rank {
-                // Neighbour owned locally: its row is in this rank's partition.
-                let v_local = pg.partitioner.local_index(v);
-                let adj_v = part.neighbours_of_local(v_local);
-                triangles_for_edge(direction, adj_u, adj_v, v, k, &intersector)
-            } else {
-                remote_edges += 1;
-                let v_local = pg.partitioner.local_index(v);
-                // One fused protocol round: the remote row is intersected where
-                // it lives (cache entry on a hit) or in the same pass that
-                // lands it in the cache (miss) — no per-edge buffer is built.
-                match reader.count_closing_remote(
-                    &mut ep,
-                    owner,
-                    v_local,
-                    direction,
-                    adj_u,
-                    v,
-                    k,
-                    &intersector,
-                ) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        // Close the epoch before surfacing the error so the
-                        // endpoint is left in a consistent state.
-                        ep.unlock_all();
-                        return Err(e);
-                    }
-                }
-            };
-            triangles += count;
-        }
-        *triangles_slot = triangles;
-    }
-    if let Some(meter) = meter.as_mut() {
-        meter.bank(&mut ep);
-    }
-    let compute_ns = timer.elapsed_ns();
-    ep.unlock_all();
-
+    let op = ClosingCount::new(config, pg.direction, windows.storage);
+    let out = run_rank(rank, pg, windows, config, &op)?;
     Ok(WorkerOutput {
         rank,
-        local_triangles,
-        offsets_cache: reader.offsets_cache_stats(),
-        adjacency_cache: reader.adjacency_cache_stats(),
-        rma: ep.into_stats(),
-        compute_ns,
-        edges_processed,
-        remote_edges,
+        local_triangles: out.items,
+        rma: out.rma,
+        offsets_cache: out.offsets_cache,
+        adjacency_cache: out.adjacency_cache,
+        compute_ns: out.compute_ns,
+        edges_processed: out.edges_processed,
+        remote_edges: out.remote_edges,
     })
 }
 
-fn triangles_for_edge(
-    direction: rmatc_graph::types::Direction,
-    adj_u: &[rmatc_graph::types::VertexId],
-    adj_v: &[rmatc_graph::types::VertexId],
-    v: rmatc_graph::types::VertexId,
-    neighbour_idx: usize,
-    intersector: &ParallelIntersector,
-) -> u64 {
-    count_closing_at(direction, adj_u, adj_v, v, neighbour_idx, intersector)
+/// The LCC per-edge operation: the number of vertices closing a triangle over
+/// the edge `(u, v)` ([`count_closing_at`]), accumulated per owned vertex.
+///
+/// A row in place — local, cache hit, window slice — is intersected where it
+/// lives, with zero heap allocations. A transfer is fused: the SIMD block
+/// kernel ([`fused::copy_intersect`]) counts the intersection in the same
+/// pass that lands the row, for pairs the hybrid cost model routes to the
+/// merge class; search-class pairs copy plainly and run the configured
+/// kernel over the landed buffer. Under compressed storage the fused
+/// decompress+intersect kernels play both roles
+/// ([`crate::intersect::compressed`]) and the row stays compressed wherever
+/// it lands. The operands always come from the helpers `count_closing_at`
+/// uses, so the count cannot depend on where the row was found.
+#[derive(Debug)]
+pub struct ClosingCount {
+    direction: Direction,
+    /// The intersection inside one rank is sequential: the paper's
+    /// shared-memory parallelism is a separate axis (Figure 6) from the
+    /// distributed one, and the distributed experiments map one MPI task per
+    /// core.
+    intersector: ParallelIntersector,
+    /// Cost model the compressed kernels dispatch through (merge vs skip).
+    model: CostModel,
+    /// Representation remote rows arrive in (local rows are always plain).
+    storage: GraphStorage,
+}
+
+impl ClosingCount {
+    /// The operation for a graph of the given `direction` whose remote rows
+    /// arrive encoded as `storage` (that of the windows being read), with
+    /// `config`'s intersection method and cost model.
+    pub fn new(config: &DistConfig, direction: Direction, storage: GraphStorage) -> Self {
+        Self {
+            direction,
+            intersector: ParallelIntersector::new(config.method, 1, usize::MAX)
+                .with_cost_model(config.cost_model),
+            model: config.cost_model,
+            storage,
+        }
+    }
+
+    /// What a landing transfer of the plain row `wire` intersects, and how:
+    /// the local operand, the start of the remote operand within `wire`, and
+    /// whether the resolved kernel is the merge-class SIMD block kernel the
+    /// fused copy+intersect pass *is* — the same resolver
+    /// `ParallelIntersector::count` applies.
+    fn transfer_plan<'a>(
+        &self,
+        edge: &Edge<'a>,
+        wire: &[VertexId],
+    ) -> (&'a [VertexId], usize, bool) {
+        let a = closing_a_side(self.direction, edge.adj_u, edge.k);
+        let from = closing_b_start(self.direction, wire, edge.v);
+        let method = self.intersector.resolved_method(a.len(), wire.len() - from);
+        (a, from, method == IntersectMethod::Simd)
+    }
+}
+
+impl EdgeOp for ClosingCount {
+    type Value = u64;
+    type Item = u64;
+
+    fn output(&self, vertices: usize) -> Vec<u64> {
+        vec![0; vertices]
+    }
+
+    fn local(&self, edge: &Edge<'_>, adj_v: &[VertexId]) -> u64 {
+        let Edge { adj_u, v, k, .. } = *edge;
+        count_closing_at(self.direction, adj_u, adj_v, v, k, &self.intersector)
+    }
+
+    fn stored(&self, edge: &Edge<'_>, row: &[VertexId]) -> u64 {
+        let Edge { adj_u, v, k, .. } = *edge;
+        match self.storage {
+            GraphStorage::Plain => self.local(edge, row),
+            GraphStorage::Compressed => {
+                compressed_count_closing_at(self.direction, adj_u, row, v, k, &self.model)
+            }
+        }
+    }
+
+    fn retained(&self, edge: &Edge<'_>, wire: &[VertexId]) -> (Arc<[VertexId]>, u64) {
+        if self.storage == GraphStorage::Compressed {
+            let (a, bound) =
+                compressed_closing_operands(self.direction, edge.adj_u, edge.v, edge.k);
+            return copy_decode_intersect(wire, a, bound, &self.model);
+        }
+        let (a, from, fused) = self.transfer_plan(edge, wire);
+        if fused {
+            fused::copy_intersect(wire, from, a)
+        } else {
+            let arc: Arc<[VertexId]> = Arc::from(wire);
+            let count = self.intersector.count(a, &arc[from..]);
+            (arc, count)
+        }
+    }
+
+    fn landed(&self, edge: &Edge<'_>, wire: &[VertexId], landing: &mut Vec<VertexId>) -> u64 {
+        if self.storage == GraphStorage::Compressed {
+            let (a, bound) =
+                compressed_closing_operands(self.direction, edge.adj_u, edge.v, edge.k);
+            // SAFETY: `copy_decode_intersect_into` initialises every element
+            // of its destination.
+            return unsafe {
+                fused::land_in_vec(landing, wire.len(), |dst| {
+                    copy_decode_intersect_into(wire, a, bound, &self.model, dst)
+                })
+            };
+        }
+        let (a, from, fused) = self.transfer_plan(edge, wire);
+        if fused {
+            // SAFETY: `copy_intersect_into` initialises every element of its
+            // destination.
+            unsafe {
+                fused::land_in_vec(landing, wire.len(), |dst| {
+                    fused::copy_intersect_into(wire, from, a, dst)
+                })
+            }
+        } else {
+            landing.clear();
+            landing.extend_from_slice(wire);
+            self.intersector.count(a, &landing[from..])
+        }
+    }
+
+    fn fold(&self, out: &mut Vec<u64>, edge: &Edge<'_>, value: u64) {
+        out[edge.slot] += value;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::distributed::config::{CacheSpec, ScoreMode};
-    use crate::intersect::{CostModel, IntersectMethod};
+    use crate::intersect::CostModel;
     use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
     use rmatc_graph::partition::PartitionScheme;
     use rmatc_graph::reference;
@@ -192,7 +228,7 @@ mod tests {
             faults: None,
             pipeline_depth: 1,
             intra_threads: 1,
-            storage: rmatc_graph::GraphStorage::Plain,
+            storage: GraphStorage::Plain,
         };
         (pg, windows, config)
     }
@@ -219,8 +255,8 @@ mod tests {
         // with and without the cache. The worker's own rows stay plain (the
         // partition keeps its CSR); only the windows change representation.
         let (pg, _plain, mut config) = setup(2);
-        config.storage = rmatc_graph::GraphStorage::Compressed;
-        let windows = GraphWindows::build_with(&pg, rmatc_graph::GraphStorage::Compressed);
+        config.storage = GraphStorage::Compressed;
+        let windows = GraphWindows::build_with(&pg, GraphStorage::Compressed);
         let g = pg.reassemble();
         let expected = reference::per_vertex_triangles(&g);
         for cached in [false, true] {
@@ -303,6 +339,91 @@ mod tests {
                 out.rma.overlapped_ns,
                 out.compute_ns
             );
+        }
+    }
+
+    /// Integer counters must match exactly across depths; the f64 time
+    /// accumulators see the same charges but in a different interleaving
+    /// (offsets-read charges land between deferred adjacency completions), so
+    /// non-associative addition leaves ulp-level drift — compared with a tight
+    /// relative tolerance instead.
+    fn assert_stats_equivalent(a: &RankStats, b: &RankStats) {
+        let mut ai = a.clone();
+        let mut bi = b.clone();
+        for s in [&mut ai, &mut bi] {
+            s.comm_time_ns = 0.0;
+            s.local_time_ns = 0.0;
+            s.overlapped_ns = 0.0;
+            s.backoff_ns = 0.0;
+        }
+        assert_eq!(ai, bi, "integer statistics must match exactly");
+        for (x, y, what) in [
+            (a.comm_time_ns, b.comm_time_ns, "comm_time_ns"),
+            (a.local_time_ns, b.local_time_ns, "local_time_ns"),
+            (a.overlapped_ns, b.overlapped_ns, "overlapped_ns"),
+            (a.backoff_ns, b.backoff_ns, "backoff_ns"),
+        ] {
+            assert!(
+                (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0),
+                "{what}: {x} vs {y}"
+            );
+        }
+    }
+
+    #[test]
+    fn any_depth_on_one_thread_is_bit_identical_to_depth_one() {
+        // The strong equivalence tier: one thread, any depth, fault-free —
+        // identical triangles, cache statistics (including the
+        // logical/stored byte counters) and rank statistics, non-cached and
+        // cached, plain and compressed.
+        for storage in [GraphStorage::Plain, GraphStorage::Compressed] {
+            for cached in [false, true] {
+                let (pg, _, mut config) = setup(2);
+                config.storage = storage;
+                if cached {
+                    config.cache = Some(CacheSpec::paper(1 << 20));
+                    config.score_mode = ScoreMode::DegreeCentrality;
+                }
+                let windows = GraphWindows::build_with(&pg, storage);
+                let baseline = run_worker(0, &pg, &windows, &config).unwrap();
+                for depth in [2usize, 4, 16] {
+                    config.pipeline_depth = depth;
+                    let piped = run_worker(0, &pg, &windows, &config).unwrap();
+                    let what = format!("{storage:?} cached={cached} d={depth}");
+                    assert_eq!(piped.local_triangles, baseline.local_triangles, "{what}");
+                    assert_eq!(piped.adjacency_cache, baseline.adjacency_cache, "{what}");
+                    assert_eq!(piped.offsets_cache, baseline.offsets_cache, "{what}");
+                    assert_stats_equivalent(&piped.rma, &baseline.rma);
+                    assert_eq!(piped.edges_processed, baseline.edges_processed);
+                    assert_eq!(piped.remote_edges, baseline.remote_edges);
+                }
+                if let (true, GraphStorage::Compressed) = (cached, storage) {
+                    let adj = baseline.adjacency_cache.expect("adjacency cache enabled");
+                    assert!(
+                        adj.logical_bytes > adj.stored_bytes && adj.stored_bytes > 0,
+                        "compressed misses must record a compression win"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn threaded_workers_match_scores_and_get_totals() {
+        let (pg, windows, mut config) = setup(2);
+        let baseline = run_worker(0, &pg, &windows, &config).unwrap();
+        // Up to more threads than the rank has vertices: the chunking must
+        // still cover every vertex exactly once.
+        for threads in [2usize, 4, 1000] {
+            config.intra_threads = threads;
+            config.pipeline_depth = 4;
+            let out = run_worker(0, &pg, &windows, &config).unwrap();
+            assert_eq!(out.local_triangles, baseline.local_triangles, "t={threads}");
+            // Non-cached: gets and bytes are per-edge deterministic however
+            // the threads interleave.
+            assert_eq!(out.rma.gets, baseline.rma.gets, "t={threads}");
+            assert_eq!(out.rma.bytes, baseline.rma.bytes, "t={threads}");
+            assert_eq!(out.edges_processed, baseline.edges_processed);
         }
     }
 }

@@ -12,20 +12,17 @@
 //! swaps the per-edge kernel, demonstrating that the paper's approach generalizes
 //! beyond triangle counting.
 
-use crate::distributed::config::{DistConfig, ResolvedCaches};
-use crate::distributed::pipeline::{self, Deferred, SharedReader, Started};
-use crate::distributed::reader::RemoteReader;
+use crate::distributed::config::DistConfig;
+use crate::distributed::pipeline::run_rank;
+use crate::distributed::reader::{Edge, EdgeOp};
 use crate::distributed::windows::GraphWindows;
-use crate::intersect::{compressed_count_closing, copy_decode_intersect, Intersector};
-use rayon::prelude::*;
+use crate::intersect::{compressed_count_closing, copy_decode_intersect, CostModel, Intersector};
 use rmatc_graph::compressed::decoded_len;
 use rmatc_graph::partition::PartitionedGraph;
 use rmatc_graph::types::VertexId;
 use rmatc_graph::CsrGraph;
 use rmatc_graph::GraphStorage;
-use rmatc_rma::{run_ranks, Endpoint, RankStats, RmaError, ThreadTimer};
-use std::collections::VecDeque;
-use std::ops::Range;
+use rmatc_rma::{run_ranks, RankStats, RmaError};
 use std::sync::Arc;
 
 /// Similarity score of one directed edge.
@@ -90,7 +87,9 @@ pub struct DistJaccard {
 
 impl DistJaccard {
     /// Creates a runner with the given configuration (ranks, partitioning, caching,
-    /// score mode and network model are interpreted exactly as for [`crate::DistLcc`]).
+    /// score mode, network model, double buffering, pipeline depth and intra-rank
+    /// threads are interpreted exactly as for [`crate::DistLcc`] — the two run
+    /// the same edge loop).
     pub fn new(config: DistConfig) -> Self {
         Self { config }
     }
@@ -126,24 +125,23 @@ impl DistJaccard {
     pub fn try_run_partitioned(&self, pg: &PartitionedGraph) -> Result<JaccardResult, RmaError> {
         let cfg = &self.config;
         let windows = GraphWindows::build_with(pg, cfg.storage);
-        let caches = match &cfg.cache {
-            Some(spec) => spec.resolve(pg.global_vertex_count(), windows.adjacency_bytes() as u64),
-            None => ResolvedCaches {
-                offsets: None,
-                adjacencies: None,
-            },
+        let op = JaccardPair {
+            intersector: Intersector::new(cfg.method).with_cost_model(cfg.cost_model),
+            model: cfg.cost_model,
+            storage: windows.storage,
         };
-        let outputs = run_ranks(cfg.ranks, |rank| run_rank(rank, pg, &windows, cfg, &caches))
+        let outputs = run_ranks(cfg.ranks, |rank| run_rank(rank, pg, &windows, cfg, &op))
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
         let mut edges = Vec::new();
         let mut rank_stats = Vec::with_capacity(cfg.ranks);
         let mut compute_ns = Vec::with_capacity(cfg.ranks);
         for out in outputs {
-            edges.extend(out.edges);
-            rank_stats.push(out.stats);
+            edges.extend(out.items);
+            rank_stats.push(out.rma);
             compute_ns.push(out.compute_ns);
         }
+        // Absorbs the completion-order reshuffle of gets kept in flight.
         edges.sort_by_key(|e| (e.source, e.destination));
         Ok(JaccardResult {
             edges,
@@ -151,12 +149,6 @@ impl DistJaccard {
             compute_ns,
         })
     }
-}
-
-struct RankJaccard {
-    edges: Vec<EdgeSimilarity>,
-    stats: RankStats,
-    compute_ns: u64,
 }
 
 /// The canonical ranking order of similarity records: descending Jaccard
@@ -202,309 +194,83 @@ pub(crate) fn edge_similarity(
     }
 }
 
-fn run_rank(
-    rank: usize,
-    pg: &PartitionedGraph,
-    windows: &GraphWindows,
-    cfg: &DistConfig,
-    caches: &ResolvedCaches,
-) -> Result<RankJaccard, RmaError> {
-    if cfg.overlapped() {
-        // Pipeline depth or intra-rank threads requested: same access
-        // pattern, overlapped worker (the global edge sort in
-        // `try_run_partitioned` absorbs the completion-order reshuffle).
-        return run_rank_overlapped(rank, pg, windows, cfg, caches);
-    }
-    let part = &pg.partitions[rank];
-    let mut reader = RemoteReader::new(windows, caches, cfg);
-    let mut ep = Endpoint::new(rank, cfg.ranks, cfg.network).with_retry(cfg.retry);
-    if let Some(plan) = cfg.faults {
-        ep = ep.with_faults(plan.injector(rank));
-    }
-    let intersector = Intersector::new(cfg.method).with_cost_model(cfg.cost_model);
-    let mut edges = Vec::new();
-    ep.lock_all();
-    let timer = ThreadTimer::start();
-    for local_idx in 0..part.local_vertex_count() {
-        let source = part.global_ids[local_idx];
-        let adj_u = part.neighbours_of_local(local_idx);
-        for &v in adj_u {
-            let owner = pg.partitioner.owner(v);
-            let v_local = pg.partitioner.local_index(v);
-            let (common, degree_v) = if owner == rank {
-                let adj_v = part.neighbours_of_local(v_local);
-                (intersector.count(adj_u, adj_v), adj_v.len())
-            } else {
-                let adj_v = match reader.read_adjacency(&mut ep, owner, v_local) {
-                    Ok(row) => row,
-                    Err(e) => {
-                        // Close the epoch before surfacing the error so the
-                        // endpoint is left in a consistent state.
-                        ep.unlock_all();
-                        return Err(e);
-                    }
-                };
-                match cfg.storage {
-                    GraphStorage::Plain => (intersector.count(adj_u, &adj_v), adj_v.len()),
-                    // The row arrived compressed: count in place over the
-                    // stored words (no bound — Jaccard wants the whole
-                    // intersection) and take the degree from the count word.
-                    GraphStorage::Compressed => (
-                        compressed_count_closing(adj_u, &adj_v, None, &cfg.cost_model),
-                        decoded_len(&adj_v),
-                    ),
-                }
-            };
-            let union = adj_u.len() as u64 + degree_v as u64 - common;
-            let jaccard = if union == 0 {
-                0.0
-            } else {
-                common as f64 / union as f64
-            };
-            edges.push(EdgeSimilarity {
-                source,
-                destination: v,
-                common_neighbours: common,
-                jaccard,
-            });
-        }
-    }
-    let compute_ns = timer.elapsed_ns();
-    ep.unlock_all();
-    Ok(RankJaccard {
-        edges,
-        stats: ep.into_stats(),
-        compute_ns,
-    })
+/// The Jaccard per-edge operation of the distributed edge loop
+/// ([`crate::distributed::pipeline`]): the common-neighbour count of the two
+/// endpoints and the degree of `v`, folded into one [`EdgeSimilarity`] per
+/// edge. The whole intersection counts — no upper-triangle bound.
+struct JaccardPair {
+    intersector: Intersector,
+    /// Cost model the compressed kernels dispatch through.
+    model: CostModel,
+    /// Representation remote rows arrive in (local rows are always plain).
+    storage: GraphStorage,
 }
 
-/// One Jaccard adjacency get in flight: the deferred read plus the edge
-/// context needed to finish the similarity record at completion. The deferred
-/// value is `(common, degree_v)` — under compressed storage the row length on
-/// the wire is a word count, so the degree must come from the decoded row.
-struct JacSlot<'a> {
-    deferred: Deferred<(u64, usize)>,
-    source: VertexId,
-    destination: VertexId,
-    adj_u: &'a [VertexId],
-}
+impl EdgeOp for JaccardPair {
+    /// `(common, degree_v)`: the wire length of a compressed row is its word
+    /// count, not the degree, so the degree always comes from the row itself.
+    type Value = (u64, usize);
+    type Item = EdgeSimilarity;
 
-/// The overlapped counterpart of [`run_rank`]: pipelined adjacency gets and
-/// optional intra-rank threads, sharing the LCC pipeline machinery
-/// ([`crate::distributed::pipeline`]) with the Jaccard kernel swapped in.
-fn run_rank_overlapped(
-    rank: usize,
-    pg: &PartitionedGraph,
-    windows: &GraphWindows,
-    cfg: &DistConfig,
-    caches: &ResolvedCaches,
-) -> Result<RankJaccard, RmaError> {
-    let part = &pg.partitions[rank];
-    let n_local = part.local_vertex_count();
-    let workers = pipeline::worker_count(cfg, n_local);
-    let reader = SharedReader::new(windows, caches, cfg, workers);
-    let intersector = Intersector::new(cfg.method).with_cost_model(cfg.cost_model);
-    let chunk = pipeline::chunk_size(n_local, workers);
-
-    let outs: Vec<Result<RankJaccard, RmaError>> = (0..workers)
-        .into_par_iter()
-        .map(|t| {
-            let lo = (t * chunk).min(n_local);
-            let hi = ((t + 1) * chunk).min(n_local);
-            jaccard_thread(rank, lo..hi, pg, &reader, cfg, &intersector)
-        })
-        .collect();
-    // Lowest failing thread wins, keeping the surfaced error deterministic.
-    let outs = outs.into_iter().collect::<Result<Vec<_>, _>>()?;
-
-    let mut edges = Vec::new();
-    let mut stats: Option<RankStats> = None;
-    let mut compute_ns = 0u64;
-    for out in outs {
-        edges.extend(out.edges);
-        match &mut stats {
-            Some(merged) => merged.merge(&out.stats),
-            None => stats = Some(out.stats),
-        }
-        compute_ns = compute_ns.max(out.compute_ns);
+    fn output(&self, _vertices: usize) -> Vec<EdgeSimilarity> {
+        Vec::new()
     }
-    Ok(RankJaccard {
-        edges,
-        stats: stats.unwrap_or_else(|| RankStats::new(cfg.ranks)),
-        compute_ns,
-    })
-}
 
-/// One worker thread over a contiguous chunk of the rank's vertices.
-fn jaccard_thread(
-    rank: usize,
-    range: Range<usize>,
-    pg: &PartitionedGraph,
-    reader: &SharedReader,
-    cfg: &DistConfig,
-    intersector: &Intersector,
-) -> Result<RankJaccard, RmaError> {
-    let mut ep = Endpoint::new(rank, cfg.ranks, cfg.network).with_retry(cfg.retry);
-    if let Some(plan) = cfg.faults {
-        ep = ep.with_faults(plan.injector(rank));
+    fn local(&self, edge: &Edge<'_>, adj_v: &[VertexId]) -> (u64, usize) {
+        (self.intersector.count(edge.adj_u, adj_v), adj_v.len())
     }
-    let mut edges = Vec::new();
-    let mut fifo: VecDeque<JacSlot<'_>> = VecDeque::with_capacity(cfg.effective_pipeline_depth());
-    ep.lock_all();
-    let timer = ThreadTimer::start();
-    let outcome = jaccard_loop(
-        rank,
-        range,
-        pg,
-        reader,
-        cfg,
-        intersector,
-        &mut ep,
-        &mut fifo,
-        &mut edges,
-    );
-    match outcome {
-        Ok(()) => {
-            let compute_ns = timer.elapsed_ns();
-            ep.unlock_all();
-            Ok(RankJaccard {
-                edges,
-                stats: ep.into_stats(),
-                compute_ns,
-            })
-        }
-        Err(e) => {
-            // Drop the in-flight slots and charge their cost as a final
-            // flush, so the epoch closes cleanly.
-            fifo.clear();
-            ep.abandon_outstanding();
-            ep.unlock_all();
-            Err(e)
-        }
-    }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn jaccard_loop<'a>(
-    rank: usize,
-    range: Range<usize>,
-    pg: &'a PartitionedGraph,
-    reader: &SharedReader,
-    cfg: &DistConfig,
-    intersector: &Intersector,
-    ep: &mut Endpoint,
-    fifo: &mut VecDeque<JacSlot<'a>>,
-    edges: &mut Vec<EdgeSimilarity>,
-) -> Result<(), RmaError> {
-    let part = &pg.partitions[rank];
-    let depth = cfg.effective_pipeline_depth();
-    for local_idx in range {
-        let source = part.global_ids[local_idx];
-        let adj_u = part.neighbours_of_local(local_idx);
-        for &v in adj_u {
-            let owner = pg.partitioner.owner(v);
-            let v_local = pg.partitioner.local_index(v);
-            if owner == rank {
-                let adj_v = part.neighbours_of_local(v_local);
-                let common = intersector.count(adj_u, adj_v);
-                edges.push(edge_similarity(source, v, adj_u.len(), adj_v.len(), common));
-                continue;
-            }
-            // Both closures return `(common, degree_v)`: the wire length of a
-            // compressed row is its word count, not the degree, so the degree
-            // always comes from the row itself.
-            let started = if reader.storage() == GraphStorage::Compressed {
-                let model = reader.model();
-                reader.start_remote(
-                    ep,
-                    owner,
-                    v_local,
-                    |row| {
-                        (
-                            compressed_count_closing(adj_u, row, None, model),
-                            decoded_len(row),
-                        )
-                    },
-                    |src| {
-                        let degree_v = decoded_len(src);
-                        let (arc, common) = copy_decode_intersect(src, adj_u, None, model);
-                        (arc, (common, degree_v))
-                    },
-                )?
-            } else {
-                reader.start_remote(
-                    ep,
-                    owner,
-                    v_local,
-                    |row| (intersector.count(adj_u, row), row.len()),
-                    |src| {
-                        let arc: Arc<[VertexId]> = Arc::from(src);
-                        let common = intersector.count(adj_u, &arc);
-                        let degree_v = arc.len();
-                        (arc, (common, degree_v))
-                    },
-                )?
-            };
-            match started {
-                Started::Immediate((common, degree_v)) => {
-                    edges.push(edge_similarity(source, v, adj_u.len(), degree_v, common));
-                }
-                Started::Deferred(deferred) => {
-                    if fifo.len() >= depth {
-                        let slot = fifo.pop_front().expect("fifo is non-empty at depth");
-                        complete_jaccard_slot(ep, reader, intersector, slot, edges)?;
-                    }
-                    fifo.push_back(JacSlot {
-                        deferred,
-                        source,
-                        destination: v,
-                        adj_u,
-                    });
-                }
-            }
-        }
-    }
-    // Drain the tail in issue order.
-    while let Some(slot) = fifo.pop_front() {
-        complete_jaccard_slot(ep, reader, intersector, slot, edges)?;
-    }
-    Ok(())
-}
-
-fn complete_jaccard_slot(
-    ep: &mut Endpoint,
-    reader: &SharedReader,
-    intersector: &Intersector,
-    slot: JacSlot<'_>,
-    edges: &mut Vec<EdgeSimilarity>,
-) -> Result<(), RmaError> {
-    let JacSlot {
-        deferred,
-        source,
-        destination,
-        adj_u,
-    } = slot;
-    let (common, degree_v) = if reader.storage() == GraphStorage::Compressed {
-        let model = reader.model();
-        reader.complete(ep, deferred, |row| {
-            (
-                compressed_count_closing(adj_u, row, None, model),
+    fn stored(&self, edge: &Edge<'_>, row: &[VertexId]) -> (u64, usize) {
+        match self.storage {
+            GraphStorage::Plain => self.local(edge, row),
+            // Count in place over the stored words and take the degree from
+            // the count word.
+            GraphStorage::Compressed => (
+                compressed_count_closing(edge.adj_u, row, None, &self.model),
                 decoded_len(row),
-            )
-        })?
-    } else {
-        reader.complete(ep, deferred, |row| {
-            (intersector.count(adj_u, row), row.len())
-        })?
-    };
-    edges.push(edge_similarity(
-        source,
-        destination,
-        adj_u.len(),
-        degree_v,
-        common,
-    ));
-    Ok(())
+            ),
+        }
+    }
+
+    fn retained(&self, edge: &Edge<'_>, wire: &[VertexId]) -> (Arc<[VertexId]>, (u64, usize)) {
+        match self.storage {
+            GraphStorage::Plain => {
+                let arc: Arc<[VertexId]> = Arc::from(wire);
+                let value = self.local(edge, &arc);
+                (arc, value)
+            }
+            GraphStorage::Compressed => {
+                let (arc, common) = copy_decode_intersect(wire, edge.adj_u, None, &self.model);
+                (arc, (common, decoded_len(wire)))
+            }
+        }
+    }
+
+    fn landed(
+        &self,
+        edge: &Edge<'_>,
+        wire: &[VertexId],
+        landing: &mut Vec<VertexId>,
+    ) -> (u64, usize) {
+        landing.clear();
+        landing.extend_from_slice(wire);
+        self.stored(edge, landing)
+    }
+
+    fn fold(
+        &self,
+        out: &mut Vec<EdgeSimilarity>,
+        edge: &Edge<'_>,
+        (common, degree_v): (u64, usize),
+    ) {
+        out.push(edge_similarity(
+            edge.source,
+            edge.v,
+            edge.adj_u.len(),
+            degree_v,
+            common,
+        ));
+    }
 }
 
 #[cfg(test)]
@@ -616,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_runs_match_sequential_scores_exactly() {
+    fn overlapped_runs_match_depth_one_scores_exactly() {
         let g = RmatGenerator::paper(8, 8).generate_cleaned(31).into_csr();
         let baseline = DistJaccard::new(DistConfig::non_cached(2)).run(&g);
         for (depth, threads) in [(4usize, 1usize), (1, 4), (8, 2)] {
@@ -635,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_cached_runs_match_sequential_scores_exactly() {
+    fn overlapped_cached_runs_match_depth_one_scores_exactly() {
         let g = RmatGenerator::paper(9, 16).generate_cleaned(19).into_csr();
         let mut cfg = DistConfig::non_cached(4);
         cfg.cache = Some(CacheSpec::paper(g.csr_size_bytes() as usize));
@@ -645,30 +411,73 @@ mod tests {
         piped.pipeline_depth = 6;
         let out = DistJaccard::new(piped).run(&g);
         assert_eq!(out.edges, baseline.edges);
-        // Get counts are only comparable over the *same* windows: the cache's
-        // slot hash keys on the window id, which `GraphWindows::build`
-        // allocates afresh per run. Over shared windows, single-threaded
-        // pipelining performs cache operations in issue order — the same
-        // sequence as the sequential rank, so the same hit pattern.
-        let pg = PartitionedGraph::from_global(&g, cfg.scheme, cfg.ranks).unwrap();
-        let windows = GraphWindows::build_with(&pg, cfg.storage);
-        let caches = cfg
-            .cache
-            .as_ref()
-            .unwrap()
-            .resolve(pg.global_vertex_count(), windows.adjacency_bytes() as u64);
-        for rank in 0..cfg.ranks {
-            let seq = run_rank(rank, &pg, &windows, &cfg, &caches).unwrap();
-            let pip = run_rank(rank, &pg, &windows, &piped, &caches).unwrap();
-            assert_eq!(pip.stats.gets, seq.stats.gets, "rank {rank}");
-            assert_eq!(pip.stats.bytes, seq.stats.bytes, "rank {rank}");
-            assert_eq!(pip.stats.local_reads, seq.stats.local_reads, "rank {rank}");
+        // One thread performs cache operations in issue order at any depth —
+        // the same sequence, so the same hit pattern and the same traffic.
+        for (rank, (pip, seq)) in out.rank_stats.iter().zip(&baseline.rank_stats).enumerate() {
+            assert_eq!(pip.gets, seq.gets, "rank {rank}");
+            assert_eq!(pip.bytes, seq.bytes, "rank {rank}");
+            assert_eq!(pip.local_reads, seq.local_reads, "rank {rank}");
+        }
+    }
+
+    /// A network slow enough that compute can hide some of it.
+    fn slow_network(alpha_ns: f64, beta_ns_per_byte: f64) -> rmatc_rma::NetworkModel {
+        rmatc_rma::NetworkModel {
+            alpha_ns,
+            beta_ns_per_byte,
+            local_read_ns: 10.0,
+            injection_scale: 0.0,
+        }
+    }
+
+    #[test]
+    fn double_buffering_reduces_charged_comm_time() {
+        // `double_buffering` means for Jaccard what it means for LCC: the
+        // edge loop banks its compute as overlap credit.
+        let g = RmatGenerator::paper(8, 8).generate_cleaned(5).into_csr();
+        let mut cfg = DistConfig::non_cached(2);
+        cfg.network = slow_network(200.0, 0.05);
+        cfg.double_buffering = false;
+        let without = DistJaccard::new(cfg).run(&g);
+        cfg.double_buffering = true;
+        let with = DistJaccard::new(cfg).run(&g);
+        assert_eq!(with.edges, without.edges);
+        for (with, without) in with.rank_stats.iter().zip(&without.rank_stats) {
+            assert!(
+                with.comm_time_ns <= without.comm_time_ns,
+                "overlap credit must never increase charged communication time"
+            );
+            assert!(with.overlapped_ns > 0.0);
+            assert_eq!(without.overlapped_ns, 0.0);
+        }
+    }
+
+    #[test]
+    fn overlap_credit_never_exceeds_the_ranks_compute_time() {
+        // With a network far slower than the CPU every banked nanosecond is
+        // consumed, so the overlapped total *is* the banked credit — which the
+        // meter takes from the same timer `compute_ns` is read from.
+        let g = RmatGenerator::paper(8, 8).generate_cleaned(5).into_csr();
+        let mut cfg = DistConfig::non_cached(2);
+        cfg.double_buffering = true;
+        cfg.network = slow_network(1e6, 1.0);
+        for depth in [1usize, 4] {
+            cfg.pipeline_depth = depth;
+            let out = DistJaccard::new(cfg).run(&g);
+            for (stats, &compute_ns) in out.rank_stats.iter().zip(&out.compute_ns) {
+                assert!(stats.overlapped_ns > 0.0, "depth {depth}");
+                assert!(
+                    stats.overlapped_ns <= compute_ns as f64,
+                    "depth {depth}: {} ns hidden by {compute_ns} ns of compute",
+                    stats.overlapped_ns
+                );
+            }
         }
     }
 
     #[test]
     fn compressed_storage_matches_plain_scores_everywhere() {
-        // Jaccard over compressed windows — sequential, cached and
+        // Jaccard over compressed windows — non-cached, cached and
         // overlapped — must reproduce the plain-storage edges bit for bit.
         let g = RmatGenerator::paper(8, 8).generate_cleaned(17).into_csr();
         let plain = DistJaccard::new(DistConfig::non_cached(4)).run(&g);

@@ -3,14 +3,14 @@
 
 use super::stats::{LatencyPercentiles, ServiceStats};
 use super::{Query, QueryAnswer, QueryId, ServiceConfig, ServiceError};
-use crate::distributed::config::{ResolvedCaches, ScoreMode};
-use crate::distributed::reader::read_offsets_plain;
+use crate::distributed::pipeline::rank_endpoint;
+use crate::distributed::reader::RowReader;
 use crate::distributed::windows::GraphWindows;
 use crate::intersect::{compressed_count_closing, CostModel, Intersector, ParallelIntersector};
 use crate::jaccard::{edge_similarity, top_k_edges, EdgeSimilarity};
 use crate::lcc::lcc_from_triangles;
 use crate::local::{compressed_count_closing_at, count_closing_at};
-use rmatc_clampi::{CacheStats, RowRef, ShardedCachedWindow};
+use rmatc_clampi::{CacheStats, RowRef};
 use rmatc_graph::compressed::decoded_len;
 use rmatc_graph::partition::PartitionedGraph;
 use rmatc_graph::types::{Direction, VertexId};
@@ -20,13 +20,12 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 /// One rank's resident serving state: a long-lived endpoint (its passive-target
-/// epoch stays open for the engine's lifetime) plus the warm CLaMPI caches over
-/// the shared windows. One shard per cache: the serving loop is sequential, and
-/// one shard is bit-identical to the single-threaded wrapper.
+/// epoch stays open for the engine's lifetime) plus the reader whose CLaMPI
+/// caches over the shared windows stay warm across batches. One shard per
+/// cache: the serving loop is sequential.
 struct RankLane {
     ep: Endpoint,
-    offsets_cache: Option<ShardedCachedWindow<u64>>,
-    adj_cache: Option<ShardedCachedWindow<VertexId>>,
+    reader: RowReader,
 }
 
 /// The kernel/selection knobs every query runs with, mirroring the batch
@@ -38,7 +37,6 @@ struct Kernels {
     pintersector: ParallelIntersector,
     model: CostModel,
     storage: GraphStorage,
-    score_mode: ScoreMode,
     direction: Direction,
 }
 
@@ -85,7 +83,6 @@ struct GroupMetrics {
 /// resetting per run.
 pub struct QueryEngine {
     pg: PartitionedGraph,
-    windows: GraphWindows,
     lanes: Vec<RankLane>,
     kernels: Kernels,
     config: ServiceConfig,
@@ -125,29 +122,14 @@ impl QueryEngine {
     pub fn from_partitioned(pg: PartitionedGraph, config: ServiceConfig) -> Self {
         let dist = &config.dist;
         let windows = GraphWindows::build_with(&pg, dist.storage);
-        let caches = match &dist.cache {
-            Some(spec) => spec.resolve(pg.global_vertex_count(), windows.adjacency_bytes() as u64),
-            None => ResolvedCaches {
-                offsets: None,
-                adjacencies: None,
-            },
-        };
         let lanes = (0..dist.ranks)
             .map(|rank| {
-                let mut ep = Endpoint::new(rank, dist.ranks, dist.network).with_retry(dist.retry);
-                if let Some(plan) = dist.faults {
-                    ep = ep.with_faults(plan.injector(rank));
-                }
+                let mut ep = rank_endpoint(rank, dist);
                 // The resident epoch: opened once here, closed in Drop.
                 ep.lock_all();
                 RankLane {
                     ep,
-                    offsets_cache: caches
-                        .offsets
-                        .map(|cfg| ShardedCachedWindow::new(windows.offsets.clone(), cfg, 1)),
-                    adj_cache: caches
-                        .adjacencies
-                        .map(|cfg| ShardedCachedWindow::new(windows.adjacencies.clone(), cfg, 1)),
+                    reader: RowReader::new(&windows, dist, pg.global_vertex_count(), 1),
                 }
             })
             .collect();
@@ -157,12 +139,10 @@ impl QueryEngine {
                 .with_cost_model(dist.cost_model),
             model: dist.cost_model,
             storage: dist.storage,
-            score_mode: dist.score_mode,
             direction: pg.direction,
         };
         Self {
             pg,
-            windows,
             lanes,
             kernels,
             config,
@@ -322,7 +302,6 @@ impl QueryEngine {
             }
             let (answers, metrics) = exec_rank_group(
                 &self.pg,
-                &self.windows,
                 &mut self.lanes[rank],
                 &self.kernels,
                 &batch,
@@ -399,11 +378,11 @@ impl QueryEngine {
         let mut adjacency_cache: Option<CacheStats> = None;
         for lane in &self.lanes {
             rma.merge(lane.ep.stats());
-            if let Some(c) = &lane.offsets_cache {
-                merge_into(&mut offsets_cache, &c.stats());
+            if let Some(stats) = lane.reader.offsets_cache_stats() {
+                merge_into(&mut offsets_cache, &stats);
             }
-            if let Some(c) = &lane.adj_cache {
-                merge_into(&mut adjacency_cache, &c.stats());
+            if let Some(stats) = lane.reader.adjacency_cache_stats() {
+                merge_into(&mut adjacency_cache, &stats);
             }
         }
         ServiceStats {
@@ -460,7 +439,6 @@ type GroupAnswers = Vec<(usize, Result<QueryAnswer, ServiceError>)>;
 /// pipelines use, so answers cannot diverge from them.
 fn exec_rank_group(
     pg: &PartitionedGraph,
-    windows: &GraphWindows,
     lane: &mut RankLane,
     kernels: &Kernels,
     batch: &[Pending],
@@ -503,29 +481,16 @@ fn exec_rank_group(
         unique_rows: keys.len() as u64,
     };
 
-    // 2. Fetch each unique row exactly once, in sorted key order. A fetch
-    // failure (retry budget exhausted under an unrecoverable fault plan) is
-    // held per key: only the queries referencing that row fail.
-    let RankLane {
-        ep,
-        offsets_cache,
-        adj_cache,
-    } = lane;
-    let offsets_cache = offsets_cache.as_ref();
-    let adj_cache = adj_cache.as_ref();
+    // 2. Fetch each unique row exactly once, in sorted key order, with the
+    // two-get protocol of the batch pipelines (compressed misses record
+    // logical vs stored bytes, keeping the compression win measurable in
+    // [`ServiceStats`]). A fetch failure (retry budget exhausted under an
+    // unrecoverable fault plan) is held per key: only the queries
+    // referencing that row fail.
+    let RankLane { ep, reader } = lane;
     let rows: Vec<Result<RowRef<'_, VertexId>, RmaError>> = keys
         .iter()
-        .map(|&(target, v_local)| {
-            fetch_row(
-                ep,
-                offsets_cache,
-                adj_cache,
-                windows,
-                kernels,
-                target,
-                v_local,
-            )
-        })
+        .map(|&(target, v_local)| reader.read_row(ep, target, v_local))
         .collect();
 
     // 3. Answer each query from the landed rows.
@@ -537,66 +502,6 @@ fn exec_rank_group(
         })
         .collect();
     (out, metrics)
-}
-
-/// The two-get protocol for one remote row, mirroring
-/// [`crate::distributed::reader::RemoteReader::read_adjacency`]: offsets get
-/// (cache-intercepted where enabled), then the adjacency get with the degree
-/// proxy as its eviction score. Compressed misses record logical vs stored
-/// bytes on the cache, keeping the compression win measurable in
-/// [`ServiceStats`].
-fn fetch_row<'c>(
-    ep: &mut Endpoint,
-    offsets_cache: Option<&'c ShardedCachedWindow<u64>>,
-    adj_cache: Option<&'c ShardedCachedWindow<VertexId>>,
-    windows: &'c GraphWindows,
-    kernels: &Kernels,
-    target: usize,
-    v_local: usize,
-) -> Result<RowRef<'c, VertexId>, RmaError> {
-    let (start, end) = match offsets_cache {
-        Some(cache) => {
-            let row = cache.get_scored(ep, target, v_local, 2, 0.0)?;
-            (row[0] as usize, row[1] as usize)
-        }
-        None => read_offsets_plain(ep, &windows.offsets, target, v_local)?,
-    };
-    let len = end - start;
-    if len == 0 {
-        return Ok(RowRef::Window(&[]));
-    }
-    let score = match kernels.score_mode {
-        ScoreMode::Lru => 0.0,
-        ScoreMode::DegreeCentrality => len as f64,
-    };
-    match adj_cache {
-        Some(cache) => {
-            let row = cache.get_scored(ep, target, start, len, score)?;
-            if kernels.storage == GraphStorage::Compressed {
-                if let RowRef::Fetched(arc) = &row {
-                    cache.record_compression(
-                        target,
-                        start,
-                        len,
-                        decoded_len(arc) as u64 * 4,
-                        len as u64 * 4,
-                    );
-                }
-            }
-            Ok(row)
-        }
-        None if target == ep.rank() => Ok(RowRef::Window(ep.local_read(
-            &windows.adjacencies,
-            start,
-            len,
-        ))),
-        None => Ok(RowRef::Fetched(ep.get_with_retry(
-            &windows.adjacencies,
-            target,
-            start,
-            len,
-        )?)),
-    }
 }
 
 /// Resolves the operand row of vertex `v` for a query executing on `rank`:

@@ -22,8 +22,11 @@
 //! `Arc<[T]>` — right when a cache will retain the row, a pipeline slot holds
 //! it in flight, or it is returned to the caller. The borrowed lander
 //! ([`Endpoint::get_into_with_retry`]) lands in a buffer the caller keeps
-//! across gets — right for every synchronous read whose buffer nobody
-//! retains, which then costs no heap allocation at all.
+//! across gets — right for every read whose buffer nobody retains, which then
+//! costs no heap allocation at all. Fault-free, such a read need not even be
+//! synchronous: the data moves at issue time, so [`Endpoint::get_into`] hands
+//! back only the completion still owed ([`PendingCharge`]) and a pipelined
+//! caller keeps the latency in flight without a buffer to hold.
 
 use crate::fault::{self, FaultInjector, RetryPolicy, RmaError};
 use crate::network::NetworkModel;
@@ -82,7 +85,47 @@ impl<T: Copy> PendingGet<T> {
     }
 }
 
+/// The cost ticket of a fault-free get whose data needs nothing more from the
+/// endpoint — it landed in a buffer the caller owns ([`Endpoint::get_into`])
+/// or was handed out at issue time ([`PendingGet::split`]). Only the
+/// modeled completion is still owed: a pipeline slot holds this instead of an
+/// `Arc` nobody will read.
+#[derive(Debug)]
+pub struct PendingCharge {
+    ticket: Ticket,
+}
+
+impl PendingCharge {
+    /// Completes the get: the flush accounting, overlap charging and latency
+    /// injection of [`PendingGet::wait`]. Infallible — without an injector
+    /// there is no straggler to time out and no checksum to fail.
+    #[inline]
+    pub fn wait(self, ep: &mut Endpoint) {
+        ep.complete::<u8>(&self.ticket, &[])
+            .expect("a fault-free completion cannot fail");
+    }
+}
+
 impl<T> PendingGet<T> {
+    /// Hands out the landed buffer now and leaves only the completion owed
+    /// for it — for a fault-free get whose data the caller consumes at issue
+    /// time (the simulator materializes a transfer when it is issued).
+    ///
+    /// # Panics
+    ///
+    /// If the get carries a checksum stamp: a faulted transfer must be
+    /// verified against its buffer by [`PendingGet::wait`].
+    pub fn split(self) -> (Arc<[T]>, PendingCharge) {
+        assert!(
+            self.ticket.expected_checksum.is_none(),
+            "a checksummed transfer must be verified by PendingGet::wait"
+        );
+        let charge = PendingCharge {
+            ticket: self.ticket,
+        };
+        (self.data, charge)
+    }
+
     /// The modeled cost of this get, in nanoseconds (available before completion so
     /// callers can reason about prefetch depth).
     pub fn cost_ns(&self) -> f64 {
@@ -103,6 +146,23 @@ impl<T> PendingGet<T> {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
+}
+
+/// Runs a borrowed lander's `transfer` and checks that it left exactly the
+/// wire's elements in `landing`.
+#[inline]
+fn land_full<T, L: AsRef<[T]> + ?Sized, R>(
+    wire: &[T],
+    landing: &mut L,
+    transfer: impl FnOnce(&[T], &mut L) -> R,
+) -> R {
+    let result = transfer(wire, landing);
+    assert_eq!(
+        (*landing).as_ref().len(),
+        wire.len(),
+        "transfer must land the full region"
+    );
+    result
 }
 
 /// Per-rank access object for issuing one-sided operations.
@@ -482,17 +542,47 @@ impl Endpoint {
     ) -> Result<R, RmaError> {
         self.retrying(target, None, |ep| {
             let (ticket, result) = ep.issue(window, target, offset, len, |wire| {
-                let result = transfer(wire, landing);
-                assert_eq!(
-                    (*landing).as_ref().len(),
-                    len,
-                    "transfer must land the full region"
-                );
-                result
+                land_full(wire, landing, &mut transfer)
             })?;
             ep.complete(&ticket, (*landing).as_ref())?;
             Ok(result)
         })
+    }
+
+    /// The borrowed lander without the wait: issues a get whose transfer lands
+    /// in `landing` exactly like [`Endpoint::get_into_with_retry`] and returns
+    /// the completion still owed for it, so a pipelined caller keeps the
+    /// modeled (and injected) latency in flight without holding a buffer.
+    /// `landing` is free for the next get immediately — the simulator moves
+    /// the data at issue time.
+    ///
+    /// Fault-free endpoints only: an unverified landing must not outlive the
+    /// call, so with an injector attached use the synchronous, self-healing
+    /// [`Endpoint::get_into_with_retry`].
+    ///
+    /// # Panics
+    ///
+    /// If a fault injector is attached.
+    #[inline]
+    pub fn get_into<T: Copy + Send + Sync, L: AsRef<[T]> + ?Sized, R>(
+        &mut self,
+        window: &Window<T>,
+        target: usize,
+        offset: usize,
+        len: usize,
+        landing: &mut L,
+        transfer: impl FnOnce(&[T], &mut L) -> R,
+    ) -> (PendingCharge, R) {
+        assert!(
+            !self.faults_enabled(),
+            "a deferred borrowed landing cannot be verified; use get_into_with_retry"
+        );
+        let (ticket, result) = self
+            .issue(window, target, offset, len, |wire| {
+                land_full(wire, landing, transfer)
+            })
+            .expect("a fault-free issue cannot fail");
+        (PendingCharge { ticket }, result)
     }
 
     /// Completes a get that was issued nonblockingly some time ago — the
@@ -1124,6 +1214,61 @@ mod tests {
         ep.unlock_all();
         assert_eq!(pair, [9, 12]);
         assert_eq!((ep.stats().gets, ep.stats().bytes), (1, 16));
+    }
+
+    #[test]
+    fn deferred_charges_complete_like_synchronous_borrowed_gets() {
+        // Issue-then-wait through `get_into` / `split` must leave the
+        // endpoint exactly where the synchronous borrowed lander leaves it —
+        // every counter and every f64 charge — with overlap credit in play.
+        let w = Window::from_parts(vec![vec![1u32, 2, 3, 4], (10..74u32).collect()]);
+        let endpoint = || {
+            let mut ep = Endpoint::new(0, 2, NetworkModel::aries());
+            ep.lock_all();
+            ep
+        };
+        let (mut sync, mut split, mut owned) = (endpoint(), endpoint(), endpoint());
+        let (mut landing_a, mut landing_b) = (Vec::new(), Vec::new());
+        for i in 0..50usize {
+            let (offset, len) = (i % 7, 1 + (i * 5) % 57);
+            for ep in [&mut sync, &mut split, &mut owned] {
+                ep.note_compute_ns(150.0);
+            }
+            let a = sync
+                .get_into_with_retry(&w, 1, offset, len, &mut landing_a, land_and_sum)
+                .unwrap();
+            let (charge, b) = split.get_into(&w, 1, offset, len, &mut landing_b, land_and_sum);
+            charge.wait(&mut split);
+            let (pending, c) = owned
+                .get_map(&w, 1, offset, len, |wire| {
+                    (Arc::from(wire), wire.iter().copied().sum::<u32>())
+                })
+                .unwrap();
+            let (data, charge) = pending.split();
+            charge.wait(&mut owned);
+            assert_eq!(&*data, &landing_a[..], "read {i}");
+            assert_eq!((a, a), (b, c), "read {i}");
+            assert_eq!(landing_a, landing_b, "read {i}");
+            assert_eq!(sync.stats(), split.stats(), "read {i}");
+            assert_eq!(sync.stats(), owned.stats(), "read {i}");
+        }
+        // Several charges in flight, dropped unwaited: the epoch still closes
+        // once the outstanding pool is abandoned.
+        let _a = split.get_into(&w, 1, 0, 4, &mut landing_b, land_and_sum);
+        let _b = split.get_into(&w, 1, 4, 4, &mut landing_b, land_and_sum);
+        assert!(split.abandon_outstanding() > 0.0);
+        split.unlock_all();
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be verified")]
+    fn deferred_borrowed_landings_refuse_a_fault_injector() {
+        let w = window2();
+        let mut ep = Endpoint::new(0, 2, NetworkModel::zero())
+            .with_faults(FaultPlan::reliable(1).injector(0));
+        ep.lock_all();
+        let mut landing = Vec::new();
+        let _ = ep.get_into(&w, 1, 0, 2, &mut landing, land_and_sum);
     }
 
     #[test]

@@ -31,6 +31,25 @@ docs:
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p rmatc -p rmatc-core -p rmatc-clampi -p rmatc-rma -p rmatc-graph -p rmatc-tric -p rmatc-bench
     cargo test --workspace --doc -q
 
+# The size yardstick ROADMAP item 1 is counted with: per first-party crate,
+# non-blank non-comment lines before each file's `#[cfg(test)]` module
+# ("code") and, separately, the unit-test lines from it on; then the
+# integration tests (`tests/` + `crates/*/tests`). Compare two trees by
+# running it in each.
+loc:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    count='FNR == 1 { t = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { t = 1 }
+        /^[[:space:]]*($|\/\/)/ { next }
+        { if (t) tests++; else code++ }
+        END { printf "%-12s code %6d   tests %6d\n", name, code, tests }'
+    for c in core clampi rma graph tric bench; do
+        find "crates/$c" -name '*.rs' -not -path "crates/$c/tests/*" -print0 |
+            xargs -0 awk -v name="$c" "$count"
+    done
+    find tests crates/*/tests -name '*.rs' -print0 | xargs -0 awk -v name="integration" "$count"
+
 # The repo benchmark (BENCHMARK.json's command, suite mode): every workload,
 # untraced then traced, one fresh process per pass; prints every metric by
 # name and writes benchmark/out/results.json. See benchmark/README.md.

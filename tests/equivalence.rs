@@ -131,21 +131,22 @@ fn double_buffering_and_intersection_method_do_not_change_results() {
 }
 
 // ---------------------------------------------------------------------------
-// Differential layer: the overlapped worker (pipeline depth ≥ 2 and/or
-// intra-rank threads ≥ 2) against the sequential worker, over random R-MAT
-// graphs × pipeline depths × thread counts × cache policies.
+// Differential layer: the one edge loop at pipeline depth D × T intra-rank
+// threads against itself at depth 1 × 1 thread (the classic
+// issue-wait-compute loop), and both against the brute-force reference, over
+// random R-MAT graphs × pipeline depths × thread counts × cache policies.
+// (`tests/golden_counts.rs` additionally pins the loop to the counts of the
+// sequential worker it replaced.)
 //
 // Equivalence tiers (see `crates/core/src/distributed/pipeline.rs`):
 //
 // * Always: scores (triangles, LCC, Jaccard) are bit-identical, and per-rank
 //   cache lookup totals (hits + misses), edge counts and — for non-cached
 //   configurations — get/byte counters match exactly, because each is
-//   per-edge deterministic however the overlapped loop interleaves.
-// * One thread, shared windows: the *full* cache statistics and every
-//   integer RMA counter are bit-identical — cache operations happen at issue
-//   time in exactly the sequential order. (Hit/miss splits of cached runs
-//   are only comparable over the same windows: the slot hash keys on the
-//   window id, which `GraphWindows::build` allocates afresh per run.)
+//   per-edge deterministic however the gets in flight interleave.
+// * One thread: the *full* cache statistics and every integer RMA counter
+//   are bit-identical — cache operations happen at issue time in exactly the
+//   depth-1 order.
 // ---------------------------------------------------------------------------
 
 mod differential {
@@ -213,6 +214,10 @@ mod differential {
                 cfg.with_pipeline_depth(depth).with_intra_threads(threads),
             )
             .run(&g);
+            prop_assert_eq!(
+                &sequential.per_vertex_triangles,
+                &reference::per_vertex_triangles(&g)
+            );
             prop_assert_eq!(overlapped.triangle_count, sequential.triangle_count);
             prop_assert_eq!(
                 &overlapped.per_vertex_triangles,
@@ -253,9 +258,13 @@ mod differential {
             let cfg = config_for(2, cache, 32 << 10);
             let pg = PartitionedGraph::from_global(&g, cfg.scheme, cfg.ranks).unwrap();
             let windows = GraphWindows::build(&pg);
+            let expected = reference::per_vertex_triangles(&g);
             for rank in 0..cfg.ranks {
                 let seq = run_worker(rank, &pg, &windows, &cfg).unwrap();
                 let pip = run_worker(rank, &pg, &windows, &cfg.with_pipeline_depth(depth)).unwrap();
+                for (local_idx, &gv) in pg.partitions[rank].global_ids.iter().enumerate() {
+                    prop_assert_eq!(seq.local_triangles[local_idx], expected[gv as usize]);
+                }
                 prop_assert_eq!(&pip.local_triangles, &seq.local_triangles);
                 prop_assert_eq!(&pip.offsets_cache, &seq.offsets_cache);
                 prop_assert_eq!(&pip.adjacency_cache, &seq.adjacency_cache);
@@ -270,8 +279,9 @@ mod differential {
             }
         }
 
-        /// The Jaccard worker shares the pipeline machinery: its per-edge
-        /// similarities must be bit-identical under any overlap setting.
+        /// Jaccard runs the same edge loop: its per-edge similarities must be
+        /// bit-identical under any overlap setting and agree with the
+        /// brute-force common-neighbour counts.
         #[test]
         fn overlapped_jaccard_matches_sequential_on_random_graphs(
             seed in any::<u64>(),
@@ -286,6 +296,12 @@ mod differential {
             )
             .run(&g);
             prop_assert_eq!(&overlapped.edges, &sequential.edges);
+            for e in &sequential.edges {
+                prop_assert_eq!(
+                    e.common_neighbours,
+                    reference::common_neighbours(&g, e.source, e.destination)
+                );
+            }
             let gets = |r: &JaccardResult| r.rank_stats.iter().map(|s| s.gets).sum::<u64>();
             prop_assert_eq!(gets(&overlapped), gets(&sequential));
         }

@@ -1,0 +1,222 @@
+//! The deleted implementations keep judging the survivor: full `CacheStats`
+//! (both windows) and integer `RankStats` of fixed small runs, recorded from
+//! the *sequential* worker and the sequential Jaccard rank loop of the commit
+//! before the one edge loop replaced them (`RemoteReader` over `CachedWindow`).
+//! The edge loop must reproduce every number at depth 1 and at depth 8 — not
+//! only agree with the brute-force reference on the answers.
+//!
+//! The runs: R-MAT(8, 8) seed 5 on 2 ranks, `CacheSpec::paper` with degree
+//! scores (the two larger budgets hold the whole remote partition; 4 KiB
+//! forces capacity and conflict evictions under plain storage, 2 KiB under
+//! compressed), plain and compressed windows, LCC and Jaccard. Do not re-record these literals
+//! to make a change pass: a moved count is a changed protocol.
+
+use rmatc::clampi::CacheStats;
+use rmatc::core::distributed::worker::run_worker;
+use rmatc::core::distributed::{CacheSpec, DistConfig, GraphWindows};
+use rmatc::core::DistJaccard;
+use rmatc::graph::gen::{GraphGenerator, RmatGenerator};
+use rmatc::graph::partition::{PartitionScheme, PartitionedGraph};
+use rmatc::graph::{reference, GraphStorage};
+use rmatc::rma::RankStats;
+
+/// Every `CacheStats` counter, in declaration order.
+fn cache_counts(s: &CacheStats) -> [u64; 16] {
+    [
+        s.hits,
+        s.misses,
+        s.compulsory_misses,
+        s.capacity_evictions,
+        s.conflict_evictions,
+        s.uncacheable,
+        s.bytes_from_cache,
+        s.bytes_from_network,
+        s.flushes,
+        s.table_resizes,
+        s.capacity_resizes,
+        s.invalidations,
+        s.evicted_bytes,
+        s.admission_rejections,
+        s.logical_bytes,
+        s.stored_bytes,
+    ]
+}
+
+/// Every integer `RankStats` field of a two-rank run (the fault counters,
+/// all zero on these fault-free runs, as their sum).
+fn rank_counts(s: &RankStats) -> [u64; 9] {
+    [
+        s.gets,
+        s.bytes,
+        s.flushes,
+        s.local_reads,
+        s.gets_per_target[0],
+        s.gets_per_target[1],
+        s.bytes_per_target[0],
+        s.bytes_per_target[1],
+        s.fault_events(),
+    ]
+}
+
+struct LccRank {
+    offsets: [u64; 16],
+    adjacency: [u64; 16],
+    rma: [u64; 9],
+    triangles: u64,
+}
+
+struct Golden {
+    /// Cache budgets that all produced these numbers.
+    budgets: &'static [usize],
+    storage: GraphStorage,
+    /// Per rank, from the parent's sequential `run_worker`.
+    lcc: [LccRank; 2],
+    /// Per rank, from the parent's sequential `DistJaccard` (integer
+    /// `RankStats` was all its rank loop returned).
+    jaccard: [[u64; 9]; 2],
+}
+
+#[rustfmt::skip]
+const GOLDEN: &[Golden] = &[
+    Golden {
+        budgets: &[1 << 20, 1 << 14],
+        storage: GraphStorage::Plain,
+        lcc: [
+            LccRank {
+                offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 0, 0, 8064, 0, 0, 0],
+                adjacency: [481, 90, 90, 0, 0, 0, 41148, 3108, 0, 0, 0, 0, 0, 0, 0, 0],
+                rma: [603, 11316, 603, 539, 0, 603, 0, 11316, 0],
+                triangles: 9494,
+            },
+            LccRank {
+                offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 0, 0, 7728, 0, 0, 0],
+                adjacency: [489, 82, 80, 0, 2, 0, 99616, 7024, 0, 0, 0, 0, 116, 0, 0, 0],
+                rma: [574, 14896, 574, 568, 574, 0, 14896, 0, 0],
+                triangles: 2806,
+            },
+        ],
+        jaccard: [
+            [603, 11316, 603, 539, 0, 603, 0, 11316, 0],
+            [574, 14896, 574, 568, 574, 0, 14896, 0, 0],
+        ],
+    },
+    Golden {
+        budgets: &[1 << 20, 1 << 14, 1 << 12],
+        storage: GraphStorage::Compressed,
+        lcc: [
+            LccRank {
+                offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 0, 0, 8064, 0, 0, 0],
+                adjacency: [481, 90, 90, 0, 0, 0, 13316, 1788, 0, 0, 0, 0, 0, 0, 3108, 1788],
+                rma: [603, 9996, 603, 539, 0, 603, 0, 9996, 0],
+                triangles: 9494,
+            },
+            LccRank {
+                offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 0, 0, 7728, 0, 0, 0],
+                adjacency: [491, 80, 80, 0, 0, 0, 20480, 2220, 0, 0, 0, 0, 0, 0, 6908, 2220],
+                rma: [572, 10092, 572, 570, 572, 0, 10092, 0, 0],
+                triangles: 2806,
+            },
+        ],
+        jaccard: [
+            [603, 9996, 603, 539, 0, 603, 0, 9996, 0],
+            [572, 10092, 572, 570, 572, 0, 10092, 0, 0],
+        ],
+    },
+    Golden {
+        budgets: &[1 << 12],
+        storage: GraphStorage::Plain,
+        lcc: [
+            LccRank {
+                offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 0, 0, 8064, 0, 0, 0],
+                adjacency: [372, 199, 90, 0, 146, 0, 35240, 9016, 0, 0, 0, 0, 6644, 0, 0, 0],
+                rma: [712, 17224, 712, 430, 0, 712, 0, 17224, 0],
+                triangles: 9494,
+            },
+            LccRank {
+                offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 0, 0, 7728, 0, 0, 0],
+                adjacency: [267, 304, 80, 228, 42, 0, 68116, 38524, 0, 0, 0, 0, 34864, 0, 0, 0],
+                rma: [796, 46396, 796, 346, 796, 0, 46396, 0, 0],
+                triangles: 2806,
+            },
+        ],
+        jaccard: [
+            [712, 17224, 712, 430, 0, 712, 0, 17224, 0],
+            [796, 46396, 796, 346, 796, 0, 46396, 0, 0],
+        ],
+    },
+    Golden {
+        budgets: &[1 << 11],
+        storage: GraphStorage::Compressed,
+        lcc: [
+            LccRank {
+                offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 0, 0, 8064, 0, 0, 0],
+                adjacency: [440, 131, 90, 0, 66, 0, 12548, 2556, 0, 0, 0, 0, 1184, 0, 4156, 2556],
+                rma: [644, 10764, 644, 498, 0, 644, 0, 10764, 0],
+                triangles: 9494,
+            },
+            LccRank {
+                offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 0, 0, 7728, 0, 0, 0],
+                adjacency: [433, 138, 80, 6, 73, 0, 18780, 3920, 0, 0, 0, 0, 2156, 0, 12788, 3920],
+                rma: [630, 11792, 630, 512, 630, 0, 11792, 0, 0],
+                triangles: 2806,
+            },
+        ],
+        jaccard: [
+            [644, 10764, 644, 498, 0, 644, 0, 10764, 0],
+            [630, 11792, 630, 512, 630, 0, 11792, 0, 0],
+        ],
+    },
+];
+
+#[test]
+fn the_edge_loop_reproduces_the_sequential_workers_counts() {
+    let g = RmatGenerator::paper(8, 8).generate_cleaned(5).into_csr();
+    let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
+    let triangles = reference::per_vertex_triangles(&g);
+    for golden in GOLDEN {
+        let windows = GraphWindows::build_with(&pg, golden.storage);
+        for (&budget, depth) in golden.budgets.iter().flat_map(|b| [(b, 1usize), (b, 8)]) {
+            let what = format!("budget {budget}, {:?}, depth {depth}", golden.storage);
+            let mut cfg = DistConfig::non_cached(2)
+                .with_degree_scores()
+                .with_storage(golden.storage)
+                .with_pipeline_depth(depth);
+            cfg.cache = Some(CacheSpec::paper(budget));
+            for (rank, expected) in golden.lcc.iter().enumerate() {
+                let out = run_worker(rank, &pg, &windows, &cfg).unwrap();
+                let offsets = out.offsets_cache.as_ref().expect("offsets cache enabled");
+                let adjacency = out
+                    .adjacency_cache
+                    .as_ref()
+                    .expect("adjacency cache enabled");
+                assert_eq!(
+                    cache_counts(offsets),
+                    expected.offsets,
+                    "{what}, rank {rank}"
+                );
+                assert_eq!(
+                    cache_counts(adjacency),
+                    expected.adjacency,
+                    "{what}, rank {rank}"
+                );
+                assert_eq!(rank_counts(&out.rma), expected.rma, "{what}, rank {rank}");
+                assert_eq!(out.local_triangles.iter().sum::<u64>(), expected.triangles);
+                for (local_idx, &gv) in pg.partitions[rank].global_ids.iter().enumerate() {
+                    assert_eq!(
+                        out.local_triangles[local_idx], triangles[gv as usize],
+                        "{what}"
+                    );
+                }
+            }
+            let jaccard = DistJaccard::new(cfg).try_run_partitioned(&pg).unwrap();
+            for (rank, expected) in golden.jaccard.iter().enumerate() {
+                let stats = &jaccard.rank_stats[rank];
+                assert_eq!(
+                    rank_counts(stats),
+                    *expected,
+                    "jaccard, {what}, rank {rank}"
+                );
+            }
+        }
+    }
+}

@@ -1,15 +1,16 @@
-//! Acceptance tests of the zero-copy remote-adjacency path: the fused
-//! read+intersect worker is observationally identical to a materializing read
-//! loop (same LCC values, same cache statistics, same endpoint counters),
-//! cache hits and local-rank reads perform no heap allocations, the single
-//! miss allocation is handed to the cache without a second copy, and reads
-//! nobody retains (non-cached rounds, quarantine bypasses) land in a reused
-//! buffer without allocating at all.
+//! Acceptance tests of the zero-copy remote-adjacency path: the edge loop at
+//! depth 1 × 1 thread is observationally identical to a materializing read
+//! loop (same LCC values, same cache statistics, same endpoint counters,
+//! `f64` charges included), cache hits and local-rank reads perform no heap
+//! allocations, the single miss allocation is handed to the cache without a
+//! second copy, and reads nobody retains (non-cached rounds, quarantine
+//! bypasses) land in a reused buffer without allocating at all — however
+//! many of them are in flight.
 
 use proptest::prelude::*;
 use rmatc::clampi::{CacheStats, RowRef};
-use rmatc::core::distributed::reader::RemoteReader;
-use rmatc::core::distributed::worker::run_worker;
+use rmatc::core::distributed::reader::{Deferred, Edge, RowReader, Started};
+use rmatc::core::distributed::worker::{run_worker, ClosingCount};
 use rmatc::core::distributed::{CacheSpec, DistConfig, GraphWindows, ScoreMode};
 use rmatc::core::intersect::{CostModel, IntersectMethod, ParallelIntersector};
 use rmatc::core::local::count_closing_at;
@@ -19,6 +20,7 @@ use rmatc::graph::reference;
 use rmatc::rma::{Endpoint, NetworkModel, RankStats};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -88,24 +90,15 @@ fn base_config(ranks: usize) -> DistConfig {
     }
 }
 
-fn build_reader(
-    pg: &PartitionedGraph,
-    windows: &GraphWindows,
-    config: &DistConfig,
-) -> RemoteReader {
-    match &config.cache {
-        Some(spec) => {
-            let caches = spec.resolve(pg.global_vertex_count(), windows.adjacency_bytes() as u64);
-            RemoteReader::new(windows, &caches, config)
-        }
-        None => RemoteReader::non_cached(windows, config),
-    }
+fn build_reader(pg: &PartitionedGraph, windows: &GraphWindows, config: &DistConfig) -> RowReader {
+    RowReader::new(windows, config, pg.global_vertex_count(), 1)
 }
 
-/// The pre-zero-copy worker, reconstructed: reads every remote row into an
-/// owned buffer first, then intersects — the two-pass shape the fused path
-/// replaced. Protocol order, cache interception and endpoint charging are
-/// identical, so every observable statistic must match the fused worker.
+/// The pre-zero-copy worker, reconstructed — the test-side reference of the
+/// edge loop: reads every remote row into an owned buffer first
+/// (`RowReader::read_row`, waiting for every get), then intersects. Protocol
+/// order, cache interception and endpoint charging are identical, so every
+/// observable statistic must match the edge loop at depth 1 × 1 thread.
 fn materializing_worker(
     rank: usize,
     pg: &PartitionedGraph,
@@ -113,7 +106,7 @@ fn materializing_worker(
     config: &DistConfig,
 ) -> (Vec<u64>, Option<CacheStats>, Option<CacheStats>, RankStats) {
     let part = &pg.partitions[rank];
-    let mut reader = build_reader(pg, windows, config);
+    let reader = build_reader(pg, windows, config);
     let mut ep = Endpoint::new(rank, config.ranks, config.network);
     let intersector = ParallelIntersector::new(config.method, 1, usize::MAX);
     let direction = pg.direction;
@@ -129,7 +122,7 @@ fn materializing_worker(
                 count_closing_at(direction, adj_u, adj_v, v, k, &intersector)
             } else {
                 let adj_v = reader
-                    .read_adjacency(&mut ep, owner, v_local)
+                    .read_row(&mut ep, owner, v_local)
                     .expect("no faults injected")
                     .to_vec();
                 count_closing_at(direction, adj_u, &adj_v, v, k, &intersector)
@@ -205,29 +198,20 @@ fn cache_hits_and_local_reads_allocate_nothing() {
     let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
     let windows = GraphWindows::build(&pg);
     let mut config = base_config(2);
-    // Both caches far larger than the data they might hold, so the second
-    // round is all hits.
-    config.cache = Some(CacheSpec {
-        total_bytes: 1 << 22,
-        offsets_bytes: Some(1 << 20),
-        cache_offsets: true,
-        cache_adjacencies: true,
-        adaptive: false,
-        policy: Default::default(),
-    });
-    let mut reader = build_reader(&pg, &windows, &config);
+    config.cache = Some(hit_heavy_spec());
+    let reader = build_reader(&pg, &windows, &config);
     let mut ep = Endpoint::new(0, 2, config.network);
     ep.lock_all();
     let reads = pg.partitions[1].local_vertex_count().min(40);
     // Warm: fetch and cache every row (allocations expected here).
     for idx in 0..reads {
-        let _ = reader.read_adjacency(&mut ep, 1, idx).unwrap();
+        let _ = reader.read_row(&mut ep, 1, idx).unwrap();
     }
     // Measure: remote reads served from the cache.
     let before = allocations_on_this_thread();
     let mut checksum = 0u64;
     for idx in 0..reads {
-        let row = reader.read_adjacency(&mut ep, 1, idx).unwrap();
+        let row = reader.read_row(&mut ep, 1, idx).unwrap();
         checksum += row.iter().map(|&v| v as u64).sum::<u64>();
     }
     assert_eq!(
@@ -239,7 +223,7 @@ fn cache_hits_and_local_reads_allocate_nothing() {
     let local_reads = pg.partitions[0].local_vertex_count().min(40);
     let before = allocations_on_this_thread();
     for idx in 0..local_reads {
-        let row = reader.read_adjacency(&mut ep, 0, idx).unwrap();
+        let row = reader.read_row(&mut ep, 0, idx).unwrap();
         assert!(row.is_borrowed(), "local reads must borrow the window");
         checksum += row.len() as u64;
     }
@@ -252,59 +236,120 @@ fn cache_hits_and_local_reads_allocate_nothing() {
     assert!(checksum > 0, "the reads must have touched real data");
 }
 
-#[test]
-fn fused_hit_path_allocates_nothing() {
-    let g = RmatGenerator::paper(8, 8).generate_cleaned(9).into_csr();
-    let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
-    let windows = GraphWindows::build(&pg);
-    let mut config = base_config(2);
-    config.cache = Some(CacheSpec {
+/// Rank 0's side of the split read: one reader with its endpoint, the
+/// thread's landing buffer, and a FIFO that keeps up to `in_flight` adjacency
+/// gets issued before completing the oldest — everything preallocated, so a
+/// measured pass allocates only what the read path itself allocates.
+struct Rounds<'a> {
+    pg: &'a PartitionedGraph,
+    reader: RowReader,
+    op: ClosingCount,
+    ep: Endpoint,
+    landing: Vec<u32>,
+    flying: VecDeque<(Deferred<u64>, Edge<'a>)>,
+    in_flight: usize,
+}
+
+impl<'a> Rounds<'a> {
+    fn new(
+        pg: &'a PartitionedGraph,
+        windows: &GraphWindows,
+        config: &DistConfig,
+        mut ep: Endpoint,
+        in_flight: usize,
+    ) -> Self {
+        ep.lock_all();
+        Self {
+            pg,
+            reader: build_reader(pg, windows, config),
+            op: ClosingCount::new(config, pg.direction, windows.storage),
+            ep,
+            landing: Vec::new(),
+            flying: VecDeque::with_capacity(in_flight),
+            in_flight,
+        }
+    }
+
+    /// One fused protocol round (offsets read + adjacency read +
+    /// intersection) per remote edge of rank 0's first vertices, up to 64,
+    /// summed.
+    fn run(&mut self) -> u64 {
+        let part = &self.pg.partitions[0];
+        let (mut total, mut rounds) = (0, 0);
+        for local_idx in 0..part.local_vertex_count() {
+            let adj_u = part.neighbours_of_local(local_idx);
+            for (k, &v) in adj_u.iter().enumerate() {
+                if self.pg.partitioner.owner(v) != 1 || rounds >= 64 {
+                    continue;
+                }
+                rounds += 1;
+                let edge = Edge {
+                    slot: 0,
+                    source: part.global_ids[local_idx],
+                    adj_u,
+                    v,
+                    k,
+                };
+                let v_local = self.pg.partitioner.local_index(v);
+                let started = self
+                    .reader
+                    .start(&mut self.ep, 1, v_local, &mut self.landing, &self.op, &edge)
+                    .unwrap();
+                match started {
+                    Started::Immediate(count) => total += count,
+                    Started::Deferred(deferred) => self.flying.push_back((deferred, edge)),
+                }
+                total += self.complete_down_to(self.in_flight - 1);
+            }
+        }
+        assert!(rounds > 0, "the partition must have remote edges");
+        total + self.complete_down_to(0)
+    }
+
+    fn complete_down_to(&mut self, keep: usize) -> u64 {
+        let mut total = 0;
+        while self.flying.len() > keep {
+            let (deferred, edge) = self.flying.pop_front().unwrap();
+            total += self
+                .reader
+                .complete(&mut self.ep, deferred, &self.op, &edge)
+                .unwrap();
+        }
+        total
+    }
+}
+
+fn hit_heavy_spec() -> CacheSpec {
+    // Both caches far larger than the data they might hold, so the second
+    // round is all hits.
+    CacheSpec {
         total_bytes: 1 << 22,
         offsets_bytes: Some(1 << 20),
         cache_offsets: true,
         cache_adjacencies: true,
         adaptive: false,
         policy: Default::default(),
-    });
-    let mut reader = build_reader(&pg, &windows, &config);
-    let mut ep = Endpoint::new(0, 2, config.network);
-    let intersector = ParallelIntersector::new(config.method, 1, usize::MAX);
-    let part = &pg.partitions[0];
-    // Collect the first few remote edges of rank 0.
-    let mut edges = Vec::new();
-    'outer: for local_idx in 0..part.local_vertex_count() {
-        let adj_u = part.neighbours_of_local(local_idx);
-        for (k, &v) in adj_u.iter().enumerate() {
-            if pg.partitioner.owner(v) == 1 {
-                edges.push((local_idx, k, v, pg.partitioner.local_index(v)));
-                if edges.len() >= 64 {
-                    break 'outer;
-                }
-            }
-        }
     }
-    assert!(!edges.is_empty(), "the partition must have remote edges");
-    ep.lock_all();
-    let run = |reader: &mut RemoteReader, ep: &mut Endpoint| -> u64 {
-        let mut total = 0;
-        for &(local_idx, k, v, v_local) in &edges {
-            let adj_u = part.neighbours_of_local(local_idx);
-            total += reader
-                .count_closing_remote(ep, 1, v_local, pg.direction, adj_u, v, k, &intersector)
-                .unwrap();
-        }
-        total
-    };
-    let warm = run(&mut reader, &mut ep);
+}
+
+#[test]
+fn fused_hit_path_allocates_nothing() {
+    let g = RmatGenerator::paper(8, 8).generate_cleaned(9).into_csr();
+    let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
+    let windows = GraphWindows::build(&pg);
+    let mut config = base_config(2);
+    config.cache = Some(hit_heavy_spec());
+    let ep = Endpoint::new(0, 2, config.network);
+    let mut rounds = Rounds::new(&pg, &windows, &config, ep, 1);
+    let warm = rounds.run();
     let before = allocations_on_this_thread();
-    let hot = run(&mut reader, &mut ep);
+    let hot = rounds.run();
     assert_eq!(
         allocations_on_this_thread(),
         before,
         "the fused read+intersect hit path must perform zero heap allocations"
     );
     assert_eq!(warm, hot, "hit-path counts must match the miss-path counts");
-    ep.unlock_all();
 }
 
 #[test]
@@ -318,45 +363,12 @@ fn compressed_fused_hit_path_allocates_nothing() {
     let windows = GraphWindows::build_with(&pg, rmatc::graph::GraphStorage::Compressed);
     let mut config = base_config(2);
     config.storage = rmatc::graph::GraphStorage::Compressed;
-    config.cache = Some(CacheSpec {
-        total_bytes: 1 << 22,
-        offsets_bytes: Some(1 << 20),
-        cache_offsets: true,
-        cache_adjacencies: true,
-        adaptive: false,
-        policy: Default::default(),
-    });
-    let mut reader = build_reader(&pg, &windows, &config);
-    let mut ep = Endpoint::new(0, 2, config.network);
-    let intersector = ParallelIntersector::new(config.method, 1, usize::MAX);
-    let part = &pg.partitions[0];
-    let mut edges = Vec::new();
-    'outer: for local_idx in 0..part.local_vertex_count() {
-        let adj_u = part.neighbours_of_local(local_idx);
-        for (k, &v) in adj_u.iter().enumerate() {
-            if pg.partitioner.owner(v) == 1 {
-                edges.push((local_idx, k, v, pg.partitioner.local_index(v)));
-                if edges.len() >= 64 {
-                    break 'outer;
-                }
-            }
-        }
-    }
-    assert!(!edges.is_empty(), "the partition must have remote edges");
-    ep.lock_all();
-    let run = |reader: &mut RemoteReader, ep: &mut Endpoint| -> u64 {
-        let mut total = 0;
-        for &(local_idx, k, v, v_local) in &edges {
-            let adj_u = part.neighbours_of_local(local_idx);
-            total += reader
-                .count_closing_remote(ep, 1, v_local, pg.direction, adj_u, v, k, &intersector)
-                .unwrap();
-        }
-        total
-    };
-    let warm = run(&mut reader, &mut ep);
+    config.cache = Some(hit_heavy_spec());
+    let ep = Endpoint::new(0, 2, config.network);
+    let mut rounds = Rounds::new(&pg, &windows, &config, ep, 1);
+    let warm = rounds.run();
     let before = allocations_on_this_thread();
-    let hot = run(&mut reader, &mut ep);
+    let hot = rounds.run();
     assert_eq!(
         allocations_on_this_thread(),
         before,
@@ -367,52 +379,23 @@ fn compressed_fused_hit_path_allocates_nothing() {
     let plain_windows = GraphWindows::build(&pg);
     let mut plain_config = base_config(2);
     plain_config.cache = config.cache;
-    let mut plain_reader = build_reader(&pg, &plain_windows, &plain_config);
-    let mut plain_ep = Endpoint::new(0, 2, plain_config.network);
-    plain_ep.lock_all();
-    let expected = run(&mut plain_reader, &mut plain_ep);
-    plain_ep.unlock_all();
+    let plain_ep = Endpoint::new(0, 2, plain_config.network);
+    let expected = Rounds::new(&pg, &plain_windows, &plain_config, plain_ep, 1).run();
     assert_eq!(hot, expected, "compressed counts must match plain counts");
-    ep.unlock_all();
-    let stats = reader.adjacency_cache_stats().unwrap();
+    let stats = rounds.reader.adjacency_cache_stats().unwrap();
     assert!(
         stats.logical_bytes > stats.stored_bytes && stats.stored_bytes > 0,
         "compressed misses must record logical vs stored bytes"
     );
 }
 
-/// One fused protocol round per remote edge of rank 0's first vertices
-/// (offsets read + adjacency read + intersection), summed.
-fn remote_rounds(
-    pg: &PartitionedGraph,
-    reader: &mut RemoteReader,
-    ep: &mut Endpoint,
-    intersector: &ParallelIntersector,
-) -> u64 {
-    let part = &pg.partitions[0];
-    let (mut total, mut rounds) = (0, 0);
-    for local_idx in 0..part.local_vertex_count() {
-        let adj_u = part.neighbours_of_local(local_idx);
-        for (k, &v) in adj_u.iter().enumerate() {
-            if pg.partitioner.owner(v) == 1 && rounds < 64 {
-                let v_local = pg.partitioner.local_index(v);
-                total += reader
-                    .count_closing_remote(ep, 1, v_local, pg.direction, adj_u, v, k, intersector)
-                    .unwrap();
-                rounds += 1;
-            }
-        }
-    }
-    assert!(rounds > 0, "the partition must have remote edges");
-    total
-}
-
 #[test]
 fn non_cached_rounds_allocate_nothing_once_the_landing_buffer_has_grown() {
-    // Nobody retains a non-cached read, so it lands in the reader's reusable
+    // Nobody retains a non-cached read, so it lands in the thread's reusable
     // buffer (adjacency) or on the stack (the two-word offsets pair): after
     // the first pass has grown the buffer to the longest row, a full protocol
-    // round performs zero heap allocations — under both storage modes.
+    // round performs zero heap allocations — under both storage modes, and
+    // with four reads in flight as with one (only cost tickets wait).
     let g = RmatGenerator::paper(8, 8).generate_cleaned(9).into_csr();
     let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
     let mut counts = Vec::new();
@@ -420,44 +403,47 @@ fn non_cached_rounds_allocate_nothing_once_the_landing_buffer_has_grown() {
         rmatc::graph::GraphStorage::Plain,
         rmatc::graph::GraphStorage::Compressed,
     ] {
-        let windows = GraphWindows::build_with(&pg, storage);
-        let mut config = base_config(2);
-        config.storage = storage;
-        let mut reader = build_reader(&pg, &windows, &config);
-        let mut ep = Endpoint::new(0, 2, config.network);
-        let intersector = ParallelIntersector::new(config.method, 1, usize::MAX);
-        ep.lock_all();
-        let warm = remote_rounds(&pg, &mut reader, &mut ep, &intersector);
-        let gets = ep.stats().gets;
-        let before = allocations_on_this_thread();
-        let hot = remote_rounds(&pg, &mut reader, &mut ep, &intersector);
-        assert_eq!(
-            allocations_on_this_thread(),
-            before,
-            "non-cached rounds must perform zero heap allocations ({storage:?})"
-        );
-        assert_eq!(warm, hot);
-        assert_eq!(
-            ep.stats().gets,
-            2 * gets,
-            "every round still goes to the network"
-        );
-        ep.unlock_all();
-        counts.push(hot);
+        for in_flight in [1usize, 4] {
+            let windows = GraphWindows::build_with(&pg, storage);
+            let mut config = base_config(2);
+            config.storage = storage;
+            let ep = Endpoint::new(0, 2, config.network);
+            let mut rounds = Rounds::new(&pg, &windows, &config, ep, in_flight);
+            let warm = rounds.run();
+            let gets = rounds.ep.stats().gets;
+            let before = allocations_on_this_thread();
+            let hot = rounds.run();
+            assert_eq!(
+                allocations_on_this_thread(),
+                before,
+                "non-cached rounds must perform zero heap allocations \
+                 ({storage:?}, {in_flight} in flight)"
+            );
+            assert_eq!(warm, hot);
+            assert_eq!(
+                rounds.ep.stats().gets,
+                2 * gets,
+                "every round still goes to the network"
+            );
+            rounds.ep.unlock_all();
+            counts.push(hot);
+        }
     }
-    assert_eq!(
-        counts[0], counts[1],
-        "compressed counts must match plain counts"
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "compressed counts must match plain counts at any depth: {counts:?}"
     );
 }
 
 #[test]
 fn quarantine_bypass_reads_allocate_nothing() {
     // A quarantined cache retains nothing, so its bypass reads land in the
-    // same reusable buffer as the non-cached rounds. Every lookup rots the
-    // resident entry, so the second pass trips the (default, three-strike)
-    // quarantine; the offsets window is left uncached because a plain cached
-    // read hands its row back to the caller and therefore keeps its `Arc`.
+    // same reusable buffer as the non-cached rounds — with the injector that
+    // sickened the cache still attached, and with four reads requested in
+    // flight as with one. Every lookup rots the resident entry, so the second
+    // pass trips the (default, three-strike) quarantine; the offsets window
+    // is left uncached because a plain cached read hands its row back to the
+    // caller and therefore keeps its `Arc`.
     let g = RmatGenerator::paper(8, 8).generate_cleaned(9).into_csr();
     let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
     let plan = rmatc::rma::FaultPlan {
@@ -468,40 +454,41 @@ fn quarantine_bypass_reads_allocate_nothing() {
         rmatc::graph::GraphStorage::Plain,
         rmatc::graph::GraphStorage::Compressed,
     ] {
-        let windows = GraphWindows::build_with(&pg, storage);
-        let mut config = base_config(2);
-        config.storage = storage;
-        config.cache = Some(CacheSpec {
-            cache_offsets: false,
-            ..CacheSpec::paper(1 << 22)
-        });
-        let mut reader = build_reader(&pg, &windows, &config);
-        let mut ep = Endpoint::new(0, 2, config.network).with_faults(plan.injector(0));
-        let intersector = ParallelIntersector::new(config.method, 1, usize::MAX);
-        ep.lock_all();
-        let clean = remote_rounds(&pg, &mut reader, &mut ep, &intersector);
-        let sick = remote_rounds(&pg, &mut reader, &mut ep, &intersector);
-        assert!(
-            ep.stats().cache_bypass_reads > 0,
-            "the second pass must quarantine the cache ({storage:?})"
-        );
-        let (bypasses, gets) = (ep.stats().cache_bypass_reads, ep.stats().gets);
-        let before = allocations_on_this_thread();
-        let bypassed = remote_rounds(&pg, &mut reader, &mut ep, &intersector);
-        assert_eq!(
-            allocations_on_this_thread(),
-            before,
-            "quarantine-bypass reads must perform zero heap allocations ({storage:?})"
-        );
-        let adjacency_reads = ep.stats().cache_bypass_reads - bypasses;
-        assert!(adjacency_reads > 0, "the measured pass must bypass");
-        assert_eq!(
-            ep.stats().gets - gets,
-            2 * adjacency_reads,
-            "a bypass round is the plain two-get protocol"
-        );
-        assert_eq!((clean, sick), (bypassed, bypassed), "{storage:?}");
-        ep.unlock_all();
+        for in_flight in [1usize, 4] {
+            let windows = GraphWindows::build_with(&pg, storage);
+            let mut config = base_config(2);
+            config.storage = storage;
+            config.cache = Some(CacheSpec {
+                cache_offsets: false,
+                ..CacheSpec::paper(1 << 22)
+            });
+            let ep = Endpoint::new(0, 2, config.network).with_faults(plan.injector(0));
+            let mut rounds = Rounds::new(&pg, &windows, &config, ep, in_flight);
+            let clean = rounds.run();
+            let sick = rounds.run();
+            assert!(
+                rounds.ep.stats().cache_bypass_reads > 0,
+                "the second pass must quarantine the cache ({storage:?})"
+            );
+            let (bypasses, gets) = (rounds.ep.stats().cache_bypass_reads, rounds.ep.stats().gets);
+            let before = allocations_on_this_thread();
+            let bypassed = rounds.run();
+            assert_eq!(
+                allocations_on_this_thread(),
+                before,
+                "quarantine-bypass reads must perform zero heap allocations \
+                 ({storage:?}, {in_flight} in flight)"
+            );
+            let adjacency_reads = rounds.ep.stats().cache_bypass_reads - bypasses;
+            assert!(adjacency_reads > 0, "the measured pass must bypass");
+            assert_eq!(
+                rounds.ep.stats().gets - gets,
+                2 * adjacency_reads,
+                "a bypass round is the plain two-get protocol"
+            );
+            assert_eq!((clean, sick), (bypassed, bypassed), "{storage:?}");
+            rounds.ep.unlock_all();
+        }
     }
 }
 
@@ -512,18 +499,18 @@ fn miss_buffer_is_shared_with_the_cache_not_copied() {
     let windows = GraphWindows::build(&pg);
     let mut config = base_config(2);
     config.cache = Some(CacheSpec::paper(1 << 22));
-    let mut reader = build_reader(&pg, &windows, &config);
+    let reader = build_reader(&pg, &windows, &config);
     let mut ep = Endpoint::new(0, 2, config.network);
     ep.lock_all();
     // Find a non-empty remote row.
     let idx = (0..pg.partitions[1].local_vertex_count())
         .find(|&i| !pg.partitions[1].neighbours_of_local(i).is_empty())
         .expect("some remote row is non-empty");
-    let fetched: Arc<[u32]> = match reader.read_adjacency(&mut ep, 1, idx).unwrap() {
+    let fetched: Arc<[u32]> = match reader.read_row(&mut ep, 1, idx).unwrap() {
         RowRef::Fetched(arc) => arc,
         other => panic!("first read must miss, got {other:?}"),
     };
-    let cached: Arc<[u32]> = match reader.read_adjacency(&mut ep, 1, idx).unwrap() {
+    let cached: Arc<[u32]> = match reader.read_row(&mut ep, 1, idx).unwrap() {
         RowRef::Cached(arc) => arc,
         other => panic!("second read must hit, got {other:?}"),
     };
@@ -554,7 +541,7 @@ proptest! {
         if cached {
             config.cache = Some(CacheSpec::paper(cache_bytes));
         }
-        let mut reader = build_reader(&pg, &windows, &config);
+        let reader = build_reader(&pg, &windows, &config);
         let mut ep = Endpoint::new(0, 4, config.network);
         ep.lock_all();
         let mut non_cached_gets_expected = 0u64;
@@ -562,7 +549,7 @@ proptest! {
             let part = &pg.partitions[target];
             let idx = idx % part.local_vertex_count();
             let row = reader
-                .read_adjacency(&mut ep, target, idx)
+                .read_row(&mut ep, target, idx)
                 .expect("no faults injected");
             prop_assert_eq!(row.as_slice(), part.neighbours_of_local(idx),
                 "target {} idx {}", target, idx);
