@@ -4,11 +4,12 @@
 
 use crate::adaptive::{AdaptiveAction, AdaptiveState};
 use crate::config::{ClampiConfig, ConsistencyMode};
-use crate::entry::{Entry, EntryKey};
+use crate::entry::{Entry, EntryKey, KeyHasher};
 use crate::freelist::FreeList;
 use crate::policy::{EntryView, EvictionPolicy, EvictionPolicyKind, PolicyContext};
 use crate::stats::CacheStats;
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 /// Result of trying to insert a missed region into the cache.
@@ -30,6 +31,49 @@ pub enum CacheInsertOutcome {
 /// the hash tables (Section III-B1).
 const WAYS: usize = 4;
 
+/// Occupied candidates a capacity eviction scores before evicting the best.
+const SAMPLES: usize = 16;
+
+/// Exact `x % d` for a 32-bit `x` without a division (Lemire's fastmod): the
+/// victim sampler reduces every draw of its 32-bit stream by the slot count.
+#[derive(Debug, Clone, Copy)]
+struct FastMod {
+    d: u64,
+    /// `⌈2^64 / d⌉`, wrapping to 0 for `d = 1`.
+    m: u64,
+}
+
+impl FastMod {
+    fn new(d: usize) -> Self {
+        let d = d as u64;
+        Self {
+            d,
+            m: (u64::MAX / d).wrapping_add(1),
+        }
+    }
+
+    #[inline]
+    fn rem(&self, x: u32) -> usize {
+        let r = if self.d > u32::MAX as u64 {
+            x as u64
+        } else {
+            ((self.m.wrapping_mul(x as u64) as u128 * self.d as u128) >> 64) as u64
+        };
+        debug_assert_eq!(r, x as u64 % self.d);
+        r as usize
+    }
+}
+
+/// xorshift64* — deterministic, cheap, good enough for victim sampling.
+fn next_random(state: &mut u64) -> u32 {
+    let mut x = *state;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *state = x;
+    (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as u32
+}
+
 /// One CLaMPI cache instance: in the paper there are two per rank, `C_offsets` over
 /// the offsets window and `C_adj` over the adjacencies window.
 #[derive(Debug)]
@@ -38,11 +82,20 @@ pub struct Clampi<T> {
     /// Hash-table slots; each occupied slot owns its entry, as in CLaMPI where the
     /// hash table indexes the cached regions directly.
     slots: Vec<Option<Entry<T>>>,
+    /// One bit per slot, set while the slot is occupied. The tables are sized
+    /// for the expected entry count and run mostly empty, so victim sampling
+    /// asks this before it touches a slot.
+    occupancy: Vec<u64>,
+    /// The policy-visible fields of each slot's entry (stale where the slot is
+    /// empty): what victim selection reads, packed apart from keys and payloads.
+    meta: Vec<EntryView>,
+    /// `% slots.len()` for the victim sampler.
+    slot_mod: FastMod,
     freelist: FreeList,
     clock: u64,
     stats: CacheStats,
     /// Keys ever requested, for compulsory-miss accounting.
-    seen: HashSet<EntryKey>,
+    seen: HashSet<EntryKey, BuildHasherDefault<KeyHasher>>,
     adaptive: AdaptiveState,
     occupied: usize,
     occupied_bytes: usize,
@@ -51,22 +104,23 @@ pub struct Clampi<T> {
     rng_state: u64,
     /// The active eviction policy, built from [`ClampiConfig::policy`]. Every
     /// victim score, admission decision and eviction notification goes
-    /// through it; the default [`PaperScore`](crate::policy::PaperScore)
-    /// reproduces the paper's behaviour bit-for-bit.
-    policy: Box<dyn EvictionPolicy>,
+    /// through it; the default [`EvictionPolicy::PaperScore`] reproduces the
+    /// paper's behaviour bit-for-bit.
+    policy: EvictionPolicy,
 }
 
 impl<T: Clone> Clampi<T> {
     /// Creates a cache with the given configuration.
     pub fn new(config: ClampiConfig) -> Self {
-        let mut slots = Vec::new();
-        slots.resize_with(config.table_slots.max(1), || None);
-        Self {
+        let mut cache = Self {
             freelist: FreeList::new(config.capacity_bytes),
-            slots,
+            slots: Vec::new(),
+            occupancy: Vec::new(),
+            meta: Vec::new(),
+            slot_mod: FastMod::new(1),
             clock: 0,
             stats: CacheStats::default(),
-            seen: HashSet::new(),
+            seen: HashSet::default(),
             adaptive: AdaptiveState::default(),
             occupied: 0,
             occupied_bytes: 0,
@@ -74,7 +128,19 @@ impl<T: Clone> Clampi<T> {
             rng_state: 0x9e37_79b9_7f4a_7c15,
             policy: config.policy.build(),
             config,
-        }
+        };
+        cache.reset_table(config.table_slots.max(1));
+        cache
+    }
+
+    /// Replaces the (empty) hash table with one of `nslots` empty slots.
+    fn reset_table(&mut self, nslots: usize) {
+        debug_assert_eq!(self.occupied, 0, "resizing drops no entry");
+        self.slots = Vec::new();
+        self.slots.resize_with(nslots, || None);
+        self.occupancy = vec![0; nslots.div_ceil(64)];
+        self.meta = vec![EntryView::default(); nslots];
+        self.slot_mod = FastMod::new(nslots);
     }
 
     /// Which eviction-policy family this cache runs.
@@ -120,17 +186,45 @@ impl<T: Clone> Clampi<T> {
         self.freelist.fragmentation()
     }
 
+    #[inline]
+    fn is_occupied(&self, slot: usize) -> bool {
+        self.occupancy[slot / 64] >> (slot % 64) & 1 == 1
+    }
+
+    /// What a policy decision may consult besides the entry itself.
+    fn ctx(&self) -> PolicyContext<'_> {
+        PolicyContext {
+            clock: self.clock,
+            max_user_score: self.max_user_score,
+            config: &self.config,
+            freelist: &self.freelist,
+        }
+    }
+
     /// The probe sequence of a key: up to [`WAYS`] consecutive slots starting at its
     /// hash, returned in a fixed-size array (the lookup hot path must not allocate).
     fn probe_slots(&self, key: &EntryKey) -> ([usize; WAYS], usize) {
         let n = self.slots.len();
-        let base = key.slot(n);
         let count = WAYS.min(n);
         let mut probes = [0usize; WAYS];
-        for (i, probe) in probes.iter_mut().take(count).enumerate() {
-            *probe = (base + i) % n;
+        let mut slot = key.slot(n);
+        for probe in probes.iter_mut().take(count) {
+            *probe = slot;
+            slot += 1;
+            if slot == n {
+                slot = 0;
+            }
         }
         (probes, count)
+    }
+
+    /// The slot holding `key`, if it is resident.
+    fn find(&self, key: &EntryKey) -> Option<usize> {
+        let (probes, ways) = self.probe_slots(key);
+        probes[..ways]
+            .iter()
+            .copied()
+            .find(|&slot| self.slots[slot].as_ref().is_some_and(|e| e.key == *key))
     }
 
     /// Looks up a region. On a hit the entry's recency is refreshed and its data is
@@ -147,26 +241,13 @@ impl<T: Clone> Clampi<T> {
     pub fn lookup_entry(&mut self, key: EntryKey) -> Option<(Arc<[T]>, Option<u64>)> {
         self.clock += 1;
         self.adaptive.record_access();
-        let clock = self.clock;
-        let mut hit = None;
-        let (probes, ways) = self.probe_slots(&key);
-        for &slot in &probes[..ways] {
-            if let Some(entry) = &mut self.slots[slot] {
-                if entry.key == key {
-                    entry.last_access = clock;
-                    entry.hits += 1;
-                    let ctx = PolicyContext {
-                        clock,
-                        max_user_score: self.max_user_score,
-                        config: &self.config,
-                        freelist: &self.freelist,
-                    };
-                    entry.priority = self.policy.priority_on_hit(entry.view(), &ctx);
-                    hit = Some((Arc::clone(&entry.data), entry.checksum));
-                    break;
-                }
-            }
-        }
+        let hit = self.find(&key).map(|slot| {
+            self.touch(slot);
+            let entry = self.slots[slot]
+                .as_ref()
+                .expect("find returns occupied slots");
+            (Arc::clone(&entry.data), entry.checksum)
+        });
         if let Some((data, _)) = &hit {
             self.stats.hits += 1;
             self.stats.bytes_from_cache += (data.len() * std::mem::size_of::<T>()) as u64;
@@ -176,8 +257,17 @@ impl<T: Clone> Clampi<T> {
                 self.stats.compulsory_misses += 1;
             }
         }
+        debug_assert_eq!(self.stats.lookups(), self.clock, "one outcome per lookup");
         self.maybe_adapt();
         hit
+    }
+
+    /// Counts an access to the entry in `slot` at the current clock.
+    fn touch(&mut self, slot: usize) {
+        let meta = &mut self.meta[slot];
+        meta.last_access = self.clock;
+        meta.hits += 1;
+        meta.priority = self.policy.priority(meta);
     }
 
     /// Inserts data fetched after a miss. The shared buffer is retained as-is — an
@@ -222,24 +312,15 @@ impl<T: Clone> Clampi<T> {
         let probes = &probes[..ways];
         let mut slot = None;
         for &s in probes {
-            match &self.slots[s] {
+            match &mut self.slots[s] {
                 Some(resident) if resident.key == key => {
                     // Re-inserting an already-cached key (e.g. after a racing fetch):
                     // refresh the data in place. The refresh counts as an access for
                     // frequency-aware policies.
-                    let resident = self.slots[s].as_mut().expect("checked above");
                     resident.data = data;
-                    resident.last_access = self.clock;
-                    resident.user_score = user_score;
                     resident.checksum = checksum;
-                    resident.hits += 1;
-                    let ctx = PolicyContext {
-                        clock: self.clock,
-                        max_user_score: self.max_user_score,
-                        config: &self.config,
-                        freelist: &self.freelist,
-                    };
-                    resident.priority = self.policy.priority_on_hit(resident.view(), &ctx);
+                    self.meta[s].user_score = user_score;
+                    self.touch(s);
                     return CacheInsertOutcome::Inserted;
                 }
                 None if slot.is_none() => slot = Some(s),
@@ -250,20 +331,20 @@ impl<T: Clone> Clampi<T> {
             Some(s) => s,
             None => {
                 // Every slot of the set is occupied by a different key: conflict.
-                let victim = probes
-                    .iter()
-                    .copied()
-                    .max_by(|&a, &b| {
-                        let sa = self.victim_score(self.slots[a].as_ref().expect("occupied"));
-                        let sb = self.victim_score(self.slots[b].as_ref().expect("occupied"));
-                        sa.partial_cmp(&sb).expect("scores are not NaN")
-                    })
-                    .expect("probe sequence is never empty");
-                self.evict_chosen_victim(victim);
+                // The best-scoring resident goes, the later one on a tie.
+                let ctx = self.ctx();
+                let mut victim = (probes[0], f64::NEG_INFINITY);
+                for &s in probes {
+                    let score = self.policy.victim_score(&self.meta[s], &ctx);
+                    if score >= victim.1 {
+                        victim = (s, score);
+                    }
+                }
+                self.evict_chosen_victim(victim.0);
                 self.stats.conflict_evictions += 1;
                 self.adaptive.record_conflict();
                 evicted += 1;
-                victim
+                victim.0
             }
         };
         // Space handling: evict until a contiguous region of `bytes` is available.
@@ -271,40 +352,29 @@ impl<T: Clone> Clampi<T> {
             if let Some(addr) = self.freelist.allocate(bytes) {
                 break addr;
             }
-            match self.pick_victim_slot(slot) {
-                Some(victim_slot) => {
-                    // Admission control: the policy may refuse to displace the
-                    // prospective victim (PaperScore under application-defined
-                    // scores rejects entries scoring below the victim, to "avoid
-                    // storing a high number of low-degree vertices" instead of
-                    // churning the cache).
-                    let victim_view = self.slots[victim_slot]
-                        .as_ref()
-                        .map(|e| e.view())
-                        .expect("pick_victim_slot only returns occupied slots");
-                    let ctx = PolicyContext {
-                        clock: self.clock,
-                        max_user_score: self.max_user_score,
-                        config: &self.config,
-                        freelist: &self.freelist,
-                    };
-                    if !self.policy.admits(user_score, bytes, victim_view, &ctx) {
-                        self.stats.uncacheable += 1;
-                        self.stats.admission_rejections += 1;
-                        return CacheInsertOutcome::NotCached;
-                    }
-                    self.evict_chosen_victim(victim_slot);
-                    self.stats.capacity_evictions += 1;
-                    self.adaptive.record_space_eviction();
-                    evicted += 1;
-                }
-                None => {
-                    self.stats.uncacheable += 1;
-                    return CacheInsertOutcome::NotCached;
-                }
+            let Some(victim) = self.pick_victim_slot(slot) else {
+                self.stats.uncacheable += 1;
+                return CacheInsertOutcome::NotCached;
+            };
+            // Admission control: the policy may refuse to displace the
+            // prospective victim (PaperScore under application-defined
+            // scores rejects entries scoring below the victim, to "avoid
+            // storing a high number of low-degree vertices" instead of
+            // churning the cache).
+            if !self
+                .policy
+                .admits(user_score, &self.meta[victim], &self.ctx())
+            {
+                self.stats.uncacheable += 1;
+                self.stats.admission_rejections += 1;
+                return CacheInsertOutcome::NotCached;
             }
+            self.evict_chosen_victim(victim);
+            self.stats.capacity_evictions += 1;
+            self.adaptive.record_space_eviction();
+            evicted += 1;
         };
-        let view = EntryView {
+        let mut meta = EntryView {
             bytes,
             addr,
             last_access: self.clock,
@@ -312,27 +382,17 @@ impl<T: Clone> Clampi<T> {
             hits: 1,
             priority: 0.0,
         };
-        let ctx = PolicyContext {
-            clock: self.clock,
-            max_user_score: self.max_user_score,
-            config: &self.config,
-            freelist: &self.freelist,
-        };
-        let priority = self.policy.priority_on_insert(view, &ctx);
+        meta.priority = self.policy.priority(&meta);
+        self.meta[slot] = meta;
         self.slots[slot] = Some(Entry {
             key,
             data,
-            addr,
-            bytes,
-            last_access: self.clock,
-            user_score,
-            slot,
             checksum,
-            hits: 1,
-            priority,
         });
+        self.occupancy[slot / 64] |= 1 << (slot % 64);
         self.occupied += 1;
         self.occupied_bytes += bytes;
+        self.debug_check_slot(slot);
         if evicted == 0 {
             CacheInsertOutcome::Inserted
         } else {
@@ -345,27 +405,27 @@ impl<T: Clone> Clampi<T> {
     /// verification: the rotten entry is dropped so the next read refetches.
     /// Returns whether an entry was removed.
     pub fn invalidate(&mut self, key: EntryKey) -> bool {
-        let (probes, ways) = self.probe_slots(&key);
-        for &slot in &probes[..ways] {
-            if self.slots[slot].as_ref().is_some_and(|e| e.key == key) {
-                self.evict_slot(slot);
-                self.stats.invalidations += 1;
-                return true;
-            }
-        }
-        false
+        let Some(slot) = self.find(&key) else {
+            return false;
+        };
+        self.evict_slot(slot);
+        self.stats.invalidations += 1;
+        true
     }
 
     /// Removes every entry (the cache flush CLaMPI performs at epoch closures in
     /// transparent mode, on hash-table resizes, or on user request).
     pub fn flush(&mut self) {
         for slot in 0..self.slots.len() {
-            if self.slots[slot].is_some() {
+            if self.is_occupied(slot) {
                 self.evict_slot(slot);
             }
         }
         self.policy.on_flush();
         self.stats.flushes += 1;
+        debug_assert!(self.occupancy.iter().all(|&word| word == 0));
+        debug_assert!(self.slots.iter().all(Option::is_none));
+        debug_assert_eq!((self.occupied, self.occupied_bytes), (0, 0));
     }
 
     /// Signals the closure of an access epoch. In `Transparent` mode this flushes the
@@ -376,61 +436,43 @@ impl<T: Clone> Clampi<T> {
         }
     }
 
-    /// Victim score of an entry, as judged by the active policy: larger means
-    /// more evictable.
-    fn victim_score(&self, entry: &Entry<T>) -> f64 {
-        let ctx = PolicyContext {
-            clock: self.clock,
-            max_user_score: self.max_user_score,
-            config: &self.config,
-            freelist: &self.freelist,
-        };
-        self.policy.victim_score(entry.view(), &ctx)
-    }
-
     /// Chooses a victim among occupied slots, excluding `protect` (the slot about to
     /// receive the new entry). CLaMPI scans its index for the best victim; at the
     /// scale of the LCC experiments an exhaustive scan per eviction is too slow, so
     /// we sample a bounded number of occupied slots and evict the best-scoring one —
     /// the standard approximation of weighted-LRU victim selection.
     fn pick_victim_slot(&mut self, protect: usize) -> Option<usize> {
-        if self.occupied == 0 || (self.occupied == 1 && self.slots[protect].is_some()) {
+        if self.occupied == 0 || (self.occupied == 1 && self.is_occupied(protect)) {
             return None;
         }
-        const SAMPLES: usize = 16;
         let nslots = self.slots.len();
+        let mut rng = self.rng_state;
+        let ctx = self.ctx();
         let mut best: Option<(usize, f64)> = None;
+        let mut consider = |idx: usize| {
+            let score = self.policy.victim_score(&self.meta[idx], &ctx);
+            if best.map(|(_, s)| score > s).unwrap_or(true) {
+                best = Some((idx, score));
+            }
+        };
         let mut inspected = 0usize;
         let mut attempts = 0usize;
         // Bounded sampling: at most 16 occupied candidates or 8·slots probes.
         while inspected < SAMPLES && attempts < nslots.saturating_mul(8).max(64) {
             attempts += 1;
-            let idx = self.next_random() % nslots;
-            if idx == protect {
-                continue;
-            }
-            if let Some(entry) = &self.slots[idx] {
+            let idx = self.slot_mod.rem(next_random(&mut rng));
+            if idx != protect && self.is_occupied(idx) {
                 inspected += 1;
-                let score = self.victim_score(entry);
-                if best.map(|(_, s)| score > s).unwrap_or(true) {
-                    best = Some((idx, score));
-                }
+                consider(idx);
             }
         }
-        if best.is_none() {
+        if inspected == 0 {
             // Sampling failed (extremely sparse occupancy); fall back to a scan.
-            for idx in 0..nslots {
-                if idx == protect {
-                    continue;
-                }
-                if let Some(entry) = &self.slots[idx] {
-                    let score = self.victim_score(entry);
-                    if best.map(|(_, s)| score > s).unwrap_or(true) {
-                        best = Some((idx, score));
-                    }
-                }
-            }
+            (0..nslots)
+                .filter(|&idx| idx != protect && self.is_occupied(idx))
+                .for_each(consider);
         }
+        self.rng_state = rng;
         best.map(|(idx, _)| idx)
     }
 
@@ -439,20 +481,34 @@ impl<T: Clone> Clampi<T> {
     /// and invalidations are not victim selections and go through
     /// [`Clampi::evict_slot`] directly.
     fn evict_chosen_victim(&mut self, slot: usize) {
-        if let Some(entry) = &self.slots[slot] {
-            let view = entry.view();
-            self.stats.evicted_bytes += view.bytes as u64;
-            self.policy.on_evict(view);
-        }
+        debug_assert!(self.is_occupied(slot), "victims are residents");
+        self.stats.evicted_bytes += self.meta[slot].bytes as u64;
+        self.policy.on_evict(&self.meta[slot]);
         self.evict_slot(slot);
     }
 
     fn evict_slot(&mut self, slot: usize) {
-        if let Some(entry) = self.slots[slot].take() {
-            self.freelist.free(entry.addr, entry.bytes);
+        if self.slots[slot].take().is_some() {
+            let EntryView { addr, bytes, .. } = self.meta[slot];
+            self.occupancy[slot / 64] &= !(1 << (slot % 64));
+            self.freelist.free(addr, bytes);
             self.occupied -= 1;
-            self.occupied_bytes -= entry.bytes;
+            self.occupied_bytes -= bytes;
         }
+        self.debug_check_slot(slot);
+    }
+
+    /// Debug builds, after every mutation of `slot`: the bitmap, the dense
+    /// array and the slot agree, and the buffer's bytes are conserved.
+    fn debug_check_slot(&self, slot: usize) {
+        debug_assert_eq!(self.slots[slot].is_some(), self.is_occupied(slot));
+        debug_assert!(self.slots[slot].as_ref().is_none_or(|entry| {
+            self.meta[slot].bytes == entry.data.len() * std::mem::size_of::<T>()
+        }));
+        debug_assert_eq!(
+            self.freelist.total_free() + self.occupied_bytes,
+            self.freelist.capacity()
+        );
     }
 
     fn maybe_adapt(&mut self) {
@@ -467,8 +523,7 @@ impl<T: Clone> Clampi<T> {
                 // Growing the hash table invalidates slot assignments: flush, as the
                 // real CLaMPI does.
                 self.flush();
-                self.slots = Vec::new();
-                self.slots.resize_with(new_slots, || None);
+                self.reset_table(new_slots);
                 self.config.table_slots = new_slots;
                 self.stats.table_resizes += 1;
             }
@@ -490,26 +545,17 @@ impl<T: Clone> Clampi<T> {
     where
         T: Copy,
     {
-        let (probes, ways) = self.probe_slots(&key);
-        for &slot in &probes[..ways] {
-            if let Some(entry) = &mut self.slots[slot] {
-                if entry.key == key && !entry.data.is_empty() {
-                    entry.data = rmatc_rma::fault::corrupt_copy(&entry.data, salt);
-                    return true;
-                }
-            }
+        let Some(slot) = self.find(&key) else {
+            return false;
+        };
+        let entry = self.slots[slot]
+            .as_mut()
+            .expect("find returns occupied slots");
+        if entry.data.is_empty() {
+            return false;
         }
-        false
-    }
-
-    /// xorshift64* — deterministic, cheap, good enough for victim sampling.
-    fn next_random(&mut self) -> usize {
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32) as usize
+        entry.data = rmatc_rma::fault::corrupt_copy(&entry.data, salt);
+        true
     }
 }
 
@@ -524,6 +570,21 @@ mod tests {
 
     fn cache(capacity: usize, slots: usize) -> Clampi<u32> {
         Clampi::new(ClampiConfig::always_cache(capacity, slots))
+    }
+
+    #[test]
+    fn fast_mod_is_the_remainder_for_every_table_size() {
+        let mut state = 0x9e37_79b9_7f4a_7c15;
+        let stream: Vec<u32> = (0..10_000).map(|_| next_random(&mut state)).collect();
+        for nslots in (1..=4096).chain([u32::MAX as usize]) {
+            let fast = FastMod::new(nslots);
+            for &x in [0, 1, u32::MAX].iter().chain(&stream) {
+                assert_eq!(fast.rem(x), x as usize % nslots, "{x} % {nslots}");
+            }
+        }
+        // A table no 32-bit draw can wrap around.
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(FastMod::new(1 << 40).rem(u32::MAX), u32::MAX as usize);
     }
 
     #[test]

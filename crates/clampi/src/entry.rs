@@ -48,8 +48,39 @@ impl EntryKey {
     }
 }
 
-/// One cached entry: the transferred data plus the bookkeeping needed for victim
-/// selection (placement in the buffer, recency, application score).
+/// Hasher for sets of [`EntryKey`]s inside the cache: folds the key's words
+/// with a rotate-xor-multiply step. Keys are produced by the rank's own edge
+/// loop, never by an adversary, so the miss path does not pay for SipHash's
+/// collision resistance.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl std::hash::Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table takes its bucket from the low bits and its tag from the
+        // high ones; the multiply leaves the low bits weakest.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// One cached entry: the key it answers and the transferred data. The fields
+/// victim selection reads (placement, recency, scores) live apart from it in
+/// the cache's dense per-slot array, so sampling candidates never touches the
+/// payload handle.
 #[derive(Debug, Clone)]
 pub struct Entry<T> {
     /// The key this entry answers.
@@ -58,41 +89,10 @@ pub struct Entry<T> {
     /// landed in — inserting is a refcount bump, and hits hand out further
     /// bumps — so the payload is copied exactly once, off the wire.
     pub data: Arc<[T]>,
-    /// Start address of the entry in the simulated memory buffer.
-    pub addr: usize,
-    /// Size in bytes occupied in the memory buffer.
-    pub bytes: usize,
-    /// Logical timestamp of the last access (for LRU).
-    pub last_access: u64,
-    /// Application-defined score; `0.0` when the application passes none.
-    pub user_score: f64,
-    /// Hash-table slot occupied by this entry.
-    pub slot: usize,
     /// Integrity stamp of the transfer this entry retains, computed at the
     /// source window when fault injection is enabled; `None` on fault-free
     /// runs (verification is skipped entirely).
     pub checksum: Option<u64>,
-    /// Number of accesses this entry has served, counting the insert itself
-    /// (the frequency term of the LFU and GDSF eviction policies).
-    pub hits: u64,
-    /// Policy-private scalar maintained by the active
-    /// [`EvictionPolicy`](crate::policy::EvictionPolicy) (GDSF stores its
-    /// priority `H` here); `0.0` for policies that do not use it.
-    pub priority: f64,
-}
-
-impl<T> Entry<T> {
-    /// Borrow-free snapshot of the fields eviction policies may consult.
-    pub fn view(&self) -> crate::policy::EntryView {
-        crate::policy::EntryView {
-            bytes: self.bytes,
-            addr: self.addr,
-            last_access: self.last_access,
-            user_score: self.user_score,
-            hits: self.hits,
-            priority: self.priority,
-        }
-    }
 }
 
 #[cfg(test)]

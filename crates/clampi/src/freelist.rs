@@ -3,30 +3,33 @@
 //! CLaMPI stores variable-size entries in a contiguous memory buffer and tracks free
 //! regions in an AVL tree; allocating and freeing entries can leave the free space
 //! externally fragmented (many small non-contiguous holes), which is what the
-//! positional eviction score tries to counteract. We track free regions in a
-//! `BTreeMap` keyed by start address (Rust's idiomatic balanced tree), with the same
-//! observable behaviour: first-fit allocation, coalescing on free, and queries for
-//! the largest hole and the total free space used to distinguish capacity misses
-//! from fragmentation misses.
-
-use std::collections::BTreeMap;
+//! positional eviction score tries to counteract. We keep the free regions in one
+//! address-sorted vector: the observable behaviour is the tree's — first-fit
+//! (lowest address) allocation, coalescing on free, and queries for the largest
+//! hole and the total free space used to distinguish capacity misses from
+//! fragmentation misses — but the first-fit scan runs over contiguous memory and
+//! the positional score of a victim candidate costs one binary search, because an
+//! entry's two possible free neighbours are adjacent elements of the vector.
 
 /// Allocator over a simulated buffer of `capacity` bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FreeList {
     capacity: usize,
-    /// start address → length of the free region.
-    free: BTreeMap<usize, usize>,
+    /// Free regions as `(start address, length)`, sorted by address; never
+    /// empty-length, never overlapping, never touching (touching regions are
+    /// coalesced on free).
+    free: Vec<(usize, usize)>,
 }
 
 impl FreeList {
     /// Creates a free list covering an empty buffer of `capacity` bytes.
     pub fn new(capacity: usize) -> Self {
-        let mut free = BTreeMap::new();
-        if capacity > 0 {
-            free.insert(0, capacity);
-        }
-        Self { capacity, free }
+        let mut list = Self {
+            capacity: 0,
+            free: Vec::new(),
+        };
+        list.reset(capacity);
+        list
     }
 
     /// Buffer capacity in bytes.
@@ -36,12 +39,12 @@ impl FreeList {
 
     /// Total free bytes (possibly fragmented).
     pub fn total_free(&self) -> usize {
-        self.free.values().sum()
+        self.free.iter().map(|&(_, len)| len).sum()
     }
 
     /// Size of the largest contiguous free region.
     pub fn largest_free(&self) -> usize {
-        self.free.values().copied().max().unwrap_or(0)
+        self.free.iter().map(|&(_, len)| len).max().unwrap_or(0)
     }
 
     /// Number of disjoint free regions; more regions at the same total free space
@@ -59,20 +62,23 @@ impl FreeList {
         1.0 - self.largest_free() as f64 / total as f64
     }
 
+    /// Index of the first free region starting at or after `addr`.
+    fn first_at_or_after(&self, addr: usize) -> usize {
+        self.free.partition_point(|&(start, _)| start < addr)
+    }
+
     /// Allocates `size` bytes with first-fit. Returns the start address, or `None`
     /// if no single free region is large enough (even if the total free space is).
     pub fn allocate(&mut self, size: usize) -> Option<usize> {
         if size == 0 {
             return Some(0);
         }
-        let addr = self
-            .free
-            .iter()
-            .find(|(_, &len)| len >= size)
-            .map(|(&addr, _)| addr)?;
-        let len = self.free.remove(&addr).expect("region disappeared");
+        let i = self.free.iter().position(|&(_, len)| len >= size)?;
+        let (addr, len) = self.free[i];
         if len > size {
-            self.free.insert(addr + size, len - size);
+            self.free[i] = (addr + size, len - size);
+        } else {
+            self.free.remove(i);
         }
         Some(addr)
     }
@@ -83,42 +89,51 @@ impl FreeList {
             return;
         }
         assert!(addr + size <= self.capacity, "free out of buffer bounds");
+        let next = self.first_at_or_after(addr);
         // Coalesce with the predecessor if it ends exactly at `addr`.
-        let mut start = addr;
-        let mut len = size;
-        if let Some((&prev_addr, &prev_len)) = self.free.range(..addr).next_back() {
+        let merges_prev = next > 0 && {
+            let (prev_addr, prev_len) = self.free[next - 1];
             assert!(
                 prev_addr + prev_len <= addr,
                 "double free / overlap detected"
             );
-            if prev_addr + prev_len == addr {
-                self.free.remove(&prev_addr);
-                start = prev_addr;
-                len += prev_len;
-            }
-        }
+            prev_addr + prev_len == addr
+        };
         // Coalesce with the successor if it starts exactly at the end.
-        if let Some((&next_addr, &next_len)) = self.free.range(addr..).next() {
-            assert!(addr + size <= next_addr, "double free / overlap detected");
-            if addr + size == next_addr {
-                self.free.remove(&next_addr);
-                len += next_len;
+        let merges_next = next < self.free.len() && {
+            assert!(
+                addr + size <= self.free[next].0,
+                "double free / overlap detected"
+            );
+            addr + size == self.free[next].0
+        };
+        match (merges_prev, merges_next) {
+            (true, true) => {
+                self.free[next - 1].1 += size + self.free[next].1;
+                self.free.remove(next);
             }
+            (true, false) => self.free[next - 1].1 += size,
+            (false, true) => self.free[next] = (addr, size + self.free[next].1),
+            (false, false) => self.free.insert(next, (addr, size)),
         }
-        self.free.insert(start, len);
     }
 
-    /// Whether the bytes adjacent to `[addr, addr + size)` (on either side) are free.
-    /// Used by the positional eviction score: evicting an entry that touches free
-    /// space merges regions and reduces fragmentation.
+    /// Whether the bytes adjacent to the *allocated* region `[addr, addr + size)`
+    /// (on either side) are free. Used by the positional eviction score: evicting
+    /// an entry that touches free space merges regions and reduces fragmentation.
     pub fn adjacency_to_free(&self, addr: usize, size: usize) -> (bool, bool) {
-        let before = self
-            .free
-            .range(..addr)
-            .next_back()
-            .map(|(&a, &l)| a + l == addr)
-            .unwrap_or(false);
-        let after = self.free.contains_key(&(addr + size));
+        // No free region starts inside an allocated one, so the region ending at
+        // `addr` and the region starting at `addr + size` sit on either side of
+        // one position in the vector.
+        let next = self.first_at_or_after(addr);
+        let before = next > 0 && {
+            let (prev_addr, prev_len) = self.free[next - 1];
+            prev_addr + prev_len == addr
+        };
+        let after = self.free.get(next).is_some_and(|&(start, _)| {
+            debug_assert!(start >= addr + size, "region is not allocated");
+            start == addr + size
+        });
         (before, after)
     }
 
@@ -145,7 +160,7 @@ impl FreeList {
         self.capacity = capacity;
         self.free.clear();
         if capacity > 0 {
-            self.free.insert(0, capacity);
+            self.free.push((0, capacity));
         }
     }
 }

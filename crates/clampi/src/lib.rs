@@ -47,12 +47,12 @@
 //!
 //! | Module | Paper location | What it reproduces |
 //! |---|---|---|
-//! | [`cache`] | §III-B | The cache proper: slot index, weighted victim selection, admission control |
-//! | [`policy`] | §III-B (generalized) | Pluggable eviction policies: the paper's score rule plus LRU/LFU/GDSF |
+//! | [`cache`] | §III-B | The cache proper: slot index (with an occupancy bitmap and a dense per-slot array of the fields victim selection reads), sampled weighted victim selection, admission control |
+//! | [`policy`] | §III-B (generalized) | Pluggable eviction policies, one enum matched inline: the paper's score rule plus LRU/LFU/GDSF |
 //! | [`sharded_window`] | Fig. 3 steps 5–6; §II-F | Get interception: lookup before the network, insert after the miss — shared by a rank's worker threads, with split probe/admit reads for gets kept in flight |
 //! | [`sharded`] | beyond the paper | Lock-sharded concurrent cache backing multi-threaded ranks |
 //! | [`entry`] | §III-B1 | `(window, target, offset, len)` keys and the slot hash |
-//! | [`freelist`] | §II-F / §III-B | Variable-size entry storage with first-fit allocation and coalescing |
+//! | [`freelist`] | §II-F / §III-B | Variable-size entry storage with first-fit allocation and coalescing, over one address-sorted vector of free regions |
 //! | [`config`] | §II-F, §III-B1 | Consistency modes, score policies, and the hash-table sizing rules |
 //! | [`row`] | this reproduction | The zero-copy read views ([`RowRef`]) |
 //! | [`adaptive`] | §II-F (CLaMPI) | The adaptive resizing heuristic (observe, grow table / grow buffer) |

@@ -4,24 +4,26 @@
 //! LRU score, optionally biased by an application-defined score (for LCC, the
 //! out-degree of the cached vertex — Figure 8). That rule is one point in a
 //! much larger design space, so the cache routes every eviction decision
-//! through the [`EvictionPolicy`] trait and ships four implementations:
+//! through an [`EvictionPolicy`], an enum of four rules matched inline (a
+//! capacity eviction scores sixteen candidates, so the dispatch is static):
 //!
-//! * [`PaperScore`] — the default. Bit-identical to the pre-trait cache: the
-//!   same weighted-LRU / application-score arithmetic, the same admission
-//!   control, evaluated in the same order (proved by differential proptests
-//!   in `tests/policy_equivalence.rs`).
-//! * [`Lru`] — pure recency, no positional or application component.
-//! * [`Lfu`] — least frequently used, with an infinitesimal recency
-//!   tie-break so victim selection stays deterministic.
-//! * [`Gdsf`] — Greedy-Dual-Size-Frequency with aging: priority
-//!   `H = L + frequency × miss_cost(size) / size`, the natural
+//! * [`EvictionPolicy::PaperScore`] — the default. Bit-identical to the
+//!   pre-policy cache: the same weighted-LRU / application-score arithmetic,
+//!   the same admission control, evaluated in the same order (proved by
+//!   differential proptests in `tests/policy_equivalence.rs`).
+//! * [`EvictionPolicy::Lru`] — pure recency, no positional or application
+//!   component.
+//! * [`EvictionPolicy::Lfu`] — least frequently used, with an infinitesimal
+//!   recency tie-break so victim selection stays deterministic.
+//! * [`EvictionPolicy::Gdsf`] — Greedy-Dual-Size-Frequency with aging:
+//!   priority `H = L + frequency × miss_cost(size) / size`, the natural
 //!   generalization of degree scoring to variable-length adjacency rows
 //!   (a row's refetch cost is latency + bytes, its buffer footprint is
 //!   bytes, and its observed frequency replaces the degree prior).
 //!
 //! Policies are selected by [`EvictionPolicyKind`] on
 //! [`ClampiConfig::policy`](crate::ClampiConfig::policy); the cache owns one
-//! boxed policy instance and reports its decisions through the usual
+//! policy instance and reports its decisions through the usual
 //! [`CacheStats`](crate::CacheStats) counters (plus the policy-attributed
 //! `evicted_bytes` / `admission_rejections` counters added with this layer).
 
@@ -66,19 +68,21 @@ impl EvictionPolicyKind {
     }
 
     /// Builds a fresh policy instance of this kind.
-    pub fn build(&self) -> Box<dyn EvictionPolicy> {
+    pub fn build(&self) -> EvictionPolicy {
         match self {
-            EvictionPolicyKind::PaperScore => Box::new(PaperScore),
-            EvictionPolicyKind::Lru => Box::new(Lru),
-            EvictionPolicyKind::Lfu => Box::new(Lfu),
-            EvictionPolicyKind::Gdsf => Box::new(Gdsf::default()),
+            EvictionPolicyKind::PaperScore => EvictionPolicy::PaperScore,
+            EvictionPolicyKind::Lru => EvictionPolicy::Lru,
+            EvictionPolicyKind::Lfu => EvictionPolicy::Lfu,
+            EvictionPolicyKind::Gdsf => EvictionPolicy::Gdsf(Gdsf::default()),
         }
     }
 }
 
-/// Borrow-free snapshot of the entry fields a policy may consult. The cache
-/// builds one per decision; policies never see the payload.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The entry fields a policy may consult — and the only per-entry state
+/// victim selection reads: the cache keeps one per slot in a dense array of
+/// its own, apart from the keys and payload handles. Policies never see the
+/// payload.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EntryView {
     /// Bytes the entry occupies in the memory buffer.
     pub bytes: usize,
@@ -89,10 +93,11 @@ pub struct EntryView {
     /// Application-defined score passed at insert time (vertex degree in the
     /// paper's LCC runs; `0.0` when unused).
     pub user_score: f64,
-    /// Times this entry was accessed, counting the insert itself.
+    /// Times this entry was accessed, counting the insert itself (the
+    /// frequency term of LFU and GDSF).
     pub hits: u64,
-    /// Policy-private scalar stored on the entry (GDSF keeps its priority
-    /// `H` here); `0.0` for policies that do not use it.
+    /// Policy-private scalar ([`EvictionPolicy::priority`]; GDSF keeps its
+    /// priority `H` here); `0.0` for policies that do not use it.
     pub priority: f64,
 }
 
@@ -112,105 +117,110 @@ pub struct PolicyContext<'a> {
 
 impl PolicyContext<'_> {
     /// Relative age of an entry in `[0, 1]`: the recency component every
-    /// shipped policy shares, computed exactly as the pre-trait cache did.
+    /// shipped policy shares. The division stays a division: multiplying by a
+    /// hoisted `1 / clock` differs in the last ulp and flips ties.
     pub fn age(&self, last_access: u64) -> f64 {
         (self.clock.saturating_sub(last_access)) as f64 / (self.clock.max(1)) as f64
     }
 }
 
+/// How much the recency tie-break may contribute to an
+/// [`EvictionPolicy::Lfu`] victim score. Ages live in `[0, 1]` and
+/// frequencies are integers, so any weight below 1 can only order entries of
+/// *equal* frequency.
+const LFU_TIE_BREAK: f64 = 1e-3;
+
 /// A victim-selection (and admission) policy. The cache calls `victim_score`
-/// when it must evict, the `priority_on_*` hooks when an entry is inserted or
-/// hit (their return value is stored on the entry), `admits` before
-/// displacing a chosen victim, `on_evict` when a victim it chose is removed,
-/// and `on_flush` when the whole cache is dropped.
+/// when it must evict, `priority` when an entry is inserted or hit (the
+/// return value is stored on the entry), `admits` before displacing a chosen
+/// victim, `on_evict` when a victim it chose is removed, and `on_flush` when
+/// the whole cache is dropped.
 ///
-/// Implementations must be deterministic: given the same sequence of calls
-/// they must return the same values, because replayed runs (chaos schedules,
-/// differential tests) compare caches decision-for-decision.
-pub trait EvictionPolicy: std::fmt::Debug + Send {
-    /// Which [`EvictionPolicyKind`] built this policy.
-    fn kind(&self) -> EvictionPolicyKind;
-
-    /// Victim score of a resident entry: **larger means more evictable**.
-    /// Must never return NaN.
-    fn victim_score(&self, entry: EntryView, ctx: &PolicyContext<'_>) -> f64;
-
-    /// Priority scalar to store on a freshly inserted entry.
-    fn priority_on_insert(&mut self, entry: EntryView, ctx: &PolicyContext<'_>) -> f64 {
-        let _ = (entry, ctx);
-        0.0
-    }
-
-    /// Updated priority scalar after a hit (`entry.hits` already counts it).
-    fn priority_on_hit(&mut self, entry: EntryView, ctx: &PolicyContext<'_>) -> f64 {
-        let _ = (entry, ctx);
-        0.0
-    }
-
-    /// Whether a new entry (with `candidate_score` and `candidate_bytes`) may
-    /// displace `victim`. Returning `false` refuses admission: the fetched
-    /// data is still handed to the caller, just not cached.
-    fn admits(
-        &self,
-        candidate_score: f64,
-        candidate_bytes: usize,
-        victim: EntryView,
-        ctx: &PolicyContext<'_>,
-    ) -> bool {
-        let _ = (candidate_score, candidate_bytes, victim, ctx);
-        true
-    }
-
-    /// A victim chosen by this policy is about to be evicted.
-    fn on_evict(&mut self, victim: EntryView) {
-        let _ = victim;
-    }
-
-    /// The cache was flushed; reset any aging state.
-    fn on_flush(&mut self) {}
+/// Every rule is deterministic: given the same sequence of calls it returns
+/// the same values, because replayed runs (chaos schedules, differential
+/// tests) compare caches decision-for-decision.
+#[derive(Debug, Clone, Copy)]
+pub enum EvictionPolicy {
+    /// The paper's weighted-score victim selection. Under
+    /// [`ScorePolicy::LruPositional`] the score is
+    /// `lru_weight · age + positional_weight · positional` where `positional`
+    /// rewards evicting entries adjacent to free regions (reducing external
+    /// fragmentation). Under [`ScorePolicy::ApplicationScore`] it is
+    /// `lru_weight · age − user_weight · score/max_score`, plus the admission
+    /// rule that refuses entries scoring below the prospective victim.
+    PaperScore,
+    /// Pure least-recently-used: the victim is the entry idle the longest,
+    /// ignoring position, frequency and application scores.
+    Lru,
+    /// Least-frequently-used: the victim is the entry with the fewest
+    /// accesses; equal frequencies fall back to evicting the least recently
+    /// used.
+    Lfu,
+    /// Greedy-Dual-Size-Frequency with aging (see [`Gdsf`]).
+    Gdsf(Gdsf),
 }
 
-/// The paper's weighted-score victim selection — the pre-trait behaviour,
-/// preserved bit-for-bit.
-///
-/// Under [`ScorePolicy::LruPositional`] the score is
-/// `lru_weight · age + positional_weight · positional` where `positional`
-/// rewards evicting entries adjacent to free regions (reducing external
-/// fragmentation). Under [`ScorePolicy::ApplicationScore`] it is
-/// `lru_weight · age − user_weight · score/max_score`, plus the admission
-/// rule that refuses entries scoring below the prospective victim.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PaperScore;
-
-impl EvictionPolicy for PaperScore {
-    fn kind(&self) -> EvictionPolicyKind {
-        EvictionPolicyKind::PaperScore
-    }
-
-    fn victim_score(&self, entry: EntryView, ctx: &PolicyContext<'_>) -> f64 {
-        let age = ctx.age(entry.last_access);
-        match ctx.config.scoring {
-            ScorePolicy::LruPositional => {
-                let (before, after) = ctx.freelist.adjacency_to_free(entry.addr, entry.bytes);
-                let positional = (before as u8 + after as u8) as f64 / 2.0;
-                ctx.config.lru_weight * age + ctx.config.positional_weight * positional
-            }
-            ScorePolicy::ApplicationScore => {
-                let norm = if ctx.max_user_score > 0.0 {
-                    entry.user_score / ctx.max_user_score
-                } else {
-                    0.0
-                };
-                ctx.config.lru_weight * age - ctx.config.user_weight * norm
-            }
+impl EvictionPolicy {
+    /// Which [`EvictionPolicyKind`] built this policy.
+    pub fn kind(&self) -> EvictionPolicyKind {
+        match self {
+            EvictionPolicy::PaperScore => EvictionPolicyKind::PaperScore,
+            EvictionPolicy::Lru => EvictionPolicyKind::Lru,
+            EvictionPolicy::Lfu => EvictionPolicyKind::Lfu,
+            EvictionPolicy::Gdsf(_) => EvictionPolicyKind::Gdsf,
         }
     }
 
-    fn admits(
+    /// Victim score of a resident entry: **larger means more evictable**.
+    /// Never NaN.
+    #[inline]
+    pub fn victim_score(&self, entry: &EntryView, ctx: &PolicyContext<'_>) -> f64 {
+        match self {
+            EvictionPolicy::PaperScore => {
+                let age = ctx.age(entry.last_access);
+                match ctx.config.scoring {
+                    ScorePolicy::LruPositional => {
+                        let (before, after) =
+                            ctx.freelist.adjacency_to_free(entry.addr, entry.bytes);
+                        let positional = (before as u8 + after as u8) as f64 / 2.0;
+                        ctx.config.lru_weight * age + ctx.config.positional_weight * positional
+                    }
+                    ScorePolicy::ApplicationScore => {
+                        let norm = if ctx.max_user_score > 0.0 {
+                            entry.user_score / ctx.max_user_score
+                        } else {
+                            0.0
+                        };
+                        ctx.config.lru_weight * age - ctx.config.user_weight * norm
+                    }
+                }
+            }
+            EvictionPolicy::Lru => ctx.age(entry.last_access),
+            EvictionPolicy::Lfu => {
+                -(entry.hits as f64) + LFU_TIE_BREAK * ctx.age(entry.last_access)
+            }
+            // Lowest priority evicts first; the cache maximises victim scores.
+            EvictionPolicy::Gdsf(_) => -entry.priority,
+        }
+    }
+
+    /// Priority scalar to store on an entry that was just inserted or hit
+    /// (`entry.hits` already counts the access).
+    #[inline]
+    pub fn priority(&self, entry: &EntryView) -> f64 {
+        match self {
+            EvictionPolicy::Gdsf(gdsf) => gdsf.priority(entry.hits, entry.bytes),
+            _ => 0.0,
+        }
+    }
+
+    /// Whether a new entry with `candidate_score` may displace `victim`.
+    /// Returning `false` refuses admission: the fetched data is still handed
+    /// to the caller, just not cached.
+    pub fn admits(
         &self,
         candidate_score: f64,
-        _candidate_bytes: usize,
-        victim: EntryView,
+        victim: &EntryView,
         ctx: &PolicyContext<'_>,
     ) -> bool {
         // Admission control under application-defined scores: the point of
@@ -218,42 +228,27 @@ impl EvictionPolicy for PaperScore {
         // low-degree vertices" — a new entry whose score is lower than the
         // prospective victim's is not admitted at all, instead of churning
         // the cache.
-        ctx.config.scoring != ScorePolicy::ApplicationScore || candidate_score >= victim.user_score
-    }
-}
-
-/// Pure least-recently-used: the victim is the entry idle the longest,
-/// ignoring position, frequency and application scores.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Lru;
-
-impl EvictionPolicy for Lru {
-    fn kind(&self) -> EvictionPolicyKind {
-        EvictionPolicyKind::Lru
+        !matches!(self, EvictionPolicy::PaperScore)
+            || ctx.config.scoring != ScorePolicy::ApplicationScore
+            || candidate_score >= victim.user_score
     }
 
-    fn victim_score(&self, entry: EntryView, ctx: &PolicyContext<'_>) -> f64 {
-        ctx.age(entry.last_access)
-    }
-}
-
-/// How much the recency tie-break may contribute to an [`Lfu`] victim score.
-/// Ages live in `[0, 1]` and frequencies are integers, so any weight below 1
-/// can only order entries of *equal* frequency.
-const LFU_TIE_BREAK: f64 = 1e-3;
-
-/// Least-frequently-used: the victim is the entry with the fewest accesses;
-/// equal frequencies fall back to evicting the least recently used.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Lfu;
-
-impl EvictionPolicy for Lfu {
-    fn kind(&self) -> EvictionPolicyKind {
-        EvictionPolicyKind::Lfu
+    /// A victim chosen by this policy is about to be evicted.
+    pub fn on_evict(&mut self, victim: &EntryView) {
+        if let EvictionPolicy::Gdsf(gdsf) = self {
+            // Aging: future priorities start from the evicted entry's level,
+            // so resident entries decay relative to new arrivals unless re-hit.
+            if victim.priority > gdsf.inflation {
+                gdsf.inflation = victim.priority;
+            }
+        }
     }
 
-    fn victim_score(&self, entry: EntryView, ctx: &PolicyContext<'_>) -> f64 {
-        -(entry.hits as f64) + LFU_TIE_BREAK * ctx.age(entry.last_access)
+    /// The cache was flushed; reset any aging state.
+    pub fn on_flush(&mut self) {
+        if let EvictionPolicy::Gdsf(gdsf) = self {
+            gdsf.inflation = 0.0;
+        }
     }
 }
 
@@ -307,37 +302,6 @@ impl Default for Gdsf {
     }
 }
 
-impl EvictionPolicy for Gdsf {
-    fn kind(&self) -> EvictionPolicyKind {
-        EvictionPolicyKind::Gdsf
-    }
-
-    fn victim_score(&self, entry: EntryView, _ctx: &PolicyContext<'_>) -> f64 {
-        // Lowest priority evicts first; the cache maximises victim scores.
-        -entry.priority
-    }
-
-    fn priority_on_insert(&mut self, entry: EntryView, _ctx: &PolicyContext<'_>) -> f64 {
-        self.priority(entry.hits, entry.bytes)
-    }
-
-    fn priority_on_hit(&mut self, entry: EntryView, _ctx: &PolicyContext<'_>) -> f64 {
-        self.priority(entry.hits, entry.bytes)
-    }
-
-    fn on_evict(&mut self, victim: EntryView) {
-        // Aging: future priorities start from the evicted entry's level, so
-        // resident entries decay relative to new arrivals unless re-hit.
-        if victim.priority > self.inflation {
-            self.inflation = victim.priority;
-        }
-    }
-
-    fn on_flush(&mut self) {
-        self.inflation = 0.0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,6 +323,13 @@ mod tests {
             user_score: 0.0,
             hits,
             priority,
+        }
+    }
+
+    fn gdsf_level(policy: &EvictionPolicy) -> f64 {
+        match policy {
+            EvictionPolicy::Gdsf(gdsf) => gdsf.inflation(),
+            other => panic!("not GDSF: {other:?}"),
         }
     }
 
@@ -386,10 +357,10 @@ mod tests {
         let config = ClampiConfig::always_cache(1024, 16);
         let fl = FreeList::new(1024);
         let ctx = ctx(&config, &fl, 100);
-        let lru = Lru;
+        let lru = EvictionPolicy::Lru;
         assert!(
-            lru.victim_score(view(10, 64, 1, 0.0), &ctx)
-                > lru.victim_score(view(90, 64, 1, 0.0), &ctx)
+            lru.victim_score(&view(10, 64, 1, 0.0), &ctx)
+                > lru.victim_score(&view(90, 64, 1, 0.0), &ctx)
         );
     }
 
@@ -398,28 +369,28 @@ mod tests {
         let config = ClampiConfig::always_cache(1024, 16);
         let fl = FreeList::new(1024);
         let ctx = ctx(&config, &fl, 100);
-        let lfu = Lfu;
+        let lfu = EvictionPolicy::Lfu;
         // Frequency dominates: an old popular entry outlives a fresh rare one.
         assert!(
-            lfu.victim_score(view(99, 64, 1, 0.0), &ctx)
-                > lfu.victim_score(view(1, 64, 50, 0.0), &ctx)
+            lfu.victim_score(&view(99, 64, 1, 0.0), &ctx)
+                > lfu.victim_score(&view(1, 64, 50, 0.0), &ctx)
         );
         // Equal frequency: older evicts first.
         assert!(
-            lfu.victim_score(view(10, 64, 3, 0.0), &ctx)
-                > lfu.victim_score(view(90, 64, 3, 0.0), &ctx)
+            lfu.victim_score(&view(10, 64, 3, 0.0), &ctx)
+                > lfu.victim_score(&view(90, 64, 3, 0.0), &ctx)
         );
     }
 
     #[test]
     fn gdsf_priorities_scale_with_frequency_and_against_size() {
-        let mut gdsf = Gdsf::default();
+        let gdsf = EvictionPolicyKind::Gdsf.build();
         let config = ClampiConfig::always_cache(1024, 16);
         let fl = FreeList::new(1024);
         let ctx = ctx(&config, &fl, 100);
-        let small_hot = gdsf.priority_on_hit(view(0, 64, 10, 0.0), &ctx);
-        let small_cold = gdsf.priority_on_hit(view(0, 64, 1, 0.0), &ctx);
-        let large_cold = gdsf.priority_on_hit(view(0, 1 << 20, 1, 0.0), &ctx);
+        let small_hot = gdsf.priority(&view(0, 64, 10, 0.0));
+        let small_cold = gdsf.priority(&view(0, 64, 1, 0.0));
+        let large_cold = gdsf.priority(&view(0, 1 << 20, 1, 0.0));
         assert!(small_hot > small_cold, "frequency raises priority");
         assert!(
             small_cold > large_cold,
@@ -427,27 +398,26 @@ mod tests {
         );
         // Victim score is the negated priority.
         assert!(
-            gdsf.victim_score(view(0, 1 << 20, 1, large_cold), &ctx)
-                > gdsf.victim_score(view(0, 64, 10, small_hot), &ctx)
+            gdsf.victim_score(&view(0, 1 << 20, 1, large_cold), &ctx)
+                > gdsf.victim_score(&view(0, 64, 10, small_hot), &ctx)
         );
+        // The other policies keep no priority.
+        assert_eq!(EvictionPolicy::Lfu.priority(&view(0, 64, 10, 0.0)), 0.0);
     }
 
     #[test]
     fn gdsf_ages_on_eviction_and_resets_on_flush() {
-        let mut gdsf = Gdsf::default();
-        assert_eq!(gdsf.inflation(), 0.0);
-        gdsf.on_evict(view(0, 64, 1, 7.5));
-        assert_eq!(gdsf.inflation(), 7.5);
+        let mut gdsf = EvictionPolicyKind::Gdsf.build();
+        assert_eq!(gdsf_level(&gdsf), 0.0);
+        gdsf.on_evict(&view(0, 64, 1, 7.5));
+        assert_eq!(gdsf_level(&gdsf), 7.5);
         // Aging never regresses.
-        gdsf.on_evict(view(0, 64, 1, 2.0));
-        assert_eq!(gdsf.inflation(), 7.5);
+        gdsf.on_evict(&view(0, 64, 1, 2.0));
+        assert_eq!(gdsf_level(&gdsf), 7.5);
         // New priorities start from the aging level.
-        let config = ClampiConfig::always_cache(1024, 16);
-        let fl = FreeList::new(1024);
-        let c = ctx(&config, &fl, 1);
-        assert!(gdsf.priority_on_insert(view(0, 64, 1, 0.0), &c) > 7.5);
+        assert!(gdsf.priority(&view(0, 64, 1, 0.0)) > 7.5);
         gdsf.on_flush();
-        assert_eq!(gdsf.inflation(), 0.0);
+        assert_eq!(gdsf_level(&gdsf), 0.0);
     }
 
     #[test]
@@ -455,15 +425,17 @@ mod tests {
         let lru_cfg = ClampiConfig::always_cache(1024, 16);
         let app_cfg = ClampiConfig::always_cache(1024, 16).with_application_scores();
         let fl = FreeList::new(1024);
-        let policy = PaperScore;
+        let policy = EvictionPolicy::PaperScore;
         let victim = EntryView {
             user_score: 50.0,
             ..view(0, 64, 1, 0.0)
         };
         let lru_ctx = ctx(&lru_cfg, &fl, 10);
         let app_ctx = ctx(&app_cfg, &fl, 10);
-        assert!(policy.admits(0.0, 64, victim, &lru_ctx));
-        assert!(!policy.admits(49.0, 64, victim, &app_ctx));
-        assert!(policy.admits(50.0, 64, victim, &app_ctx));
+        assert!(policy.admits(0.0, &victim, &lru_ctx));
+        assert!(!policy.admits(49.0, &victim, &app_ctx));
+        assert!(policy.admits(50.0, &victim, &app_ctx));
+        // The rule is PaperScore's alone.
+        assert!(EvictionPolicy::Lru.admits(49.0, &victim, &app_ctx));
     }
 }

@@ -7,6 +7,12 @@
 //! outcome, every counter, under both score policies and with the adaptive
 //! heuristic on or off.
 //!
+//! The reference keeps its own fat `Vec<Option<RefEntry>>` table, reduces
+//! victim draws with `%` and hashes `seen` with the default hasher, so it is
+//! also the oracle for the live cache's occupancy bitmap, dense score array,
+//! division-free draw reduction and key hasher. (The two share `FreeList`;
+//! `proptests.rs` holds that one to the tree it replaced.)
+//!
 //! The second property pins down [`ShardedClampi`]: with exactly one shard
 //! the split is the identity, so it must match a plain [`Clampi`] the same
 //! way.
@@ -398,10 +404,80 @@ fn assert_stats_match(
     Ok(())
 }
 
+/// Replays `ops` through the live cache and the reference side by side:
+/// every lookup result, insert outcome, entry count and counter must agree.
+fn replay_against_reference(ops: Vec<Op>, cfg: ClampiConfig) -> Result<(), TestCaseError> {
+    let mut live: Clampi<u32> = Clampi::new(cfg);
+    let mut reference = reference::ReferenceCache::new(cfg);
+    for (i, op) in ops.into_iter().enumerate() {
+        match op {
+            Op::Access { offset, len, score } => {
+                let k = key(offset, len);
+                let live_hit = live.lookup(k);
+                let ref_hit = reference.lookup(k);
+                prop_assert_eq!(
+                    live_hit.is_some(),
+                    ref_hit.is_some(),
+                    "lookup {} diverged",
+                    i
+                );
+                if let (Some(a), Some(b)) = (&live_hit, &ref_hit) {
+                    prop_assert_eq!(&**a, &**b);
+                }
+                if live_hit.is_none() {
+                    let data: Vec<u32> = (0..len as u32).map(|x| x + offset as u32).collect();
+                    let live_out = live.insert(k, data.clone(), score);
+                    let ref_out = reference.insert(k, data, score);
+                    let matches = matches!(
+                        (live_out, ref_out),
+                        (
+                            CacheInsertOutcome::Inserted,
+                            reference::RefOutcome::Inserted
+                        ) | (
+                            CacheInsertOutcome::NotCached,
+                            reference::RefOutcome::NotCached
+                        )
+                    ) || matches!(
+                        (live_out, ref_out),
+                        (
+                            CacheInsertOutcome::InsertedAfterEvicting(a),
+                            reference::RefOutcome::InsertedAfterEvicting(b)
+                        ) if a == b
+                    );
+                    prop_assert!(
+                        matches,
+                        "insert {} diverged: {:?} vs {:?}",
+                        i,
+                        live_out,
+                        ref_out
+                    );
+                }
+            }
+            Op::EndEpoch => {
+                live.end_epoch();
+                reference.end_epoch();
+            }
+            Op::Flush => {
+                live.flush();
+                reference.flush();
+            }
+        }
+        prop_assert_eq!(
+            live.len(),
+            reference.len(),
+            "entry count diverged at op {}",
+            i
+        );
+        prop_assert_eq!(live.occupied_bytes(), reference.occupied_bytes());
+    }
+    assert_stats_match(live.stats(), &reference.stats)?;
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The tentpole guarantee: `PaperScore` through the trait is
+    /// The tentpole guarantee: `PaperScore` through the policy layer is
     /// decision-for-decision identical to the pre-refactor cache, under both
     /// score policies, with and without the adaptive heuristic.
     #[test]
@@ -422,49 +498,26 @@ proptest! {
             cfg.adaptive.as_mut().unwrap().interval = 32;
             cfg.adaptive.as_mut().unwrap().max_capacity_bytes = capacity * 4;
         }
-        let mut live: Clampi<u32> = Clampi::new(cfg);
-        let mut reference = reference::ReferenceCache::new(cfg);
-        for (i, op) in ops.into_iter().enumerate() {
-            match op {
-                Op::Access { offset, len, score } => {
-                    let k = key(offset, len);
-                    let live_hit = live.lookup(k);
-                    let ref_hit = reference.lookup(k);
-                    prop_assert_eq!(live_hit.is_some(), ref_hit.is_some(), "lookup {} diverged", i);
-                    if let (Some(a), Some(b)) = (&live_hit, &ref_hit) {
-                        prop_assert_eq!(&**a, &**b);
-                    }
-                    if live_hit.is_none() {
-                        let data: Vec<u32> = (0..len as u32).map(|x| x + offset as u32).collect();
-                        let live_out = live.insert(k, data.clone(), score);
-                        let ref_out = reference.insert(k, data, score);
-                        let matches = matches!(
-                            (live_out, ref_out),
-                            (CacheInsertOutcome::Inserted, reference::RefOutcome::Inserted)
-                                | (CacheInsertOutcome::NotCached, reference::RefOutcome::NotCached)
-                        ) || matches!(
-                            (live_out, ref_out),
-                            (
-                                CacheInsertOutcome::InsertedAfterEvicting(a),
-                                reference::RefOutcome::InsertedAfterEvicting(b)
-                            ) if a == b
-                        );
-                        prop_assert!(matches, "insert {} diverged: {:?} vs {:?}", i, live_out, ref_out);
-                    }
-                }
-                Op::EndEpoch => {
-                    live.end_epoch();
-                    reference.end_epoch();
-                }
-                Op::Flush => {
-                    live.flush();
-                    reference.flush();
-                }
-            }
-            prop_assert_eq!(live.len(), reference.len(), "entry count diverged at op {}", i);
-            prop_assert_eq!(live.occupied_bytes(), reference.occupied_bytes());
+        replay_against_reference(ops, cfg)?;
+    }
+
+    /// The same, on a table that stays at least three-quarters empty (the
+    /// buffer fills long before the index does, as in the adjacency cache):
+    /// the victim sampler rejects most of its draws, so the draw-to-slot
+    /// reduction and the occupancy test are compared, not only the scoring.
+    #[test]
+    fn sparse_tables_sample_the_same_victims(
+        ops in prop::collection::vec(op_strategy(), 100..400),
+        capacity in 32usize..256,
+        slots in 256usize..4096,
+        use_scores in any::<bool>(),
+    ) {
+        // Entries are at least 4 bytes: at most `capacity / 4 <= slots / 4` fit.
+        let mut cfg = ClampiConfig::always_cache(capacity, slots);
+        if use_scores {
+            cfg = cfg.with_application_scores();
         }
-        assert_stats_match(live.stats(), &reference.stats)?;
+        replay_against_reference(ops, cfg)?;
     }
 
     /// `ShardedClampi` with one shard is the identity split: it must match a

@@ -1,14 +1,124 @@
 //! Property-based tests of the CLaMPI reproduction: the free-region manager never
-//! loses or double-books space, and the cache behaves like a correct (if bounded)
+//! loses or double-books space and allocates exactly like the balanced-tree
+//! manager it replaced, and the cache behaves like a correct (if bounded)
 //! memoisation of the window under arbitrary access patterns and configurations.
 
 use proptest::prelude::*;
 use rmatc_clampi::freelist::FreeList;
 use rmatc_clampi::{ClampiConfig, ConsistencyMode, ScorePolicy, ShardedCachedWindow};
 use rmatc_rma::{Endpoint, NetworkModel, Window};
+use std::collections::BTreeMap;
+
+/// The free-region manager as it was before it became a flat vector: a
+/// `BTreeMap` keyed by start address. Victim scores read entry addresses, so
+/// the two must hand out the same address for every request;
+/// `policy_equivalence.rs`'s reference cache shares the live `FreeList` and
+/// cannot see an allocator drift on its own.
+struct TreeFreeList {
+    capacity: usize,
+    free: BTreeMap<usize, usize>,
+}
+
+impl TreeFreeList {
+    fn new(capacity: usize) -> Self {
+        let free = (capacity > 0)
+            .then_some((0, capacity))
+            .into_iter()
+            .collect();
+        Self { capacity, free }
+    }
+
+    fn allocate(&mut self, size: usize) -> Option<usize> {
+        if size == 0 {
+            return Some(0);
+        }
+        let addr = *self.free.iter().find(|(_, &len)| len >= size)?.0;
+        let len = self.free.remove(&addr).expect("just found");
+        if len > size {
+            self.free.insert(addr + size, len - size);
+        }
+        Some(addr)
+    }
+
+    fn free(&mut self, addr: usize, size: usize) {
+        if size == 0 {
+            return;
+        }
+        let (mut start, mut len) = (addr, size);
+        if let Some((&prev_addr, &prev_len)) = self.free.range(..addr).next_back() {
+            if prev_addr + prev_len == addr {
+                self.free.remove(&prev_addr);
+                start = prev_addr;
+                len += prev_len;
+            }
+        }
+        if let Some(next_len) = self.free.remove(&(addr + size)) {
+            len += next_len;
+        }
+        self.free.insert(start, len);
+    }
+
+    fn adjacency_to_free(&self, addr: usize, size: usize) -> (bool, bool) {
+        let before = self
+            .free
+            .range(..addr)
+            .next_back()
+            .is_some_and(|(&a, &l)| a + l == addr);
+        (before, self.free.contains_key(&(addr + size)))
+    }
+
+    fn grow(&mut self, new_capacity: usize) {
+        let added = new_capacity - self.capacity;
+        let old_capacity = std::mem::replace(&mut self.capacity, new_capacity);
+        self.free(old_capacity, added);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn flat_freelist_matches_the_tree_it_replaced(
+        capacity in 0usize..2048,
+        ops in prop::collection::vec((0u32..8, 0usize..96, any::<prop::sample::Index>()), 1..300),
+    ) {
+        let mut flat = FreeList::new(capacity);
+        let mut tree = TreeFreeList::new(capacity);
+        let mut allocated: Vec<(usize, usize)> = Vec::new();
+        for (step, (sel, size, pick)) in ops.into_iter().enumerate() {
+            match sel {
+                // Free a live allocation (3 in 8), grow the buffer (1 in 8)...
+                0..=2 if !allocated.is_empty() => {
+                    let (addr, size) = allocated.swap_remove(pick.index(allocated.len()));
+                    flat.free(addr, size);
+                    tree.free(addr, size);
+                }
+                3 => {
+                    flat.grow(flat.capacity() + size);
+                    tree.grow(tree.capacity + size);
+                }
+                // ...else allocate (sizes include 0 and ones that cannot fit).
+                _ => {
+                    let addr = flat.allocate(size);
+                    prop_assert_eq!(addr, tree.allocate(size), "step {}: allocate({})", step, size);
+                    if let Some(addr) = addr {
+                        allocated.push((addr, size));
+                    }
+                }
+            }
+            prop_assert_eq!(flat.capacity(), tree.capacity);
+            prop_assert_eq!(flat.fragments(), tree.free.len(), "step {}", step);
+            prop_assert_eq!(flat.total_free(), tree.free.values().sum::<usize>());
+            prop_assert_eq!(flat.largest_free(), tree.free.values().copied().max().unwrap_or(0));
+            for &(addr, size) in &allocated {
+                prop_assert_eq!(
+                    flat.adjacency_to_free(addr, size),
+                    tree.adjacency_to_free(addr, size),
+                    "step {}: neighbours of [{}, {})", step, addr, addr + size
+                );
+            }
+        }
+    }
 
     #[test]
     fn freelist_conserves_bytes(capacity in 1usize..4096,

@@ -56,27 +56,34 @@ loc:
 bench-e2e:
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml --
 
+# Both sides of an A/B, built once each into their own target directory
+# under target/bench-ab/: the benchmark of `parent` (its tree exported with
+# `git archive`, so it builds from committed files only) and of this tree.
+_ab-build parent:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    ab="$(pwd)/target/bench-ab"
+    rm -rf "$ab/parent"
+    mkdir -p "$ab/parent"
+    git archive "{{parent}}" | tar -x -C "$ab/parent"
+    for side in parent change; do
+        src="$(pwd)"; [ "$side" = parent ] && src="$ab/parent"
+        CARGO_TARGET_DIR="$ab/$side-target" cargo build --release --offline --quiet \
+            --manifest-path "$src/benchmark/Cargo.toml"
+    done
+
 # A speed claim's protocol in one command: builds the benchmark of `parent`
-# (from a git worktree under target/) and of this tree, runs `pairs`
-# alternating parent/change processes of one workload at BENCHMARK.json's
-# run length on `seed` and on one other seed, and prints each end-to-end
-# metric's per-side median and quartiles and how many pairs the change won.
+# and of this tree, runs `pairs` alternating parent/change processes of one
+# workload at BENCHMARK.json's run length on `seed` and on one other seed,
+# and prints each end-to-end metric's per-side median and quartiles and how
+# many pairs the change won.
 # A claim needs >= 9 of 10 pairs and medians apart by more than the parent's
 # own interquartile spread, on both seeds. Don't compile while it measures.
-bench-ab parent pairs="10" workload="rmat14_lcc_cached" seed="7":
+bench-ab parent pairs="10" workload="rmat14_lcc_cached" seed="7": (_ab-build parent)
     #!/usr/bin/env bash
     set -euo pipefail
     root=$(pwd)
     ab="$root/target/bench-ab"
-    mkdir -p "$ab"
-    git worktree remove --force "$ab/parent" 2>/dev/null || true
-    git worktree add --quiet --detach "$ab/parent" "{{parent}}"
-    trap 'git worktree remove --force "$ab/parent"' EXIT
-    for side in parent change; do
-        src="$root"; [ "$side" = parent ] && src="$ab/parent"
-        CARGO_TARGET_DIR="$ab/$side-target" cargo build --release --offline --quiet \
-            --manifest-path "$src/benchmark/Cargo.toml"
-    done
     seconds=$(grep -o '"run_seconds": *[0-9]*' BENCHMARK.json | grep -o '[0-9]*$')
     run() { # side seed -> one line of "metric=value" fields
         local src="$root"; [ "$1" = parent ] && src="$ab/parent"
@@ -112,6 +119,46 @@ bench-ab parent pairs="10" workload="rmat14_lcc_cached" seed="7":
                 }
             }' "$log" | sort
     done
+
+# "Same decisions" as one command: the traced pass of all four workloads on
+# seeds 7 and 11, parent and this tree, and a diff of every metric that is an
+# exact count of the run (gets, bytes, hits, evictions, kernel shares, service
+# batches — not a timing). Exits non-zero on any difference. A change that
+# claims it moved only host time passes this; one that moves a count on
+# purpose lists what moved and why.
+counts-ab parent: (_ab-build parent)
+    #!/usr/bin/env bash
+    set -euo pipefail
+    root=$(pwd)
+    ab="$root/target/bench-ab"
+    counts() { # side workload seed -> file of "name value" lines, one per exact count
+        local src="$root"; [ "$1" = parent ] && src="$ab/parent"
+        local out="$ab/counts-$1-$2-seed$3.txt"
+        (cd "$src" && "$ab/$1-target/release/rmatc-benchmark" --workload "$2" \
+            --seed "$3" --seconds 2 --trace 1) | awk -F'\t' '
+            $1 != "metric" { next }
+            $2 ~ /^rma\.(gets|bytes|bytes_per_get|local_reads|retries)$/ ||
+            ($2 ~ /^clampi\./ && $2 !~ /(_s|_ns)$/) ||
+            $2 ~ /^intersect\.(pairs|elems|share_)/ ||
+            $2 ~ /^distributed\.(edges|remote_edges)$/ || $2 == "jaccard.edges" ||
+            $2 ~ /^service\.(dedup_ratio|rows_per_query|batches|shed|failed)$/ { print $2, $3 }' > "$out"
+        [ "$(wc -l < "$out")" -eq 26 ] || { echo "expected 26 exact counts in $out" >&2; exit 2; }
+        echo "$out"
+    }
+    status=0
+    for workload in $(grep -o '"name": *"[a-z0-9_]*", *"why"' BENCHMARK.json | cut -d'"' -f4); do
+        for seed in 7 11; do
+            parent=$(counts parent "$workload" "$seed")
+            change=$(counts change "$workload" "$seed")
+            if diff "$parent" "$change"; then
+                echo "same       $workload seed $seed"
+            else
+                echo "DIFFERENT  $workload seed $seed (< parent, > change)"
+                status=1
+            fi
+        done
+    done
+    exit $status
 
 # Fit this machine's kernel-crossover cost profile and persist it to the
 # default profile path (RMATC_PROFILE or ~/.cache/rmatc/). See docs/TUNING.md.
