@@ -166,9 +166,16 @@ impl RowReader {
             offsets_cache: caches
                 .and_then(|c| c.offsets)
                 .map(|cfg| ShardedCachedWindow::new(windows.offsets.clone(), cfg, shards)),
-            adj_cache: caches
-                .and_then(|c| c.adjacencies)
-                .map(|cfg| ShardedCachedWindow::new(windows.adjacencies.clone(), cfg, shards)),
+            adj_cache: caches.and_then(|c| c.adjacencies).map(|cfg| {
+                // The degree passed with each row only steers eviction and
+                // admission if the cache scores by it; `C_offsets` entries
+                // carry no score and stay positional.
+                let cfg = match config.score_mode {
+                    ScoreMode::Lru => cfg,
+                    ScoreMode::DegreeCentrality => cfg.with_application_scores(),
+                };
+                ShardedCachedWindow::new(windows.adjacencies.clone(), cfg, shards)
+            }),
             score_mode: config.score_mode,
             storage: windows.storage,
         }

@@ -2,6 +2,7 @@
 //! caching eliminates repeated remote reads, larger caches miss less, degree scores
 //! help under pressure, and the compulsory-miss floor grows with the rank count.
 
+use rmatc::core::distributed::GraphWindows;
 use rmatc::prelude::*;
 
 fn skewed_graph() -> CsrGraph {
@@ -49,11 +50,14 @@ fn miss_rate_decreases_monotonically_with_cache_size() {
 #[test]
 fn degree_scores_do_not_hit_less_than_lru_under_pressure() {
     let g = skewed_graph();
-    let adj_bytes = g.edge_count() as usize * 4;
-    // 25% of the non-local partition, as in Figure 8: evictions are guaranteed.
-    let capacity = adj_bytes / 4;
+    // 25% of the adjacency data as the windows store it (plain ids, or
+    // compressed words in the storage leg), as in Figure 8: capacity
+    // evictions are guaranteed.
+    let base = DistConfig::non_cached(4);
+    let pg = PartitionedGraph::from_global(&g, base.scheme, base.ranks).unwrap();
+    let capacity = GraphWindows::build_with(&pg, base.storage).adjacency_bytes() / 4;
     let run = |mode| {
-        let mut cfg = DistConfig::non_cached(4);
+        let mut cfg = base;
         cfg.cache = Some(CacheSpec::adjacencies_only(capacity));
         cfg.score_mode = mode;
         DistLcc::new(cfg).run(&g)
@@ -63,9 +67,18 @@ fn degree_scores_do_not_hit_less_than_lru_under_pressure() {
     let lru_stats = lru.adjacency_cache_totals().unwrap();
     let degree_stats = degree.adjacency_cache_totals().unwrap();
     assert!(
-        lru_stats.evictions() > 0,
+        lru_stats.capacity_evictions > 0,
         "the configuration must create cache pressure"
     );
+    // The degrees must reach the policy: under pressure the score-aware cache
+    // refuses low-degree rows that plain LRU admits, so the two runs cannot
+    // be the same run decision for decision.
+    assert_eq!(lru_stats.admission_rejections, 0);
+    assert!(
+        degree_stats.admission_rejections > 0,
+        "degree scores never refused a row: they are not reaching the eviction policy"
+    );
+    assert_ne!(degree_stats, lru_stats);
     assert!(
         degree_stats.hit_rate() >= lru_stats.hit_rate() - 0.01,
         "degree scores should not lose to LRU on a skewed graph ({} vs {})",

@@ -10,6 +10,17 @@
 //! forces capacity and conflict evictions under plain storage, 2 KiB under
 //! compressed), plain and compressed windows, LCC and Jaccard. Do not re-record these literals
 //! to make a change pass: a moved count is a changed protocol.
+//!
+//! The two pressured configurations (4 KiB plain, 2 KiB compressed) were
+//! re-pinned once, on purpose: the recorded worker passed each row's degree
+//! to the cache but never switched `C_adj` to
+//! [`ScorePolicy::ApplicationScore`](rmatc::clampi::ScorePolicy), so the
+//! scores it recorded under were positional LRU's. `RowReader::new` now makes
+//! that switch under `with_degree_scores()`, which changes which residents a
+//! full cache evicts and lets it refuse low-degree rows (the non-zero
+//! `admission_rejections` below; rank 1 at 4 KiB fetches 28 800 bytes where it
+//! fetched 46 396). Offsets caches, answers and the two unpressured
+//! configurations did not move.
 
 use rmatc::clampi::CacheStats;
 use rmatc::core::distributed::worker::run_worker;
@@ -128,20 +139,20 @@ const GOLDEN: &[Golden] = &[
         lcc: [
             LccRank {
                 offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 0, 0, 8064, 0, 0, 0],
-                adjacency: [372, 199, 90, 0, 146, 0, 35240, 9016, 0, 0, 0, 0, 6644, 0, 0, 0],
-                rma: [712, 17224, 712, 430, 0, 712, 0, 17224, 0],
+                adjacency: [418, 153, 90, 0, 100, 0, 39704, 4552, 0, 0, 0, 0, 1992, 0, 0, 0],
+                rma: [666, 12760, 666, 476, 0, 666, 0, 12760, 0],
                 triangles: 9494,
             },
             LccRank {
                 offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 0, 0, 7728, 0, 0, 0],
-                adjacency: [267, 304, 80, 228, 42, 0, 68116, 38524, 0, 0, 0, 0, 34864, 0, 0, 0],
-                rma: [796, 46396, 796, 346, 796, 0, 46396, 0, 0],
+                adjacency: [316, 255, 80, 126, 12, 97, 85712, 20928, 0, 0, 0, 0, 8396, 97, 0, 0],
+                rma: [747, 28800, 747, 395, 747, 0, 28800, 0, 0],
                 triangles: 2806,
             },
         ],
         jaccard: [
-            [712, 17224, 712, 430, 0, 712, 0, 17224, 0],
-            [796, 46396, 796, 346, 796, 0, 46396, 0, 0],
+            [666, 12760, 666, 476, 0, 666, 0, 12760, 0],
+            [747, 28800, 747, 395, 747, 0, 28800, 0, 0],
         ],
     },
     Golden {
@@ -150,20 +161,20 @@ const GOLDEN: &[Golden] = &[
         lcc: [
             LccRank {
                 offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 0, 0, 8064, 0, 0, 0],
-                adjacency: [440, 131, 90, 0, 66, 0, 12548, 2556, 0, 0, 0, 0, 1184, 0, 4156, 2556],
-                rma: [644, 10764, 644, 498, 0, 644, 0, 10764, 0],
+                adjacency: [437, 134, 90, 0, 71, 0, 12528, 2576, 0, 0, 0, 0, 1228, 0, 4052, 2576],
+                rma: [647, 10784, 647, 495, 0, 647, 0, 10784, 0],
                 triangles: 9494,
             },
             LccRank {
                 offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 0, 0, 7728, 0, 0, 0],
-                adjacency: [433, 138, 80, 6, 73, 0, 18780, 3920, 0, 0, 0, 0, 2156, 0, 12788, 3920],
-                rma: [630, 11792, 630, 512, 630, 0, 11792, 0, 0],
+                adjacency: [444, 127, 80, 0, 68, 0, 19316, 3384, 0, 0, 0, 0, 1592, 0, 9940, 3384],
+                rma: [619, 11256, 619, 523, 619, 0, 11256, 0, 0],
                 triangles: 2806,
             },
         ],
         jaccard: [
-            [644, 10764, 644, 498, 0, 644, 0, 10764, 0],
-            [630, 11792, 630, 512, 630, 0, 11792, 0, 0],
+            [647, 10784, 647, 495, 0, 647, 0, 10784, 0],
+            [619, 11256, 619, 523, 619, 0, 11256, 0, 0],
         ],
     },
 ];
