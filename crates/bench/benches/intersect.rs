@@ -9,7 +9,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::Rng;
 use rand::SeedableRng;
-use rmatc_core::intersect::calibrate::{calibrate, CalibrationConfig};
 use rmatc_core::intersect::{
     binary_search_count, compressed_count_closing, compressed_scalar_count, compressed_simd_count,
     compressed_skip_count, galloping_count, simd_count, ssi_count, CostModel, IntersectMethod,
@@ -73,52 +72,27 @@ fn bench_kernels(c: &mut Criterion) {
     }
     group.finish();
 
-    // Analytic vs calibrated cost model, same Hybrid method over one mixed
-    // sweep of all four shape regimes — the entry `bench-diff` tracks so the
-    // two models stay side by side in the history. The profile is fitted on
-    // this host at bench startup (quick probe), so the comparison measures
-    // what a user actually gets from running `rmatc-calibrate` here.
+    // The Hybrid method over one mixed sweep of all four shape regimes: the
+    // end-to-end cost of the per-pair kernel choice, tracked by `bench-diff`.
     let pairs: Vec<(&[u32], &[u32])> = vec![
         (&balanced_a, &balanced_b),
         (&big_a, &big_b),
         (&hub_keys, &hub_hay),
         (&skew_keys, &skew_hay),
     ];
-    let profile = calibrate(&CalibrationConfig::quick()).profile;
-    eprintln!(
-        "fitted cost profile: gallop_exponent = {}, merge_ratio[8..12] = {:?}",
-        profile.gallop_exponent,
-        &profile.merge_ratio[8..12]
-    );
-    for (name, &(a, b)) in ["balanced", "balanced64k", "hubleaf1024x", "skewed1000x"]
-        .iter()
-        .zip(&pairs)
-    {
-        let (short, long) = (a.len().min(b.len()), a.len().max(b.len()));
-        eprintln!(
-            "  {name:14} analytic={:?} calibrated={:?}",
-            IntersectMethod::Hybrid.resolve(short, long),
-            profile.select_kernel(short, long)
-        );
-    }
     let mut group = c.benchmark_group("intersect/costmodel");
     group.throughput(Throughput::Elements(
         pairs.iter().map(|(a, b)| (a.len() + b.len()) as u64).sum(),
     ));
-    for (name, model) in [
-        ("hybrid_analytic", CostModel::Analytic),
-        ("hybrid_calibrated", CostModel::Calibrated(profile)),
-    ] {
-        let ix = Intersector::new(IntersectMethod::Hybrid).with_cost_model(model);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                pairs
-                    .iter()
-                    .map(|(list_a, list_b)| ix.count(list_a, list_b))
-                    .sum::<u64>()
-            })
-        });
-    }
+    let ix = Intersector::new(IntersectMethod::Hybrid);
+    group.bench_function("hybrid_analytic", |b| {
+        b.iter(|| {
+            pairs
+                .iter()
+                .map(|(list_a, list_b)| ix.count(list_a, list_b))
+                .sum::<u64>()
+        })
+    });
     group.finish();
 }
 

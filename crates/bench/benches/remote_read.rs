@@ -66,7 +66,6 @@ fn bench_remote_read(c: &mut Criterion) {
         offsets_bytes: Some(offsets_budget),
         cache_offsets: true,
         cache_adjacencies: true,
-        adaptive: false,
         policy: Default::default(),
     };
     let edges = remote_edges(&pg, 2_048);
@@ -122,7 +121,6 @@ fn bench_remote_read(c: &mut Criterion) {
         offsets_bytes: Some(offsets_budget),
         cache_offsets: true,
         cache_adjacencies: true,
-        adaptive: false,
         policy: Default::default(),
     };
     let cop = ClosingCount::new(&cconfig, pg.direction, GraphStorage::Compressed);

@@ -38,10 +38,6 @@ const DEFAULT_THRESHOLD_PCT: f64 = 15.0;
 ///   pre-robustness tree under matched load showed the code itself neutral).
 /// * `intersect/parallel/` — multi-threaded section; CI runners share cores,
 ///   so thread wake latency dominates small-sample medians.
-/// * `intersect/costmodel/hybrid_calibrated` — re-fits its profile from live
-///   micro-probes at bench startup, so its kernel routing (and hence median)
-///   legitimately moves between runs on a noisy host; the entry exists to
-///   track the analytic/calibrated relationship, not as a tight gate.
 /// * `cache_policy/replay/` — trace-replay timings over a whole synthetic
 ///   access trace; dominated by hash/alloc churn whose run-to-run swing on a
 ///   shared runner exceeds the default band. The `missrate_ppm` /
@@ -80,7 +76,6 @@ const PER_BENCH_THRESHOLD_PCT: &[(&str, f64)] = &[
     ("remote_read/non_overlapped_injected", 30.0),
     ("remote_read/pipelined", 30.0),
     ("intersect/parallel/", 25.0),
-    ("intersect/costmodel/hybrid_calibrated", 60.0),
     ("cache_policy/replay/", 30.0),
     ("service/drive/", 30.0),
     ("service/p50_ns", 40.0),

@@ -31,7 +31,6 @@
 //! | `fig10_large_scale` | Figure 10 | Large-scale distributed runs |
 //! | `text_comm_fractions` | §IV-C prose | Communication-time fractions quoted in the text |
 //! | `bench-diff` | — (this reproduction) | Per-commit regression gate over the criterion history, with per-benchmark thresholds |
-//! | `rmatc-calibrate` | — (this reproduction) | ATLAS-style cost-model calibration front end (see `docs/TUNING.md`) |
 
 pub mod history;
 pub mod measure;

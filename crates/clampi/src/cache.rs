@@ -1,8 +1,7 @@
 //! The CLaMPI cache proper: slot-indexed variable-size entries over a managed memory
-//! buffer, with pluggable victim selection (see [`crate::policy`]) and optional
-//! adaptive resizing.
+//! buffer, with pluggable victim selection (see [`crate::policy`]). Buffer and
+//! table are sized once, at construction.
 
-use crate::adaptive::{AdaptiveAction, AdaptiveState};
 use crate::config::{ClampiConfig, ConsistencyMode};
 use crate::entry::{Entry, EntryKey, KeyHasher};
 use crate::freelist::FreeList;
@@ -96,7 +95,6 @@ pub struct Clampi<T> {
     stats: CacheStats,
     /// Keys ever requested, for compulsory-miss accounting.
     seen: HashSet<EntryKey, BuildHasherDefault<KeyHasher>>,
-    adaptive: AdaptiveState,
     occupied: usize,
     occupied_bytes: usize,
     max_user_score: f64,
@@ -110,37 +108,26 @@ pub struct Clampi<T> {
 }
 
 impl<T: Clone> Clampi<T> {
-    /// Creates a cache with the given configuration.
+    /// Creates a cache with the given configuration, which stays fixed for
+    /// the cache's lifetime.
     pub fn new(config: ClampiConfig) -> Self {
-        let mut cache = Self {
+        let nslots = config.table_slots.max(1);
+        Self {
             freelist: FreeList::new(config.capacity_bytes),
-            slots: Vec::new(),
-            occupancy: Vec::new(),
-            meta: Vec::new(),
-            slot_mod: FastMod::new(1),
+            slots: std::iter::repeat_with(|| None).take(nslots).collect(),
+            occupancy: vec![0; nslots.div_ceil(64)],
+            meta: vec![EntryView::default(); nslots],
+            slot_mod: FastMod::new(nslots),
             clock: 0,
             stats: CacheStats::default(),
             seen: HashSet::default(),
-            adaptive: AdaptiveState::default(),
             occupied: 0,
             occupied_bytes: 0,
             max_user_score: 0.0,
             rng_state: 0x9e37_79b9_7f4a_7c15,
             policy: config.policy.build(),
             config,
-        };
-        cache.reset_table(config.table_slots.max(1));
-        cache
-    }
-
-    /// Replaces the (empty) hash table with one of `nslots` empty slots.
-    fn reset_table(&mut self, nslots: usize) {
-        debug_assert_eq!(self.occupied, 0, "resizing drops no entry");
-        self.slots = Vec::new();
-        self.slots.resize_with(nslots, || None);
-        self.occupancy = vec![0; nslots.div_ceil(64)];
-        self.meta = vec![EntryView::default(); nslots];
-        self.slot_mod = FastMod::new(nslots);
+        }
     }
 
     /// Which eviction-policy family this cache runs.
@@ -148,7 +135,7 @@ impl<T: Clone> Clampi<T> {
         self.policy.kind()
     }
 
-    /// The active configuration (capacity and table size reflect adaptive resizes).
+    /// The configuration the cache was built with.
     pub fn config(&self) -> &ClampiConfig {
         &self.config
     }
@@ -240,7 +227,6 @@ impl<T: Clone> Clampi<T> {
     /// serving it — the hook of the self-healing cached read path.
     pub fn lookup_entry(&mut self, key: EntryKey) -> Option<(Arc<[T]>, Option<u64>)> {
         self.clock += 1;
-        self.adaptive.record_access();
         let hit = self.find(&key).map(|slot| {
             self.touch(slot);
             let entry = self.slots[slot]
@@ -258,7 +244,6 @@ impl<T: Clone> Clampi<T> {
             }
         }
         debug_assert_eq!(self.stats.lookups(), self.clock, "one outcome per lookup");
-        self.maybe_adapt();
         hit
     }
 
@@ -342,7 +327,6 @@ impl<T: Clone> Clampi<T> {
                 }
                 self.evict_chosen_victim(victim.0);
                 self.stats.conflict_evictions += 1;
-                self.adaptive.record_conflict();
                 evicted += 1;
                 victim.0
             }
@@ -371,7 +355,6 @@ impl<T: Clone> Clampi<T> {
             }
             self.evict_chosen_victim(victim);
             self.stats.capacity_evictions += 1;
-            self.adaptive.record_space_eviction();
             evicted += 1;
         };
         let mut meta = EntryView {
@@ -414,7 +397,7 @@ impl<T: Clone> Clampi<T> {
     }
 
     /// Removes every entry (the cache flush CLaMPI performs at epoch closures in
-    /// transparent mode, on hash-table resizes, or on user request).
+    /// transparent mode, or on user request).
     pub fn flush(&mut self) {
         for slot in 0..self.slots.len() {
             if self.is_occupied(slot) {
@@ -509,31 +492,6 @@ impl<T: Clone> Clampi<T> {
             self.freelist.total_free() + self.occupied_bytes,
             self.freelist.capacity()
         );
-    }
-
-    fn maybe_adapt(&mut self) {
-        let Some(adaptive_cfg) = self.config.adaptive else {
-            return;
-        };
-        let action =
-            self.adaptive
-                .decide(&adaptive_cfg, self.slots.len(), self.freelist.capacity());
-        match action {
-            Some(AdaptiveAction::GrowTable { new_slots }) => {
-                // Growing the hash table invalidates slot assignments: flush, as the
-                // real CLaMPI does.
-                self.flush();
-                self.reset_table(new_slots);
-                self.config.table_slots = new_slots;
-                self.stats.table_resizes += 1;
-            }
-            Some(AdaptiveAction::GrowCapacity { new_capacity }) => {
-                self.freelist.grow(new_capacity);
-                self.config.capacity_bytes = new_capacity;
-                self.stats.capacity_resizes += 1;
-            }
-            None => {}
-        }
     }
 
     /// Fault injection: replaces the resident entry's data for `key` with a
@@ -836,43 +794,6 @@ mod tests {
             1,
             "always-cache mode must persist across epochs"
         );
-    }
-
-    #[test]
-    fn adaptive_grows_table_under_conflicts() {
-        let mut cfg = ClampiConfig::always_cache(4096, 2).with_adaptive();
-        cfg.adaptive.as_mut().unwrap().interval = 32;
-        cfg.adaptive.as_mut().unwrap().conflict_threshold = 0.05;
-        let mut c: Clampi<u32> = Clampi::new(cfg);
-        // Many distinct keys over a 2-slot table: constant conflicts.
-        for i in 0..200usize {
-            let k = key(i * 2, 2);
-            if c.lookup(k).is_none() {
-                c.insert(k, vec![i as u32; 2], 0.0);
-            }
-        }
-        assert!(c.stats().table_resizes >= 1, "table should have grown");
-        assert!(c.config().table_slots > 2);
-        assert!(c.stats().flushes >= 1, "growing the table must flush");
-    }
-
-    #[test]
-    fn adaptive_grows_capacity_under_space_pressure() {
-        let mut cfg = ClampiConfig::always_cache(64, 256).with_adaptive();
-        let a = cfg.adaptive.as_mut().unwrap();
-        a.interval = 64;
-        a.eviction_threshold = 0.2;
-        a.max_capacity_bytes = 1024;
-        let mut c: Clampi<u32> = Clampi::new(cfg);
-        for i in 0..300usize {
-            let k = key(i * 4, 4);
-            if c.lookup(k).is_none() {
-                c.insert(k, vec![0u32; 4], 0.0);
-            }
-        }
-        assert!(c.stats().capacity_resizes >= 1);
-        assert!(c.config().capacity_bytes > 64);
-        assert!(c.config().capacity_bytes <= 1024);
     }
 
     #[test]

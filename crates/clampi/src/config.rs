@@ -1,5 +1,5 @@
-//! CLaMPI configuration: buffer capacity, hash-table size, consistency mode,
-//! victim-selection policy and adaptive-tuning parameters.
+//! CLaMPI configuration: buffer capacity, hash-table size, consistency mode
+//! and victim-selection policy — all fixed when the cache is built.
 
 use crate::policy::EvictionPolicyKind;
 
@@ -30,35 +30,6 @@ pub enum ScorePolicy {
     ApplicationScore,
 }
 
-/// Tuning knobs of the adaptive heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct AdaptiveConfig {
-    /// Re-evaluate the configuration every this many accesses.
-    pub interval: u64,
-    /// Grow the hash table (×2, flushing the cache) when the fraction of accesses
-    /// that hit a hash conflict exceeds this threshold.
-    pub conflict_threshold: f64,
-    /// Grow the memory buffer (×1.5, no flush) when the fraction of misses caused by
-    /// lack of space exceeds this threshold, up to `max_capacity_bytes`.
-    pub eviction_threshold: f64,
-    /// Upper bound for adaptive capacity growth.
-    pub max_capacity_bytes: usize,
-    /// Upper bound for adaptive hash-table growth.
-    pub max_table_slots: usize,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        Self {
-            interval: 4096,
-            conflict_threshold: 0.05,
-            eviction_threshold: 0.5,
-            max_capacity_bytes: usize::MAX,
-            max_table_slots: 1 << 24,
-        }
-    }
-}
-
 /// Full CLaMPI configuration for one cached window.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ClampiConfig {
@@ -84,8 +55,6 @@ pub struct ClampiConfig {
     pub positional_weight: f64,
     /// Weight of the application score in victim selection.
     pub user_weight: f64,
-    /// Adaptive tuning; `None` disables it.
-    pub adaptive: Option<AdaptiveConfig>,
     /// Number of checksum-failed (corrupted) entries after which the cache is
     /// quarantined: it stops serving and storing entries, and every read falls
     /// back to the plain RMA path — the paper's non-cached baseline — instead
@@ -105,7 +74,6 @@ impl ClampiConfig {
             lru_weight: 1.0,
             positional_weight: 0.5,
             user_weight: 2.0,
-            adaptive: None,
             quarantine_threshold: 3,
         }
     }
@@ -126,12 +94,6 @@ impl ClampiConfig {
     /// Selects the eviction-policy family (see [`crate::policy`]).
     pub fn with_policy(mut self, policy: EvictionPolicyKind) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Enables the adaptive tuning heuristic with default thresholds.
-    pub fn with_adaptive(mut self) -> Self {
-        self.adaptive = Some(AdaptiveConfig::default());
         self
     }
 
@@ -167,17 +129,13 @@ mod tests {
         let c = ClampiConfig::always_cache(1 << 20, 1024);
         assert_eq!(c.mode, ConsistencyMode::AlwaysCache);
         assert_eq!(c.scoring, ScorePolicy::LruPositional);
-        assert!(c.adaptive.is_none());
         assert_eq!(c.capacity_bytes, 1 << 20);
     }
 
     #[test]
     fn builder_style_modifiers() {
-        let c = ClampiConfig::always_cache(1024, 64)
-            .with_application_scores()
-            .with_adaptive();
+        let c = ClampiConfig::always_cache(1024, 64).with_application_scores();
         assert_eq!(c.scoring, ScorePolicy::ApplicationScore);
-        assert!(c.adaptive.is_some());
     }
 
     #[test]

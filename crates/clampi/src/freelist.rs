@@ -137,24 +137,6 @@ impl FreeList {
         (before, after)
     }
 
-    /// Grows the buffer to `new_capacity` bytes, making the added tail region
-    /// available without disturbing existing allocations. Used by the adaptive
-    /// heuristic when it enlarges the memory buffer (which, unlike growing the hash
-    /// table, does not require flushing the cache).
-    pub fn grow(&mut self, new_capacity: usize) {
-        assert!(
-            new_capacity >= self.capacity,
-            "cannot shrink the buffer with grow()"
-        );
-        if new_capacity == self.capacity {
-            return;
-        }
-        let added = new_capacity - self.capacity;
-        let old_capacity = self.capacity;
-        self.capacity = new_capacity;
-        self.free(old_capacity, added);
-    }
-
     /// Resets the free list to a (possibly larger) empty buffer.
     pub fn reset(&mut self, capacity: usize) {
         self.capacity = capacity;
@@ -260,27 +242,6 @@ mod tests {
         assert_eq!(fl.capacity(), 200);
         assert_eq!(fl.total_free(), 200);
         assert_eq!(fl.fragments(), 1);
-    }
-
-    #[test]
-    fn grow_extends_the_tail_and_coalesces() {
-        let mut fl = FreeList::new(64);
-        let a = fl.allocate(64).unwrap();
-        fl.grow(128);
-        assert_eq!(fl.capacity(), 128);
-        assert_eq!(fl.total_free(), 64);
-        assert_eq!(fl.allocate(64), Some(64));
-        fl.free(a, 64);
-        fl.grow(256);
-        // Tail [128,256) coalesces with nothing; [0,64) is separate.
-        assert_eq!(fl.total_free(), 192);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot shrink")]
-    fn grow_rejects_shrinking() {
-        let mut fl = FreeList::new(64);
-        fl.grow(32);
     }
 
     #[test]

@@ -21,9 +21,11 @@
 //! * **Consistency modes.** `Transparent` flushes at every epoch closure,
 //!   `AlwaysCache` never flushes (the graph is read-only during LCC computation),
 //!   and `UserDefined` leaves flushing to the application.
-//! * **Adaptive tuning.** An optional heuristic observes misses, conflicts and
-//!   evictions and resizes the hash table (flushing the cache, as the paper warns)
-//!   or the memory buffer.
+//! * **Sized once.** Buffer capacity and table size are fixed when the cache is
+//!   built, from the Section III-B1 rules ([`ClampiConfig::offsets_table_slots`],
+//!   [`ClampiConfig::adjacency_table_slots`]). CLaMPI's run-time resizing
+//!   heuristic (Section II-F) is not reproduced: growing the table flushes the
+//!   cache, which is why the paper sizes it up front.
 //!
 //! The integration point is [`ShardedCachedWindow`] — the one get-intercepting
 //! window — which wraps an RMA [`rmatc_rma::Window`] and intercepts gets
@@ -55,10 +57,8 @@
 //! | [`freelist`] | §II-F / §III-B | Variable-size entry storage with first-fit allocation and coalescing, over one address-sorted vector of free regions |
 //! | [`config`] | §II-F, §III-B1 | Consistency modes, score policies, and the hash-table sizing rules |
 //! | [`row`] | this reproduction | The zero-copy read views ([`RowRef`]) |
-//! | [`adaptive`] | §II-F (CLaMPI) | The adaptive resizing heuristic (observe, grow table / grow buffer) |
 //! | [`stats`] | Figs. 7–8 | Hit/miss/compulsory counters the evaluation plots |
 
-pub mod adaptive;
 pub mod cache;
 pub mod config;
 pub mod entry;

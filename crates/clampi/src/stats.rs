@@ -1,5 +1,6 @@
 //! Cache statistics: the quantities plotted in Figures 7 and 8 of the paper
-//! (miss rates, compulsory misses) plus the counters the adaptive heuristic observes.
+//! (miss rates, compulsory misses) plus evictions by cause, byte traffic and
+//! the self-healing path's counters.
 
 /// Counters kept by one CLaMPI cache instance.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -21,13 +22,9 @@ pub struct CacheStats {
     pub bytes_from_cache: u64,
     /// Bytes fetched over the network (misses).
     pub bytes_from_network: u64,
-    /// Number of times the cache was flushed (epoch closures in transparent mode,
-    /// adaptive resizes, or user flushes).
+    /// Number of times the cache was flushed (epoch closures in transparent mode
+    /// or user flushes).
     pub flushes: u64,
-    /// Number of adaptive resizes of the hash table.
-    pub table_resizes: u64,
-    /// Number of adaptive resizes of the memory buffer.
-    pub capacity_resizes: u64,
     /// Entries removed because their data failed checksum verification.
     pub invalidations: u64,
     /// Bytes freed by policy-chosen evictions (capacity and conflict victims;
@@ -125,8 +122,6 @@ impl CacheStats {
         self.bytes_from_cache += other.bytes_from_cache;
         self.bytes_from_network += other.bytes_from_network;
         self.flushes += other.flushes;
-        self.table_resizes += other.table_resizes;
-        self.capacity_resizes += other.capacity_resizes;
         self.invalidations += other.invalidations;
         self.evicted_bytes += other.evicted_bytes;
         self.admission_rejections += other.admission_rejections;

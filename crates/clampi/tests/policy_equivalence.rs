@@ -4,8 +4,7 @@
 //! trait (same arithmetic, same RNG, same stats ordering), and the proptests
 //! replay arbitrary insert/get interleavings against both, asserting
 //! decision-for-decision equality — every lookup result, every insert
-//! outcome, every counter, under both score policies and with the adaptive
-//! heuristic on or off.
+//! outcome, every counter, under both score policies.
 //!
 //! The reference keeps its own fat `Vec<Option<RefEntry>>` table, reduces
 //! victim draws with `%` and hashes `seen` with the default hasher, so it is
@@ -24,9 +23,8 @@ use rmatc_rma::WindowId;
 
 /// The cache exactly as it stood before the policy trait: victim scores,
 /// admission control and sampled victim selection inlined, operating on the
-/// same (unchanged) `FreeList` and `AdaptiveState` building blocks.
+/// same (unchanged) `FreeList` building block.
 mod reference {
-    use rmatc_clampi::adaptive::{AdaptiveAction, AdaptiveState};
     use rmatc_clampi::freelist::FreeList;
     use rmatc_clampi::{ClampiConfig, ConsistencyMode, EntryKey, ScorePolicy};
     use std::collections::HashSet;
@@ -63,8 +61,6 @@ mod reference {
         pub bytes_from_cache: u64,
         pub bytes_from_network: u64,
         pub flushes: u64,
-        pub table_resizes: u64,
-        pub capacity_resizes: u64,
     }
 
     pub struct ReferenceCache {
@@ -74,7 +70,6 @@ mod reference {
         clock: u64,
         pub stats: RefStats,
         seen: HashSet<EntryKey>,
-        adaptive: AdaptiveState,
         occupied: usize,
         occupied_bytes: usize,
         max_user_score: f64,
@@ -91,7 +86,6 @@ mod reference {
                 clock: 0,
                 stats: RefStats::default(),
                 seen: HashSet::new(),
-                adaptive: AdaptiveState::default(),
                 occupied: 0,
                 occupied_bytes: 0,
                 max_user_score: 0.0,
@@ -121,7 +115,6 @@ mod reference {
 
         pub fn lookup(&mut self, key: EntryKey) -> Option<Arc<[u32]>> {
             self.clock += 1;
-            self.adaptive.record_access();
             let clock = self.clock;
             let mut hit = None;
             let (probes, ways) = self.probe_slots(&key);
@@ -143,7 +136,6 @@ mod reference {
                     self.stats.compulsory_misses += 1;
                 }
             }
-            self.maybe_adapt();
             hit
         }
 
@@ -187,7 +179,6 @@ mod reference {
                         .expect("probe sequence is never empty");
                     self.evict_slot(victim);
                     self.stats.conflict_evictions += 1;
-                    self.adaptive.record_conflict();
                     evicted += 1;
                     victim
                 }
@@ -210,7 +201,6 @@ mod reference {
                         }
                         self.evict_slot(victim_slot);
                         self.stats.capacity_evictions += 1;
-                        self.adaptive.record_space_eviction();
                         evicted += 1;
                     }
                     None => {
@@ -318,30 +308,6 @@ mod reference {
             }
         }
 
-        fn maybe_adapt(&mut self) {
-            let Some(adaptive_cfg) = self.config.adaptive else {
-                return;
-            };
-            let action =
-                self.adaptive
-                    .decide(&adaptive_cfg, self.slots.len(), self.freelist.capacity());
-            match action {
-                Some(AdaptiveAction::GrowTable { new_slots }) => {
-                    self.flush();
-                    self.slots = Vec::new();
-                    self.slots.resize_with(new_slots, || None);
-                    self.config.table_slots = new_slots;
-                    self.stats.table_resizes += 1;
-                }
-                Some(AdaptiveAction::GrowCapacity { new_capacity }) => {
-                    self.freelist.grow(new_capacity);
-                    self.config.capacity_bytes = new_capacity;
-                    self.stats.capacity_resizes += 1;
-                }
-                None => {}
-            }
-        }
-
         fn next_random(&mut self) -> usize {
             let mut x = self.rng_state;
             x ^= x >> 12;
@@ -399,8 +365,6 @@ fn assert_stats_match(
     prop_assert_eq!(live.bytes_from_cache, reference.bytes_from_cache);
     prop_assert_eq!(live.bytes_from_network, reference.bytes_from_network);
     prop_assert_eq!(live.flushes, reference.flushes);
-    prop_assert_eq!(live.table_resizes, reference.table_resizes);
-    prop_assert_eq!(live.capacity_resizes, reference.capacity_resizes);
     Ok(())
 }
 
@@ -479,24 +443,17 @@ proptest! {
 
     /// The tentpole guarantee: `PaperScore` through the policy layer is
     /// decision-for-decision identical to the pre-refactor cache, under both
-    /// score policies, with and without the adaptive heuristic.
+    /// score policies.
     #[test]
     fn paper_score_is_bit_identical_to_pre_refactor_cache(
         ops in prop::collection::vec(op_strategy(), 1..400),
         capacity in 32usize..2048,
         slots in 1usize..96,
         use_scores in any::<bool>(),
-        adaptive in any::<bool>(),
     ) {
         let mut cfg = ClampiConfig::always_cache(capacity, slots);
         if use_scores {
             cfg = cfg.with_application_scores();
-        }
-        if adaptive {
-            cfg = cfg.with_adaptive();
-            // Small window so the heuristic actually fires inside the trace.
-            cfg.adaptive.as_mut().unwrap().interval = 32;
-            cfg.adaptive.as_mut().unwrap().max_capacity_bytes = capacity * 4;
         }
         replay_against_reference(ops, cfg)?;
     }

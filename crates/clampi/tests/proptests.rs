@@ -66,12 +66,6 @@ impl TreeFreeList {
             .is_some_and(|(&a, &l)| a + l == addr);
         (before, self.free.contains_key(&(addr + size)))
     }
-
-    fn grow(&mut self, new_capacity: usize) {
-        let added = new_capacity - self.capacity;
-        let old_capacity = std::mem::replace(&mut self.capacity, new_capacity);
-        self.free(old_capacity, added);
-    }
 }
 
 proptest! {
@@ -87,15 +81,11 @@ proptest! {
         let mut allocated: Vec<(usize, usize)> = Vec::new();
         for (step, (sel, size, pick)) in ops.into_iter().enumerate() {
             match sel {
-                // Free a live allocation (3 in 8), grow the buffer (1 in 8)...
+                // Free a live allocation (3 in 8)...
                 0..=2 if !allocated.is_empty() => {
                     let (addr, size) = allocated.swap_remove(pick.index(allocated.len()));
                     flat.free(addr, size);
                     tree.free(addr, size);
-                }
-                3 => {
-                    flat.grow(flat.capacity() + size);
-                    tree.grow(tree.capacity + size);
                 }
                 // ...else allocate (sizes include 0 and ones that cannot fit).
                 _ => {

@@ -30,8 +30,6 @@ pub struct CacheSpec {
     pub cache_offsets: bool,
     /// Enable caching of the adjacencies window.
     pub cache_adjacencies: bool,
-    /// Enable CLaMPI's adaptive resizing heuristic.
-    pub adaptive: bool,
     /// Eviction-policy family both windows' caches run. The default,
     /// [`EvictionPolicyKind::PaperScore`], reproduces the paper exactly;
     /// [`ScoreMode`] then selects which score variant it computes.
@@ -47,7 +45,6 @@ impl CacheSpec {
             offsets_bytes: None,
             cache_offsets: true,
             cache_adjacencies: true,
-            adaptive: false,
             policy: EvictionPolicyKind::PaperScore,
         }
     }
@@ -59,7 +56,6 @@ impl CacheSpec {
             offsets_bytes: Some(bytes),
             cache_offsets: true,
             cache_adjacencies: false,
-            adaptive: false,
             policy: EvictionPolicyKind::PaperScore,
         }
     }
@@ -71,15 +67,8 @@ impl CacheSpec {
             offsets_bytes: Some(0),
             cache_offsets: false,
             cache_adjacencies: true,
-            adaptive: false,
             policy: EvictionPolicyKind::PaperScore,
         }
-    }
-
-    /// Enables adaptive tuning.
-    pub fn with_adaptive(mut self) -> Self {
-        self.adaptive = true;
-        self
     }
 
     /// Selects the eviction-policy family for both windows' caches
@@ -95,7 +84,8 @@ impl CacheSpec {
     /// Hash-table sizing follows Section III-B1: the offsets cache stores fixed
     /// 16-byte (start, end) entries, so one slot per storable entry; the adjacency
     /// cache uses the power-law estimate `n · f^α` with `α = 2`, where `f` is the
-    /// fraction of the adjacency data the cache can hold.
+    /// fraction of the adjacency data the cache can hold. The sizes are final:
+    /// a CLaMPI cache never resizes its table, which would flush it.
     pub fn resolve(&self, n_global: usize, graph_adj_bytes: u64) -> ResolvedCaches {
         let offsets_bytes = self
             .offsets_bytes
@@ -106,11 +96,7 @@ impl CacheSpec {
                 .saturating_sub(if self.cache_offsets { offsets_bytes } else { 0 });
         let offsets_cfg = if self.cache_offsets && offsets_bytes > 0 {
             let slots = ClampiConfig::offsets_table_slots(offsets_bytes, 16);
-            let mut cfg = ClampiConfig::always_cache(offsets_bytes, slots).with_policy(self.policy);
-            if self.adaptive {
-                cfg = cfg.with_adaptive();
-            }
-            Some(cfg)
+            Some(ClampiConfig::always_cache(offsets_bytes, slots).with_policy(self.policy))
         } else {
             None
         };
@@ -121,11 +107,7 @@ impl CacheSpec {
                 (adj_bytes as f64 / graph_adj_bytes as f64).min(1.0)
             };
             let slots = ClampiConfig::adjacency_table_slots(n_global, fraction);
-            let mut cfg = ClampiConfig::always_cache(adj_bytes, slots).with_policy(self.policy);
-            if self.adaptive {
-                cfg = cfg.with_adaptive();
-            }
-            Some(cfg)
+            Some(ClampiConfig::always_cache(adj_bytes, slots).with_policy(self.policy))
         } else {
             None
         };
@@ -155,9 +137,7 @@ pub struct DistConfig {
     /// Intersection kernel.
     pub method: IntersectMethod,
     /// Cost model [`IntersectMethod::Hybrid`] resolves kernels through on
-    /// every rank: analytic (default) or machine-calibrated (see
-    /// [`crate::intersect::calibrate`]). Kernel choice only — rank outputs
-    /// are identical under any model.
+    /// every rank; [`CostModel`] has one variant, the paper's analytic rule.
     pub cost_model: CostModel,
     /// Network cost model for remote reads.
     pub network: NetworkModel,
@@ -334,15 +314,6 @@ mod tests {
         let big = CacheSpec::adjacencies_only(1 << 20).resolve(100_000, 1 << 20);
         let small = CacheSpec::adjacencies_only(1 << 14).resolve(100_000, 1 << 20);
         assert!(big.adjacencies.unwrap().table_slots > small.adjacencies.unwrap().table_slots);
-    }
-
-    #[test]
-    fn adaptive_flag_propagates() {
-        let resolved = CacheSpec::paper(1 << 20)
-            .with_adaptive()
-            .resolve(1_000, 1 << 20);
-        assert!(resolved.offsets.unwrap().adaptive.is_some());
-        assert!(resolved.adjacencies.unwrap().adaptive.is_some());
     }
 
     #[test]

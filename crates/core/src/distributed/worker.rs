@@ -8,8 +8,7 @@ use super::pipeline::run_rank;
 use super::reader::{Edge, EdgeOp};
 use super::windows::GraphWindows;
 use crate::intersect::{
-    copy_decode_intersect, copy_decode_intersect_into, fused, CostModel, IntersectMethod,
-    ParallelIntersector,
+    copy_decode_intersect, copy_decode_intersect_into, fused, IntersectMethod, ParallelIntersector,
 };
 use crate::local::{
     closing_a_side, closing_b_start, compressed_closing_operands, compressed_count_closing_at,
@@ -92,8 +91,6 @@ pub struct ClosingCount {
     /// distributed one, and the distributed experiments map one MPI task per
     /// core.
     intersector: ParallelIntersector,
-    /// Cost model the compressed kernels dispatch through (merge vs skip).
-    model: CostModel,
     /// Representation remote rows arrive in (local rows are always plain).
     storage: GraphStorage,
 }
@@ -101,13 +98,11 @@ pub struct ClosingCount {
 impl ClosingCount {
     /// The operation for a graph of the given `direction` whose remote rows
     /// arrive encoded as `storage` (that of the windows being read), with
-    /// `config`'s intersection method and cost model.
+    /// `config`'s intersection method.
     pub fn new(config: &DistConfig, direction: Direction, storage: GraphStorage) -> Self {
         Self {
             direction,
-            intersector: ParallelIntersector::new(config.method, 1, usize::MAX)
-                .with_cost_model(config.cost_model),
-            model: config.cost_model,
+            intersector: ParallelIntersector::new(config.method, 1, usize::MAX),
             storage,
         }
     }
@@ -147,7 +142,7 @@ impl EdgeOp for ClosingCount {
         match self.storage {
             GraphStorage::Plain => self.local(edge, row),
             GraphStorage::Compressed => {
-                compressed_count_closing_at(self.direction, adj_u, row, v, k, &self.model)
+                compressed_count_closing_at(self.direction, adj_u, row, v, k)
             }
         }
     }
@@ -156,7 +151,7 @@ impl EdgeOp for ClosingCount {
         if self.storage == GraphStorage::Compressed {
             let (a, bound) =
                 compressed_closing_operands(self.direction, edge.adj_u, edge.v, edge.k);
-            return copy_decode_intersect(wire, a, bound, &self.model);
+            return copy_decode_intersect(wire, a, bound);
         }
         let (a, from, fused) = self.transfer_plan(edge, wire);
         if fused {
@@ -176,7 +171,7 @@ impl EdgeOp for ClosingCount {
             // of its destination.
             return unsafe {
                 fused::land_in_vec(landing, wire.len(), |dst| {
-                    copy_decode_intersect_into(wire, a, bound, &self.model, dst)
+                    copy_decode_intersect_into(wire, a, bound, dst)
                 })
             };
         }

@@ -22,9 +22,7 @@
 //!   64-entry stack buffer.
 //!
 //! [`compressed_count_closing`] picks between the two accelerated kernels
-//! per pair through the [`CostModel`] — the compressed analogue of the
-//! hybrid rule, using the calibrated compressed crossover grid when one is
-//! fitted ([`CostProfile::compressed_merge_is_faster`]).
+//! per pair by Eq. (3) — the compressed analogue of the hybrid rule.
 //!
 //! [`copy_decode_intersect`] is the miss-path fusion: a remote compressed
 //! row is landed verbatim (word-for-word, so cache checksums and future
@@ -39,10 +37,8 @@
 //! where `bound = Some(v)` expresses the upper-triangle filtering of the LCC
 //! loops (`None` intersects against the whole row). Every kernel returns
 //! identical counts; only the work shape differs.
-//!
-//! [`CostProfile::compressed_merge_is_faster`]: super::calibrate::CostProfile::compressed_merge_is_faster
 
-use super::calibrate::CostModel;
+use super::hybrid::{ssi_is_faster, CostModel};
 use super::simd::simd_count;
 use rmatc_graph::compressed::{decode_block_scalar, BlockHeader, RowCursor, BLOCK_VALUES};
 use rmatc_graph::types::VertexId;
@@ -244,9 +240,8 @@ pub fn compressed_skip_count(a: &[VertexId], row: &[u32], bound: Option<VertexId
 /// The per-pair dispatcher: the compressed analogue of the hybrid rule.
 /// Merge-class shapes (and every pair where the keys outnumber the row, for
 /// which key-wise search degenerates) run [`compressed_simd_count`]; skewed
-/// few-keys pairs run [`compressed_skip_count`]. The class boundary comes
-/// from the [`CostModel`] — analytic Eq. (3) by default, or the calibrated
-/// compressed crossover grid.
+/// few-keys pairs run [`compressed_skip_count`]. The class boundary is
+/// Eq. (3) ([`CostModel::compressed_merge_is_faster`]).
 pub fn compressed_count_closing(
     a: &[VertexId],
     row: &[u32],
@@ -286,11 +281,10 @@ pub fn copy_decode_intersect(
     src: &[u32],
     a: &[VertexId],
     bound: Option<VertexId>,
-    model: &CostModel,
 ) -> (Arc<[u32]>, u64) {
     let mut buf = Arc::new_uninit_slice(src.len());
     let dst = Arc::get_mut(&mut buf).expect("freshly allocated Arc is unique");
-    let count = copy_decode_intersect_into(src, a, bound, model, dst);
+    let count = copy_decode_intersect_into(src, a, bound, dst);
     // SAFETY: `copy_decode_intersect_into` initialises every element of `dst`.
     (unsafe { buf.assume_init() }, count)
 }
@@ -311,15 +305,12 @@ pub fn copy_decode_intersect_into(
     src: &[u32],
     a: &[VertexId],
     bound: Option<VertexId>,
-    model: &CostModel,
     dst: &mut [MaybeUninit<u32>],
 ) -> u64 {
     // A hard check: `write_words` copies through raw pointers.
     assert_eq!(dst.len(), src.len(), "destination must fit the row exactly");
     let n = rmatc_graph::compressed::decoded_len(src);
-    let use_skip = !(a.is_empty() || n == 0)
-        && a.len() <= n
-        && !model.compressed_merge_is_faster(a.len().min(n), a.len().max(n));
+    let use_skip = !(a.is_empty() || n == 0) && a.len() <= n && !ssi_is_faster(a.len(), n);
     let mut cursor = RowCursor::new(src);
     let mut block = [0u32; BLOCK_VALUES];
     let mut count = 0u64;
@@ -409,7 +400,7 @@ mod tests {
             compressed_simd_count(&a, &row, bound);
             compressed_skip_count(&a, &row, bound);
             compressed_count_closing(&a, &row, bound, &model);
-            let (landed, _) = copy_decode_intersect(&row, &a, bound, &model);
+            let (landed, _) = copy_decode_intersect(&row, &a, bound);
             assert_eq!(&landed[..], &row[..], "landed buffer must be verbatim");
         }
     }
@@ -436,13 +427,13 @@ mod tests {
                     expected,
                     "dispatch"
                 );
-                let (landed, count) = copy_decode_intersect(&row, &a, bound, &model);
+                let (landed, count) = copy_decode_intersect(&row, &a, bound);
                 assert_eq!(&*landed, &row[..], "landed row must be an exact copy");
                 assert_eq!(count, expected, "fused");
                 // SAFETY: the `_into` kernel initialises its whole destination.
                 let count = unsafe {
                     crate::intersect::fused::land_in_vec(&mut landing, row.len(), |dst| {
-                        copy_decode_intersect_into(&row, &a, bound, &model, dst)
+                        copy_decode_intersect_into(&row, &a, bound, dst)
                     })
                 };
                 assert_eq!(landing, row, "the reused landing buffer holds the row");
@@ -455,7 +446,6 @@ mod tests {
     fn wide_and_varint_blocks_agree() {
         // Huge gaps force w > 25 (AVX2 fallback) and varint escapes.
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let model = CostModel::Analytic;
         for _ in 0..50 {
             let mut b: Vec<u32> = Vec::new();
             let mut v = 0u64;
@@ -478,7 +468,7 @@ mod tests {
                 assert_eq!(compressed_scalar_count(&a, &row, bound), expected);
                 assert_eq!(compressed_simd_count(&a, &row, bound), expected);
                 assert_eq!(compressed_skip_count(&a, &row, bound), expected);
-                let (landed, count) = copy_decode_intersect(&row, &a, bound, &model);
+                let (landed, count) = copy_decode_intersect(&row, &a, bound);
                 assert_eq!(&*landed, &row[..]);
                 assert_eq!(count, expected);
             }
@@ -540,10 +530,10 @@ mod tests {
         let mut row = Vec::new();
         compress_row(&[5, 10], &mut row);
         assert_eq!(compressed_count_closing(&[], &row, None, &model), 0);
-        let (landed, count) = copy_decode_intersect(&row, &[], None, &model);
+        let (landed, count) = copy_decode_intersect(&row, &[], None);
         assert_eq!(&*landed, &row[..]);
         assert_eq!(count, 0);
-        let (landed, count) = copy_decode_intersect(&empty_row, &[1], None, &model);
+        let (landed, count) = copy_decode_intersect(&empty_row, &[1], None);
         assert_eq!(&*landed, &empty_row[..]);
         assert_eq!(count, 0);
     }

@@ -71,32 +71,35 @@ impl IntersectMethod {
 
     /// Resolves the per-pair decision: `Hybrid` applies the three-way cost
     /// model ([`select_kernel`]), every other method is already concrete.
-    ///
-    /// Equivalent to [`resolve_with`](Self::resolve_with) under
-    /// [`CostModel::Analytic`](super::CostModel::Analytic); kept as the
-    /// shorthand for the paper's as-written rule.
     pub fn resolve(self, short_len: usize, long_len: usize) -> IntersectMethod {
         match self {
             IntersectMethod::Hybrid => select_kernel(short_len, long_len),
             concrete => concrete,
         }
     }
+}
 
-    /// Resolves the per-pair decision through an explicit cost model:
-    /// `Hybrid` asks `model` (the analytic Eq. (3) rule, or a machine's
-    /// calibrated [`CostProfile`](super::calibrate::CostProfile)), every
-    /// other method is already concrete. The model only ever picks the
-    /// *kernel*; counts are identical whichever one it picks.
-    pub fn resolve_with(
-        self,
-        short_len: usize,
-        long_len: usize,
-        model: &super::calibrate::CostModel,
-    ) -> IntersectMethod {
-        match self {
-            IntersectMethod::Hybrid => model.select(short_len, long_len),
-            concrete => concrete,
-        }
+/// The rule [`IntersectMethod::Hybrid`] resolves kernels through: the
+/// paper's Eq. (3) plus the `|B| < |A|²` probe rule, identical on every host.
+/// It has one variant; the type survives so configurations that name it
+/// keep compiling.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub enum CostModel {
+    /// Eq. (3) + `|B| < |A|²`, as written in the paper.
+    #[default]
+    Analytic,
+}
+
+impl CostModel {
+    /// The kernel for a `(short, long)` pair: [`select_kernel`].
+    pub fn select(&self, short_len: usize, long_len: usize) -> IntersectMethod {
+        select_kernel(short_len, long_len)
+    }
+
+    /// Class boundary of the fused decompress+intersect kernels: Eq. (3)
+    /// unchanged ([`ssi_is_faster`]).
+    pub fn compressed_merge_is_faster(&self, short_len: usize, long_len: usize) -> bool {
+        ssi_is_faster(short_len, long_len)
     }
 }
 

@@ -25,19 +25,16 @@
 //!   block-decode (AVX2-unpacked) merge feeding [`simd_count`], a
 //!   header-skipping search variant that gallops across block maxima without
 //!   decoding, and the copy+decode+intersect miss path
-//!   ([`copy_decode_intersect`]);
-//! * [`calibrate`] — ATLAS-style runtime calibration of the hybrid rule: a
-//!   startup micro-probe measures where this machine's kernels actually
-//!   cross over, and the fitted [`CostProfile`] replaces the analytic
-//!   boundaries via [`CostModel::Calibrated`] (the analytic model stays the
-//!   deterministic default).
+//!   ([`copy_decode_intersect`]).
+//!
+//! Which kernel runs is fixed by the analytic rule of [`hybrid`] — Eq. (3)
+//! for the class, `|B| < |A|²` for the search kernel — on every host.
 //!
 //! Every kernel is a plain-slice entry point (`&[VertexId]`), so callers can
 //! run them directly over borrowed views — local CSR rows, cached CLaMPI
 //! entries, or fetched transfer buffers — without materializing owned copies.
 
 pub mod binary;
-pub mod calibrate;
 pub mod compressed;
 pub mod fused;
 pub mod galloping;
@@ -47,14 +44,13 @@ pub mod simd;
 pub mod ssi;
 
 pub use binary::binary_search_count;
-pub use calibrate::{CostModel, CostProfile};
 pub use compressed::{
     compressed_count_closing, compressed_scalar_count, compressed_simd_count,
     compressed_skip_count, copy_decode_intersect, copy_decode_intersect_into,
 };
 pub use fused::{copy_intersect, copy_intersect_into};
 pub use galloping::galloping_count;
-pub use hybrid::{galloping_is_faster, select_kernel, ssi_is_faster, IntersectMethod};
+pub use hybrid::{galloping_is_faster, select_kernel, ssi_is_faster, CostModel, IntersectMethod};
 pub use parallel::ParallelIntersector;
 pub use simd::simd_count;
 pub use ssi::ssi_count;
@@ -62,27 +58,21 @@ pub use ssi::ssi_count;
 use rmatc_graph::types::VertexId;
 
 /// A sequential intersector: picks the kernel according to the configured
-/// method, resolving `Hybrid` through its [`CostModel`] (analytic by
-/// default).
+/// method, resolving `Hybrid` per pair ([`IntersectMethod::resolve`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Intersector {
     method: IntersectMethod,
-    model: CostModel,
 }
 
 impl Intersector {
-    /// Creates an intersector for the given method, with the analytic cost
-    /// model.
+    /// Creates an intersector for the given method.
     pub fn new(method: IntersectMethod) -> Self {
-        Self {
-            method,
-            model: CostModel::Analytic,
-        }
+        Self { method }
     }
 
-    /// Same intersector resolving `Hybrid` through `model` instead.
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.model = model;
+    /// The same intersector: [`CostModel`] has one variant, which every
+    /// intersector already applies.
+    pub fn with_cost_model(self, _model: CostModel) -> Self {
         self
     }
 
@@ -91,18 +81,10 @@ impl Intersector {
         self.method
     }
 
-    /// The cost model `Hybrid` resolves through.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.model
-    }
-
     /// Counts `|a ∩ b|` for two sorted, duplicate-free slices.
     pub fn count(&self, a: &[VertexId], b: &[VertexId]) -> u64 {
         let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        let method = self
-            .method
-            .resolve_with(short.len(), long.len(), &self.model);
-        run_kernel(method, short, long)
+        run_kernel(self.method.resolve(short.len(), long.len()), short, long)
     }
 }
 

@@ -11,7 +11,6 @@
 //! vendored `rayon` facade plays that role here — entering a parallel region
 //! costs an injector push onto already-running workers, not a thread spawn.
 
-use super::calibrate::CostModel;
 use super::hybrid::IntersectMethod;
 use rayon::prelude::*;
 use rmatc_graph::types::VertexId;
@@ -23,8 +22,6 @@ pub const DEFAULT_PARALLEL_CUTOFF: usize = 8_192;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParallelIntersector {
     method: IntersectMethod,
-    /// Cost model `Hybrid` resolves kernels through (analytic by default).
-    model: CostModel,
     /// Intersections where the longer list is below this length run sequentially.
     cutoff: usize,
     /// Number of chunks the parallel region is split into (typically the thread count).
@@ -37,7 +34,6 @@ impl ParallelIntersector {
     pub fn new(method: IntersectMethod, chunks: usize, cutoff: usize) -> Self {
         Self {
             method,
-            model: CostModel::Analytic,
             chunks: chunks.max(1),
             cutoff,
         }
@@ -48,22 +44,9 @@ impl ParallelIntersector {
         Self::new(method, chunks, DEFAULT_PARALLEL_CUTOFF)
     }
 
-    /// Same intersector resolving `Hybrid` through `model` instead of the
-    /// analytic rule. The analytic path is unchanged — the model is consulted
-    /// only at the per-pair dispatch that already existed.
-    pub fn with_cost_model(mut self, model: CostModel) -> Self {
-        self.model = model;
-        self
-    }
-
     /// The configured method.
     pub fn method(&self) -> IntersectMethod {
         self.method
-    }
-
-    /// The cost model `Hybrid` resolves through.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.model
     }
 
     /// The concrete kernel the cost model resolves for a pair of list
@@ -76,7 +59,7 @@ impl ParallelIntersector {
         } else {
             (len_b, len_a)
         };
-        self.method.resolve_with(short, long, &self.model)
+        self.method.resolve(short, long)
     }
 
     /// Counts `|a ∩ b|`, using the parallel kernels above the cut-off.

@@ -126,8 +126,7 @@ impl DistJaccard {
         let cfg = &self.config;
         let windows = GraphWindows::build_with(pg, cfg.storage);
         let op = JaccardPair {
-            intersector: Intersector::new(cfg.method).with_cost_model(cfg.cost_model),
-            model: cfg.cost_model,
+            intersector: Intersector::new(cfg.method),
             storage: windows.storage,
         };
         let outputs = run_ranks(cfg.ranks, |rank| run_rank(rank, pg, &windows, cfg, &op))
@@ -200,8 +199,6 @@ pub(crate) fn edge_similarity(
 /// edge. The whole intersection counts — no upper-triangle bound.
 struct JaccardPair {
     intersector: Intersector,
-    /// Cost model the compressed kernels dispatch through.
-    model: CostModel,
     /// Representation remote rows arrive in (local rows are always plain).
     storage: GraphStorage,
 }
@@ -226,7 +223,7 @@ impl EdgeOp for JaccardPair {
             // Count in place over the stored words and take the degree from
             // the count word.
             GraphStorage::Compressed => (
-                compressed_count_closing(edge.adj_u, row, None, &self.model),
+                compressed_count_closing(edge.adj_u, row, None, &CostModel::Analytic),
                 decoded_len(row),
             ),
         }
@@ -240,7 +237,7 @@ impl EdgeOp for JaccardPair {
                 (arc, value)
             }
             GraphStorage::Compressed => {
-                let (arc, common) = copy_decode_intersect(wire, edge.adj_u, None, &self.model);
+                let (arc, common) = copy_decode_intersect(wire, edge.adj_u, None);
                 (arc, (common, decoded_len(wire)))
             }
         }

@@ -10,11 +10,8 @@
 //!   kernels in the same cost classes — a SIMD/branchless block-compare merge
 //!   ([`intersect::simd`]) and a galloping search with a running cursor
 //!   ([`intersect::galloping`]) — and extends the hybrid rule to pick the best
-//!   kernel of the winning class per edge. The class boundaries themselves can
-//!   be re-derived for the host at runtime by an ATLAS-style micro-probe
-//!   ([`intersect::calibrate`]): a fitted [`CostProfile`] replaces the
-//!   analytic crossovers through the `cost_model` knob on [`LocalConfig`] and
-//!   [`DistConfig`], with the deterministic analytic rule as the default.
+//!   kernel of the winning class per edge. The class boundaries are the
+//!   paper's analytic ones on every host.
 //! * [`local`] — shared-memory edge-centric TC/LCC over one CSR graph: the code path
 //!   measured in Table III and Figure 6. Besides the paper's
 //!   intersection-parallel scheme, vertex-parallel and edge-parallel outer
@@ -48,7 +45,7 @@ pub mod service;
 pub use distributed::{
     CacheSpec, DistConfig, DistLcc, DistResult, RankReport, ScoreMode, TimingBreakdown,
 };
-pub use intersect::{CostModel, CostProfile, IntersectMethod, Intersector};
+pub use intersect::{CostModel, IntersectMethod, Intersector};
 pub use jaccard::{DistJaccard, JaccardResult};
 pub use local::{LocalConfig, LocalLcc, LocalParallelism, LocalResult, RangeSchedule};
 pub use rmatc_rma::{FaultPlan, RetryPolicy, RmaError};

@@ -70,12 +70,6 @@ pub enum RangeSchedule {
 pub struct LocalConfig {
     /// Intersection kernel selection.
     pub method: IntersectMethod,
-    /// Cost model [`IntersectMethod::Hybrid`] resolves kernels through:
-    /// the paper's analytic rule (default, deterministic across hosts) or a
-    /// machine-calibrated [`CostProfile`](crate::intersect::CostProfile).
-    /// Whichever model is set, only the kernel choice changes — LCC values
-    /// are identical.
-    pub cost_model: CostModel,
     /// Number of threads (1 = fully sequential regardless of `parallelism`).
     pub threads: usize,
     /// With [`LocalParallelism::IntersectionParallel`], intersections whose
@@ -98,7 +92,6 @@ impl LocalConfig {
     pub fn sequential() -> Self {
         Self {
             method: IntersectMethod::Hybrid,
-            cost_model: CostModel::Analytic,
             threads: 1,
             parallel_cutoff: usize::MAX,
             parallelism: LocalParallelism::IntersectionParallel,
@@ -153,10 +146,9 @@ impl LocalConfig {
         self
     }
 
-    /// Same configuration with a different cost model for `Hybrid`
-    /// resolution (see [`crate::intersect::calibrate`]).
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
+    /// The same configuration: [`CostModel`] has one variant, which every
+    /// run already applies.
+    pub fn with_cost_model(self, _model: CostModel) -> Self {
         self
     }
 
@@ -237,12 +229,8 @@ impl LocalLcc {
             let ccsr = CompressedCsr::from_csr(g);
             let start = Instant::now();
             let (per_vertex, edges) = match self.config.parallelism {
-                _ if self.config.threads <= 1 || n == 0 => {
-                    compressed_range(&ccsr, 0, n, &self.config.cost_model)
-                }
-                LocalParallelism::IntersectionParallel => {
-                    compressed_range(&ccsr, 0, n, &self.config.cost_model)
-                }
+                _ if self.config.threads <= 1 || n == 0 => compressed_range(&ccsr, 0, n),
+                LocalParallelism::IntersectionParallel => compressed_range(&ccsr, 0, n),
                 LocalParallelism::VertexParallel => self.run_compressed_vertex_parallel(g, &ccsr),
                 LocalParallelism::EdgeParallel => self.run_compressed_edge_parallel(g, &ccsr),
             };
@@ -266,8 +254,7 @@ impl LocalLcc {
             self.config.method,
             self.config.threads,
             self.config.parallel_cutoff,
-        )
-        .with_cost_model(self.config.cost_model);
+        );
         let n = g.vertex_count();
         let mut per_vertex = vec![0u64; n];
         let mut edges = 0u64;
@@ -390,12 +377,11 @@ impl LocalLcc {
             RangeSchedule::Static => static_bounds(n, ranges),
             RangeSchedule::DegreeWeighted => balanced_vertex_bounds(g.offsets(), ranges),
         };
-        let model = self.config.cost_model;
         let partials: Vec<(usize, Vec<u64>, u64)> = (0..ranges)
             .into_par_iter()
             .map(|r| {
                 let (lo, hi) = (bounds[r], bounds[r + 1]);
-                let (counts, edges) = compressed_range(ccsr, lo, hi, &model);
+                let (counts, edges) = compressed_range(ccsr, lo, hi);
                 (lo, counts, edges)
             })
             .collect();
@@ -425,7 +411,6 @@ impl LocalLcc {
             RangeSchedule::Static => static_bounds(m, ranges),
             RangeSchedule::DegreeWeighted => balanced_edge_bounds(g, ranges),
         };
-        let model = self.config.cost_model;
         let partials: Vec<(usize, Vec<u64>)> = (0..ranges)
             .into_par_iter()
             .map(|r| {
@@ -447,14 +432,7 @@ impl LocalLcc {
                     for e in row_lo..row_hi {
                         let k = (e - offsets[u]) as usize;
                         let v = adj_u[k];
-                        t += compressed_count_closing_at(
-                            direction,
-                            &adj_u,
-                            ccsr.row(v),
-                            v,
-                            k,
-                            &model,
-                        );
+                        t += compressed_count_closing_at(direction, &adj_u, ccsr.row(v), v, k);
                     }
                     counts.push(t);
                     u += 1;
@@ -473,7 +451,6 @@ impl LocalLcc {
 
     fn sequential_intersector(&self) -> ParallelIntersector {
         ParallelIntersector::new(self.config.method, 1, usize::MAX)
-            .with_cost_model(self.config.cost_model)
     }
 
     /// Equal-work boundaries only pay off when chunks actually run
@@ -543,17 +520,12 @@ fn balanced_edge_bounds(g: &CsrGraph, parts: usize) -> Vec<usize> {
 /// scratch buffer is reused across vertices), each `v` row stays compressed
 /// and goes through [`compressed_count_closing`]. Returns the per-vertex
 /// closed-triplet counts for the range and the directed edges processed.
-fn compressed_range(
-    ccsr: &CompressedCsr,
-    lo: usize,
-    hi: usize,
-    model: &CostModel,
-) -> (Vec<u64>, u64) {
+fn compressed_range(ccsr: &CompressedCsr, lo: usize, hi: usize) -> (Vec<u64>, u64) {
     let mut counts = vec![0u64; hi - lo];
     let mut edges = 0u64;
     let mut adj_u: Vec<VertexId> = Vec::new();
     for u in lo..hi {
-        let (t, e) = compressed_count_vertex(ccsr, u as VertexId, &mut adj_u, model);
+        let (t, e) = compressed_count_vertex(ccsr, u as VertexId, &mut adj_u);
         counts[u - lo] = t;
         edges += e;
     }
@@ -567,14 +539,13 @@ pub fn compressed_count_vertex(
     ccsr: &CompressedCsr,
     u: VertexId,
     adj_u: &mut Vec<VertexId>,
-    model: &CostModel,
 ) -> (u64, u64) {
     adj_u.clear();
     decode_row(ccsr.row(u), adj_u);
     let direction = ccsr.direction();
     let mut t = 0u64;
     for (k, &v) in adj_u.iter().enumerate() {
-        t += compressed_count_closing_at(direction, adj_u, ccsr.row(v), v, k, model);
+        t += compressed_count_closing_at(direction, adj_u, ccsr.row(v), v, k);
     }
     (t, adj_u.len() as u64)
 }
@@ -589,14 +560,13 @@ pub fn compressed_count_closing_at(
     row_v: &[u32],
     v: VertexId,
     neighbour_idx: usize,
-    model: &CostModel,
 ) -> u64 {
     debug_assert!(
         direction == Direction::Directed || adj_u[neighbour_idx] == v,
         "neighbour_idx must locate v in adj_u"
     );
     let (a, bound) = compressed_closing_operands(direction, adj_u, v, neighbour_idx);
-    compressed_count_closing(a, row_v, bound, model)
+    compressed_count_closing(a, row_v, bound, &CostModel::Analytic)
 }
 
 /// Operands of a compressed closing count: the `adj_u`-side slice

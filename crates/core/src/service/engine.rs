@@ -30,12 +30,10 @@ struct RankLane {
 
 /// The kernel/selection knobs every query runs with, mirroring the batch
 /// pipelines: `intersector` is the Jaccard pair kernel, `pintersector` the
-/// (sequential) LCC closing-count kernel, `model` drives the fused compressed
-/// kernels.
+/// (sequential) LCC closing-count kernel.
 struct Kernels {
     intersector: Intersector,
     pintersector: ParallelIntersector,
-    model: CostModel,
     storage: GraphStorage,
     direction: Direction,
 }
@@ -134,10 +132,8 @@ impl QueryEngine {
             })
             .collect();
         let kernels = Kernels {
-            intersector: Intersector::new(dist.method).with_cost_model(dist.cost_model),
-            pintersector: ParallelIntersector::new(dist.method, 1, usize::MAX)
-                .with_cost_model(dist.cost_model),
-            model: dist.cost_model,
+            intersector: Intersector::new(dist.method),
+            pintersector: ParallelIntersector::new(dist.method, 1, usize::MAX),
             storage: dist.storage,
             direction: pg.direction,
         };
@@ -539,7 +535,7 @@ fn pair_common(kernels: &Kernels, adj_u: &[VertexId], side: &Side<'_>) -> (u64, 
         Side::Stored(row) => match kernels.storage {
             GraphStorage::Plain => (kernels.intersector.count(adj_u, row), row.len()),
             GraphStorage::Compressed => (
-                compressed_count_closing(adj_u, row, None, &kernels.model),
+                compressed_count_closing(adj_u, row, None, &CostModel::Analytic),
                 decoded_len(row),
             ),
         },
@@ -574,14 +570,9 @@ fn lcc_closing(
                 neighbour_idx,
                 &kernels.pintersector,
             ),
-            GraphStorage::Compressed => compressed_count_closing_at(
-                kernels.direction,
-                adj_v,
-                row,
-                w,
-                neighbour_idx,
-                &kernels.model,
-            ),
+            GraphStorage::Compressed => {
+                compressed_count_closing_at(kernels.direction, adj_v, row, w, neighbour_idx)
+            }
         },
     }
 }

@@ -160,11 +160,6 @@ counts-ab parent: (_ab-build parent)
     done
     exit $status
 
-# Fit this machine's kernel-crossover cost profile and persist it to the
-# default profile path (RMATC_PROFILE or ~/.cache/rmatc/). See docs/TUNING.md.
-calibrate:
-    cargo run --release -p rmatc-bench --bin rmatc-calibrate
-
 # The chaos suite on its pinned seed matrix plus one extra seed (random by
 # default: `just chaos`, or pinned: `just chaos 12345` to replay a failure
 # from a CI artifact name). See docs/ROBUSTNESS.md.

@@ -42,10 +42,10 @@ pub mod prelude {
         ClampiConfig, ConsistencyMode, EvictionPolicyKind, ScorePolicy, ShardedClampi,
     };
     pub use rmatc_core::{
-        CacheSpec, CostModel, CostProfile, DistConfig, DistJaccard, DistLcc, DistResult,
-        IntersectMethod, JaccardResult, LocalConfig, LocalLcc, LocalParallelism, Query,
-        QueryAnswer, QueryEngine, QueryId, QueryResponse, RangeSchedule, ScoreMode, ServiceConfig,
-        ServiceError, ServiceStats,
+        CacheSpec, CostModel, DistConfig, DistJaccard, DistLcc, DistResult, IntersectMethod,
+        JaccardResult, LocalConfig, LocalLcc, LocalParallelism, Query, QueryAnswer, QueryEngine,
+        QueryId, QueryResponse, RangeSchedule, ScoreMode, ServiceConfig, ServiceError,
+        ServiceStats,
     };
     pub use rmatc_graph::datasets::{Dataset, DatasetScale};
     pub use rmatc_graph::gen::{

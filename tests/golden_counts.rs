@@ -32,7 +32,7 @@ use rmatc::graph::{reference, GraphStorage};
 use rmatc::rma::RankStats;
 
 /// Every `CacheStats` counter, in declaration order.
-fn cache_counts(s: &CacheStats) -> [u64; 16] {
+fn cache_counts(s: &CacheStats) -> [u64; 14] {
     [
         s.hits,
         s.misses,
@@ -43,8 +43,6 @@ fn cache_counts(s: &CacheStats) -> [u64; 16] {
         s.bytes_from_cache,
         s.bytes_from_network,
         s.flushes,
-        s.table_resizes,
-        s.capacity_resizes,
         s.invalidations,
         s.evicted_bytes,
         s.admission_rejections,
@@ -70,8 +68,8 @@ fn rank_counts(s: &RankStats) -> [u64; 9] {
 }
 
 struct LccRank {
-    offsets: [u64; 16],
-    adjacency: [u64; 16],
+    offsets: [u64; 14],
+    adjacency: [u64; 14],
     rma: [u64; 9],
     triangles: u64,
 }
@@ -94,14 +92,14 @@ const GOLDEN: &[Golden] = &[
         storage: GraphStorage::Plain,
         lcc: [
             LccRank {
-                offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 0, 0, 8064, 0, 0, 0],
-                adjacency: [481, 90, 90, 0, 0, 0, 41148, 3108, 0, 0, 0, 0, 0, 0, 0, 0],
+                offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 8064, 0, 0, 0],
+                adjacency: [481, 90, 90, 0, 0, 0, 41148, 3108, 0, 0, 0, 0, 0, 0],
                 rma: [603, 11316, 603, 539, 0, 603, 0, 11316, 0],
                 triangles: 9494,
             },
             LccRank {
-                offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 0, 0, 7728, 0, 0, 0],
-                adjacency: [489, 82, 80, 0, 2, 0, 99616, 7024, 0, 0, 0, 0, 116, 0, 0, 0],
+                offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 7728, 0, 0, 0],
+                adjacency: [489, 82, 80, 0, 2, 0, 99616, 7024, 0, 0, 116, 0, 0, 0],
                 rma: [574, 14896, 574, 568, 574, 0, 14896, 0, 0],
                 triangles: 2806,
             },
@@ -116,14 +114,14 @@ const GOLDEN: &[Golden] = &[
         storage: GraphStorage::Compressed,
         lcc: [
             LccRank {
-                offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 0, 0, 8064, 0, 0, 0],
-                adjacency: [481, 90, 90, 0, 0, 0, 13316, 1788, 0, 0, 0, 0, 0, 0, 3108, 1788],
+                offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 8064, 0, 0, 0],
+                adjacency: [481, 90, 90, 0, 0, 0, 13316, 1788, 0, 0, 0, 0, 3108, 1788],
                 rma: [603, 9996, 603, 539, 0, 603, 0, 9996, 0],
                 triangles: 9494,
             },
             LccRank {
-                offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 0, 0, 7728, 0, 0, 0],
-                adjacency: [491, 80, 80, 0, 0, 0, 20480, 2220, 0, 0, 0, 0, 0, 0, 6908, 2220],
+                offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 7728, 0, 0, 0],
+                adjacency: [491, 80, 80, 0, 0, 0, 20480, 2220, 0, 0, 0, 0, 6908, 2220],
                 rma: [572, 10092, 572, 570, 572, 0, 10092, 0, 0],
                 triangles: 2806,
             },
@@ -138,14 +136,14 @@ const GOLDEN: &[Golden] = &[
         storage: GraphStorage::Plain,
         lcc: [
             LccRank {
-                offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 0, 0, 8064, 0, 0, 0],
-                adjacency: [418, 153, 90, 0, 100, 0, 39704, 4552, 0, 0, 0, 0, 1992, 0, 0, 0],
+                offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 8064, 0, 0, 0],
+                adjacency: [418, 153, 90, 0, 100, 0, 39704, 4552, 0, 0, 1992, 0, 0, 0],
                 rma: [666, 12760, 666, 476, 0, 666, 0, 12760, 0],
                 triangles: 9494,
             },
             LccRank {
-                offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 0, 0, 7728, 0, 0, 0],
-                adjacency: [316, 255, 80, 126, 12, 97, 85712, 20928, 0, 0, 0, 0, 8396, 97, 0, 0],
+                offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 7728, 0, 0, 0],
+                adjacency: [316, 255, 80, 126, 12, 97, 85712, 20928, 0, 0, 8396, 97, 0, 0],
                 rma: [747, 28800, 747, 395, 747, 0, 28800, 0, 0],
                 triangles: 2806,
             },
@@ -160,14 +158,14 @@ const GOLDEN: &[Golden] = &[
         storage: GraphStorage::Compressed,
         lcc: [
             LccRank {
-                offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 0, 0, 8064, 0, 0, 0],
-                adjacency: [437, 134, 90, 0, 71, 0, 12528, 2576, 0, 0, 0, 0, 1228, 0, 4052, 2576],
+                offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 8064, 0, 0, 0],
+                adjacency: [437, 134, 90, 0, 71, 0, 12528, 2576, 0, 0, 1228, 0, 4052, 2576],
                 rma: [647, 10784, 647, 495, 0, 647, 0, 10784, 0],
                 triangles: 9494,
             },
             LccRank {
-                offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 0, 0, 7728, 0, 0, 0],
-                adjacency: [444, 127, 80, 0, 68, 0, 19316, 3384, 0, 0, 0, 0, 1592, 0, 9940, 3384],
+                offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 7728, 0, 0, 0],
+                adjacency: [444, 127, 80, 0, 68, 0, 19316, 3384, 0, 0, 1592, 0, 9940, 3384],
                 rma: [619, 11256, 619, 523, 619, 0, 11256, 0, 0],
                 triangles: 2806,
             },

@@ -167,7 +167,9 @@ fn service_answers_match_batch_pipelines_across_matrix() {
 
 #[test]
 fn warm_cache_serves_repeated_batches_from_hits() {
-    let g = RmatGenerator::paper(7, 8).generate_cleaned(77).into_csr();
+    // Seed 75: under both storages the cold pass keeps every row it fetches
+    // (on seed 77 the compressed rows' keys collide in the slot table).
+    let g = RmatGenerator::paper(7, 8).generate_cleaned(75).into_csr();
     let dist = DistConfig::cached(4, g.csr_size_bytes() as usize).with_degree_scores();
     let mut engine = QueryEngine::new(&g, ServiceConfig::new(dist).with_batch_size(32));
     let queries = fixed_query_mix(&g, 64);
@@ -176,6 +178,12 @@ fn warm_cache_serves_repeated_batches_from_hits() {
     }
     engine.drain();
     let cold = engine.stats();
+    let cold_cache = cold.adjacency_cache.as_ref().unwrap();
+    // The premise of the replay below: the cold pass neither evicted nor
+    // refused a row, so every remote row it read is still resident.
+    assert_eq!(cold_cache.capacity_evictions, 0, "{cold_cache:?}");
+    assert_eq!(cold_cache.conflict_evictions, 0, "{cold_cache:?}");
+    assert_eq!(cold_cache.admission_rejections, 0, "{cold_cache:?}");
     // Replay the same stream through the *same* resident engine: every remote
     // row is already cached, so no new network bytes move.
     for &q in &queries {
@@ -183,7 +191,6 @@ fn warm_cache_serves_repeated_batches_from_hits() {
     }
     engine.drain();
     let warm = engine.stats();
-    let cold_cache = cold.adjacency_cache.as_ref().unwrap();
     let warm_cache = warm.adjacency_cache.as_ref().unwrap();
     assert!(warm_cache.hits > cold_cache.hits, "warm replay must hit");
     assert_eq!(

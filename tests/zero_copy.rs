@@ -327,7 +327,6 @@ fn hit_heavy_spec() -> CacheSpec {
         offsets_bytes: Some(1 << 20),
         cache_offsets: true,
         cache_adjacencies: true,
-        adaptive: false,
         policy: Default::default(),
     }
 }
