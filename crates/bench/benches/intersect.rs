@@ -1,18 +1,17 @@
-//! Criterion micro-benchmarks of the intersection kernels (Section II-C / III-C):
+//! Criterion micro-benchmarks of the intersection kernels (Section II-C):
 //! SSI vs binary search vs SIMD vs galloping vs hybrid on balanced and skewed
-//! list pairs, sequential and parallel.
+//! list pairs.
 //!
 //! Pass `--json <path>` after `--` to emit machine-readable results
 //! (`cargo bench --bench intersect -- --json BENCH_intersect.json`); the
 //! committed `BENCH_intersect.json` is this suite's perf trajectory record.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::Rng;
 use rand::SeedableRng;
 use rmatc_core::intersect::{
     binary_search_count, compressed_count_closing, compressed_scalar_count, compressed_simd_count,
     compressed_skip_count, galloping_count, simd_count, ssi_count, CostModel, IntersectMethod,
-    ParallelIntersector,
 };
 use rmatc_core::Intersector;
 use rmatc_graph::compressed::compress_row;
@@ -62,15 +61,6 @@ fn bench_kernels(c: &mut Criterion) {
     bench_pair(c, "intersect/balanced64k", &big_a, &big_b, 20);
     bench_pair(c, "intersect/hubleaf1024x", &hub_keys, &hub_hay, 20);
     bench_pair(c, "intersect/skewed1000x", &skew_keys, &skew_hay, 20);
-
-    let mut group = c.benchmark_group("intersect/parallel");
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("hybrid", threads), &threads, |b, &t| {
-            let ix = ParallelIntersector::new(IntersectMethod::Hybrid, t, 1_024);
-            b.iter(|| ix.count(&big_a, &big_b))
-        });
-    }
-    group.finish();
 
     // The Hybrid method over one mixed sweep of all four shape regimes: the
     // end-to-end cost of the per-pair kernel choice, tracked by `bench-diff`.

@@ -1,13 +1,12 @@
 //! Criterion benchmarks of the shared-memory LCC/TC kernel (the Table III / Figure 6
 //! code path): edge-centric counting with each intersection method, and the
-//! Figure 6-style comparison of the three parallelization strategies
-//! (intersection-, vertex- and edge-parallel outer loops).
+//! range loop's Figure 6-style scaling against one thread.
 //!
 //! Pass `--json <path>` after `--` to emit machine-readable results
 //! (`cargo bench --bench local_lcc -- --json BENCH_local_lcc.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rmatc_core::{IntersectMethod, LocalConfig, LocalLcc, LocalParallelism, RangeSchedule};
+use rmatc_core::{IntersectMethod, LocalConfig, LocalLcc};
 use rmatc_graph::datasets::{Dataset, DatasetScale};
 use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
 
@@ -41,76 +40,22 @@ fn bench_local(c: &mut Criterion) {
     group.finish();
 }
 
+/// The degree-weighted vertex-range loop at 2 and 4 threads against one. The
+/// rows keep the `vertex` name: they continue the history of the
+/// vertex-parallel loop this one grew from.
 fn bench_parallelism(c: &mut Criterion) {
     let rmat = RmatGenerator::paper(11, 16).generate_cleaned(1).into_csr();
-    let modes = [
-        ("intersection", LocalParallelism::IntersectionParallel),
-        ("vertex", LocalParallelism::VertexParallel),
-        ("edge", LocalParallelism::EdgeParallel),
-    ];
     let mut group = c.benchmark_group("local_lcc/parallelism");
     group.throughput(Throughput::Elements(rmat.edge_count()));
     group.bench_function("sequential", |b| {
         let runner = LocalLcc::new(LocalConfig::sequential());
         b.iter(|| runner.run(&rmat))
     });
-    for (label, mode) in modes {
-        for threads in [2usize, 4] {
-            group.bench_with_input(BenchmarkId::new(label, threads), &threads, |b, &t| {
-                let runner = LocalLcc::new(LocalConfig::parallel(t).with_parallelism(mode));
-                b.iter(|| runner.run(&rmat))
-            });
-        }
-    }
-    group.finish();
-}
-
-/// Degree-weighted vs static chunking on a skewed R-MAT graph: the hub-heavy
-/// degree distribution is exactly where equal-count ranges go wrong, so the
-/// degree-weighted schedule must be at least as fast (it is strictly faster
-/// the more workers the host has; on a single-core host the two coincide).
-fn bench_schedule(c: &mut Criterion) {
-    let skewed = RmatGenerator::paper(11, 16).generate_cleaned(1).into_csr();
-    let threads = 4usize;
-    if rayon::effective_parallelism() <= 1 {
-        // `effective_schedule` falls back to static boundaries when regions
-        // run inline, so on this host the two series measure the same code
-        // and differ only by noise. The multi-core CI runs accumulate the
-        // real comparison in bench-history; the deterministic balance
-        // property is asserted by `degree_weighted_chunks_balance_edge_mass`
-        // in `rmatc-core`.
-        println!(
-            "note: single-core host — weighted and static schedules coincide here; \
-             the scheduling win needs a multi-core run to show up"
-        );
-    }
-    let mut group = c.benchmark_group("local_lcc/schedule");
-    // The schedules differ by ~the noise floor on few-core hosts; extra
-    // samples keep the medians honest for the bench-history gate.
-    group.sample_size(40);
-    group.throughput(Throughput::Elements(skewed.edge_count()));
-    let modes = [
-        ("vertex", LocalParallelism::VertexParallel),
-        ("edge", LocalParallelism::EdgeParallel),
-    ];
-    let schedules = [
-        ("static", RangeSchedule::Static),
-        ("weighted", RangeSchedule::DegreeWeighted),
-    ];
-    for (mode_label, mode) in modes {
-        for (schedule_label, schedule) in schedules {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{mode_label}_{schedule_label}"), threads),
-                &threads,
-                |b, &t| {
-                    let config = LocalConfig::vertex_parallel(t)
-                        .with_parallelism(mode)
-                        .with_schedule(schedule);
-                    let runner = LocalLcc::new(config);
-                    b.iter(|| runner.run(&skewed))
-                },
-            );
-        }
+    for threads in [2usize, 4] {
+        group.bench_with_input(BenchmarkId::new("vertex", threads), &threads, |b, &t| {
+            let runner = LocalLcc::new(LocalConfig::parallel(t));
+            b.iter(|| runner.run(&rmat))
+        });
     }
     group.finish();
 }
@@ -118,6 +63,6 @@ fn bench_schedule(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_local, bench_parallelism, bench_schedule
+    targets = bench_local, bench_parallelism
 }
 criterion_main!(benches);

@@ -15,7 +15,7 @@
 //! handful of loads (e.g. `remote_read/cached_hit`) jitter well past 15% on
 //! shared CI runners without any code change, and a gate that cries wolf gets
 //! ignored. Keys match by prefix, so one entry can cover a parameterized
-//! family like `intersect/parallel/...`.
+//! family like `service/drive/...`.
 
 use rmatc_bench::history::{compare_latest, parse_history};
 use std::process::ExitCode;
@@ -36,8 +36,6 @@ const DEFAULT_THRESHOLD_PCT: f64 = 15.0;
 ///   transfer loop on the same read path; measured same-code run-to-run
 ///   swing on the single-core container is 20-30% (an A/B against the
 ///   pre-robustness tree under matched load showed the code itself neutral).
-/// * `intersect/parallel/` — multi-threaded section; CI runners share cores,
-///   so thread wake latency dominates small-sample medians.
 /// * `cache_policy/replay/` — trace-replay timings over a whole synthetic
 ///   access trace; dominated by hash/alloc churn whose run-to-run swing on a
 ///   shared runner exceeds the default band. The `missrate_ppm` /
@@ -75,7 +73,6 @@ const PER_BENCH_THRESHOLD_PCT: &[(&str, f64)] = &[
     ("remote_read/faulty_path_off", 25.0),
     ("remote_read/non_overlapped_injected", 30.0),
     ("remote_read/pipelined", 30.0),
-    ("intersect/parallel/", 25.0),
     ("cache_policy/replay/", 30.0),
     ("service/drive/", 30.0),
     ("service/p50_ns", 40.0),

@@ -1,5 +1,7 @@
 //! Table III — performance comparison of the intersection methods (hybrid, SSI,
-//! binary search), reported as edges processed per microsecond with 16 threads.
+//! binary search), reported as edges processed per microsecond with 16 threads
+//! of `LocalLcc`'s degree-weighted vertex-range loop (the paper parallelizes each
+//! intersection instead; see `docs/TUNING.md`, "Shared-memory parallelism").
 //!
 //! Paper reference (edges/µs): R-MAT S20 EF8 0.540/0.508/0.449, EF16
 //! 0.425/0.403/0.340, EF32 0.325/0.311/0.250, LiveJournal 1.084/1.018/0.984,

@@ -402,7 +402,7 @@ mod tests {
     use super::*;
     use crate::distributed::config::CacheSpec;
     use crate::distributed::worker::ClosingCount;
-    use crate::intersect::ParallelIntersector;
+    use crate::intersect::Intersector;
     use crate::local::count_closing_at;
     use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
     use rmatc_graph::partition::{PartitionScheme, PartitionedGraph};
@@ -505,7 +505,7 @@ mod tests {
         let (pg, base) = setup();
         let plain_windows = GraphWindows::build(&pg);
         let plain_reader = RowReader::new(&plain_windows, &base, pg.global_vertex_count(), 1);
-        let intersector = ParallelIntersector::new(base.method, 1, usize::MAX);
+        let intersector = Intersector::new(base.method);
         let part = &pg.partitions[0];
         for storage in [GraphStorage::Plain, GraphStorage::Compressed] {
             let windows = GraphWindows::build_with(&pg, storage);

@@ -8,7 +8,7 @@ use super::pipeline::run_rank;
 use super::reader::{Edge, EdgeOp};
 use super::windows::GraphWindows;
 use crate::intersect::{
-    copy_decode_intersect, copy_decode_intersect_into, fused, IntersectMethod, ParallelIntersector,
+    copy_decode_intersect, copy_decode_intersect_into, fused, IntersectMethod, Intersector,
 };
 use crate::local::{
     closing_a_side, closing_b_start, compressed_closing_operands, compressed_count_closing_at,
@@ -86,11 +86,10 @@ pub fn run_worker(
 #[derive(Debug)]
 pub struct ClosingCount {
     direction: Direction,
-    /// The intersection inside one rank is sequential: the paper's
-    /// shared-memory parallelism is a separate axis (Figure 6) from the
-    /// distributed one, and the distributed experiments map one MPI task per
-    /// core.
-    intersector: ParallelIntersector,
+    /// The sequential per-pair kernel: the distributed experiments map one
+    /// MPI task per core, and a rank's threads split its vertices, never one
+    /// intersection.
+    intersector: Intersector,
     /// Representation remote rows arrive in (local rows are always plain).
     storage: GraphStorage,
 }
@@ -102,7 +101,7 @@ impl ClosingCount {
     pub fn new(config: &DistConfig, direction: Direction, storage: GraphStorage) -> Self {
         Self {
             direction,
-            intersector: ParallelIntersector::new(config.method, 1, usize::MAX),
+            intersector: Intersector::new(config.method),
             storage,
         }
     }
@@ -111,7 +110,7 @@ impl ClosingCount {
     /// the local operand, the start of the remote operand within `wire`, and
     /// whether the resolved kernel is the merge-class SIMD block kernel the
     /// fused copy+intersect pass *is* — the same resolver
-    /// `ParallelIntersector::count` applies.
+    /// [`Intersector::count`] applies.
     fn transfer_plan<'a>(
         &self,
         edge: &Edge<'a>,

@@ -2,8 +2,10 @@
 //!
 //! Triangle counting reduces to computing `|adj(v_i) ∩ adj(v_j)|` for every edge.
 //! The paper uses two kernels — binary search and sorted set intersection (SSI) —
-//! plus a hybrid rule (Eq. 3) that picks per edge, and parallelizes the intersection
-//! itself across threads (Section III-C).
+//! plus a hybrid rule (Eq. 3) that picks per edge. It also parallelizes each
+//! intersection across threads (Section III-C); this reproduction runs every
+//! intersection sequentially and parallelizes over vertex ranges instead
+//! ([`crate::local`]).
 //!
 //! This reproduction extends the suite with two block kernels in the same two
 //! cost classes, selected by the same Eq. (3) boundary, both written once
@@ -39,7 +41,6 @@ pub mod compressed;
 pub mod fused;
 pub mod galloping;
 pub mod hybrid;
-pub mod parallel;
 pub mod simd;
 pub mod ssi;
 
@@ -51,7 +52,6 @@ pub use compressed::{
 pub use fused::{copy_intersect, copy_intersect_into};
 pub use galloping::galloping_count;
 pub use hybrid::{galloping_is_faster, select_kernel, ssi_is_faster, CostModel, IntersectMethod};
-pub use parallel::ParallelIntersector;
 pub use simd::simd_count;
 pub use ssi::ssi_count;
 
@@ -81,6 +81,14 @@ impl Intersector {
         self.method
     }
 
+    /// The concrete kernel the cost model resolves for a pair of list
+    /// lengths, in either order — the same decision [`Intersector::count`]
+    /// makes internally, exposed so callers that pre-route work (the
+    /// distributed reader's fused miss path) can never diverge from it.
+    pub fn resolved_method(&self, len_a: usize, len_b: usize) -> IntersectMethod {
+        self.method.resolve(len_a.min(len_b), len_a.max(len_b))
+    }
+
     /// Counts `|a ∩ b|` for two sorted, duplicate-free slices.
     pub fn count(&self, a: &[VertexId], b: &[VertexId]) -> u64 {
         let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
@@ -89,9 +97,8 @@ impl Intersector {
 }
 
 /// Runs the sequential kernel a *resolved* method names on a `(short, long)`
-/// pair — the one kernel table behind [`Intersector::count`] and
-/// [`ParallelIntersector::count`].
-pub(crate) fn run_kernel(method: IntersectMethod, short: &[VertexId], long: &[VertexId]) -> u64 {
+/// pair — the kernel table behind [`Intersector::count`].
+fn run_kernel(method: IntersectMethod, short: &[VertexId], long: &[VertexId]) -> u64 {
     match method {
         IntersectMethod::SortedSetIntersection => ssi_count(short, long),
         IntersectMethod::BinarySearch => binary_search_count(short, long),

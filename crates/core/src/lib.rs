@@ -3,21 +3,19 @@
 //!
 //! The crate is organised to follow Section III of the paper:
 //!
-//! * [`intersect`] — the frontier-intersection kernels of Section II-C and III-C:
-//!   binary search, sorted set intersection (SSI), the hybrid decision rule of
-//!   Eq. (3), and shared-memory parallel variants of both (the paper's OpenMP
-//!   parallelism, here expressed with rayon). This reproduction adds two faster
+//! * [`intersect`] — the frontier-intersection kernels of Section II-C:
+//!   binary search, sorted set intersection (SSI) and the hybrid decision rule
+//!   of Eq. (3), each run sequentially. This reproduction adds two faster
 //!   kernels in the same cost classes — a SIMD/branchless block-compare merge
 //!   ([`intersect::simd`]) and a galloping search with a running cursor
 //!   ([`intersect::galloping`]) — and extends the hybrid rule to pick the best
 //!   kernel of the winning class per edge. The class boundaries are the
 //!   paper's analytic ones on every host.
 //! * [`local`] — shared-memory edge-centric TC/LCC over one CSR graph: the code path
-//!   measured in Table III and Figure 6. Besides the paper's
-//!   intersection-parallel scheme, vertex-parallel and edge-parallel outer
-//!   loops are available ([`local::LocalParallelism`]), with the
-//!   upper-triangle offset maintained incrementally in O(1) instead of two
-//!   binary searches per edge.
+//!   measured in Table III and Figure 6. One loop over degree-weighted vertex
+//!   ranges on the work-stealing pool replaces the paper's Section III-C
+//!   intersection-parallel scheme, and the upper-triangle offset is maintained
+//!   incrementally in O(1) instead of two binary searches per edge.
 //! * [`distributed`] — the fully asynchronous distributed algorithm (Algorithm 3):
 //!   1D partitioning, CSR windows exposed via RMA, the two-get remote-adjacency
 //!   protocol, optional CLaMPI caching of both windows with LRU or degree-centrality
@@ -47,7 +45,7 @@ pub use distributed::{
 };
 pub use intersect::{CostModel, IntersectMethod, Intersector};
 pub use jaccard::{DistJaccard, JaccardResult};
-pub use local::{LocalConfig, LocalLcc, LocalParallelism, LocalResult, RangeSchedule};
+pub use local::{LocalConfig, LocalLcc, LocalResult};
 pub use rmatc_rma::{FaultPlan, RetryPolicy, RmaError};
 pub use service::{
     Query, QueryAnswer, QueryEngine, QueryId, QueryResponse, ServiceConfig, ServiceError,

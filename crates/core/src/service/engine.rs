@@ -6,7 +6,7 @@ use super::{Query, QueryAnswer, QueryId, ServiceConfig, ServiceError};
 use crate::distributed::pipeline::rank_endpoint;
 use crate::distributed::reader::RowReader;
 use crate::distributed::windows::GraphWindows;
-use crate::intersect::{compressed_count_closing, CostModel, Intersector, ParallelIntersector};
+use crate::intersect::{compressed_count_closing, CostModel, Intersector};
 use crate::jaccard::{edge_similarity, top_k_edges, EdgeSimilarity};
 use crate::lcc::lcc_from_triangles;
 use crate::local::{compressed_count_closing_at, count_closing_at};
@@ -29,11 +29,10 @@ struct RankLane {
 }
 
 /// The kernel/selection knobs every query runs with, mirroring the batch
-/// pipelines: `intersector` is the Jaccard pair kernel, `pintersector` the
-/// (sequential) LCC closing-count kernel.
+/// pipelines: `intersector` is both the Jaccard pair kernel and the LCC
+/// closing-count kernel.
 struct Kernels {
     intersector: Intersector,
-    pintersector: ParallelIntersector,
     storage: GraphStorage,
     direction: Direction,
 }
@@ -133,7 +132,6 @@ impl QueryEngine {
             .collect();
         let kernels = Kernels {
             intersector: Intersector::new(dist.method),
-            pintersector: ParallelIntersector::new(dist.method, 1, usize::MAX),
             storage: dist.storage,
             direction: pg.direction,
         };
@@ -559,7 +557,7 @@ fn lcc_closing(
             adj_w,
             w,
             neighbour_idx,
-            &kernels.pintersector,
+            &kernels.intersector,
         ),
         Side::Stored(row) => match kernels.storage {
             GraphStorage::Plain => count_closing_at(
@@ -568,7 +566,7 @@ fn lcc_closing(
                 row,
                 w,
                 neighbour_idx,
-                &kernels.pintersector,
+                &kernels.intersector,
             ),
             GraphStorage::Compressed => {
                 compressed_count_closing_at(kernels.direction, adj_v, row, w, neighbour_idx)

@@ -7,8 +7,8 @@
 //! handful of binary searches: chunk `j` starts at the first vertex whose row
 //! begins at or after `j/parts` of the total edge mass.
 //!
-//! Used by the shared-memory outer loops (`rmatc-core`'s
-//! `RangeSchedule::DegreeWeighted`) and by the distributed
+//! Used by the shared-memory vertex-range loop (`rmatc-core`'s `LocalLcc`)
+//! and by the distributed
 //! [`PartitionScheme::BalancedBlock1D`](crate::partition::PartitionScheme)
 //! partitioner, which applies the same splitting to rank boundaries.
 
@@ -148,6 +148,23 @@ mod tests {
         // put it together with 24 leaves.
         assert_eq!(weights[0], 1_000);
         assert_eq!(weights.iter().sum::<u64>(), 1_099);
+    }
+
+    #[test]
+    fn degree_weighted_chunks_balance_edge_mass_on_skewed_graphs() {
+        let g = RmatGenerator::paper(11, 16).generate_cleaned(3).into_csr();
+        let parts = 16;
+        let n = g.vertex_count();
+        let chunk = n.div_ceil(parts);
+        let equal_count: Vec<usize> = (0..=parts).map(|j| (j * chunk).min(n)).collect();
+        let max_weight =
+            |bounds: &[usize]| *chunk_weights(g.offsets(), bounds).iter().max().unwrap();
+        let weighted = max_weight(&balanced_vertex_bounds(g.offsets(), parts));
+        let statics = max_weight(&equal_count);
+        assert!(
+            weighted < statics,
+            "degree-weighted max chunk {weighted} must beat equal-count {statics} on R-MAT skew"
+        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   cost model).
 //! * [`clampi`] — the CLaMPI RMA caching layer with application-defined scores.
 //! * [`core`] — intersection kernels (scalar, SIMD/branchless, binary-search and
-//!   galloping, with the per-edge hybrid cost model), shared-memory LCC with
-//!   intersection-, vertex- or edge-parallel outer loops, and the fully
+//!   galloping, with the per-edge hybrid cost model), shared-memory LCC over
+//!   degree-weighted vertex ranges, and the fully
 //!   asynchronous distributed LCC/TC algorithm, plus the resident similarity
 //!   query service built on it.
 //! * [`tric`] — the TriC bulk-synchronous baseline.
@@ -43,9 +43,8 @@ pub mod prelude {
     };
     pub use rmatc_core::{
         CacheSpec, CostModel, DistConfig, DistJaccard, DistLcc, DistResult, IntersectMethod,
-        JaccardResult, LocalConfig, LocalLcc, LocalParallelism, Query, QueryAnswer, QueryEngine,
-        QueryId, QueryResponse, RangeSchedule, ScoreMode, ServiceConfig, ServiceError,
-        ServiceStats,
+        JaccardResult, LocalConfig, LocalLcc, Query, QueryAnswer, QueryEngine, QueryId,
+        QueryResponse, ScoreMode, ServiceConfig, ServiceError, ServiceStats,
     };
     pub use rmatc_graph::datasets::{Dataset, DatasetScale};
     pub use rmatc_graph::gen::{

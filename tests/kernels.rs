@@ -1,14 +1,12 @@
 //! Differential tests of the intersection kernel suite and the shared-memory
-//! parallelization strategies: every kernel must return identical counts on
-//! adversarial list shapes, and every outer-loop strategy must reproduce the
-//! sequential result exactly on generated graphs.
+//! range loop: every kernel must return identical counts on adversarial list
+//! shapes, and the loop must reproduce the sequential result exactly at every
+//! thread count, under both storages, on generated graphs.
 
 use proptest::prelude::*;
 use rmatc::prelude::*;
-use rmatc_core::intersect::{
-    binary_search_count, galloping_count, simd_count, ssi_count, ParallelIntersector,
-};
-use rmatc_core::{Intersector, LocalParallelism};
+use rmatc_core::intersect::{binary_search_count, galloping_count, simd_count, ssi_count};
+use rmatc_core::Intersector;
 use rmatc_graph::reference;
 
 /// Every sequential kernel, by label, for differential comparison.
@@ -34,14 +32,6 @@ fn assert_all_kernels_agree(a: &[u32], b: &[u32]) {
             expected,
             "{method:?} swapped"
         );
-        for chunks in [2, 5] {
-            let par = ParallelIntersector::new(method, chunks, 8);
-            assert_eq!(
-                par.count(a, b),
-                expected,
-                "{method:?} parallel chunks={chunks}"
-            );
-        }
     }
 }
 
@@ -106,38 +96,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_strategies_match_sequential_on_rmat(seed in 0u64..12, threads in 2usize..6) {
-        let g = RmatGenerator::paper(8, 8).generate_cleaned(seed).into_csr();
-        let seq = LocalLcc::new(LocalConfig::sequential()).run(&g);
-        prop_assert_eq!(seq.triangle_count, reference::count_triangles(&g));
-        for mode in [
-            LocalParallelism::IntersectionParallel,
-            LocalParallelism::VertexParallel,
-            LocalParallelism::EdgeParallel,
-        ] {
-            let mut cfg = LocalConfig::parallel(threads).with_parallelism(mode);
-            cfg.parallel_cutoff = 16;
-            let par = LocalLcc::new(cfg).run(&g);
-            prop_assert_eq!(&par.per_vertex_triangles, &seq.per_vertex_triangles,
-                            "{:?} threads={}", mode, threads);
-            prop_assert_eq!(par.edges_processed, seq.edges_processed);
-        }
-    }
-
-    #[test]
-    fn parallel_strategies_match_sequential_on_watts_strogatz(seed in 0u64..12,
-                                                              beta_pct in 0u32..100) {
-        let g = WattsStrogatz::new(300, 6, beta_pct as f64 / 100.0)
-            .generate_cleaned(seed)
-            .into_csr();
-        let seq = LocalLcc::new(LocalConfig::sequential()).run(&g);
-        for mode in [LocalParallelism::VertexParallel, LocalParallelism::EdgeParallel] {
-            let par = LocalLcc::new(LocalConfig::parallel(4).with_parallelism(mode)).run(&g);
-            prop_assert_eq!(&par.per_vertex_triangles, &seq.per_vertex_triangles, "{:?}", mode);
-        }
-    }
-
-    #[test]
     fn methods_agree_through_the_full_local_run(seed in 0u64..8) {
         let g = RmatGenerator::paper(7, 8).generate_cleaned(seed).into_csr();
         let expected = reference::count_triangles(&g);
@@ -148,51 +106,144 @@ proptest! {
     }
 
     #[test]
-    fn schedules_agree_on_rmat(seed in 0u64..12, threads in 2usize..6) {
-        // Degree-weighted and static chunk boundaries must be invisible in
-        // the results on hub-heavy R-MAT graphs, for both outer loops.
+    fn parallel_strategies_match_sequential_on_rmat(seed in 0u64..12, threads in 1usize..=8) {
+        // Hub-heavy R-MAT: the degree weighting moves range boundaries the
+        // most here, and must still change no bit of the result.
         let g = RmatGenerator::paper(8, 8).generate_cleaned(seed).into_csr();
-        let seq = LocalLcc::new(LocalConfig::sequential()).run(&g);
-        for mode in [LocalParallelism::VertexParallel, LocalParallelism::EdgeParallel] {
-            let static_run = LocalLcc::new(
-                LocalConfig::parallel(threads)
-                    .with_parallelism(mode)
-                    .with_schedule(RangeSchedule::Static),
-            )
-            .run(&g);
-            let weighted_run = LocalLcc::new(
-                LocalConfig::parallel(threads)
-                    .with_parallelism(mode)
-                    .with_schedule(RangeSchedule::DegreeWeighted),
-            )
-            .run(&g);
-            prop_assert_eq!(&static_run.per_vertex_triangles, &seq.per_vertex_triangles,
-                            "static {:?} threads={}", mode, threads);
-            prop_assert_eq!(&weighted_run.per_vertex_triangles, &seq.per_vertex_triangles,
-                            "weighted {:?} threads={}", mode, threads);
-            prop_assert_eq!(weighted_run.edges_processed, static_run.edges_processed);
-        }
+        assert_range_loop_matches_sequential(&g, threads)?;
     }
 
     #[test]
-    fn schedules_agree_on_watts_strogatz(seed in 0u64..12, beta_pct in 0u32..100) {
-        // Watts-Strogatz is the near-regular counterpoint: degree weighting
-        // must also change nothing when there is hardly any skew to balance.
+    fn parallel_strategies_match_sequential_on_watts_strogatz(seed in 0u64..12,
+                                                              beta_pct in 0u32..100,
+                                                              threads in 1usize..=8) {
+        // Near-regular counterpoint: hardly any skew for the weighting to balance.
         let g = WattsStrogatz::new(300, 6, beta_pct as f64 / 100.0)
             .generate_cleaned(seed)
             .into_csr();
-        let seq = LocalLcc::new(LocalConfig::sequential()).run(&g);
-        for mode in [LocalParallelism::VertexParallel, LocalParallelism::EdgeParallel] {
-            for schedule in [RangeSchedule::Static, RangeSchedule::DegreeWeighted] {
-                let par = LocalLcc::new(
-                    LocalConfig::parallel(4)
-                        .with_parallelism(mode)
-                        .with_schedule(schedule),
-                )
-                .run(&g);
-                prop_assert_eq!(&par.per_vertex_triangles, &seq.per_vertex_triangles,
-                                "{:?} {:?}", mode, schedule);
+        assert_range_loop_matches_sequential(&g, threads)?;
+    }
+
+    #[test]
+    fn range_loop_matches_sequential_on_directed_graphs(seed in 0u64..12,
+                                                        threads in 1usize..=8) {
+        assert_range_loop_matches_sequential(&directed_graph(seed), threads)?;
+    }
+
+    #[test]
+    fn schedules_agree_on_rmat(seed in 0u64..12, scale in 2u32..9) {
+        // The loop schedules one range at 1 thread and `threads · 8`
+        // degree-weighted ranges above it. R-MAT graphs of 4 to 256 vertices
+        // put the small scales below the range count at every thread count.
+        let g = RmatGenerator::paper(scale, 8).generate_cleaned(seed).into_csr();
+        assert_every_range_count_agrees(&g)?;
+    }
+
+    #[test]
+    fn schedules_agree_on_watts_strogatz(seed in 0u64..12, vertices in 8usize..300,
+                                         beta_pct in 0u32..100) {
+        let g = WattsStrogatz::new(vertices, 6, beta_pct as f64 / 100.0)
+            .generate_cleaned(seed)
+            .into_csr();
+        assert_every_range_count_agrees(&g)?;
+    }
+}
+
+/// Runs the range loop at `threads` under both storages and checks it
+/// bit-identical to the sequential plain run, which itself must match the
+/// reference counts.
+fn assert_range_loop_matches_sequential(g: &CsrGraph, threads: usize) -> TestCaseResult {
+    let plain = LocalConfig::sequential().with_storage(GraphStorage::Plain);
+    let seq = LocalLcc::new(plain).run(g);
+    prop_assert_eq!(
+        &seq.per_vertex_triangles,
+        &reference::per_vertex_triangles(g)
+    );
+    for storage in [GraphStorage::Plain, GraphStorage::Compressed] {
+        let par = LocalLcc::new(LocalConfig::parallel(threads).with_storage(storage)).run(g);
+        prop_assert_eq!(
+            &par.per_vertex_triangles,
+            &seq.per_vertex_triangles,
+            "{:?} threads={}",
+            storage,
+            threads
+        );
+        prop_assert_eq!(par.edges_processed, seq.edges_processed);
+        for (a, b) in par.lcc.iter().zip(&seq.lcc) {
+            prop_assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{:?} threads={}",
+                storage,
+                threads
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Sweeps every thread count from 1 to 8, so the one-range schedule and every
+/// degree-weighted cut from 16 to 64 ranges, and checks that each storage
+/// gives the one-range result at all of them.
+fn assert_every_range_count_agrees(g: &CsrGraph) -> TestCaseResult {
+    for storage in [GraphStorage::Plain, GraphStorage::Compressed] {
+        let one_range = LocalLcc::new(LocalConfig::sequential().with_storage(storage)).run(g);
+        for threads in 2..=8 {
+            let cut = LocalLcc::new(LocalConfig::parallel(threads).with_storage(storage)).run(g);
+            prop_assert_eq!(
+                &cut.per_vertex_triangles,
+                &one_range.per_vertex_triangles,
+                "{:?} threads={}",
+                storage,
+                threads
+            );
+            prop_assert_eq!(cut.edges_processed, one_range.edges_processed);
+            for (a, b) in cut.lcc.iter().zip(&one_range.lcc) {
+                prop_assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{:?} threads={}",
+                    storage,
+                    threads
+                );
             }
         }
+    }
+    Ok(())
+}
+
+/// A dense 40-vertex directed graph whose missing arcs depend on `seed`.
+fn directed_graph(seed: u64) -> CsrGraph {
+    let mut edges = Vec::new();
+    for u in 0..40u32 {
+        for v in 0..40u32 {
+            if u != v && (u as u64 * 7 + v as u64 + seed) % 3 != 0 {
+                edges.push((u, v));
+            }
+        }
+    }
+    CsrGraph::from_edges(40, &edges, Direction::Directed)
+}
+
+#[test]
+fn range_loop_handles_more_ranges_than_vertices() {
+    // 8 threads cut 64 ranges: most of them are empty on a 5-vertex graph.
+    let mut edges = Vec::new();
+    for u in 0..5u32 {
+        for v in 0..5u32 {
+            if u != v && (u, v) != (0, 1) && (u, v) != (1, 0) {
+                edges.push((u, v));
+            }
+        }
+    }
+    let g = CsrGraph::from_edges(5, &edges, Direction::Undirected);
+    for storage in [GraphStorage::Plain, GraphStorage::Compressed] {
+        let par = LocalLcc::new(LocalConfig::parallel(8).with_storage(storage)).run(&g);
+        assert_eq!(
+            par.per_vertex_triangles,
+            reference::per_vertex_triangles(&g),
+            "{storage:?}"
+        );
+        assert_eq!(par.edges_processed, g.edge_count());
     }
 }

@@ -26,12 +26,7 @@ fn repeated_small_parallel_runs_reuse_the_pool_and_stay_deterministic() {
             .generate_cleaned(2)
             .into_csr(),
     ];
-    let configs = [
-        LocalConfig::parallel(4),
-        LocalConfig::vertex_parallel(4),
-        LocalConfig::edge_parallel(4),
-        LocalConfig::vertex_parallel(4).with_schedule(RangeSchedule::Static),
-    ];
+    let configs = [LocalConfig::parallel(4), LocalConfig::parallel(2)];
 
     // Warm the pool, then snapshot both thread counters.
     let baseline: Vec<u64> = graphs
@@ -46,15 +41,15 @@ fn repeated_small_parallel_runs_reuse_the_pool_and_stay_deterministic() {
     #[cfg(target_os = "linux")]
     let os_threads_before = os_thread_count();
 
-    // Hammer the pool with many small invocations across all strategies.
+    // Hammer the pool with many small invocations at both thread counts.
     for round in 0..50 {
         let config = configs[round % configs.len()];
         for (g, &expected) in graphs.iter().zip(&baseline) {
             let result = LocalLcc::new(config).run(g);
             assert_eq!(
                 result.triangle_count, expected,
-                "round {round} {:?} diverged",
-                config.parallelism
+                "round {round} at {} threads diverged",
+                config.threads
             );
         }
     }
@@ -208,11 +203,7 @@ fn concurrent_submitters_get_independent_correct_results() {
             let g = &g;
             scope.spawn(move || {
                 for _ in 0..10 {
-                    let config = if worker % 2 == 0 {
-                        LocalConfig::vertex_parallel(4)
-                    } else {
-                        LocalConfig::edge_parallel(4)
-                    };
+                    let config = LocalConfig::parallel(if worker % 2 == 0 { 4 } else { 2 });
                     assert_eq!(LocalLcc::new(config).run(g).triangle_count, expected);
                 }
             });

@@ -12,7 +12,7 @@ use rmatc::clampi::{CacheStats, RowRef};
 use rmatc::core::distributed::reader::{Deferred, Edge, RowReader, Started};
 use rmatc::core::distributed::worker::{run_worker, ClosingCount};
 use rmatc::core::distributed::{CacheSpec, DistConfig, GraphWindows, ScoreMode};
-use rmatc::core::intersect::{CostModel, IntersectMethod, ParallelIntersector};
+use rmatc::core::intersect::{CostModel, IntersectMethod, Intersector};
 use rmatc::core::local::count_closing_at;
 use rmatc::graph::gen::{GraphGenerator, RmatGenerator};
 use rmatc::graph::partition::{PartitionScheme, PartitionedGraph};
@@ -108,7 +108,7 @@ fn materializing_worker(
     let part = &pg.partitions[rank];
     let reader = build_reader(pg, windows, config);
     let mut ep = Endpoint::new(rank, config.ranks, config.network);
-    let intersector = ParallelIntersector::new(config.method, 1, usize::MAX);
+    let intersector = Intersector::new(config.method);
     let direction = pg.direction;
     let mut triangles = vec![0u64; part.local_vertex_count()];
     ep.lock_all();
