@@ -2,14 +2,16 @@
 //! (the two-get protocol of Figure 3 behind `RowReader`, one get in flight),
 //! isolating what the zero-copy refactor changed: hit-heavy reads served in
 //! place from the CLaMPI cache, cold reads landing rows through the fused
-//! copy+intersect kernel, and the non-cached transfer-per-edge baseline.
+//! copy+intersect kernel, and the non-cached transfer-per-edge baseline. The
+//! cached rows read each source's offsets pairs by span, as the cached edge
+//! loop does; the non-cached rows read one pair per edge.
 //!
 //! Wired into `just bench-smoke` / CI with `--json BENCH_remote_read.json
 //! --history bench-history/remote_read.ndjson`, so the `bench-diff` gate
 //! watches this path for regressions like it does the kernels.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rmatc_core::distributed::reader::{Edge, RowReader, Started};
+use rmatc_core::distributed::reader::{Edge, OffsetSpans, RowReader, Started};
 use rmatc_core::distributed::worker::{run_worker, ClosingCount};
 use rmatc_core::distributed::{CacheSpec, DistConfig, GraphWindows};
 use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
@@ -56,18 +58,9 @@ fn bench_remote_read(c: &mut Criterion) {
     let windows = GraphWindows::build(&pg);
     let part = &pg.partitions[0];
     let config = DistConfig::non_cached(2).with_degree_scores();
-    // Hit-heavy sizing: room for every (start, end) pair and the whole
-    // adjacency window, so the measured steady state is all hits. (The
-    // paper's `0.8·|V|`-byte offsets budget is deliberately scarce — here it
-    // would thrash and measure eviction cost instead of the read path.)
-    let offsets_budget = (pg.global_vertex_count() + 2) * 16 * 2;
-    let cached_spec = CacheSpec {
-        total_bytes: offsets_budget + 2 * windows.adjacency_bytes(),
-        offsets_bytes: Some(offsets_budget),
-        cache_offsets: true,
-        cache_adjacencies: true,
-        policy: Default::default(),
-    };
+    // Hit-heavy sizing: room for the whole adjacency window, so the measured
+    // steady state is all hits.
+    let cached_spec = CacheSpec::paper(2 * windows.adjacency_bytes());
     let edges = remote_edges(&pg, 2_048);
     assert!(!edges.is_empty(), "the partition must have remote edges");
     let elements: u64 = edges
@@ -76,20 +69,36 @@ fn bench_remote_read(c: &mut Criterion) {
         .sum();
 
     // One protocol round per edge, each get completed before the next is
-    // issued (pipeline depth 1).
+    // issued (pipeline depth 1); `by_span` reads each source's offsets pairs
+    // in spans first, as the cached edge loop does.
     let mut landing = Vec::new();
-    let mut run = |reader: &RowReader, op: &ClosingCount, ep: &mut Endpoint| -> u64 {
-        let mut total = 0;
+    let mut spans = OffsetSpans::default();
+    let mut run = |reader: &RowReader, op: &ClosingCount, ep: &mut Endpoint, by_span: bool| {
+        let (mut total, mut source) = (0, None);
         for e in &edges {
+            let adj_u = part.neighbours_of_local(e.u_local);
+            if by_span && source != Some(e.u_local) {
+                source = Some(e.u_local);
+                reader
+                    .read_spans(ep, &pg.partitioner, adj_u, &mut spans)
+                    .expect("no faults injected");
+            }
+            let pair = if by_span {
+                spans.pair(e.k)
+            } else {
+                reader
+                    .read_offsets(ep, 1, e.v_local)
+                    .expect("no faults injected")
+            };
             let edge = Edge {
                 slot: 0,
                 source: part.global_ids[e.u_local],
-                adj_u: part.neighbours_of_local(e.u_local),
+                adj_u,
                 v: e.v,
                 k: e.k,
             };
             total += match reader
-                .start(ep, 1, e.v_local, &mut landing, op, &edge)
+                .start(ep, 1, pair, &mut landing, op, &edge)
                 .expect("no faults injected")
             {
                 Started::Immediate(count) => count,
@@ -116,13 +125,7 @@ fn bench_remote_read(c: &mut Criterion) {
     let cconfig = DistConfig::non_cached(2)
         .with_degree_scores()
         .with_storage(GraphStorage::Compressed);
-    let compressed_spec = CacheSpec {
-        total_bytes: offsets_budget + 2 * cwindows.adjacency_bytes(),
-        offsets_bytes: Some(offsets_budget),
-        cache_offsets: true,
-        cache_adjacencies: true,
-        policy: Default::default(),
-    };
+    let compressed_spec = CacheSpec::paper(2 * cwindows.adjacency_bytes());
     let cop = ClosingCount::new(&cconfig, pg.direction, GraphStorage::Compressed);
     let make_compressed_reader = || -> RowReader {
         let config = DistConfig {
@@ -139,7 +142,7 @@ fn bench_remote_read(c: &mut Criterion) {
         let reader = make_compressed_reader();
         let mut ep = Endpoint::new(0, 2, cconfig.network);
         ep.lock_all();
-        let _warm = run(&reader, &cop, &mut ep);
+        let _warm = run(&reader, &cop, &mut ep, true);
         let stats = reader.adjacency_cache_stats().expect("adjacency cache on");
         c.report_metric(
             "remote_read",
@@ -163,8 +166,8 @@ fn bench_remote_read(c: &mut Criterion) {
         let reader = make_compressed_reader();
         let mut ep = Endpoint::new(0, 2, cconfig.network);
         ep.lock_all();
-        let _warm = run(&reader, &cop, &mut ep);
-        b.iter(|| run(&reader, &cop, &mut ep))
+        let _warm = run(&reader, &cop, &mut ep, true);
+        b.iter(|| run(&reader, &cop, &mut ep, true))
     });
 
     // Cold compressed misses: every read transfers and admits a compressed
@@ -174,7 +177,7 @@ fn bench_remote_read(c: &mut Criterion) {
         ep.lock_all();
         b.iter_batched(
             make_compressed_reader,
-            |reader| run(&reader, &cop, &mut ep),
+            |reader| run(&reader, &cop, &mut ep, true),
             criterion::BatchSize::LargeInput,
         )
     });
@@ -185,8 +188,8 @@ fn bench_remote_read(c: &mut Criterion) {
         let reader = make_reader(Some(cached_spec));
         let mut ep = Endpoint::new(0, 2, config.network);
         ep.lock_all();
-        let _warm = run(&reader, &op, &mut ep);
-        b.iter(|| run(&reader, &op, &mut ep))
+        let _warm = run(&reader, &op, &mut ep, true);
+        b.iter(|| run(&reader, &op, &mut ep, true))
     });
 
     // Cold: every read misses and lands its row through the fused
@@ -196,7 +199,7 @@ fn bench_remote_read(c: &mut Criterion) {
         ep.lock_all();
         b.iter_batched(
             || make_reader(Some(cached_spec)),
-            |reader| run(&reader, &op, &mut ep),
+            |reader| run(&reader, &op, &mut ep, true),
             criterion::BatchSize::LargeInput,
         )
     });
@@ -206,7 +209,7 @@ fn bench_remote_read(c: &mut Criterion) {
         let reader = make_reader(None);
         let mut ep = Endpoint::new(0, 2, config.network);
         ep.lock_all();
-        b.iter(|| run(&reader, &op, &mut ep))
+        b.iter(|| run(&reader, &op, &mut ep, false))
     });
 
     // The self-healing path with injection disabled: an explicit retry policy
@@ -218,7 +221,7 @@ fn bench_remote_read(c: &mut Criterion) {
         let mut ep =
             Endpoint::new(0, 2, config.network).with_retry(rmatc_rma::RetryPolicy::default());
         ep.lock_all();
-        b.iter(|| run(&reader, &op, &mut ep))
+        b.iter(|| run(&reader, &op, &mut ep, false))
     });
 
     group.finish();

@@ -42,7 +42,7 @@ fn main() {
         let capacity = (0.25 * non_local) as usize;
         let run = |mode: ScoreMode| {
             let mut cfg = DistConfig::non_cached(ranks);
-            cfg.cache = Some(CacheSpec::adjacencies_only(capacity));
+            cfg.cache = Some(CacheSpec::paper(capacity));
             cfg.score_mode = mode;
             DistLcc::new(cfg).run(&g)
         };

@@ -10,8 +10,8 @@ pub enum ConsistencyMode {
     /// Hits are only possible within one epoch.
     Transparent,
     /// Data accessed through RMA is read-only, so the cache is never flushed. This is
-    /// the mode the LCC application uses for both windows, because the graph is not
-    /// modified during the computation.
+    /// the mode the LCC application uses, because the graph is not modified during
+    /// the computation.
     AlwaysCache,
     /// The application decides when to flush.
     UserDefined,
@@ -35,10 +35,9 @@ pub enum ScorePolicy {
 pub struct ClampiConfig {
     /// Capacity of the memory buffer reserved for cached data, in bytes.
     pub capacity_bytes: usize,
-    /// Number of slots in the hash-table index. The paper discusses how to size this:
-    /// for the offsets cache one slot per expected entry (entries are fixed-size), for
-    /// the adjacency cache a power-law-aware estimate (`n · 0.5^α` entries with α≈2
-    /// when the cache holds half the graph).
+    /// Number of slots in the hash-table index. The paper sizes it for the
+    /// adjacency cache with a power-law-aware estimate (`n · 0.5^α` entries
+    /// with α≈2 when the cache holds half the graph).
     pub table_slots: usize,
     /// Consistency mode.
     pub mode: ConsistencyMode,
@@ -97,21 +96,13 @@ impl ClampiConfig {
         self
     }
 
-    /// Sizes the hash table for an offsets cache per the paper's guidance: entries
-    /// are fixed-size (`entry_bytes` each), so the expected number of entries is the
-    /// capacity divided by the entry size. The slot count is doubled because this
-    /// reproduction indexes entries directly in the table (set-associative probing):
-    /// at a load factor near 1 it would suffer conflict evictions that the original
-    /// CLaMPI's chained hash table does not.
-    pub fn offsets_table_slots(capacity_bytes: usize, entry_bytes: usize) -> usize {
-        (2 * capacity_bytes / entry_bytes.max(1)).max(1)
-    }
-
     /// Sizes the hash table for an adjacencies cache per the paper's guidance: with a
     /// power-law degree distribution and a cache of `capacity_fraction` of the graph,
     /// expect about `n · capacity_fraction^α` entries, with `α = 2` found to be a
-    /// good approximation. Doubled for the same load-factor reason as
-    /// [`ClampiConfig::offsets_table_slots`].
+    /// good approximation. The slot count is doubled because this reproduction
+    /// indexes entries directly in the table (set-associative probing): at a
+    /// load factor near 1 it would suffer conflict evictions that the original
+    /// CLaMPI's chained hash table does not.
     pub fn adjacency_table_slots(n: usize, capacity_fraction: f64) -> usize {
         let alpha = 2.0;
         (2.0 * (n as f64) * capacity_fraction.clamp(0.0, 1.0).powf(alpha))
@@ -150,19 +141,6 @@ mod tests {
     fn table_slots_never_zero() {
         let c = ClampiConfig::always_cache(1024, 0);
         assert_eq!(c.table_slots, 1);
-        assert_eq!(ClampiConfig::offsets_table_slots(0, 16), 1);
-    }
-
-    #[test]
-    fn offsets_table_matches_paper_rule() {
-        // "if the cache size equals n/2 bytes, the optimal size of the hash table for
-        // C_offsets will roughly equal n/2" — the expected entry count is
-        // capacity/16 with the real 16-byte (start, end) entries; the slot count is
-        // twice that to keep the direct-indexed table's load factor low.
-        assert_eq!(
-            ClampiConfig::offsets_table_slots(1 << 20, 16),
-            2 * (1 << 20) / 16
-        );
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   `AlwaysCache` never flushes (the graph is read-only during LCC computation),
 //!   and `UserDefined` leaves flushing to the application.
 //! * **Sized once.** Buffer capacity and table size are fixed when the cache is
-//!   built, from the Section III-B1 rules ([`ClampiConfig::offsets_table_slots`],
-//!   [`ClampiConfig::adjacency_table_slots`]). CLaMPI's run-time resizing
+//!   built, from the Section III-B1 rule
+//!   ([`ClampiConfig::adjacency_table_slots`]). CLaMPI's run-time resizing
 //!   heuristic (Section II-F) is not reproduced: growing the table flushes the
 //!   cache, which is why the paper sizes it up front.
 //!

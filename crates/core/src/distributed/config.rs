@@ -17,113 +17,64 @@ pub enum ScoreMode {
     DegreeCentrality,
 }
 
-/// Cache budget for one rank, split between the offsets cache and the adjacency
-/// cache the way the paper does for its overall-performance experiments.
+/// CLaMPI cache budget for one rank. Only the adjacency window is cached
+/// (`C_adj`); the cached configuration reads the offsets of each source's
+/// remote neighbours by span instead of through a second cache (see
+/// [`super::reader`]).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CacheSpec {
-    /// Total bytes reserved per rank for both CLaMPI caches.
+    /// Total bytes reserved per rank for CLaMPI.
     pub total_bytes: usize,
-    /// Bytes reserved for `C_offsets`; `None` uses the paper's rule of
-    /// `0.8 · |V|` bytes (which stores (start, end) pairs for `0.4 · |V|` vertices).
-    pub offsets_bytes: Option<usize>,
-    /// Enable caching of the offsets window.
-    pub cache_offsets: bool,
-    /// Enable caching of the adjacencies window.
-    pub cache_adjacencies: bool,
-    /// Eviction-policy family both windows' caches run. The default,
+    /// Eviction-policy family the cache runs. The default,
     /// [`EvictionPolicyKind::PaperScore`], reproduces the paper exactly;
     /// [`ScoreMode`] then selects which score variant it computes.
     pub policy: EvictionPolicyKind,
 }
 
 impl CacheSpec {
-    /// The paper's configuration: both windows cached, offsets cache sized at
-    /// `0.8 · |V|` bytes, remainder of the budget to the adjacency cache.
+    /// The paper's configuration: `total_bytes` per rank under the paper's
+    /// eviction policy.
     pub fn paper(total_bytes: usize) -> Self {
         Self {
             total_bytes,
-            offsets_bytes: None,
-            cache_offsets: true,
-            cache_adjacencies: true,
             policy: EvictionPolicyKind::PaperScore,
         }
     }
 
-    /// Cache only the offsets window (Figure 7, left pair of panels).
-    pub fn offsets_only(bytes: usize) -> Self {
-        Self {
-            total_bytes: bytes,
-            offsets_bytes: Some(bytes),
-            cache_offsets: true,
-            cache_adjacencies: false,
-            policy: EvictionPolicyKind::PaperScore,
-        }
-    }
-
-    /// Cache only the adjacencies window (Figure 7, right pair of panels).
-    pub fn adjacencies_only(bytes: usize) -> Self {
-        Self {
-            total_bytes: bytes,
-            offsets_bytes: Some(0),
-            cache_offsets: false,
-            cache_adjacencies: true,
-            policy: EvictionPolicyKind::PaperScore,
-        }
-    }
-
-    /// Selects the eviction-policy family for both windows' caches
-    /// (see [`rmatc_clampi::policy`]).
+    /// Selects the eviction-policy family (see [`rmatc_clampi::policy`]).
     pub fn with_policy(mut self, policy: EvictionPolicyKind) -> Self {
         self.policy = policy;
         self
     }
 
-    /// Resolves the per-window CLaMPI configurations for a graph with `n_global`
-    /// vertices whose full adjacency array occupies `graph_adj_bytes`.
+    /// Resolves the CLaMPI configuration for a graph with `n_global` vertices
+    /// whose full adjacency array occupies `graph_adj_bytes`.
     ///
-    /// Hash-table sizing follows Section III-B1: the offsets cache stores fixed
-    /// 16-byte (start, end) entries, so one slot per storable entry; the adjacency
-    /// cache uses the power-law estimate `n · f^α` with `α = 2`, where `f` is the
-    /// fraction of the adjacency data the cache can hold. The sizes are final:
-    /// a CLaMPI cache never resizes its table, which would flush it.
+    /// `C_adj` keeps the budget the paper leaves it after `C_offsets`' share of
+    /// `0.8 · |V|` bytes. Its hash table follows Section III-B1's power-law
+    /// estimate `n · f^α` with `α = 2`, where `f` is the fraction of the
+    /// adjacency data the cache can hold. The sizes are final: a CLaMPI cache
+    /// never resizes its table, which would flush it.
     pub fn resolve(&self, n_global: usize, graph_adj_bytes: u64) -> ResolvedCaches {
-        let offsets_bytes = self
-            .offsets_bytes
-            .unwrap_or(((n_global as f64) * 0.8) as usize)
-            .min(self.total_bytes);
-        let adj_bytes =
-            self.total_bytes
-                .saturating_sub(if self.cache_offsets { offsets_bytes } else { 0 });
-        let offsets_cfg = if self.cache_offsets && offsets_bytes > 0 {
-            let slots = ClampiConfig::offsets_table_slots(offsets_bytes, 16);
-            Some(ClampiConfig::always_cache(offsets_bytes, slots).with_policy(self.policy))
-        } else {
-            None
-        };
-        let adj_cfg = if self.cache_adjacencies && adj_bytes > 0 {
+        let offsets_share = (((n_global as f64) * 0.8) as usize).min(self.total_bytes);
+        let adj_bytes = self.total_bytes - offsets_share;
+        let adjacencies = (adj_bytes > 0).then(|| {
             let fraction = if graph_adj_bytes == 0 {
                 1.0
             } else {
                 (adj_bytes as f64 / graph_adj_bytes as f64).min(1.0)
             };
             let slots = ClampiConfig::adjacency_table_slots(n_global, fraction);
-            Some(ClampiConfig::always_cache(adj_bytes, slots).with_policy(self.policy))
-        } else {
-            None
-        };
-        ResolvedCaches {
-            offsets: offsets_cfg,
-            adjacencies: adj_cfg,
-        }
+            ClampiConfig::always_cache(adj_bytes, slots).with_policy(self.policy)
+        });
+        ResolvedCaches { adjacencies }
     }
 }
 
-/// Concrete per-window cache configurations produced by [`CacheSpec::resolve`].
+/// The concrete cache configuration produced by [`CacheSpec::resolve`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResolvedCaches {
-    /// Configuration for `C_offsets`, if that window is cached.
-    pub offsets: Option<ClampiConfig>,
-    /// Configuration for `C_adj`, if that window is cached.
+    /// Configuration for `C_adj`, unless the budget leaves it no bytes.
     pub adjacencies: Option<ClampiConfig>,
 }
 
@@ -151,7 +102,9 @@ pub struct DistConfig {
     /// depth hides; see `docs/OVERLAP.md`, "Measuring the overlap". Answers
     /// and every integer counter are identical either way.
     pub double_buffering: bool,
-    /// CLaMPI caching; `None` runs the non-cached variant.
+    /// CLaMPI caching; `None` runs the non-cached variant. `Some` also switches
+    /// the edge loop to offsets spans: one get per run of a source's remote
+    /// neighbours instead of one `(start, end)` get per edge.
     pub cache: Option<CacheSpec>,
     /// Eviction score mode for the adjacency cache.
     pub score_mode: ScoreMode,
@@ -203,7 +156,8 @@ impl DistConfig {
         }
     }
 
-    /// Cached configuration with the paper's budget split.
+    /// Cached configuration: `cache_bytes` per rank for `C_adj`, offsets
+    /// read by span.
     pub fn cached(ranks: usize, cache_bytes: usize) -> Self {
         Self {
             cache: Some(CacheSpec::paper(cache_bytes)),
@@ -217,8 +171,8 @@ impl DistConfig {
         self
     }
 
-    /// Selects the eviction-policy family both windows' caches run. A no-op
-    /// on the non-cached configuration (there is no cache to configure).
+    /// Selects the eviction-policy family the cache runs. A no-op on the
+    /// non-cached configuration (there is no cache to configure).
     pub fn with_eviction_policy(mut self, policy: EvictionPolicyKind) -> Self {
         if let Some(cache) = self.cache.as_mut() {
             cache.policy = policy;
@@ -285,45 +239,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_split_gives_offsets_point_eight_n() {
-        let spec = CacheSpec::paper(1 << 20);
-        let resolved = spec.resolve(100_000, 10 << 20);
-        let offsets = resolved.offsets.expect("offsets cache enabled");
-        assert_eq!(offsets.capacity_bytes, 80_000);
+    fn paper_budget_goes_to_the_adjacency_cache() {
+        let resolved = CacheSpec::paper(1 << 20).resolve(100_000, 10 << 20);
         let adj = resolved.adjacencies.expect("adjacency cache enabled");
         assert_eq!(adj.capacity_bytes, (1 << 20) - 80_000);
     }
 
     #[test]
-    fn offsets_only_disables_adjacency_cache() {
-        let resolved = CacheSpec::offsets_only(1 << 16).resolve(1_000, 1 << 20);
-        assert!(resolved.offsets.is_some());
-        assert!(resolved.adjacencies.is_none());
-    }
-
-    #[test]
-    fn adjacencies_only_disables_offsets_cache() {
-        let resolved = CacheSpec::adjacencies_only(1 << 16).resolve(1_000, 1 << 20);
-        assert!(resolved.offsets.is_none());
-        let adj = resolved.adjacencies.unwrap();
-        assert_eq!(adj.capacity_bytes, 1 << 16);
-    }
-
-    #[test]
     fn adjacency_slots_shrink_with_smaller_caches() {
-        let big = CacheSpec::adjacencies_only(1 << 20).resolve(100_000, 1 << 20);
-        let small = CacheSpec::adjacencies_only(1 << 14).resolve(100_000, 1 << 20);
+        let big = CacheSpec::paper(1 << 20).resolve(100_000, 1 << 20);
+        let small = CacheSpec::paper(1 << 17).resolve(100_000, 1 << 20);
         assert!(big.adjacencies.unwrap().table_slots > small.adjacencies.unwrap().table_slots);
     }
 
     #[test]
-    fn tiny_budget_never_exceeds_total() {
-        let spec = CacheSpec::paper(1_000);
-        let resolved = spec.resolve(10_000, 1 << 20);
-        // 0.8 · |V| = 8,000 exceeds the budget, so it is clamped to the budget and
-        // the adjacency cache gets nothing.
-        assert_eq!(resolved.offsets.unwrap().capacity_bytes, 1_000);
-        assert!(resolved.adjacencies.is_none());
+    fn tiny_budget_leaves_no_adjacency_cache() {
+        assert!(CacheSpec::paper(1_000)
+            .resolve(10_000, 1 << 20)
+            .adjacencies
+            .is_none());
     }
 
     #[test]
@@ -333,7 +267,6 @@ mod tests {
         let resolved = spec
             .with_policy(EvictionPolicyKind::Gdsf)
             .resolve(100_000, 10 << 20);
-        assert_eq!(resolved.offsets.unwrap().policy, EvictionPolicyKind::Gdsf);
         assert_eq!(
             resolved.adjacencies.unwrap().policy,
             EvictionPolicyKind::Gdsf

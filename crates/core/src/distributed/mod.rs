@@ -11,8 +11,11 @@
 //!    read either locally (same rank) or with the two-get RMA protocol
 //!    ([`reader::RowReader`]): one get into `w_offsets` for the (start, end)
 //!    pair, one get into `w_adj` for the list itself.
-//! 4. Optionally, both windows are wrapped in CLaMPI caches; the adjacency cache can
-//!    use the degree of the fetched vertex as an application-defined eviction score.
+//! 4. Optionally, the adjacency window is wrapped in a CLaMPI cache that can use
+//!    the degree of the fetched vertex as an application-defined eviction score;
+//!    the paper's second cache, over the offsets window, is replaced by reading
+//!    each source's offsets pairs in α+β-planned spans
+//!    ([`reader::RowReader::read_spans`]).
 //! 5. Per-edge intersections use the same kernels as the shared-memory path; double
 //!    buffering overlaps the communication of the next edge with the computation of
 //!    the current one.
@@ -38,7 +41,7 @@
 //! | 1 | 1D-partition the CSR graph across ranks | [`rmatc_graph::partition`] |
 //! | 2 | Expose `offsets` / `adjacencies` in two RMA windows | [`windows`] |
 //! | 3 | Open the passive-target access epoch, no synchronization | [`pipeline`] (`lock_all`) |
-//! | 4 | Get the `(start, end)` pair from `w_offsets` | [`reader`] (`read_offsets`) |
+//! | 4 | Get the `(start, end)` pair from `w_offsets` (cached: every pair of a source, by span) | [`reader`] (`read_offsets`, `read_spans`) |
 //! | 5 | Get the adjacency list from `w_adj`, cache-intercepted | [`reader`] + `rmatc_clampi` |
 //! | 6 | Intersect, accumulate per-vertex closed triplets | [`worker`] (`ClosingCount`) + [`crate::intersect`] |
 //! | — | The edge loop: gets kept in flight (§III-A's double buffer) + intra-rank threads (Fig. 6 axis) | [`pipeline`] |

@@ -18,8 +18,12 @@
 //!   get of edge *i+D−1* is issued before edge *i* completes, so the modeled
 //!   (and, with [`rmatc_rma::NetworkModel::with_injection`], real) transfer
 //!   latency hides behind the issue-side compute. Offsets reads stay
-//!   synchronous — they are two-element reads whose result gates the
-//!   adjacency get, exactly the dependency the two-get protocol imposes.
+//!   synchronous — their result gates the adjacency get, exactly the
+//!   dependency the two-get protocol imposes. Non-cached, each remote edge
+//!   reads its own two-word pair (Algorithm 3 verbatim, the paper's
+//!   baseline); cached ([`DistConfig::cache`] is `Some`), each source first
+//!   reads the pairs of all its remote neighbours in α+β-planned spans
+//!   ([`RowReader::read_spans`]), so its edges start from known pairs.
 //! * **Intra-rank threads** — the rank's vertex block is split into
 //!   [`DistConfig::effective_intra_threads`] contiguous chunks, each run by a
 //!   task on the process-wide work-stealing pool with its *own*
@@ -45,7 +49,7 @@
 //! ranks).
 
 use super::config::DistConfig;
-use super::reader::{Deferred, Edge, EdgeOp, RowReader, Started};
+use super::reader::{Deferred, Edge, EdgeOp, OffsetSpans, RowReader, Started};
 use super::windows::GraphWindows;
 use rayon::prelude::*;
 use rmatc_clampi::CacheStats;
@@ -62,8 +66,6 @@ pub(crate) struct RankOutput<T> {
     pub items: Vec<T>,
     /// RMA statistics, merged across the rank's threads.
     pub rma: RankStats,
-    /// `C_offsets` statistics, when that cache is enabled.
-    pub offsets_cache: Option<CacheStats>,
     /// `C_adj` statistics, when that cache is enabled.
     pub adjacency_cache: Option<CacheStats>,
     /// Thread-CPU time of the loop: the slowest thread, not the sum — the
@@ -128,7 +130,6 @@ pub(crate) fn run_rank<O: EdgeOp>(
         out.edges_processed += thread.edges_processed;
         out.remote_edges += thread.remote_edges;
     }
-    out.offsets_cache = reader.offsets_cache_stats();
     out.adjacency_cache = reader.adjacency_cache_stats();
     Ok(out)
 }
@@ -151,7 +152,6 @@ fn run_thread<O: EdgeOp>(
     let mut out = RankOutput {
         items: op.output(range.len()),
         rma: RankStats::default(),
-        offsets_cache: None,
         adjacency_cache: None,
         compute_ns: 0,
         edges_processed: 0,
@@ -207,9 +207,14 @@ fn edge_loop<'a, O: EdgeOp>(
     // rounds and quarantine-bypass reads: the paper's double buffer. It grows
     // to the longest row read and is then reused allocation-free.
     let mut landing = Vec::new();
+    // The cached configuration's offsets pairs, read per source by span.
+    let mut spans = config.cache.map(|_| OffsetSpans::default());
     for local_idx in range.clone() {
         let adj_u = part.neighbours_of_local(local_idx);
         let source = part.global_ids[local_idx];
+        if let Some(spans) = spans.as_mut() {
+            reader.read_spans(ep, &pg.partitioner, adj_u, spans)?;
+        }
         // `v` walks `adj_u` in sorted order, so `k` locates it for the
         // operation in O(1) (the upper-triangle suffix is `adj_u[k + 1..]`).
         for (k, &v) in adj_u.iter().enumerate() {
@@ -233,7 +238,11 @@ fn edge_loop<'a, O: EdgeOp>(
                 continue;
             }
             out.remote_edges += 1;
-            match reader.start(ep, owner, v_local, &mut landing, op, &edge)? {
+            let row = match spans.as_ref() {
+                Some(spans) => spans.pair(k),
+                None => reader.read_offsets(ep, owner, v_local)?,
+            };
+            match reader.start(ep, owner, row, &mut landing, op, &edge)? {
                 Started::Immediate(value) => op.fold(&mut out.items, &edge, value),
                 Started::Deferred(deferred) => {
                     fifo.push_back((deferred, edge));

@@ -1,29 +1,41 @@
 //! The two-get remote-adjacency protocol (steps 4–5 in Figure 3), with optional
-//! CLaMPI caching of one or both windows — the one remote-read path behind
+//! CLaMPI caching of the adjacency window — the one remote-read path behind
 //! [`crate::DistLcc`], [`crate::DistJaccard`] and the resident query service.
 //!
-//! [`RowReader`] offers the read in two shapes. [`RowReader::read_row`] hands
-//! the row back as a zero-copy [`RowRef`] (the service plans a batch of rows
-//! first and answers from them afterwards). [`RowReader::start`] /
-//! [`RowReader::complete`] compute a per-edge operation ([`EdgeOp`]) over the
-//! row *where it is* — in place on a local row or a cache hit, fused into the
-//! transfer on a miss — and leave the adjacency get in flight in between, so
-//! the edge loop ([`super::pipeline`]) overlaps its latency with the next
-//! edges. One rule decides where a transfer lands — *who keeps the buffer*:
+//! The first get reads a row's `(start, end)` pair from the offsets window.
+//! [`RowReader::read_offsets`] reads one pair — Algorithm 3 verbatim, what the
+//! non-cached edge loop and [`RowReader::read_row`] do per row.
+//! [`RowReader::read_spans`] reads the pairs of all of one source's remote
+//! neighbours at once — what the cached edge loop does: rows are sorted, so
+//! the neighbours a rank owns have ascending local indices and their pairs
+//! lie in one index range of its offsets window. The range is split into
+//! spans where a gap would cost more bytes than a get ([`spans_join`]), and
+//! each span is one get.
+//!
+//! [`RowReader`] offers the adjacency read in two shapes.
+//! [`RowReader::read_row`] hands the row back as a zero-copy [`RowRef`] (the
+//! service plans a batch of rows first and answers from them afterwards).
+//! [`RowReader::start`] / [`RowReader::complete`] compute a per-edge
+//! operation ([`EdgeOp`]) over the row *where it is* — in place on a local row
+//! or a cache hit, fused into the transfer on a miss — and leave the adjacency
+//! get in flight in between, so the edge loop ([`super::pipeline`]) overlaps
+//! its latency with the next edges. One rule decides where a transfer lands —
+//! *who keeps the buffer*:
 //!
 //! | read | kept by | lands in |
 //! |---|---|---|
 //! | cached miss (either entry point) | the cache (+ the caller of `read_row`) | the get's one `Arc` |
 //! | non-cached or quarantine-bypass adjacency row | nobody | the calling thread's landing `Vec` |
-//! | uncached offsets pair | nobody | a two-word stack array |
+//! | offsets span | nobody | the calling thread's span buffer ([`OffsetSpans`]) |
+//! | one offsets pair | nobody | a two-word stack array |
 //!
 //! The simulator materializes a get's data at issue time, so a fault-free
 //! read computes its value — and a miss admits its buffer — when it is
 //! issued, in exactly the order a loop that waits for every get would; only
 //! the cost ticket ([`rmatc_rma::PendingCharge`]) stays in flight. Under
-//! fault injection unverified data is never trusted: a row nobody keeps is
-//! read synchronously, verified and healed in place
-//! ([`Endpoint::get_into_with_retry`]); a cached miss defers both its value
+//! fault injection unverified data is never trusted: a row nobody keeps —
+//! offsets pairs and spans included — is read synchronously, verified and
+//! healed in place ([`Endpoint::get_into_with_retry`]); a cached miss defers both its value
 //! and its admission to the checksum-verified completion
 //! ([`Endpoint::wait_with_reissue`]).
 
@@ -31,9 +43,10 @@ use super::config::{DistConfig, ScoreMode};
 use super::windows::GraphWindows;
 use rmatc_clampi::{CacheProbe, CacheStats, RowRef, ShardedCachedWindow};
 use rmatc_graph::compressed::decoded_len;
+use rmatc_graph::partition::Partitioner;
 use rmatc_graph::types::VertexId;
 use rmatc_graph::GraphStorage;
-use rmatc_rma::{Endpoint, PendingCharge, PendingGet, RmaError, Window};
+use rmatc_rma::{Endpoint, NetworkModel, PendingCharge, PendingGet, RmaError, Window};
 use std::sync::Arc;
 
 /// One directed edge `(u, v)` of a locally owned vertex `u`, as the edge loop
@@ -123,21 +136,53 @@ enum Flight<R> {
     },
 }
 
+/// Whether the offsets pairs of two needed rows `p < q` of one owner share a
+/// span under `network`'s `t(s) = α + β·s`: one span reads the
+/// `8·(q − p − 2)` bytes between the two pairs (offsets are `u64`; adjacent
+/// rows share a word) and saves one get, so it pays iff
+/// `8·(q − p − 2)·β ≤ α`. The cost is additive over gaps, so deciding each
+/// gap on its own — the greedy split — is optimal.
+pub fn spans_join(network: &NetworkModel, p: usize, q: usize) -> bool {
+    8.0 * (q as f64 - p as f64 - 2.0) * network.beta_ns_per_byte <= network.alpha_ns
+}
+
+/// The `(start, end)` pairs of one source's remote neighbours, read by span
+/// ([`RowReader::read_spans`]): a worker thread's reusable buffers, which stop
+/// allocating once they have grown to the widest source.
+#[derive(Debug, Default)]
+pub struct OffsetSpans {
+    /// `(owner, local index, position in the source's row)` of every remote
+    /// neighbour, grouped by owner.
+    wanted: Vec<(usize, usize, usize)>,
+    /// Where a span lands.
+    words: Vec<u64>,
+    /// The pair of the neighbour at each position of the source's row.
+    pairs: Vec<(usize, usize)>,
+}
+
+impl OffsetSpans {
+    /// The `(start, end)` pair of the remote neighbour at position `k` of the
+    /// row last passed to [`RowReader::read_spans`].
+    pub fn pair(&self, k: usize) -> (usize, usize) {
+        self.pairs[k]
+    }
+}
+
 /// Per-rank reader of remote adjacency lists, shared by reference across the
 /// rank's worker threads (each thread brings its own [`Endpoint`]).
 ///
 /// Reading the adjacency of a remote vertex requires two RMA gets: the first reads
-/// the `(start, end)` pair from the target's `offsets` array, the second reads
+/// the `(start, end)` pair from the target's `offsets` array (alone, or in a span
+/// with its source's other neighbours on that target), the second reads
 /// `end − start` vertex ids from the target's `adjacencies` array. When caching is
-/// enabled each get is first looked up in the corresponding CLaMPI cache
-/// (`C_offsets`, `C_adj`); the adjacency entry can carry the vertex degree as its
-/// application-defined eviction score. Caches are lock-sharded; with one
-/// thread the single shard is a plain cache decision for decision.
+/// enabled the second get is first looked up in the CLaMPI cache `C_adj`; the
+/// entry can carry the vertex degree as its application-defined eviction score.
+/// The cache is lock-sharded; with one thread the single shard is a plain
+/// cache decision for decision.
 #[derive(Debug)]
 pub struct RowReader {
     offsets_plain: Window<u64>,
     adj_plain: Window<VertexId>,
-    offsets_cache: Option<ShardedCachedWindow<u64>>,
     adj_cache: Option<ShardedCachedWindow<VertexId>>,
     score_mode: ScoreMode,
     /// Encoding of the adjacency window's payload (taken from the windows):
@@ -148,28 +193,25 @@ pub struct RowReader {
 
 impl RowReader {
     /// Builds the reader of one rank over `windows`: resolves
-    /// [`DistConfig::cache`] for a graph of `n_global` vertices (no caches
-    /// when it is `None`) and shards each enabled cache `shards` ways — one
-    /// shard per worker thread of the rank.
+    /// [`DistConfig::cache`] for a graph of `n_global` vertices (no cache
+    /// when it is `None`) and shards the cache `shards` ways — one shard per
+    /// worker thread of the rank.
     pub fn new(
         windows: &GraphWindows,
         config: &DistConfig,
         n_global: usize,
         shards: usize,
     ) -> Self {
-        let caches = config
-            .cache
-            .map(|spec| spec.resolve(n_global, windows.adjacency_bytes() as u64));
+        let adj_cache = config.cache.and_then(|spec| {
+            spec.resolve(n_global, windows.adjacency_bytes() as u64)
+                .adjacencies
+        });
         Self {
             offsets_plain: windows.offsets.clone(),
             adj_plain: windows.adjacencies.clone(),
-            offsets_cache: caches
-                .and_then(|c| c.offsets)
-                .map(|cfg| ShardedCachedWindow::new(windows.offsets.clone(), cfg, shards)),
-            adj_cache: caches.and_then(|c| c.adjacencies).map(|cfg| {
+            adj_cache: adj_cache.map(|cfg| {
                 // The degree passed with each row only steers eviction and
-                // admission if the cache scores by it; `C_offsets` entries
-                // carry no score and stay positional.
+                // admission if the cache scores by it.
                 let cfg = match config.score_mode {
                     ScoreMode::Lru => cfg,
                     ScoreMode::DegreeCentrality => cfg.with_application_scores(),
@@ -181,36 +223,86 @@ impl RowReader {
         }
     }
 
-    /// First get of the protocol, always synchronous — its result gates the
-    /// adjacency get: the `(start, end)` offsets pair of the row of
-    /// `local_idx` on `target` (cache-intercepted when `C_offsets` is
-    /// enabled). Uncached, the pair is borrowed from the window when the row
-    /// is the caller's own and otherwise landed in a two-word stack buffer —
-    /// nobody retains it, so it allocates nothing.
-    fn read_offsets(
+    /// First get of the protocol for one row, always synchronous — its
+    /// result gates the adjacency get: the `(start, end)` offsets pair of the
+    /// row of `local_idx` on `target`. The pair is borrowed from the window
+    /// when the row is the caller's own and otherwise landed in a two-word
+    /// stack buffer — nobody retains it, so it allocates nothing.
+    pub fn read_offsets(
         &self,
         ep: &mut Endpoint,
         target: usize,
         local_idx: usize,
     ) -> Result<(usize, usize), RmaError> {
         let mut pair = [0u64; 2];
-        match &self.offsets_cache {
-            Some(cache) => {
-                pair.copy_from_slice(&cache.get_scored(ep, target, local_idx, 2, 0.0)?);
-            }
-            None if target == ep.rank() => {
-                pair.copy_from_slice(ep.local_read(&self.offsets_plain, local_idx, 2));
-            }
-            None => ep.get_into_with_retry(
+        if target == ep.rank() {
+            pair.copy_from_slice(ep.local_read(&self.offsets_plain, local_idx, 2));
+        } else {
+            ep.get_into_with_retry(
                 &self.offsets_plain,
                 target,
                 local_idx,
                 2,
                 &mut pair,
                 |wire, pair| pair.copy_from_slice(wire),
-            )?,
+            )?;
         }
         Ok((pair[0] as usize, pair[1] as usize))
+    }
+
+    /// First get of the protocol for every remote neighbour of one source at
+    /// once: reads the `(start, end)` pairs of the rows in `adj_u` that
+    /// `partitioner` places on other ranks than `ep.rank()` into `spans`
+    /// ([`OffsetSpans::pair`]). Per owner, the needed local indices ascend
+    /// (rows are sorted and every scheme maps ids monotonically within a
+    /// rank); consecutive ones share a span while [`spans_join`] says the gap
+    /// is cheaper than a get under `ep`'s network model. Each span is one
+    /// synchronous, self-healing get landed in the thread's span buffer.
+    pub fn read_spans(
+        &self,
+        ep: &mut Endpoint,
+        partitioner: &Partitioner,
+        adj_u: &[VertexId],
+        spans: &mut OffsetSpans,
+    ) -> Result<(), RmaError> {
+        spans.wanted.clear();
+        for (k, &v) in adj_u.iter().enumerate() {
+            let owner = partitioner.owner(v);
+            if owner != ep.rank() {
+                spans.wanted.push((owner, partitioner.local_index(v), k));
+            }
+        }
+        // Stable, so each owner's rows keep their ascending order.
+        spans.wanted.sort_by_key(|&(owner, ..)| owner);
+        spans
+            .pairs
+            .resize(spans.pairs.len().max(adj_u.len()), (0, 0));
+        let network = *ep.network();
+        let mut rest = &spans.wanted[..];
+        while let Some(&(owner, first, _)) = rest.first() {
+            let joined = rest
+                .windows(2)
+                .take_while(|w| w[1].0 == owner && spans_join(&network, w[0].1, w[1].1));
+            let (span, tail) = rest.split_at(1 + joined.count());
+            let len = span[span.len() - 1].1 + 2 - first;
+            let words = &mut spans.words;
+            ep.get_into_with_retry(
+                &self.offsets_plain,
+                owner,
+                first,
+                len,
+                words,
+                |wire, words| {
+                    words.clear();
+                    words.extend_from_slice(wire);
+                },
+            )?;
+            for &(_, idx, k) in span {
+                spans.pairs[k] = (words[idx - first] as usize, words[idx - first + 1] as usize);
+            }
+            rest = tail;
+        }
+        Ok(())
     }
 
     /// The application-defined eviction score of an adjacency row of `len`
@@ -239,9 +331,10 @@ impl RowReader {
         }
     }
 
-    /// Reads the adjacency list of the vertex with local index `local_idx` on rank
-    /// `target`, issuing the two gets (cache-intercepted where enabled) and
-    /// waiting for both.
+    /// Reads the adjacency list on rank `target` whose `(start, end)` offsets
+    /// pair the first get returned ([`RowReader::read_offsets`] or
+    /// [`RowReader::read_spans`]), cache-intercepted where enabled, and waits
+    /// for it.
     ///
     /// The returned [`RowRef`] is a zero-copy view: local-rank reads borrow the
     /// window, cache hits share the cached buffer, and a miss allocates exactly
@@ -256,9 +349,8 @@ impl RowReader {
         &self,
         ep: &mut Endpoint,
         target: usize,
-        local_idx: usize,
+        (start, end): (usize, usize),
     ) -> Result<RowRef<'_, VertexId>, RmaError> {
-        let (start, end) = self.read_offsets(ep, target, local_idx)?;
         let len = end - start;
         if len == 0 {
             return Ok(RowRef::Window(&[]));
@@ -283,8 +375,9 @@ impl RowReader {
         }
     }
 
-    /// Starts the read of the row of `local_idx` on `target` for `edge`:
-    /// reads the offsets synchronously, then either resolves in place
+    /// Starts the read for `edge` of the row on `target` whose `(start, end)`
+    /// offsets pair the first get returned ([`RowReader::read_offsets`] or
+    /// [`RowReader::read_spans`]): either resolves in place
     /// ([`EdgeOp::stored`] over an empty, local or cached row) or issues the
     /// adjacency get and returns it in flight — landed where the module
     /// table says, the value already computed unless the transfer is
@@ -294,12 +387,11 @@ impl RowReader {
         &self,
         ep: &mut Endpoint,
         target: usize,
-        local_idx: usize,
+        (start, end): (usize, usize),
         landing: &mut Vec<VertexId>,
         op: &O,
         edge: &Edge<'_>,
     ) -> Result<Started<O::Value>, RmaError> {
-        let (start, end) = self.read_offsets(ep, target, local_idx)?;
         let len = end - start;
         if len == 0 {
             return Ok(Started::Immediate(op.stored(edge, &[])));
@@ -384,14 +476,8 @@ impl RowReader {
         }
     }
 
-    /// Statistics of the offsets cache, if caching is enabled on that window
-    /// (merged across shards).
-    pub fn offsets_cache_stats(&self) -> Option<CacheStats> {
-        self.offsets_cache.as_ref().map(|c| c.stats())
-    }
-
-    /// Statistics of the adjacency cache, if caching is enabled on that window
-    /// (merged across shards).
+    /// Statistics of the adjacency cache, if caching is enabled (merged
+    /// across shards).
     pub fn adjacency_cache_stats(&self) -> Option<CacheStats> {
         self.adj_cache.as_ref().map(|c| c.stats())
     }
@@ -406,6 +492,18 @@ mod tests {
     use crate::local::count_closing_at;
     use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
     use rmatc_graph::partition::{PartitionScheme, PartitionedGraph};
+
+    /// Both gets of one row, as the service reads it: the offsets pair, then the
+    /// row.
+    fn read_row<'r>(
+        reader: &'r RowReader,
+        ep: &mut Endpoint,
+        target: usize,
+        idx: usize,
+    ) -> Result<RowRef<'r, VertexId>, RmaError> {
+        let pair = reader.read_offsets(ep, target, idx)?;
+        reader.read_row(ep, target, pair)
+    }
 
     fn setup() -> (PartitionedGraph, DistConfig) {
         let g = RmatGenerator::paper(8, 8).generate_cleaned(3).into_csr();
@@ -429,7 +527,7 @@ mod tests {
         let mut ep = endpoint(&config);
         let remote = &pg.partitions[1];
         for (local_idx, _) in remote.global_ids.iter().enumerate().take(20) {
-            let got = reader.read_row(&mut ep, 1, local_idx).unwrap();
+            let got = read_row(&reader, &mut ep, 1, local_idx).unwrap();
             assert_eq!(got.as_slice(), remote.neighbours_of_local(local_idx));
         }
         ep.unlock_all();
@@ -441,19 +539,13 @@ mod tests {
     fn cached_reader_returns_exact_adjacency_and_hits_on_reuse() {
         let (pg, mut config) = setup();
         let windows = GraphWindows::build(&pg);
-        // The paper's `0.8 · |V|`-byte offsets cache cannot hold this test's
-        // whole 10-row working set on so small a graph, so second-round hits
-        // would depend on the eviction pattern. Size it explicitly instead —
-        // the test is about reuse being served from cache, not about capacity.
-        let mut spec = CacheSpec::paper(1 << 20);
-        spec.offsets_bytes = Some(1 << 10);
-        config.cache = Some(spec);
+        config.cache = Some(CacheSpec::paper(1 << 20));
         let reader = RowReader::new(&windows, &config, pg.global_vertex_count(), 1);
         let mut ep = endpoint(&config);
         let remote = &pg.partitions[1];
         for round in 0..2 {
             for (local_idx, _) in remote.global_ids.iter().enumerate().take(10) {
-                let got = reader.read_row(&mut ep, 1, local_idx).unwrap();
+                let got = read_row(&reader, &mut ep, 1, local_idx).unwrap();
                 assert_eq!(
                     got.as_slice(),
                     remote.neighbours_of_local(local_idx),
@@ -467,11 +559,99 @@ mod tests {
             adj_stats.hits > 0,
             "second round must hit the adjacency cache"
         );
-        let off_stats = reader.offsets_cache_stats().unwrap();
-        assert!(
-            off_stats.hits > 0,
-            "second round must hit the offsets cache"
-        );
+    }
+
+    /// Reads the spans of every source of rank 0 of `pg` under `network`,
+    /// checking each pair against the owner's partition. Returns the gets
+    /// issued and, per source, its remote neighbours' `(owner, local index)`
+    /// in plan order.
+    fn span_gets(pg: &PartitionedGraph, network: NetworkModel) -> (u64, Vec<Vec<(usize, usize)>>) {
+        let windows = GraphWindows::build(pg);
+        let config = DistConfig::cached(pg.ranks(), 1 << 20);
+        let reader = RowReader::new(&windows, &config, pg.global_vertex_count(), 1);
+        let mut ep = Endpoint::new(0, pg.ranks(), network);
+        ep.lock_all();
+        let mut spans = OffsetSpans::default();
+        let part = &pg.partitions[0];
+        let mut needed = Vec::new();
+        for local_idx in 0..part.local_vertex_count() {
+            let adj_u = part.neighbours_of_local(local_idx);
+            reader
+                .read_spans(&mut ep, &pg.partitioner, adj_u, &mut spans)
+                .unwrap();
+            let mut rows = Vec::new();
+            for (k, &v) in adj_u.iter().enumerate() {
+                let (owner, idx) = (pg.partitioner.owner(v), pg.partitioner.local_index(v));
+                if owner != 0 {
+                    let offsets = pg.partitions[owner].csr.offsets();
+                    let pair = (offsets[idx] as usize, offsets[idx + 1] as usize);
+                    assert_eq!(spans.pair(k), pair, "edge ({local_idx}, {v})");
+                    rows.push((owner, idx));
+                }
+            }
+            rows.sort_unstable();
+            needed.push(rows);
+        }
+        ep.unlock_all();
+        (ep.stats().gets, needed)
+    }
+
+    /// Spans the plan opens for one source: one per owner, plus one per gap
+    /// between consecutive rows of an owner that `split` says to cut.
+    fn planned(rows: &[(usize, usize)], split: impl Fn(usize, usize) -> bool) -> u64 {
+        let opened = |w: &[(usize, usize)]| w[0].0 != w[1].0 || split(w[0].1, w[1].1);
+        u64::from(!rows.is_empty()) + rows.windows(2).filter(|w| opened(w)).count() as u64
+    }
+
+    #[test]
+    fn span_gets_follow_the_network_model() {
+        let g = RmatGenerator::paper(8, 8).generate_cleaned(3).into_csr();
+        for scheme in [PartitionScheme::Block1D, PartitionScheme::Cyclic] {
+            let pg = PartitionedGraph::from_global(&g, scheme, 3).unwrap();
+            // Free bytes and free gets: one span per (source, owner).
+            let (gets, needed) = span_gets(&pg, NetworkModel::zero());
+            let per_owner: u64 = needed.iter().map(|rows| planned(rows, |_, _| false)).sum();
+            assert_eq!(gets, per_owner, "{scheme:?}");
+            // Free gets, priced bytes: a gap that leaves a word unread splits.
+            let bytes_only = NetworkModel {
+                alpha_ns: 0.0,
+                ..NetworkModel::aries()
+            };
+            let (gets, needed) = span_gets(&pg, bytes_only);
+            let split: u64 = needed
+                .iter()
+                .map(|rows| planned(rows, |p, q| q > p + 2))
+                .sum();
+            assert_eq!(gets, split, "{scheme:?}");
+            assert!(split > per_owner, "{scheme:?}: some gap must split");
+            // Aries: exactly the spans the rule plans, between the two.
+            let aries = NetworkModel::aries();
+            let (gets, needed) = span_gets(&pg, aries);
+            let rule: u64 = needed
+                .iter()
+                .map(|rows| planned(rows, |p, q| !spans_join(&aries, p, q)))
+                .sum();
+            assert_eq!(gets, rule, "{scheme:?}");
+            assert!((per_owner..=split).contains(&rule), "{scheme:?}");
+        }
+    }
+
+    #[test]
+    fn the_split_rule_prices_gap_bytes_against_one_get() {
+        let aries = NetworkModel::aries();
+        // 8 B/word · 0.1 ns/B against α = 2 500 ns: gaps of up to 3 125
+        // unread words pay for themselves.
+        assert!(spans_join(&aries, 10, 10 + 2 + 3_125));
+        assert!(!spans_join(&aries, 10, 10 + 2 + 3_126));
+        // Adjacent rows share a word; duplicates overlap entirely.
+        let bytes_only = NetworkModel {
+            alpha_ns: 0.0,
+            ..aries
+        };
+        assert!(spans_join(&bytes_only, 4, 4));
+        assert!(spans_join(&bytes_only, 4, 5));
+        assert!(spans_join(&bytes_only, 4, 6));
+        assert!(!spans_join(&bytes_only, 4, 7));
     }
 
     #[test]
@@ -489,7 +669,7 @@ mod tests {
         let mut ep = endpoint(&config);
         // Vertex 6 lives on rank 1 (block [4..8)) and has no neighbours.
         let local_idx = pg.partitioner.local_index(6);
-        let got = reader.read_row(&mut ep, 1, local_idx).unwrap();
+        let got = read_row(&reader, &mut ep, 1, local_idx).unwrap();
         assert!(got.is_empty());
         assert_eq!(ep.stats().gets, 1);
         ep.unlock_all();
@@ -525,7 +705,8 @@ mod tests {
                                 continue;
                             }
                             let v_local = pg.partitioner.local_index(v);
-                            let row = plain_reader.read_row(&mut ep_b, 1, v_local).unwrap();
+                            let row = read_row(&plain_reader, &mut ep_b, 1, v_local).unwrap();
+                            let pair = reader.read_offsets(&mut ep_a, 1, v_local).unwrap();
                             let expected =
                                 count_closing_at(pg.direction, adj_u, &row, v, k, &intersector);
                             let edge = Edge {
@@ -536,7 +717,7 @@ mod tests {
                                 k,
                             };
                             match reader
-                                .start(&mut ep_a, 1, v_local, &mut landing, &op, &edge)
+                                .start(&mut ep_a, 1, pair, &mut landing, &op, &edge)
                                 .unwrap()
                             {
                                 Started::Immediate(got) => assert_eq!(got, expected),

@@ -56,8 +56,6 @@ pub struct RankReport {
     pub timing: TimingBreakdown,
     /// RMA statistics.
     pub rma: RankStats,
-    /// Offsets-cache statistics, when enabled.
-    pub offsets_cache: Option<CacheStats>,
     /// Adjacency-cache statistics, when enabled.
     pub adjacency_cache: Option<CacheStats>,
 }
@@ -124,14 +122,12 @@ impl DistResult {
         self.ranks.iter().map(|r| r.rma.fault_events()).sum()
     }
 
-    /// Total cache hits (both caches, all ranks).
+    /// Total cache hits (all ranks).
     pub fn cache_hits(&self) -> u64 {
         self.ranks
             .iter()
-            .map(|r| {
-                r.offsets_cache.as_ref().map(|c| c.hits).unwrap_or(0)
-                    + r.adjacency_cache.as_ref().map(|c| c.hits).unwrap_or(0)
-            })
+            .filter_map(|r| r.adjacency_cache.as_ref())
+            .map(|c| c.hits)
             .sum()
     }
 
@@ -149,17 +145,10 @@ impl DistResult {
         any.then_some(out)
     }
 
-    /// Aggregated offsets-cache statistics across ranks.
+    /// Always `None`: there is no offsets cache — the cached configuration
+    /// reads offsets by span. Kept for callers written against `C_offsets`.
     pub fn offsets_cache_totals(&self) -> Option<CacheStats> {
-        let mut any = false;
-        let mut out = CacheStats::default();
-        for r in &self.ranks {
-            if let Some(c) = &r.offsets_cache {
-                out.merge(c);
-                any = true;
-            }
-        }
-        any.then_some(out)
+        None
     }
 
     /// Aggregate logical-to-stored byte ratio of the adjacency rows that
@@ -217,7 +206,6 @@ pub fn assemble(
                 overlapped_ns: out.rma.overlapped_ns,
             },
             rma: out.rma,
-            offsets_cache: out.offsets_cache,
             adjacency_cache: out.adjacency_cache,
         });
     }
@@ -255,7 +243,6 @@ mod tests {
                 overlapped_ns: 0.0,
             },
             rma: RankStats::new(2),
-            offsets_cache: None,
             adjacency_cache: None,
         }
     }

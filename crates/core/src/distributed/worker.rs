@@ -31,8 +31,6 @@ pub struct WorkerOutput {
     pub local_triangles: Vec<u64>,
     /// RMA statistics (gets, bytes, modeled communication time).
     pub rma: RankStats,
-    /// `C_offsets` statistics, when that cache is enabled.
-    pub offsets_cache: Option<CacheStats>,
     /// `C_adj` statistics, when that cache is enabled.
     pub adjacency_cache: Option<CacheStats>,
     /// CPU time of the rank's compute loop, in nanoseconds (per-thread CPU time, so
@@ -62,7 +60,6 @@ pub fn run_worker(
         rank,
         local_triangles: out.items,
         rma: out.rma,
-        offsets_cache: out.offsets_cache,
         adjacency_cache: out.adjacency_cache,
         compute_ns: out.compute_ns,
         edges_processed: out.edges_processed,
@@ -287,7 +284,6 @@ mod tests {
         let out = run_worker(0, &pg, &windows, &config).unwrap();
         let adj = out.adjacency_cache.expect("adjacency cache enabled");
         assert!(adj.lookups() > 0);
-        assert!(out.offsets_cache.is_some());
     }
 
     #[test]
@@ -386,7 +382,6 @@ mod tests {
                     let what = format!("{storage:?} cached={cached} d={depth}");
                     assert_eq!(piped.local_triangles, baseline.local_triangles, "{what}");
                     assert_eq!(piped.adjacency_cache, baseline.adjacency_cache, "{what}");
-                    assert_eq!(piped.offsets_cache, baseline.offsets_cache, "{what}");
                     assert_stats_equivalent(&piped.rma, &baseline.rma);
                     assert_eq!(piped.edges_processed, baseline.edges_processed);
                     assert_eq!(piped.remote_edges, baseline.remote_edges);
@@ -404,20 +399,40 @@ mod tests {
 
     #[test]
     fn threaded_workers_match_scores_and_get_totals() {
-        let (pg, windows, mut config) = setup(2);
-        let baseline = run_worker(0, &pg, &windows, &config).unwrap();
-        // Up to more threads than the rank has vertices: the chunking must
-        // still cover every vertex exactly once.
-        for threads in [2usize, 4, 1000] {
-            config.intra_threads = threads;
-            config.pipeline_depth = 4;
-            let out = run_worker(0, &pg, &windows, &config).unwrap();
-            assert_eq!(out.local_triangles, baseline.local_triangles, "t={threads}");
-            // Non-cached: gets and bytes are per-edge deterministic however
-            // the threads interleave.
-            assert_eq!(out.rma.gets, baseline.rma.gets, "t={threads}");
-            assert_eq!(out.rma.bytes, baseline.rma.bytes, "t={threads}");
-            assert_eq!(out.edges_processed, baseline.edges_processed);
+        // Non-cached, gets and bytes are per-edge deterministic however the
+        // threads interleave. Cached, hits and misses depend on how the
+        // threads share the sharded cache, but there is one lookup per remote
+        // non-empty row and the offsets spans are planned per source, so the
+        // gets that are not `C_adj` misses are fixed too.
+        let adj = |out: &WorkerOutput| out.adjacency_cache.clone().unwrap_or_default();
+        let lookups = |out: &WorkerOutput| adj(out).lookups();
+        let misses = |out: &WorkerOutput| adj(out).misses;
+        for cached in [false, true] {
+            let (pg, windows, mut config) = setup(2);
+            if cached {
+                config.cache = Some(CacheSpec::paper(16 << 10));
+                config.score_mode = ScoreMode::DegreeCentrality;
+            }
+            let baseline = run_worker(0, &pg, &windows, &config).unwrap();
+            let planned = baseline.rma.gets - misses(&baseline);
+            if cached {
+                assert!(planned < baseline.remote_edges, "spans must save gets");
+            }
+            // Up to more threads than the rank has vertices: the chunking must
+            // still cover every vertex exactly once.
+            for threads in [2usize, 4, 1000] {
+                config.intra_threads = threads;
+                config.pipeline_depth = 4;
+                let out = run_worker(0, &pg, &windows, &config).unwrap();
+                let what = format!("cached={cached} t={threads}");
+                assert_eq!(out.local_triangles, baseline.local_triangles, "{what}");
+                assert_eq!(out.edges_processed, baseline.edges_processed, "{what}");
+                assert_eq!(lookups(&out), lookups(&baseline), "{what}");
+                assert_eq!(out.rma.gets - misses(&out), planned, "{what}");
+                if !cached {
+                    assert_eq!(out.rma.bytes, baseline.rma.bytes, "{what}");
+                }
+            }
         }
     }
 }

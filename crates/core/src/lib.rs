@@ -18,9 +18,10 @@
 //!   incrementally in O(1) instead of two binary searches per edge.
 //! * [`distributed`] — the fully asynchronous distributed algorithm (Algorithm 3):
 //!   1D partitioning, CSR windows exposed via RMA, the two-get remote-adjacency
-//!   protocol, optional CLaMPI caching of both windows with LRU or degree-centrality
-//!   scores, and double buffering of communication with computation. This is the
-//!   code path measured in Figures 7–10.
+//!   protocol, optional CLaMPI caching of the adjacency window with LRU or
+//!   degree-centrality scores (offsets then read by span), and double buffering
+//!   of communication with computation. This is the code path measured in
+//!   Figures 7–10.
 //! * [`reuse`] — the remote-access data-reuse analyses behind Figures 1, 4 and 5.
 //! * [`lcc`] — the LCC formulas (Eqs. 1 and 2), re-exported from the graph substrate
 //!   so that every implementation shares one definition.

@@ -368,13 +368,9 @@ impl QueryEngine {
     /// A point-in-time statistics snapshot (see [`ServiceStats`]).
     pub fn stats(&self) -> ServiceStats {
         let mut rma = RankStats::new(self.pg.ranks());
-        let mut offsets_cache: Option<CacheStats> = None;
         let mut adjacency_cache: Option<CacheStats> = None;
         for lane in &self.lanes {
             rma.merge(lane.ep.stats());
-            if let Some(stats) = lane.reader.offsets_cache_stats() {
-                merge_into(&mut offsets_cache, &stats);
-            }
             if let Some(stats) = lane.reader.adjacency_cache_stats() {
                 merge_into(&mut adjacency_cache, &stats);
             }
@@ -392,7 +388,7 @@ impl QueryEngine {
             unique_row_reads: self.unique_rows,
             virtual_now_ns: self.virtual_now_ns(),
             rma,
-            offsets_cache,
+            offsets_cache: None,
             adjacency_cache,
             wall_latency: LatencyPercentiles::from_samples(&self.wall_latencies_ns),
             virtual_latency: LatencyPercentiles::from_samples(&self.virtual_latencies_ns),
@@ -484,7 +480,10 @@ fn exec_rank_group(
     let RankLane { ep, reader } = lane;
     let rows: Vec<Result<RowRef<'_, VertexId>, RmaError>> = keys
         .iter()
-        .map(|&(target, v_local)| reader.read_row(ep, target, v_local))
+        .map(|&(target, v_local)| {
+            let row = reader.read_offsets(ep, target, v_local)?;
+            reader.read_row(ep, target, row)
+        })
         .collect();
 
     // 3. Answer each query from the landed rows.

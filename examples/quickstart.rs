@@ -37,8 +37,8 @@ fn main() {
         non_cached.max_rank_time_ns() / 1e6
     );
 
-    // 4. The same computation with CLaMPI caching of both windows and
-    //    degree-centrality eviction scores.
+    // 4. The same computation with CLaMPI caching of the adjacency window,
+    //    degree-centrality eviction scores and offsets read by span.
     let cache_budget = graph.csr_size_bytes() as usize / 2;
     let cached = DistLcc::new(DistConfig::cached(8, cache_budget).with_degree_scores()).run(&graph);
     let adj_stats = cached

@@ -28,9 +28,7 @@ fn miss_rate_decreases_monotonically_with_cache_size() {
     let mut previous_miss_rate = 1.0f64;
     for fraction in [0.05, 0.25, 1.0] {
         let mut cfg = DistConfig::non_cached(2);
-        cfg.cache = Some(CacheSpec::adjacencies_only(
-            (adj_bytes as f64 * fraction) as usize,
-        ));
+        cfg.cache = Some(CacheSpec::paper((adj_bytes as f64 * fraction) as usize));
         let result = DistLcc::new(cfg).run(&g);
         let miss = result.adjacency_cache_totals().unwrap().miss_rate();
         assert!(
@@ -41,7 +39,7 @@ fn miss_rate_decreases_monotonically_with_cache_size() {
     }
     // A cache as large as the adjacency data reaches (close to) the compulsory floor.
     let mut cfg = DistConfig::non_cached(2);
-    cfg.cache = Some(CacheSpec::adjacencies_only(adj_bytes));
+    cfg.cache = Some(CacheSpec::paper(adj_bytes));
     let result = DistLcc::new(cfg).run(&g);
     let stats = result.adjacency_cache_totals().unwrap();
     assert!(stats.miss_rate() < stats.compulsory_miss_rate() + 0.05);
@@ -58,7 +56,7 @@ fn degree_scores_do_not_hit_less_than_lru_under_pressure() {
     let capacity = GraphWindows::build_with(&pg, base.storage).adjacency_bytes() / 4;
     let run = |mode| {
         let mut cfg = base;
-        cfg.cache = Some(CacheSpec::adjacencies_only(capacity));
+        cfg.cache = Some(CacheSpec::paper(capacity));
         cfg.score_mode = mode;
         DistLcc::new(cfg).run(&g)
     };
@@ -107,15 +105,17 @@ fn compulsory_miss_floor_grows_with_rank_count() {
 }
 
 #[test]
-fn offsets_cache_alone_already_saves_communication() {
+fn offsets_spans_alone_already_save_communication() {
+    // A cached configuration whose budget leaves `C_adj` nothing still reads
+    // each source's offsets pairs by span: fewer gets and less communication
+    // than one pair get per remote edge, with the same answers.
     let g = skewed_graph();
     let baseline = DistLcc::new(DistConfig::non_cached(2)).run(&g);
-    let mut cfg = DistConfig::non_cached(2);
-    cfg.cache = Some(CacheSpec::offsets_only((g.vertex_count() + 2) * 16));
-    let cached = DistLcc::new(cfg).run(&g);
-    assert!(cached.max_comm_time_ns() < baseline.max_comm_time_ns());
-    assert!(cached.adjacency_cache_totals().is_none());
-    assert!(cached.offsets_cache_totals().unwrap().hits > 0);
+    let spans = DistLcc::new(DistConfig::cached(2, 0)).run(&g);
+    assert!(spans.adjacency_cache_totals().is_none());
+    assert_eq!(spans.per_vertex_triangles, baseline.per_vertex_triangles);
+    assert!(spans.total_gets() < baseline.total_gets());
+    assert!(spans.max_comm_time_ns() < baseline.max_comm_time_ns());
 }
 
 #[test]
@@ -140,15 +140,12 @@ fn cache_statistics_are_internally_consistent() {
     let g = skewed_graph();
     let result = DistLcc::new(DistConfig::cached(4, g.csr_size_bytes() as usize / 4)).run(&g);
     for report in &result.ranks {
-        for stats in [&report.offsets_cache, &report.adjacency_cache]
-            .into_iter()
-            .flatten()
-        {
-            assert_eq!(stats.lookups(), stats.hits + stats.misses);
-            assert!(stats.compulsory_misses <= stats.misses);
-            assert!(
-                (stats.hit_rate() + stats.miss_rate() - 1.0).abs() < 1e-9 || stats.lookups() == 0
-            );
-        }
+        let stats = report
+            .adjacency_cache
+            .as_ref()
+            .expect("adjacency cache enabled");
+        assert_eq!(stats.lookups(), stats.hits + stats.misses);
+        assert!(stats.compulsory_misses <= stats.misses);
+        assert!((stats.hit_rate() + stats.miss_rate() - 1.0).abs() < 1e-9 || stats.lookups() == 0);
     }
 }

@@ -176,6 +176,37 @@ fn cached_lcc_heals_corrupted_cache_entries() {
 }
 
 #[test]
+fn offsets_spans_heal_light_plans_to_the_reference_answers() {
+    // The cached configuration reads offsets by span through the same
+    // verified, self-healing get as a single pair: dropped, corrupted and
+    // delayed spans heal to the reference answers — with `C_adj` and without
+    // it (a budget of 0 leaves only the spans), at depth 1 and 8.
+    let g = graph();
+    let expected = rmatc::graph::reference::per_vertex_triangles(&g);
+    for seed in chaos_seeds() {
+        let plan = FaultPlan::light(seed);
+        for (budget, depth) in [(0usize, 1usize), (0, 8), (1 << 20, 1), (1 << 20, 8)] {
+            with_plan_artifact(&plan, "lcc-spans", || {
+                let cfg = DistConfig::cached(2, budget)
+                    .with_degree_scores()
+                    .with_pipeline_depth(depth)
+                    .with_faults(plan)
+                    .with_retry(patient_retries());
+                let faulted = DistLcc::new(cfg)
+                    .try_run(&g)
+                    .expect("recoverable plans must heal");
+                let what = format!("seed {seed}, budget {budget}, depth {depth}");
+                assert_eq!(faulted.per_vertex_triangles, expected, "{what}");
+                assert!(
+                    faulted.total_fault_events() > 0,
+                    "{what}: no fault injected"
+                );
+            });
+        }
+    }
+}
+
+#[test]
 fn jaccard_is_bit_identical_under_recoverable_fault_plans() {
     let g = graph();
     let clean = DistJaccard::new(DistConfig::non_cached(3)).run(&g);

@@ -193,6 +193,10 @@ mod differential {
         stats.as_ref().map(|s| s.lookups()).unwrap_or(0)
     }
 
+    fn misses(stats: &Option<CacheStats>) -> u64 {
+        stats.as_ref().map(|s| s.misses).unwrap_or(0)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -234,7 +238,12 @@ mod differential {
                     lookups(&a.adjacency_cache),
                     lookups(&b.adjacency_cache)
                 );
-                prop_assert_eq!(lookups(&a.offsets_cache), lookups(&b.offsets_cache));
+                // The gets that are not `C_adj` misses — offsets spans or
+                // pairs, uncached rows — are planned per source or per edge.
+                prop_assert_eq!(
+                    a.rma.gets - misses(&a.adjacency_cache),
+                    b.rma.gets - misses(&b.adjacency_cache)
+                );
                 if cache.is_none() {
                     // Non-cached: every remote read goes to the wire, so the
                     // get/byte counters are per-edge deterministic too.
@@ -266,7 +275,6 @@ mod differential {
                     prop_assert_eq!(seq.local_triangles[local_idx], expected[gv as usize]);
                 }
                 prop_assert_eq!(&pip.local_triangles, &seq.local_triangles);
-                prop_assert_eq!(&pip.offsets_cache, &seq.offsets_cache);
                 prop_assert_eq!(&pip.adjacency_cache, &seq.adjacency_cache);
                 prop_assert_eq!(pip.edges_processed, seq.edges_processed);
                 prop_assert_eq!(pip.remote_edges, seq.remote_edges);
@@ -304,6 +312,102 @@ mod differential {
             }
             let gets = |r: &JaccardResult| r.rank_stats.iter().map(|s| s.gets).sum::<u64>();
             prop_assert_eq!(gets(&overlapped), gets(&sequential));
+        }
+    }
+}
+
+/// The cached edge loop reads offsets by span; reading each remote edge's pair
+/// with its own get (Algorithm 3 verbatim) must see the same pairs and drive
+/// `C_adj` through the same decisions — under every partition scheme and
+/// storage, at one and four threads, depth 1 and 8.
+#[test]
+fn offsets_spans_match_per_edge_pair_reads() {
+    use rmatc::core::distributed::reader::{OffsetSpans, RowReader};
+    use rmatc::core::distributed::GraphWindows;
+    use rmatc::rma::Endpoint;
+
+    let g = RmatGenerator::paper(8, 8).generate_cleaned(3).into_csr();
+    let expected = reference::per_vertex_triangles(&g);
+    let ranks = 3;
+    for scheme in [
+        PartitionScheme::Block1D,
+        PartitionScheme::Cyclic,
+        PartitionScheme::BalancedBlock1D,
+        PartitionScheme::WorkBalancedBlock1D,
+    ] {
+        let pg = PartitionedGraph::from_global(&g, scheme, ranks).unwrap();
+        for storage in [GraphStorage::Plain, GraphStorage::Compressed] {
+            let what = format!("{scheme:?}, {storage:?}");
+            let mut cfg = DistConfig::cached(ranks, 24 << 10)
+                .with_degree_scores()
+                .with_storage(storage);
+            cfg.scheme = scheme;
+            let windows = GraphWindows::build_with(&pg, storage);
+            // The per-edge reference, rank by rank: every span pair equals
+            // the pair its own get reads, and the rows read from those pairs
+            // go through a cache of the run's configuration.
+            let mut per_edge = Vec::new();
+            for (rank, part) in pg.partitions.iter().enumerate() {
+                let reader = RowReader::new(&windows, &cfg, g.vertex_count(), 1);
+                let mut ep = Endpoint::new(rank, ranks, cfg.network);
+                ep.lock_all();
+                let mut spans = OffsetSpans::default();
+                for local_idx in 0..part.local_vertex_count() {
+                    let adj_u = part.neighbours_of_local(local_idx);
+                    let mut probe = Endpoint::new(rank, ranks, cfg.network);
+                    probe.lock_all();
+                    reader
+                        .read_spans(&mut probe, &pg.partitioner, adj_u, &mut spans)
+                        .unwrap();
+                    probe.unlock_all();
+                    for (k, &v) in adj_u.iter().enumerate() {
+                        let owner = pg.partitioner.owner(v);
+                        if owner == rank {
+                            continue;
+                        }
+                        let pair = reader
+                            .read_offsets(&mut ep, owner, pg.partitioner.local_index(v))
+                            .unwrap();
+                        assert_eq!(spans.pair(k), pair, "{what}: edge ({local_idx}, {v})");
+                        reader.read_row(&mut ep, owner, pair).unwrap();
+                    }
+                }
+                ep.unlock_all();
+                per_edge.push(reader.adjacency_cache_stats().unwrap());
+            }
+            let mut planned = None;
+            for threads in [1usize, 4] {
+                for depth in [1usize, 8] {
+                    let run = cfg.with_intra_threads(threads).with_pipeline_depth(depth);
+                    let result = DistLcc::new(run).run_partitioned(&pg);
+                    let what = format!("{what}, {threads} threads, depth {depth}");
+                    assert_eq!(result.per_vertex_triangles, expected, "{what}");
+                    // Span gets: every get that is not a `C_adj` miss, fixed
+                    // per source however threads and depth interleave.
+                    let spans: Vec<u64> = result
+                        .ranks
+                        .iter()
+                        .map(|r| r.rma.gets - r.adjacency_cache.as_ref().unwrap().misses)
+                        .collect();
+                    assert_eq!(
+                        *planned.get_or_insert_with(|| spans.clone()),
+                        spans,
+                        "{what}"
+                    );
+                    for (report, reference) in result.ranks.iter().zip(&per_edge) {
+                        let adj = report.adjacency_cache.as_ref().unwrap();
+                        if threads == 1 {
+                            assert_eq!(adj, reference, "{what}, rank {}", report.rank);
+                        } else {
+                            assert_eq!(adj.lookups(), reference.lookups(), "{what}");
+                        }
+                        assert!(
+                            report.rma.gets - adj.misses < report.remote_edges,
+                            "{what}: spans must save gets over one pair per edge"
+                        );
+                    }
+                }
+            }
         }
     }
 }

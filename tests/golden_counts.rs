@@ -1,5 +1,5 @@
 //! The deleted implementations keep judging the survivor: full `CacheStats`
-//! (both windows) and integer `RankStats` of fixed small runs, recorded from
+//! (of `C_adj`) and integer `RankStats` of fixed small runs, recorded from
 //! the *sequential* worker and the sequential Jaccard rank loop of the commit
 //! before the one edge loop replaced them (`RemoteReader` over `CachedWindow`).
 //! The edge loop must reproduce every number at depth 1 and at depth 8 — not
@@ -21,6 +21,15 @@
 //! `admission_rejections` below; rank 1 at 4 KiB fetches 28 800 bytes where it
 //! fetched 46 396). Offsets caches, answers and the two unpressured
 //! configurations did not move.
+//!
+//! The `rma` columns were re-pinned once more, on purpose, when `C_offsets`
+//! was deleted: the cached edge loop now reads each source's offsets pairs in
+//! α+β-planned spans instead of one cached 16-byte get per remote edge, and
+//! the offsets arrays went with the cache. Gets fell (rank 0 at 1 MiB plain:
+//! 603 → 170 = 90 `C_adj` misses + 80 spans), bytes rose (11 316 → 33 324:
+//! the spans read the words between the pairs they need) and `local_reads`
+//! lost the offsets hits (539 → 481 = the `C_adj` hits). Every `C_adj` counter
+//! and every answer stayed as recorded.
 
 use rmatc::clampi::CacheStats;
 use rmatc::core::distributed::worker::run_worker;
@@ -68,7 +77,6 @@ fn rank_counts(s: &RankStats) -> [u64; 9] {
 }
 
 struct LccRank {
-    offsets: [u64; 14],
     adjacency: [u64; 14],
     rma: [u64; 9],
     triangles: u64,
@@ -92,21 +100,19 @@ const GOLDEN: &[Golden] = &[
         storage: GraphStorage::Plain,
         lcc: [
             LccRank {
-                offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 8064, 0, 0, 0],
                 adjacency: [481, 90, 90, 0, 0, 0, 41148, 3108, 0, 0, 0, 0, 0, 0],
-                rma: [603, 11316, 603, 539, 0, 603, 0, 11316, 0],
+                rma: [170, 33324, 170, 481, 0, 170, 0, 33324, 0],
                 triangles: 9494,
             },
             LccRank {
-                offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 7728, 0, 0, 0],
                 adjacency: [489, 82, 80, 0, 2, 0, 99616, 7024, 0, 0, 116, 0, 0, 0],
-                rma: [574, 14896, 574, 568, 574, 0, 14896, 0, 0],
+                rma: [172, 44448, 172, 489, 172, 0, 44448, 0, 0],
                 triangles: 2806,
             },
         ],
         jaccard: [
-            [603, 11316, 603, 539, 0, 603, 0, 11316, 0],
-            [574, 14896, 574, 568, 574, 0, 14896, 0, 0],
+            [170, 33324, 170, 481, 0, 170, 0, 33324, 0],
+            [172, 44448, 172, 489, 172, 0, 44448, 0, 0],
         ],
     },
     Golden {
@@ -114,21 +120,19 @@ const GOLDEN: &[Golden] = &[
         storage: GraphStorage::Compressed,
         lcc: [
             LccRank {
-                offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 8064, 0, 0, 0],
                 adjacency: [481, 90, 90, 0, 0, 0, 13316, 1788, 0, 0, 0, 0, 3108, 1788],
-                rma: [603, 9996, 603, 539, 0, 603, 0, 9996, 0],
+                rma: [170, 32004, 170, 481, 0, 170, 0, 32004, 0],
                 triangles: 9494,
             },
             LccRank {
-                offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 7728, 0, 0, 0],
                 adjacency: [491, 80, 80, 0, 0, 0, 20480, 2220, 0, 0, 0, 0, 6908, 2220],
-                rma: [572, 10092, 572, 570, 572, 0, 10092, 0, 0],
+                rma: [170, 39644, 170, 491, 170, 0, 39644, 0, 0],
                 triangles: 2806,
             },
         ],
         jaccard: [
-            [603, 9996, 603, 539, 0, 603, 0, 9996, 0],
-            [572, 10092, 572, 570, 572, 0, 10092, 0, 0],
+            [170, 32004, 170, 481, 0, 170, 0, 32004, 0],
+            [170, 39644, 170, 491, 170, 0, 39644, 0, 0],
         ],
     },
     Golden {
@@ -136,21 +140,19 @@ const GOLDEN: &[Golden] = &[
         storage: GraphStorage::Plain,
         lcc: [
             LccRank {
-                offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 8064, 0, 0, 0],
                 adjacency: [418, 153, 90, 0, 100, 0, 39704, 4552, 0, 0, 1992, 0, 0, 0],
-                rma: [666, 12760, 666, 476, 0, 666, 0, 12760, 0],
+                rma: [233, 34768, 233, 418, 0, 233, 0, 34768, 0],
                 triangles: 9494,
             },
             LccRank {
-                offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 7728, 0, 0, 0],
                 adjacency: [316, 255, 80, 126, 12, 97, 85712, 20928, 0, 0, 8396, 97, 0, 0],
-                rma: [747, 28800, 747, 395, 747, 0, 28800, 0, 0],
+                rma: [345, 58352, 345, 316, 345, 0, 58352, 0, 0],
                 triangles: 2806,
             },
         ],
         jaccard: [
-            [666, 12760, 666, 476, 0, 666, 0, 12760, 0],
-            [747, 28800, 747, 395, 747, 0, 28800, 0, 0],
+            [233, 34768, 233, 418, 0, 233, 0, 34768, 0],
+            [345, 58352, 345, 316, 345, 0, 58352, 0, 0],
         ],
     },
     Golden {
@@ -158,21 +160,19 @@ const GOLDEN: &[Golden] = &[
         storage: GraphStorage::Compressed,
         lcc: [
             LccRank {
-                offsets: [58, 513, 90, 466, 38, 0, 928, 8208, 0, 0, 8064, 0, 0, 0],
                 adjacency: [437, 134, 90, 0, 71, 0, 12528, 2576, 0, 0, 1228, 0, 4052, 2576],
-                rma: [647, 10784, 647, 495, 0, 647, 0, 10784, 0],
+                rma: [214, 32792, 214, 437, 0, 214, 0, 32792, 0],
                 triangles: 9494,
             },
             LccRank {
-                offsets: [79, 492, 80, 451, 32, 0, 1264, 7872, 0, 0, 7728, 0, 0, 0],
                 adjacency: [444, 127, 80, 0, 68, 0, 19316, 3384, 0, 0, 1592, 0, 9940, 3384],
-                rma: [619, 11256, 619, 523, 619, 0, 11256, 0, 0],
+                rma: [217, 40808, 217, 444, 217, 0, 40808, 0, 0],
                 triangles: 2806,
             },
         ],
         jaccard: [
-            [647, 10784, 647, 495, 0, 647, 0, 10784, 0],
-            [619, 11256, 619, 523, 619, 0, 11256, 0, 0],
+            [214, 32792, 214, 437, 0, 214, 0, 32792, 0],
+            [217, 40808, 217, 444, 217, 0, 40808, 0, 0],
         ],
     },
 ];
@@ -193,16 +193,10 @@ fn the_edge_loop_reproduces_the_sequential_workers_counts() {
             cfg.cache = Some(CacheSpec::paper(budget));
             for (rank, expected) in golden.lcc.iter().enumerate() {
                 let out = run_worker(rank, &pg, &windows, &cfg).unwrap();
-                let offsets = out.offsets_cache.as_ref().expect("offsets cache enabled");
                 let adjacency = out
                     .adjacency_cache
                     .as_ref()
                     .expect("adjacency cache enabled");
-                assert_eq!(
-                    cache_counts(offsets),
-                    expected.offsets,
-                    "{what}, rank {rank}"
-                );
                 assert_eq!(
                     cache_counts(adjacency),
                     expected.adjacency,

@@ -1,7 +1,7 @@
 //! Eviction policies are a performance knob, never a correctness knob: the
 //! distributed LCC must produce identical scores under every
 //! [`EvictionPolicyKind`] — only hit rates may differ — and the policy
-//! selection must actually reach both windows' caches.
+//! selection must actually reach the cache.
 
 use proptest::prelude::*;
 use rmatc::prelude::*;

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use rmatc::clampi::{CacheStats, RowRef};
-use rmatc::core::distributed::reader::{Deferred, Edge, RowReader, Started};
+use rmatc::core::distributed::reader::{Deferred, Edge, OffsetSpans, RowReader, Started};
 use rmatc::core::distributed::worker::{run_worker, ClosingCount};
 use rmatc::core::distributed::{CacheSpec, DistConfig, GraphWindows, ScoreMode};
 use rmatc::core::intersect::{CostModel, IntersectMethod, Intersector};
@@ -17,7 +17,7 @@ use rmatc::core::local::count_closing_at;
 use rmatc::graph::gen::{GraphGenerator, RmatGenerator};
 use rmatc::graph::partition::{PartitionScheme, PartitionedGraph};
 use rmatc::graph::reference;
-use rmatc::rma::{Endpoint, NetworkModel, RankStats};
+use rmatc::rma::{Endpoint, NetworkModel, RankStats, RmaError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -90,30 +90,50 @@ fn base_config(ranks: usize) -> DistConfig {
     }
 }
 
+/// Both gets of one row, as the service reads it: the offsets pair, then the
+/// row.
+fn read_row<'r>(
+    reader: &'r RowReader,
+    ep: &mut Endpoint,
+    target: usize,
+    idx: usize,
+) -> Result<RowRef<'r, u32>, RmaError> {
+    let pair = reader.read_offsets(ep, target, idx)?;
+    reader.read_row(ep, target, pair)
+}
+
 fn build_reader(pg: &PartitionedGraph, windows: &GraphWindows, config: &DistConfig) -> RowReader {
     RowReader::new(windows, config, pg.global_vertex_count(), 1)
 }
 
 /// The pre-zero-copy worker, reconstructed — the test-side reference of the
 /// edge loop: reads every remote row into an owned buffer first
-/// (`RowReader::read_row`, waiting for every get), then intersects. Protocol
-/// order, cache interception and endpoint charging are identical, so every
-/// observable statistic must match the edge loop at depth 1 × 1 thread.
+/// (`RowReader::read_row`, waiting for every get), then intersects; cached,
+/// each source's offsets pairs are read by span first, as the edge loop
+/// does. Protocol order, cache interception and endpoint charging are
+/// identical, so every observable statistic must match the edge loop at
+/// depth 1 × 1 thread.
 fn materializing_worker(
     rank: usize,
     pg: &PartitionedGraph,
     windows: &GraphWindows,
     config: &DistConfig,
-) -> (Vec<u64>, Option<CacheStats>, Option<CacheStats>, RankStats) {
+) -> (Vec<u64>, Option<CacheStats>, RankStats) {
     let part = &pg.partitions[rank];
     let reader = build_reader(pg, windows, config);
     let mut ep = Endpoint::new(rank, config.ranks, config.network);
     let intersector = Intersector::new(config.method);
     let direction = pg.direction;
     let mut triangles = vec![0u64; part.local_vertex_count()];
+    let mut spans = config.cache.map(|_| OffsetSpans::default());
     ep.lock_all();
     for (local_idx, slot) in triangles.iter_mut().enumerate() {
         let adj_u = part.neighbours_of_local(local_idx);
+        if let Some(spans) = spans.as_mut() {
+            reader
+                .read_spans(&mut ep, &pg.partitioner, adj_u, spans)
+                .expect("no faults injected");
+        }
         for (k, &v) in adj_u.iter().enumerate() {
             let owner = pg.partitioner.owner(v);
             let v_local = pg.partitioner.local_index(v);
@@ -121,8 +141,12 @@ fn materializing_worker(
                 let adj_v = part.neighbours_of_local(v_local);
                 count_closing_at(direction, adj_u, adj_v, v, k, &intersector)
             } else {
+                let pair = match &spans {
+                    Some(spans) => spans.pair(k),
+                    None => reader.read_offsets(&mut ep, owner, v_local).unwrap(),
+                };
                 let adj_v = reader
-                    .read_row(&mut ep, owner, v_local)
+                    .read_row(&mut ep, owner, pair)
                     .expect("no faults injected")
                     .to_vec();
                 count_closing_at(direction, adj_u, &adj_v, v, k, &intersector)
@@ -130,12 +154,7 @@ fn materializing_worker(
         }
     }
     ep.unlock_all();
-    (
-        triangles,
-        reader.offsets_cache_stats(),
-        reader.adjacency_cache_stats(),
-        ep.into_stats(),
-    )
+    (triangles, reader.adjacency_cache_stats(), ep.into_stats())
 }
 
 // ---------------------------------------------------------------------------
@@ -160,15 +179,10 @@ fn fused_worker_is_observationally_identical_to_materializing_reads() {
         config.cache = cache;
         for rank in 0..ranks {
             let fused = run_worker(rank, &pg, &windows, &config).expect("no faults injected");
-            let (triangles, offsets_stats, adj_stats, rma) =
-                materializing_worker(rank, &pg, &windows, &config);
+            let (triangles, adj_stats, rma) = materializing_worker(rank, &pg, &windows, &config);
             assert_eq!(
                 fused.local_triangles, triangles,
                 "triangle counts differ (rank {rank}, cache {cache:?})"
-            );
-            assert_eq!(
-                fused.offsets_cache, offsets_stats,
-                "offsets CacheStats differ (rank {rank}, cache {cache:?})"
             );
             assert_eq!(
                 fused.adjacency_cache, adj_stats,
@@ -205,13 +219,13 @@ fn cache_hits_and_local_reads_allocate_nothing() {
     let reads = pg.partitions[1].local_vertex_count().min(40);
     // Warm: fetch and cache every row (allocations expected here).
     for idx in 0..reads {
-        let _ = reader.read_row(&mut ep, 1, idx).unwrap();
+        let _ = read_row(&reader, &mut ep, 1, idx).unwrap();
     }
     // Measure: remote reads served from the cache.
     let before = allocations_on_this_thread();
     let mut checksum = 0u64;
     for idx in 0..reads {
-        let row = reader.read_row(&mut ep, 1, idx).unwrap();
+        let row = read_row(&reader, &mut ep, 1, idx).unwrap();
         checksum += row.iter().map(|&v| v as u64).sum::<u64>();
     }
     assert_eq!(
@@ -223,7 +237,7 @@ fn cache_hits_and_local_reads_allocate_nothing() {
     let local_reads = pg.partitions[0].local_vertex_count().min(40);
     let before = allocations_on_this_thread();
     for idx in 0..local_reads {
-        let row = reader.read_row(&mut ep, 0, idx).unwrap();
+        let row = read_row(&reader, &mut ep, 0, idx).unwrap();
         assert!(row.is_borrowed(), "local reads must borrow the window");
         checksum += row.len() as u64;
     }
@@ -237,26 +251,30 @@ fn cache_hits_and_local_reads_allocate_nothing() {
 }
 
 /// Rank 0's side of the split read: one reader with its endpoint, the
-/// thread's landing buffer, and a FIFO that keeps up to `in_flight` adjacency
-/// gets issued before completing the oldest — everything preallocated, so a
-/// measured pass allocates only what the read path itself allocates.
+/// thread's landing buffer, its offsets spans when it reads by span, and a
+/// FIFO that keeps up to `in_flight` adjacency gets issued before completing
+/// the oldest — everything preallocated, so a measured pass allocates only
+/// what the read path itself allocates.
 struct Rounds<'a> {
     pg: &'a PartitionedGraph,
     reader: RowReader,
     op: ClosingCount,
     ep: Endpoint,
     landing: Vec<u32>,
+    spans: Option<OffsetSpans>,
     flying: VecDeque<(Deferred<u64>, Edge<'a>)>,
     in_flight: usize,
 }
 
 impl<'a> Rounds<'a> {
+    /// Offsets are read by span when `by_span`, else one pair per edge.
     fn new(
         pg: &'a PartitionedGraph,
         windows: &GraphWindows,
         config: &DistConfig,
         mut ep: Endpoint,
         in_flight: usize,
+        by_span: bool,
     ) -> Self {
         ep.lock_all();
         Self {
@@ -265,6 +283,7 @@ impl<'a> Rounds<'a> {
             op: ClosingCount::new(config, pg.direction, windows.storage),
             ep,
             landing: Vec::new(),
+            spans: by_span.then(OffsetSpans::default),
             flying: VecDeque::with_capacity(in_flight),
             in_flight,
         }
@@ -277,7 +296,15 @@ impl<'a> Rounds<'a> {
         let part = &self.pg.partitions[0];
         let (mut total, mut rounds) = (0, 0);
         for local_idx in 0..part.local_vertex_count() {
+            if rounds >= 64 {
+                break;
+            }
             let adj_u = part.neighbours_of_local(local_idx);
+            if let Some(spans) = self.spans.as_mut() {
+                self.reader
+                    .read_spans(&mut self.ep, &self.pg.partitioner, adj_u, spans)
+                    .unwrap();
+            }
             for (k, &v) in adj_u.iter().enumerate() {
                 if self.pg.partitioner.owner(v) != 1 || rounds >= 64 {
                     continue;
@@ -290,10 +317,16 @@ impl<'a> Rounds<'a> {
                     v,
                     k,
                 };
-                let v_local = self.pg.partitioner.local_index(v);
+                let pair = match &self.spans {
+                    Some(spans) => spans.pair(k),
+                    None => {
+                        let v_local = self.pg.partitioner.local_index(v);
+                        self.reader.read_offsets(&mut self.ep, 1, v_local).unwrap()
+                    }
+                };
                 let started = self
                     .reader
-                    .start(&mut self.ep, 1, v_local, &mut self.landing, &self.op, &edge)
+                    .start(&mut self.ep, 1, pair, &mut self.landing, &self.op, &edge)
                     .unwrap();
                 match started {
                     Started::Immediate(count) => total += count,
@@ -320,15 +353,9 @@ impl<'a> Rounds<'a> {
 }
 
 fn hit_heavy_spec() -> CacheSpec {
-    // Both caches far larger than the data they might hold, so the second
-    // round is all hits.
-    CacheSpec {
-        total_bytes: 1 << 22,
-        offsets_bytes: Some(1 << 20),
-        cache_offsets: true,
-        cache_adjacencies: true,
-        policy: Default::default(),
-    }
+    // A cache far larger than the data it might hold, so the second round is
+    // all hits.
+    CacheSpec::paper(1 << 22)
 }
 
 #[test]
@@ -339,7 +366,9 @@ fn fused_hit_path_allocates_nothing() {
     let mut config = base_config(2);
     config.cache = Some(hit_heavy_spec());
     let ep = Endpoint::new(0, 2, config.network);
-    let mut rounds = Rounds::new(&pg, &windows, &config, ep, 1);
+    // Offsets by span, as the cached edge loop reads them: the span buffers
+    // are reused like the landing buffer.
+    let mut rounds = Rounds::new(&pg, &windows, &config, ep, 1, true);
     let warm = rounds.run();
     let before = allocations_on_this_thread();
     let hot = rounds.run();
@@ -364,7 +393,7 @@ fn compressed_fused_hit_path_allocates_nothing() {
     config.storage = rmatc::graph::GraphStorage::Compressed;
     config.cache = Some(hit_heavy_spec());
     let ep = Endpoint::new(0, 2, config.network);
-    let mut rounds = Rounds::new(&pg, &windows, &config, ep, 1);
+    let mut rounds = Rounds::new(&pg, &windows, &config, ep, 1, true);
     let warm = rounds.run();
     let before = allocations_on_this_thread();
     let hot = rounds.run();
@@ -379,7 +408,7 @@ fn compressed_fused_hit_path_allocates_nothing() {
     let mut plain_config = base_config(2);
     plain_config.cache = config.cache;
     let plain_ep = Endpoint::new(0, 2, plain_config.network);
-    let expected = Rounds::new(&pg, &plain_windows, &plain_config, plain_ep, 1).run();
+    let expected = Rounds::new(&pg, &plain_windows, &plain_config, plain_ep, 1, true).run();
     assert_eq!(hot, expected, "compressed counts must match plain counts");
     let stats = rounds.reader.adjacency_cache_stats().unwrap();
     assert!(
@@ -407,7 +436,7 @@ fn non_cached_rounds_allocate_nothing_once_the_landing_buffer_has_grown() {
             let mut config = base_config(2);
             config.storage = storage;
             let ep = Endpoint::new(0, 2, config.network);
-            let mut rounds = Rounds::new(&pg, &windows, &config, ep, in_flight);
+            let mut rounds = Rounds::new(&pg, &windows, &config, ep, in_flight, false);
             let warm = rounds.run();
             let gets = rounds.ep.stats().gets;
             let before = allocations_on_this_thread();
@@ -440,9 +469,8 @@ fn quarantine_bypass_reads_allocate_nothing() {
     // same reusable buffer as the non-cached rounds — with the injector that
     // sickened the cache still attached, and with four reads requested in
     // flight as with one. Every lookup rots the resident entry, so the second
-    // pass trips the (default, three-strike) quarantine; the offsets window
-    // is left uncached because a plain cached read hands its row back to the
-    // caller and therefore keeps its `Arc`.
+    // pass trips the (default, three-strike) quarantine. Offsets are read one
+    // pair per edge, so every bypassed round is the plain two-get protocol.
     let g = RmatGenerator::paper(8, 8).generate_cleaned(9).into_csr();
     let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
     let plan = rmatc::rma::FaultPlan {
@@ -457,12 +485,9 @@ fn quarantine_bypass_reads_allocate_nothing() {
             let windows = GraphWindows::build_with(&pg, storage);
             let mut config = base_config(2);
             config.storage = storage;
-            config.cache = Some(CacheSpec {
-                cache_offsets: false,
-                ..CacheSpec::paper(1 << 22)
-            });
+            config.cache = Some(CacheSpec::paper(1 << 22));
             let ep = Endpoint::new(0, 2, config.network).with_faults(plan.injector(0));
-            let mut rounds = Rounds::new(&pg, &windows, &config, ep, in_flight);
+            let mut rounds = Rounds::new(&pg, &windows, &config, ep, in_flight, false);
             let clean = rounds.run();
             let sick = rounds.run();
             assert!(
@@ -505,11 +530,11 @@ fn miss_buffer_is_shared_with_the_cache_not_copied() {
     let idx = (0..pg.partitions[1].local_vertex_count())
         .find(|&i| !pg.partitions[1].neighbours_of_local(i).is_empty())
         .expect("some remote row is non-empty");
-    let fetched: Arc<[u32]> = match reader.read_row(&mut ep, 1, idx).unwrap() {
+    let fetched: Arc<[u32]> = match read_row(&reader, &mut ep, 1, idx).unwrap() {
         RowRef::Fetched(arc) => arc,
         other => panic!("first read must miss, got {other:?}"),
     };
-    let cached: Arc<[u32]> = match reader.read_row(&mut ep, 1, idx).unwrap() {
+    let cached: Arc<[u32]> = match read_row(&reader, &mut ep, 1, idx).unwrap() {
         RowRef::Cached(arc) => arc,
         other => panic!("second read must hit, got {other:?}"),
     };
@@ -543,36 +568,35 @@ proptest! {
         let reader = build_reader(&pg, &windows, &config);
         let mut ep = Endpoint::new(0, 4, config.network);
         ep.lock_all();
-        let mut non_cached_gets_expected = 0u64;
+        let (mut remote_reads, mut non_empty_remote_reads) = (0u64, 0u64);
         for (target, idx) in accesses {
             let part = &pg.partitions[target];
             let idx = idx % part.local_vertex_count();
-            let row = reader
-                .read_row(&mut ep, target, idx)
+            let row = read_row(&reader, &mut ep, target, idx)
                 .expect("no faults injected");
             prop_assert_eq!(row.as_slice(), part.neighbours_of_local(idx),
                 "target {} idx {}", target, idx);
             if target == 0 {
                 prop_assert!(row.is_borrowed(), "own-rank reads must borrow the window");
-            } else if !cached {
-                non_cached_gets_expected += 1 + u64::from(!row.is_empty());
+            } else {
+                remote_reads += 1;
+                non_empty_remote_reads += u64::from(!row.is_empty());
             }
         }
         ep.unlock_all();
         let stats = ep.into_stats();
-        if cached {
-            let offsets = reader.offsets_cache_stats().expect("offsets cache enabled");
-            let adj = reader.adjacency_cache_stats().expect("adjacency cache enabled");
-            for s in [&offsets, &adj] {
-                prop_assert_eq!(s.lookups(), s.hits + s.misses);
-                prop_assert!(s.compulsory_misses <= s.misses);
+        // Every remote read gets its offsets pair; its row goes to the
+        // network on a miss (cached) or whenever it is non-empty.
+        match reader.adjacency_cache_stats() {
+            Some(adj) => {
+                prop_assert_eq!(adj.lookups(), adj.hits + adj.misses);
+                prop_assert_eq!(adj.lookups(), non_empty_remote_reads);
+                prop_assert!(adj.compulsory_misses <= adj.misses);
                 // Every uncacheable insert was preceded by a lookup miss.
-                prop_assert!(s.uncacheable <= s.misses);
+                prop_assert!(adj.uncacheable <= adj.misses);
+                prop_assert_eq!(stats.gets, remote_reads + adj.misses);
             }
-            // Every miss (and nothing else) goes to the network.
-            prop_assert_eq!(stats.gets, offsets.misses + adj.misses);
-        } else {
-            prop_assert_eq!(stats.gets, non_cached_gets_expected);
+            None => prop_assert_eq!(stats.gets, remote_reads + non_empty_remote_reads),
         }
     }
 }
