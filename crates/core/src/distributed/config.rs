@@ -50,14 +50,13 @@ impl CacheSpec {
     /// Resolves the CLaMPI configuration for a graph with `n_global` vertices
     /// whose full adjacency array occupies `graph_adj_bytes`.
     ///
-    /// `C_adj` keeps the budget the paper leaves it after `C_offsets`' share of
-    /// `0.8 · |V|` bytes. Its hash table follows Section III-B1's power-law
-    /// estimate `n · f^α` with `α = 2`, where `f` is the fraction of the
-    /// adjacency data the cache can hold. The sizes are final: a CLaMPI cache
-    /// never resizes its table, which would flush it.
+    /// `C_adj` gets the whole budget: the paper's `0.8 · |V|`-byte share for
+    /// `C_offsets` has no cache left to fund. Its hash table follows Section
+    /// III-B1's power-law estimate `n · f^α` with `α = 2`, where `f` is the
+    /// fraction of the adjacency data the cache can hold. The sizes are final:
+    /// a CLaMPI cache never resizes its table, which would flush it.
     pub fn resolve(&self, n_global: usize, graph_adj_bytes: u64) -> ResolvedCaches {
-        let offsets_share = (((n_global as f64) * 0.8) as usize).min(self.total_bytes);
-        let adj_bytes = self.total_bytes - offsets_share;
+        let adj_bytes = self.total_bytes;
         let adjacencies = (adj_bytes > 0).then(|| {
             let fraction = if graph_adj_bytes == 0 {
                 1.0
@@ -74,7 +73,7 @@ impl CacheSpec {
 /// The concrete cache configuration produced by [`CacheSpec::resolve`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResolvedCaches {
-    /// Configuration for `C_adj`, unless the budget leaves it no bytes.
+    /// Configuration for `C_adj`, unless the budget is zero bytes.
     pub adjacencies: Option<ClampiConfig>,
 }
 
@@ -242,7 +241,7 @@ mod tests {
     fn paper_budget_goes_to_the_adjacency_cache() {
         let resolved = CacheSpec::paper(1 << 20).resolve(100_000, 10 << 20);
         let adj = resolved.adjacencies.expect("adjacency cache enabled");
-        assert_eq!(adj.capacity_bytes, (1 << 20) - 80_000);
+        assert_eq!(adj.capacity_bytes, 1 << 20);
     }
 
     #[test]
@@ -253,8 +252,8 @@ mod tests {
     }
 
     #[test]
-    fn tiny_budget_leaves_no_adjacency_cache() {
-        assert!(CacheSpec::paper(1_000)
+    fn zero_budget_leaves_no_adjacency_cache() {
+        assert!(CacheSpec::paper(0)
             .resolve(10_000, 1 << 20)
             .adjacencies
             .is_none());

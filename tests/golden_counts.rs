@@ -8,8 +8,9 @@
 //! The runs: R-MAT(8, 8) seed 5 on 2 ranks, `CacheSpec::paper` with degree
 //! scores (the two larger budgets hold the whole remote partition; 4 KiB
 //! forces capacity and conflict evictions under plain storage, 2 KiB under
-//! compressed), plain and compressed windows, LCC and Jaccard. Do not re-record these literals
-//! to make a change pass: a moved count is a changed protocol.
+//! compressed, and 4 KiB compressed one conflict eviction), plain and
+//! compressed windows, LCC and Jaccard. Do not re-record these literals to
+//! make a change pass: a moved count is a changed protocol.
 //!
 //! The two pressured configurations (4 KiB plain, 2 KiB compressed) were
 //! re-pinned once, on purpose: the recorded worker passed each row's degree
@@ -30,6 +31,16 @@
 //! the spans read the words between the pairs they need) and `local_reads`
 //! lost the offsets hits (539 → 481 = the `C_adj` hits). Every `C_adj` counter
 //! and every answer stayed as recorded.
+//!
+//! Then `C_adj` was given the whole budget (it had kept `total − 0.8 · |V|`,
+//! the paper's offsets share, 204 bytes here), which moved the three
+//! pressured configurations and nothing else. Plain 4 KiB: rank 0 hits
+//! 418 → 410, rank 1 316 → 319, capacity evictions 126 → 133. Compressed
+//! 4 KiB left the unpressured group: one conflict eviction on rank 0.
+//! Compressed 2 KiB lost hits (rank 0 437 → 309): the table's slot count
+//! follows the budget (`n · f²`), and in a table of a few dozen slots the
+//! new modulus lands hot rows on colliding slots (225 conflict evictions
+//! where there were 71). Answers did not move.
 
 use rmatc::clampi::CacheStats;
 use rmatc::core::distributed::worker::run_worker;
@@ -116,7 +127,7 @@ const GOLDEN: &[Golden] = &[
         ],
     },
     Golden {
-        budgets: &[1 << 20, 1 << 14, 1 << 12],
+        budgets: &[1 << 20, 1 << 14],
         storage: GraphStorage::Compressed,
         lcc: [
             LccRank {
@@ -137,22 +148,42 @@ const GOLDEN: &[Golden] = &[
     },
     Golden {
         budgets: &[1 << 12],
-        storage: GraphStorage::Plain,
+        storage: GraphStorage::Compressed,
         lcc: [
             LccRank {
-                adjacency: [418, 153, 90, 0, 100, 0, 39704, 4552, 0, 0, 1992, 0, 0, 0],
-                rma: [233, 34768, 233, 418, 0, 233, 0, 34768, 0],
+                adjacency: [480, 91, 90, 0, 1, 0, 13300, 1804, 0, 0, 16, 0, 3132, 1804],
+                rma: [171, 32020, 171, 480, 0, 171, 0, 32020, 0],
                 triangles: 9494,
             },
             LccRank {
-                adjacency: [316, 255, 80, 126, 12, 97, 85712, 20928, 0, 0, 8396, 97, 0, 0],
-                rma: [345, 58352, 345, 316, 345, 0, 58352, 0, 0],
+                adjacency: [491, 80, 80, 0, 0, 0, 20480, 2220, 0, 0, 0, 0, 6908, 2220],
+                rma: [170, 39644, 170, 491, 170, 0, 39644, 0, 0],
                 triangles: 2806,
             },
         ],
         jaccard: [
-            [233, 34768, 233, 418, 0, 233, 0, 34768, 0],
-            [345, 58352, 345, 316, 345, 0, 58352, 0, 0],
+            [171, 32020, 171, 480, 0, 171, 0, 32020, 0],
+            [170, 39644, 170, 491, 170, 0, 39644, 0, 0],
+        ],
+    },
+    Golden {
+        budgets: &[1 << 12],
+        storage: GraphStorage::Plain,
+        lcc: [
+            LccRank {
+                adjacency: [410, 161, 90, 0, 105, 0, 39360, 4896, 0, 0, 2280, 0, 0, 0],
+                rma: [241, 35112, 241, 410, 0, 241, 0, 35112, 0],
+                triangles: 9494,
+            },
+            LccRank {
+                adjacency: [319, 252, 80, 133, 3, 95, 86132, 20508, 0, 0, 7480, 95, 0, 0],
+                rma: [342, 57932, 342, 319, 342, 0, 57932, 0, 0],
+                triangles: 2806,
+            },
+        ],
+        jaccard: [
+            [241, 35112, 241, 410, 0, 241, 0, 35112, 0],
+            [342, 57932, 342, 319, 342, 0, 57932, 0, 0],
         ],
     },
     Golden {
@@ -160,19 +191,19 @@ const GOLDEN: &[Golden] = &[
         storage: GraphStorage::Compressed,
         lcc: [
             LccRank {
-                adjacency: [437, 134, 90, 0, 71, 0, 12528, 2576, 0, 0, 1228, 0, 4052, 2576],
-                rma: [214, 32792, 214, 437, 0, 214, 0, 32792, 0],
+                adjacency: [309, 262, 90, 0, 225, 0, 9552, 5552, 0, 0, 4676, 0, 11396, 5552],
+                rma: [342, 35768, 342, 309, 0, 342, 0, 35768, 0],
                 triangles: 9494,
             },
             LccRank {
-                adjacency: [444, 127, 80, 0, 68, 0, 19316, 3384, 0, 0, 1592, 0, 9940, 3384],
-                rma: [217, 40808, 217, 444, 217, 0, 40808, 0, 0],
+                adjacency: [425, 146, 80, 0, 86, 0, 18716, 3984, 0, 0, 2212, 0, 12188, 3984],
+                rma: [236, 41408, 236, 425, 236, 0, 41408, 0, 0],
                 triangles: 2806,
             },
         ],
         jaccard: [
-            [214, 32792, 214, 437, 0, 214, 0, 32792, 0],
-            [217, 40808, 217, 444, 217, 0, 40808, 0, 0],
+            [342, 35768, 342, 309, 0, 342, 0, 35768, 0],
+            [236, 41408, 236, 425, 236, 0, 41408, 0, 0],
         ],
     },
 ];
