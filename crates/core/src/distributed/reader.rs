@@ -35,8 +35,8 @@
 //! the cost ticket ([`rmatc_rma::PendingCharge`]) stays in flight. Under
 //! fault injection unverified data is never trusted: a row nobody keeps —
 //! offsets pairs and spans included — is read synchronously, verified and
-//! healed in place ([`Endpoint::get_into_with_retry`]); a cached miss defers both its value
-//! and its admission to the checksum-verified completion
+//! healed in place ([`Endpoint::get_into_with_retry`]); a cached miss defers
+//! both its value and its admission to the checksum-verified completion
 //! ([`Endpoint::wait_with_reissue`]).
 
 use super::config::{DistConfig, ScoreMode};
