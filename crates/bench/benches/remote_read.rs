@@ -57,10 +57,10 @@ fn bench_remote_read(c: &mut Criterion) {
         .expect("two ranks divide the vertex count");
     let windows = GraphWindows::build(&pg);
     let part = &pg.partitions[0];
-    let config = DistConfig::non_cached(2).with_degree_scores();
+    let config = DistConfig::non_cached(2);
     // Hit-heavy sizing: room for the whole adjacency window, so the measured
     // steady state is all hits.
-    let cached_spec = CacheSpec::paper(2 * windows.adjacency_bytes());
+    let cached_spec = CacheSpec::paper(2 * windows.adjacency_bytes()).with_degree_scores();
     let edges = remote_edges(&pg, 2_048);
     assert!(!edges.is_empty(), "the partition must have remote edges");
     let elements: u64 = edges
@@ -122,10 +122,8 @@ fn bench_remote_read(c: &mut Criterion) {
     // carries delta/varint rows, hits decode-intersect in place and cold
     // misses land compressed rows through the fused transfer kernel.
     let cwindows = GraphWindows::build_with(&pg, GraphStorage::Compressed);
-    let cconfig = DistConfig::non_cached(2)
-        .with_degree_scores()
-        .with_storage(GraphStorage::Compressed);
-    let compressed_spec = CacheSpec::paper(2 * cwindows.adjacency_bytes());
+    let cconfig = DistConfig::non_cached(2).with_storage(GraphStorage::Compressed);
+    let compressed_spec = CacheSpec::paper(2 * cwindows.adjacency_bytes()).with_degree_scores();
     let cop = ClosingCount::new(&cconfig, pg.direction, GraphStorage::Compressed);
     let make_compressed_reader = || -> RowReader {
         let config = DistConfig {
@@ -236,7 +234,7 @@ fn bench_remote_read(c: &mut Criterion) {
 /// justfile does) so the thread variants actually get a pool to spread over.
 fn bench_overlap(c: &mut Criterion) {
     let g = RmatGenerator::paper(8, 16).generate_cleaned(11).into_csr();
-    let mut config = DistConfig::non_cached(2).with_degree_scores();
+    let mut config = DistConfig::non_cached(2);
     config.network = rmatc_rma::NetworkModel::aries().with_injection(0.2);
     let pg = PartitionedGraph::from_global(&g, config.scheme, config.ranks)
         .expect("two ranks divide the vertex count");

@@ -36,12 +36,13 @@ const DEFAULT_THRESHOLD_PCT: f64 = 15.0;
 ///   transfer loop on the same read path; measured same-code run-to-run
 ///   swing on the single-core container is 20-30% (an A/B against the
 ///   pre-robustness tree under matched load showed the code itself neutral).
-/// * `cache_policy/replay/` — trace-replay timings over a whole synthetic
-///   access trace; dominated by hash/alloc churn whose run-to-run swing on a
-///   shared runner exceeds the default band. The `missrate_ppm` /
+/// * `cache_policy/replay/` — trace-replay timings of the two score rules
+///   (`paper_score`, `paper_score_degree`) over a whole synthetic access
+///   trace; dominated by hash/alloc churn whose run-to-run swing on a shared
+///   runner exceeds the default band. The `missrate_ppm` /
 ///   `net_bytes_per_lookup` *metric* records from the same bench are fully
 ///   deterministic and deliberately NOT listed: any drift there is a real
-///   policy-behaviour change and should trip the default gate.
+///   change in the cache's decisions and should trip the default gate.
 /// * `remote_read/non_overlapped_injected` / `remote_read/pipelined` — spin
 ///   for injected Aries latencies in wall time, so absolute medians track
 ///   the host's timer/scheduler as much as the code; the overlap *ratio*

@@ -6,7 +6,8 @@
 //! 14.4%–35.6% for this dataset.
 
 use rmatc_bench::{experiment_scale, fmt_ns, ranks_small_scale, seed, Table};
-use rmatc_core::{CacheSpec, DistConfig, DistLcc, ScoreMode};
+use rmatc_clampi::ScorePolicy;
+use rmatc_core::{CacheSpec, DistConfig, DistLcc};
 use rmatc_graph::datasets::DatasetScale;
 use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
 
@@ -40,14 +41,16 @@ fn main() {
         // adjacency array; the cache gets a quarter of that.
         let non_local = adj_bytes * (ranks as f64 - 1.0) / ranks as f64;
         let capacity = (0.25 * non_local) as usize;
-        let run = |mode: ScoreMode| {
+        let run = |scoring| {
             let mut cfg = DistConfig::non_cached(ranks);
-            cfg.cache = Some(CacheSpec::paper(capacity));
-            cfg.score_mode = mode;
+            cfg.cache = Some(CacheSpec {
+                scoring,
+                ..CacheSpec::paper(capacity)
+            });
             DistLcc::new(cfg).run(&g)
         };
-        let lru = run(ScoreMode::Lru);
-        let degree = run(ScoreMode::DegreeCentrality);
+        let lru = run(ScorePolicy::LruPositional);
+        let degree = run(ScorePolicy::ApplicationScore);
         let lru_read = lru
             .ranks
             .iter()

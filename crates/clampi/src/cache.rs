@@ -1,11 +1,31 @@
 //! The CLaMPI cache proper: slot-indexed variable-size entries over a managed memory
-//! buffer, with pluggable victim selection (see [`crate::policy`]). Buffer and
-//! table are sized once, at construction.
+//! buffer, with the paper's weighted-score victim selection. Buffer and table
+//! are sized once, at construction.
+//!
+//! # The eviction rule
+//!
+//! The paper evaluates one victim-selection rule: CLaMPI's weighted LRU,
+//! optionally biased by an application-defined score (for LCC, the
+//! out-degree of the cached vertex — Figure 8). A resident entry's victim
+//! score (larger evicts first) is
+//!
+//! * under [`ScorePolicy::LruPositional`]:
+//!   `LRU_WEIGHT · age + POSITIONAL_WEIGHT · positional`, where `positional`
+//!   is the fraction of the entry's two buffer neighbours that are free, so
+//!   evicting it reduces external fragmentation;
+//! * under [`ScorePolicy::ApplicationScore`]:
+//!   `LRU_WEIGHT · age − USER_WEIGHT · score / max_score`, plus admission
+//!   control — a new entry scoring below the prospective capacity victim is
+//!   not cached at all, to "avoid storing a high number of low-degree
+//!   vertices" instead of churning the cache.
+//!
+//! `age` is the entry's idle time over the cache's logical clock, in
+//! `[0, 1]`. The rule is deterministic: replayed runs (chaos schedules,
+//! differential tests) compare caches decision for decision.
 
-use crate::config::{ClampiConfig, ConsistencyMode};
+use crate::config::{ClampiConfig, ScorePolicy};
 use crate::entry::{Entry, EntryKey, KeyHasher};
 use crate::freelist::FreeList;
-use crate::policy::{EntryView, EvictionPolicy, EvictionPolicyKind, PolicyContext};
 use crate::stats::CacheStats;
 use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
@@ -32,6 +52,31 @@ const WAYS: usize = 4;
 
 /// Occupied candidates a capacity eviction scores before evicting the best.
 const SAMPLES: usize = 16;
+
+/// Weight of the recency term of a victim score.
+const LRU_WEIGHT: f64 = 1.0;
+/// Weight of the positional (fragmentation) term under
+/// [`ScorePolicy::LruPositional`].
+const POSITIONAL_WEIGHT: f64 = 0.5;
+/// Weight of the normalised application score under
+/// [`ScorePolicy::ApplicationScore`].
+const USER_WEIGHT: f64 = 2.0;
+
+/// The entry fields victim selection reads — and the only per-entry state it
+/// reads: the cache keeps one per slot in a dense array of its own, apart
+/// from the keys and payload handles.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct EntryView {
+    /// Bytes the entry occupies in the memory buffer.
+    bytes: usize,
+    /// Start address in the memory buffer (for positional scoring).
+    addr: usize,
+    /// Logical timestamp of the last access.
+    last_access: u64,
+    /// Application-defined score passed at insert time (vertex degree in the
+    /// paper's LCC runs).
+    user_score: f64,
+}
 
 /// Exact `x % d` for a 32-bit `x` without a division (Lemire's fastmod): the
 /// victim sampler reduces every draw of its 32-bit stream by the slot count.
@@ -86,7 +131,7 @@ pub struct Clampi<T> {
     /// for the expected entry count and run mostly empty, so victim sampling
     /// asks this before it touches a slot.
     occupancy: Vec<u64>,
-    /// The policy-visible fields of each slot's entry (stale where the slot is
+    /// The scored fields of each slot's entry (stale where the slot is
     /// empty): what victim selection reads, packed apart from keys and payloads.
     meta: Vec<EntryView>,
     /// `% slots.len()` for the victim sampler.
@@ -101,11 +146,6 @@ pub struct Clampi<T> {
     max_user_score: f64,
     /// Deterministic internal RNG state for sampled victim selection.
     rng_state: u64,
-    /// The active eviction policy, built from [`ClampiConfig::policy`]. Every
-    /// victim score, admission decision and eviction notification goes
-    /// through it; the default [`EvictionPolicy::PaperScore`] reproduces the
-    /// paper's behaviour bit-for-bit.
-    policy: EvictionPolicy,
 }
 
 impl<T: Clone> Clampi<T> {
@@ -126,14 +166,8 @@ impl<T: Clone> Clampi<T> {
             occupied_bytes: 0,
             max_user_score: 0.0,
             rng_state: 0x9e37_79b9_7f4a_7c15,
-            policy: config.policy.build(),
             config,
         }
-    }
-
-    /// Which eviction-policy family this cache runs.
-    pub fn policy_kind(&self) -> EvictionPolicyKind {
-        self.policy.kind()
     }
 
     /// The configuration the cache was built with.
@@ -179,13 +213,28 @@ impl<T: Clone> Clampi<T> {
         self.occupancy[slot / 64] >> (slot % 64) & 1 == 1
     }
 
-    /// What a policy decision may consult besides the entry itself.
-    fn ctx(&self) -> PolicyContext<'_> {
-        PolicyContext {
-            clock: self.clock,
-            max_user_score: self.max_user_score,
-            config: &self.config,
-            freelist: &self.freelist,
+    /// Victim score of a resident entry (see the module docs): **larger
+    /// means more evictable**. Never NaN. The age stays a division:
+    /// multiplying by a hoisted `1 / clock` differs in the last ulp and flips
+    /// ties.
+    #[inline]
+    fn victim_score(&self, entry: &EntryView) -> f64 {
+        let age =
+            (self.clock.saturating_sub(entry.last_access)) as f64 / (self.clock.max(1)) as f64;
+        match self.config.scoring {
+            ScorePolicy::LruPositional => {
+                let (before, after) = self.freelist.adjacency_to_free(entry.addr, entry.bytes);
+                let positional = (before as u8 + after as u8) as f64 / 2.0;
+                LRU_WEIGHT * age + POSITIONAL_WEIGHT * positional
+            }
+            ScorePolicy::ApplicationScore => {
+                let norm = if self.max_user_score > 0.0 {
+                    entry.user_score / self.max_user_score
+                } else {
+                    0.0
+                };
+                LRU_WEIGHT * age - USER_WEIGHT * norm
+            }
         }
     }
 
@@ -229,7 +278,7 @@ impl<T: Clone> Clampi<T> {
     pub fn lookup_entry(&mut self, key: EntryKey) -> Option<(Arc<[T]>, Option<u64>)> {
         self.clock += 1;
         let hit = self.find(&key).map(|slot| {
-            self.touch(slot);
+            self.meta[slot].last_access = self.clock;
             let entry = self.slots[slot]
                 .as_ref()
                 .expect("find returns occupied slots");
@@ -246,14 +295,6 @@ impl<T: Clone> Clampi<T> {
         }
         debug_assert_eq!(self.stats.lookups(), self.clock, "one outcome per lookup");
         hit
-    }
-
-    /// Counts an access to the entry in `slot` at the current clock.
-    fn touch(&mut self, slot: usize) {
-        let meta = &mut self.meta[slot];
-        meta.last_access = self.clock;
-        meta.hits += 1;
-        meta.priority = self.policy.priority(meta);
     }
 
     /// Inserts data fetched after a miss. The shared buffer is retained as-is — an
@@ -301,12 +342,12 @@ impl<T: Clone> Clampi<T> {
             match &mut self.slots[s] {
                 Some(resident) if resident.key == key => {
                     // Re-inserting an already-cached key (e.g. after a racing fetch):
-                    // refresh the data in place. The refresh counts as an access for
-                    // frequency-aware policies.
+                    // refresh the data in place; the refresh counts as an access.
                     resident.data = data;
                     resident.checksum = checksum;
-                    self.meta[s].user_score = user_score;
-                    self.touch(s);
+                    let meta = &mut self.meta[s];
+                    meta.user_score = user_score;
+                    meta.last_access = self.clock;
                     return CacheInsertOutcome::Inserted;
                 }
                 None if slot.is_none() => slot = Some(s),
@@ -318,10 +359,9 @@ impl<T: Clone> Clampi<T> {
             None => {
                 // Every slot of the set is occupied by a different key: conflict.
                 // The best-scoring resident goes, the later one on a tie.
-                let ctx = self.ctx();
                 let mut victim = (probes[0], f64::NEG_INFINITY);
                 for &s in probes {
-                    let score = self.policy.victim_score(&self.meta[s], &ctx);
+                    let score = self.victim_score(&self.meta[s]);
                     if score >= victim.1 {
                         victim = (s, score);
                     }
@@ -341,14 +381,10 @@ impl<T: Clone> Clampi<T> {
                 self.stats.uncacheable += 1;
                 return CacheInsertOutcome::NotCached;
             };
-            // Admission control: the policy may refuse to displace the
-            // prospective victim (PaperScore under application-defined
-            // scores rejects entries scoring below the victim, to "avoid
-            // storing a high number of low-degree vertices" instead of
-            // churning the cache).
-            if !self
-                .policy
-                .admits(user_score, &self.meta[victim], &self.ctx())
+            // Admission control under application-defined scores: an entry
+            // scoring below the prospective victim is not cached at all.
+            if self.config.scoring == ScorePolicy::ApplicationScore
+                && user_score < self.meta[victim].user_score
             {
                 self.stats.uncacheable += 1;
                 self.stats.admission_rejections += 1;
@@ -358,16 +394,12 @@ impl<T: Clone> Clampi<T> {
             self.stats.capacity_evictions += 1;
             evicted += 1;
         };
-        let mut meta = EntryView {
+        self.meta[slot] = EntryView {
             bytes,
             addr,
             last_access: self.clock,
             user_score,
-            hits: 1,
-            priority: 0.0,
         };
-        meta.priority = self.policy.priority(&meta);
-        self.meta[slot] = meta;
         self.slots[slot] = Some(Entry {
             key,
             data,
@@ -397,27 +429,18 @@ impl<T: Clone> Clampi<T> {
         true
     }
 
-    /// Removes every entry (the cache flush CLaMPI performs at epoch closures in
-    /// transparent mode, or on user request).
+    /// Removes every entry (CLaMPI's user-requested flush; the cached read
+    /// path flushes when it quarantines the cache).
     pub fn flush(&mut self) {
         for slot in 0..self.slots.len() {
             if self.is_occupied(slot) {
                 self.evict_slot(slot);
             }
         }
-        self.policy.on_flush();
         self.stats.flushes += 1;
         debug_assert!(self.occupancy.iter().all(|&word| word == 0));
         debug_assert!(self.slots.iter().all(Option::is_none));
         debug_assert_eq!((self.occupied, self.occupied_bytes), (0, 0));
-    }
-
-    /// Signals the closure of an access epoch. In `Transparent` mode this flushes the
-    /// cache; in the other modes it is a no-op.
-    pub fn end_epoch(&mut self) {
-        if self.config.mode == ConsistencyMode::Transparent {
-            self.flush();
-        }
     }
 
     /// Chooses a victim among occupied slots, excluding `protect` (the slot about to
@@ -431,10 +454,9 @@ impl<T: Clone> Clampi<T> {
         }
         let nslots = self.slots.len();
         let mut rng = self.rng_state;
-        let ctx = self.ctx();
         let mut best: Option<(usize, f64)> = None;
         let mut consider = |idx: usize| {
-            let score = self.policy.victim_score(&self.meta[idx], &ctx);
+            let score = self.victim_score(&self.meta[idx]);
             if best.map(|(_, s)| score > s).unwrap_or(true) {
                 best = Some((idx, score));
             }
@@ -460,14 +482,12 @@ impl<T: Clone> Clampi<T> {
         best.map(|(idx, _)| idx)
     }
 
-    /// Evicts a slot the policy *chose* (conflict or capacity victim): the
-    /// policy is notified and the freed bytes are attributed to it. Flushes
-    /// and invalidations are not victim selections and go through
-    /// [`Clampi::evict_slot`] directly.
+    /// Evicts a slot victim selection *chose* (conflict or capacity victim),
+    /// counting its freed bytes. Flushes and invalidations are not victim
+    /// selections and go through [`Clampi::evict_slot`] directly.
     fn evict_chosen_victim(&mut self, slot: usize) {
         debug_assert!(self.is_occupied(slot), "victims are residents");
         self.stats.evicted_bytes += self.meta[slot].bytes as u64;
-        self.policy.on_evict(&self.meta[slot]);
         self.evict_slot(slot);
     }
 
@@ -664,6 +684,15 @@ mod tests {
             CacheInsertOutcome::InsertedAfterEvicting(_)
         ));
         assert!(c.lookup(key(12, 4)).is_some());
+        // The positional rule never reads scores: the same low-degree entry
+        // evicts its way in.
+        let mut positional = cache(32, 64);
+        positional.insert(key(0, 4), vec![0; 4], 500.0);
+        positional.insert(key(4, 4), vec![1; 4], 400.0);
+        assert!(matches!(
+            positional.insert(key(8, 4), vec![2; 4], 3.0),
+            CacheInsertOutcome::InsertedAfterEvicting(_)
+        ));
     }
 
     #[test]
@@ -686,7 +715,7 @@ mod tests {
     }
 
     #[test]
-    fn evicted_bytes_attributed_to_policy_victims_only() {
+    fn evicted_bytes_attributed_to_chosen_victims_only() {
         let mut c = cache(32, 64);
         c.insert(key(0, 4), vec![0; 4], 0.0); // 16 B
         c.insert(key(4, 4), vec![1; 4], 0.0); // 16 B
@@ -699,45 +728,6 @@ mod tests {
         c.insert(key(12, 4), vec![3; 4], 0.0);
         assert!(c.invalidate(key(12, 4)));
         assert_eq!(c.stats().evicted_bytes, 16);
-    }
-
-    #[test]
-    fn lfu_policy_protects_frequent_entries_over_recent_ones() {
-        let cfg = ClampiConfig::always_cache(32, 64).with_policy(EvictionPolicyKind::Lfu);
-        let mut c: Clampi<u32> = Clampi::new(cfg);
-        assert_eq!(c.policy_kind(), EvictionPolicyKind::Lfu);
-        c.insert(key(0, 4), vec![0; 4], 0.0);
-        c.insert(key(4, 4), vec![1; 4], 0.0);
-        // Make the first entry frequent, then touch the second once so it is
-        // the more *recent* one: LFU must still evict it.
-        for _ in 0..10 {
-            assert!(c.lookup(key(0, 4)).is_some());
-        }
-        assert!(c.lookup(key(4, 4)).is_some());
-        c.insert(key(8, 4), vec![2; 4], 0.0);
-        assert!(c.lookup(key(0, 4)).is_some(), "frequent entry must survive");
-    }
-
-    #[test]
-    fn gdsf_policy_prefers_keeping_small_frequent_entries() {
-        // Buffer fits one 24-element entry or several 2-element ones.
-        let cfg = ClampiConfig::always_cache(96, 64).with_policy(EvictionPolicyKind::Gdsf);
-        let mut c: Clampi<u32> = Clampi::new(cfg);
-        assert_eq!(c.policy_kind(), EvictionPolicyKind::Gdsf);
-        // Two small entries, re-hit to earn priority.
-        c.insert(key(0, 2), vec![0; 2], 0.0);
-        c.insert(key(2, 2), vec![1; 2], 0.0);
-        for _ in 0..5 {
-            assert!(c.lookup(key(0, 2)).is_some());
-            assert!(c.lookup(key(2, 2)).is_some());
-        }
-        // One big cold entry fills most of the buffer...
-        c.insert(key(100, 20), vec![9; 20], 0.0);
-        // ...and a new entry forces an eviction: the big cold entry must go.
-        c.insert(key(200, 2), vec![7; 2], 0.0);
-        assert!(c.lookup(key(0, 2)).is_some(), "small hot entries survive");
-        assert!(c.lookup(key(2, 2)).is_some(), "small hot entries survive");
-        assert!(c.lookup(key(100, 20)).is_none(), "big cold entry evicted");
     }
 
     #[test]
@@ -774,27 +764,6 @@ mod tests {
         assert_eq!(c.occupied_bytes(), 0);
         assert_eq!(c.stats().flushes, 1);
         assert!(c.lookup(key(0, 2)).is_none());
-    }
-
-    #[test]
-    fn transparent_mode_flushes_on_epoch_end() {
-        let cfg = ClampiConfig {
-            mode: ConsistencyMode::Transparent,
-            ..ClampiConfig::always_cache(1024, 16)
-        };
-        let mut c: Clampi<u32> = Clampi::new(cfg);
-        c.insert(key(0, 2), vec![1, 2], 0.0);
-        c.end_epoch();
-        assert!(c.is_empty());
-
-        let mut always: Clampi<u32> = Clampi::new(ClampiConfig::always_cache(1024, 16));
-        always.insert(key(0, 2), vec![1, 2], 0.0);
-        always.end_epoch();
-        assert_eq!(
-            always.len(),
-            1,
-            "always-cache mode must persist across epochs"
-        );
     }
 
     #[test]

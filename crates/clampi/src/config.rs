@@ -1,23 +1,12 @@
-//! CLaMPI configuration: buffer capacity, hash-table size, consistency mode
-//! and victim-selection policy — all fixed when the cache is built.
+//! CLaMPI configuration: buffer capacity, hash-table size, score rule and
+//! quarantine threshold — all fixed when the cache is built.
+//!
+//! Every cache is always-cache (CLaMPI's mode for read-only data: the graph
+//! is not modified during the computation, so nothing is ever flushed at an
+//! epoch closure).
 
-use crate::policy::EvictionPolicyKind;
-
-/// Consistency modes offered by CLaMPI (Section II-F of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum ConsistencyMode {
-    /// No assumption on the cached data: the cache is flushed at every epoch closure.
-    /// Hits are only possible within one epoch.
-    Transparent,
-    /// Data accessed through RMA is read-only, so the cache is never flushed. This is
-    /// the mode the LCC application uses, because the graph is not modified during
-    /// the computation.
-    AlwaysCache,
-    /// The application decides when to flush.
-    UserDefined,
-}
-
-/// Victim-selection policy.
+/// The score the eviction rule weighs against recency (see
+/// [`Clampi`](crate::Clampi)).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum ScorePolicy {
     /// CLaMPI's default: least-recently-used weighted by a positional score that
@@ -39,21 +28,8 @@ pub struct ClampiConfig {
     /// adjacency cache with a power-law-aware estimate (`n · 0.5^α` entries
     /// with α≈2 when the cache holds half the graph).
     pub table_slots: usize,
-    /// Consistency mode.
-    pub mode: ConsistencyMode,
-    /// Victim-selection policy family. [`EvictionPolicyKind::PaperScore`]
-    /// (the default) reproduces the paper's weighted-score selection and is
-    /// the only kind that reads the [`ClampiConfig::scoring`] field; the
-    /// other kinds (LRU, LFU, GDSF) ignore it.
-    pub policy: EvictionPolicyKind,
-    /// Score variant used by the [`EvictionPolicyKind::PaperScore`] policy.
+    /// Which score victim selection weighs against recency.
     pub scoring: ScorePolicy,
-    /// Weight of the recency component in victim selection.
-    pub lru_weight: f64,
-    /// Weight of the positional (fragmentation) component in victim selection.
-    pub positional_weight: f64,
-    /// Weight of the application score in victim selection.
-    pub user_weight: f64,
     /// Number of checksum-failed (corrupted) entries after which the cache is
     /// quarantined: it stops serving and storing entries, and every read falls
     /// back to the plain RMA path — the paper's non-cached baseline — instead
@@ -67,12 +43,7 @@ impl ClampiConfig {
         Self {
             capacity_bytes,
             table_slots: table_slots.max(1),
-            mode: ConsistencyMode::AlwaysCache,
-            policy: EvictionPolicyKind::PaperScore,
             scoring: ScorePolicy::LruPositional,
-            lru_weight: 1.0,
-            positional_weight: 0.5,
-            user_weight: 2.0,
             quarantine_threshold: 3,
         }
     }
@@ -87,12 +58,6 @@ impl ClampiConfig {
     /// the paper's LCC use case).
     pub fn with_application_scores(mut self) -> Self {
         self.scoring = ScorePolicy::ApplicationScore;
-        self
-    }
-
-    /// Selects the eviction-policy family (see [`crate::policy`]).
-    pub fn with_policy(mut self, policy: EvictionPolicyKind) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -118,7 +83,6 @@ mod tests {
     #[test]
     fn always_cache_defaults_are_sane() {
         let c = ClampiConfig::always_cache(1 << 20, 1024);
-        assert_eq!(c.mode, ConsistencyMode::AlwaysCache);
         assert_eq!(c.scoring, ScorePolicy::LruPositional);
         assert_eq!(c.capacity_bytes, 1 << 20);
     }
@@ -127,14 +91,6 @@ mod tests {
     fn builder_style_modifiers() {
         let c = ClampiConfig::always_cache(1024, 64).with_application_scores();
         assert_eq!(c.scoring, ScorePolicy::ApplicationScore);
-    }
-
-    #[test]
-    fn policy_defaults_to_paper_score_and_is_selectable() {
-        let c = ClampiConfig::always_cache(1024, 64);
-        assert_eq!(c.policy, EvictionPolicyKind::PaperScore);
-        let c = c.with_policy(EvictionPolicyKind::Gdsf);
-        assert_eq!(c.policy, EvictionPolicyKind::Gdsf);
     }
 
     #[test]

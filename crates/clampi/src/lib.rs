@@ -18,9 +18,11 @@
 //!   regions (reducing external fragmentation). The paper's extension adds an
 //!   *application-defined score* — for LCC, the degree of the cached vertex — which
 //!   protects entries that are likely to be reused ([`config::ScorePolicy`]).
-//! * **Consistency modes.** `Transparent` flushes at every epoch closure,
-//!   `AlwaysCache` never flushes (the graph is read-only during LCC computation),
-//!   and `UserDefined` leaves flushing to the application.
+//!   This one rule is the cache's only eviction path (see [`cache`]).
+//! * **Always-cache.** The graph is read-only during the LCC computation, so
+//!   the cache runs CLaMPI's always-cache mode: nothing is flushed at epoch
+//!   closures (CLaMPI's transparent and user-defined modes are not
+//!   reproduced; [`Clampi::flush`] remains for the quarantine path).
 //! * **Sized once.** Buffer capacity and table size are fixed when the cache is
 //!   built, from the Section III-B1 rule
 //!   ([`ClampiConfig::adjacency_table_slots`]). CLaMPI's run-time resizing
@@ -49,13 +51,12 @@
 //!
 //! | Module | Paper location | What it reproduces |
 //! |---|---|---|
-//! | [`cache`] | §III-B | The cache proper: slot index (with an occupancy bitmap and a dense per-slot array of the fields victim selection reads), sampled weighted victim selection, admission control |
-//! | [`policy`] | §III-B (generalized) | Pluggable eviction policies, one enum matched inline: the paper's score rule plus LRU/LFU/GDSF |
+//! | [`cache`] | §III-B | The cache proper: slot index (with an occupancy bitmap and a dense per-slot array of the fields victim selection reads), the paper's weighted-score victim selection (sampled), admission control |
 //! | [`sharded_window`] | Fig. 3 steps 5–6; §II-F | Get interception: lookup before the network, insert after the miss — shared by a rank's worker threads, with split probe/admit reads for gets kept in flight |
 //! | [`sharded`] | beyond the paper | Lock-sharded concurrent cache backing multi-threaded ranks |
 //! | [`entry`] | §III-B1 | `(window, target, offset, len)` keys and the slot hash |
 //! | [`freelist`] | §II-F / §III-B | Variable-size entry storage with first-fit allocation and coalescing, over one address-sorted vector of free regions |
-//! | [`config`] | §II-F, §III-B1 | Consistency modes, score policies, and the hash-table sizing rules |
+//! | [`config`] | §III-B, §III-B1 | The score rule (positional or application-defined) and the hash-table sizing rule |
 //! | [`row`] | this reproduction | The zero-copy read views ([`RowRef`]) |
 //! | [`stats`] | Figs. 7–8 | Hit/miss/compulsory counters the evaluation plots |
 
@@ -63,16 +64,14 @@ pub mod cache;
 pub mod config;
 pub mod entry;
 pub mod freelist;
-pub mod policy;
 pub mod row;
 pub mod sharded;
 pub mod sharded_window;
 pub mod stats;
 
 pub use cache::{CacheInsertOutcome, Clampi};
-pub use config::{ClampiConfig, ConsistencyMode, ScorePolicy};
+pub use config::{ClampiConfig, ScorePolicy};
 pub use entry::EntryKey;
-pub use policy::{EntryView, EvictionPolicy, EvictionPolicyKind, PolicyContext};
 pub use row::RowRef;
 pub use sharded::ShardedClampi;
 pub use sharded_window::{CacheProbe, ShardedCachedWindow};

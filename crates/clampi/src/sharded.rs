@@ -3,11 +3,11 @@
 //! The paper runs one single-threaded cache per rank; a future multi-threaded
 //! rank would serialize every lookup and miss on one lock. [`ShardedClampi`]
 //! splits the configured budget across `N` independently locked [`Clampi`]
-//! shards, each with its own freelist, hash table, statistics and eviction
-//! policy instance, so concurrent misses on different shards proceed in
-//! parallel. Keys are routed to shards by a hash that is independent of the
-//! in-shard slot hash (so sharding does not skew slot occupancy), and the
-//! routing is deterministic: replayed runs hit the same shards.
+//! shards, each with its own freelist, hash table, clock and statistics, so
+//! concurrent misses on different shards proceed in parallel. Keys are routed
+//! to shards by a hash that is independent of the in-shard slot hash (so
+//! sharding does not skew slot occupancy), and the routing is deterministic:
+//! replayed runs hit the same shards.
 //!
 //! With one shard the split is the identity — capacity, slot count and every
 //! decision match a plain [`Clampi`] exactly (proved by a differential
@@ -23,14 +23,12 @@
 use crate::cache::{CacheInsertOutcome, Clampi};
 use crate::config::ClampiConfig;
 use crate::entry::EntryKey;
-use crate::policy::EvictionPolicyKind;
 use crate::stats::CacheStats;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A concurrent cache: `N` independently locked [`Clampi`] shards behind
 /// `&self` methods. All shards run the same configuration (scaled to their
-/// share of the budget) and the same eviction-policy kind, each with its own
-/// policy instance and statistics.
+/// share of the budget), each with its own statistics.
 #[derive(Debug)]
 pub struct ShardedClampi<T> {
     shards: Vec<Mutex<Clampi<T>>>,
@@ -66,11 +64,6 @@ impl<T: Clone> ShardedClampi<T> {
     /// capacities are this divided across [`ShardedClampi::shard_count`]).
     pub fn config(&self) -> &ClampiConfig {
         &self.config
-    }
-
-    /// Which eviction-policy family every shard runs.
-    pub fn policy_kind(&self) -> EvictionPolicyKind {
-        self.config.policy
     }
 
     /// Deterministic shard of a key. Uses a splitmix64-style mix over the key
@@ -157,14 +150,6 @@ impl<T: Clone> ShardedClampi<T> {
     pub fn flush(&self) {
         for shard in 0..self.shards.len() {
             self.lock(shard).flush();
-        }
-    }
-
-    /// Signals the closure of an access epoch to every shard.
-    /// See [`Clampi::end_epoch`].
-    pub fn end_epoch(&self) {
-        for shard in 0..self.shards.len() {
-            self.lock(shard).end_epoch();
         }
     }
 
@@ -324,16 +309,6 @@ mod tests {
             s.lookup_entry(key(0, 2)),
             Some((Arc::from(vec![1u32, 2]), Some(0xfeed)))
         );
-    }
-
-    #[test]
-    fn policy_kind_threads_through_every_shard() {
-        let cfg = ClampiConfig::always_cache(4096, 256).with_policy(EvictionPolicyKind::Gdsf);
-        let s: ShardedClampi<u32> = ShardedClampi::new(cfg, 4);
-        assert_eq!(s.policy_kind(), EvictionPolicyKind::Gdsf);
-        for i in 0..4 {
-            assert_eq!(s.lock(i).policy_kind(), EvictionPolicyKind::Gdsf);
-        }
     }
 
     #[test]

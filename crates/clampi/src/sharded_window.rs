@@ -318,13 +318,7 @@ impl<T: Copy + Send + Sync> ShardedCachedWindow<T> {
         self.cache.record_compression(&key, logical, stored);
     }
 
-    /// Signals the closure of an access epoch to every shard (flushes in
-    /// transparent mode only).
-    pub fn end_epoch(&self) {
-        self.cache.end_epoch();
-    }
-
-    /// Flushes every shard (user-defined consistency mode).
+    /// Flushes every shard.
     pub fn flush(&self) {
         self.cache.flush();
     }
@@ -333,7 +327,6 @@ impl<T: Copy + Send + Sync> ShardedCachedWindow<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ConsistencyMode;
     use rmatc_rma::fault::{FaultPlan, RetryPolicy};
     use rmatc_rma::NetworkModel;
 
@@ -446,26 +439,15 @@ mod tests {
     }
 
     #[test]
-    fn epoch_end_respects_mode_and_flush_forces_refetch() {
+    fn flush_forces_refetch() {
         let (window, mut ep) = setup();
-        let cw = one_shard(window.clone(), ClampiConfig::always_cache(4096, 64));
+        let cw = one_shard(window, ClampiConfig::always_cache(4096, 64));
         let _ = cw.get_scored(&mut ep, 1, 0, 4, 0.0).unwrap();
-        cw.end_epoch();
         let _ = cw.get_scored(&mut ep, 1, 0, 4, 0.0).unwrap();
-        assert_eq!(cw.stats().hits, 1, "always-cache persists across epochs");
+        assert_eq!(cw.stats().hits, 1, "the second read hits");
         cw.flush();
         let _ = cw.get_scored(&mut ep, 1, 0, 4, 0.0).unwrap();
-        assert_eq!(ep.stats().gets, 2, "a user flush forces a refetch");
-
-        let transparent = ClampiConfig {
-            mode: ConsistencyMode::Transparent,
-            ..ClampiConfig::always_cache(4096, 64)
-        };
-        let cw2 = one_shard(window, transparent);
-        let _ = cw2.get_scored(&mut ep, 1, 0, 4, 0.0).unwrap();
-        cw2.end_epoch();
-        let _ = cw2.get_scored(&mut ep, 1, 0, 4, 0.0).unwrap();
-        assert_eq!(cw2.stats().hits, 0, "transparent mode flushes at epoch end");
+        assert_eq!(ep.stats().gets, 2, "a flush forces a refetch");
     }
 
     #[test]

@@ -22,19 +22,19 @@ pub struct CacheStats {
     pub bytes_from_cache: u64,
     /// Bytes fetched over the network (misses).
     pub bytes_from_network: u64,
-    /// Number of times the cache was flushed (epoch closures in transparent mode
-    /// or user flushes).
+    /// Number of times the cache was flushed (explicit flushes, including the
+    /// one that quarantines a cache).
     pub flushes: u64,
     /// Entries removed because their data failed checksum verification.
     pub invalidations: u64,
-    /// Bytes freed by policy-chosen evictions (capacity and conflict victims;
+    /// Bytes freed by chosen evictions (capacity and conflict victims;
     /// flushes and invalidations are not victim selections and do not count).
     /// Together with `bytes_from_network` this attributes byte churn to the
-    /// active eviction policy in the policy-shootout bench.
+    /// score rule in the score-rule bench.
     pub evicted_bytes: u64,
-    /// Inserts the eviction policy refused to admit (the paper-score
-    /// admission rule, counted within `uncacheable`, which keeps its
-    /// pre-policy-layer meaning of "miss whose data was not stored").
+    /// Inserts the application-score admission rule refused (counted within
+    /// `uncacheable`, which keeps its meaning of "miss whose data was not
+    /// stored").
     pub admission_rejections: u64,
     /// Decoded (logical) bytes represented by the compressed rows transferred
     /// on adjacency misses — what a plain-storage run would have moved for the

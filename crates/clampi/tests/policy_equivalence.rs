@@ -1,10 +1,10 @@
-//! Differential proof that the [`EvictionPolicy`](rmatc_clampi::EvictionPolicy)
-//! refactor changed nothing: `reference::ReferenceCache` below is a faithful
-//! copy of the cache as it was *before* victim selection moved behind the
-//! trait (same arithmetic, same RNG, same stats ordering), and the proptests
-//! replay arbitrary insert/get interleavings against both, asserting
-//! decision-for-decision equality — every lookup result, every insert
-//! outcome, every counter, under both score policies.
+//! Differential proof that the live cache makes the decisions of the original
+//! one: `reference::ReferenceCache` below is a faithful copy of the cache as
+//! it was *before* victim selection moved behind a policy layer (same
+//! arithmetic, same RNG, same stats ordering). The proptests replay arbitrary
+//! insert/get/flush interleavings against both and assert decision-for-decision
+//! equality: every lookup result, every insert outcome, every counter, under
+//! both score policies.
 //!
 //! The reference keeps its own fat `Vec<Option<RefEntry>>` table, reduces
 //! victim draws with `%` and hashes `seen` with the default hasher, so it is
@@ -26,11 +26,14 @@ use rmatc_rma::WindowId;
 /// same (unchanged) `FreeList` building block.
 mod reference {
     use rmatc_clampi::freelist::FreeList;
-    use rmatc_clampi::{ClampiConfig, ConsistencyMode, EntryKey, ScorePolicy};
+    use rmatc_clampi::{ClampiConfig, EntryKey, ScorePolicy};
     use std::collections::HashSet;
     use std::sync::Arc;
 
     const WAYS: usize = 4;
+    const LRU_WEIGHT: f64 = 1.0;
+    const POSITIONAL_WEIGHT: f64 = 0.5;
+    const USER_WEIGHT: f64 = 2.0;
 
     pub struct RefEntry {
         pub key: EntryKey,
@@ -235,12 +238,6 @@ mod reference {
             self.stats.flushes += 1;
         }
 
-        pub fn end_epoch(&mut self) {
-            if self.config.mode == ConsistencyMode::Transparent {
-                self.flush();
-            }
-        }
-
         fn victim_score(&self, entry: &RefEntry) -> f64 {
             let age =
                 (self.clock.saturating_sub(entry.last_access)) as f64 / (self.clock.max(1)) as f64;
@@ -248,7 +245,7 @@ mod reference {
                 ScorePolicy::LruPositional => {
                     let (before, after) = self.freelist.adjacency_to_free(entry.addr, entry.bytes);
                     let positional = (before as u8 + after as u8) as f64 / 2.0;
-                    self.config.lru_weight * age + self.config.positional_weight * positional
+                    LRU_WEIGHT * age + POSITIONAL_WEIGHT * positional
                 }
                 ScorePolicy::ApplicationScore => {
                     let norm = if self.max_user_score > 0.0 {
@@ -256,7 +253,7 @@ mod reference {
                     } else {
                         0.0
                     };
-                    self.config.lru_weight * age - self.config.user_weight * norm
+                    LRU_WEIGHT * age - USER_WEIGHT * norm
                 }
             }
         }
@@ -328,17 +325,14 @@ enum Op {
         len: usize,
         score: f64,
     },
-    /// Close the epoch.
-    EndEpoch,
     /// Explicit flush.
     Flush,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    // 80% accesses, 10% epoch closures, 10% flushes (the vendored proptest
-    // stub has no `prop_oneof!`, so the selector is mapped by hand).
+    // 90% accesses, 10% flushes (the vendored proptest stub has no
+    // `prop_oneof!`, so the selector is mapped by hand).
     (0u32..10, 0usize..48, 1usize..12, 0u32..1000).prop_map(|(sel, offset, len, score)| match sel {
-        8 => Op::EndEpoch,
         9 => Op::Flush,
         _ => Op::Access {
             offset,
@@ -417,10 +411,6 @@ fn replay_against_reference(ops: Vec<Op>, cfg: ClampiConfig) -> Result<(), TestC
                     );
                 }
             }
-            Op::EndEpoch => {
-                live.end_epoch();
-                reference.end_epoch();
-            }
             Op::Flush => {
                 live.flush();
                 reference.flush();
@@ -441,9 +431,8 @@ fn replay_against_reference(ops: Vec<Op>, cfg: ClampiConfig) -> Result<(), TestC
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The tentpole guarantee: `PaperScore` through the policy layer is
-    /// decision-for-decision identical to the pre-refactor cache, under both
-    /// score policies.
+    /// The paper's score rule is decision-for-decision identical to the
+    /// pre-refactor cache, under both score policies.
     #[test]
     fn paper_score_is_bit_identical_to_pre_refactor_cache(
         ops in prop::collection::vec(op_strategy(), 1..400),
@@ -478,17 +467,15 @@ proptest! {
     }
 
     /// `ShardedClampi` with one shard is the identity split: it must match a
-    /// plain `Clampi` on every observable, for every policy kind.
+    /// plain `Clampi` on every observable, under both score policies.
     #[test]
     fn single_shard_matches_plain_cache(
         ops in prop::collection::vec(op_strategy(), 1..300),
         capacity in 32usize..2048,
         slots in 1usize..96,
-        policy_idx in 0usize..4,
         use_scores in any::<bool>(),
     ) {
-        let mut cfg = ClampiConfig::always_cache(capacity, slots)
-            .with_policy(rmatc_clampi::EvictionPolicyKind::ALL[policy_idx]);
+        let mut cfg = ClampiConfig::always_cache(capacity, slots);
         if use_scores {
             cfg = cfg.with_application_scores();
         }
@@ -512,10 +499,6 @@ proptest! {
                         let b = sharded.insert(k, data, score);
                         prop_assert_eq!(a, b, "insert {} diverged", i);
                     }
-                }
-                Op::EndEpoch => {
-                    plain.end_epoch();
-                    sharded.end_epoch();
                 }
                 Op::Flush => {
                     plain.flush();

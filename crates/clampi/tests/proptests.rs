@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use rmatc_clampi::freelist::FreeList;
-use rmatc_clampi::{ClampiConfig, ConsistencyMode, ScorePolicy, ShardedCachedWindow};
+use rmatc_clampi::{ClampiConfig, ShardedCachedWindow};
 use rmatc_rma::{Endpoint, NetworkModel, Window};
 use std::collections::BTreeMap;
 
@@ -142,16 +142,13 @@ proptest! {
         capacity in 32usize..4096,
         slots in 1usize..128,
         use_scores in any::<bool>(),
-        mode_transparent in any::<bool>(),
+        flushing in any::<bool>(),
     ) {
         // Exposed data: rank 1 exposes 128 known values.
         let window = Window::from_parts(vec![Vec::new(), (0..128u32).map(|x| x * 7).collect()]);
         let mut cfg = ClampiConfig::always_cache(capacity, slots);
         if use_scores {
             cfg = cfg.with_application_scores();
-        }
-        if mode_transparent {
-            cfg.mode = ConsistencyMode::Transparent;
         }
         let cached = ShardedCachedWindow::new(window, cfg, 1);
         let mut ep = Endpoint::new(0, 2, NetworkModel::aries());
@@ -164,19 +161,18 @@ proptest! {
                 .to_vec();
             let expected: Vec<u32> = (offset..offset + len).map(|x| x as u32 * 7).collect();
             prop_assert_eq!(got, expected, "access {}", i);
-            if i % 17 == 0 {
-                cached.end_epoch();
+            if flushing && i % 17 == 0 {
+                cached.flush();
             }
         }
         ep.unlock_all();
         let stats = cached.stats();
         prop_assert_eq!(stats.lookups(), stats.hits + stats.misses);
         prop_assert!(stats.compulsory_misses <= stats.misses);
-        if mode_transparent {
-            // Transparent mode can only hit within an epoch, never across flushes.
+        if flushing {
+            // A flushed cache can only hit between flushes, never across one.
             prop_assert!(stats.flushes > 0 || stats.lookups() < 17);
         }
-        let _ = ScorePolicy::LruPositional;
     }
 
     #[test]

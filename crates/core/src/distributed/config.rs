@@ -1,23 +1,16 @@
 //! Configuration of the distributed runner: rank count, partitioning, intersection
-//! method, network model, double buffering, and the CLaMPI cache budget split.
+//! method, network model, double buffering, and the CLaMPI cache's budget and
+//! score rule.
 
 use crate::intersect::{CostModel, IntersectMethod};
-use rmatc_clampi::{ClampiConfig, EvictionPolicyKind};
+use rmatc_clampi::{ClampiConfig, ScorePolicy};
 use rmatc_graph::partition::PartitionScheme;
 use rmatc_graph::GraphStorage;
 use rmatc_rma::{FaultPlan, NetworkModel, RetryPolicy};
 
-/// Which eviction score the adjacency cache uses (Figure 8's comparison).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum ScoreMode {
-    /// CLaMPI's original LRU + positional score.
-    Lru,
-    /// The paper's extension: the out-degree of the fetched vertex is passed as the
-    /// application-defined score, protecting high-degree (high-reuse) entries.
-    DegreeCentrality,
-}
-
-/// CLaMPI cache budget for one rank. Only the adjacency window is cached
+/// CLaMPI cache of one rank: its budget and the score its eviction rule
+/// weighs against recency — the one place a run's cache configuration is
+/// decided ([`CacheSpec::resolve`]). Only the adjacency window is cached
 /// (`C_adj`); the cached configuration reads the offsets of each source's
 /// remote neighbours by span instead of through a second cache (see
 /// [`super::reader`]).
@@ -25,25 +18,28 @@ pub enum ScoreMode {
 pub struct CacheSpec {
     /// Total bytes reserved per rank for CLaMPI.
     pub total_bytes: usize,
-    /// Eviction-policy family the cache runs. The default,
-    /// [`EvictionPolicyKind::PaperScore`], reproduces the paper exactly;
-    /// [`ScoreMode`] then selects which score variant it computes.
-    pub policy: EvictionPolicyKind,
+    /// The eviction score (Figure 8's comparison):
+    /// [`ScorePolicy::LruPositional`], CLaMPI's original LRU + positional
+    /// score, or [`ScorePolicy::ApplicationScore`], the paper's extension,
+    /// where the out-degree of the fetched vertex protects high-degree
+    /// (high-reuse) entries. The reader passes every row's length as its
+    /// score either way; only the second rule reads it.
+    pub scoring: ScorePolicy,
 }
 
 impl CacheSpec {
-    /// The paper's configuration: `total_bytes` per rank under the paper's
-    /// eviction policy.
+    /// `total_bytes` per rank under CLaMPI's positional score.
     pub fn paper(total_bytes: usize) -> Self {
         Self {
             total_bytes,
-            policy: EvictionPolicyKind::PaperScore,
+            scoring: ScorePolicy::LruPositional,
         }
     }
 
-    /// Selects the eviction-policy family (see [`rmatc_clampi::policy`]).
-    pub fn with_policy(mut self, policy: EvictionPolicyKind) -> Self {
-        self.policy = policy;
+    /// Same budget, scored by degree centrality
+    /// ([`ScorePolicy::ApplicationScore`]).
+    pub fn with_degree_scores(mut self) -> Self {
+        self.scoring = ScorePolicy::ApplicationScore;
         self
     }
 
@@ -54,7 +50,8 @@ impl CacheSpec {
     /// `C_offsets` has no cache left to fund. Its hash table follows Section
     /// III-B1's power-law estimate `n · f^α` with `α = 2`, where `f` is the
     /// fraction of the adjacency data the cache can hold. The sizes are final:
-    /// a CLaMPI cache never resizes its table, which would flush it.
+    /// a CLaMPI cache never resizes its table, which would flush it. The
+    /// cache scores by [`CacheSpec::scoring`].
     pub fn resolve(&self, n_global: usize, graph_adj_bytes: u64) -> ResolvedCaches {
         let adj_bytes = self.total_bytes;
         let adjacencies = (adj_bytes > 0).then(|| {
@@ -64,7 +61,10 @@ impl CacheSpec {
                 (adj_bytes as f64 / graph_adj_bytes as f64).min(1.0)
             };
             let slots = ClampiConfig::adjacency_table_slots(n_global, fraction);
-            ClampiConfig::always_cache(adj_bytes, slots).with_policy(self.policy)
+            ClampiConfig {
+                scoring: self.scoring,
+                ..ClampiConfig::always_cache(adj_bytes, slots)
+            }
         });
         ResolvedCaches { adjacencies }
     }
@@ -101,12 +101,11 @@ pub struct DistConfig {
     /// depth hides; see `docs/OVERLAP.md`, "Measuring the overlap". Answers
     /// and every integer counter are identical either way.
     pub double_buffering: bool,
-    /// CLaMPI caching; `None` runs the non-cached variant. `Some` also switches
-    /// the edge loop to offsets spans: one get per run of a source's remote
-    /// neighbours instead of one `(start, end)` get per edge.
+    /// CLaMPI caching — budget and eviction score; `None` runs the
+    /// non-cached variant. `Some` also switches the edge loop to offsets
+    /// spans: one get per run of a source's remote neighbours instead of one
+    /// `(start, end)` get per edge.
     pub cache: Option<CacheSpec>,
-    /// Eviction score mode for the adjacency cache.
-    pub score_mode: ScoreMode,
     /// Retry policy of the self-healing remote-read path: attempt budget,
     /// exponential backoff and completion timeout, all charged through the
     /// cost accounting.
@@ -146,7 +145,6 @@ impl DistConfig {
             network: NetworkModel::aries(),
             double_buffering: true,
             cache: None,
-            score_mode: ScoreMode::Lru,
             retry: RetryPolicy::default(),
             faults: None,
             pipeline_depth: 1,
@@ -164,18 +162,12 @@ impl DistConfig {
         }
     }
 
-    /// Switches the adjacency-cache eviction score to degree centrality.
+    /// Switches the adjacency cache's eviction score to degree centrality
+    /// ([`CacheSpec::with_degree_scores`]). A no-op on the non-cached
+    /// configuration: the score lives on the cache, so a cache set later
+    /// brings its own.
     pub fn with_degree_scores(mut self) -> Self {
-        self.score_mode = ScoreMode::DegreeCentrality;
-        self
-    }
-
-    /// Selects the eviction-policy family the cache runs. A no-op on the
-    /// non-cached configuration (there is no cache to configure).
-    pub fn with_eviction_policy(mut self, policy: EvictionPolicyKind) -> Self {
-        if let Some(cache) = self.cache.as_mut() {
-            cache.policy = policy;
-        }
+        self.cache = self.cache.map(CacheSpec::with_degree_scores);
         self
     }
 
@@ -260,22 +252,32 @@ mod tests {
     }
 
     #[test]
-    fn eviction_policy_threads_through_resolve() {
+    fn the_score_rule_threads_through_resolve() {
         let spec = CacheSpec::paper(1 << 20);
-        assert_eq!(spec.policy, EvictionPolicyKind::PaperScore);
-        let resolved = spec
-            .with_policy(EvictionPolicyKind::Gdsf)
-            .resolve(100_000, 10 << 20);
+        assert_eq!(spec.scoring, ScorePolicy::LruPositional);
+        let positional = spec.resolve(100_000, 10 << 20).adjacencies.unwrap();
+        assert_eq!(positional.scoring, ScorePolicy::LruPositional);
+        let degree = spec
+            .with_degree_scores()
+            .resolve(100_000, 10 << 20)
+            .adjacencies
+            .unwrap();
         assert_eq!(
-            resolved.adjacencies.unwrap().policy,
-            EvictionPolicyKind::Gdsf
+            degree,
+            ClampiConfig {
+                scoring: ScorePolicy::ApplicationScore,
+                ..positional
+            },
+            "the score is all the rule changes"
         );
         // And via the DistConfig builder.
-        let c = DistConfig::cached(4, 1 << 20).with_eviction_policy(EvictionPolicyKind::Lfu);
-        assert_eq!(c.cache.unwrap().policy, EvictionPolicyKind::Lfu);
+        let c = DistConfig::cached(4, 1 << 20).with_degree_scores();
+        assert_eq!(c.cache.unwrap().scoring, ScorePolicy::ApplicationScore);
         // No cache, no-op.
-        let nc = DistConfig::non_cached(4).with_eviction_policy(EvictionPolicyKind::Lfu);
-        assert!(nc.cache.is_none());
+        assert!(DistConfig::non_cached(4)
+            .with_degree_scores()
+            .cache
+            .is_none());
     }
 
     #[test]
@@ -283,7 +285,6 @@ mod tests {
         let c = DistConfig::cached(8, 1 << 20).with_degree_scores();
         assert_eq!(c.ranks, 8);
         assert!(c.cache.is_some());
-        assert_eq!(c.score_mode, ScoreMode::DegreeCentrality);
         let nc = DistConfig::non_cached(4);
         assert!(nc.cache.is_none());
         assert!(nc.faults.is_none(), "faults are opt-in");

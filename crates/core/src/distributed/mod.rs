@@ -80,7 +80,7 @@ pub mod report;
 pub mod windows;
 pub mod worker;
 
-pub use config::{CacheSpec, DistConfig, ScoreMode};
+pub use config::{CacheSpec, DistConfig};
 pub use report::{DistResult, RankReport, TimingBreakdown};
 pub use windows::GraphWindows;
 
@@ -173,7 +173,6 @@ mod tests {
             network: NetworkModel::aries(),
             double_buffering: true,
             cache: None,
-            score_mode: ScoreMode::Lru,
             retry: rmatc_rma::RetryPolicy::default(),
             faults: None,
             pipeline_depth: 1,
@@ -208,8 +207,7 @@ mod tests {
         let g = small_graph();
         let expected = reference::count_triangles(&g);
         let mut cfg = base_config(4);
-        cfg.cache = Some(CacheSpec::paper(1 << 20));
-        cfg.score_mode = ScoreMode::DegreeCentrality;
+        cfg.cache = Some(CacheSpec::paper(1 << 20).with_degree_scores());
         let result = DistLcc::new(cfg).run(&g);
         assert_eq!(result.triangle_count, expected);
         let lcc = reference::lcc_scores(&g);
@@ -244,8 +242,7 @@ mod tests {
             uncached.total_bytes(),
             plain_lcc.total_bytes()
         );
-        cfg.cache = Some(CacheSpec::paper(1 << 20));
-        cfg.score_mode = ScoreMode::DegreeCentrality;
+        cfg.cache = Some(CacheSpec::paper(1 << 20).with_degree_scores());
         let cached = DistLcc::new(cfg).run(&g);
         assert_eq!(cached.triangle_count, plain_lcc.triangle_count);
         assert!(cached.cache_hits() > 0);

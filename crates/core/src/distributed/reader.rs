@@ -39,7 +39,7 @@
 //! both its value and its admission to the checksum-verified completion
 //! ([`Endpoint::wait_with_reissue`]).
 
-use super::config::{DistConfig, ScoreMode};
+use super::config::DistConfig;
 use super::windows::GraphWindows;
 use rmatc_clampi::{CacheProbe, CacheStats, RowRef, ShardedCachedWindow};
 use rmatc_graph::compressed::decoded_len;
@@ -132,7 +132,6 @@ enum Flight<R> {
         pending: PendingGet<VertexId>,
         /// Element offset of the row on the get's target.
         start: usize,
-        score: f64,
     },
 }
 
@@ -175,8 +174,12 @@ impl OffsetSpans {
 /// the `(start, end)` pair from the target's `offsets` array (alone, or in a span
 /// with its source's other neighbours on that target), the second reads
 /// `end − start` vertex ids from the target's `adjacencies` array. When caching is
-/// enabled the second get is first looked up in the CLaMPI cache `C_adj`; the
-/// entry can carry the vertex degree as its application-defined eviction score.
+/// enabled the second get is first looked up in the CLaMPI cache `C_adj`; every
+/// admitted row carries its length — the vertex degree — as its
+/// application-defined eviction score, which the cache reads if
+/// [`super::CacheSpec::scoring`] says so. Under compressed storage the length
+/// counts codec words, a faithful proxy for degree: the decoded count is not
+/// known until the row arrives.
 /// The cache is lock-sharded; with one thread the single shard is a plain
 /// cache decision for decision.
 #[derive(Debug)]
@@ -184,7 +187,6 @@ pub struct RowReader {
     offsets_plain: Window<u64>,
     adj_plain: Window<VertexId>,
     adj_cache: Option<ShardedCachedWindow<VertexId>>,
-    score_mode: ScoreMode,
     /// Encoding of the adjacency window's payload (taken from the windows):
     /// under [`GraphStorage::Compressed`] every admitted miss records logical
     /// vs stored bytes on the cache ([`CacheStats::compression_ratio`]).
@@ -194,8 +196,8 @@ pub struct RowReader {
 impl RowReader {
     /// Builds the reader of one rank over `windows`: resolves
     /// [`DistConfig::cache`] for a graph of `n_global` vertices (no cache
-    /// when it is `None`) and shards the cache `shards` ways — one shard per
-    /// worker thread of the rank.
+    /// when it is `None`) and shards the resolved cache `shards` ways — one
+    /// shard per worker thread of the rank.
     pub fn new(
         windows: &GraphWindows,
         config: &DistConfig,
@@ -209,16 +211,8 @@ impl RowReader {
         Self {
             offsets_plain: windows.offsets.clone(),
             adj_plain: windows.adjacencies.clone(),
-            adj_cache: adj_cache.map(|cfg| {
-                // The degree passed with each row only steers eviction and
-                // admission if the cache scores by it.
-                let cfg = match config.score_mode {
-                    ScoreMode::Lru => cfg,
-                    ScoreMode::DegreeCentrality => cfg.with_application_scores(),
-                };
-                ShardedCachedWindow::new(windows.adjacencies.clone(), cfg, shards)
-            }),
-            score_mode: config.score_mode,
+            adj_cache: adj_cache
+                .map(|cfg| ShardedCachedWindow::new(windows.adjacencies.clone(), cfg, shards)),
             storage: windows.storage,
         }
     }
@@ -305,17 +299,6 @@ impl RowReader {
         Ok(())
     }
 
-    /// The application-defined eviction score of an adjacency row of `len`
-    /// entries (known after the first get: the degree of the fetched vertex).
-    /// Under compressed storage `len` counts codec words, a faithful proxy
-    /// for degree — the decoded count is not known until the row arrives.
-    fn score_for(&self, len: usize) -> f64 {
-        match self.score_mode {
-            ScoreMode::Lru => 0.0,
-            ScoreMode::DegreeCentrality => len as f64,
-        }
-    }
-
     /// The per-miss compression record: logical vs stored bytes of `row`,
     /// attributed to its region's shard. A no-op under plain storage.
     fn record_compression(
@@ -357,7 +340,7 @@ impl RowReader {
         }
         match &self.adj_cache {
             Some(cache) => {
-                let row = cache.get_scored(ep, target, start, len, self.score_for(len))?;
+                let row = cache.get_scored(ep, target, start, len, len as f64)?;
                 if let RowRef::Fetched(arc) = &row {
                     self.record_compression(cache, target, start, arc);
                 }
@@ -414,14 +397,13 @@ impl RowReader {
             Some(_) if ep.faults_enabled() => Flight::Unverified {
                 pending: ep.issue_with_retry(adj, target, start, len)?,
                 start,
-                score: self.score_for(len),
             },
             Some(cache) => {
                 let (pending, value) =
                     ep.get_map(adj, target, start, len, |wire| op.retained(edge, wire))?;
                 let (arc, charge) = pending.split();
                 self.record_compression(cache, target, start, &arc);
-                cache.admit(ep, target, start, len, arc, self.score_for(len));
+                cache.admit(ep, target, start, len, arc, len as f64);
                 Flight::Charged(charge, value)
             }
             None if ep.faults_enabled() => {
@@ -457,11 +439,7 @@ impl RowReader {
                 charge.wait(ep);
                 Ok(value)
             }
-            Flight::Unverified {
-                pending,
-                start,
-                score,
-            } => {
+            Flight::Unverified { pending, start } => {
                 let (target, len) = (pending.target(), pending.len());
                 let clean = ep.wait_with_reissue(pending, &self.adj_plain, target, start, len)?;
                 let value = op.stored(edge, &clean);
@@ -470,7 +448,7 @@ impl RowReader {
                     .as_ref()
                     .expect("only a cached miss waits unverified");
                 self.record_compression(cache, target, start, &clean);
-                cache.admit(ep, target, start, len, clean, score);
+                cache.admit(ep, target, start, len, clean, len as f64);
                 Ok(value)
             }
         }
@@ -508,7 +486,7 @@ mod tests {
     fn setup() -> (PartitionedGraph, DistConfig) {
         let g = RmatGenerator::paper(8, 8).generate_cleaned(3).into_csr();
         let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
-        let mut config = DistConfig::non_cached(2).with_degree_scores();
+        let mut config = DistConfig::non_cached(2);
         config.storage = GraphStorage::Plain;
         (pg, config)
     }
@@ -536,10 +514,39 @@ mod tests {
     }
 
     #[test]
+    fn the_rank_cache_is_the_configuration_its_spec_resolves() {
+        // One source for a run's cache configuration: under either score
+        // rule, and however many shards split it, the rank's cache runs
+        // exactly what `CacheSpec::resolve` returns — so an offline replay
+        // that resolves the same spec replays the run's cache.
+        let (pg, base) = setup();
+        let windows = GraphWindows::build(&pg);
+        let n = pg.global_vertex_count();
+        let positional = DistConfig::cached(2, 1 << 20);
+        for config in [positional, positional.with_degree_scores()] {
+            let config = DistConfig {
+                storage: base.storage,
+                ..config
+            };
+            let resolved = config
+                .cache
+                .unwrap()
+                .resolve(n, windows.adjacency_bytes() as u64)
+                .adjacencies
+                .unwrap();
+            for shards in [1, 4] {
+                let reader = RowReader::new(&windows, &config, n, shards);
+                let cache = reader.adj_cache.as_ref().expect("a cached reader");
+                assert_eq!(*cache.cache().config(), resolved, "{shards} shards");
+            }
+        }
+    }
+
+    #[test]
     fn cached_reader_returns_exact_adjacency_and_hits_on_reuse() {
         let (pg, mut config) = setup();
         let windows = GraphWindows::build(&pg);
-        config.cache = Some(CacheSpec::paper(1 << 20));
+        config.cache = Some(CacheSpec::paper(1 << 20).with_degree_scores());
         let reader = RowReader::new(&windows, &config, pg.global_vertex_count(), 1);
         let mut ep = endpoint(&config);
         let remote = &pg.partitions[1];
@@ -691,7 +698,7 @@ mod tests {
             let windows = GraphWindows::build_with(&pg, storage);
             for (cached, in_flight) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
                 let mut config = base;
-                config.cache = cached.then(|| CacheSpec::paper(1 << 20));
+                config.cache = cached.then(|| CacheSpec::paper(1 << 20).with_degree_scores());
                 let reader = RowReader::new(&windows, &config, pg.global_vertex_count(), 1);
                 let op = ClosingCount::new(&config, pg.direction, storage);
                 let (mut ep_a, mut ep_b) = (endpoint(&config), endpoint(&config));

@@ -195,7 +195,7 @@ impl EdgeOp for ClosingCount {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributed::config::{CacheSpec, ScoreMode};
+    use crate::distributed::config::CacheSpec;
     use crate::intersect::CostModel;
     use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
     use rmatc_graph::partition::PartitionScheme;
@@ -214,7 +214,6 @@ mod tests {
             network: NetworkModel::aries(),
             double_buffering: false,
             cache: None,
-            score_mode: ScoreMode::Lru,
             retry: rmatc_rma::RetryPolicy::default(),
             faults: None,
             pipeline_depth: 1,
@@ -279,8 +278,7 @@ mod tests {
     #[test]
     fn cached_worker_reports_cache_stats() {
         let (pg, windows, mut config) = setup(2);
-        config.cache = Some(CacheSpec::paper(1 << 20));
-        config.score_mode = ScoreMode::DegreeCentrality;
+        config.cache = Some(CacheSpec::paper(1 << 20).with_degree_scores());
         let out = run_worker(0, &pg, &windows, &config).unwrap();
         let adj = out.adjacency_cache.expect("adjacency cache enabled");
         assert!(adj.lookups() > 0);
@@ -371,8 +369,7 @@ mod tests {
                 let (pg, _, mut config) = setup(2);
                 config.storage = storage;
                 if cached {
-                    config.cache = Some(CacheSpec::paper(1 << 20));
-                    config.score_mode = ScoreMode::DegreeCentrality;
+                    config.cache = Some(CacheSpec::paper(1 << 20).with_degree_scores());
                 }
                 let windows = GraphWindows::build_with(&pg, storage);
                 let baseline = run_worker(0, &pg, &windows, &config).unwrap();
@@ -410,8 +407,7 @@ mod tests {
         for cached in [false, true] {
             let (pg, windows, mut config) = setup(2);
             if cached {
-                config.cache = Some(CacheSpec::paper(16 << 10));
-                config.score_mode = ScoreMode::DegreeCentrality;
+                config.cache = Some(CacheSpec::paper(16 << 10).with_degree_scores());
             }
             let baseline = run_worker(0, &pg, &windows, &config).unwrap();
             let planned = baseline.rma.gets - misses(&baseline);

@@ -41,9 +41,7 @@ pub mod local;
 pub mod reuse;
 pub mod service;
 
-pub use distributed::{
-    CacheSpec, DistConfig, DistLcc, DistResult, RankReport, ScoreMode, TimingBreakdown,
-};
+pub use distributed::{CacheSpec, DistConfig, DistLcc, DistResult, RankReport, TimingBreakdown};
 pub use intersect::{CostModel, IntersectMethod, Intersector};
 pub use jaccard::{DistJaccard, JaccardResult};
 pub use local::{LocalConfig, LocalLcc, LocalResult};

@@ -25,7 +25,7 @@
 //! batch pipelines use (`Intersector::count`, [`crate::local::count_closing_at`],
 //! the fused compressed kernels), so service answers are bit-identical to
 //! `DistJaccard` / `DistLcc` results — `tests/service.rs` holds the engine to
-//! that across storage modes, eviction policies and batch sizes.
+//! that across storage modes, eviction scores and batch sizes.
 //!
 //! # Overload and deadlines
 //!

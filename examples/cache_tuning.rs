@@ -30,13 +30,16 @@ fn main() {
     );
     let csr = graph.csr_size_bytes() as f64;
     for fraction in [0.05, 0.1, 0.25, 0.5, 1.0] {
-        for (label, mode) in [
-            ("LRU", ScoreMode::Lru),
-            ("degree", ScoreMode::DegreeCentrality),
+        for (label, scoring) in [
+            ("LRU", ScorePolicy::LruPositional),
+            ("degree", ScorePolicy::ApplicationScore),
         ] {
             let budget = (csr * fraction) as usize;
             let mut config = DistConfig::cached(ranks, budget);
-            config.score_mode = mode;
+            config.cache = Some(CacheSpec {
+                scoring,
+                ..CacheSpec::paper(budget)
+            });
             let result = DistLcc::new(config).run(&graph);
             assert_eq!(result.triangle_count, baseline.triangle_count);
             let stats = result.adjacency_cache_totals().expect("cache enabled");

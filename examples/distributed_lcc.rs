@@ -44,8 +44,7 @@ fn main() {
         cost_model: CostModel::Analytic,
         network: NetworkModel::aries(),
         double_buffering: true,
-        cache: Some(CacheSpec::paper(budget)),
-        score_mode: ScoreMode::DegreeCentrality,
+        cache: Some(CacheSpec::paper(budget).with_degree_scores()),
         // The self-healing read path: up to 4 attempts per get with exponential
         // backoff. With `faults: None` no fault is ever injected and the policy
         // is never exercised — it exists so chaos tests can flip it on.

@@ -38,13 +38,11 @@ pub use rmatc_tric as tric;
 
 /// Convenience prelude with the types most applications need.
 pub mod prelude {
-    pub use rmatc_clampi::{
-        ClampiConfig, ConsistencyMode, EvictionPolicyKind, ScorePolicy, ShardedClampi,
-    };
+    pub use rmatc_clampi::{ClampiConfig, ScorePolicy, ShardedClampi};
     pub use rmatc_core::{
         CacheSpec, CostModel, DistConfig, DistJaccard, DistLcc, DistResult, IntersectMethod,
         JaccardResult, LocalConfig, LocalLcc, Query, QueryAnswer, QueryEngine, QueryId,
-        QueryResponse, ScoreMode, ServiceConfig, ServiceError, ServiceStats,
+        QueryResponse, ServiceConfig, ServiceError, ServiceStats,
     };
     pub use rmatc_graph::datasets::{Dataset, DatasetScale};
     pub use rmatc_graph::gen::{

@@ -54,27 +54,29 @@ fn degree_scores_do_not_hit_less_than_lru_under_pressure() {
     let base = DistConfig::non_cached(4);
     let pg = PartitionedGraph::from_global(&g, base.scheme, base.ranks).unwrap();
     let capacity = GraphWindows::build_with(&pg, base.storage).adjacency_bytes() / 4;
-    let run = |mode| {
+    let run = |scoring| {
         let mut cfg = base;
-        cfg.cache = Some(CacheSpec::paper(capacity));
-        cfg.score_mode = mode;
+        cfg.cache = Some(CacheSpec {
+            scoring,
+            ..CacheSpec::paper(capacity)
+        });
         DistLcc::new(cfg).run(&g)
     };
-    let lru = run(ScoreMode::Lru);
-    let degree = run(ScoreMode::DegreeCentrality);
+    let lru = run(ScorePolicy::LruPositional);
+    let degree = run(ScorePolicy::ApplicationScore);
     let lru_stats = lru.adjacency_cache_totals().unwrap();
     let degree_stats = degree.adjacency_cache_totals().unwrap();
     assert!(
         lru_stats.capacity_evictions > 0,
         "the configuration must create cache pressure"
     );
-    // The degrees must reach the policy: under pressure the score-aware cache
+    // The degrees must reach the cache: under pressure the score-aware cache
     // refuses low-degree rows that plain LRU admits, so the two runs cannot
     // be the same run decision for decision.
     assert_eq!(lru_stats.admission_rejections, 0);
     assert!(
         degree_stats.admission_rejections > 0,
-        "degree scores never refused a row: they are not reaching the eviction policy"
+        "degree scores never refused a row: they are not reaching the eviction rule"
     );
     assert_ne!(degree_stats, lru_stats);
     assert!(

@@ -83,11 +83,14 @@ fn cached_distributed_matches_reference_for_all_cache_sizes() {
     // From a cache too small to hold anything useful to one larger than the graph:
     // correctness must never depend on the cache configuration.
     for budget in [64usize, 4 << 10, 256 << 10, 64 << 20] {
-        for mode in [ScoreMode::Lru, ScoreMode::DegreeCentrality] {
-            let mut cfg = DistConfig::cached(4, budget);
-            cfg.score_mode = mode;
+        for scoring in [ScorePolicy::LruPositional, ScorePolicy::ApplicationScore] {
+            let mut cfg = DistConfig::non_cached(4);
+            cfg.cache = Some(CacheSpec {
+                scoring,
+                ..CacheSpec::paper(budget)
+            });
             let result = DistLcc::new(cfg).run(&g);
-            let context = format!("budget {budget}, {mode:?}");
+            let context = format!("budget {budget}, {scoring:?}");
             assert_eq!(result.triangle_count, expected_triangles, "{context}");
             assert_scores_equal(&result.lcc, &expected, &context);
         }
@@ -134,7 +137,7 @@ fn double_buffering_and_intersection_method_do_not_change_results() {
 // Differential layer: the one edge loop at pipeline depth D × T intra-rank
 // threads against itself at depth 1 × 1 thread (the classic
 // issue-wait-compute loop), and both against the brute-force reference, over
-// random R-MAT graphs × pipeline depths × thread counts × cache policies.
+// random R-MAT graphs × pipeline depths × thread counts × cache score rules.
 // (`tests/golden_counts.rs` additionally pins the loop to the counts of the
 // sequential worker it replaced.)
 //
@@ -152,40 +155,26 @@ fn double_buffering_and_intersection_method_do_not_change_results() {
 mod differential {
     use super::*;
     use proptest::prelude::*;
-    use rmatc::clampi::{CacheStats, EvictionPolicyKind};
+    use rmatc::clampi::CacheStats;
     use rmatc::core::distributed::windows::GraphWindows;
     use rmatc::core::distributed::worker::run_worker;
-    use rmatc::core::CacheSpec;
 
     /// `None` → non-cached; `Some` → the paper's cache under the given
-    /// eviction-policy family and score mode.
-    fn arb_cache() -> impl Strategy<Value = Option<(EvictionPolicyKind, ScoreMode)>> {
-        (0usize..5, any::<bool>()).prop_map(|(policy, degree_scores)| {
-            let mode = if degree_scores {
-                ScoreMode::DegreeCentrality
-            } else {
-                ScoreMode::Lru
-            };
-            match policy {
-                0 => None,
-                1 => Some((EvictionPolicyKind::PaperScore, mode)),
-                2 => Some((EvictionPolicyKind::Lru, mode)),
-                3 => Some((EvictionPolicyKind::Lfu, mode)),
-                _ => Some((EvictionPolicyKind::Gdsf, mode)),
-            }
+    /// score rule.
+    fn arb_cache() -> impl Strategy<Value = Option<ScorePolicy>> {
+        (0usize..3).prop_map(|rule| match rule {
+            0 => None,
+            1 => Some(ScorePolicy::LruPositional),
+            _ => Some(ScorePolicy::ApplicationScore),
         })
     }
 
-    fn config_for(
-        ranks: usize,
-        cache: Option<(EvictionPolicyKind, ScoreMode)>,
-        budget: usize,
-    ) -> DistConfig {
+    fn config_for(ranks: usize, cache: Option<ScorePolicy>, budget: usize) -> DistConfig {
         let mut cfg = DistConfig::non_cached(ranks);
-        if let Some((policy, mode)) = cache {
-            cfg.cache = Some(CacheSpec::paper(budget).with_policy(policy));
-            cfg.score_mode = mode;
-        }
+        cfg.cache = cache.map(|scoring| CacheSpec {
+            scoring,
+            ..CacheSpec::paper(budget)
+        });
         cfg
     }
 
@@ -200,7 +189,7 @@ mod differential {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
-        /// Public-API tier: any depth × thread count × cache policy produces
+        /// Public-API tier: any depth × thread count × cache score rule produces
         /// bit-identical scores and per-edge-deterministic counters.
         #[test]
         fn overlapped_lcc_matches_sequential_on_random_graphs(

@@ -16,8 +16,8 @@
 //! re-pinned once, on purpose: the recorded worker passed each row's degree
 //! to the cache but never switched `C_adj` to
 //! [`ScorePolicy::ApplicationScore`](rmatc::clampi::ScorePolicy), so the
-//! scores it recorded under were positional LRU's. `RowReader::new` now makes
-//! that switch under `with_degree_scores()`, which changes which residents a
+//! scores it recorded under were positional LRU's. The cache now makes that
+//! switch under `with_degree_scores()`, which changes which residents a
 //! full cache evicts and lets it refuse low-degree rows (the non-zero
 //! `admission_rejections` below; rank 1 at 4 KiB fetches 28 800 bytes where it
 //! fetched 46 396). Offsets caches, answers and the two unpressured
@@ -218,10 +218,9 @@ fn the_edge_loop_reproduces_the_sequential_workers_counts() {
         for (&budget, depth) in golden.budgets.iter().flat_map(|b| [(b, 1usize), (b, 8)]) {
             let what = format!("budget {budget}, {:?}, depth {depth}", golden.storage);
             let mut cfg = DistConfig::non_cached(2)
-                .with_degree_scores()
                 .with_storage(golden.storage)
                 .with_pipeline_depth(depth);
-            cfg.cache = Some(CacheSpec::paper(budget));
+            cfg.cache = Some(CacheSpec::paper(budget).with_degree_scores());
             for (rank, expected) in golden.lcc.iter().enumerate() {
                 let out = run_worker(rank, &pg, &windows, &cfg).unwrap();
                 let adjacency = out

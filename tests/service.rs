@@ -4,14 +4,13 @@
 //! The contract under test: every service answer is **bit-identical** to the
 //! batch pipelines ([`DistJaccard`] / [`DistLcc`]) that the equivalence and
 //! chaos suites already hold to the reference — across storage modes,
-//! eviction policies and batch sizes — and the admission counters obey the
+//! eviction score rules and batch sizes — and the admission counters obey the
 //! conservation identities (`submitted = accepted + shed + rejected`,
 //! `accepted = completed + failed + queued`): no query is ever silently
 //! dropped, and a full queue rejects immediately instead of blocking.
 
 use proptest::prelude::*;
 use rmatc::prelude::*;
-use rmatc_clampi::EvictionPolicyKind;
 use rmatc_core::jaccard::{similarity_order, top_k_edges, EdgeSimilarity};
 use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
 use rmatc_graph::types::{Direction, VertexId};
@@ -35,6 +34,15 @@ fn baselines(g: &CsrGraph, ranks: usize) -> (EdgeMap, Vec<f64>) {
         .collect();
     let lcc = DistLcc::new(DistConfig::non_cached(ranks)).run(g).lcc;
     (map, lcc)
+}
+
+/// Both eviction score rules, positional first.
+const SCORE_RULES: [ScorePolicy; 2] = [ScorePolicy::LruPositional, ScorePolicy::ApplicationScore];
+
+/// `dist` with its cache scored by `scoring`.
+fn cached_with(mut dist: DistConfig, scoring: ScorePolicy) -> DistConfig {
+    dist.cache = dist.cache.map(|spec| CacheSpec { scoring, ..spec });
+    dist
 }
 
 /// The batch-pipeline answer to one service query.
@@ -137,7 +145,7 @@ fn run_matrix_cell(
 }
 
 // ---------------------------------------------------------------------------
-// Pinned differential matrix: storage × eviction policy × batch size.
+// Pinned differential matrix: storage × eviction score rule × batch size.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -146,16 +154,14 @@ fn service_answers_match_batch_pipelines_across_matrix() {
     let ranks = 3;
     let (map, lcc) = baselines(&g, ranks);
     let queries = fixed_query_mix(&g, 160);
-    // Half the CSR footprint, so eviction policies actually evict.
+    // Half the CSR footprint, so both score rules actually evict.
     let cache_bytes = (g.csr_size_bytes() as usize / 2).max(1024);
     for storage in [GraphStorage::Plain, GraphStorage::Compressed] {
-        for policy in EvictionPolicyKind::ALL {
+        for scoring in SCORE_RULES {
             for batch_size in [1usize, 3, 16] {
-                let dist = DistConfig::cached(ranks, cache_bytes)
-                    .with_degree_scores()
-                    .with_eviction_policy(policy)
+                let dist = cached_with(DistConfig::cached(ranks, cache_bytes), scoring)
                     .with_storage(storage);
-                let label = format!("{storage:?}/{policy:?}/batch{batch_size}");
+                let label = format!("{storage:?}/{scoring:?}/batch{batch_size}");
                 run_matrix_cell(&g, dist, batch_size, &queries, &map, &lcc, &label);
             }
         }
@@ -230,7 +236,7 @@ proptest! {
         ranks in 1usize..5,
         compressed in any::<bool>(),
         cached in any::<bool>(),
-        policy_idx in 0usize..4,
+        rule_idx in 0usize..2,
         batch_size in 1usize..=9,
         picks in prop::collection::vec((any::<prop::sample::Index>(), 0u8..4, 0usize..8), 1..40),
     ) {
@@ -264,10 +270,8 @@ proptest! {
             .collect();
         let storage = if compressed { GraphStorage::Compressed } else { GraphStorage::Plain };
         let dist = if cached {
-            DistConfig::cached(ranks, (g.csr_size_bytes() as usize / 2).max(512))
-                .with_degree_scores()
-                .with_eviction_policy(EvictionPolicyKind::ALL[policy_idx])
-                .with_storage(storage)
+            let dist = DistConfig::cached(ranks, (g.csr_size_bytes() as usize / 2).max(512));
+            cached_with(dist, SCORE_RULES[rule_idx]).with_storage(storage)
         } else {
             DistConfig::non_cached(ranks).with_storage(storage)
         };

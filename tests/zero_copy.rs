@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rmatc::clampi::{CacheStats, RowRef};
 use rmatc::core::distributed::reader::{Deferred, Edge, OffsetSpans, RowReader, Started};
 use rmatc::core::distributed::worker::{run_worker, ClosingCount};
-use rmatc::core::distributed::{CacheSpec, DistConfig, GraphWindows, ScoreMode};
+use rmatc::core::distributed::{CacheSpec, DistConfig, GraphWindows};
 use rmatc::core::intersect::{CostModel, IntersectMethod, Intersector};
 use rmatc::core::local::count_closing_at;
 use rmatc::graph::gen::{GraphGenerator, RmatGenerator};
@@ -81,7 +81,6 @@ fn base_config(ranks: usize) -> DistConfig {
         // modeled communication times non-deterministic across the two loops.
         double_buffering: false,
         cache: None,
-        score_mode: ScoreMode::DegreeCentrality,
         retry: rmatc::rma::RetryPolicy::default(),
         faults: None,
         pipeline_depth: 1,
@@ -172,8 +171,8 @@ fn fused_worker_is_observationally_identical_to_materializing_reads() {
     // evictions and uncacheable entries.
     for cache in [
         None,
-        Some(CacheSpec::paper(1 << 20)),
-        Some(CacheSpec::paper(1 << 14)),
+        Some(CacheSpec::paper(1 << 20).with_degree_scores()),
+        Some(CacheSpec::paper(1 << 14).with_degree_scores()),
     ] {
         let mut config = base_config(ranks);
         config.cache = cache;
@@ -355,7 +354,7 @@ impl<'a> Rounds<'a> {
 fn hit_heavy_spec() -> CacheSpec {
     // A cache far larger than the data it might hold, so the second round is
     // all hits.
-    CacheSpec::paper(1 << 22)
+    CacheSpec::paper(1 << 22).with_degree_scores()
 }
 
 #[test]
@@ -485,7 +484,7 @@ fn quarantine_bypass_reads_allocate_nothing() {
             let windows = GraphWindows::build_with(&pg, storage);
             let mut config = base_config(2);
             config.storage = storage;
-            config.cache = Some(CacheSpec::paper(1 << 22));
+            config.cache = Some(CacheSpec::paper(1 << 22).with_degree_scores());
             let ep = Endpoint::new(0, 2, config.network).with_faults(plan.injector(0));
             let mut rounds = Rounds::new(&pg, &windows, &config, ep, in_flight, false);
             let clean = rounds.run();
@@ -522,7 +521,7 @@ fn miss_buffer_is_shared_with_the_cache_not_copied() {
     let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
     let windows = GraphWindows::build(&pg);
     let mut config = base_config(2);
-    config.cache = Some(CacheSpec::paper(1 << 22));
+    config.cache = Some(CacheSpec::paper(1 << 22).with_degree_scores());
     let reader = build_reader(&pg, &windows, &config);
     let mut ep = Endpoint::new(0, 2, config.network);
     ep.lock_all();
@@ -563,7 +562,7 @@ proptest! {
         let windows = GraphWindows::build(&pg);
         let mut config = base_config(4);
         if cached {
-            config.cache = Some(CacheSpec::paper(cache_bytes));
+            config.cache = Some(CacheSpec::paper(cache_bytes).with_degree_scores());
         }
         let reader = build_reader(&pg, &windows, &config);
         let mut ep = Endpoint::new(0, 4, config.network);
