@@ -29,22 +29,23 @@
 //!   heuristic (Section II-F) is not reproduced: growing the table flushes the
 //!   cache, which is why the paper sizes it up front.
 //!
-//! The integration point is [`ShardedCachedWindow`] — the one get-intercepting
-//! window — which wraps an RMA [`rmatc_rma::Window`] and intercepts gets
-//! exactly where CLaMPI's PMPI layer would: on a hit it charges the local
-//! access cost, on a miss it issues the real RMA get, waits for it, and
-//! inserts the result. It is `&self` over the lock-sharded [`ShardedClampi`],
-//! so a multi-threaded rank shares one cache; a single-threaded rank builds it
-//! with one shard, which is a plain [`Clampi`] decision for decision.
+//! The integration point is [`ShardedCachedWindow`], the one CLaMPI front. It
+//! intercepts gets where CLaMPI's PMPI layer would, but leaves the transfer to
+//! its caller: [`ShardedCachedWindow::probe`] looks the get up before the
+//! network (a hit charges only the local access cost) and
+//! [`ShardedCachedWindow::admit`] inserts the buffer the caller fetched on a
+//! miss. It is `&self` over independently locked [`Clampi`] shards, one per
+//! worker thread, so a multi-threaded rank shares one cache; a
+//! single-threaded rank has one shard, which is a plain [`Clampi`] decision
+//! for decision.
 //!
 //! Reads are zero-copy end to end: entries store the transfer buffer itself
 //! (`Arc<[T]>` — an insert is a refcount bump, never a payload clone) and
 //! reads resolve to a borrowed [`RowRef`] view of wherever the row already
-//! lives. The split read ([`ShardedCachedWindow::probe`] +
-//! [`ShardedCachedWindow::admit`]) leaves the transfer to the caller, who can
-//! compute over the data in place on a hit — or, on a miss, *during* the
-//! transfer (the copy+intersect kernel of `rmatc-core`) — and keep the get in
-//! flight meanwhile. Cache hits and local-rank reads perform no heap
+//! lives. Because the caller owns the transfer, it can compute over the data
+//! in place on a hit — or, on a miss, *during* the transfer (the
+//! copy+intersect kernel of `rmatc-core`) — and keep the get in flight
+//! meanwhile. Cache hits and local-rank reads perform no heap
 //! allocations; a miss performs exactly one.
 //!
 //! # Paper map
@@ -52,8 +53,7 @@
 //! | Module | Paper location | What it reproduces |
 //! |---|---|---|
 //! | [`cache`] | §III-B | The cache proper: slot index (with an occupancy bitmap and a dense per-slot array of the fields victim selection reads), the paper's weighted-score victim selection (sampled), admission control |
-//! | [`sharded_window`] | Fig. 3 steps 5–6; §II-F | Get interception: lookup before the network, insert after the miss — shared by a rank's worker threads, with split probe/admit reads for gets kept in flight |
-//! | [`sharded`] | beyond the paper | Lock-sharded concurrent cache backing multi-threaded ranks |
+//! | [`sharded_window`] | Fig. 3 steps 5–6; §II-F | Get interception as probe (lookup before the network) and admit (insert after the miss), over lock-sharded caches shared by a rank's worker threads |
 //! | [`entry`] | §III-B1 | `(window, target, offset, len)` keys and the slot hash |
 //! | [`freelist`] | §II-F / §III-B | Variable-size entry storage with first-fit allocation and coalescing, over one address-sorted vector of free regions |
 //! | [`config`] | §III-B, §III-B1 | The score rule (positional or application-defined) and the hash-table sizing rule |
@@ -65,7 +65,6 @@ pub mod config;
 pub mod entry;
 pub mod freelist;
 pub mod row;
-pub mod sharded;
 pub mod sharded_window;
 pub mod stats;
 
@@ -73,6 +72,5 @@ pub use cache::{CacheInsertOutcome, Clampi};
 pub use config::{ClampiConfig, ScorePolicy};
 pub use entry::EntryKey;
 pub use row::RowRef;
-pub use sharded::ShardedClampi;
 pub use sharded_window::{CacheProbe, ShardedCachedWindow};
 pub use stats::CacheStats;

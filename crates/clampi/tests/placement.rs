@@ -2,7 +2,10 @@
 //! the same reads against the same data produce byte-identical `CacheStats`
 //! however many windows anything else in the process created first. (Window
 //! ids stay part of key equality; they are only kept out of the slot and
-//! shard hashes.)
+//! shard hashes. The per-shard statistics are compared by a unit test of
+//! `sharded_window.rs`.)
+
+mod common;
 
 use rmatc_clampi::{CacheStats, Clampi, ClampiConfig, EntryKey, ShardedCachedWindow};
 use rmatc_rma::{Endpoint, NetworkModel, Window};
@@ -48,21 +51,21 @@ fn plain_stats() -> CacheStats {
     cache.stats().clone()
 }
 
-/// The same reads intercepted by the window over `shards` shards.
-fn sharded_stats(shards: usize) -> (CacheStats, Vec<CacheStats>) {
+/// The same reads through the cache front over `shards` shards.
+fn sharded_stats(shards: usize) -> CacheStats {
     let mut ep = endpoint();
-    let cw = ShardedCachedWindow::new(fresh_window(), config(), shards);
+    let window = fresh_window();
+    let cw = ShardedCachedWindow::new(window.id(), config(), shards);
     for (offset, len) in reads() {
-        cw.get_scored(&mut ep, 1, offset, len, 0.0)
-            .expect("reliable network");
+        common::read(&cw, &mut ep, &window, (1, offset, len), 0.0);
     }
-    (cw.stats(), cw.cache().per_shard_stats())
+    cw.stats()
 }
 
 #[test]
 fn cache_stats_do_not_depend_on_how_many_windows_came_first() {
     let (plain, sharded) = (plain_stats(), sharded_stats(4));
-    assert_eq!(sharded_stats(1).0, plain, "one shard is the plain cache");
+    assert_eq!(sharded_stats(1), plain, "one shard is the plain cache");
     assert!(
         plain.conflict_evictions > 0 && plain.capacity_evictions > 0,
         "the sequence must exercise placement: {plain:?}"

@@ -11,14 +11,10 @@
 //! also the oracle for the live cache's occupancy bitmap, dense score array,
 //! division-free draw reduction and key hasher. (The two share `FreeList`;
 //! `proptests.rs` holds that one to the tree it replaced.)
-//!
-//! The second property pins down [`ShardedClampi`]: with exactly one shard
-//! the split is the identity, so it must match a plain [`Clampi`] the same
-//! way.
 
 use proptest::prelude::*;
 use rmatc_clampi::cache::CacheInsertOutcome;
-use rmatc_clampi::{Clampi, ClampiConfig, EntryKey, ShardedClampi};
+use rmatc_clampi::{Clampi, ClampiConfig, EntryKey};
 use rmatc_rma::WindowId;
 
 /// The cache exactly as it stood before the policy trait: victim scores,
@@ -464,50 +460,5 @@ proptest! {
             cfg = cfg.with_application_scores();
         }
         replay_against_reference(ops, cfg)?;
-    }
-
-    /// `ShardedClampi` with one shard is the identity split: it must match a
-    /// plain `Clampi` on every observable, under both score policies.
-    #[test]
-    fn single_shard_matches_plain_cache(
-        ops in prop::collection::vec(op_strategy(), 1..300),
-        capacity in 32usize..2048,
-        slots in 1usize..96,
-        use_scores in any::<bool>(),
-    ) {
-        let mut cfg = ClampiConfig::always_cache(capacity, slots);
-        if use_scores {
-            cfg = cfg.with_application_scores();
-        }
-        let mut plain: Clampi<u32> = Clampi::new(cfg);
-        let sharded: ShardedClampi<u32> = ShardedClampi::new(cfg, 1);
-        for (i, op) in ops.into_iter().enumerate() {
-            match op {
-                Op::Access { offset, len, score } => {
-                    let k = key(offset, len);
-                    let plain_hit = plain.lookup(k);
-                    let sharded_hit = sharded.lookup(k);
-                    prop_assert_eq!(
-                        plain_hit.is_some(),
-                        sharded_hit.is_some(),
-                        "lookup {} diverged",
-                        i
-                    );
-                    if plain_hit.is_none() {
-                        let data: Vec<u32> = (0..len as u32).collect();
-                        let a = plain.insert(k, data.clone(), score);
-                        let b = sharded.insert(k, data, score);
-                        prop_assert_eq!(a, b, "insert {} diverged", i);
-                    }
-                }
-                Op::Flush => {
-                    plain.flush();
-                    sharded.flush();
-                }
-            }
-            prop_assert_eq!(plain.len(), sharded.len());
-            prop_assert_eq!(plain.occupied_bytes(), sharded.occupied_bytes());
-        }
-        prop_assert_eq!(plain.stats(), &sharded.stats());
     }
 }

@@ -3,9 +3,11 @@
 //! manager it replaced, and the cache behaves like a correct (if bounded)
 //! memoisation of the window under arbitrary access patterns and configurations.
 
+mod common;
+
 use proptest::prelude::*;
 use rmatc_clampi::freelist::FreeList;
-use rmatc_clampi::{ClampiConfig, ShardedCachedWindow};
+use rmatc_clampi::{CacheProbe, ClampiConfig, ShardedCachedWindow};
 use rmatc_rma::{Endpoint, NetworkModel, Window};
 use std::collections::BTreeMap;
 
@@ -150,17 +152,14 @@ proptest! {
         if use_scores {
             cfg = cfg.with_application_scores();
         }
-        let cached = ShardedCachedWindow::new(window, cfg, 1);
+        let cached = ShardedCachedWindow::new(window.id(), cfg, 1);
         let mut ep = Endpoint::new(0, 2, NetworkModel::aries());
         ep.lock_all();
         for (i, (offset, len)) in accesses.into_iter().enumerate() {
             let offset = offset.min(128 - len.min(128));
-            let got = cached
-                .get_scored(&mut ep, 1, offset, len, len as f64)
-                .expect("no faults injected")
-                .to_vec();
+            let got = common::read(&cached, &mut ep, &window, (1, offset, len), len as f64);
             let expected: Vec<u32> = (offset..offset + len).map(|x| x as u32 * 7).collect();
-            prop_assert_eq!(got, expected, "access {}", i);
+            prop_assert_eq!(&got[..], &expected[..], "access {}", i);
             if flushing && i % 17 == 0 {
                 cached.flush();
             }
@@ -180,16 +179,18 @@ proptest! {
         // The degenerate single-slot table turns every distinct key into a conflict;
         // data correctness must be unaffected.
         let window = Window::from_parts(vec![Vec::new(), (0..64u32).collect()]);
-        let cached = ShardedCachedWindow::new(window, ClampiConfig::always_cache(1024, 1), 1);
+        let cached = ShardedCachedWindow::new(window.id(), ClampiConfig::always_cache(1024, 1), 1);
         let mut ep = Endpoint::new(0, 2, NetworkModel::zero());
         ep.lock_all();
-        for offset in accesses {
-            let got = cached
-                .get_scored(&mut ep, 1, offset, 1, 0.0)
-                .expect("no faults injected");
+        for &offset in &accesses {
+            let got = common::read(&cached, &mut ep, &window, (1, offset, 1), 0.0);
             prop_assert_eq!(got[0], offset as u32);
         }
+        // At most one key is resident: at most one of them probes as a hit.
+        let resident = (0..32)
+            .filter(|&offset| matches!(cached.probe(&mut ep, 1, offset, 1), CacheProbe::Hit(_)))
+            .count();
+        prop_assert!(resident <= 1, "{} keys resident in a one-slot table", resident);
         ep.unlock_all();
-        prop_assert!(cached.cache().len() <= 1);
     }
 }

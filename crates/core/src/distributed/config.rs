@@ -121,8 +121,8 @@ pub struct DistConfig {
     pub pipeline_depth: usize,
     /// Worker threads *inside* each rank. `1` (the default) keeps the rank
     /// single-threaded; `T ≥ 2` splits the rank's local vertices across `T`
-    /// pool tasks, each with its own RMA endpoint, sharing one lock-sharded
-    /// CLaMPI cache ([`rmatc_clampi::ShardedClampi`]).
+    /// pool tasks, each with its own RMA endpoint, sharing one CLaMPI cache
+    /// split into `T` locked shards ([`rmatc_clampi::ShardedCachedWindow`]).
     pub intra_threads: usize,
     /// Adjacency storage exposed in the RMA windows:
     /// [`GraphStorage::Plain`] (the default) exposes raw CSR rows;

@@ -21,8 +21,9 @@
 //!    the current one.
 //!
 //! There is one remote-read path. [`reader::RowReader`] is the only
-//! implementation of the two-get protocol, over the one get-intercepting
-//! window of `rmatc_clampi`; [`pipeline`] is the only edge loop, generic over
+//! implementation of the two-get protocol and issues every get; the one
+//! CLaMPI front of `rmatc_clampi` only decides hits (probe) and admissions
+//! (admit). [`pipeline`] is the only edge loop, generic over
 //! a small per-edge operation ([`reader::EdgeOp`]) that [`DistLcc`]
 //! ([`worker::ClosingCount`]) and [`crate::DistJaccard`] instantiate; the
 //! resident query service reads its rows through the same reader.

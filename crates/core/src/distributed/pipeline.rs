@@ -28,9 +28,11 @@
 //!   [`DistConfig::effective_intra_threads`] contiguous chunks, each run by a
 //!   task on the process-wide work-stealing pool with its *own*
 //!   [`Endpoint`] (own statistics, own deterministic fault stream), all
-//!   sharing one reader whose caches are lock-sharded — concurrent misses on
-//!   different shards proceed in parallel, same-key misses coalesce. One
-//!   thread runs inline on the rank's own thread.
+//!   sharing one reader whose cache is lock-sharded, one shard per thread.
+//!   A shard is held only for a probe or an admit, never across a get, so
+//!   reads on different shards proceed in parallel; two threads that miss
+//!   the same row at once both fetch it. One thread runs inline on the
+//!   rank's own thread.
 //!
 //! # Equivalence across depths and threads
 //!

@@ -212,7 +212,7 @@ impl RowReader {
             offsets_plain: windows.offsets.clone(),
             adj_plain: windows.adjacencies.clone(),
             adj_cache: adj_cache
-                .map(|cfg| ShardedCachedWindow::new(windows.adjacencies.clone(), cfg, shards)),
+                .map(|cfg| ShardedCachedWindow::new(windows.adjacencies.id(), cfg, shards)),
             storage: windows.storage,
         }
     }
@@ -299,25 +299,44 @@ impl RowReader {
         Ok(())
     }
 
-    /// The per-miss compression record: logical vs stored bytes of `row`,
-    /// attributed to its region's shard. A no-op under plain storage.
-    fn record_compression(
+    /// Looks the remote row of `len > 0` elements at `start` on `target` up
+    /// in the cache: the one issue-time decision [`RowReader::read_row`] and
+    /// [`RowReader::start`] share. Without a cache every row reads as an
+    /// (uncounted) [`CacheProbe::Bypass`]: fetched, and kept by nobody.
+    fn probe(
         &self,
-        cache: &ShardedCachedWindow<VertexId>,
+        ep: &mut Endpoint,
         target: usize,
         start: usize,
-        row: &[VertexId],
-    ) {
-        if self.storage == GraphStorage::Compressed {
-            let (logical, stored) = (decoded_len(row) as u64 * 4, row.len() as u64 * 4);
-            cache.record_compression(target, start, row.len(), logical, stored);
+        len: usize,
+    ) -> CacheProbe<VertexId> {
+        match &self.adj_cache {
+            Some(cache) => cache.probe(ep, target, start, len),
+            None => CacheProbe::Bypass,
         }
+    }
+
+    /// Admits a cached miss's landed (and verified) buffer, scored by its
+    /// length, after recording its compression — logical vs stored bytes —
+    /// under compressed storage.
+    fn admit(&self, ep: &mut Endpoint, target: usize, start: usize, row: Arc<[VertexId]>) {
+        let cache = self
+            .adj_cache
+            .as_ref()
+            .expect("only a cached miss is admitted");
+        let len = row.len();
+        if self.storage == GraphStorage::Compressed {
+            let (logical, stored) = (decoded_len(&row) as u64 * 4, len as u64 * 4);
+            cache.record_compression(target, start, len, logical, stored);
+        }
+        cache.admit(ep, target, start, len, row, len as f64);
     }
 
     /// Reads the adjacency list on rank `target` whose `(start, end)` offsets
     /// pair the first get returned ([`RowReader::read_offsets`] or
     /// [`RowReader::read_spans`]), cache-intercepted where enabled, and waits
-    /// for it.
+    /// for it: the probe → get → admit of [`RowReader::start`], with the get
+    /// waited for in between.
     ///
     /// The returned [`RowRef`] is a zero-copy view: local-rank reads borrow the
     /// window, cache hits share the cached buffer, and a miss allocates exactly
@@ -338,24 +357,18 @@ impl RowReader {
         if len == 0 {
             return Ok(RowRef::Window(&[]));
         }
-        match &self.adj_cache {
-            Some(cache) => {
-                let row = cache.get_scored(ep, target, start, len, len as f64)?;
-                if let RowRef::Fetched(arc) = &row {
-                    self.record_compression(cache, target, start, arc);
-                }
-                Ok(row)
-            }
-            None if target == ep.rank() => {
-                Ok(RowRef::Window(ep.local_read(&self.adj_plain, start, len)))
-            }
-            None => Ok(RowRef::Fetched(ep.get_with_retry(
-                &self.adj_plain,
-                target,
-                start,
-                len,
-            )?)),
+        if target == ep.rank() {
+            return Ok(RowRef::Window(ep.local_read(&self.adj_plain, start, len)));
         }
+        let probe = self.probe(ep, target, start, len);
+        if let CacheProbe::Hit(row) = probe {
+            return Ok(RowRef::Cached(row));
+        }
+        let row = ep.get_with_retry(&self.adj_plain, target, start, len)?;
+        if let CacheProbe::Miss = probe {
+            self.admit(ep, target, start, Arc::clone(&row));
+        }
+        Ok(RowRef::Fetched(row))
     }
 
     /// Starts the read for `edge` of the row on `target` whose `(start, end)`
@@ -384,36 +397,28 @@ impl RowReader {
             return Ok(Started::Immediate(op.stored(edge, row)));
         }
         // Who keeps the buffer: the cache on a miss, nobody otherwise.
-        let keeper = match &self.adj_cache {
-            Some(cache) => match cache.probe(ep, target, start, len) {
-                CacheProbe::Hit(row) => return Ok(Started::Immediate(op.stored(edge, &row))),
-                CacheProbe::Miss => Some(cache),
-                CacheProbe::Bypass => None,
-            },
-            None => None,
-        };
         let adj = &self.adj_plain;
-        let flight = match keeper {
-            Some(_) if ep.faults_enabled() => Flight::Unverified {
+        let flight = match self.probe(ep, target, start, len) {
+            CacheProbe::Hit(row) => return Ok(Started::Immediate(op.stored(edge, &row))),
+            CacheProbe::Miss if ep.faults_enabled() => Flight::Unverified {
                 pending: ep.issue_with_retry(adj, target, start, len)?,
                 start,
             },
-            Some(cache) => {
+            CacheProbe::Miss => {
                 let (pending, value) =
                     ep.get_map(adj, target, start, len, |wire| op.retained(edge, wire))?;
                 let (arc, charge) = pending.split();
-                self.record_compression(cache, target, start, &arc);
-                cache.admit(ep, target, start, len, arc, len as f64);
+                self.admit(ep, target, start, arc);
                 Flight::Charged(charge, value)
             }
-            None if ep.faults_enabled() => {
+            CacheProbe::Bypass if ep.faults_enabled() => {
                 let value =
                     ep.get_into_with_retry(adj, target, start, len, landing, |wire, landing| {
                         op.landed(edge, wire, landing)
                     })?;
                 return Ok(Started::Immediate(value));
             }
-            None => {
+            CacheProbe::Bypass => {
                 let (charge, value) =
                     ep.get_into(adj, target, start, len, landing, |wire, landing| {
                         op.landed(edge, wire, landing)
@@ -443,12 +448,7 @@ impl RowReader {
                 let (target, len) = (pending.target(), pending.len());
                 let clean = ep.wait_with_reissue(pending, &self.adj_plain, target, start, len)?;
                 let value = op.stored(edge, &clean);
-                let cache = self
-                    .adj_cache
-                    .as_ref()
-                    .expect("only a cached miss waits unverified");
-                self.record_compression(cache, target, start, &clean);
-                cache.admit(ep, target, start, len, clean, len as f64);
+                self.admit(ep, target, start, clean);
                 Ok(value)
             }
         }
@@ -470,6 +470,7 @@ mod tests {
     use crate::local::count_closing_at;
     use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
     use rmatc_graph::partition::{PartitionScheme, PartitionedGraph};
+    use rmatc_rma::RankStats;
 
     /// Both gets of one row, as the service reads it: the offsets pair, then the
     /// row.
@@ -537,7 +538,7 @@ mod tests {
             for shards in [1, 4] {
                 let reader = RowReader::new(&windows, &config, n, shards);
                 let cache = reader.adj_cache.as_ref().expect("a cached reader");
-                assert_eq!(*cache.cache().config(), resolved, "{shards} shards");
+                assert_eq!(*cache.config(), resolved, "{shards} shards");
             }
         }
     }
@@ -566,6 +567,79 @@ mod tests {
             adj_stats.hits > 0,
             "second round must hit the adjacency cache"
         );
+    }
+
+    #[test]
+    fn read_row_runs_the_protocol_of_start_and_complete() {
+        // The service reads rows with `read_row`, the edge loop with `start`
+        // / `complete`: one protocol. Two readers over the same windows read
+        // the same remote rows twice through an eviction-heavy cache, one
+        // reader per entry point, under both storages and both score rules:
+        // their caches and the integer counters of their endpoints agree.
+        let integers = |s: &RankStats| RankStats {
+            comm_time_ns: 0.0,
+            overlapped_ns: 0.0,
+            local_time_ns: 0.0,
+            backoff_ns: 0.0,
+            ..s.clone()
+        };
+        let (pg, base) = setup();
+        let n = pg.global_vertex_count();
+        let part = &pg.partitions[0];
+        for storage in [GraphStorage::Plain, GraphStorage::Compressed] {
+            let windows = GraphWindows::build_with(&pg, storage);
+            let positional = CacheSpec::paper(1 << 10);
+            for spec in [positional, positional.with_degree_scores()] {
+                let config = DistConfig {
+                    cache: Some(spec),
+                    ..base
+                };
+                let by_row = RowReader::new(&windows, &config, n, 1);
+                let by_start = RowReader::new(&windows, &config, n, 1);
+                let op = ClosingCount::new(&config, pg.direction, storage);
+                let (mut ep_row, mut ep_start) = (endpoint(&config), endpoint(&config));
+                let mut landing = Vec::new();
+                for _round in 0..2 {
+                    for local_idx in 0..part.local_vertex_count() {
+                        let adj_u = part.neighbours_of_local(local_idx);
+                        for (k, &v) in adj_u.iter().enumerate() {
+                            if pg.partitioner.owner(v) != 1 {
+                                continue;
+                            }
+                            let idx = pg.partitioner.local_index(v);
+                            let pair = by_row.read_offsets(&mut ep_row, 1, idx).unwrap();
+                            by_row.read_row(&mut ep_row, 1, pair).unwrap();
+                            let pair = by_start.read_offsets(&mut ep_start, 1, idx).unwrap();
+                            let source = part.global_ids[local_idx];
+                            let edge = Edge {
+                                slot: 0,
+                                source,
+                                adj_u,
+                                v,
+                                k,
+                            };
+                            let started = by_start
+                                .start(&mut ep_start, 1, pair, &mut landing, &op, &edge)
+                                .unwrap();
+                            if let Started::Deferred(d) = started {
+                                by_start.complete(&mut ep_start, d, &op, &edge).unwrap();
+                            }
+                        }
+                    }
+                }
+                ep_row.unlock_all();
+                ep_start.unlock_all();
+                let what = format!("{storage:?} {:?}", spec.scoring);
+                let stats = by_row.adjacency_cache_stats().unwrap();
+                assert!(stats.hits > 0 && stats.evictions() > 0, "{what}: {stats:?}");
+                assert_eq!(Some(stats), by_start.adjacency_cache_stats(), "{what}");
+                assert_eq!(
+                    integers(ep_row.stats()),
+                    integers(ep_start.stats()),
+                    "{what}"
+                );
+            }
+        }
     }
 
     /// Reads the spans of every source of rank 0 of `pg` under `network`,

@@ -126,12 +126,6 @@ impl<T> PendingGet<T> {
         (self.data, charge)
     }
 
-    /// The modeled cost of this get, in nanoseconds (available before completion so
-    /// callers can reason about prefetch depth).
-    pub fn cost_ns(&self) -> f64 {
-        self.ticket.cost_ns
-    }
-
     /// The rank this get targets.
     pub fn target(&self) -> usize {
         self.ticket.target
@@ -231,11 +225,6 @@ impl Endpoint {
         &self.network
     }
 
-    /// The retry policy in use.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// Whether a fault injector is attached (and transfers are checksummed).
     pub fn faults_enabled(&self) -> bool {
         self.faults.is_some()
@@ -264,11 +253,6 @@ impl Endpoint {
         );
         self.outstanding_ns = 0.0;
         self.epoch_open = false;
-    }
-
-    /// Whether an access epoch is currently open.
-    pub fn epoch_open(&self) -> bool {
-        self.epoch_open
     }
 
     /// Issues a one-sided get of `len` elements at `offset` in the region exposed by

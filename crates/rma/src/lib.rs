@@ -68,5 +68,5 @@ pub use endpoint::{Endpoint, PendingCharge, PendingGet};
 pub use fault::{FaultInjector, FaultPlan, RetryPolicy, RmaError};
 pub use network::NetworkModel;
 pub use runner::{run_ranks, SimBarrier};
-pub use stats::{CommStats, RankStats};
+pub use stats::RankStats;
 pub use window::{Window, WindowId};

@@ -1,4 +1,4 @@
-//! Per-rank and aggregated communication statistics.
+//! Per-rank communication statistics.
 //!
 //! The evaluation reasons almost entirely in these terms: number of remote reads,
 //! bytes moved, modeled communication time, and how those change with caching and
@@ -124,72 +124,6 @@ impl RankStats {
             self.bytes_per_target[i] += b;
         }
     }
-
-    /// Average modeled time per get, in nanoseconds.
-    pub fn avg_get_time_ns(&self) -> f64 {
-        if self.gets == 0 {
-            0.0
-        } else {
-            (self.comm_time_ns + self.overlapped_ns) / self.gets as f64
-        }
-    }
-}
-
-/// Aggregated communication statistics across all ranks of a run.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct CommStats {
-    /// Per-rank statistics, indexed by rank.
-    pub per_rank: Vec<RankStats>,
-}
-
-impl CommStats {
-    /// Wraps per-rank statistics.
-    pub fn new(per_rank: Vec<RankStats>) -> Self {
-        Self { per_rank }
-    }
-
-    /// Total gets across ranks.
-    pub fn total_gets(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.gets).sum()
-    }
-
-    /// Total bytes across ranks.
-    pub fn total_bytes(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.bytes).sum()
-    }
-
-    /// Maximum modeled communication time over ranks, in nanoseconds — the quantity
-    /// that bounds the running time of a communication-dominated run.
-    pub fn max_comm_time_ns(&self) -> f64 {
-        self.per_rank
-            .iter()
-            .map(|r| r.comm_time_ns)
-            .fold(0.0, f64::max)
-    }
-
-    /// Sum of modeled communication time over ranks, in nanoseconds.
-    pub fn total_comm_time_ns(&self) -> f64 {
-        self.per_rank.iter().map(|r| r.comm_time_ns).sum()
-    }
-
-    /// Total local (cache-served) reads across ranks.
-    pub fn total_local_reads(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.local_reads).sum()
-    }
-
-    /// Total fault events across ranks (zero on a fault-free run).
-    pub fn total_fault_events(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.fault_events()).sum()
-    }
-
-    /// Folds all ranks into a single [`RankStats`].
-    pub fn merged(&self) -> RankStats {
-        let mut out = RankStats::new(self.per_rank.len());
-        for r in &self.per_rank {
-            out.merge(r);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -214,16 +148,6 @@ mod tests {
         s.record_completion(1_000.0, 500.0);
         assert_eq!(s.comm_time_ns, 1_000.0);
         assert_eq!(s.overlapped_ns, 500.0);
-    }
-
-    #[test]
-    fn avg_get_time_counts_total_latency() {
-        let mut s = RankStats::new(1);
-        assert_eq!(s.avg_get_time_ns(), 0.0);
-        s.record_get(0, 10);
-        s.record_get(0, 10);
-        s.record_completion(3_000.0, 1_000.0);
-        assert!((s.avg_get_time_ns() - 2_000.0).abs() < 1e-9);
     }
 
     #[test]
@@ -266,29 +190,9 @@ mod tests {
         b.cache_bypass_reads = 5;
         assert_eq!(a.fault_events(), 3);
         assert_eq!(b.fault_events(), 16);
-        let cs = CommStats::new(vec![a.clone(), b.clone()]);
-        assert_eq!(cs.total_fault_events(), 19);
         a.merge(&b);
         assert_eq!(a.fault_events(), 19);
         assert_eq!(a.backoff_ns, 3_000.0);
         assert_eq!(RankStats::new(2).fault_events(), 0);
-    }
-
-    #[test]
-    fn comm_stats_aggregates_over_ranks() {
-        let mut r0 = RankStats::new(2);
-        r0.record_get(1, 100);
-        r0.record_completion(500.0, 0.0);
-        let mut r1 = RankStats::new(2);
-        r1.record_get(0, 200);
-        r1.record_completion(700.0, 0.0);
-        r1.record_local(10.0);
-        let cs = CommStats::new(vec![r0, r1]);
-        assert_eq!(cs.total_gets(), 2);
-        assert_eq!(cs.total_bytes(), 300);
-        assert_eq!(cs.max_comm_time_ns(), 700.0);
-        assert_eq!(cs.total_comm_time_ns(), 1_200.0);
-        assert_eq!(cs.total_local_reads(), 1);
-        assert_eq!(cs.merged().gets, 2);
     }
 }

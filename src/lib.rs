@@ -38,7 +38,7 @@ pub use rmatc_tric as tric;
 
 /// Convenience prelude with the types most applications need.
 pub mod prelude {
-    pub use rmatc_clampi::{ClampiConfig, ScorePolicy, ShardedClampi};
+    pub use rmatc_clampi::{ClampiConfig, ScorePolicy};
     pub use rmatc_core::{
         CacheSpec, CostModel, DistConfig, DistJaccard, DistLcc, DistResult, IntersectMethod,
         JaccardResult, LocalConfig, LocalLcc, Query, QueryAnswer, QueryEngine, QueryId,
