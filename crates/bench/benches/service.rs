@@ -93,7 +93,8 @@ fn engine_config(g: &CsrGraph) -> ServiceConfig {
 
 /// Drives `queries` through a fresh resident engine in full batch windows.
 fn drive(g: &CsrGraph, queries: &[Query]) -> QueryEngine {
-    let mut engine = QueryEngine::new(g, engine_config(g));
+    let mut engine =
+        QueryEngine::new(g, engine_config(g)).expect("RANKS partition the bench graph");
     for chunk in queries.chunks(BATCH) {
         for &q in chunk {
             engine.submit(q).expect("chunks stay within capacity");

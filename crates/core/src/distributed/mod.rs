@@ -42,7 +42,7 @@
 //! | 1 | 1D-partition the CSR graph across ranks | [`rmatc_graph::partition`] |
 //! | 2 | Expose `offsets` / `adjacencies` in two RMA windows | [`windows`] |
 //! | 3 | Open the passive-target access epoch, no synchronization | [`pipeline`] (`lock_all`) |
-//! | 4 | Get the `(start, end)` pair from `w_offsets` (cached: every pair of a source, by span) | [`reader`] (`read_offsets`, `read_spans`) |
+//! | 4 | Get the `(start, end)` pair from `w_offsets` (cached: every pair of a source, by span; the service: every pair of a batch, by span) | [`reader`] (`read_offsets`, `read_spans`, `read_key_spans`) |
 //! | 5 | Get the adjacency list from `w_adj`, cache-intercepted | [`reader`] + `rmatc_clampi` |
 //! | 6 | Intersect, accumulate per-vertex closed triplets | [`worker`] (`ClosingCount`) + [`crate::intersect`] |
 //! | — | The edge loop: gets kept in flight (§III-A's double buffer) + intra-rank threads (Fig. 6 axis) | [`pipeline`] |

@@ -4,13 +4,16 @@
 //!
 //! The first get reads a row's `(start, end)` pair from the offsets window.
 //! [`RowReader::read_offsets`] reads one pair — Algorithm 3 verbatim, what the
-//! non-cached edge loop and [`RowReader::read_row`] do per row.
-//! [`RowReader::read_spans`] reads the pairs of all of one source's remote
-//! neighbours at once — what the cached edge loop does: rows are sorted, so
-//! the neighbours a rank owns have ascending local indices and their pairs
-//! lie in one index range of its offsets window. The range is split into
-//! spans where a gap would cost more bytes than a get ([`spans_join`]), and
-//! each span is one get.
+//! non-cached edge loop does per row. The other two readers take many rows
+//! at once, grouped by owner with ascending local indices, so each owner's
+//! pairs lie in one index range of its offsets window. The range is split
+//! into spans where a gap would cost more bytes than a get ([`spans_join`]),
+//! and each span is one get. [`RowReader::read_spans`] reads the pairs of all
+//! of one source's remote neighbours — what the cached edge loop does (rows
+//! are sorted, so the neighbours a rank owns ascend);
+//! [`RowReader::read_key_spans`] reads the pairs of a sorted list of
+//! `(owner, local index)` keys — what the service does for the unique rows
+//! of a batch before it reads each with [`RowReader::read_row`].
 //!
 //! [`RowReader`] offers the adjacency read in two shapes.
 //! [`RowReader::read_row`] hands the row back as a zero-copy [`RowRef`] (the
@@ -26,7 +29,7 @@
 //! |---|---|---|
 //! | cached miss (either entry point) | the cache (+ the caller of `read_row`) | the get's one `Arc` |
 //! | non-cached or quarantine-bypass adjacency row | nobody | the calling thread's landing `Vec` |
-//! | offsets span | nobody | the calling thread's span buffer ([`OffsetSpans`]) |
+//! | offsets span | nobody | the caller's span buffer ([`OffsetSpans`], or the service lane's words) |
 //! | one offsets pair | nobody | a two-word stack array |
 //!
 //! The simulator materializes a get's data at issue time, so a fault-free
@@ -47,6 +50,7 @@ use rmatc_graph::partition::Partitioner;
 use rmatc_graph::types::VertexId;
 use rmatc_graph::GraphStorage;
 use rmatc_rma::{Endpoint, NetworkModel, PendingCharge, PendingGet, RmaError, Window};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// One directed edge `(u, v)` of a locally owned vertex `u`, as the edge loop
@@ -221,7 +225,10 @@ impl RowReader {
     /// result gates the adjacency get: the `(start, end)` offsets pair of the
     /// row of `local_idx` on `target`. The pair is borrowed from the window
     /// when the row is the caller's own and otherwise landed in a two-word
-    /// stack buffer — nobody retains it, so it allocates nothing.
+    /// stack buffer — nobody retains it, so it allocates nothing. The
+    /// non-cached edge loop reads one pair per row this way; callers that know
+    /// many rows up front read them by span ([`RowReader::read_spans`],
+    /// [`RowReader::read_key_spans`]).
     pub fn read_offsets(
         &self,
         ep: &mut Endpoint,
@@ -249,9 +256,9 @@ impl RowReader {
     /// `partitioner` places on other ranks than `ep.rank()` into `spans`
     /// ([`OffsetSpans::pair`]). Per owner, the needed local indices ascend
     /// (rows are sorted and every scheme maps ids monotonically within a
-    /// rank); consecutive ones share a span while [`spans_join`] says the gap
-    /// is cheaper than a get under `ep`'s network model. Each span is one
-    /// synchronous, self-healing get landed in the thread's span buffer.
+    /// rank), so they split into spans as [`RowReader::read_key_spans`]
+    /// splits its keys. The first span that exhausts its retries fails the
+    /// whole read.
     pub fn read_spans(
         &self,
         ep: &mut Endpoint,
@@ -259,28 +266,82 @@ impl RowReader {
         adj_u: &[VertexId],
         spans: &mut OffsetSpans,
     ) -> Result<(), RmaError> {
-        spans.wanted.clear();
+        let OffsetSpans {
+            wanted,
+            words,
+            pairs,
+        } = spans;
+        wanted.clear();
         for (k, &v) in adj_u.iter().enumerate() {
             let owner = partitioner.owner(v);
             if owner != ep.rank() {
-                spans.wanted.push((owner, partitioner.local_index(v), k));
+                wanted.push((owner, partitioner.local_index(v), k));
             }
         }
         // Stable, so each owner's rows keep their ascending order.
-        spans.wanted.sort_by_key(|&(owner, ..)| owner);
-        spans
-            .pairs
-            .resize(spans.pairs.len().max(adj_u.len()), (0, 0));
+        wanted.sort_by_key(|&(owner, ..)| owner);
+        pairs.resize(pairs.len().max(adj_u.len()), (0, 0));
+        let key = |&(owner, idx, _): &(usize, usize, usize)| (owner, idx);
+        self.walk_spans(ep, wanted, key, words, |&(.., k), pair| {
+            pairs[k] = pair.map_err(RmaError::clone)?;
+            Ok(())
+        })
+    }
+
+    /// First get of the protocol for a batch of rows: the `(start, end)` pair
+    /// of each of `keys` — remote `(owner, local index)` rows, sorted and
+    /// distinct, as the service's batch planner holds them — in key order.
+    /// Consecutive keys of one owner share a span while [`spans_join`] says
+    /// the gap is cheaper than a get under `ep`'s network model; each span is
+    /// one synchronous, self-healing get landed in `words`, the caller's
+    /// reusable span buffer. A span that exhausts its retries fails only the
+    /// keys inside it.
+    pub fn read_key_spans(
+        &self,
+        ep: &mut Endpoint,
+        keys: &[(usize, usize)],
+        words: &mut Vec<u64>,
+    ) -> Vec<Result<(usize, usize), RmaError>> {
+        let mut pairs = Vec::with_capacity(keys.len());
+        let Ok(()) = self.walk_spans(
+            ep,
+            keys,
+            |&key| key,
+            words,
+            |_, pair| {
+                pairs.push(pair.map_err(RmaError::clone));
+                Ok::<_, Infallible>(())
+            },
+        );
+        pairs
+    }
+
+    /// The span walk of [`RowReader::read_spans`] and
+    /// [`RowReader::read_key_spans`]. `wanted` holds remote rows grouped by
+    /// owner with ascending local indices, `key` gives each one's
+    /// `(owner, local index)`. Consecutive rows of one owner join while
+    /// [`spans_join`] allows; each span is one [`Endpoint::get_into_with_retry`]
+    /// landed in `words`. `land` receives every row with its pair or its
+    /// span's error, in order; an error `land` returns stops the walk.
+    fn walk_spans<T, E>(
+        &self,
+        ep: &mut Endpoint,
+        wanted: &[T],
+        key: impl Fn(&T) -> (usize, usize),
+        words: &mut Vec<u64>,
+        mut land: impl FnMut(&T, Result<(usize, usize), &RmaError>) -> Result<(), E>,
+    ) -> Result<(), E> {
         let network = *ep.network();
-        let mut rest = &spans.wanted[..];
-        while let Some(&(owner, first, _)) = rest.first() {
-            let joined = rest
-                .windows(2)
-                .take_while(|w| w[1].0 == owner && spans_join(&network, w[0].1, w[1].1));
+        let mut rest = wanted;
+        while let Some(head) = rest.first() {
+            let (owner, first) = key(head);
+            let joined = rest.windows(2).take_while(|w| {
+                let (p, q) = (key(&w[0]), key(&w[1]));
+                q.0 == owner && spans_join(&network, p.1, q.1)
+            });
             let (span, tail) = rest.split_at(1 + joined.count());
-            let len = span[span.len() - 1].1 + 2 - first;
-            let words = &mut spans.words;
-            ep.get_into_with_retry(
+            let len = key(&span[span.len() - 1]).1 + 2 - first;
+            let landed = ep.get_into_with_retry(
                 &self.offsets_plain,
                 owner,
                 first,
@@ -290,9 +351,13 @@ impl RowReader {
                     words.clear();
                     words.extend_from_slice(wire);
                 },
-            )?;
-            for &(_, idx, k) in span {
-                spans.pairs[k] = (words[idx - first] as usize, words[idx - first + 1] as usize);
+            );
+            for row in span {
+                let at = key(row).1 - first;
+                let pair = landed
+                    .as_ref()
+                    .map(|()| (words[at] as usize, words[at + 1] as usize));
+                land(row, pair)?;
             }
             rest = tail;
         }
@@ -333,8 +398,8 @@ impl RowReader {
     }
 
     /// Reads the adjacency list on rank `target` whose `(start, end)` offsets
-    /// pair the first get returned ([`RowReader::read_offsets`] or
-    /// [`RowReader::read_spans`]), cache-intercepted where enabled, and waits
+    /// pair the first get returned (for the service,
+    /// [`RowReader::read_key_spans`]), cache-intercepted where enabled, and waits
     /// for it: the probe → get → admit of [`RowReader::start`], with the get
     /// waited for in between.
     ///
@@ -470,10 +535,9 @@ mod tests {
     use crate::local::count_closing_at;
     use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
     use rmatc_graph::partition::{PartitionScheme, PartitionedGraph};
-    use rmatc_rma::RankStats;
+    use rmatc_rma::{FaultPlan, RankStats, RetryPolicy};
 
-    /// Both gets of one row, as the service reads it: the offsets pair, then the
-    /// row.
+    /// Both gets of one row, one pair per row: the offsets pair, then the row.
     fn read_row<'r>(
         reader: &'r RowReader,
         ep: &mut Endpoint,
@@ -733,6 +797,136 @@ mod tests {
         assert!(spans_join(&bytes_only, 4, 5));
         assert!(spans_join(&bytes_only, 4, 6));
         assert!(!spans_join(&bytes_only, 4, 7));
+    }
+
+    /// Random sorted, distinct `(owner, local index)` keys on owners 1–3 of
+    /// `pg`, about a third of each owner's rows.
+    fn random_keys(pg: &PartitionedGraph, state: &mut u64) -> Vec<(usize, usize)> {
+        let mut keys = Vec::new();
+        for owner in 1..pg.ranks() {
+            for idx in 0..pg.partitions[owner].local_vertex_count() {
+                *state ^= *state << 13;
+                *state ^= *state >> 7;
+                *state ^= *state << 17;
+                if *state % 3 == 0 {
+                    keys.push((owner, idx));
+                }
+            }
+        }
+        keys
+    }
+
+    fn four_ranks() -> (PartitionedGraph, RowReader) {
+        let g = RmatGenerator::paper(8, 8).generate_cleaned(3).into_csr();
+        let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 4).unwrap();
+        let windows = GraphWindows::build(&pg);
+        let config = DistConfig::non_cached(4);
+        let reader = RowReader::new(&windows, &config, pg.global_vertex_count(), 1);
+        (pg, reader)
+    }
+
+    #[test]
+    fn key_spans_match_per_key_offsets_reads() {
+        // The service's keyed span read returns, key for key, the pair
+        // `read_offsets` reads alone, in one get per span of the join rule:
+        // under Aries, where each owner's keys join into one span, and under
+        // a network whose α is below 8·β, where only rows at most two local
+        // indices apart share a span.
+        let (pg, reader) = four_ranks();
+        let aries = NetworkModel::aries();
+        let tight = NetworkModel {
+            alpha_ns: 0.5,
+            beta_ns_per_byte: 0.1,
+            ..aries
+        };
+        let whole_owners = |_: usize, _: usize| false;
+        let two_apart = |p: usize, q: usize| q > p + 2;
+        let mut state = 0x9e37_79b9_7f4a_7c15;
+        let mut words = Vec::new();
+        for _ in 0..8 {
+            let keys = random_keys(&pg, &mut state);
+            for (network, split) in [
+                (aries, &whole_owners as &dyn Fn(_, _) -> _),
+                (tight, &two_apart),
+            ] {
+                let spans = planned(&keys, |p, q| !spans_join(&network, p, q));
+                assert_eq!(spans, planned(&keys, split));
+                let (mut ep, mut alone) =
+                    (Endpoint::new(0, 4, network), Endpoint::new(0, 4, network));
+                ep.lock_all();
+                alone.lock_all();
+                let pairs = reader.read_key_spans(&mut ep, &keys, &mut words);
+                assert_eq!(pairs.len(), keys.len());
+                for (&(owner, idx), pair) in keys.iter().zip(pairs) {
+                    let want = reader.read_offsets(&mut alone, owner, idx).unwrap();
+                    assert_eq!(pair.unwrap(), want, "row {idx} of rank {owner}");
+                }
+                ep.unlock_all();
+                alone.unlock_all();
+                assert_eq!(ep.stats().gets, spans);
+                assert!(spans < keys.len() as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_span_fails_only_its_keys() {
+        // With no retries, each span is one attempt. Under an unrecoverable
+        // plan every key returns its span's error; when half the attempts
+        // fail, the keys of one span share its outcome and every success is
+        // the right pair. Nothing panics either way.
+        let (pg, reader) = four_ranks();
+        let tight = NetworkModel {
+            alpha_ns: 0.5,
+            beta_ns_per_byte: 0.1,
+            ..NetworkModel::aries()
+        };
+        let keys = random_keys(&pg, &mut 0x2545_f491_4f6c_dd1d);
+        // Span number of each key, under the join rule.
+        let span_of: Vec<usize> = std::iter::once(0)
+            .chain(keys.windows(2).scan(0, |span, w| {
+                *span += usize::from(w[0].0 != w[1].0 || !spans_join(&tight, w[0].1, w[1].1));
+                Some(*span)
+            }))
+            .collect();
+        let spans = span_of[span_of.len() - 1] as u64 + 1;
+        let mut words = Vec::new();
+        let mut alone = Endpoint::new(0, 4, tight);
+        alone.lock_all();
+        let coin = FaultPlan {
+            get_failure_p: 0.5,
+            ..FaultPlan::reliable(11)
+        };
+        for plan in [FaultPlan::unrecoverable(7), coin] {
+            let mut ep = Endpoint::new(0, 4, tight)
+                .with_retry(RetryPolicy::no_retries())
+                .with_faults(plan.injector(0));
+            ep.lock_all();
+            let pairs = reader.read_key_spans(&mut ep, &keys, &mut words);
+            ep.unlock_all();
+            assert_eq!(pairs.len(), keys.len());
+            // Whether each span failed, as its first key says.
+            let mut outcome = vec![None; spans as usize];
+            for ((&(owner, idx), pair), &span) in keys.iter().zip(&pairs).zip(&span_of) {
+                let first = *outcome[span].get_or_insert(pair.is_err());
+                assert_eq!(first, pair.is_err(), "span {span} split its outcome");
+                if let Ok(pair) = pair {
+                    assert_eq!(*pair, reader.read_offsets(&mut alone, owner, idx).unwrap());
+                }
+            }
+            let failed = outcome.iter().filter(|f| **f == Some(true)).count() as u64;
+            assert_eq!(ep.stats().transient_failures, failed, "{plan:?}");
+            assert_eq!(ep.stats().gets, spans - failed, "{plan:?}");
+            if plan.is_recoverable() {
+                assert!(
+                    0 < failed && failed < spans,
+                    "{plan:?}: {failed} of {spans}"
+                );
+            } else {
+                assert_eq!(failed, spans);
+            }
+        }
+        alone.unlock_all();
     }
 
     #[test]

@@ -14,7 +14,7 @@ use rmatc_clampi::{CacheStats, RowRef};
 use rmatc_graph::compressed::decoded_len;
 use rmatc_graph::partition::PartitionedGraph;
 use rmatc_graph::types::{Direction, VertexId};
-use rmatc_graph::{CsrGraph, GraphStorage};
+use rmatc_graph::{CsrGraph, GraphError, GraphStorage};
 use rmatc_rma::{Endpoint, RankStats, RmaError, ThreadTimer};
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -26,6 +26,8 @@ use std::time::Instant;
 struct RankLane {
     ep: Endpoint,
     reader: RowReader,
+    /// Where the batch's offsets spans land ([`RowReader::read_key_spans`]).
+    words: Vec<u64>,
 }
 
 /// The kernel/selection knobs every query runs with, mirroring the batch
@@ -107,10 +109,14 @@ pub struct QueryEngine {
 impl QueryEngine {
     /// Partitions `g` per the service's [`crate::DistConfig`] and builds the
     /// resident engine.
-    pub fn new(g: &CsrGraph, config: ServiceConfig) -> Self {
-        let pg = PartitionedGraph::from_global(g, config.dist.scheme, config.dist.ranks)
-            .expect("invalid rank count for this graph");
-        Self::from_partitioned(pg, config)
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::InvalidPartitionCount`] when the configured rank count
+    /// is zero or exceeds the vertex count.
+    pub fn new(g: &CsrGraph, config: ServiceConfig) -> Result<Self, GraphError> {
+        let pg = PartitionedGraph::from_global(g, config.dist.scheme, config.dist.ranks)?;
+        Ok(Self::from_partitioned(pg, config))
     }
 
     /// Builds the engine over an already partitioned graph (which it owns for
@@ -127,6 +133,7 @@ impl QueryEngine {
                 RankLane {
                     ep,
                     reader: RowReader::new(&windows, dist, pg.global_vertex_count(), 1),
+                    words: Vec::new(),
                 }
             })
             .collect();
@@ -424,9 +431,11 @@ enum Side<'a> {
 type GroupAnswers = Vec<(usize, Result<QueryAnswer, ServiceError>)>;
 
 /// Executes the members of one batch assigned to `lane`'s rank: plans the
-/// remote reads (sort + dedup), fetches each unique row once, then answers
-/// each query from the landed rows — the same operands and kernels the batch
-/// pipelines use, so answers cannot diverge from them.
+/// remote reads (sort + dedup), reads the offsets pairs of all of them by
+/// span ([`RowReader::read_key_spans`]), fetches each unique row once
+/// ([`RowReader::read_row`]), then answers each query from the landed rows —
+/// the same operands and kernels the batch pipelines use, so answers cannot
+/// diverge from them.
 fn exec_rank_group(
     pg: &PartitionedGraph,
     lane: &mut RankLane,
@@ -472,18 +481,20 @@ fn exec_rank_group(
     };
 
     // 2. Fetch each unique row exactly once, in sorted key order, with the
-    // two-get protocol of the batch pipelines (compressed misses record
-    // logical vs stored bytes, keeping the compression win measurable in
-    // [`ServiceStats`]). A fetch failure (retry budget exhausted under an
-    // unrecoverable fault plan) is held per key: only the queries
-    // referencing that row fail.
-    let RankLane { ep, reader } = lane;
+    // two-get protocol of the batch pipelines: the sorted keys are exactly
+    // the input of the span read, so the group's offsets pairs cost one get
+    // per span, then each row is one cache-intercepted get (compressed
+    // misses record logical vs stored bytes, keeping the compression win
+    // measurable in [`ServiceStats`]). A fetch failure (retry budget
+    // exhausted under an unrecoverable fault plan) is held per key: a failed
+    // span fails the keys inside it, a failed row its own key, and only the
+    // queries referencing those rows fail.
+    let RankLane { ep, reader, words } = lane;
+    let pairs = reader.read_key_spans(ep, &keys, words);
     let rows: Vec<Result<RowRef<'_, VertexId>, RmaError>> = keys
         .iter()
-        .map(|&(target, v_local)| {
-            let row = reader.read_offsets(ep, target, v_local)?;
-            reader.read_row(ep, target, row)
-        })
+        .zip(pairs)
+        .map(|(&(target, _), pair)| reader.read_row(ep, target, pair?))
         .collect();
 
     // 3. Answer each query from the landed rows.

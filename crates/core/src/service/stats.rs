@@ -76,8 +76,9 @@ pub struct ServiceStats {
     pub virtual_now_ns: f64,
     /// RMA-layer counters merged across all rank endpoints.
     pub rma: RankStats,
-    /// Always `None`: there is no offsets cache (each row reads its offsets
-    /// pair uncached). Kept for callers written against `C_offsets`.
+    /// Always `None`: there is no offsets cache (a batch reads its rows'
+    /// offsets pairs by span, uncached). Kept for callers written against
+    /// `C_offsets`.
     pub offsets_cache: Option<CacheStats>,
     /// Adjacency-cache counters merged across ranks (when caching is enabled).
     pub adjacency_cache: Option<CacheStats>,

@@ -30,7 +30,7 @@ fn main() {
     let config = ServiceConfig::new(dist)
         .with_batch_size(32)
         .with_queue_capacity(256);
-    let mut engine = QueryEngine::new(&graph, config);
+    let mut engine = QueryEngine::new(&graph, config).expect("4 ranks partition the catalogue");
 
     // --- One batch window with overlapping reads -------------------------
     // Every query involves vertex 0 (an R-MAT hub), so the window's planner
@@ -122,7 +122,7 @@ fn main() {
     )
     .with_queue_capacity(2)
     .with_batch_size(1);
-    let mut small = QueryEngine::new(&graph, tiny);
+    let mut small = QueryEngine::new(&graph, tiny).expect("4 ranks partition the catalogue");
     small.submit(Query::LccOf { v: 1 }).unwrap();
     small.submit(Query::LccOf { v: 2 }).unwrap();
     match small.submit(Query::LccOf { v: 3 }) {

@@ -31,6 +31,19 @@ docs:
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p rmatc -p rmatc-core -p rmatc-clampi -p rmatc-rma -p rmatc-graph -p rmatc-tric -p rmatc-bench
     cargo test --workspace --doc -q
 
+# AddressSanitizer (nightly only: -Zsanitizer is unstable) over the cache and
+# RMA lib suites, the vendored rayon pool and the kernel tests. The explicit
+# --target keeps the sanitizer off build scripts and proc macros and gives the
+# instrumented build its own directory under target/.
+asan:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    export RUSTFLAGS=-Zsanitizer=address
+    asan="cargo +nightly test -q --target x86_64-unknown-linux-gnu"
+    $asan -p rmatc-clampi -p rmatc-rma --lib
+    $asan -p rayon --lib
+    $asan --test kernels --test properties
+
 # The size yardstick ROADMAP item 1 is counted with: per first-party crate,
 # non-blank non-comment lines before each file's `#[cfg(test)]` module
 # ("code") and, separately, the unit-test lines from it on; then the

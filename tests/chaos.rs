@@ -574,7 +574,8 @@ fn resident_service_heals_recoverable_plans_per_query() {
     let mut clean_engine = QueryEngine::new(
         &g,
         ServiceConfig::new(service_config(ranks)).with_batch_size(16),
-    );
+    )
+    .unwrap();
     for &q in &queries {
         clean_engine.submit(q).unwrap();
     }
@@ -590,7 +591,8 @@ fn resident_service_heals_recoverable_plans_per_query() {
                 let dist = service_config(ranks)
                     .with_faults(plan)
                     .with_retry(patient_retries());
-                let mut engine = QueryEngine::new(&g, ServiceConfig::new(dist).with_batch_size(16));
+                let mut engine =
+                    QueryEngine::new(&g, ServiceConfig::new(dist).with_batch_size(16)).unwrap();
                 for &q in &queries {
                     engine.submit(q).unwrap();
                 }
@@ -621,7 +623,7 @@ fn resident_service_survives_unrecoverable_plans_without_poisoning() {
     // A pair query whose operands are co-located (no remote reads, immune to
     // get faults) and one whose home row has a remote neighbour (must fail
     // under an unrecoverable plan).
-    let mut probe = QueryEngine::new(&g, ServiceConfig::new(service_config(ranks)));
+    let mut probe = QueryEngine::new(&g, ServiceConfig::new(service_config(ranks))).unwrap();
     let pg = probe.partitioned_graph();
     let mut local_pair = None;
     let mut remote_query = None;
@@ -646,7 +648,7 @@ fn resident_service_survives_unrecoverable_plans_without_poisoning() {
             let dist = service_config(ranks)
                 .with_faults(plan)
                 .with_retry(RetryPolicy::no_retries());
-            let mut engine = QueryEngine::new(&g, ServiceConfig::new(dist));
+            let mut engine = QueryEngine::new(&g, ServiceConfig::new(dist)).unwrap();
             // The remote-dependent query fails with a clean typed error.
             let err = engine.oneshot(remote_query).expect_err("every get fails");
             assert!(

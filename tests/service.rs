@@ -14,6 +14,7 @@ use rmatc::prelude::*;
 use rmatc_core::jaccard::{similarity_order, top_k_edges, EdgeSimilarity};
 use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
 use rmatc_graph::types::{Direction, VertexId};
+use rmatc_graph::GraphError;
 use std::collections::HashMap;
 
 // ---------------------------------------------------------------------------
@@ -114,7 +115,7 @@ fn run_matrix_cell(
     let cfg = ServiceConfig::new(dist)
         .with_batch_size(batch_size)
         .with_queue_capacity(queries.len().max(1));
-    let mut engine = QueryEngine::new(g, cfg);
+    let mut engine = QueryEngine::new(g, cfg).unwrap();
     let mut ids = Vec::with_capacity(queries.len());
     for &q in queries {
         ids.push(engine.submit(q).expect("capacity covers the stream"));
@@ -178,7 +179,7 @@ fn warm_cache_serves_repeated_batches_from_hits() {
     // (on seed 77 the compressed rows' keys collide in the slot table).
     let g = RmatGenerator::paper(7, 8).generate_cleaned(75).into_csr();
     let dist = DistConfig::cached(4, g.csr_size_bytes() as usize).with_degree_scores();
-    let mut engine = QueryEngine::new(&g, ServiceConfig::new(dist).with_batch_size(32));
+    let mut engine = QueryEngine::new(&g, ServiceConfig::new(dist).with_batch_size(32)).unwrap();
     let queries = fixed_query_mix(&g, 64);
     for &q in &queries {
         engine.submit(q).unwrap();
@@ -278,7 +279,7 @@ proptest! {
         let cfg = ServiceConfig::new(dist)
             .with_batch_size(batch_size)
             .with_queue_capacity(queries.len());
-        let mut engine = QueryEngine::new(&g, cfg);
+        let mut engine = QueryEngine::new(&g, cfg).unwrap();
         for &q in &queries {
             engine.submit(q).unwrap();
         }
@@ -356,7 +357,7 @@ fn top_k_is_identical_across_thread_counts_and_storage() {
         }
     }
     // The service's TopK answer obeys the same order.
-    let mut engine = QueryEngine::new(&g, ServiceConfig::new(DistConfig::non_cached(3)));
+    let mut engine = QueryEngine::new(&g, ServiceConfig::new(DistConfig::non_cached(3))).unwrap();
     let answer = engine.oneshot(Query::TopK { u: 0, k: 5 }).unwrap();
     let QueryAnswer::TopK(top) = answer else {
         panic!("TopK query answers TopK");
@@ -386,7 +387,7 @@ proptest! {
         let cfg = ServiceConfig::new(DistConfig::non_cached(2))
             .with_queue_capacity(capacity)
             .with_batch_size(batch_size);
-        let mut engine = QueryEngine::new(&g, cfg);
+        let mut engine = QueryEngine::new(&g, cfg).unwrap();
         let n = engine.partitioned_graph().global_vertex_count();
         for (do_submit, idx) in ops {
             if do_submit {
@@ -430,7 +431,7 @@ fn full_queue_rejects_immediately_and_deadlines_expire() {
     let cfg = ServiceConfig::new(DistConfig::non_cached(4))
         .with_queue_capacity(2)
         .with_batch_size(1);
-    let mut engine = QueryEngine::new(&g, cfg);
+    let mut engine = QueryEngine::new(&g, cfg).unwrap();
     // A query whose home row has at least one remote neighbour, so executing
     // it must spend virtual communication time.
     let pg = engine.partitioned_graph();
@@ -491,6 +492,125 @@ fn full_queue_rejects_immediately_and_deadlines_expire() {
     assert_eq!(stats.shed_overload, 1);
 }
 
+/// The first pair query homed on `rank` whose `v` side is co-located with
+/// its home (`local`) or owned by another rank (`!local`).
+fn pair_on(pg: &PartitionedGraph, rank: usize, local: bool) -> Query {
+    let part = &pg.partitions[rank];
+    part.global_ids
+        .iter()
+        .enumerate()
+        .find_map(|(idx, &u)| {
+            let mut nbrs = part.neighbours_of_local(idx).iter();
+            nbrs.find(|&&v| (pg.partitioner.owner(v) == rank) == local)
+                .map(|&v| Query::Jaccard { u, v })
+        })
+        .expect("every rank of the partition has such an edge")
+}
+
+#[test]
+fn one_batch_answers_every_drained_query_in_admission_order() {
+    // One window mixing every outcome under an unrecoverable plan: an expired
+    // deadline, co-located queries on both ranks (immune to get faults) and
+    // remote ones (failing), admitted across ranks so the rank groups run in
+    // a different order than admission. Each drained query gets exactly one
+    // response, in admission order.
+    let g = RmatGenerator::paper(7, 8).generate_cleaned(77).into_csr();
+    let dist = DistConfig::non_cached(2)
+        .with_faults(FaultPlan::unrecoverable(7))
+        .with_retry(RetryPolicy::no_retries());
+    let cfg = ServiceConfig::new(dist).with_batch_size(5);
+    let mut engine = QueryEngine::new(&g, cfg).unwrap();
+    let pg = engine.partitioned_graph();
+    let (local0, local1) = (pair_on(pg, 0, true), pair_on(pg, 1, true));
+    let (remote0, remote1) = (pair_on(pg, 0, false), pair_on(pg, 1, false));
+    // A first window of failing reads advances the virtual clock while the
+    // second one waits.
+    for _ in 0..5 {
+        engine.submit(remote0).unwrap();
+    }
+    let mut ids = vec![engine.submit(local1).unwrap()];
+    ids.push(engine.submit_with_deadline(remote1, Some(0.0)).unwrap());
+    ids.extend([remote0, local0, remote1].map(|q| engine.submit(q).unwrap()));
+    assert!(engine.run_batch().iter().all(|r| r.result.is_err()));
+    let batch = engine.run_batch();
+    assert_eq!(batch.iter().map(|r| r.id).collect::<Vec<_>>(), ids);
+    let outcome = |r: &QueryResponse| match &r.result {
+        Ok(_) => "ok",
+        Err(ServiceError::DeadlineExceeded { .. }) => "expired",
+        Err(ServiceError::Read(_)) => "read",
+        Err(e) => panic!("unexpected {e}"),
+    };
+    assert_eq!(
+        batch.iter().map(outcome).collect::<Vec<_>>(),
+        ["ok", "expired", "read", "ok", "read"]
+    );
+    let stats = engine.stats();
+    assert!(stats.reconciles(), "{stats:?}");
+    assert_eq!((stats.completed, stats.failed), (2, 8));
+    assert_eq!(stats.queue_depth, 0);
+}
+
+#[test]
+fn a_batch_reads_one_owners_close_offsets_pairs_in_one_get() {
+    // Five remote rows on rank 1, all within the join distance of Aries
+    // (gaps of up to 3 125 unread words pay for themselves): their offsets
+    // pairs are one span, so the batch costs one offsets get plus one
+    // adjacency get per non-empty row — not one offsets get per row.
+    let g = RmatGenerator::paper(7, 8).generate_cleaned(77).into_csr();
+    let mut engine = QueryEngine::new(&g, ServiceConfig::new(DistConfig::non_cached(2))).unwrap();
+    let pg = engine.partitioned_graph();
+    let part = &pg.partitions[0];
+    let (u, adj_u) = (0..part.local_vertex_count())
+        .map(|idx| (part.global_ids[idx], part.neighbours_of_local(idx)))
+        .find(|(_, adj)| {
+            adj.iter()
+                .filter(|&&v| pg.partitioner.owner(v) == 1)
+                .count()
+                >= 5
+        })
+        .expect("a rank-0 vertex with five neighbours on rank 1");
+    let remote: Vec<VertexId> = adj_u
+        .iter()
+        .copied()
+        .filter(|&v| pg.partitioner.owner(v) == 1)
+        .take(5)
+        .collect();
+    assert!(pg.partitions[1].local_vertex_count() <= 3_125);
+    let non_empty = remote
+        .iter()
+        .filter(|&&v| {
+            !pg.partitions[1]
+                .neighbours_of_local(pg.partitioner.local_index(v))
+                .is_empty()
+        })
+        .count() as u64;
+    for &v in &remote {
+        engine.submit(Query::CommonNeighbors { u, v }).unwrap();
+    }
+    let responses = engine.run_batch();
+    assert_eq!(responses.len(), 5);
+    assert!(responses.iter().all(|r| r.result.is_ok()));
+    let stats = engine.stats();
+    assert_eq!(stats.unique_row_reads, 5);
+    assert_eq!(stats.rma.gets, 1 + non_empty, "{stats:?}");
+}
+
+#[test]
+fn an_invalid_rank_count_is_a_typed_error() {
+    let g = RmatGenerator::paper(5, 4).generate_cleaned(1).into_csr();
+    let n = g.vertex_count();
+    for ranks in [0, n + 1] {
+        let cfg = ServiceConfig::new(DistConfig::non_cached(ranks));
+        match QueryEngine::new(&g, cfg) {
+            Err(GraphError::InvalidPartitionCount { parts, n: got }) => {
+                assert_eq!((parts, got), (ranks, n));
+            }
+            Err(e) => panic!("{ranks} ranks: unexpected {e}"),
+            Ok(_) => panic!("{ranks} ranks over {n} vertices must not build"),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Soak: one resident engine under a long deterministic stream (the CI leg).
 // ---------------------------------------------------------------------------
@@ -509,7 +629,7 @@ fn resident_engine_soak() {
     let cfg = ServiceConfig::new(dist)
         .with_batch_size(32)
         .with_queue_capacity(64);
-    let mut engine = QueryEngine::new(&g, cfg);
+    let mut engine = QueryEngine::new(&g, cfg).unwrap();
     let queries = fixed_query_mix(&g, total);
     let mut answered = 0usize;
     let mut mid_hits = 0u64;

@@ -89,8 +89,7 @@ fn base_config(ranks: usize) -> DistConfig {
     }
 }
 
-/// Both gets of one row, as the service reads it: the offsets pair, then the
-/// row.
+/// Both gets of one row, one pair per row: the offsets pair, then the row.
 fn read_row<'r>(
     reader: &'r RowReader,
     ep: &mut Endpoint,
