@@ -11,7 +11,7 @@
 //! watches this path for regressions like it does the kernels.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rmatc_core::distributed::reader::{Edge, OffsetSpans, RowReader, Started};
+use rmatc_core::distributed::reader::{AdjCache, Edge, OffsetSpans, RowReader, Started};
 use rmatc_core::distributed::worker::{run_worker, ClosingCount};
 use rmatc_core::distributed::{CacheSpec, DistConfig, GraphWindows};
 use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
@@ -73,7 +73,10 @@ fn bench_remote_read(c: &mut Criterion) {
     // in spans first, as the cached edge loop does.
     let mut landing = Vec::new();
     let mut spans = OffsetSpans::default();
-    let mut run = |reader: &RowReader, op: &ClosingCount, ep: &mut Endpoint, by_span: bool| {
+    let mut run = |(reader, cache): &mut (RowReader, AdjCache),
+                   op: &ClosingCount,
+                   ep: &mut Endpoint,
+                   by_span: bool| {
         let (mut total, mut source) = (0, None);
         for e in &edges {
             let adj_u = part.neighbours_of_local(e.u_local);
@@ -98,24 +101,24 @@ fn bench_remote_read(c: &mut Criterion) {
                 k: e.k,
             };
             total += match reader
-                .start(ep, 1, pair, &mut landing, op, &edge)
+                .start(ep, cache, 1, pair, &mut landing, op, &edge)
                 .expect("no faults injected")
             {
                 Started::Immediate(count) => count,
                 Started::Deferred(deferred) => reader
-                    .complete(ep, deferred, op, &edge)
+                    .complete(ep, cache, deferred, op, &edge)
                     .expect("no faults injected"),
             };
         }
         total
     };
     let op = ClosingCount::new(&config, pg.direction, GraphStorage::Plain);
-    let make_reader = |spec: Option<CacheSpec>| -> RowReader {
+    let make_reader = |spec: Option<CacheSpec>| -> (RowReader, AdjCache) {
         let config = DistConfig {
             cache: spec,
             ..config
         };
-        RowReader::new(&windows, &config, pg.global_vertex_count(), 1)
+        RowReader::new(&windows, &config, pg.global_vertex_count())
     };
 
     // Compressed storage over the same protocol: the adjacency window
@@ -125,23 +128,23 @@ fn bench_remote_read(c: &mut Criterion) {
     let cconfig = DistConfig::non_cached(2).with_storage(GraphStorage::Compressed);
     let compressed_spec = CacheSpec::paper(2 * cwindows.adjacency_bytes()).with_degree_scores();
     let cop = ClosingCount::new(&cconfig, pg.direction, GraphStorage::Compressed);
-    let make_compressed_reader = || -> RowReader {
+    let make_compressed_reader = || -> (RowReader, AdjCache) {
         let config = DistConfig {
             cache: Some(compressed_spec),
             ..cconfig
         };
-        RowReader::new(&cwindows, &config, pg.global_vertex_count(), 1)
+        RowReader::new(&cwindows, &config, pg.global_vertex_count())
     };
 
     // Deterministic metric rows first (recorded even when a `--filter` skips
     // the timing functions): how much smaller the wire/stored footprint is,
     // and stored bytes per adjacency read, from one warmed pass.
     {
-        let reader = make_compressed_reader();
+        let mut reader = make_compressed_reader();
         let mut ep = Endpoint::new(0, 2, cconfig.network);
         ep.lock_all();
-        let _warm = run(&reader, &cop, &mut ep, true);
-        let stats = reader.adjacency_cache_stats().expect("adjacency cache on");
+        let _warm = run(&mut reader, &cop, &mut ep, true);
+        let stats = reader.1.as_ref().expect("adjacency cache on").stats();
         c.report_metric(
             "remote_read",
             "compressed/compression_ratio_x1000",
@@ -161,11 +164,11 @@ fn bench_remote_read(c: &mut Criterion) {
     // Hit-heavy compressed reads: the gate watches this against `cached_hit`
     // — the in-place fused decode must not regress the zero-copy hit path.
     group.bench_function("compressed_hit", |b| {
-        let reader = make_compressed_reader();
+        let mut reader = make_compressed_reader();
         let mut ep = Endpoint::new(0, 2, cconfig.network);
         ep.lock_all();
-        let _warm = run(&reader, &cop, &mut ep, true);
-        b.iter(|| run(&reader, &cop, &mut ep, true))
+        let _warm = run(&mut reader, &cop, &mut ep, true);
+        b.iter(|| run(&mut reader, &cop, &mut ep, true))
     });
 
     // Cold compressed misses: every read transfers and admits a compressed
@@ -175,7 +178,7 @@ fn bench_remote_read(c: &mut Criterion) {
         ep.lock_all();
         b.iter_batched(
             make_compressed_reader,
-            |reader| run(&reader, &cop, &mut ep, true),
+            |mut reader| run(&mut reader, &cop, &mut ep, true),
             criterion::BatchSize::LargeInput,
         )
     });
@@ -183,11 +186,11 @@ fn bench_remote_read(c: &mut Criterion) {
     // Hit-heavy: the cache holds the whole remote partition, so after one
     // warm pass every read is served in place — the zero-copy win.
     group.bench_function("cached_hit", |b| {
-        let reader = make_reader(Some(cached_spec));
+        let mut reader = make_reader(Some(cached_spec));
         let mut ep = Endpoint::new(0, 2, config.network);
         ep.lock_all();
-        let _warm = run(&reader, &op, &mut ep, true);
-        b.iter(|| run(&reader, &op, &mut ep, true))
+        let _warm = run(&mut reader, &op, &mut ep, true);
+        b.iter(|| run(&mut reader, &op, &mut ep, true))
     });
 
     // Cold: every read misses and lands its row through the fused
@@ -197,17 +200,17 @@ fn bench_remote_read(c: &mut Criterion) {
         ep.lock_all();
         b.iter_batched(
             || make_reader(Some(cached_spec)),
-            |reader| run(&reader, &op, &mut ep, true),
+            |mut reader| run(&mut reader, &op, &mut ep, true),
             criterion::BatchSize::LargeInput,
         )
     });
 
     // Baseline: no cache, one fused transfer per edge.
     group.bench_function("non_cached", |b| {
-        let reader = make_reader(None);
+        let mut reader = make_reader(None);
         let mut ep = Endpoint::new(0, 2, config.network);
         ep.lock_all();
-        b.iter(|| run(&reader, &op, &mut ep, false))
+        b.iter(|| run(&mut reader, &op, &mut ep, false))
     });
 
     // The self-healing path with injection disabled: an explicit retry policy
@@ -215,11 +218,11 @@ fn bench_remote_read(c: &mut Criterion) {
     // ever rolled. Guards the robustness layer's promise that the fault-off
     // read path costs nothing over `non_cached`.
     group.bench_function("faulty_path_off", |b| {
-        let reader = make_reader(None);
+        let mut reader = make_reader(None);
         let mut ep =
             Endpoint::new(0, 2, config.network).with_retry(rmatc_rma::RetryPolicy::default());
         ep.lock_all();
-        b.iter(|| run(&reader, &op, &mut ep, false))
+        b.iter(|| run(&mut reader, &op, &mut ep, false))
     });
 
     group.finish();
@@ -228,10 +231,9 @@ fn bench_remote_read(c: &mut Criterion) {
 /// The overlap benches: a full rank-0 LCC worker pass under latency
 /// *injection* (`NetworkModel::with_injection`), so the modeled Aries α/β
 /// really is spun for in wall time. At depth 1 the loop pays every spin
-/// back-to-back; at depth 8 it issues gets early enough that their
-/// modeled latency elapses while it computes, and the intra-rank threads add
-/// the second overlap axis (Figure 6). Run under `RMATC_THREADS≥2` (the
-/// justfile does) so the thread variants actually get a pool to spread over.
+/// back-to-back; at depth 8 it issues gets early enough that their modeled
+/// latency elapses while it computes. A rank runs one thread, so neither
+/// row touches the work-stealing pool.
 fn bench_overlap(c: &mut Criterion) {
     let g = RmatGenerator::paper(8, 16).generate_cleaned(11).into_csr();
     let mut config = DistConfig::non_cached(2);
@@ -243,20 +245,14 @@ fn bench_overlap(c: &mut Criterion) {
     let mut group = c.benchmark_group("remote_read");
     group.sample_size(20);
 
-    // Baseline: depth 1 × 1 thread waits out every injected latency.
+    // Baseline: depth 1 waits out every injected latency.
     group.bench_function("non_overlapped_injected", |b| {
         b.iter(|| run_worker(0, &pg, &windows, &config).expect("no faults injected"))
     });
 
-    // The acceptance configuration: pipeline depth 8 × 2 intra-rank threads.
-    group.bench_function("pipelined", |b| {
-        let cfg = config.with_pipeline_depth(8).with_intra_threads(2);
-        b.iter(|| run_worker(0, &pg, &windows, &cfg).expect("no faults injected"))
-    });
-
-    // Intra-rank scaling entry: same depth, twice the threads.
-    group.bench_function("pipelined_threads4", |b| {
-        let cfg = config.with_pipeline_depth(8).with_intra_threads(4);
+    // Pipeline depth 8: the depth the Jaccard workload runs.
+    group.bench_function("pipelined_depth8", |b| {
+        let cfg = config.with_pipeline_depth(8);
         b.iter(|| run_worker(0, &pg, &windows, &cfg).expect("no faults injected"))
     });
 

@@ -29,15 +29,13 @@
 //!   heuristic (Section II-F) is not reproduced: growing the table flushes the
 //!   cache, which is why the paper sizes it up front.
 //!
-//! The integration point is [`ShardedCachedWindow`], the one CLaMPI front. It
+//! The integration point is [`CachedWindow`], the one CLaMPI front. It
 //! intercepts gets where CLaMPI's PMPI layer would, but leaves the transfer to
-//! its caller: [`ShardedCachedWindow::probe`] looks the get up before the
-//! network (a hit charges only the local access cost) and
-//! [`ShardedCachedWindow::admit`] inserts the buffer the caller fetched on a
-//! miss. It is `&self` over independently locked [`Clampi`] shards, one per
-//! worker thread, so a multi-threaded rank shares one cache; a
-//! single-threaded rank has one shard, which is a plain [`Clampi`] decision
-//! for decision.
+//! its caller: [`CachedWindow::probe`] looks the get up before the network (a
+//! hit charges only the local access cost) and [`CachedWindow::admit`] inserts
+//! the buffer the caller fetched on a miss. A rank runs one thread, which owns
+//! its front: one [`Clampi`], driven through `&mut self`, decision for
+//! decision a plain [`Clampi`].
 //!
 //! Reads are zero-copy end to end: entries store the transfer buffer itself
 //! (`Arc<[T]>` — an insert is a refcount bump, never a payload clone) and
@@ -53,7 +51,7 @@
 //! | Module | Paper location | What it reproduces |
 //! |---|---|---|
 //! | [`cache`] | §III-B | The cache proper: slot index (with an occupancy bitmap and a dense per-slot array of the fields victim selection reads), the paper's weighted-score victim selection (sampled), admission control |
-//! | [`sharded_window`] | Fig. 3 steps 5–6; §II-F | Get interception as probe (lookup before the network) and admit (insert after the miss), over lock-sharded caches shared by a rank's worker threads |
+//! | [`cached_window`] | Fig. 3 steps 5–6; §II-F | Get interception as probe (lookup before the network) and admit (insert after the miss), over the one cache a rank's thread owns |
 //! | [`entry`] | §III-B1 | `(window, target, offset, len)` keys and the slot hash |
 //! | [`freelist`] | §II-F / §III-B | Variable-size entry storage with first-fit allocation and coalescing, over one address-sorted vector of free regions |
 //! | [`config`] | §III-B, §III-B1 | The score rule (positional or application-defined) and the hash-table sizing rule |
@@ -61,16 +59,16 @@
 //! | [`stats`] | Figs. 7–8 | Hit/miss/compulsory counters the evaluation plots |
 
 pub mod cache;
+pub mod cached_window;
 pub mod config;
 pub mod entry;
 pub mod freelist;
 pub mod row;
-pub mod sharded_window;
 pub mod stats;
 
 pub use cache::{CacheInsertOutcome, Clampi};
+pub use cached_window::{CacheProbe, CachedWindow};
 pub use config::{ClampiConfig, ScorePolicy};
 pub use entry::EntryKey;
 pub use row::RowRef;
-pub use sharded_window::{CacheProbe, ShardedCachedWindow};
 pub use stats::CacheStats;

@@ -1,14 +1,14 @@
 //! The read protocol every caller of the cache front runs: probe, fetch on a
 //! miss or a bypass, admit a miss's buffer.
 
-use rmatc_clampi::{CacheProbe, ShardedCachedWindow};
+use rmatc_clampi::{CacheProbe, CachedWindow};
 use rmatc_rma::{Endpoint, Window};
 use std::sync::Arc;
 
 /// Reads `len` elements at `offset` on `target` of `window` through `front`,
 /// admitting a miss with `score`. Panics if the network read fails.
 pub fn read(
-    front: &ShardedCachedWindow<u32>,
+    front: &mut CachedWindow<u32>,
     ep: &mut Endpoint,
     window: &Window<u32>,
     (target, offset, len): (usize, usize, usize),

@@ -1,13 +1,11 @@
 //! Cache placement must not depend on the process-global window-id counter:
 //! the same reads against the same data produce byte-identical `CacheStats`
 //! however many windows anything else in the process created first. (Window
-//! ids stay part of key equality; they are only kept out of the slot and
-//! shard hashes. The per-shard statistics are compared by a unit test of
-//! `sharded_window.rs`.)
+//! ids stay part of key equality; they are only kept out of the slot hash.)
 
 mod common;
 
-use rmatc_clampi::{CacheStats, Clampi, ClampiConfig, EntryKey, ShardedCachedWindow};
+use rmatc_clampi::{CacheStats, CachedWindow, Clampi, ClampiConfig, EntryKey};
 use rmatc_rma::{Endpoint, NetworkModel, Window};
 
 fn fresh_window() -> Window<u32> {
@@ -51,21 +49,21 @@ fn plain_stats() -> CacheStats {
     cache.stats().clone()
 }
 
-/// The same reads through the cache front over `shards` shards.
-fn sharded_stats(shards: usize) -> CacheStats {
+/// The same reads through the cache front.
+fn front_stats() -> CacheStats {
     let mut ep = endpoint();
     let window = fresh_window();
-    let cw = ShardedCachedWindow::new(window.id(), config(), shards);
+    let mut cw = CachedWindow::new(window.id(), config());
     for (offset, len) in reads() {
-        common::read(&cw, &mut ep, &window, (1, offset, len), 0.0);
+        common::read(&mut cw, &mut ep, &window, (1, offset, len), 0.0);
     }
-    cw.stats()
+    cw.stats().clone()
 }
 
 #[test]
 fn cache_stats_do_not_depend_on_how_many_windows_came_first() {
-    let (plain, sharded) = (plain_stats(), sharded_stats(4));
-    assert_eq!(sharded_stats(1), plain, "one shard is the plain cache");
+    let plain = plain_stats();
+    assert_eq!(front_stats(), plain, "the front is the plain cache");
     assert!(
         plain.conflict_evictions > 0 && plain.capacity_evictions > 0,
         "the sequence must exercise placement: {plain:?}"
@@ -80,9 +78,9 @@ fn cache_stats_do_not_depend_on_how_many_windows_came_first() {
             "plain, after {throwaway} more windows"
         );
         assert_eq!(
-            sharded_stats(4),
-            sharded,
-            "sharded, after {throwaway} more windows"
+            front_stats(),
+            plain,
+            "front, after {throwaway} more windows"
         );
     }
 }

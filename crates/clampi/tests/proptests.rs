@@ -7,7 +7,7 @@ mod common;
 
 use proptest::prelude::*;
 use rmatc_clampi::freelist::FreeList;
-use rmatc_clampi::{CacheProbe, ClampiConfig, ShardedCachedWindow};
+use rmatc_clampi::{CacheProbe, CachedWindow, ClampiConfig};
 use rmatc_rma::{Endpoint, NetworkModel, Window};
 use std::collections::BTreeMap;
 
@@ -152,12 +152,12 @@ proptest! {
         if use_scores {
             cfg = cfg.with_application_scores();
         }
-        let cached = ShardedCachedWindow::new(window.id(), cfg, 1);
+        let mut cached = CachedWindow::new(window.id(), cfg);
         let mut ep = Endpoint::new(0, 2, NetworkModel::aries());
         ep.lock_all();
         for (i, (offset, len)) in accesses.into_iter().enumerate() {
             let offset = offset.min(128 - len.min(128));
-            let got = common::read(&cached, &mut ep, &window, (1, offset, len), len as f64);
+            let got = common::read(&mut cached, &mut ep, &window, (1, offset, len), len as f64);
             let expected: Vec<u32> = (offset..offset + len).map(|x| x as u32 * 7).collect();
             prop_assert_eq!(&got[..], &expected[..], "access {}", i);
             if flushing && i % 17 == 0 {
@@ -179,11 +179,11 @@ proptest! {
         // The degenerate single-slot table turns every distinct key into a conflict;
         // data correctness must be unaffected.
         let window = Window::from_parts(vec![Vec::new(), (0..64u32).collect()]);
-        let cached = ShardedCachedWindow::new(window.id(), ClampiConfig::always_cache(1024, 1), 1);
+        let mut cached = CachedWindow::new(window.id(), ClampiConfig::always_cache(1024, 1));
         let mut ep = Endpoint::new(0, 2, NetworkModel::zero());
         ep.lock_all();
         for &offset in &accesses {
-            let got = common::read(&cached, &mut ep, &window, (1, offset, 1), 0.0);
+            let got = common::read(&mut cached, &mut ep, &window, (1, offset, 1), 0.0);
             prop_assert_eq!(got[0], offset as u32);
         }
         // At most one key is resident: at most one of them probes as a hit.

@@ -119,10 +119,12 @@ pub struct DistConfig {
     /// before completing the oldest, overlapping their modeled latency with
     /// the issue-side work of the following edges (see `docs/OVERLAP.md`).
     pub pipeline_depth: usize,
-    /// Worker threads *inside* each rank. `1` (the default) keeps the rank
-    /// single-threaded; `T ≥ 2` splits the rank's local vertices across `T`
-    /// pool tasks, each with its own RMA endpoint, sharing one CLaMPI cache
-    /// split into `T` locked shards ([`rmatc_clampi::ShardedCachedWindow`]).
+    /// Pinned at `1`: a rank runs one thread, which owns its CLaMPI cache
+    /// (the paper runs one MPI process per 1D block). The field stays only
+    /// because the repository benchmark (`benchmark/`) still sets and checks
+    /// it; it goes when that use does. `0` and `1` run; any value above 1
+    /// panics when the run builds its rank reader
+    /// ([`super::reader::RowReader::new`]).
     pub intra_threads: usize,
     /// Adjacency storage exposed in the RMA windows:
     /// [`GraphStorage::Plain`] (the default) exposes raw CSR rows;
@@ -200,8 +202,9 @@ impl DistConfig {
         self
     }
 
-    /// Sets the number of worker threads inside each rank (`0` and `1` both
-    /// mean "single-threaded rank").
+    /// Sets [`DistConfig::intra_threads`], the pinned field: kept only for the
+    /// repository benchmark, which sets `1`. A run with any value above 1
+    /// panics.
     pub fn with_intra_threads(mut self, threads: usize) -> Self {
         self.intra_threads = threads;
         self
@@ -217,11 +220,6 @@ impl DistConfig {
     /// The effective pipeline depth (`max(depth, 1)`).
     pub fn effective_pipeline_depth(&self) -> usize {
         self.pipeline_depth.max(1)
-    }
-
-    /// The effective intra-rank thread count (`max(threads, 1)`).
-    pub fn effective_intra_threads(&self) -> usize {
-        self.intra_threads.max(1)
     }
 }
 
@@ -299,11 +297,8 @@ mod tests {
     fn overlap_knobs_default_off_and_normalize() {
         let c = DistConfig::non_cached(2);
         assert_eq!(c.pipeline_depth, 1);
-        assert_eq!(c.intra_threads, 1);
-        // 0 and 1 both mean "off" for either knob.
+        // 0 and 1 both mean "off".
         assert_eq!(c.with_pipeline_depth(0).effective_pipeline_depth(), 1);
-        assert_eq!(c.with_intra_threads(0).effective_intra_threads(), 1);
         assert_eq!(c.with_pipeline_depth(4).effective_pipeline_depth(), 4);
-        assert_eq!(c.with_intra_threads(3).effective_intra_threads(), 3);
     }
 }

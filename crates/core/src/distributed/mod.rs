@@ -27,9 +27,10 @@
 //! a small per-edge operation ([`reader::EdgeOp`]) that [`DistLcc`]
 //! ([`worker::ClosingCount`]) and [`crate::DistJaccard`] instantiate; the
 //! resident query service reads its rows through the same reader.
-//! [`DistConfig::pipeline_depth`] and [`DistConfig::intra_threads`] shape that
-//! loop — at `1 × 1` it *is* the classic issue-wait-compute loop, not a
-//! different one.
+//! [`DistConfig::pipeline_depth`] shapes that loop — at depth 1 it *is* the
+//! classic issue-wait-compute loop, not a different one. Each rank runs on
+//! one thread, which owns its endpoint and its cache; ranks are the only
+//! parallelism, as in the paper's one MPI process per 1D block.
 //!
 //! The entry point is [`DistLcc::run`], which returns per-vertex LCC scores, the
 //! triangle count, and a per-rank [`RankReport`] with the timing breakdown and the
@@ -45,7 +46,7 @@
 //! | 4 | Get the `(start, end)` pair from `w_offsets` (cached: every pair of a source, by span; the service: every pair of a batch, by span) | [`reader`] (`read_offsets`, `read_spans`, `read_key_spans`) |
 //! | 5 | Get the adjacency list from `w_adj`, cache-intercepted | [`reader`] + `rmatc_clampi` |
 //! | 6 | Intersect, accumulate per-vertex closed triplets | [`worker`] (`ClosingCount`) + [`crate::intersect`] |
-//! | — | The edge loop: gets kept in flight (§III-A's double buffer) + intra-rank threads (Fig. 6 axis) | [`pipeline`] |
+//! | — | The edge loop: gets kept in flight (§III-A's double buffer) | [`pipeline`] |
 //! | — | Assemble LCC scores and per-rank reports | [`report`] |
 //!
 //! # Zero-copy reads
@@ -60,7 +61,7 @@
 //! intersection in the same SIMD block pass that lands the row in the buffer
 //! the cache retains. Hits and local-rank reads perform zero heap
 //! allocations; a miss performs exactly one; a read nobody retains
-//! (non-cached, quarantine bypass) lands in the thread's reused buffer and,
+//! (non-cached, quarantine bypass) lands in the rank's reused buffer and,
 //! once that has grown, performs none.
 //!
 //! # Compressed adjacency
@@ -177,8 +178,8 @@ mod tests {
             retry: rmatc_rma::RetryPolicy::default(),
             faults: None,
             pipeline_depth: 1,
-            intra_threads: 1,
             storage: rmatc_graph::GraphStorage::Plain,
+            ..DistConfig::non_cached(ranks)
         }
     }
 
@@ -373,6 +374,14 @@ mod tests {
         cfg.retry = rmatc_rma::RetryPolicy::no_retries();
         let err = DistLcc::new(cfg).try_run(&g).unwrap_err();
         assert!(matches!(err, rmatc_rma::RmaError::RetriesExhausted { .. }));
+    }
+
+    #[test]
+    #[should_panic(expected = "intra-rank threading was removed")]
+    fn intra_threads_above_one_fail_loudly() {
+        // The pinned field: a rank runs one thread, and a request for more
+        // stops the run instead of silently running one.
+        DistLcc::new(base_config(2).with_intra_threads(4)).run(&small_graph());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! | read | kept by | lands in |
 //! |---|---|---|
 //! | cached miss (either entry point) | the cache (+ the caller of `read_row`) | the get's one `Arc` |
-//! | non-cached or quarantine-bypass adjacency row | nobody | the calling thread's landing `Vec` |
+//! | non-cached or quarantine-bypass adjacency row | nobody | the caller's landing `Vec` |
 //! | offsets span | nobody | the caller's span buffer ([`OffsetSpans`], or the service lane's words) |
 //! | one offsets pair | nobody | a two-word stack array |
 //!
@@ -41,10 +41,16 @@
 //! healed in place ([`Endpoint::get_into_with_retry`]); a cached miss defers
 //! both its value and its admission to the checksum-verified completion
 //! ([`Endpoint::wait_with_reissue`]).
+//!
+//! The reader is the rank's windows, read through `&self`. Its cache,
+//! [`AdjCache`], is a separate value the rank's one thread owns and lends to
+//! every read as `&mut`, next to its endpoint: the rows [`RowReader::read_row`]
+//! returns borrow the windows alone, so a caller may hold many of them while
+//! it keeps reading through the cache.
 
 use super::config::DistConfig;
 use super::windows::GraphWindows;
-use rmatc_clampi::{CacheProbe, CacheStats, RowRef, ShardedCachedWindow};
+use rmatc_clampi::{CacheProbe, CachedWindow, RowRef};
 use rmatc_graph::compressed::decoded_len;
 use rmatc_graph::partition::Partitioner;
 use rmatc_graph::types::VertexId;
@@ -57,7 +63,7 @@ use std::sync::Arc;
 /// hands it to an [`EdgeOp`].
 #[derive(Debug, Clone, Copy)]
 pub struct Edge<'a> {
-    /// Index of `u` within the calling thread's vertex chunk.
+    /// Index of `u` among the rank's local vertices.
     pub slot: usize,
     /// Global id of `u`.
     pub source: VertexId,
@@ -75,11 +81,11 @@ pub struct Edge<'a> {
 /// value; `retained` and `landed` are the same value fused into a transfer.
 pub trait EdgeOp: Sync {
     /// The result of one edge.
-    type Value: Send;
+    type Value;
     /// One element of the rank's output.
     type Item: Send;
 
-    /// The empty output of a thread that owns `vertices` vertices.
+    /// The empty output of a rank that owns `vertices` vertices.
     fn output(&self, vertices: usize) -> Vec<Self::Item>;
 
     /// `v` is owned by the same rank: `adj_v` is its plain partition row.
@@ -94,7 +100,7 @@ pub trait EdgeOp: Sync {
     /// shared buffer and computes the value in the same pass.
     fn retained(&self, edge: &Edge<'_>, wire: &[VertexId]) -> (Arc<[VertexId]>, Self::Value);
 
-    /// A transfer nobody retains: lands `wire` in the thread's reusable
+    /// A transfer nobody retains: lands `wire` in the rank's reusable
     /// `landing` buffer (cleared and refilled, capacity kept) and computes
     /// the value in the same pass.
     fn landed(
@@ -104,7 +110,7 @@ pub trait EdgeOp: Sync {
         landing: &mut Vec<VertexId>,
     ) -> Self::Value;
 
-    /// Folds the value of `edge` into the thread's output.
+    /// Folds the value of `edge` into the rank's output.
     fn fold(&self, out: &mut Vec<Self::Item>, edge: &Edge<'_>, value: Self::Value);
 }
 
@@ -150,7 +156,7 @@ pub fn spans_join(network: &NetworkModel, p: usize, q: usize) -> bool {
 }
 
 /// The `(start, end)` pairs of one source's remote neighbours, read by span
-/// ([`RowReader::read_spans`]): a worker thread's reusable buffers, which stop
+/// ([`RowReader::read_spans`]): a rank's reusable buffers, which stop
 /// allocating once they have grown to the widest source.
 #[derive(Debug, Default)]
 pub struct OffsetSpans {
@@ -171,8 +177,13 @@ impl OffsetSpans {
     }
 }
 
-/// Per-rank reader of remote adjacency lists, shared by reference across the
-/// rank's worker threads (each thread brings its own [`Endpoint`]).
+/// A rank's adjacency cache `C_adj` when the run is cached: the one CLaMPI
+/// front, owned by the rank's thread and lent to every read next to its
+/// [`Endpoint`]. `None` reads every row over the plain path.
+pub type AdjCache = Option<CachedWindow<VertexId>>;
+
+/// Per-rank reader of remote adjacency lists: the rank's view of the two
+/// windows.
 ///
 /// Reading the adjacency of a remote vertex requires two RMA gets: the first reads
 /// the `(start, end)` pair from the target's `offsets` array (alone, or in a span
@@ -184,41 +195,45 @@ impl OffsetSpans {
 /// [`super::CacheSpec::scoring`] says so. Under compressed storage the length
 /// counts codec words, a faithful proxy for degree: the decoded count is not
 /// known until the row arrives.
-/// The cache is lock-sharded; with one thread the single shard is a plain
-/// cache decision for decision.
 #[derive(Debug)]
 pub struct RowReader {
     offsets_plain: Window<u64>,
     adj_plain: Window<VertexId>,
-    adj_cache: Option<ShardedCachedWindow<VertexId>>,
     /// Encoding of the adjacency window's payload (taken from the windows):
     /// under [`GraphStorage::Compressed`] every admitted miss records logical
-    /// vs stored bytes on the cache ([`CacheStats::compression_ratio`]).
+    /// vs stored bytes on the cache
+    /// ([`rmatc_clampi::CacheStats::compression_ratio`]).
     storage: GraphStorage,
 }
 
 impl RowReader {
-    /// Builds the reader of one rank over `windows`: resolves
-    /// [`DistConfig::cache`] for a graph of `n_global` vertices (no cache
-    /// when it is `None`) and shards the resolved cache `shards` ways — one
-    /// shard per worker thread of the rank.
-    pub fn new(
-        windows: &GraphWindows,
-        config: &DistConfig,
-        n_global: usize,
-        shards: usize,
-    ) -> Self {
-        let adj_cache = config.cache.and_then(|spec| {
-            spec.resolve(n_global, windows.adjacency_bytes() as u64)
-                .adjacencies
-        });
-        Self {
+    /// Builds the reader of one rank over `windows` and the rank's cache:
+    /// [`DistConfig::cache`] resolved for a graph of `n_global` vertices (no
+    /// cache when it is `None`).
+    ///
+    /// # Panics
+    ///
+    /// When [`DistConfig::intra_threads`] is above 1: a rank runs one thread.
+    pub fn new(windows: &GraphWindows, config: &DistConfig, n_global: usize) -> (Self, AdjCache) {
+        assert!(
+            config.intra_threads <= 1,
+            "intra-rank threading was removed: every rank runs one thread \
+             (intra_threads = {})",
+            config.intra_threads
+        );
+        let cache = config
+            .cache
+            .and_then(|spec| {
+                spec.resolve(n_global, windows.adjacency_bytes() as u64)
+                    .adjacencies
+            })
+            .map(|cfg| CachedWindow::new(windows.adjacencies.id(), cfg));
+        let reader = Self {
             offsets_plain: windows.offsets.clone(),
             adj_plain: windows.adjacencies.clone(),
-            adj_cache: adj_cache
-                .map(|cfg| ShardedCachedWindow::new(windows.adjacencies.id(), cfg, shards)),
             storage: windows.storage,
-        }
+        };
+        (reader, cache)
     }
 
     /// First get of the protocol for one row, always synchronous — its
@@ -364,35 +379,21 @@ impl RowReader {
         Ok(())
     }
 
-    /// Looks the remote row of `len > 0` elements at `start` on `target` up
-    /// in the cache: the one issue-time decision [`RowReader::read_row`] and
-    /// [`RowReader::start`] share. Without a cache every row reads as an
-    /// (uncounted) [`CacheProbe::Bypass`]: fetched, and kept by nobody.
-    fn probe(
-        &self,
-        ep: &mut Endpoint,
-        target: usize,
-        start: usize,
-        len: usize,
-    ) -> CacheProbe<VertexId> {
-        match &self.adj_cache {
-            Some(cache) => cache.probe(ep, target, start, len),
-            None => CacheProbe::Bypass,
-        }
-    }
-
     /// Admits a cached miss's landed (and verified) buffer, scored by its
     /// length, after recording its compression — logical vs stored bytes —
     /// under compressed storage.
-    fn admit(&self, ep: &mut Endpoint, target: usize, start: usize, row: Arc<[VertexId]>) {
-        let cache = self
-            .adj_cache
-            .as_ref()
-            .expect("only a cached miss is admitted");
+    fn admit(
+        &self,
+        ep: &mut Endpoint,
+        cache: &mut AdjCache,
+        target: usize,
+        start: usize,
+        row: Arc<[VertexId]>,
+    ) {
+        let cache = cache.as_mut().expect("only a cached miss is admitted");
         let len = row.len();
         if self.storage == GraphStorage::Compressed {
-            let (logical, stored) = (decoded_len(&row) as u64 * 4, len as u64 * 4);
-            cache.record_compression(target, start, len, logical, stored);
+            cache.record_compression(decoded_len(&row) as u64 * 4, len as u64 * 4);
         }
         cache.admit(ep, target, start, len, row, len as f64);
     }
@@ -415,6 +416,7 @@ impl RowReader {
     pub fn read_row(
         &self,
         ep: &mut Endpoint,
+        cache: &mut AdjCache,
         target: usize,
         (start, end): (usize, usize),
     ) -> Result<RowRef<'_, VertexId>, RmaError> {
@@ -425,13 +427,13 @@ impl RowReader {
         if target == ep.rank() {
             return Ok(RowRef::Window(ep.local_read(&self.adj_plain, start, len)));
         }
-        let probe = self.probe(ep, target, start, len);
+        let probe = probe(ep, cache, target, start, len);
         if let CacheProbe::Hit(row) = probe {
             return Ok(RowRef::Cached(row));
         }
         let row = ep.get_with_retry(&self.adj_plain, target, start, len)?;
         if let CacheProbe::Miss = probe {
-            self.admit(ep, target, start, Arc::clone(&row));
+            self.admit(ep, cache, target, start, Arc::clone(&row));
         }
         Ok(RowRef::Fetched(row))
     }
@@ -442,11 +444,13 @@ impl RowReader {
     /// ([`EdgeOp::stored`] over an empty, local or cached row) or issues the
     /// adjacency get and returns it in flight — landed where the module
     /// table says, the value already computed unless the transfer is
-    /// untrusted. `landing` is the calling thread's reusable buffer; it is
-    /// free again as soon as this returns.
+    /// untrusted. `landing` is the caller's reusable buffer; it is free again
+    /// as soon as this returns.
+    #[allow(clippy::too_many_arguments)]
     pub fn start<O: EdgeOp>(
         &self,
         ep: &mut Endpoint,
+        cache: &mut AdjCache,
         target: usize,
         (start, end): (usize, usize),
         landing: &mut Vec<VertexId>,
@@ -463,7 +467,7 @@ impl RowReader {
         }
         // Who keeps the buffer: the cache on a miss, nobody otherwise.
         let adj = &self.adj_plain;
-        let flight = match self.probe(ep, target, start, len) {
+        let flight = match probe(ep, cache, target, start, len) {
             CacheProbe::Hit(row) => return Ok(Started::Immediate(op.stored(edge, &row))),
             CacheProbe::Miss if ep.faults_enabled() => Flight::Unverified {
                 pending: ep.issue_with_retry(adj, target, start, len)?,
@@ -473,7 +477,7 @@ impl RowReader {
                 let (pending, value) =
                     ep.get_map(adj, target, start, len, |wire| op.retained(edge, wire))?;
                 let (arc, charge) = pending.split();
-                self.admit(ep, target, start, arc);
+                self.admit(ep, cache, target, start, arc);
                 Flight::Charged(charge, value)
             }
             CacheProbe::Bypass if ep.faults_enabled() => {
@@ -500,6 +504,7 @@ impl RowReader {
     pub fn complete<O: EdgeOp>(
         &self,
         ep: &mut Endpoint,
+        cache: &mut AdjCache,
         deferred: Deferred<O::Value>,
         op: &O,
         edge: &Edge<'_>,
@@ -513,16 +518,27 @@ impl RowReader {
                 let (target, len) = (pending.target(), pending.len());
                 let clean = ep.wait_with_reissue(pending, &self.adj_plain, target, start, len)?;
                 let value = op.stored(edge, &clean);
-                self.admit(ep, target, start, clean);
+                self.admit(ep, cache, target, start, clean);
                 Ok(value)
             }
         }
     }
+}
 
-    /// Statistics of the adjacency cache, if caching is enabled (merged
-    /// across shards).
-    pub fn adjacency_cache_stats(&self) -> Option<CacheStats> {
-        self.adj_cache.as_ref().map(|c| c.stats())
+/// Looks the remote row of `len > 0` elements at `start` on `target` up in
+/// `cache`: the one issue-time decision [`RowReader::read_row`] and
+/// [`RowReader::start`] share. Without a cache every row reads as an
+/// (uncounted) [`CacheProbe::Bypass`]: fetched, and kept by nobody.
+fn probe(
+    ep: &mut Endpoint,
+    cache: &mut AdjCache,
+    target: usize,
+    start: usize,
+    len: usize,
+) -> CacheProbe<VertexId> {
+    match cache {
+        Some(cache) => cache.probe(ep, target, start, len),
+        None => CacheProbe::Bypass,
     }
 }
 
@@ -541,11 +557,12 @@ mod tests {
     fn read_row<'r>(
         reader: &'r RowReader,
         ep: &mut Endpoint,
+        cache: &mut AdjCache,
         target: usize,
         idx: usize,
     ) -> Result<RowRef<'r, VertexId>, RmaError> {
         let pair = reader.read_offsets(ep, target, idx)?;
-        reader.read_row(ep, target, pair)
+        reader.read_row(ep, cache, target, pair)
     }
 
     fn setup() -> (PartitionedGraph, DistConfig) {
@@ -566,11 +583,11 @@ mod tests {
     fn non_cached_reader_returns_exact_adjacency() {
         let (pg, config) = setup();
         let windows = GraphWindows::build(&pg);
-        let reader = RowReader::new(&windows, &config, pg.global_vertex_count(), 1);
+        let (reader, mut cache) = RowReader::new(&windows, &config, pg.global_vertex_count());
         let mut ep = endpoint(&config);
         let remote = &pg.partitions[1];
         for (local_idx, _) in remote.global_ids.iter().enumerate().take(20) {
-            let got = read_row(&reader, &mut ep, 1, local_idx).unwrap();
+            let got = read_row(&reader, &mut ep, &mut cache, 1, local_idx).unwrap();
             assert_eq!(got.as_slice(), remote.neighbours_of_local(local_idx));
         }
         ep.unlock_all();
@@ -581,9 +598,9 @@ mod tests {
     #[test]
     fn the_rank_cache_is_the_configuration_its_spec_resolves() {
         // One source for a run's cache configuration: under either score
-        // rule, and however many shards split it, the rank's cache runs
-        // exactly what `CacheSpec::resolve` returns — so an offline replay
-        // that resolves the same spec replays the run's cache.
+        // rule the rank's cache runs exactly what `CacheSpec::resolve`
+        // returns — so an offline replay that resolves the same spec replays
+        // the run's cache.
         let (pg, base) = setup();
         let windows = GraphWindows::build(&pg);
         let n = pg.global_vertex_count();
@@ -599,11 +616,9 @@ mod tests {
                 .resolve(n, windows.adjacency_bytes() as u64)
                 .adjacencies
                 .unwrap();
-            for shards in [1, 4] {
-                let reader = RowReader::new(&windows, &config, n, shards);
-                let cache = reader.adj_cache.as_ref().expect("a cached reader");
-                assert_eq!(*cache.config(), resolved, "{shards} shards");
-            }
+            let (_, cache) = RowReader::new(&windows, &config, n);
+            let cache = cache.expect("a cached reader");
+            assert_eq!(*cache.config(), resolved, "{:?}", resolved.scoring);
         }
     }
 
@@ -612,12 +627,12 @@ mod tests {
         let (pg, mut config) = setup();
         let windows = GraphWindows::build(&pg);
         config.cache = Some(CacheSpec::paper(1 << 20).with_degree_scores());
-        let reader = RowReader::new(&windows, &config, pg.global_vertex_count(), 1);
+        let (reader, mut cache) = RowReader::new(&windows, &config, pg.global_vertex_count());
         let mut ep = endpoint(&config);
         let remote = &pg.partitions[1];
         for round in 0..2 {
             for (local_idx, _) in remote.global_ids.iter().enumerate().take(10) {
-                let got = read_row(&reader, &mut ep, 1, local_idx).unwrap();
+                let got = read_row(&reader, &mut ep, &mut cache, 1, local_idx).unwrap();
                 assert_eq!(
                     got.as_slice(),
                     remote.neighbours_of_local(local_idx),
@@ -626,7 +641,7 @@ mod tests {
             }
         }
         ep.unlock_all();
-        let adj_stats = reader.adjacency_cache_stats().unwrap();
+        let adj_stats = cache.unwrap().stats().clone();
         assert!(
             adj_stats.hits > 0,
             "second round must hit the adjacency cache"
@@ -658,8 +673,8 @@ mod tests {
                     cache: Some(spec),
                     ..base
                 };
-                let by_row = RowReader::new(&windows, &config, n, 1);
-                let by_start = RowReader::new(&windows, &config, n, 1);
+                let (by_row, mut row_cache) = RowReader::new(&windows, &config, n);
+                let (by_start, mut start_cache) = RowReader::new(&windows, &config, n);
                 let op = ClosingCount::new(&config, pg.direction, storage);
                 let (mut ep_row, mut ep_start) = (endpoint(&config), endpoint(&config));
                 let mut landing = Vec::new();
@@ -672,7 +687,9 @@ mod tests {
                             }
                             let idx = pg.partitioner.local_index(v);
                             let pair = by_row.read_offsets(&mut ep_row, 1, idx).unwrap();
-                            by_row.read_row(&mut ep_row, 1, pair).unwrap();
+                            by_row
+                                .read_row(&mut ep_row, &mut row_cache, 1, pair)
+                                .unwrap();
                             let pair = by_start.read_offsets(&mut ep_start, 1, idx).unwrap();
                             let source = part.global_ids[local_idx];
                             let edge = Edge {
@@ -682,11 +699,14 @@ mod tests {
                                 v,
                                 k,
                             };
+                            let cache = &mut start_cache;
                             let started = by_start
-                                .start(&mut ep_start, 1, pair, &mut landing, &op, &edge)
+                                .start(&mut ep_start, cache, 1, pair, &mut landing, &op, &edge)
                                 .unwrap();
                             if let Started::Deferred(d) = started {
-                                by_start.complete(&mut ep_start, d, &op, &edge).unwrap();
+                                by_start
+                                    .complete(&mut ep_start, cache, d, &op, &edge)
+                                    .unwrap();
                             }
                         }
                     }
@@ -694,9 +714,9 @@ mod tests {
                 ep_row.unlock_all();
                 ep_start.unlock_all();
                 let what = format!("{storage:?} {:?}", spec.scoring);
-                let stats = by_row.adjacency_cache_stats().unwrap();
+                let stats = row_cache.unwrap().stats().clone();
                 assert!(stats.hits > 0 && stats.evictions() > 0, "{what}: {stats:?}");
-                assert_eq!(Some(stats), by_start.adjacency_cache_stats(), "{what}");
+                assert_eq!(&stats, start_cache.unwrap().stats(), "{what}");
                 assert_eq!(
                     integers(ep_row.stats()),
                     integers(ep_start.stats()),
@@ -713,7 +733,7 @@ mod tests {
     fn span_gets(pg: &PartitionedGraph, network: NetworkModel) -> (u64, Vec<Vec<(usize, usize)>>) {
         let windows = GraphWindows::build(pg);
         let config = DistConfig::cached(pg.ranks(), 1 << 20);
-        let reader = RowReader::new(&windows, &config, pg.global_vertex_count(), 1);
+        let (reader, _) = RowReader::new(&windows, &config, pg.global_vertex_count());
         let mut ep = Endpoint::new(0, pg.ranks(), network);
         ep.lock_all();
         let mut spans = OffsetSpans::default();
@@ -821,7 +841,7 @@ mod tests {
         let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 4).unwrap();
         let windows = GraphWindows::build(&pg);
         let config = DistConfig::non_cached(4);
-        let reader = RowReader::new(&windows, &config, pg.global_vertex_count(), 1);
+        let (reader, _) = RowReader::new(&windows, &config, pg.global_vertex_count());
         (pg, reader)
     }
 
@@ -940,11 +960,11 @@ mod tests {
         );
         let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
         let windows = GraphWindows::build(&pg);
-        let reader = RowReader::new(&windows, &config, pg.global_vertex_count(), 1);
+        let (reader, mut cache) = RowReader::new(&windows, &config, pg.global_vertex_count());
         let mut ep = endpoint(&config);
         // Vertex 6 lives on rank 1 (block [4..8)) and has no neighbours.
         let local_idx = pg.partitioner.local_index(6);
-        let got = read_row(&reader, &mut ep, 1, local_idx).unwrap();
+        let got = read_row(&reader, &mut ep, &mut cache, 1, local_idx).unwrap();
         assert!(got.is_empty());
         assert_eq!(ep.stats().gets, 1);
         ep.unlock_all();
@@ -959,7 +979,8 @@ mod tests {
         // record logical vs stored bytes on the cache while doing so.
         let (pg, base) = setup();
         let plain_windows = GraphWindows::build(&pg);
-        let plain_reader = RowReader::new(&plain_windows, &base, pg.global_vertex_count(), 1);
+        let (plain_reader, mut no_cache) =
+            RowReader::new(&plain_windows, &base, pg.global_vertex_count());
         let intersector = Intersector::new(base.method);
         let part = &pg.partitions[0];
         for storage in [GraphStorage::Plain, GraphStorage::Compressed] {
@@ -967,7 +988,8 @@ mod tests {
             for (cached, in_flight) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
                 let mut config = base;
                 config.cache = cached.then(|| CacheSpec::paper(1 << 20).with_degree_scores());
-                let reader = RowReader::new(&windows, &config, pg.global_vertex_count(), 1);
+                let (reader, mut cache) =
+                    RowReader::new(&windows, &config, pg.global_vertex_count());
                 let op = ClosingCount::new(&config, pg.direction, storage);
                 let (mut ep_a, mut ep_b) = (endpoint(&config), endpoint(&config));
                 let mut landing = Vec::new();
@@ -980,7 +1002,8 @@ mod tests {
                                 continue;
                             }
                             let v_local = pg.partitioner.local_index(v);
-                            let row = read_row(&plain_reader, &mut ep_b, 1, v_local).unwrap();
+                            let row = read_row(&plain_reader, &mut ep_b, &mut no_cache, 1, v_local)
+                                .unwrap();
                             let pair = reader.read_offsets(&mut ep_a, 1, v_local).unwrap();
                             let expected =
                                 count_closing_at(pg.direction, adj_u, &row, v, k, &intersector);
@@ -992,7 +1015,7 @@ mod tests {
                                 k,
                             };
                             match reader
-                                .start(&mut ep_a, 1, pair, &mut landing, &op, &edge)
+                                .start(&mut ep_a, &mut cache, 1, pair, &mut landing, &op, &edge)
                                 .unwrap()
                             {
                                 Started::Immediate(got) => assert_eq!(got, expected),
@@ -1000,7 +1023,9 @@ mod tests {
                             }
                             while flying.len() >= in_flight {
                                 let (d, edge, expected) = flying.pop_front().unwrap();
-                                let got = reader.complete(&mut ep_a, d, &op, &edge).unwrap();
+                                let got = reader
+                                    .complete(&mut ep_a, &mut cache, d, &op, &edge)
+                                    .unwrap();
                                 assert_eq!(
                                     got, expected,
                                     "{storage:?} cached={cached} v={}",
@@ -1012,12 +1037,13 @@ mod tests {
                 }
                 assert!(flying.is_empty() || in_flight > 1);
                 for (d, edge, expected) in flying.drain(..) {
-                    assert_eq!(reader.complete(&mut ep_a, d, &op, &edge).unwrap(), expected);
+                    let got = reader.complete(&mut ep_a, &mut cache, d, &op, &edge);
+                    assert_eq!(got.unwrap(), expected);
                 }
                 ep_a.unlock_all();
                 ep_b.unlock_all();
-                if cached {
-                    let stats = reader.adjacency_cache_stats().unwrap();
+                if let Some(cache) = cache {
+                    let stats = cache.stats();
                     assert!(stats.hits > 0, "second round must hit");
                     assert_eq!(
                         stats.stored_bytes > 0 && stats.logical_bytes > stats.stored_bytes,

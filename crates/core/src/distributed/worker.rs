@@ -33,7 +33,7 @@ pub struct WorkerOutput {
     pub rma: RankStats,
     /// `C_adj` statistics, when that cache is enabled.
     pub adjacency_cache: Option<CacheStats>,
-    /// CPU time of the rank's compute loop, in nanoseconds (per-thread CPU time, so
+    /// CPU time of the rank's compute loop, in nanoseconds (thread CPU time, so
     /// that oversubscribing the simulator's host does not inflate the measurement).
     pub compute_ns: u64,
     /// Directed edges processed by this rank.
@@ -84,8 +84,7 @@ pub fn run_worker(
 pub struct ClosingCount {
     direction: Direction,
     /// The sequential per-pair kernel: the distributed experiments map one
-    /// MPI task per core, and a rank's threads split its vertices, never one
-    /// intersection.
+    /// MPI task per core, and a rank runs one thread.
     intersector: Intersector,
     /// Representation remote rows arrive in (local rows are always plain).
     storage: GraphStorage,
@@ -217,8 +216,8 @@ mod tests {
             retry: rmatc_rma::RetryPolicy::default(),
             faults: None,
             pipeline_depth: 1,
-            intra_threads: 1,
             storage: GraphStorage::Plain,
+            ..DistConfig::non_cached(ranks)
         };
         (pg, windows, config)
     }
@@ -396,9 +395,8 @@ mod tests {
 
     #[test]
     fn threaded_workers_match_scores_and_get_totals() {
-        // Non-cached, gets and bytes are per-edge deterministic however the
-        // threads interleave. Cached, hits and misses depend on how the
-        // threads share the sharded cache, but there is one lookup per remote
+        // Pipelined at depth 4 against depth 1: non-cached, gets and bytes
+        // are per-edge deterministic. Cached, there is one lookup per remote
         // non-empty row and the offsets spans are planned per source, so the
         // gets that are not `C_adj` misses are fixed too.
         let adj = |out: &WorkerOutput| out.adjacency_cache.clone().unwrap_or_default();
@@ -414,20 +412,15 @@ mod tests {
             if cached {
                 assert!(planned < baseline.remote_edges, "spans must save gets");
             }
-            // Up to more threads than the rank has vertices: the chunking must
-            // still cover every vertex exactly once.
-            for threads in [2usize, 4, 1000] {
-                config.intra_threads = threads;
-                config.pipeline_depth = 4;
-                let out = run_worker(0, &pg, &windows, &config).unwrap();
-                let what = format!("cached={cached} t={threads}");
-                assert_eq!(out.local_triangles, baseline.local_triangles, "{what}");
-                assert_eq!(out.edges_processed, baseline.edges_processed, "{what}");
-                assert_eq!(lookups(&out), lookups(&baseline), "{what}");
-                assert_eq!(out.rma.gets - misses(&out), planned, "{what}");
-                if !cached {
-                    assert_eq!(out.rma.bytes, baseline.rma.bytes, "{what}");
-                }
+            config.pipeline_depth = 4;
+            let out = run_worker(0, &pg, &windows, &config).unwrap();
+            let what = format!("cached={cached}");
+            assert_eq!(out.local_triangles, baseline.local_triangles, "{what}");
+            assert_eq!(out.edges_processed, baseline.edges_processed, "{what}");
+            assert_eq!(lookups(&out), lookups(&baseline), "{what}");
+            assert_eq!(out.rma.gets - misses(&out), planned, "{what}");
+            if !cached {
+                assert_eq!(out.rma.bytes, baseline.rma.bytes, "{what}");
             }
         }
     }

@@ -60,7 +60,7 @@ impl JaccardResult {
 
     /// The `k` most similar edges in [`similarity_order`]: descending Jaccard
     /// score, equal scores broken by ascending `(source, destination)` — the
-    /// result is deterministic regardless of thread count or storage mode.
+    /// result is deterministic regardless of rank count or storage mode.
     pub fn top_k(&self, k: usize) -> Vec<EdgeSimilarity> {
         top_k_edges(&self.edges, k)
     }
@@ -87,9 +87,9 @@ pub struct DistJaccard {
 
 impl DistJaccard {
     /// Creates a runner with the given configuration (ranks, partitioning, caching,
-    /// score mode, network model, double buffering, pipeline depth and intra-rank
-    /// threads are interpreted exactly as for [`crate::DistLcc`] — the two run
-    /// the same edge loop).
+    /// score mode, network model, double buffering and pipeline depth are
+    /// interpreted exactly as for [`crate::DistLcc`] — the two run the same
+    /// edge loop).
     pub fn new(config: DistConfig) -> Self {
         Self { config }
     }
@@ -162,7 +162,7 @@ pub fn similarity_order(a: &EdgeSimilarity, b: &EdgeSimilarity) -> std::cmp::Ord
 
 /// The `k` best records of `edges` under [`similarity_order`]. Input order is
 /// irrelevant: equal-score prefixes resolve by vertex ids, so the result is
-/// identical across thread counts, storage modes, and batch shapes.
+/// identical across rank counts, storage modes, and batch shapes.
 pub fn top_k_edges(edges: &[EdgeSimilarity], k: usize) -> Vec<EdgeSimilarity> {
     let mut sorted = edges.to_vec();
     sorted.sort_by(similarity_order);
@@ -382,15 +382,11 @@ mod tests {
     fn overlapped_runs_match_depth_one_scores_exactly() {
         let g = RmatGenerator::paper(8, 8).generate_cleaned(31).into_csr();
         let baseline = DistJaccard::new(DistConfig::non_cached(2)).run(&g);
-        for (depth, threads) in [(4usize, 1usize), (1, 4), (8, 2)] {
+        for depth in [4usize, 8] {
             let mut cfg = DistConfig::non_cached(2);
             cfg.pipeline_depth = depth;
-            cfg.intra_threads = threads;
             let out = DistJaccard::new(cfg).run(&g);
-            assert_eq!(
-                out.edges, baseline.edges,
-                "depth {depth}, threads {threads}"
-            );
+            assert_eq!(out.edges, baseline.edges, "depth {depth}");
             // Non-cached: gets are per-edge deterministic however the
             // overlapped loop interleaves them.
             assert_eq!(out.total_gets(), baseline.total_gets());
@@ -408,7 +404,7 @@ mod tests {
         piped.pipeline_depth = 6;
         let out = DistJaccard::new(piped).run(&g);
         assert_eq!(out.edges, baseline.edges);
-        // One thread performs cache operations in issue order at any depth —
+        // A rank performs cache operations in issue order at any depth —
         // the same sequence, so the same hit pattern and the same traffic.
         for (rank, (pip, seq)) in out.rank_stats.iter().zip(&baseline.rank_stats).enumerate() {
             assert_eq!(pip.gets, seq.gets, "rank {rank}");
@@ -486,7 +482,6 @@ mod tests {
         assert_eq!(DistJaccard::new(cached).run(&g).edges, plain.edges);
         let mut piped = cached;
         piped.pipeline_depth = 6;
-        piped.intra_threads = 2;
         assert_eq!(DistJaccard::new(piped).run(&g).edges, plain.edges);
     }
 

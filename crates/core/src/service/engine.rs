@@ -4,7 +4,7 @@
 use super::stats::{LatencyPercentiles, ServiceStats};
 use super::{Query, QueryAnswer, QueryId, ServiceConfig, ServiceError};
 use crate::distributed::pipeline::rank_endpoint;
-use crate::distributed::reader::RowReader;
+use crate::distributed::reader::{AdjCache, RowReader};
 use crate::distributed::windows::GraphWindows;
 use crate::intersect::{compressed_count_closing, CostModel, Intersector};
 use crate::jaccard::{edge_similarity, top_k_edges, EdgeSimilarity};
@@ -20,12 +20,12 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 /// One rank's resident serving state: a long-lived endpoint (its passive-target
-/// epoch stays open for the engine's lifetime) plus the reader whose CLaMPI
-/// caches over the shared windows stay warm across batches. One shard per
-/// cache: the serving loop is sequential.
+/// epoch stays open for the engine's lifetime), the reader over the shared
+/// windows, and the rank's CLaMPI cache, which stays warm across batches.
 struct RankLane {
     ep: Endpoint,
     reader: RowReader,
+    cache: AdjCache,
     /// Where the batch's offsets spans land ([`RowReader::read_key_spans`]).
     words: Vec<u64>,
 }
@@ -130,9 +130,11 @@ impl QueryEngine {
                 let mut ep = rank_endpoint(rank, dist);
                 // The resident epoch: opened once here, closed in Drop.
                 ep.lock_all();
+                let (reader, cache) = RowReader::new(&windows, dist, pg.global_vertex_count());
                 RankLane {
                     ep,
-                    reader: RowReader::new(&windows, dist, pg.global_vertex_count(), 1),
+                    reader,
+                    cache,
                     words: Vec::new(),
                 }
             })
@@ -212,6 +214,13 @@ impl QueryEngine {
         deadline_ns: Option<f64>,
     ) -> Result<QueryId, ServiceError> {
         self.submitted += 1;
+        let admitted = self.admit(query, deadline_ns);
+        self.debug_assert_counters_reconcile();
+        admitted
+    }
+
+    /// Validates `query` and queues it, or counts why not.
+    fn admit(&mut self, query: Query, deadline_ns: Option<f64>) -> Result<QueryId, ServiceError> {
         if let Err(e) = self.validate(&query) {
             self.rejected_invalid += 1;
             return Err(e);
@@ -234,6 +243,22 @@ impl QueryEngine {
             enqueued_wall: Instant::now(),
         });
         Ok(id)
+    }
+
+    /// The two identities of [`ServiceStats::reconciles`], checked on the
+    /// engine's own counters: `submitted = accepted + shed + rejected` and
+    /// `accepted = completed + failed + queued`.
+    fn debug_assert_counters_reconcile(&self) {
+        debug_assert_eq!(
+            self.submitted,
+            self.accepted + self.shed_overload + self.rejected_invalid,
+            "submitted = accepted + shed + rejected"
+        );
+        debug_assert_eq!(
+            self.accepted,
+            self.completed + self.failed + self.queue.len() as u64,
+            "accepted = completed + failed + queued"
+        );
     }
 
     /// Rejects queries naming vertices outside the resident graph.
@@ -318,7 +343,7 @@ impl QueryEngine {
         self.compute_ns_total += timer.elapsed_ns();
         let done_v = self.virtual_now_ns();
         let done_w = Instant::now();
-        batch
+        let responses = batch
             .into_iter()
             .zip(results)
             .map(|(p, result)| {
@@ -339,7 +364,9 @@ impl QueryEngine {
                     virtual_ns,
                 }
             })
-            .collect()
+            .collect();
+        self.debug_assert_counters_reconcile();
+        responses
     }
 
     /// Runs batch windows until the queue is empty, returning every response.
@@ -378,8 +405,8 @@ impl QueryEngine {
         let mut adjacency_cache: Option<CacheStats> = None;
         for lane in &self.lanes {
             rma.merge(lane.ep.stats());
-            if let Some(stats) = lane.reader.adjacency_cache_stats() {
-                merge_into(&mut adjacency_cache, &stats);
+            if let Some(cache) = &lane.cache {
+                merge_into(&mut adjacency_cache, cache.stats());
             }
         }
         ServiceStats {
@@ -489,12 +516,17 @@ fn exec_rank_group(
     // exhausted under an unrecoverable fault plan) is held per key: a failed
     // span fails the keys inside it, a failed row its own key, and only the
     // queries referencing those rows fail.
-    let RankLane { ep, reader, words } = lane;
+    let RankLane {
+        ep,
+        reader,
+        cache,
+        words,
+    } = lane;
     let pairs = reader.read_key_spans(ep, &keys, words);
     let rows: Vec<Result<RowRef<'_, VertexId>, RmaError>> = keys
         .iter()
         .zip(pairs)
-        .map(|(&(target, _), pair)| reader.read_row(ep, target, pair?))
+        .map(|(&(target, _), pair)| reader.read_row(ep, cache, target, pair?))
         .collect();
 
     // 3. Answer each query from the landed rows.

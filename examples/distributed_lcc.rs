@@ -51,11 +51,12 @@ fn main() {
         retry: rmatc::prelude::RetryPolicy::default(),
         faults: None,
         pipeline_depth: 1,
-        intra_threads: 1,
         // Plain adjacency windows; `GraphStorage::Compressed` (or
         // `RMATC_STORAGE=compressed`) would transfer and cache delta/varint
         // rows instead, with bit-identical scores.
         storage: GraphStorage::from_env(),
+        // Every other field at the non-cached defaults.
+        ..DistConfig::non_cached(ranks)
     };
 
     // -- Run ---------------------------------------------------------------

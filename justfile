@@ -198,7 +198,7 @@ chaos seed="random":
 bench-smoke hist="bench-history":
     cargo bench -p rmatc-bench --bench intersect -- --repeat 3 --json BENCH_intersect.json --history {{hist}}/intersect.ndjson
     cargo bench -p rmatc-bench --bench local_lcc -- --repeat 3 --json BENCH_local_lcc.json --history {{hist}}/local_lcc.ndjson
-    RMATC_THREADS=4 cargo bench -p rmatc-bench --bench remote_read -- --repeat 3 --json BENCH_remote_read.json --history {{hist}}/remote_read.ndjson
+    cargo bench -p rmatc-bench --bench remote_read -- --repeat 3 --json BENCH_remote_read.json --history {{hist}}/remote_read.ndjson
     cargo bench -p rmatc-bench --bench cache_policy -- --repeat 3 --json BENCH_cache_policy.json --history {{hist}}/cache_policy.ndjson
     cargo bench -p rmatc-bench --bench service -- --repeat 3 --json BENCH_service.json --history {{hist}}/service.ndjson
     cargo run -p rmatc-bench --bin bench-diff -- {{hist}}/intersect.ndjson {{hist}}/local_lcc.ndjson {{hist}}/remote_read.ndjson {{hist}}/cache_policy.ndjson {{hist}}/service.ndjson

@@ -311,27 +311,25 @@ fn quarantine_degrades_to_the_non_cached_baseline_without_wrong_answers() {
 }
 
 // ---------------------------------------------------------------------------
-// The overlapped worker under fire: pipelined gets and intra-rank threads
-// must not change what a fault plan can do — recoverable plans heal to the
+// The overlapped worker under fire: pipelined gets must not change what a
+// fault plan can do — recoverable plans heal to the
 // fault-free answer, unrecoverable plans surface a clean error with every
 // epoch closed even while gets are still in flight in the pipeline.
 // ---------------------------------------------------------------------------
 
-/// Overlap settings exercised by the chaos matrix: depth-only, threads-only,
-/// and both at once.
-const OVERLAP_SETTINGS: [(usize, usize); 3] = [(4, 1), (1, 4), (8, 2)];
+/// Pipeline depths exercised by the chaos matrix.
+const OVERLAP_SETTINGS: [usize; 2] = [4, 8];
 
 #[test]
 fn overlapped_lcc_heals_recoverable_plans_to_the_fault_free_answer() {
     let g = graph();
     let clean = DistLcc::new(DistConfig::non_cached(2)).run(&g);
-    for (depth, threads) in OVERLAP_SETTINGS {
+    for depth in OVERLAP_SETTINGS {
         for seed in chaos_seeds() {
             for plan in [FaultPlan::light(seed), FaultPlan::heavy(seed)] {
                 with_plan_artifact(&plan, "lcc-overlapped", || {
                     let cfg = DistConfig::non_cached(2)
                         .with_pipeline_depth(depth)
-                        .with_intra_threads(threads)
                         .with_faults(plan)
                         .with_retry(patient_retries());
                     let faulted = DistLcc::new(cfg)
@@ -339,7 +337,7 @@ fn overlapped_lcc_heals_recoverable_plans_to_the_fault_free_answer() {
                         .expect("recoverable plans must heal under overlap");
                     assert_eq!(
                         faulted.per_vertex_triangles, clean.per_vertex_triangles,
-                        "depth {depth} threads {threads} seed {seed}"
+                        "depth {depth} seed {seed}"
                     );
                     assert_eq!(faulted.lcc, clean.lcc, "seed {seed}");
                     assert!(
@@ -365,7 +363,6 @@ fn overlapped_cached_lcc_heals_corrupted_cache_entries() {
             let cfg = DistConfig::cached(2, 1 << 20)
                 .with_degree_scores()
                 .with_pipeline_depth(6)
-                .with_intra_threads(2)
                 .with_faults(plan)
                 .with_retry(patient_retries());
             let faulted = DistLcc::new(cfg)
@@ -381,22 +378,18 @@ fn overlapped_cached_lcc_heals_corrupted_cache_entries() {
 fn overlapped_jaccard_heals_recoverable_plans_to_the_fault_free_answer() {
     let g = graph();
     let clean = DistJaccard::new(DistConfig::non_cached(3)).run(&g);
-    for (depth, threads) in OVERLAP_SETTINGS {
+    for depth in OVERLAP_SETTINGS {
         for seed in chaos_seeds() {
             let plan = FaultPlan::heavy(seed);
             with_plan_artifact(&plan, "jaccard-overlapped", || {
                 let cfg = DistConfig::non_cached(3)
                     .with_pipeline_depth(depth)
-                    .with_intra_threads(threads)
                     .with_faults(plan)
                     .with_retry(patient_retries());
                 let faulted = DistJaccard::new(cfg)
                     .try_run(&g)
                     .expect("recoverable plans must heal under overlap");
-                assert_eq!(
-                    faulted.edges, clean.edges,
-                    "depth {depth} threads {threads} seed {seed}"
-                );
+                assert_eq!(faulted.edges, clean.edges, "depth {depth} seed {seed}");
             });
         }
     }
@@ -409,23 +402,21 @@ fn overlapped_unrecoverable_plans_error_cleanly_with_epochs_closed() {
     // (the endpoint panics on an unbalanced epoch otherwise), and surface the
     // error — no hang, no panic, no partial answer.
     let g = graph();
-    for (depth, threads) in OVERLAP_SETTINGS {
+    for depth in OVERLAP_SETTINGS {
         for seed in chaos_seeds() {
             let plan = FaultPlan::unrecoverable(seed);
             with_plan_artifact(&plan, "unrecoverable-overlapped", || {
                 let cfg = DistConfig::non_cached(2)
                     .with_pipeline_depth(depth)
-                    .with_intra_threads(threads)
                     .with_faults(plan)
                     .with_retry(RetryPolicy::no_retries());
                 let err = DistLcc::new(cfg).try_run(&g).expect_err("every get fails");
                 assert!(
                     matches!(err, RmaError::RetriesExhausted { .. }),
-                    "depth {depth} threads {threads} seed {seed}: got {err}"
+                    "depth {depth} seed {seed}: got {err}"
                 );
                 let cfg = DistConfig::non_cached(2)
                     .with_pipeline_depth(depth)
-                    .with_intra_threads(threads)
                     .with_faults(plan)
                     .with_retry(RetryPolicy::no_retries());
                 let err = DistJaccard::new(cfg)

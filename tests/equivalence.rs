@@ -134,21 +134,20 @@ fn double_buffering_and_intersection_method_do_not_change_results() {
 }
 
 // ---------------------------------------------------------------------------
-// Differential layer: the one edge loop at pipeline depth D × T intra-rank
-// threads against itself at depth 1 × 1 thread (the classic
-// issue-wait-compute loop), and both against the brute-force reference, over
-// random R-MAT graphs × pipeline depths × thread counts × cache score rules.
-// (`tests/golden_counts.rs` additionally pins the loop to the counts of the
-// sequential worker it replaced.)
+// Differential layer: the one edge loop at pipeline depth D against itself
+// at depth 1 (the classic issue-wait-compute loop), and both against the
+// brute-force reference, over random R-MAT graphs × pipeline depths × cache
+// score rules. (`tests/golden_counts.rs` additionally pins the loop to the
+// counts of the sequential worker it replaced.)
 //
 // Equivalence tiers (see `crates/core/src/distributed/pipeline.rs`):
 //
-// * Always: scores (triangles, LCC, Jaccard) are bit-identical, and per-rank
-//   cache lookup totals (hits + misses), edge counts and — for non-cached
-//   configurations — get/byte counters match exactly, because each is
-//   per-edge deterministic however the gets in flight interleave.
-// * One thread: the *full* cache statistics and every integer RMA counter
-//   are bit-identical — cache operations happen at issue time in exactly the
+// * Public API: scores (triangles, LCC, Jaccard) are bit-identical, and
+//   per-rank cache lookup totals (hits + misses), edge counts and — for
+//   non-cached configurations — get/byte counters match exactly, because
+//   each is per-edge deterministic however the gets in flight interleave.
+// * Per rank: the *full* cache statistics and every integer RMA counter are
+//   bit-identical — cache operations happen at issue time in exactly the
 //   depth-1 order.
 // ---------------------------------------------------------------------------
 
@@ -189,13 +188,13 @@ mod differential {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
-        /// Public-API tier: any depth × thread count × cache score rule produces
+        /// Public-API tier: any depth × cache score rule produces
         /// bit-identical scores and per-edge-deterministic counters.
         #[test]
         fn overlapped_lcc_matches_sequential_on_random_graphs(
             (seed, scale, edge_factor) in (any::<u64>(), 5u32..8, 4u32..10),
             ranks in 2usize..4,
-            (depth, threads) in (2usize..10, 1usize..5),
+            depth in 2usize..10,
             cache in arb_cache(),
         ) {
             let g = RmatGenerator::paper(scale, edge_factor)
@@ -203,10 +202,7 @@ mod differential {
                 .into_csr();
             let cfg = config_for(ranks, cache, 64 << 10);
             let sequential = DistLcc::new(cfg).run(&g);
-            let overlapped = DistLcc::new(
-                cfg.with_pipeline_depth(depth).with_intra_threads(threads),
-            )
-            .run(&g);
+            let overlapped = DistLcc::new(cfg.with_pipeline_depth(depth)).run(&g);
             prop_assert_eq!(
                 &sequential.per_vertex_triangles,
                 &reference::per_vertex_triangles(&g)
@@ -244,8 +240,9 @@ mod differential {
             }
         }
 
-        /// Strong tier: one thread over shared windows — full cache statistics
-        /// and every integer RMA counter are bit-identical at any depth.
+        /// Strong tier: one rank's worker over shared windows — full cache
+        /// statistics and every integer RMA counter are bit-identical at any
+        /// depth.
         #[test]
         fn single_thread_pipelining_is_bit_identical_per_rank(
             seed in any::<u64>(),
@@ -283,15 +280,11 @@ mod differential {
         fn overlapped_jaccard_matches_sequential_on_random_graphs(
             seed in any::<u64>(),
             depth in 2usize..10,
-            threads in 1usize..5,
         ) {
             let g = RmatGenerator::paper(6, 8).generate_cleaned(seed).into_csr();
             let cfg = DistConfig::non_cached(3);
             let sequential = DistJaccard::new(cfg).run(&g);
-            let overlapped = DistJaccard::new(
-                cfg.with_pipeline_depth(depth).with_intra_threads(threads),
-            )
-            .run(&g);
+            let overlapped = DistJaccard::new(cfg.with_pipeline_depth(depth)).run(&g);
             prop_assert_eq!(&overlapped.edges, &sequential.edges);
             for e in &sequential.edges {
                 prop_assert_eq!(
@@ -308,7 +301,7 @@ mod differential {
 /// The cached edge loop reads offsets by span; reading each remote edge's pair
 /// with its own get (Algorithm 3 verbatim) must see the same pairs and drive
 /// `C_adj` through the same decisions — under every partition scheme and
-/// storage, at one and four threads, depth 1 and 8.
+/// storage, at depth 1 and 8.
 #[test]
 fn offsets_spans_match_per_edge_pair_reads() {
     use rmatc::core::distributed::reader::{OffsetSpans, RowReader};
@@ -337,7 +330,7 @@ fn offsets_spans_match_per_edge_pair_reads() {
             // go through a cache of the run's configuration.
             let mut per_edge = Vec::new();
             for (rank, part) in pg.partitions.iter().enumerate() {
-                let reader = RowReader::new(&windows, &cfg, g.vertex_count(), 1);
+                let (reader, mut cache) = RowReader::new(&windows, &cfg, g.vertex_count());
                 let mut ep = Endpoint::new(rank, ranks, cfg.network);
                 ep.lock_all();
                 let mut spans = OffsetSpans::default();
@@ -358,43 +351,36 @@ fn offsets_spans_match_per_edge_pair_reads() {
                             .read_offsets(&mut ep, owner, pg.partitioner.local_index(v))
                             .unwrap();
                         assert_eq!(spans.pair(k), pair, "{what}: edge ({local_idx}, {v})");
-                        reader.read_row(&mut ep, owner, pair).unwrap();
+                        reader.read_row(&mut ep, &mut cache, owner, pair).unwrap();
                     }
                 }
                 ep.unlock_all();
-                per_edge.push(reader.adjacency_cache_stats().unwrap());
+                per_edge.push(cache.unwrap().stats().clone());
             }
             let mut planned = None;
-            for threads in [1usize, 4] {
-                for depth in [1usize, 8] {
-                    let run = cfg.with_intra_threads(threads).with_pipeline_depth(depth);
-                    let result = DistLcc::new(run).run_partitioned(&pg);
-                    let what = format!("{what}, {threads} threads, depth {depth}");
-                    assert_eq!(result.per_vertex_triangles, expected, "{what}");
-                    // Span gets: every get that is not a `C_adj` miss, fixed
-                    // per source however threads and depth interleave.
-                    let spans: Vec<u64> = result
-                        .ranks
-                        .iter()
-                        .map(|r| r.rma.gets - r.adjacency_cache.as_ref().unwrap().misses)
-                        .collect();
-                    assert_eq!(
-                        *planned.get_or_insert_with(|| spans.clone()),
-                        spans,
-                        "{what}"
+            for depth in [1usize, 8] {
+                let result = DistLcc::new(cfg.with_pipeline_depth(depth)).run_partitioned(&pg);
+                let what = format!("{what}, depth {depth}");
+                assert_eq!(result.per_vertex_triangles, expected, "{what}");
+                // Span gets: every get that is not a `C_adj` miss, fixed
+                // per source at any depth.
+                let spans: Vec<u64> = result
+                    .ranks
+                    .iter()
+                    .map(|r| r.rma.gets - r.adjacency_cache.as_ref().unwrap().misses)
+                    .collect();
+                assert_eq!(
+                    *planned.get_or_insert_with(|| spans.clone()),
+                    spans,
+                    "{what}"
+                );
+                for (report, reference) in result.ranks.iter().zip(&per_edge) {
+                    let adj = report.adjacency_cache.as_ref().unwrap();
+                    assert_eq!(adj, reference, "{what}, rank {}", report.rank);
+                    assert!(
+                        report.rma.gets - adj.misses < report.remote_edges,
+                        "{what}: spans must save gets over one pair per edge"
                     );
-                    for (report, reference) in result.ranks.iter().zip(&per_edge) {
-                        let adj = report.adjacency_cache.as_ref().unwrap();
-                        if threads == 1 {
-                            assert_eq!(adj, reference, "{what}, rank {}", report.rank);
-                        } else {
-                            assert_eq!(adj.lookups(), reference.lookups(), "{what}");
-                        }
-                        assert!(
-                            report.rma.gets - adj.misses < report.remote_edges,
-                            "{what}: spans must save gets over one pair per edge"
-                        );
-                    }
                 }
             }
         }

@@ -1,5 +1,5 @@
 //! Acceptance tests of the zero-copy remote-adjacency path: the edge loop at
-//! depth 1 × 1 thread is observationally identical to a materializing read
+//! depth 1 is observationally identical to a materializing read
 //! loop (same LCC values, same cache statistics, same endpoint counters,
 //! `f64` charges included), cache hits and local-rank reads perform no heap
 //! allocations, the single miss allocation is handed to the cache without a
@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use rmatc::clampi::{CacheStats, RowRef};
-use rmatc::core::distributed::reader::{Deferred, Edge, OffsetSpans, RowReader, Started};
+use rmatc::core::distributed::reader::{AdjCache, Deferred, Edge, OffsetSpans, RowReader, Started};
 use rmatc::core::distributed::worker::{run_worker, ClosingCount};
 use rmatc::core::distributed::{CacheSpec, DistConfig, GraphWindows};
 use rmatc::core::intersect::{CostModel, IntersectMethod, Intersector};
@@ -84,8 +84,8 @@ fn base_config(ranks: usize) -> DistConfig {
         retry: rmatc::rma::RetryPolicy::default(),
         faults: None,
         pipeline_depth: 1,
-        intra_threads: 1,
         storage: rmatc::graph::GraphStorage::Plain,
+        ..DistConfig::non_cached(ranks)
     }
 }
 
@@ -93,15 +93,25 @@ fn base_config(ranks: usize) -> DistConfig {
 fn read_row<'r>(
     reader: &'r RowReader,
     ep: &mut Endpoint,
+    cache: &mut AdjCache,
     target: usize,
     idx: usize,
 ) -> Result<RowRef<'r, u32>, RmaError> {
     let pair = reader.read_offsets(ep, target, idx)?;
-    reader.read_row(ep, target, pair)
+    reader.read_row(ep, cache, target, pair)
 }
 
-fn build_reader(pg: &PartitionedGraph, windows: &GraphWindows, config: &DistConfig) -> RowReader {
-    RowReader::new(windows, config, pg.global_vertex_count(), 1)
+fn build_reader(
+    pg: &PartitionedGraph,
+    windows: &GraphWindows,
+    config: &DistConfig,
+) -> (RowReader, AdjCache) {
+    RowReader::new(windows, config, pg.global_vertex_count())
+}
+
+/// The cache's statistics, when the reader has one.
+fn cache_stats(cache: &AdjCache) -> Option<CacheStats> {
+    cache.as_ref().map(|c| c.stats().clone())
 }
 
 /// The pre-zero-copy worker, reconstructed — the test-side reference of the
@@ -110,7 +120,7 @@ fn build_reader(pg: &PartitionedGraph, windows: &GraphWindows, config: &DistConf
 /// each source's offsets pairs are read by span first, as the edge loop
 /// does. Protocol order, cache interception and endpoint charging are
 /// identical, so every observable statistic must match the edge loop at
-/// depth 1 × 1 thread.
+/// depth 1.
 fn materializing_worker(
     rank: usize,
     pg: &PartitionedGraph,
@@ -118,7 +128,7 @@ fn materializing_worker(
     config: &DistConfig,
 ) -> (Vec<u64>, Option<CacheStats>, RankStats) {
     let part = &pg.partitions[rank];
-    let reader = build_reader(pg, windows, config);
+    let (reader, mut cache) = build_reader(pg, windows, config);
     let mut ep = Endpoint::new(rank, config.ranks, config.network);
     let intersector = Intersector::new(config.method);
     let direction = pg.direction;
@@ -144,7 +154,7 @@ fn materializing_worker(
                     None => reader.read_offsets(&mut ep, owner, v_local).unwrap(),
                 };
                 let adj_v = reader
-                    .read_row(&mut ep, owner, pair)
+                    .read_row(&mut ep, &mut cache, owner, pair)
                     .expect("no faults injected")
                     .to_vec();
                 count_closing_at(direction, adj_u, &adj_v, v, k, &intersector)
@@ -152,7 +162,7 @@ fn materializing_worker(
         }
     }
     ep.unlock_all();
-    (triangles, reader.adjacency_cache_stats(), ep.into_stats())
+    (triangles, cache_stats(&cache), ep.into_stats())
 }
 
 // ---------------------------------------------------------------------------
@@ -211,19 +221,19 @@ fn cache_hits_and_local_reads_allocate_nothing() {
     let windows = GraphWindows::build(&pg);
     let mut config = base_config(2);
     config.cache = Some(hit_heavy_spec());
-    let reader = build_reader(&pg, &windows, &config);
+    let (reader, mut cache) = build_reader(&pg, &windows, &config);
     let mut ep = Endpoint::new(0, 2, config.network);
     ep.lock_all();
     let reads = pg.partitions[1].local_vertex_count().min(40);
     // Warm: fetch and cache every row (allocations expected here).
     for idx in 0..reads {
-        let _ = read_row(&reader, &mut ep, 1, idx).unwrap();
+        let _ = read_row(&reader, &mut ep, &mut cache, 1, idx).unwrap();
     }
     // Measure: remote reads served from the cache.
     let before = allocations_on_this_thread();
     let mut checksum = 0u64;
     for idx in 0..reads {
-        let row = read_row(&reader, &mut ep, 1, idx).unwrap();
+        let row = read_row(&reader, &mut ep, &mut cache, 1, idx).unwrap();
         checksum += row.iter().map(|&v| v as u64).sum::<u64>();
     }
     assert_eq!(
@@ -235,7 +245,7 @@ fn cache_hits_and_local_reads_allocate_nothing() {
     let local_reads = pg.partitions[0].local_vertex_count().min(40);
     let before = allocations_on_this_thread();
     for idx in 0..local_reads {
-        let row = read_row(&reader, &mut ep, 0, idx).unwrap();
+        let row = read_row(&reader, &mut ep, &mut cache, 0, idx).unwrap();
         assert!(row.is_borrowed(), "local reads must borrow the window");
         checksum += row.len() as u64;
     }
@@ -248,14 +258,15 @@ fn cache_hits_and_local_reads_allocate_nothing() {
     assert!(checksum > 0, "the reads must have touched real data");
 }
 
-/// Rank 0's side of the split read: one reader with its endpoint, the
-/// thread's landing buffer, its offsets spans when it reads by span, and a
+/// Rank 0's side of the split read: one reader with its endpoint and cache,
+/// the landing buffer, its offsets spans when it reads by span, and a
 /// FIFO that keeps up to `in_flight` adjacency gets issued before completing
 /// the oldest — everything preallocated, so a measured pass allocates only
 /// what the read path itself allocates.
 struct Rounds<'a> {
     pg: &'a PartitionedGraph,
     reader: RowReader,
+    cache: AdjCache,
     op: ClosingCount,
     ep: Endpoint,
     landing: Vec<u32>,
@@ -275,9 +286,11 @@ impl<'a> Rounds<'a> {
         by_span: bool,
     ) -> Self {
         ep.lock_all();
+        let (reader, cache) = build_reader(pg, windows, config);
         Self {
             pg,
-            reader: build_reader(pg, windows, config),
+            reader,
+            cache,
             op: ClosingCount::new(config, pg.direction, windows.storage),
             ep,
             landing: Vec::new(),
@@ -324,7 +337,15 @@ impl<'a> Rounds<'a> {
                 };
                 let started = self
                     .reader
-                    .start(&mut self.ep, 1, pair, &mut self.landing, &self.op, &edge)
+                    .start(
+                        &mut self.ep,
+                        &mut self.cache,
+                        1,
+                        pair,
+                        &mut self.landing,
+                        &self.op,
+                        &edge,
+                    )
                     .unwrap();
                 match started {
                     Started::Immediate(count) => total += count,
@@ -343,7 +364,7 @@ impl<'a> Rounds<'a> {
             let (deferred, edge) = self.flying.pop_front().unwrap();
             total += self
                 .reader
-                .complete(&mut self.ep, deferred, &self.op, &edge)
+                .complete(&mut self.ep, &mut self.cache, deferred, &self.op, &edge)
                 .unwrap();
         }
         total
@@ -408,7 +429,7 @@ fn compressed_fused_hit_path_allocates_nothing() {
     let plain_ep = Endpoint::new(0, 2, plain_config.network);
     let expected = Rounds::new(&pg, &plain_windows, &plain_config, plain_ep, 1, true).run();
     assert_eq!(hot, expected, "compressed counts must match plain counts");
-    let stats = rounds.reader.adjacency_cache_stats().unwrap();
+    let stats = cache_stats(&rounds.cache).unwrap();
     assert!(
         stats.logical_bytes > stats.stored_bytes && stats.stored_bytes > 0,
         "compressed misses must record logical vs stored bytes"
@@ -521,18 +542,18 @@ fn miss_buffer_is_shared_with_the_cache_not_copied() {
     let windows = GraphWindows::build(&pg);
     let mut config = base_config(2);
     config.cache = Some(CacheSpec::paper(1 << 22).with_degree_scores());
-    let reader = build_reader(&pg, &windows, &config);
+    let (reader, mut cache) = build_reader(&pg, &windows, &config);
     let mut ep = Endpoint::new(0, 2, config.network);
     ep.lock_all();
     // Find a non-empty remote row.
     let idx = (0..pg.partitions[1].local_vertex_count())
         .find(|&i| !pg.partitions[1].neighbours_of_local(i).is_empty())
         .expect("some remote row is non-empty");
-    let fetched: Arc<[u32]> = match read_row(&reader, &mut ep, 1, idx).unwrap() {
+    let fetched: Arc<[u32]> = match read_row(&reader, &mut ep, &mut cache, 1, idx).unwrap() {
         RowRef::Fetched(arc) => arc,
         other => panic!("first read must miss, got {other:?}"),
     };
-    let cached: Arc<[u32]> = match read_row(&reader, &mut ep, 1, idx).unwrap() {
+    let cached: Arc<[u32]> = match read_row(&reader, &mut ep, &mut cache, 1, idx).unwrap() {
         RowRef::Cached(arc) => arc,
         other => panic!("second read must hit, got {other:?}"),
     };
@@ -563,14 +584,14 @@ proptest! {
         if cached {
             config.cache = Some(CacheSpec::paper(cache_bytes).with_degree_scores());
         }
-        let reader = build_reader(&pg, &windows, &config);
+        let (reader, mut cache) = build_reader(&pg, &windows, &config);
         let mut ep = Endpoint::new(0, 4, config.network);
         ep.lock_all();
         let (mut remote_reads, mut non_empty_remote_reads) = (0u64, 0u64);
         for (target, idx) in accesses {
             let part = &pg.partitions[target];
             let idx = idx % part.local_vertex_count();
-            let row = read_row(&reader, &mut ep, target, idx)
+            let row = read_row(&reader, &mut ep, &mut cache, target, idx)
                 .expect("no faults injected");
             prop_assert_eq!(row.as_slice(), part.neighbours_of_local(idx),
                 "target {} idx {}", target, idx);
@@ -585,7 +606,7 @@ proptest! {
         let stats = ep.into_stats();
         // Every remote read gets its offsets pair; its row goes to the
         // network on a miss (cached) or whenever it is non-empty.
-        match reader.adjacency_cache_stats() {
+        match cache_stats(&cache) {
             Some(adj) => {
                 prop_assert_eq!(adj.lookups(), adj.hits + adj.misses);
                 prop_assert_eq!(adj.lookups(), non_empty_remote_reads);
