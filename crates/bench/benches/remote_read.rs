@@ -1,8 +1,9 @@
 //! Microbenchmark of the distributed remote-adjacency read + intersect path
 //! (the two-get protocol of Figure 3 behind `RowReader`, one get in flight),
 //! isolating what the zero-copy refactor changed: hit-heavy reads served in
-//! place from the CLaMPI cache, cold reads landing rows through the fused
-//! copy+intersect kernel, and the non-cached transfer-per-edge baseline. The
+//! place from the CLaMPI cache, cold reads that land each row in the buffer
+//! the cache retains and intersect it there, and the non-cached
+//! transfer-per-edge baseline. The
 //! cached rows read each source's offsets pairs by span, as the cached edge
 //! loop does; the non-cached rows read one pair per edge.
 //!
@@ -123,7 +124,7 @@ fn bench_remote_read(c: &mut Criterion) {
 
     // Compressed storage over the same protocol: the adjacency window
     // carries delta/varint rows, hits decode-intersect in place and cold
-    // misses land compressed rows through the fused transfer kernel.
+    // misses land compressed rows, then decode-intersect the landed words.
     let cwindows = GraphWindows::build_with(&pg, GraphStorage::Compressed);
     let cconfig = DistConfig::non_cached(2).with_storage(GraphStorage::Compressed);
     let compressed_spec = CacheSpec::paper(2 * cwindows.adjacency_bytes()).with_degree_scores();
@@ -162,7 +163,8 @@ fn bench_remote_read(c: &mut Criterion) {
     group.sample_size(20);
 
     // Hit-heavy compressed reads: the gate watches this against `cached_hit`
-    // — the in-place fused decode must not regress the zero-copy hit path.
+    // — decoding inside the intersection must not regress the zero-copy hit
+    // path.
     group.bench_function("compressed_hit", |b| {
         let mut reader = make_compressed_reader();
         let mut ep = Endpoint::new(0, 2, cconfig.network);
@@ -172,7 +174,7 @@ fn bench_remote_read(c: &mut Criterion) {
     });
 
     // Cold compressed misses: every read transfers and admits a compressed
-    // row, decode fused into the intersection.
+    // row, then decode-intersects the landed words.
     group.bench_function("compressed_cold", |b| {
         let mut ep = Endpoint::new(0, 2, cconfig.network);
         ep.lock_all();
@@ -193,8 +195,8 @@ fn bench_remote_read(c: &mut Criterion) {
         b.iter(|| run(&mut reader, &op, &mut ep, true))
     });
 
-    // Cold: every read misses and lands its row through the fused
-    // copy+intersect transfer.
+    // Cold: every read misses, lands its row in the buffer the cache
+    // retains, and intersects it there.
     group.bench_function("cached_cold", |b| {
         let mut ep = Endpoint::new(0, 2, config.network);
         ep.lock_all();
@@ -205,7 +207,8 @@ fn bench_remote_read(c: &mut Criterion) {
         )
     });
 
-    // Baseline: no cache, one fused transfer per edge.
+    // Baseline: no cache, one transfer per edge into the reused landing
+    // buffer, intersected there.
     group.bench_function("non_cached", |b| {
         let mut reader = make_reader(None);
         let mut ep = Endpoint::new(0, 2, config.network);

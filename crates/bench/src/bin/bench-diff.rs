@@ -50,11 +50,11 @@ const DEFAULT_THRESHOLD_PCT: f64 = 15.0;
 ///   real loss of overlap moves `pipelined` far beyond this band anyway.
 /// * `remote_read/compressed_hit` / `remote_read/compressed_cold` — same
 ///   short read loops as their plain counterparts (`cached_hit` /
-///   `cached_cold`) with the fused block decode on top, so they inherit the
-///   same run-to-run jitter bands. The paired `compressed/...` *metric*
-///   rows (compression ratio, stored bytes per lookup) are deterministic
-///   and deliberately NOT listed — drift there is a real codec or admission
-///   change and should trip the default gate.
+///   `cached_cold`) with the block decode inside the intersection on top,
+///   so they inherit the same run-to-run jitter bands. The paired
+///   `compressed/...` *metric* rows (compression ratio, stored bytes per
+///   lookup) are deterministic and deliberately NOT listed — drift there is
+///   a real codec or admission change and should trip the default gate.
 /// * `service/drive/` — a whole resident-engine drive (partitioning, window
 ///   build, thousands of queries) per iteration; alloc and scheduler churn
 ///   dominate the small-sample median on a shared runner.

@@ -40,11 +40,10 @@
 //! Reads are zero-copy end to end: entries store the transfer buffer itself
 //! (`Arc<[T]>` — an insert is a refcount bump, never a payload clone) and
 //! reads resolve to a borrowed [`RowRef`] view of wherever the row already
-//! lives. Because the caller owns the transfer, it can compute over the data
-//! in place on a hit — or, on a miss, *during* the transfer (the
-//! copy+intersect kernel of `rmatc-core`) — and keep the get in flight
-//! meanwhile. Cache hits and local-rank reads perform no heap
-//! allocations; a miss performs exactly one.
+//! lives. The caller computes over the data in place — a hit's entry, or
+//! a miss's landed transfer buffer before it is admitted — and can keep the
+//! get's completion in flight meanwhile. Cache hits and local-rank reads
+//! perform no heap allocations; a miss performs exactly one.
 //!
 //! # Paper map
 //!

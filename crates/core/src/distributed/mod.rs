@@ -55,11 +55,10 @@
 //! [`reader::RowReader::read_row`] returns a borrowed
 //! `rmatc_clampi::RowRef` view (local window slice, cached entry, or the
 //! miss's single transfer buffer), and the edge loop's
-//! [`reader::RowReader::start`] goes one step further —
-//! cache hits are intersected in place, and misses run the fused
-//! copy+intersect kernel ([`crate::intersect::fused`]) that counts the
-//! intersection in the same SIMD block pass that lands the row in the buffer
-//! the cache retains. Hits and local-rank reads perform zero heap
+//! [`reader::RowReader::start`] computes over the row where it is —
+//! cache hits in place, misses over the landed buffer the cache then
+//! retains (under fault injection, only once its checksum has verified).
+//! Hits and local-rank reads perform zero heap
 //! allocations; a miss performs exactly one; a read nobody retains
 //! (non-cached, quarantine bypass) lands in the rank's reused buffer and,
 //! once that has grown, performs none.

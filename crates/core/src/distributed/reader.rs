@@ -20,9 +20,11 @@
 //! service plans a batch of rows first and answers from them afterwards).
 //! [`RowReader::start`] / [`RowReader::complete`] compute a per-edge
 //! operation ([`EdgeOp`]) over the row *where it is* — in place on a local row
-//! or a cache hit, fused into the transfer on a miss — and leave the adjacency
-//! get in flight in between, so the edge loop ([`super::pipeline`]) overlaps
-//! its latency with the next edges. One rule decides where a transfer lands —
+//! or a cache hit, over the landed buffer after a transfer — and leave the
+//! adjacency get in flight in between, so the edge loop ([`super::pipeline`])
+//! overlaps its latency with the next edges. A transfer is always landed
+//! first and computed on second, so no kernel ever runs over a transfer the
+//! checksum has not verified. One rule decides where a transfer lands —
 //! *who keeps the buffer*:
 //!
 //! | read | kept by | lands in |
@@ -77,8 +79,10 @@ pub struct Edge<'a> {
 
 /// The per-edge operation of a distributed edge loop: what to compute from
 /// the row of `v` for the edge `(u, v)`, wherever that row turns up, and how
-/// to fold the result into the rank's output. [`EdgeOp::stored`] defines the
-/// value; `retained` and `landed` are the same value fused into a transfer.
+/// to fold the result into the rank's output. The edge loop calls
+/// [`EdgeOp::local`] on a plain row of the rank's own partition; the reader
+/// calls [`EdgeOp::stored`] on every row it reads — a window slice, a cache
+/// hit, or a transfer once it has landed.
 pub trait EdgeOp: Sync {
     /// The result of one edge.
     type Value;
@@ -92,23 +96,9 @@ pub trait EdgeOp: Sync {
     fn local(&self, edge: &Edge<'_>, adj_v: &[VertexId]) -> Self::Value;
 
     /// The remote row in place, in the window's storage representation (raw
-    /// ids or compressed words): a window slice, a cache entry, or a
-    /// verified-clean buffer.
+    /// ids or compressed words): a window slice, a cache entry, or a landed
+    /// (and, under fault injection, verified-clean) transfer buffer.
     fn stored(&self, edge: &Edge<'_>, row: &[VertexId]) -> Self::Value;
-
-    /// A transfer the cache will retain: lands `wire` in the get's single
-    /// shared buffer and computes the value in the same pass.
-    fn retained(&self, edge: &Edge<'_>, wire: &[VertexId]) -> (Arc<[VertexId]>, Self::Value);
-
-    /// A transfer nobody retains: lands `wire` in the rank's reusable
-    /// `landing` buffer (cleared and refilled, capacity kept) and computes
-    /// the value in the same pass.
-    fn landed(
-        &self,
-        edge: &Edge<'_>,
-        wire: &[VertexId],
-        landing: &mut Vec<VertexId>,
-    ) -> Self::Value;
 
     /// Folds the value of `edge` into the rank's output.
     fn fold(&self, out: &mut Vec<Self::Item>, edge: &Edge<'_>, value: Self::Value);
@@ -254,14 +244,7 @@ impl RowReader {
         if target == ep.rank() {
             pair.copy_from_slice(ep.local_read(&self.offsets_plain, local_idx, 2));
         } else {
-            ep.get_into_with_retry(
-                &self.offsets_plain,
-                target,
-                local_idx,
-                2,
-                &mut pair,
-                |wire, pair| pair.copy_from_slice(wire),
-            )?;
+            ep.get_into_with_retry(&self.offsets_plain, target, local_idx, 2, &mut pair)?;
         }
         Ok((pair[0] as usize, pair[1] as usize))
     }
@@ -356,17 +339,7 @@ impl RowReader {
             });
             let (span, tail) = rest.split_at(1 + joined.count());
             let len = key(&span[span.len() - 1]).1 + 2 - first;
-            let landed = ep.get_into_with_retry(
-                &self.offsets_plain,
-                owner,
-                first,
-                len,
-                words,
-                |wire, words| {
-                    words.clear();
-                    words.extend_from_slice(wire);
-                },
-            );
+            let landed = ep.get_into_with_retry(&self.offsets_plain, owner, first, len, words);
             for row in span {
                 let at = key(row).1 - first;
                 let pair = landed
@@ -443,9 +416,9 @@ impl RowReader {
     /// [`RowReader::read_spans`]): either resolves in place
     /// ([`EdgeOp::stored`] over an empty, local or cached row) or issues the
     /// adjacency get and returns it in flight — landed where the module
-    /// table says, the value already computed unless the transfer is
-    /// untrusted. `landing` is the caller's reusable buffer; it is free again
-    /// as soon as this returns.
+    /// table says, the value already computed over the landed buffer unless
+    /// the transfer is untrusted. `landing` is the caller's reusable buffer;
+    /// it is free again as soon as this returns.
     #[allow(clippy::too_many_arguments)]
     pub fn start<O: EdgeOp>(
         &self,
@@ -474,25 +447,18 @@ impl RowReader {
                 start,
             },
             CacheProbe::Miss => {
-                let (pending, value) =
-                    ep.get_map(adj, target, start, len, |wire| op.retained(edge, wire))?;
-                let (arc, charge) = pending.split();
+                let (arc, charge) = ep.get(adj, target, start, len)?.split();
+                let value = op.stored(edge, &arc);
                 self.admit(ep, cache, target, start, arc);
                 Flight::Charged(charge, value)
             }
             CacheProbe::Bypass if ep.faults_enabled() => {
-                let value =
-                    ep.get_into_with_retry(adj, target, start, len, landing, |wire, landing| {
-                        op.landed(edge, wire, landing)
-                    })?;
-                return Ok(Started::Immediate(value));
+                ep.get_into_with_retry(adj, target, start, len, landing)?;
+                return Ok(Started::Immediate(op.stored(edge, landing)));
             }
             CacheProbe::Bypass => {
-                let (charge, value) =
-                    ep.get_into(adj, target, start, len, landing, |wire, landing| {
-                        op.landed(edge, wire, landing)
-                    });
-                Flight::Charged(charge, value)
+                let charge = ep.get_into(adj, target, start, len, landing);
+                Flight::Charged(charge, op.stored(edge, landing))
             }
         };
         Ok(Started::Deferred(Deferred(flight)))
@@ -546,12 +512,14 @@ fn probe(
 mod tests {
     use super::*;
     use crate::distributed::config::CacheSpec;
+    use crate::distributed::pipeline::run_rank;
     use crate::distributed::worker::ClosingCount;
     use crate::intersect::Intersector;
     use crate::local::count_closing_at;
     use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
     use rmatc_graph::partition::{PartitionScheme, PartitionedGraph};
     use rmatc_rma::{FaultPlan, RankStats, RetryPolicy};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Both gets of one row, one pair per row: the offsets pair, then the row.
     fn read_row<'r>(
@@ -970,8 +938,106 @@ mod tests {
         ep.unlock_all();
     }
 
+    /// A test-only operation whose kernels check their input instead of
+    /// computing: every row `local` or `stored` sees must be `v`'s row in
+    /// its owner's partition, decoded first under compressed storage.
+    /// Counts the rows it checked, local and read.
+    struct RowCheck<'g> {
+        pg: &'g PartitionedGraph,
+        storage: GraphStorage,
+        local: AtomicU64,
+        read: AtomicU64,
+    }
+
+    impl RowCheck<'_> {
+        fn check(&self, edge: &Edge<'_>, row: &[VertexId]) {
+            let (owner, idx) = (
+                self.pg.partitioner.owner(edge.v),
+                self.pg.partitioner.local_index(edge.v),
+            );
+            let want = self.pg.partitions[owner].neighbours_of_local(idx);
+            assert_eq!(
+                row, want,
+                "a kernel saw a row of {} unlike its owner's",
+                edge.v
+            );
+        }
+    }
+
+    impl EdgeOp for RowCheck<'_> {
+        type Value = ();
+        type Item = ();
+
+        fn output(&self, _vertices: usize) -> Vec<()> {
+            Vec::new()
+        }
+
+        fn local(&self, edge: &Edge<'_>, adj_v: &[VertexId]) {
+            self.local.fetch_add(1, Ordering::Relaxed);
+            self.check(edge, adj_v);
+        }
+
+        fn stored(&self, edge: &Edge<'_>, row: &[VertexId]) {
+            self.read.fetch_add(1, Ordering::Relaxed);
+            match self.storage {
+                GraphStorage::Plain => self.check(edge, row),
+                GraphStorage::Compressed => {
+                    let mut decoded = Vec::new();
+                    rmatc_graph::compressed::decode_row(row, &mut decoded);
+                    self.check(edge, &decoded);
+                }
+            }
+        }
+
+        fn fold(&self, _out: &mut Vec<()>, _edge: &Edge<'_>, _value: ()) {}
+    }
+
     #[test]
-    fn fused_values_match_separate_read_and_intersect() {
+    fn kernels_see_only_verified_rows() {
+        // Under a plan that corrupts transfers and cached entries, no
+        // per-edge kernel ever runs over a row that differs from the
+        // owner's: a transfer is landed, verified and only then computed on.
+        // Both storages, cached (misses verified at completion, bypasses
+        // once the cache quarantines) and non-cached (every read over the
+        // borrowed lander), one and four gets in flight, every rank.
+        let (pg, base) = setup();
+        for storage in [GraphStorage::Plain, GraphStorage::Compressed] {
+            let windows = GraphWindows::build_with(&pg, storage);
+            for cached in [false, true] {
+                for depth in [1, 4] {
+                    let config = DistConfig {
+                        storage,
+                        cache: cached.then(|| CacheSpec::paper(1 << 14).with_degree_scores()),
+                        faults: Some(FaultPlan::heavy(7)),
+                        retry: RetryPolicy {
+                            max_attempts: 32,
+                            ..RetryPolicy::default()
+                        },
+                        pipeline_depth: depth,
+                        ..base
+                    };
+                    let what = format!("{storage:?} cached={cached} depth={depth}");
+                    let op = RowCheck {
+                        pg: &pg,
+                        storage,
+                        local: AtomicU64::new(0),
+                        read: AtomicU64::new(0),
+                    };
+                    let mut checksum_failures = 0;
+                    for rank in 0..pg.ranks() {
+                        let out = run_rank(rank, &pg, &windows, &config, &op).expect(&what);
+                        checksum_failures += out.rma.checksum_failures;
+                    }
+                    assert!(checksum_failures > 0, "{what}: the plan corrupted nothing");
+                    assert!(op.local.into_inner() > 0, "{what}");
+                    assert!(op.read.into_inner() > 0, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_read_values_match_read_row_then_intersect() {
         // Under both storage modes, cached and non-cached, with one and with
         // four gets in flight, the split read's values must equal reading the
         // plain row and running `count_closing_at` over it, for every remote

@@ -7,19 +7,13 @@ use super::config::DistConfig;
 use super::pipeline::run_rank;
 use super::reader::{Edge, EdgeOp};
 use super::windows::GraphWindows;
-use crate::intersect::{
-    copy_decode_intersect, copy_decode_intersect_into, fused, IntersectMethod, Intersector,
-};
-use crate::local::{
-    closing_a_side, closing_b_start, compressed_closing_operands, compressed_count_closing_at,
-    count_closing_at,
-};
+use crate::intersect::Intersector;
+use crate::local::{compressed_count_closing_at, count_closing_at};
 use rmatc_clampi::CacheStats;
 use rmatc_graph::partition::PartitionedGraph;
 use rmatc_graph::types::{Direction, VertexId};
 use rmatc_graph::GraphStorage;
 use rmatc_rma::{RankStats, RmaError};
-use std::sync::Arc;
 
 /// Everything a rank produces: its local triangle counts plus the statistics the
 /// evaluation aggregates.
@@ -70,16 +64,13 @@ pub fn run_worker(
 /// The LCC per-edge operation: the number of vertices closing a triangle over
 /// the edge `(u, v)` ([`count_closing_at`]), accumulated per owned vertex.
 ///
-/// A row in place — local, cache hit, window slice — is intersected where it
-/// lives, with zero heap allocations. A transfer is fused: the SIMD block
-/// kernel ([`fused::copy_intersect`]) counts the intersection in the same
-/// pass that lands the row, for pairs the hybrid cost model routes to the
-/// merge class; search-class pairs copy plainly and run the configured
-/// kernel over the landed buffer. Under compressed storage the fused
-/// decompress+intersect kernels play both roles
-/// ([`crate::intersect::compressed`]) and the row stays compressed wherever
-/// it lands. The operands always come from the helpers `count_closing_at`
-/// uses, so the count cannot depend on where the row was found.
+/// Every row is intersected where it lives — the rank's own partition, a
+/// window slice, a cache entry, or the buffer a transfer landed in — with
+/// zero heap allocations, by the configured kernel ([`count_closing_at`]).
+/// Under compressed storage a remote row stays compressed wherever it lands
+/// and the fused decompress+intersect kernels count it
+/// ([`compressed_count_closing_at`]). Both slice their operands the same
+/// way, so the count cannot depend on where the row was found.
 #[derive(Debug)]
 pub struct ClosingCount {
     direction: Direction,
@@ -100,22 +91,6 @@ impl ClosingCount {
             intersector: Intersector::new(config.method),
             storage,
         }
-    }
-
-    /// What a landing transfer of the plain row `wire` intersects, and how:
-    /// the local operand, the start of the remote operand within `wire`, and
-    /// whether the resolved kernel is the merge-class SIMD block kernel the
-    /// fused copy+intersect pass *is* — the same resolver
-    /// [`Intersector::count`] applies.
-    fn transfer_plan<'a>(
-        &self,
-        edge: &Edge<'a>,
-        wire: &[VertexId],
-    ) -> (&'a [VertexId], usize, bool) {
-        let a = closing_a_side(self.direction, edge.adj_u, edge.k);
-        let from = closing_b_start(self.direction, wire, edge.v);
-        let method = self.intersector.resolved_method(a.len(), wire.len() - from);
-        (a, from, method == IntersectMethod::Simd)
     }
 }
 
@@ -142,50 +117,6 @@ impl EdgeOp for ClosingCount {
         }
     }
 
-    fn retained(&self, edge: &Edge<'_>, wire: &[VertexId]) -> (Arc<[VertexId]>, u64) {
-        if self.storage == GraphStorage::Compressed {
-            let (a, bound) =
-                compressed_closing_operands(self.direction, edge.adj_u, edge.v, edge.k);
-            return copy_decode_intersect(wire, a, bound);
-        }
-        let (a, from, fused) = self.transfer_plan(edge, wire);
-        if fused {
-            fused::copy_intersect(wire, from, a)
-        } else {
-            let arc: Arc<[VertexId]> = Arc::from(wire);
-            let count = self.intersector.count(a, &arc[from..]);
-            (arc, count)
-        }
-    }
-
-    fn landed(&self, edge: &Edge<'_>, wire: &[VertexId], landing: &mut Vec<VertexId>) -> u64 {
-        if self.storage == GraphStorage::Compressed {
-            let (a, bound) =
-                compressed_closing_operands(self.direction, edge.adj_u, edge.v, edge.k);
-            // SAFETY: `copy_decode_intersect_into` initialises every element
-            // of its destination.
-            return unsafe {
-                fused::land_in_vec(landing, wire.len(), |dst| {
-                    copy_decode_intersect_into(wire, a, bound, dst)
-                })
-            };
-        }
-        let (a, from, fused) = self.transfer_plan(edge, wire);
-        if fused {
-            // SAFETY: `copy_intersect_into` initialises every element of its
-            // destination.
-            unsafe {
-                fused::land_in_vec(landing, wire.len(), |dst| {
-                    fused::copy_intersect_into(wire, from, a, dst)
-                })
-            }
-        } else {
-            landing.clear();
-            landing.extend_from_slice(wire);
-            self.intersector.count(a, &landing[from..])
-        }
-    }
-
     fn fold(&self, out: &mut Vec<u64>, edge: &Edge<'_>, value: u64) {
         out[edge.slot] += value;
     }
@@ -195,7 +126,7 @@ impl EdgeOp for ClosingCount {
 mod tests {
     use super::*;
     use crate::distributed::config::CacheSpec;
-    use crate::intersect::CostModel;
+    use crate::intersect::{CostModel, IntersectMethod};
     use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
     use rmatc_graph::partition::PartitionScheme;
     use rmatc_graph::reference;

@@ -2,9 +2,8 @@
 //!
 //! The compressed rows of [`rmatc_graph::compressed`] never materialize on
 //! the hot path: these kernels decode one 64-value block at a time into a
-//! stack buffer and intersect it in the same pass — the decompress+intersect
-//! analogue of the copy+intersect fusion in [`fused`](super::fused). Three
-//! kernels cover the two cost classes plus a reference:
+//! stack buffer and intersect it in the same pass. Three kernels cover the
+//! two cost classes plus a reference:
 //!
 //! * [`compressed_scalar_count`] — the always-correct reference: scalar block
 //!   decode, branchless merge, no skipping. The differential tests pin every
@@ -24,13 +23,9 @@
 //! [`compressed_count_closing`] picks between the two accelerated kernels
 //! per pair by Eq. (3) — the compressed analogue of the hybrid rule.
 //!
-//! [`copy_decode_intersect`] is the miss-path fusion: a remote compressed
-//! row is landed verbatim (word-for-word, so cache checksums and future
-//! decodes see exactly the transferred bytes) into the single `Arc<[u32]>`
-//! allocation the cache will retain, while each landed block is decoded and
-//! intersected in the same pass. [`copy_decode_intersect_into`] is the same
-//! pass into a destination the caller names — the reusable landing buffer of
-//! a read nobody retains.
+//! They run wherever a compressed row lives — a local window slice, a
+//! cached entry, or a transfer buffer the RMA layer has landed (and, under
+//! fault injection, verified) word for word.
 //!
 //! All kernels share one contract: they count
 //! `|a ∩ {x ∈ decode(row) : x > bound}|` for a sorted duplicate-free `a`,
@@ -38,12 +33,10 @@
 //! loops (`None` intersects against the whole row). Every kernel returns
 //! identical counts; only the work shape differs.
 
-use super::hybrid::{ssi_is_faster, CostModel};
+use super::hybrid::CostModel;
 use super::simd::simd_count;
 use rmatc_graph::compressed::{decode_block_scalar, BlockHeader, RowCursor, BLOCK_VALUES};
 use rmatc_graph::types::VertexId;
-use std::mem::MaybeUninit;
-use std::sync::Arc;
 
 /// Decodes one block with the fastest decoder available; bit-identical to
 /// [`decode_block_scalar`]. Returns the value count.
@@ -260,95 +253,6 @@ pub fn compressed_count_closing(
     }
 }
 
-/// Lands `src` (the transferred words of one compressed row) into
-/// `dst[at..at + src.len()]`.
-fn write_words(dst: &mut [MaybeUninit<u32>], at: usize, src: &[u32]) {
-    debug_assert!(at + src.len() <= dst.len());
-    // SAFETY: range checked above; `MaybeUninit<u32>` and `u32` share layout.
-    unsafe {
-        std::ptr::copy_nonoverlapping(src.as_ptr(), dst.as_mut_ptr().add(at).cast(), src.len());
-    }
-}
-
-/// Miss-path fusion: copies the compressed row `src` word-for-word into the
-/// single freshly allocated `Arc<[u32]>` the cache will retain, decoding and
-/// intersecting each block against `a` in the same pass. Returns the landed
-/// buffer (an exact copy of `src`) and
-/// `|a ∩ {x ∈ decode(src) : x > bound}|` — the compressed counterpart of
-/// [`copy_intersect`](super::fused::copy_intersect), and like it a thin
-/// allocating wrapper over the `_into` form.
-pub fn copy_decode_intersect(
-    src: &[u32],
-    a: &[VertexId],
-    bound: Option<VertexId>,
-) -> (Arc<[u32]>, u64) {
-    let mut buf = Arc::new_uninit_slice(src.len());
-    let dst = Arc::get_mut(&mut buf).expect("freshly allocated Arc is unique");
-    let count = copy_decode_intersect_into(src, a, bound, dst);
-    // SAFETY: `copy_decode_intersect_into` initialises every element of `dst`.
-    (unsafe { buf.assume_init() }, count)
-}
-
-/// Copies the compressed row `src` word-for-word into `dst`, decoding and
-/// intersecting each block against `a` in the same pass; returns
-/// `|a ∩ {x ∈ decode(src) : x > bound}|`. On return **every element of `dst`
-/// is initialised** to the corresponding word of `src`.
-///
-/// Blocks that cannot contribute (header maximum below the bound or the
-/// current key) are landed by the word copy but never decoded; the count is
-/// identical to [`compressed_count_closing`] on the landed row.
-///
-/// # Panics
-///
-/// If `dst.len() != src.len()`.
-pub fn copy_decode_intersect_into(
-    src: &[u32],
-    a: &[VertexId],
-    bound: Option<VertexId>,
-    dst: &mut [MaybeUninit<u32>],
-) -> u64 {
-    // A hard check: `write_words` copies through raw pointers.
-    assert_eq!(dst.len(), src.len(), "destination must fit the row exactly");
-    let n = rmatc_graph::compressed::decoded_len(src);
-    let use_skip = !(a.is_empty() || n == 0) && a.len() <= n && !ssi_is_faster(a.len(), n);
-    let mut cursor = RowCursor::new(src);
-    let mut block = [0u32; BLOCK_VALUES];
-    let mut count = 0u64;
-    let mut copied = 0usize;
-    let mut ai = match (use_skip, bound) {
-        (true, Some(b)) => a.partition_point(|&x| x <= b),
-        _ => 0,
-    };
-    while let Some(h) = cursor.peek() {
-        let end = cursor.position() + 2 + h.payload_words;
-        write_words(dst, copied, &src[copied..end]);
-        copied = end;
-        let dead =
-            ai >= a.len() || h.max < a[ai] || (!use_skip && bound.is_some_and(|b| h.max <= b));
-        if dead {
-            cursor.skip_block();
-            continue;
-        }
-        let nb = decode_block_fast(&h, cursor.payload(&h), cursor.base(), &mut block);
-        cursor.skip_block();
-        let start = block_start(&block[..nb], bound);
-        if use_skip {
-            while ai < a.len() && a[ai] <= h.max {
-                count += u64::from(block[start..nb].binary_search(&a[ai]).is_ok());
-                ai += 1;
-            }
-        } else {
-            let hi = ai + a[ai..].partition_point(|&x| x <= h.max);
-            count += simd_count(&block[start..nb], &a[ai..hi]);
-            ai = hi;
-        }
-    }
-    // Every word of `src` lands: blocks by the loop, the count word and any
-    // trailing words by this final copy.
-    write_words(dst, copied, &src[copied..]);
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,12 +277,9 @@ mod tests {
 
     #[test]
     fn corrupted_rows_never_panic_any_kernel() {
-        // Fault injection hands the fused kernels corrupted transfer
-        // buffers before the checksum retry can reject them: every kernel
-        // must produce a (discarded) garbage count without reading out of
-        // bounds or looping forever. `copy_decode_intersect` must still
-        // land the buffer word-for-word so the quarantine checksum sees
-        // exactly the corrupted bytes.
+        // The decoders trust nothing about a row: over arbitrary, truncated
+        // or bit-flipped words every kernel must produce a garbage count
+        // without reading out of bounds or looping forever.
         let mut rng = rand::rngs::StdRng::seed_from_u64(97);
         let model = CostModel::Analytic;
         let a = random_sorted(&mut rng, 200, 1 << 16);
@@ -400,8 +301,6 @@ mod tests {
             compressed_simd_count(&a, &row, bound);
             compressed_skip_count(&a, &row, bound);
             compressed_count_closing(&a, &row, bound, &model);
-            let (landed, _) = copy_decode_intersect(&row, &a, bound);
-            assert_eq!(&landed[..], &row[..], "landed buffer must be verbatim");
         }
     }
 
@@ -409,7 +308,6 @@ mod tests {
     fn all_kernels_agree_with_reference_on_random_pairs() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(41);
         let model = CostModel::Analytic;
-        let mut landing = vec![u32::MAX; 5];
         for _ in 0..200 {
             let la = rng.gen_range(0..400);
             let lb = rng.gen_range(0..400);
@@ -427,17 +325,6 @@ mod tests {
                     expected,
                     "dispatch"
                 );
-                let (landed, count) = copy_decode_intersect(&row, &a, bound);
-                assert_eq!(&*landed, &row[..], "landed row must be an exact copy");
-                assert_eq!(count, expected, "fused");
-                // SAFETY: the `_into` kernel initialises its whole destination.
-                let count = unsafe {
-                    crate::intersect::fused::land_in_vec(&mut landing, row.len(), |dst| {
-                        copy_decode_intersect_into(&row, &a, bound, dst)
-                    })
-                };
-                assert_eq!(landing, row, "the reused landing buffer holds the row");
-                assert_eq!(count, expected, "fused into a reused buffer");
             }
         }
     }
@@ -468,9 +355,6 @@ mod tests {
                 assert_eq!(compressed_scalar_count(&a, &row, bound), expected);
                 assert_eq!(compressed_simd_count(&a, &row, bound), expected);
                 assert_eq!(compressed_skip_count(&a, &row, bound), expected);
-                let (landed, count) = copy_decode_intersect(&row, &a, bound);
-                assert_eq!(&*landed, &row[..]);
-                assert_eq!(count, expected);
             }
         }
     }
@@ -530,11 +414,5 @@ mod tests {
         let mut row = Vec::new();
         compress_row(&[5, 10], &mut row);
         assert_eq!(compressed_count_closing(&[], &row, None, &model), 0);
-        let (landed, count) = copy_decode_intersect(&row, &[], None);
-        assert_eq!(&*landed, &row[..]);
-        assert_eq!(count, 0);
-        let (landed, count) = copy_decode_intersect(&empty_row, &[1], None);
-        assert_eq!(&*landed, &empty_row[..]);
-        assert_eq!(count, 0);
     }
 }

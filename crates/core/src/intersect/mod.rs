@@ -18,27 +18,21 @@
 //!   search-class upgrade of binary search: each key is compared against the
 //!   one block that can hold it, found by a running cursor that gallops over
 //!   block maxima. The block merge hands its sub-block remainders to it;
-//! * [`fused`] — the block merge with landing switched on, used by the
-//!   distributed path: a remote row that missed the CLaMPI cache is
-//!   intersected against the local row in the same block pass that lands it
-//!   in the cache buffer;
 //! * [`compressed`] — fused decompress+intersect kernels over the
 //!   delta/varint rows of [`rmatc_graph::compressed`]: a scalar reference, a
-//!   block-decode (AVX2-unpacked) merge feeding [`simd_count`], a
+//!   block-decode (AVX2-unpacked) merge feeding [`simd_count`], and a
 //!   header-skipping search variant that gallops across block maxima without
-//!   decoding, and the copy+decode+intersect miss path
-//!   ([`copy_decode_intersect`]).
+//!   decoding.
 //!
 //! Which kernel runs is fixed by the analytic rule of [`hybrid`] — Eq. (3)
 //! for the class, `|B| < |A|²` for the search kernel — on every host.
 //!
 //! Every kernel is a plain-slice entry point (`&[VertexId]`), so callers can
 //! run them directly over borrowed views — local CSR rows, cached CLaMPI
-//! entries, or fetched transfer buffers — without materializing owned copies.
+//! entries, or landed transfer buffers — without materializing owned copies.
 
 pub mod binary;
 pub mod compressed;
-pub mod fused;
 pub mod galloping;
 pub mod hybrid;
 pub mod simd;
@@ -46,10 +40,8 @@ pub mod ssi;
 
 pub use binary::binary_search_count;
 pub use compressed::{
-    compressed_count_closing, compressed_scalar_count, compressed_simd_count,
-    compressed_skip_count, copy_decode_intersect, copy_decode_intersect_into,
+    compressed_count_closing, compressed_scalar_count, compressed_simd_count, compressed_skip_count,
 };
-pub use fused::{copy_intersect, copy_intersect_into};
 pub use galloping::galloping_count;
 pub use hybrid::{galloping_is_faster, select_kernel, ssi_is_faster, CostModel, IntersectMethod};
 pub use simd::simd_count;
@@ -79,14 +71,6 @@ impl Intersector {
     /// The configured method.
     pub fn method(&self) -> IntersectMethod {
         self.method
-    }
-
-    /// The concrete kernel the cost model resolves for a pair of list
-    /// lengths, in either order — the same decision [`Intersector::count`]
-    /// makes internally, exposed so callers that pre-route work (the
-    /// distributed reader's fused miss path) can never diverge from it.
-    pub fn resolved_method(&self, len_a: usize, len_b: usize) -> IntersectMethod {
-        self.method.resolve(len_a.min(len_b), len_a.max(len_b))
     }
 
     /// Counts `|a ∩ b|` for two sorted, duplicate-free slices.

@@ -12,9 +12,7 @@
 //!   wait on one another), popcount the match mask, and advance the block
 //!   whose maximum is smaller. Every step retires a block of one list with
 //!   two branches total; once either list has less than a block left, the
-//!   remainder is handed to the block probe. The same loop optionally stores
-//!   the left blocks to a destination — the fused copy+intersect pass of
-//!   [`fused`](super::fused).
+//!   remainder is handed to the block probe.
 //! * `probe` — the search-class kernel, in
 //!   [`galloping`](super::galloping).
 //!
@@ -34,8 +32,27 @@ use rmatc_graph::types::VertexId;
 /// Counts `|a ∩ b|` for two sorted, duplicate-free slices using the fastest
 /// block-compare kernel available on this CPU.
 pub fn simd_count(a: &[VertexId], b: &[VertexId]) -> u64 {
-    // SAFETY: nothing is landed, so the destination is never written.
-    unsafe { merge_best::<false>(a, b, std::ptr::null_mut()) }
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,popcnt")]
+    unsafe fn avx2(a: &[u32], b: &[u32]) -> u64 {
+        merge::<Avx2>(a, b)
+    }
+    // SAFETY: the AVX2 step runs only once `avx2_available` has confirmed
+    // the CPU supports it; SSE2 is part of the x86_64 baseline and the
+    // scalar step needs no CPU feature.
+    unsafe {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx2_available() {
+                return avx2(a, b);
+            }
+            merge::<Sse2>(a, b)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            merge::<Scalar>(a, b)
+        }
+    }
 }
 
 /// Branch-free scalar merge: the cursor advances are data-dependent adds, not
@@ -43,8 +60,8 @@ pub fn simd_count(a: &[VertexId], b: &[VertexId]) -> u64 {
 /// bound. The block merge at one lane per block — the portable fallback and
 /// the scalar reference of the differential tests.
 pub fn branchless_count(a: &[VertexId], b: &[VertexId]) -> u64 {
-    // SAFETY: the scalar step needs no CPU feature; nothing is landed.
-    unsafe { merge::<Scalar, false>(a, b, std::ptr::null_mut()) }
+    // SAFETY: the scalar step needs no CPU feature.
+    unsafe { merge::<Scalar>(a, b) }
 }
 
 /// True when the AVX2 step may run: it popcounts its match mask, so both
@@ -56,14 +73,14 @@ pub(crate) fn avx2_available() -> bool {
 }
 
 /// One instruction set's block step: how a block of `W` consecutive values is
-/// loaded, stored and compared. The cursor loops ([`merge`], [`probe`]) are
+/// loaded and compared. The cursor loops ([`merge`], [`probe`]) are
 /// written once over this.
 ///
 /// # Safety
 ///
 /// Every method requires the CPU to support the implementing instruction set;
 /// the pointer methods additionally require `W` (for `load_head`: `n`)
-/// readable or writable elements at `p`.
+/// readable elements at `p`.
 pub(super) trait Isa {
     /// Lanes per block.
     const W: usize;
@@ -74,7 +91,6 @@ pub(super) trait Isa {
     /// unspecified: callers mask them out of every result (vertex id 0 is
     /// valid, so a zeroed lane must not be allowed to match).
     unsafe fn load_head(p: *const VertexId, n: usize) -> Self::Block;
-    unsafe fn store(p: *mut VertexId, block: Self::Block);
     /// Bit `l` is set iff lane `l` of `a` equals some lane of `b`.
     unsafe fn matches(a: Self::Block, b: Self::Block) -> u32;
     /// Bit `l` is set iff lane `l` of `b` equals `key`.
@@ -94,10 +110,6 @@ impl Isa for Scalar {
     #[inline(always)]
     unsafe fn load_head(_: *const VertexId, _: usize) -> VertexId {
         unreachable!("a one-lane block is never partial")
-    }
-    #[inline(always)]
-    unsafe fn store(p: *mut VertexId, block: VertexId) {
-        *p = block;
     }
     #[inline(always)]
     unsafe fn matches(a: VertexId, b: VertexId) -> u32 {
@@ -139,10 +151,6 @@ mod x86 {
             std::ptr::copy_nonoverlapping(p, lanes.as_mut_ptr(), n);
             _mm_loadu_si128(lanes.as_ptr().cast())
         }
-        #[inline(always)]
-        unsafe fn store(p: *mut VertexId, block: __m128i) {
-            _mm_storeu_si128(p.cast(), block)
-        }
         /// Compares `a` against every rotation of `b`: each a-lane can match
         /// at most one b value (lists are duplicate-free), so the OR of the
         /// four equality masks has one bit per matching lane.
@@ -178,10 +186,6 @@ mod x86 {
             let head = _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), iota);
             _mm256_maskload_epi32(p.cast(), head)
         }
-        #[inline(always)]
-        unsafe fn store(p: *mut VertexId, block: __m256i) {
-            _mm256_storeu_si256(p.cast(), block)
-        }
         /// All 8×8 lane pairs from eight compares whose inputs are computed
         /// independently from `b`: three in-lane rotations, the 128-bit lane
         /// swap, and the swap's three in-lane rotations — no compare waits
@@ -211,20 +215,13 @@ mod x86 {
     }
 }
 
-/// The block merge: counts `|a ∩ b|`, and with `LAND` also copies `a` to
-/// `dst` in the same pass (the block loaded for the compare is the block
-/// stored; re-stored unchanged when the cursor does not advance).
+/// The block merge: counts `|a ∩ b|`.
 ///
 /// # Safety
 ///
-/// The CPU must support `I`; with `LAND`, `dst` must be valid for `a.len()`
-/// writes and not overlap `a` (every element is written before returning).
+/// The CPU must support `I`.
 #[inline(always)]
-pub(super) unsafe fn merge<I: Isa, const LAND: bool>(
-    a: &[VertexId],
-    b: &[VertexId],
-    dst: *mut VertexId,
-) -> u64 {
+pub(super) unsafe fn merge<I: Isa>(a: &[VertexId], b: &[VertexId]) -> u64 {
     let w = I::W;
     let (pa, pb) = (a.as_ptr(), b.as_ptr());
     let (mut i, mut j, mut count) = (0usize, 0usize, 0u64);
@@ -233,11 +230,7 @@ pub(super) unsafe fn merge<I: Isa, const LAND: bool>(
         // both sides, which bounds every load below.
         let (last_i, last_j) = (a.len() - w, b.len() - w);
         loop {
-            let block = I::load(pa.add(i));
-            if LAND {
-                I::store(dst.add(i), block);
-            }
-            count += u64::from(I::matches(block, I::load(pb.add(j))).count_ones());
+            count += u64::from(I::matches(I::load(pa.add(i)), I::load(pb.add(j))).count_ones());
             // Advance the block with the smaller maximum (both on a tie);
             // everything skipped has been compared against all candidates.
             let (a_max, b_max) = (*pa.add(i + w - 1), *pb.add(j + w - 1));
@@ -247,9 +240,6 @@ pub(super) unsafe fn merge<I: Isa, const LAND: bool>(
                 break;
             }
         }
-    }
-    if LAND {
-        std::ptr::copy_nonoverlapping(pa.add(i), dst.add(i), a.len() - i);
     }
     // One side has less than a block left: its values probe the other's rest.
     let (rest_a, rest_b) = (&a[i..], &b[j..]);
@@ -261,44 +251,13 @@ pub(super) unsafe fn merge<I: Isa, const LAND: bool>(
         }
 }
 
-/// [`merge`] through the widest step this CPU has.
-///
-/// # Safety
-///
-/// With `LAND`, `dst` must be valid for `a.len()` writes and not overlap `a`.
-pub(super) unsafe fn merge_best<const LAND: bool>(
-    a: &[VertexId],
-    b: &[VertexId],
-    dst: *mut VertexId,
-) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        #[target_feature(enable = "avx2,popcnt")]
-        unsafe fn avx2<const LAND: bool>(a: &[u32], b: &[u32], dst: *mut u32) -> u64 {
-            merge::<Avx2, LAND>(a, b, dst)
-        }
-        if avx2_available() {
-            // `avx2_available` just confirmed the CPU supports the step.
-            return avx2::<LAND>(a, b, dst);
-        }
-        // SSE2 is part of the x86_64 baseline.
-        merge::<Sse2, LAND>(a, b, dst)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        merge::<Scalar, LAND>(a, b, dst)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intersect::fused::copy_intersect_into;
     use crate::intersect::galloping::galloping_count;
     use crate::intersect::ssi::ssi_count;
     use rand::Rng;
     use rand::SeedableRng;
-    use std::mem::MaybeUninit;
 
     fn random_sorted(rng: &mut impl Rng, len: usize, universe: u32) -> Vec<u32> {
         let mut v: Vec<u32> = (0..len).map(|_| rng.gen_range(0..universe)).collect();
@@ -307,27 +266,15 @@ mod tests {
         v
     }
 
-    /// One explicit step through both generic loops: the merge with and
-    /// without landing (landed bytes must equal `a`) and the probe in both
-    /// key/haystack orders.
+    /// One explicit step through both generic loops: the merge and the probe
+    /// in both key/haystack orders.
     ///
     /// # Safety
     ///
     /// The CPU must support `I`.
     unsafe fn check_step<I: Isa>(name: &str, a: &[u32], b: &[u32], expected: u64) {
         let what = format!("{name} a={a:?} b={b:?}");
-        assert_eq!(
-            merge::<I, false>(a, b, std::ptr::null_mut()),
-            expected,
-            "merge {what}"
-        );
-        let mut landed = vec![0xdead_beef_u32; a.len()];
-        assert_eq!(
-            merge::<I, true>(a, b, landed.as_mut_ptr()),
-            expected,
-            "landing merge {what}"
-        );
-        assert_eq!(landed, a, "landed bytes {what}");
+        assert_eq!(merge::<I>(a, b), expected, "merge {what}");
         assert_eq!(probe::<I>(a, b), expected, "probe {what}");
         assert_eq!(probe::<I>(b, a), expected, "swapped probe {what}");
     }
@@ -359,15 +306,6 @@ mod tests {
             "branchless a={a:?} b={b:?}"
         );
         assert_eq!(galloping_count(a, b), expected, "galloping a={a:?} b={b:?}");
-        let mut dst = vec![MaybeUninit::new(0xdead_beef_u32); a.len()];
-        assert_eq!(
-            copy_intersect_into(a, 0, b, &mut dst),
-            expected,
-            "fused a={a:?} b={b:?}"
-        );
-        // SAFETY: `dst` was created fully initialised.
-        let landed: Vec<u32> = dst.iter().map(|x| unsafe { x.assume_init() }).collect();
-        assert_eq!(landed, a, "fused landing b={b:?}");
     }
 
     #[test]

@@ -16,14 +16,13 @@ use crate::distributed::config::DistConfig;
 use crate::distributed::pipeline::run_rank;
 use crate::distributed::reader::{Edge, EdgeOp};
 use crate::distributed::windows::GraphWindows;
-use crate::intersect::{compressed_count_closing, copy_decode_intersect, CostModel, Intersector};
+use crate::intersect::{compressed_count_closing, CostModel, Intersector};
 use rmatc_graph::compressed::decoded_len;
 use rmatc_graph::partition::PartitionedGraph;
 use rmatc_graph::types::VertexId;
 use rmatc_graph::CsrGraph;
 use rmatc_graph::GraphStorage;
 use rmatc_rma::{run_ranks, RankStats, RmaError};
-use std::sync::Arc;
 
 /// Similarity score of one directed edge.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -227,31 +226,6 @@ impl EdgeOp for JaccardPair {
                 decoded_len(row),
             ),
         }
-    }
-
-    fn retained(&self, edge: &Edge<'_>, wire: &[VertexId]) -> (Arc<[VertexId]>, (u64, usize)) {
-        match self.storage {
-            GraphStorage::Plain => {
-                let arc: Arc<[VertexId]> = Arc::from(wire);
-                let value = self.local(edge, &arc);
-                (arc, value)
-            }
-            GraphStorage::Compressed => {
-                let (arc, common) = copy_decode_intersect(wire, edge.adj_u, None);
-                (arc, (common, decoded_len(wire)))
-            }
-        }
-    }
-
-    fn landed(
-        &self,
-        edge: &Edge<'_>,
-        wire: &[VertexId],
-        landing: &mut Vec<VertexId>,
-    ) -> (u64, usize) {
-        landing.clear();
-        landing.extend_from_slice(wire);
-        self.stored(edge, landing)
     }
 
     fn fold(

@@ -227,9 +227,9 @@ pub fn compressed_count_vertex(
 }
 
 /// Compressed counterpart of [`count_closing_at`]: the decoded `adj_u` side
-/// is sliced exactly like the plain path (`closing_a_side`), and the
-/// upper-triangle filter on the compressed `v` row becomes the kernels'
-/// `bound` parameter instead of a `partition_point` on decoded data.
+/// is sliced exactly like the plain path, and the upper-triangle filter on
+/// the compressed `v` row becomes the kernels' `bound` parameter instead of
+/// a `partition_point` on decoded data.
 pub fn compressed_count_closing_at(
     direction: Direction,
     adj_u: &[VertexId],
@@ -241,26 +241,11 @@ pub fn compressed_count_closing_at(
         direction == Direction::Directed || adj_u[neighbour_idx] == v,
         "neighbour_idx must locate v in adj_u"
     );
-    let (a, bound) = compressed_closing_operands(direction, adj_u, v, neighbour_idx);
-    compressed_count_closing(a, row_v, bound, &CostModel::Analytic)
-}
-
-/// Operands of a compressed closing count: the `adj_u`-side slice
-/// ([`closing_a_side`]) and the upper-triangle filter on the compressed `v`
-/// row as the kernels' `bound`. Shared between
-/// [`compressed_count_closing_at`] and the distributed reader's landing
-/// transfers so hit and miss counts can never diverge.
-pub(crate) fn compressed_closing_operands(
-    direction: Direction,
-    adj_u: &[VertexId],
-    v: VertexId,
-    neighbour_idx: usize,
-) -> (&[VertexId], Option<VertexId>) {
-    let bound = match direction {
-        Direction::Undirected => Some(v),
-        Direction::Directed => None,
+    let (a, bound) = match direction {
+        Direction::Undirected => (&adj_u[neighbour_idx + 1..], Some(v)),
+        Direction::Directed => (adj_u, None),
     };
-    (closing_a_side(direction, adj_u, neighbour_idx), bound)
+    compressed_count_closing(a, row_v, bound, &CostModel::Analytic)
 }
 
 /// Counts the closed triplets anchored at `u`, using the O(1) incremental
@@ -276,32 +261,6 @@ fn count_vertex(g: &CsrGraph, u: VertexId, intersector: &Intersector) -> (u64, u
         t += count_closing_at(direction, adj_u, adj_v, v, k, intersector);
     }
     (t, adj_u.len() as u64)
-}
-
-/// The `adj_u`-side operand of the closing count for the edge `(u, v)`:
-/// undirected graphs intersect only the upper-triangle suffix past `v`
-/// (located at `neighbour_idx` within `adj_u`), directed graphs the whole
-/// row. Shared between [`count_closing_at`] and the distributed reader's
-/// fused miss path so the two can never diverge.
-pub(crate) fn closing_a_side(
-    direction: Direction,
-    adj_u: &[VertexId],
-    neighbour_idx: usize,
-) -> &[VertexId] {
-    match direction {
-        Direction::Undirected => &adj_u[neighbour_idx + 1..],
-        Direction::Directed => adj_u,
-    }
-}
-
-/// Start of the `adj_v`-side operand: the first index past `v` (undirected
-/// upper-triangle offsetting) or `0` (directed). Counterpart of
-/// [`closing_a_side`], shared for the same reason.
-pub(crate) fn closing_b_start(direction: Direction, adj_v: &[VertexId], v: VertexId) -> usize {
-    match direction {
-        Direction::Undirected => adj_v.partition_point(|&x| x <= v),
-        Direction::Directed => 0,
-    }
 }
 
 /// Counts the closing vertices for the edge `(u, v)` given both adjacency lists:
@@ -348,9 +307,13 @@ pub fn count_closing_at(
         direction == Direction::Directed || adj_u[neighbour_idx] == v,
         "neighbour_idx must locate v in adj_u"
     );
-    let a = closing_a_side(direction, adj_u, neighbour_idx);
-    let b = &adj_v[closing_b_start(direction, adj_v, v)..];
-    intersector.count(a, b)
+    match direction {
+        Direction::Undirected => {
+            let b = &adj_v[adj_v.partition_point(|&x| x <= v)..];
+            intersector.count(&adj_u[neighbour_idx + 1..], b)
+        }
+        Direction::Directed => intersector.count(adj_u, adj_v),
+    }
 }
 
 /// Assembles a [`LocalResult`] from per-vertex closed-triplet counts.

@@ -40,14 +40,13 @@
 //! `rmatc-core::intersect` use ([`RowCursor::skip_block`]). The per-row word
 //! offset array of [`CompressedCsr`] gives O(1) row starts.
 //!
-//! **Corruption tolerance:** the fused transfer closures run *during* the
-//! RMA get, before the self-healing layer's checksum can reject a corrupted
-//! buffer (the count is discarded and the get retried afterwards — see
-//! `rmatc-rma::fault`). A decoder fed fault-injected garbage therefore must
-//! not trust any header field: [`RowCursor`] treats a block that does not
-//! fit inside the row as the end of the row, and the payload readers clamp
-//! every access, so arbitrary input yields garbage counts but never an
-//! out-of-bounds read, panic, or non-termination.
+//! **Corruption tolerance:** the distributed reader only decodes transfers
+//! the self-healing layer's checksum has verified (see `rmatc-rma::fault`),
+//! but a decoder is safety code and does not rely on that: it trusts no
+//! header field. [`RowCursor`] treats a block that does not fit inside the
+//! row as the end of the row, and the payload readers clamp every access,
+//! so arbitrary input yields garbage counts but never an out-of-bounds
+//! read, panic, or non-termination.
 //!
 //! # Paper map
 //!
@@ -577,11 +576,10 @@ mod tests {
 
     #[test]
     fn corrupted_words_decode_to_garbage_without_panicking() {
-        // The fused transfer closures run before the self-healing layer's
-        // checksum can reject a corrupted buffer, so decoding arbitrary
-        // words must be memory-safe and terminate (garbage counts are
-        // discarded by the retry). Deterministic xorshift garbage plus
-        // targeted truncations of a valid row.
+        // A decoder trusts no header field: decoding arbitrary words must
+        // be memory-safe and terminate, whatever garbage it yields.
+        // Deterministic xorshift garbage plus targeted truncations of a
+        // valid row.
         let mut state = 0x9E37_79B9_u64;
         let mut next = move || {
             state ^= state << 13;

@@ -35,13 +35,12 @@
 //!
 //! Transfers land either in a shared `Arc<[T]>` buffer — the get's single
 //! allocation, which the CLaMPI layer retains by refcount — or, for reads
-//! whose buffer nobody keeps, in a buffer the caller reuses across gets
-//! ([`Endpoint::get_into_with_retry`], no allocation at all; its
+//! whose buffer nobody keeps, in a [`Landing`] buffer the caller reuses
+//! across gets ([`Endpoint::get_into_with_retry`], no allocation at all; its
 //! non-waiting form [`Endpoint::get_into`] leaves only a [`PendingCharge`]
-//! in flight). Both landers
-//! expose the transfer itself as a hook ([`Endpoint::get_map`]), so a fused
-//! kernel can compute over the data in the same pass that copies it off the
-//! (simulated) wire.
+//! in flight). A lander only copies: the caller computes over the landed
+//! buffer afterwards, and under fault injection only once the buffer's
+//! checksum has verified.
 //!
 //! # Paper map
 //!
@@ -64,7 +63,7 @@ pub mod stats;
 pub mod window;
 
 pub use cputime::{ComputeMeter, ThreadTimer};
-pub use endpoint::{Endpoint, PendingCharge, PendingGet};
+pub use endpoint::{Endpoint, Landing, PendingCharge, PendingGet};
 pub use fault::{FaultInjector, FaultPlan, RetryPolicy, RmaError};
 pub use network::NetworkModel;
 pub use runner::{run_ranks, SimBarrier};

@@ -166,7 +166,7 @@ fn materializing_worker(
 }
 
 // ---------------------------------------------------------------------------
-// Observational equivalence: fused worker == materializing loop == reference.
+// Observational equivalence: edge-loop worker == materializing loop == reference.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -300,9 +300,9 @@ impl<'a> Rounds<'a> {
         }
     }
 
-    /// One fused protocol round (offsets read + adjacency read +
-    /// intersection) per remote edge of rank 0's first vertices, up to 64,
-    /// summed.
+    /// One protocol round (offsets read + adjacency read + intersection of
+    /// the row where it landed) per remote edge of rank 0's first vertices,
+    /// up to 64, summed.
     fn run(&mut self) -> u64 {
         let part = &self.pg.partitions[0];
         let (mut total, mut rounds) = (0, 0);
@@ -394,7 +394,7 @@ fn fused_hit_path_allocates_nothing() {
     assert_eq!(
         allocations_on_this_thread(),
         before,
-        "the fused read+intersect hit path must perform zero heap allocations"
+        "the read+intersect hit path must perform zero heap allocations"
     );
     assert_eq!(warm, hot, "hit-path counts must match the miss-path counts");
 }
