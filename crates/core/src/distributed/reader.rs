@@ -23,9 +23,9 @@
 //! or a cache hit, over the landed buffer after a transfer — and leave the
 //! adjacency get in flight in between, so the edge loop ([`super::pipeline`])
 //! overlaps its latency with the next edges. A transfer is always landed
-//! first and computed on second, so no kernel ever runs over a transfer the
-//! checksum has not verified. One rule decides where a transfer lands —
-//! *who keeps the buffer*:
+//! first and computed on second, so under fault injection no kernel ever
+//! runs over a transfer its checksum has not verified. One rule decides
+//! where a transfer lands — *who keeps the buffer*:
 //!
 //! | read | kept by | lands in |
 //! |---|---|---|
