@@ -12,7 +12,7 @@
 //! watches this path for regressions like it does the kernels.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rmatc_core::distributed::reader::{AdjCache, Edge, OffsetSpans, RowReader, Started};
+use rmatc_core::distributed::reader::{AdjCache, Edge, OffsetSpans, RowReader};
 use rmatc_core::distributed::worker::{run_worker, ClosingCount};
 use rmatc_core::distributed::{CacheSpec, DistConfig, GraphWindows};
 use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
@@ -101,15 +101,13 @@ fn bench_remote_read(c: &mut Criterion) {
                 v: e.v,
                 k: e.k,
             };
-            total += match reader
+            let (count, charge) = reader
                 .start(ep, cache, 1, pair, &mut landing, op, &edge)
-                .expect("no faults injected")
-            {
-                Started::Immediate(count) => count,
-                Started::Deferred(deferred) => reader
-                    .complete(ep, cache, deferred, op, &edge)
-                    .expect("no faults injected"),
-            };
+                .expect("no faults injected");
+            if let Some(charge) = charge {
+                charge.wait(ep);
+            }
+            total += count;
         }
         total
     };

@@ -5,15 +5,18 @@
 //! ([`EdgeOp`]) and fold the results — with no synchronization with other
 //! ranks. It owns everything that is the same for every operation: the
 //! rank's cache, its endpoint and fault injector, the access epoch, the
-//! strided [`ComputeMeter`], the in-flight FIFO and the abandon-and-close
-//! error path. A rank runs on one thread, which owns its endpoint and its
-//! cache; ranks are the only parallelism (the paper runs one MPI process per
-//! 1D block).
+//! strided [`ComputeMeter`], the FIFO of charges in flight and the
+//! close-and-surface error path. A rank runs on one thread, which owns its
+//! endpoint and its cache; ranks are the only parallelism (the paper runs
+//! one MPI process per 1D block).
 //!
 //! One knob shapes the loop, and its default is the paper's classic loop
-//! rather than a different code path: the **pipeline depth**. The rank keeps
-//! up to [`DistConfig::effective_pipeline_depth`] adjacency gets in flight in
-//! a FIFO: *push the new get, then complete the oldest while `len ≥ depth`*.
+//! rather than a different code path: the **pipeline depth**. The reader
+//! hands every edge's value back finished ([`RowReader::start`]), and the
+//! loop folds it at once; what a fault-free transfer still owes is its cost
+//! ([`PendingCharge`]). The rank keeps up to
+//! [`DistConfig::effective_pipeline_depth`] of those charges in flight in a
+//! FIFO: *push the new charge, then wait the oldest while `len ≥ depth`*.
 //! At depth 1 that is issue-wait-compute by construction; at depth `D` the
 //! get of edge *i+D−1* is issued before edge *i* completes, so the modeled
 //! (and, with [`rmatc_rma::NetworkModel::with_injection`], real) transfer
@@ -33,18 +36,19 @@
 //! row — `tests/zero_copy.rs`): the reader computes values and admits misses
 //! at issue time, so the cache performs the same operations in the same
 //! order, while the FIFO charges completion costs in issue order. Under fault
-//! injection the reader never admits (or trusts a value from) unverified
-//! data; faulted runs are compared on scores against the fault-free
-//! baseline, not on statistics. On an unrecoverable error the rank abandons
-//! its in-flight gets ([`Endpoint::abandon_outstanding`]), closes its epoch
-//! and surfaces the error.
+//! injection every remote read is synchronous and self-healing, so the
+//! reader never admits (or trusts a value from) unverified data and nothing
+//! is in flight; faulted runs are compared on scores against the fault-free
+//! baseline, not on statistics. Only a faulted read can fail, so on an
+//! unrecoverable error the FIFO is empty: the rank closes its epoch and
+//! surfaces the error.
 
 use super::config::DistConfig;
-use super::reader::{AdjCache, Deferred, Edge, EdgeOp, OffsetSpans, RowReader, Started};
+use super::reader::{AdjCache, Edge, EdgeOp, OffsetSpans, RowReader};
 use super::windows::GraphWindows;
 use rmatc_clampi::CacheStats;
 use rmatc_graph::partition::PartitionedGraph;
-use rmatc_rma::{ComputeMeter, Endpoint, RankStats, RmaError, ThreadTimer};
+use rmatc_rma::{ComputeMeter, Endpoint, PendingCharge, RankStats, RmaError, ThreadTimer};
 use std::collections::VecDeque;
 
 /// Everything the edge loop produces for one rank.
@@ -114,23 +118,18 @@ pub(crate) fn run_rank<O: EdgeOp>(
             Ok(out)
         }
         Err(e) => {
-            // The loop dropped its in-flight gets: charge their cost as a
-            // final flush, so the epoch closes cleanly instead of asserting
-            // about abandoned gets.
-            ep.abandon_outstanding();
+            // Only a faulted read fails, and a faulted read is never left in
+            // flight: the epoch's un-flushed-gets assert checks exactly that.
             ep.unlock_all();
             Err(e)
         }
     }
 }
 
-/// An adjacency get in flight with the edge it belongs to.
-type InFlight<'a, V> = VecDeque<(Deferred<V>, Edge<'a>)>;
-
 #[allow(clippy::too_many_arguments)]
-fn edge_loop<'a, O: EdgeOp>(
+fn edge_loop<O: EdgeOp>(
     rank: usize,
-    pg: &'a PartitionedGraph,
+    pg: &PartitionedGraph,
     reader: &RowReader,
     cache: &mut AdjCache,
     config: &DistConfig,
@@ -141,7 +140,7 @@ fn edge_loop<'a, O: EdgeOp>(
 ) -> Result<(), RmaError> {
     let part = &pg.partitions[rank];
     let depth = config.effective_pipeline_depth();
-    let mut fifo: InFlight<'a, O::Value> = VecDeque::with_capacity(depth);
+    let mut fifo = VecDeque::with_capacity(depth);
     // Double buffering: the computation of one edge overlaps the communication
     // of the next, so the rank's compute is banked as overlap credit for the
     // endpoint's later get completions. The credit covers everything the
@@ -190,12 +189,11 @@ fn edge_loop<'a, O: EdgeOp>(
                 Some(spans) => spans.pair(k),
                 None => reader.read_offsets(ep, owner, v_local)?,
             };
-            match reader.start(ep, cache, owner, row, &mut landing, op, &edge)? {
-                Started::Immediate(value) => op.fold(&mut out.items, &edge, value),
-                Started::Deferred(deferred) => {
-                    fifo.push_back((deferred, edge));
-                    drain(&mut fifo, depth - 1, reader, ep, cache, op, &mut out.items)?;
-                }
+            let (value, charge) = reader.start(ep, cache, owner, row, &mut landing, op, &edge)?;
+            op.fold(&mut out.items, &edge, value);
+            if let Some(charge) = charge {
+                fifo.push_back(charge);
+                drain(&mut fifo, depth - 1, ep);
             }
         }
     }
@@ -203,24 +201,14 @@ fn edge_loop<'a, O: EdgeOp>(
         // The tail since the last stride hides the drain's completions.
         meter.bank(ep);
     }
-    drain(&mut fifo, 0, reader, ep, cache, op, &mut out.items)
+    drain(&mut fifo, 0, ep);
+    Ok(())
 }
 
-/// Completes the oldest in-flight gets, in issue order, until at most `keep`
+/// Waits the oldest charges in flight, in issue order, until at most `keep`
 /// remain.
-fn drain<O: EdgeOp>(
-    fifo: &mut InFlight<'_, O::Value>,
-    keep: usize,
-    reader: &RowReader,
-    ep: &mut Endpoint,
-    cache: &mut AdjCache,
-    op: &O,
-    items: &mut Vec<O::Item>,
-) -> Result<(), RmaError> {
+fn drain(fifo: &mut VecDeque<PendingCharge>, keep: usize, ep: &mut Endpoint) {
     while fifo.len() > keep {
-        let (deferred, edge) = fifo.pop_front().expect("the FIFO is non-empty");
-        let value = reader.complete(ep, cache, deferred, op, &edge)?;
-        op.fold(items, &edge, value);
+        fifo.pop_front().expect("the FIFO is non-empty").wait(ep);
     }
-    Ok(())
 }

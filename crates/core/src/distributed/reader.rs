@@ -18,11 +18,11 @@
 //! [`RowReader`] offers the adjacency read in two shapes.
 //! [`RowReader::read_row`] hands the row back as a zero-copy [`RowRef`] (the
 //! service plans a batch of rows first and answers from them afterwards).
-//! [`RowReader::start`] / [`RowReader::complete`] compute a per-edge
-//! operation ([`EdgeOp`]) over the row *where it is* — in place on a local row
-//! or a cache hit, over the landed buffer after a transfer — and leave the
-//! adjacency get in flight in between, so the edge loop ([`super::pipeline`])
-//! overlaps its latency with the next edges. A transfer is always landed
+//! [`RowReader::start`] computes a per-edge operation ([`EdgeOp`]) over the
+//! row *where it is* — in place on a local row or a cache hit, over the
+//! landed buffer after a transfer — and hands back the finished value with
+//! the transfer's cost still owed, so the edge loop ([`super::pipeline`])
+//! overlaps that latency with the next edges. A transfer is always landed
 //! first and computed on second, so under fault injection no kernel ever
 //! runs over a transfer its checksum has not verified. One rule decides
 //! where a transfer lands — *who keeps the buffer*:
@@ -38,11 +38,12 @@
 //! read computes its value — and a miss admits its buffer — when it is
 //! issued, in exactly the order a loop that waits for every get would; only
 //! the cost ticket ([`rmatc_rma::PendingCharge`]) stays in flight. Under
-//! fault injection unverified data is never trusted: a row nobody keeps —
-//! offsets pairs and spans included — is read synchronously, verified and
-//! healed in place ([`Endpoint::get_into_with_retry`]); a cached miss defers
-//! both its value and its admission to the checksum-verified completion
-//! ([`Endpoint::wait_with_reissue`]).
+//! fault injection unverified data is never trusted, and every remote read
+//! is synchronous and self-healing: a row nobody keeps — offsets pairs and
+//! spans included — is verified and healed in place
+//! ([`Endpoint::get_into_with_retry`]); a cached miss is verified and healed
+//! in its own buffer ([`Endpoint::get_with_retry`]) before it is computed on
+//! and admitted. Nothing is left in flight.
 //!
 //! The reader is the rank's windows, read through `&self`. Its cache,
 //! [`AdjCache`], is a separate value the rank's one thread owns and lends to
@@ -57,7 +58,7 @@ use rmatc_graph::compressed::decoded_len;
 use rmatc_graph::partition::Partitioner;
 use rmatc_graph::types::VertexId;
 use rmatc_graph::GraphStorage;
-use rmatc_rma::{Endpoint, NetworkModel, PendingCharge, PendingGet, RmaError, Window};
+use rmatc_rma::{Endpoint, NetworkModel, PendingCharge, RmaError, Window};
 use std::convert::Infallible;
 use std::sync::Arc;
 
@@ -102,37 +103,6 @@ pub trait EdgeOp: Sync {
 
     /// Folds the value of `edge` into the rank's output.
     fn fold(&self, out: &mut Vec<Self::Item>, edge: &Edge<'_>, value: Self::Value);
-}
-
-/// Outcome of starting a remote adjacency read.
-#[derive(Debug)]
-pub enum Started<R> {
-    /// Resolved at issue time (empty row, local row, cache hit, or a faulted
-    /// read healed synchronously): the value is final.
-    Immediate(R),
-    /// A get is in flight; finish with [`RowReader::complete`].
-    Deferred(Deferred<R>),
-}
-
-/// A remote adjacency get in flight.
-#[derive(Debug)]
-pub struct Deferred<R>(Flight<R>);
-
-#[derive(Debug)]
-enum Flight<R> {
-    /// Fault-free: the transfer landed and the value was computed at issue
-    /// time; only the completion is owed.
-    Charged(PendingCharge, R),
-    /// A cached miss under fault injection: the buffer is untrusted until its
-    /// checksum verifies, so the value is computed — and the buffer admitted
-    /// (inserting at issue time would stamp a checksum over possibly corrupt
-    /// data, which the cache would then serve as a verified hit) — from the
-    /// clean buffer at completion.
-    Unverified {
-        pending: PendingGet<VertexId>,
-        /// Element offset of the row on the get's target.
-        start: usize,
-    },
 }
 
 /// Whether the offsets pairs of two needed rows `p < q` of one owner share a
@@ -411,14 +381,16 @@ impl RowReader {
         Ok(RowRef::Fetched(row))
     }
 
-    /// Starts the read for `edge` of the row on `target` whose `(start, end)`
-    /// offsets pair the first get returned ([`RowReader::read_offsets`] or
-    /// [`RowReader::read_spans`]): either resolves in place
-    /// ([`EdgeOp::stored`] over an empty, local or cached row) or issues the
-    /// adjacency get and returns it in flight — landed where the module
-    /// table says, the value already computed over the landed buffer unless
-    /// the transfer is untrusted. `landing` is the caller's reusable buffer;
-    /// it is free again as soon as this returns.
+    /// Reads the row on `target` whose `(start, end)` offsets pair the first
+    /// get returned ([`RowReader::read_offsets`] or [`RowReader::read_spans`])
+    /// and computes `edge`'s value over it ([`EdgeOp::stored`]) — in place on
+    /// an empty, local or cached row, over the landed buffer after a transfer,
+    /// landed where the module table says. The value is always final; the
+    /// charge is the completion a fault-free transfer still owes, which the
+    /// caller waits for when it likes ([`PendingCharge::wait`]). Under fault
+    /// injection every transfer is synchronous and self-healing, so nothing
+    /// is owed. `landing` is the caller's reusable buffer; it is free again as
+    /// soon as this returns.
     #[allow(clippy::too_many_arguments)]
     pub fn start<O: EdgeOp>(
         &self,
@@ -429,65 +401,40 @@ impl RowReader {
         landing: &mut Vec<VertexId>,
         op: &O,
         edge: &Edge<'_>,
-    ) -> Result<Started<O::Value>, RmaError> {
+    ) -> Result<(O::Value, Option<PendingCharge>), RmaError> {
         let len = end - start;
         if len == 0 {
-            return Ok(Started::Immediate(op.stored(edge, &[])));
+            return Ok((op.stored(edge, &[]), None));
         }
         if target == ep.rank() {
             let row = ep.local_read(&self.adj_plain, start, len);
-            return Ok(Started::Immediate(op.stored(edge, row)));
+            return Ok((op.stored(edge, row), None));
         }
         // Who keeps the buffer: the cache on a miss, nobody otherwise.
         let adj = &self.adj_plain;
-        let flight = match probe(ep, cache, target, start, len) {
-            CacheProbe::Hit(row) => return Ok(Started::Immediate(op.stored(edge, &row))),
-            CacheProbe::Miss if ep.faults_enabled() => Flight::Unverified {
-                pending: ep.issue_with_retry(adj, target, start, len)?,
-                start,
-            },
+        Ok(match probe(ep, cache, target, start, len) {
+            CacheProbe::Hit(row) => (op.stored(edge, &row), None),
             CacheProbe::Miss => {
-                let (arc, charge) = ep.get(adj, target, start, len)?.split();
-                let value = op.stored(edge, &arc);
-                self.admit(ep, cache, target, start, arc);
-                Flight::Charged(charge, value)
-            }
-            CacheProbe::Bypass if ep.faults_enabled() => {
-                ep.get_into_with_retry(adj, target, start, len, landing)?;
-                return Ok(Started::Immediate(op.stored(edge, landing)));
+                let (row, charge) = if ep.faults_enabled() {
+                    (ep.get_with_retry(adj, target, start, len)?, None)
+                } else {
+                    let (row, charge) = ep.get(adj, target, start, len)?.split();
+                    (row, Some(charge))
+                };
+                let value = op.stored(edge, &row);
+                self.admit(ep, cache, target, start, row);
+                (value, charge)
             }
             CacheProbe::Bypass => {
-                let charge = ep.get_into(adj, target, start, len, landing);
-                Flight::Charged(charge, op.stored(edge, landing))
+                let charge = if ep.faults_enabled() {
+                    ep.get_into_with_retry(adj, target, start, len, landing)?;
+                    None
+                } else {
+                    Some(ep.get_into(adj, target, start, len, landing))
+                };
+                (op.stored(edge, landing), charge)
             }
-        };
-        Ok(Started::Deferred(Deferred(flight)))
-    }
-
-    /// Completes a read [`RowReader::start`] left in flight: waits for the
-    /// get and — when it was untrusted — heals it by reissue, computes the
-    /// value from the verified-clean buffer and admits that buffer.
-    pub fn complete<O: EdgeOp>(
-        &self,
-        ep: &mut Endpoint,
-        cache: &mut AdjCache,
-        deferred: Deferred<O::Value>,
-        op: &O,
-        edge: &Edge<'_>,
-    ) -> Result<O::Value, RmaError> {
-        match deferred.0 {
-            Flight::Charged(charge, value) => {
-                charge.wait(ep);
-                Ok(value)
-            }
-            Flight::Unverified { pending, start } => {
-                let (target, len) = (pending.target(), pending.len());
-                let clean = ep.wait_with_reissue(pending, &self.adj_plain, target, start, len)?;
-                let value = op.stored(edge, &clean);
-                self.admit(ep, cache, target, start, clean);
-                Ok(value)
-            }
-        }
+        })
     }
 }
 
@@ -512,7 +459,7 @@ fn probe(
 mod tests {
     use super::*;
     use crate::distributed::config::CacheSpec;
-    use crate::distributed::pipeline::run_rank;
+    use crate::distributed::pipeline::{rank_endpoint, run_rank};
     use crate::distributed::worker::ClosingCount;
     use crate::intersect::Intersector;
     use crate::local::count_closing_at;
@@ -619,7 +566,7 @@ mod tests {
     #[test]
     fn read_row_runs_the_protocol_of_start_and_complete() {
         // The service reads rows with `read_row`, the edge loop with `start`
-        // / `complete`: one protocol. Two readers over the same windows read
+        // and the charge it owes: one protocol. Two readers over the same windows read
         // the same remote rows twice through an eviction-heavy cache, one
         // reader per entry point, under both storages and both score rules:
         // their caches and the integer counters of their endpoints agree.
@@ -668,13 +615,11 @@ mod tests {
                                 k,
                             };
                             let cache = &mut start_cache;
-                            let started = by_start
+                            let (_, charge) = by_start
                                 .start(&mut ep_start, cache, 1, pair, &mut landing, &op, &edge)
                                 .unwrap();
-                            if let Started::Deferred(d) = started {
-                                by_start
-                                    .complete(&mut ep_start, cache, d, &op, &edge)
-                                    .unwrap();
+                            if let Some(charge) = charge {
+                                charge.wait(&mut ep_start);
                             }
                         }
                     }
@@ -997,8 +942,8 @@ mod tests {
         // Under a plan that corrupts transfers and cached entries, no
         // per-edge kernel ever runs over a row that differs from the
         // owner's: a transfer is landed, verified and only then computed on.
-        // Both storages, cached (misses verified at completion, bypasses
-        // once the cache quarantines) and non-cached (every read over the
+        // Both storages, cached (misses verified before they are computed on
+        // and admitted, bypasses once the cache quarantines) and non-cached (every read over the
         // borrowed lander), one and four gets in flight, every rank.
         let (pg, base) = setup();
         for storage in [GraphStorage::Plain, GraphStorage::Compressed] {
@@ -1042,22 +987,42 @@ mod tests {
         // four gets in flight, the split read's values must equal reading the
         // plain row and running `count_closing_at` over it, for every remote
         // edge and both rounds (miss then hit) — and compressed misses must
-        // record logical vs stored bytes on the cache while doing so.
+        // record logical vs stored bytes on the cache while doing so. Under a
+        // plan that corrupts transfers and cached entries the values are the
+        // same, and no read leaves a charge in flight.
         let (pg, base) = setup();
         let plain_windows = GraphWindows::build(&pg);
         let (plain_reader, mut no_cache) =
             RowReader::new(&plain_windows, &base, pg.global_vertex_count());
         let intersector = Intersector::new(base.method);
         let part = &pg.partitions[0];
+        let heavy = Some(FaultPlan::heavy(7));
         for storage in [GraphStorage::Plain, GraphStorage::Compressed] {
             let windows = GraphWindows::build_with(&pg, storage);
-            for (cached, in_flight) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
-                let mut config = base;
-                config.cache = cached.then(|| CacheSpec::paper(1 << 20).with_degree_scores());
+            for (cached, in_flight, faults) in [
+                (false, 1, None),
+                (false, 4, None),
+                (true, 1, None),
+                (true, 4, None),
+                (false, 4, heavy),
+                (true, 4, heavy),
+            ] {
+                let config = DistConfig {
+                    cache: cached.then(|| CacheSpec::paper(1 << 20).with_degree_scores()),
+                    faults,
+                    retry: RetryPolicy {
+                        max_attempts: 32,
+                        ..RetryPolicy::default()
+                    },
+                    ..base
+                };
+                let what = format!("{storage:?} cached={cached} faulted={}", faults.is_some());
                 let (reader, mut cache) =
                     RowReader::new(&windows, &config, pg.global_vertex_count());
                 let op = ClosingCount::new(&config, pg.direction, storage);
-                let (mut ep_a, mut ep_b) = (endpoint(&config), endpoint(&config));
+                let mut ep_a = rank_endpoint(0, &config);
+                ep_a.lock_all();
+                let mut ep_b = endpoint(&config);
                 let mut landing = Vec::new();
                 let mut flying = std::collections::VecDeque::new();
                 for _round in 0..2 {
@@ -1080,41 +1045,37 @@ mod tests {
                                 v,
                                 k,
                             };
-                            match reader
+                            let (got, charge) = reader
                                 .start(&mut ep_a, &mut cache, 1, pair, &mut landing, &op, &edge)
-                                .unwrap()
-                            {
-                                Started::Immediate(got) => assert_eq!(got, expected),
-                                Started::Deferred(d) => flying.push_back((d, edge, expected)),
+                                .unwrap();
+                            assert_eq!(got, expected, "{what} v={v}");
+                            if let Some(charge) = charge {
+                                assert!(faults.is_none(), "{what}: a faulted read left a charge");
+                                flying.push_back(charge);
                             }
                             while flying.len() >= in_flight {
-                                let (d, edge, expected) = flying.pop_front().unwrap();
-                                let got = reader
-                                    .complete(&mut ep_a, &mut cache, d, &op, &edge)
-                                    .unwrap();
-                                assert_eq!(
-                                    got, expected,
-                                    "{storage:?} cached={cached} v={}",
-                                    edge.v
-                                );
+                                flying.pop_front().unwrap().wait(&mut ep_a);
                             }
                         }
                     }
                 }
                 assert!(flying.is_empty() || in_flight > 1);
-                for (d, edge, expected) in flying.drain(..) {
-                    let got = reader.complete(&mut ep_a, &mut cache, d, &op, &edge);
-                    assert_eq!(got.unwrap(), expected);
+                for charge in flying.drain(..) {
+                    charge.wait(&mut ep_a);
                 }
                 ep_a.unlock_all();
                 ep_b.unlock_all();
+                if faults.is_some() {
+                    let failures = ep_a.stats().checksum_failures;
+                    assert!(failures > 0, "{what}: the plan corrupted nothing");
+                }
                 if let Some(cache) = cache {
                     let stats = cache.stats();
-                    assert!(stats.hits > 0, "second round must hit");
+                    assert!(stats.hits > 0, "{what}: second round must hit");
                     assert_eq!(
                         stats.stored_bytes > 0 && stats.logical_bytes > stats.stored_bytes,
                         storage == GraphStorage::Compressed,
-                        "compressed misses (only) must record a compression win: {stats:?}"
+                        "{what}: compressed misses (only) must record a compression win: {stats:?}"
                     );
                 }
             }

@@ -139,7 +139,8 @@ impl DistJaccard {
             rank_stats.push(out.rma);
             compute_ns.push(out.compute_ns);
         }
-        // Absorbs the completion-order reshuffle of gets kept in flight.
+        // Each rank folds its edges in source order, but a cyclic partition
+        // interleaves sources across ranks.
         edges.sort_by_key(|e| (e.source, e.destination));
         Ok(JaccardResult {
             edges,

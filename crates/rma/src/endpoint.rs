@@ -18,16 +18,20 @@
 //! by the same private pair (`Endpoint::issue` / `Endpoint::complete`); what
 //! differs is only who owns the buffer the transfer is copied into. The owned
 //! lander ([`Endpoint::get`] and its wrappers) copies into a fresh
-//! `Arc<[T]>` — right when a cache will retain the row, a pipeline slot holds
-//! it in flight, or it is returned to the caller. The borrowed lander
+//! `Arc<[T]>` — right when a cache will retain the row or it is returned to
+//! the caller. The borrowed lander
 //! ([`Endpoint::get_into_with_retry`]) copies into a [`Landing`] buffer the
 //! caller keeps across gets — right for every read whose buffer nobody
-//! retains, which then costs no heap allocation at all. Fault-free, such a
-//! read need not even be synchronous: the data moves at issue time, so
-//! [`Endpoint::get_into`] hands back only the completion still owed
-//! ([`PendingCharge`]) and a pipelined caller keeps the latency in flight
-//! without a buffer to hold. Either way a lander only copies: what the caller
-//! computes from the data, it computes from the landed buffer.
+//! retains, which then costs no heap allocation at all. Fault-free, neither
+//! read need be synchronous: the data moves at issue time, so
+//! [`Endpoint::get_into`] and [`PendingGet::split`] hand back only the
+//! completion still owed ([`PendingCharge`]) and a pipelined caller keeps the
+//! latency in flight without a buffer to hold. With an injector attached,
+//! every read that needs its data is synchronous and self-healing
+//! ([`Endpoint::get_with_retry`], [`Endpoint::get_into_with_retry`]): an
+//! unverified transfer never outlives the call that issued it. Either way a
+//! lander only copies: what the caller computes from the data, it computes
+//! from the landed buffer.
 
 use crate::fault::{self, FaultInjector, RetryPolicy, RmaError};
 use crate::network::NetworkModel;
@@ -125,21 +129,6 @@ impl<T> PendingGet<T> {
             ticket: self.ticket,
         };
         (self.data, charge)
-    }
-
-    /// The rank this get targets.
-    pub fn target(&self) -> usize {
-        self.ticket.target
-    }
-
-    /// Number of elements transferred.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the transfer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 }
 
@@ -393,19 +382,16 @@ impl Endpoint {
     /// The retry loop every self-healing read shares: runs `attempt` until it
     /// succeeds or the [`RetryPolicy`] budget is spent, with exponential
     /// backoff before each retry — an idle stall, charged as communication
-    /// time without consuming overlap credit. `first_failure` is the outcome
-    /// of an attempt the caller already made (it counts as attempt 1).
+    /// time without consuming overlap credit.
     #[inline]
     fn retrying<R>(
         &mut self,
         target: usize,
-        first_failure: Option<RmaError>,
         mut attempt: impl FnMut(&mut Self) -> Result<R, RmaError>,
     ) -> Result<R, RmaError> {
         let attempts = self.retry.max_attempts.max(1);
-        let first = if first_failure.is_some() { 2 } else { 1 };
-        let mut last = first_failure;
-        for n in first..=attempts {
+        let mut last = None;
+        for n in 1..=attempts {
             if n > 1 {
                 let backoff = self.retry.backoff_ns(n - 1);
                 self.stats.retries += 1;
@@ -439,9 +425,7 @@ impl Endpoint {
         offset: usize,
         len: usize,
     ) -> Result<Arc<[T]>, RmaError> {
-        self.retrying(target, None, |ep| {
-            ep.get(window, target, offset, len)?.wait(ep)
-        })
+        self.retrying(target, |ep| ep.get(window, target, offset, len)?.wait(ep))
     }
 
     /// The borrowed lander: a self-healing synchronous get whose transfer is
@@ -470,7 +454,7 @@ impl Endpoint {
         len: usize,
         landing: &mut impl Landing<T>,
     ) -> Result<(), RmaError> {
-        self.retrying(target, None, |ep| {
+        self.retrying(target, |ep| {
             let (ticket, ()) = ep.issue(window, target, offset, len, |wire| landing.land(wire))?;
             ep.complete(&ticket, landing.as_ref())
         })
@@ -507,67 +491,6 @@ impl Endpoint {
             .issue(window, target, offset, len, |wire| landing.land(wire))
             .expect("a fault-free issue cannot fail");
         PendingCharge { ticket }
-    }
-
-    /// Completes a get that was issued nonblockingly some time ago — the
-    /// software-pipelined worker's deferred-wait path — healing failures by
-    /// *reissuing* the get, so a pipeline slot has the same self-healing
-    /// guarantee as [`Endpoint::get_with_retry`].
-    ///
-    /// The original issue counts as attempt 1; a failed wait retries up to the
-    /// [`RetryPolicy`]'s budget with the same exponential backoff and cost
-    /// accounting as the synchronous retry loop. `(window, target, offset,
-    /// len)` must be the coordinates `pending` was issued with.
-    ///
-    /// # Errors
-    ///
-    /// [`RmaError::RetriesExhausted`] when the wait and every reissue failed.
-    pub fn wait_with_reissue<T: Copy + Send + Sync>(
-        &mut self,
-        pending: PendingGet<T>,
-        window: &Window<T>,
-        target: usize,
-        offset: usize,
-        len: usize,
-    ) -> Result<Arc<[T]>, RmaError> {
-        debug_assert_eq!(pending.target(), target, "reissue coordinates must match");
-        match pending.wait(self) {
-            Ok(data) => Ok(data),
-            Err(first) => self.retrying(target, Some(first), |ep| {
-                ep.get(window, target, offset, len)?.wait(ep)
-            }),
-        }
-    }
-
-    /// Issues a get, healing *issue-time* transient failures with the same
-    /// backoff and accounting as [`Endpoint::get_with_retry`], but returns the
-    /// nonblocking handle instead of waiting — the software-pipelined worker's
-    /// issue path. Completion-side failures (stragglers, corrupted transfers)
-    /// are the deferred wait's problem: pair with
-    /// [`Endpoint::wait_with_reissue`].
-    ///
-    /// # Errors
-    ///
-    /// [`RmaError::RetriesExhausted`] when every allowed issue attempt was
-    /// dropped at the source.
-    pub fn issue_with_retry<T: Copy + Send + Sync>(
-        &mut self,
-        window: &Window<T>,
-        target: usize,
-        offset: usize,
-        len: usize,
-    ) -> Result<PendingGet<T>, RmaError> {
-        self.retrying(target, None, |ep| ep.get(window, target, offset, len))
-    }
-
-    /// Abandons every outstanding (issued, never waited) get: their modeled
-    /// cost is charged as a final flush and the epoch becomes closeable. This
-    /// is the pipelined worker's error path — when one slot fails
-    /// unrecoverably, the in-flight rest must not leave `unlock_all` asserting
-    /// on un-flushed cost (the bytes were on the wire either way). Equivalent
-    /// to [`Endpoint::flush_all`]; the name documents intent at the call site.
-    pub fn abandon_outstanding(&mut self) -> f64 {
-        self.flush_all()
     }
 
     /// Reads the caller's own exposed region directly (no get, no charge beyond the
@@ -671,9 +594,7 @@ mod tests {
         let w = window2();
         let mut ep = Endpoint::new(0, 2, NetworkModel::aries());
         ep.lock_all();
-        let pending = ep.get(&w, 1, 1, 3).unwrap();
-        assert_eq!(pending.len(), 3);
-        let data = pending.wait(&mut ep).unwrap();
+        let data = ep.get(&w, 1, 1, 3).unwrap().wait(&mut ep).unwrap();
         assert_eq!(&*data, &[20, 30, 40]);
         assert_eq!(ep.stats().gets, 1);
         assert_eq!(ep.stats().bytes, 12);
@@ -1113,10 +1034,10 @@ mod tests {
             assert_eq!(sync.stats(), owned.stats(), "read {i}");
         }
         // Several charges in flight, dropped unwaited: the epoch still closes
-        // once the outstanding pool is abandoned.
+        // once the outstanding pool is flushed.
         let _a = split.get_into(&w, 1, 0, 4, &mut landing_b);
         let _b = split.get_into(&w, 1, 4, 4, &mut landing_b);
-        assert!(split.abandon_outstanding() > 0.0);
+        assert!(split.flush_all() > 0.0);
         split.unlock_all();
     }
 
@@ -1169,77 +1090,7 @@ mod tests {
     }
 
     #[test]
-    fn issue_with_retry_survives_issue_time_drops() {
-        let w = window2();
-        let plan = FaultPlan {
-            get_failure_p: 0.5,
-            ..FaultPlan::reliable(15)
-        };
-        let retry = RetryPolicy {
-            max_attempts: 64,
-            base_backoff_ns: 100.0,
-            backoff_multiplier: 2.0,
-            timeout_ns: None,
-        };
-        let mut ep = Endpoint::new(0, 2, NetworkModel::aries())
-            .with_retry(retry)
-            .with_faults(plan.injector(0));
-        ep.lock_all();
-        for _ in 0..30 {
-            // Every issue eventually succeeds, handing back a pending get the
-            // pipelined worker can defer.
-            let pending = ep.issue_with_retry(&w, 1, 0, 3).unwrap();
-            let data = ep.wait_with_reissue(pending, &w, 1, 0, 3).unwrap();
-            assert_eq!(&*data, &[10, 20, 30]);
-        }
-        ep.unlock_all();
-        assert!(
-            ep.stats().transient_failures > 0,
-            "p=0.5 over 30 issues must drop at least once"
-        );
-        assert!(ep.stats().retries > 0);
-    }
-
-    #[test]
-    fn wait_with_reissue_heals_corrupted_pipelined_gets() {
-        let w = window2();
-        let plan = FaultPlan {
-            corrupt_p: 0.5,
-            ..FaultPlan::reliable(11)
-        };
-        let retry = RetryPolicy {
-            max_attempts: 64,
-            base_backoff_ns: 100.0,
-            backoff_multiplier: 2.0,
-            timeout_ns: None,
-        };
-        let mut ep = Endpoint::new(0, 2, NetworkModel::aries())
-            .with_retry(retry)
-            .with_faults(plan.injector(0));
-        ep.lock_all();
-        let mut healed = false;
-        for _ in 0..30 {
-            // Issue nonblockingly, then complete much later — the pipelined
-            // shape — and the data must still always come out clean.
-            let pending = match ep.get(&w, 1, 0, 3) {
-                Ok(p) => p,
-                Err(_) => continue, // transient at issue; not this test's path
-            };
-            let before = ep.stats().checksum_failures;
-            let data = ep.wait_with_reissue(pending, &w, 1, 0, 3).unwrap();
-            assert_eq!(&*data, &[10, 20, 30]);
-            healed |= ep.stats().checksum_failures > before;
-        }
-        ep.unlock_all();
-        assert!(
-            healed,
-            "p=0.5 over 30 pipelined reads must heal at least once"
-        );
-        assert!(ep.stats().backoff_ns > 0.0, "healing pays the same backoff");
-    }
-
-    #[test]
-    fn wait_with_reissue_exhausts_cleanly_on_unrecoverable_faults() {
+    fn get_with_retry_exhausts_cleanly_on_unrecoverable_corruption() {
         let w = window2();
         let plan = FaultPlan {
             corrupt_p: 1.0,
@@ -1253,8 +1104,7 @@ mod tests {
             .with_retry(retry)
             .with_faults(plan.injector(0));
         ep.lock_all();
-        let pending = ep.get(&w, 1, 0, 2).unwrap();
-        let err = ep.wait_with_reissue(pending, &w, 1, 0, 2).unwrap_err();
+        let err = ep.get_with_retry(&w, 1, 0, 2).unwrap_err();
         match err {
             RmaError::RetriesExhausted {
                 target: 1,
@@ -1264,18 +1114,6 @@ mod tests {
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }
         // Every failed attempt completed its get: nothing outstanding.
-        ep.unlock_all();
-    }
-
-    #[test]
-    fn abandon_outstanding_lets_the_epoch_close_with_gets_in_flight() {
-        let w = window2();
-        let mut ep = Endpoint::new(0, 2, NetworkModel::aries());
-        ep.lock_all();
-        let _a = ep.get(&w, 1, 0, 2).unwrap();
-        let _b = ep.get(&w, 1, 2, 2).unwrap();
-        let charged = ep.abandon_outstanding();
-        assert!(charged > 0.0, "abandoned gets still pay their wire cost");
         ep.unlock_all();
     }
 

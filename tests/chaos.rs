@@ -353,8 +353,8 @@ fn overlapped_lcc_heals_recoverable_plans_to_the_fault_free_answer() {
 #[test]
 fn overlapped_cached_lcc_heals_corrupted_cache_entries() {
     // The overlapped cached path never admits unverified data: under faults
-    // every deferred get re-verifies before the row can enter the cache, so
-    // corruption costs retries, never answers.
+    // every miss is read synchronously and verified before the row can enter
+    // the cache, so corruption costs retries, never answers.
     let g = graph();
     let clean = DistLcc::new(DistConfig::cached(2, 1 << 20).with_degree_scores()).run(&g);
     for seed in chaos_seeds() {
@@ -397,10 +397,11 @@ fn overlapped_jaccard_heals_recoverable_plans_to_the_fault_free_answer() {
 
 #[test]
 fn overlapped_unrecoverable_plans_error_cleanly_with_epochs_closed() {
-    // The hard case: a get fails terminally while the FIFO still holds other
-    // in-flight gets. The worker must abandon them, close every access epoch
-    // (the endpoint panics on an unbalanced epoch otherwise), and surface the
-    // error — no hang, no panic, no partial answer.
+    // A get fails terminally at a depth that keeps gets in flight when the
+    // run is fault-free. Faulted reads are synchronous, so nothing is in
+    // flight: the worker must close every access epoch (the endpoint panics
+    // on un-flushed gets otherwise) and surface the error — no hang, no
+    // panic, no partial answer.
     let g = graph();
     for depth in OVERLAP_SETTINGS {
         for seed in chaos_seeds() {
@@ -489,7 +490,7 @@ proptest! {
         let retry = RetryPolicy {
             max_attempts,
             // A timeout below the delayed cost turns stragglers into retried
-            // timeouts — the reissue path; without it they only cost time.
+            // timeouts — the retry path; without it they only cost time.
             timeout_ns: with_timeout.then_some(100_000.0),
             ..Default::default()
         };

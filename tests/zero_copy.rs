@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use rmatc::clampi::{CacheStats, RowRef};
-use rmatc::core::distributed::reader::{AdjCache, Deferred, Edge, OffsetSpans, RowReader, Started};
+use rmatc::core::distributed::reader::{AdjCache, Edge, OffsetSpans, RowReader};
 use rmatc::core::distributed::worker::{run_worker, ClosingCount};
 use rmatc::core::distributed::{CacheSpec, DistConfig, GraphWindows};
 use rmatc::core::intersect::{CostModel, IntersectMethod, Intersector};
@@ -17,7 +17,7 @@ use rmatc::core::local::count_closing_at;
 use rmatc::graph::gen::{GraphGenerator, RmatGenerator};
 use rmatc::graph::partition::{PartitionScheme, PartitionedGraph};
 use rmatc::graph::reference;
-use rmatc::rma::{Endpoint, NetworkModel, RankStats, RmaError};
+use rmatc::rma::{Endpoint, NetworkModel, PendingCharge, RankStats, RmaError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -260,7 +260,7 @@ fn cache_hits_and_local_reads_allocate_nothing() {
 
 /// Rank 0's side of the split read: one reader with its endpoint and cache,
 /// the landing buffer, its offsets spans when it reads by span, and a
-/// FIFO that keeps up to `in_flight` adjacency gets issued before completing
+/// FIFO that keeps up to `in_flight` adjacency charges owed before waiting
 /// the oldest — everything preallocated, so a measured pass allocates only
 /// what the read path itself allocates.
 struct Rounds<'a> {
@@ -271,7 +271,7 @@ struct Rounds<'a> {
     ep: Endpoint,
     landing: Vec<u32>,
     spans: Option<OffsetSpans>,
-    flying: VecDeque<(Deferred<u64>, Edge<'a>)>,
+    flying: VecDeque<PendingCharge>,
     in_flight: usize,
 }
 
@@ -335,7 +335,7 @@ impl<'a> Rounds<'a> {
                         self.reader.read_offsets(&mut self.ep, 1, v_local).unwrap()
                     }
                 };
-                let started = self
+                let (count, charge) = self
                     .reader
                     .start(
                         &mut self.ep,
@@ -347,27 +347,22 @@ impl<'a> Rounds<'a> {
                         &edge,
                     )
                     .unwrap();
-                match started {
-                    Started::Immediate(count) => total += count,
-                    Started::Deferred(deferred) => self.flying.push_back((deferred, edge)),
+                total += count;
+                if let Some(charge) = charge {
+                    self.flying.push_back(charge);
+                    self.complete_down_to(self.in_flight - 1);
                 }
-                total += self.complete_down_to(self.in_flight - 1);
             }
         }
         assert!(rounds > 0, "the partition must have remote edges");
-        total + self.complete_down_to(0)
+        self.complete_down_to(0);
+        total
     }
 
-    fn complete_down_to(&mut self, keep: usize) -> u64 {
-        let mut total = 0;
+    fn complete_down_to(&mut self, keep: usize) {
         while self.flying.len() > keep {
-            let (deferred, edge) = self.flying.pop_front().unwrap();
-            total += self
-                .reader
-                .complete(&mut self.ep, &mut self.cache, deferred, &self.op, &edge)
-                .unwrap();
+            self.flying.pop_front().unwrap().wait(&mut self.ep);
         }
-        total
     }
 }
 
