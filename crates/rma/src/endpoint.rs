@@ -19,10 +19,10 @@
 //! differs is only who owns the buffer the transfer is copied into. The owned
 //! lander ([`Endpoint::get`] and its wrappers) copies into a fresh
 //! `Arc<[T]>` — right when a cache will retain the row or it is returned to
-//! the caller. The borrowed lander
-//! ([`Endpoint::get_into_with_retry`]) copies into a [`Landing`] buffer the
-//! caller keeps across gets — right for every read whose buffer nobody
-//! retains, which then costs no heap allocation at all. Fault-free, neither
+//! the caller. The borrowed lander ([`Endpoint::get_into_with_retry`])
+//! copies into a [`Landing`] buffer the caller keeps across gets — right for
+//! every read whose buffer nobody retains, which then costs no heap
+//! allocation at all. Fault-free, neither
 //! read need be synchronous: the data moves at issue time, so
 //! [`Endpoint::get_into`] and [`PendingGet::split`] hand back only the
 //! completion still owed ([`PendingCharge`]) and a pipelined caller keeps the
