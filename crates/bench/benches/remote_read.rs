@@ -4,8 +4,9 @@
 //! place from the CLaMPI cache, cold reads that land each row in the buffer
 //! the cache retains and intersect it there, and the non-cached
 //! transfer-per-edge baseline. The
-//! cached rows read each source's offsets pairs by span, as the cached edge
-//! loop does; the non-cached rows read one pair per edge.
+//! cached rows read each source's offsets pairs by span, as the edge loop
+//! does; the non-cached rows read one pair per edge (a one-key span), the
+//! two gets per edge of Algorithm 3.
 //!
 //! Wired into `just bench-smoke` / CI with `--json BENCH_remote_read.json
 //! --history bench-history/remote_read.ndjson`, so the `bench-diff` gate
@@ -73,7 +74,7 @@ fn bench_remote_read(c: &mut Criterion) {
     // issued (pipeline depth 1); `by_span` reads each source's offsets pairs
     // in spans first, as the cached edge loop does.
     let mut landing = Vec::new();
-    let mut spans = OffsetSpans::default();
+    let (mut spans, mut words, mut pairs) = (OffsetSpans::default(), Vec::new(), Vec::new());
     let mut run = |(reader, cache): &mut (RowReader, AdjCache),
                    op: &ClosingCount,
                    ep: &mut Endpoint,
@@ -90,9 +91,8 @@ fn bench_remote_read(c: &mut Criterion) {
             let pair = if by_span {
                 spans.pair(e.k)
             } else {
-                reader
-                    .read_offsets(ep, 1, e.v_local)
-                    .expect("no faults injected")
+                reader.read_key_spans(ep, &[(1, e.v_local)], &mut words, &mut pairs);
+                pairs[0].clone().expect("no faults injected")
             };
             let edge = Edge {
                 slot: 0,
@@ -205,8 +205,8 @@ fn bench_remote_read(c: &mut Criterion) {
         )
     });
 
-    // Baseline: no cache, one transfer per edge into the reused landing
-    // buffer, intersected there.
+    // Baseline: no cache, two gets per edge — the offsets pair, then the
+    // row, intersected in place.
     group.bench_function("non_cached", |b| {
         let mut reader = make_reader(None);
         let mut ep = Endpoint::new(0, 2, config.network);

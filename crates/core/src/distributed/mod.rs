@@ -15,7 +15,9 @@
 //!    the degree of the fetched vertex as an application-defined eviction score;
 //!    the paper's second cache, over the offsets window, is replaced by reading
 //!    each source's offsets pairs in α+β-planned spans
-//!    ([`reader::RowReader::read_spans`]).
+//!    ([`reader::RowReader::read_spans`]) — with or without the cache, so the
+//!    non-cached baseline reads spans too, where the paper's reads one pair
+//!    per edge.
 //! 5. Per-edge intersections use the same kernels as the shared-memory path; double
 //!    buffering overlaps the communication of the next edge with the computation of
 //!    the current one.
@@ -43,7 +45,7 @@
 //! | 1 | 1D-partition the CSR graph across ranks | [`rmatc_graph::partition`] |
 //! | 2 | Expose `offsets` / `adjacencies` in two RMA windows | [`windows`] |
 //! | 3 | Open the passive-target access epoch, no synchronization | [`pipeline`] (`lock_all`) |
-//! | 4 | Get the `(start, end)` pair from `w_offsets` (cached: every pair of a source, by span; the service: every pair of a batch, by span) | [`reader`] (`read_offsets`, `read_spans`, `read_key_spans`) |
+//! | 4 | Get the `(start, end)` pair from `w_offsets` (the edge loop, cached or not: every pair of a source, by span; the service: every pair of a batch, by span; the paper's non-cached loop reads one pair per edge) | [`reader`] (`read_spans`, `read_key_spans`) |
 //! | 5 | Get the adjacency list from `w_adj`, cache-intercepted | [`reader`] + `rmatc_clampi` |
 //! | 6 | Intersect, accumulate per-vertex closed triplets | [`worker`] (`ClosingCount`) + [`crate::intersect`] |
 //! | — | The edge loop: gets kept in flight (§III-A's double buffer) | [`pipeline`] |
@@ -60,8 +62,9 @@
 //! retains (under fault injection, only once its checksum has verified).
 //! Hits and local-rank reads perform zero heap
 //! allocations; a miss performs exactly one; a read nobody retains
-//! (non-cached, quarantine bypass) lands in the rank's reused buffer and,
-//! once that has grown, performs none.
+//! (non-cached, quarantine bypass, offsets spans) is read in place, or under
+//! fault injection lands in the rank's reused buffer and, once that has
+//! grown, performs none.
 //!
 //! # Compressed adjacency
 //!

@@ -22,11 +22,12 @@
 //! (and, with [`rmatc_rma::NetworkModel::with_injection`], real) transfer
 //! latency hides behind the issue-side compute. Offsets reads stay
 //! synchronous — their result gates the adjacency get, exactly the
-//! dependency the two-get protocol imposes. Non-cached, each remote edge
-//! reads its own two-word pair (Algorithm 3 verbatim, the paper's baseline);
-//! cached ([`DistConfig::cache`] is `Some`), each source first reads the
+//! dependency the two-get protocol imposes. Each source first reads the
 //! pairs of all its remote neighbours in α+β-planned spans
-//! ([`RowReader::read_spans`]), so its edges start from known pairs.
+//! ([`RowReader::read_spans`]), so its edges start from known pairs. The
+//! paper's non-cached baseline reads one pair per remote edge instead; here
+//! the cached and non-cached loops differ only in `C_adj` (the reasons are
+//! in [`super::reader`]).
 //!
 //! # Equivalence across depths
 //!
@@ -54,7 +55,7 @@ use std::collections::VecDeque;
 /// Everything the edge loop produces for one rank.
 #[derive(Debug)]
 pub(crate) struct RankOutput<T> {
-    /// The folded per-edge results, one per local vertex.
+    /// The folded per-edge results ([`EdgeOp::output`]).
     pub items: Vec<T>,
     /// RMA statistics.
     pub rma: RankStats,
@@ -98,7 +99,7 @@ pub(crate) fn run_rank<O: EdgeOp>(
     let (reader, mut cache) = RowReader::new(windows, config, pg.global_vertex_count());
     let mut ep = rank_endpoint(rank, config);
     let mut out = RankOutput {
-        items: op.output(pg.partitions[rank].local_vertex_count()),
+        items: op.output(&pg.partitions[rank]),
         rma: RankStats::default(),
         adjacency_cache: None,
         compute_ns: 0,
@@ -150,18 +151,17 @@ fn edge_loop<O: EdgeOp>(
     // it. The meter reads the thread clock once per stride of edges: the read
     // is a syscall that costs more than one protocol round.
     let mut meter = config.double_buffering.then(|| ComputeMeter::new(timer));
-    // Where the adjacency reads nobody retains land — non-cached protocol
-    // rounds and quarantine-bypass reads: the paper's double buffer. It grows
-    // to the longest row read and is then reused allocation-free.
+    // Where the faulted adjacency reads nobody retains land — non-cached
+    // protocol rounds and quarantine-bypass reads: the paper's double
+    // buffer. It grows to the longest row read and is then reused
+    // allocation-free. Fault-free, those reads are read in place.
     let mut landing = Vec::new();
-    // The cached configuration's offsets pairs, read per source by span.
-    let mut spans = config.cache.map(|_| OffsetSpans::default());
+    // The offsets pairs of the source's remote neighbours, read by span.
+    let mut spans = OffsetSpans::default();
     for local_idx in 0..part.local_vertex_count() {
         let adj_u = part.neighbours_of_local(local_idx);
         let source = part.global_ids[local_idx];
-        if let Some(spans) = spans.as_mut() {
-            reader.read_spans(ep, &pg.partitioner, adj_u, spans)?;
-        }
+        reader.read_spans(ep, &pg.partitioner, adj_u, &mut spans)?;
         // `v` walks `adj_u` in sorted order, so `k` locates it for the
         // operation in O(1) (the upper-triangle suffix is `adj_u[k + 1..]`).
         for (k, &v) in adj_u.iter().enumerate() {
@@ -177,18 +177,15 @@ fn edge_loop<O: EdgeOp>(
                 k,
             };
             let owner = pg.partitioner.owner(v);
-            let v_local = pg.partitioner.local_index(v);
             if owner == rank {
                 // Neighbour owned locally: its row is in this rank's partition.
-                let value = op.local(&edge, part.neighbours_of_local(v_local));
+                let adj_v = part.neighbours_of_local(pg.partitioner.local_index(v));
+                let value = op.local(&edge, adj_v);
                 op.fold(&mut out.items, &edge, value);
                 continue;
             }
             out.remote_edges += 1;
-            let row = match spans.as_ref() {
-                Some(spans) => spans.pair(k),
-                None => reader.read_offsets(ep, owner, v_local)?,
-            };
+            let row = spans.pair(k);
             let (value, charge) = reader.start(ep, cache, owner, row, &mut landing, op, &edge)?;
             op.fold(&mut out.items, &edge, value);
             if let Some(charge) = charge {

@@ -3,44 +3,55 @@
 //! [`crate::DistLcc`], [`crate::DistJaccard`] and the resident query service.
 //!
 //! The first get reads a row's `(start, end)` pair from the offsets window.
-//! [`RowReader::read_offsets`] reads one pair — Algorithm 3 verbatim, what the
-//! non-cached edge loop does per row. The other two readers take many rows
-//! at once, grouped by owner with ascending local indices, so each owner's
-//! pairs lie in one index range of its offsets window. The range is split
-//! into spans where a gap would cost more bytes than a get ([`spans_join`]),
-//! and each span is one get. [`RowReader::read_spans`] reads the pairs of all
-//! of one source's remote neighbours — what the cached edge loop does (rows
-//! are sorted, so the neighbours a rank owns ascend);
-//! [`RowReader::read_key_spans`] reads the pairs of a sorted list of
-//! `(owner, local index)` keys — what the service does for the unique rows
-//! of a batch before it reads each with [`RowReader::read_row`].
+//! Both readers take many rows at once, grouped by owner with ascending local
+//! indices, so each owner's pairs lie in one index range of its offsets
+//! window. The range is split into spans where a gap would cost more bytes
+//! than a get ([`spans_join`]), and each span is one get.
+//! [`RowReader::read_spans`] reads the pairs of all of one source's remote
+//! neighbours — what the edge loop does, cached or not (rows are sorted, so
+//! the neighbours a rank owns ascend); [`RowReader::read_key_spans`] reads
+//! the pairs of a sorted list of `(owner, local index)` keys — what the
+//! service does for the unique rows of a batch before it reads each with
+//! [`RowReader::read_row`]. One key alone is the single two-word get of
+//! Algorithm 3.
+//!
+//! This departs from the paper's non-cached baseline, which reads one pair
+//! per remote edge. The first get is α-bound, and the α+β rule only joins
+//! pairs whose gap costs less than the get it saves, so both modes read
+//! spans: on the uniform degree-64 benchmark graph this halves the gets and
+//! cuts the modeled time by 44%. A fault-free span is read in place, so the
+//! wider reads cost the host nothing; the model charges β for their bytes.
+//! The cache's measured gain is therefore `C_adj`'s alone, against a
+//! baseline that already reads spans.
 //!
 //! [`RowReader`] offers the adjacency read in two shapes.
 //! [`RowReader::read_row`] hands the row back as a zero-copy [`RowRef`] (the
 //! service plans a batch of rows first and answers from them afterwards).
 //! [`RowReader::start`] computes a per-edge operation ([`EdgeOp`]) over the
-//! row *where it is* — in place on a local row or a cache hit, over the
-//! landed buffer after a transfer — and hands back the finished value with
-//! the transfer's cost still owed, so the edge loop ([`super::pipeline`])
-//! overlaps that latency with the next edges. A transfer is always landed
-//! first and computed on second, so under fault injection no kernel ever
-//! runs over a transfer its checksum has not verified. One rule decides
-//! where a transfer lands — *who keeps the buffer*:
+//! row *where it is* — in place on a local row, a cache hit or a fault-free
+//! transfer nobody keeps, over the landed buffer otherwise — and hands back
+//! the finished value with the transfer's cost still owed, so the edge loop
+//! ([`super::pipeline`]) overlaps that latency with the next edges. A
+//! faulted transfer is always landed first and computed on second, so no
+//! kernel ever runs over a transfer its checksum has not verified. One rule
+//! decides where a transfer is read — *who keeps the buffer*: a transfer
+//! the cache keeps lands in the get's one `Arc`; a fault-free read nobody
+//! keeps is read in place ([`Endpoint::get_in_place`]); a faulted one lands
+//! in the caller's buffer.
 //!
-//! | read | kept by | lands in |
-//! |---|---|---|
-//! | cached miss (either entry point) | the cache (+ the caller of `read_row`) | the get's one `Arc` |
-//! | non-cached or quarantine-bypass adjacency row | nobody | the caller's landing `Vec` |
-//! | offsets span | nobody | the caller's span buffer ([`OffsetSpans`], or the service lane's words) |
-//! | one offsets pair | nobody | a two-word stack array |
+//! | read | kept by | fault-free | faulted |
+//! |---|---|---|---|
+//! | cached miss (either entry point) | the cache (+ the caller of `read_row`) | the get's one `Arc` | the get's one `Arc` |
+//! | non-cached or quarantine-bypass adjacency row | nobody | in place | the caller's landing `Vec` |
+//! | offsets span | nobody | in place | the caller's span buffer ([`OffsetSpans`], or the service lane's words) |
 //!
 //! The simulator materializes a get's data at issue time, so a fault-free
 //! read computes its value — and a miss admits its buffer — when it is
 //! issued, in exactly the order a loop that waits for every get would; only
 //! the cost ticket ([`rmatc_rma::PendingCharge`]) stays in flight. Under
 //! fault injection unverified data is never trusted, and every remote read
-//! is synchronous and self-healing: a row nobody keeps — offsets pairs and
-//! spans included — is verified and healed in place
+//! is synchronous and self-healing: a row nobody keeps — offsets spans
+//! included — is verified and healed in the caller's buffer
 //! ([`Endpoint::get_into_with_retry`]); a cached miss is verified and healed
 //! in its own buffer ([`Endpoint::get_with_retry`]) before it is computed on
 //! and admitted. Nothing is left in flight.
@@ -55,7 +66,7 @@ use super::config::DistConfig;
 use super::windows::GraphWindows;
 use rmatc_clampi::{CacheProbe, CachedWindow, RowRef};
 use rmatc_graph::compressed::decoded_len;
-use rmatc_graph::partition::Partitioner;
+use rmatc_graph::partition::{Partitioner, RankPartition};
 use rmatc_graph::types::VertexId;
 use rmatc_graph::GraphStorage;
 use rmatc_rma::{Endpoint, NetworkModel, PendingCharge, RmaError, Window};
@@ -90,8 +101,9 @@ pub trait EdgeOp: Sync {
     /// One element of the rank's output.
     type Item: Send;
 
-    /// The empty output of a rank that owns `vertices` vertices.
-    fn output(&self, vertices: usize) -> Vec<Self::Item>;
+    /// The empty output of the rank that owns `part`, with room for every
+    /// item the rank folds.
+    fn output(&self, part: &RankPartition) -> Vec<Self::Item>;
 
     /// `v` is owned by the same rank: `adj_v` is its plain partition row.
     fn local(&self, edge: &Edge<'_>, adj_v: &[VertexId]) -> Self::Value;
@@ -121,9 +133,9 @@ pub fn spans_join(network: &NetworkModel, p: usize, q: usize) -> bool {
 #[derive(Debug, Default)]
 pub struct OffsetSpans {
     /// `(owner, local index, position in the source's row)` of every remote
-    /// neighbour, grouped by owner.
+    /// neighbour, in `(owner, local index)` order.
     wanted: Vec<(usize, usize, usize)>,
-    /// Where a span lands.
+    /// Where a faulted span lands (a fault-free one is read in place).
     words: Vec<u64>,
     /// The pair of the neighbour at each position of the source's row.
     pairs: Vec<(usize, usize)>,
@@ -146,8 +158,8 @@ pub type AdjCache = Option<CachedWindow<VertexId>>;
 /// windows.
 ///
 /// Reading the adjacency of a remote vertex requires two RMA gets: the first reads
-/// the `(start, end)` pair from the target's `offsets` array (alone, or in a span
-/// with its source's other neighbours on that target), the second reads
+/// the `(start, end)` pair from the target's `offsets` array (in a span with the
+/// other rows of that target read with it), the second reads
 /// `end − start` vertex ids from the target's `adjacencies` array. When caching is
 /// enabled the second get is first looked up in the CLaMPI cache `C_adj`; every
 /// admitted row carries its length — the vertex degree — as its
@@ -196,29 +208,6 @@ impl RowReader {
         (reader, cache)
     }
 
-    /// First get of the protocol for one row, always synchronous — its
-    /// result gates the adjacency get: the `(start, end)` offsets pair of the
-    /// row of `local_idx` on `target`. The pair is borrowed from the window
-    /// when the row is the caller's own and otherwise landed in a two-word
-    /// stack buffer — nobody retains it, so it allocates nothing. The
-    /// non-cached edge loop reads one pair per row this way; callers that know
-    /// many rows up front read them by span ([`RowReader::read_spans`],
-    /// [`RowReader::read_key_spans`]).
-    pub fn read_offsets(
-        &self,
-        ep: &mut Endpoint,
-        target: usize,
-        local_idx: usize,
-    ) -> Result<(usize, usize), RmaError> {
-        let mut pair = [0u64; 2];
-        if target == ep.rank() {
-            pair.copy_from_slice(ep.local_read(&self.offsets_plain, local_idx, 2));
-        } else {
-            ep.get_into_with_retry(&self.offsets_plain, target, local_idx, 2, &mut pair)?;
-        }
-        Ok((pair[0] as usize, pair[1] as usize))
-    }
-
     /// First get of the protocol for every remote neighbour of one source at
     /// once: reads the `(start, end)` pairs of the rows in `adj_u` that
     /// `partitioner` places on other ranks than `ep.rank()` into `spans`
@@ -246,8 +235,9 @@ impl RowReader {
                 wanted.push((owner, partitioner.local_index(v), k));
             }
         }
-        // Stable, so each owner's rows keep their ascending order.
-        wanted.sort_by_key(|&(owner, ..)| owner);
+        // `(owner, local index)` is unique per neighbour, so an unstable sort
+        // gives the one order, without scratch.
+        wanted.sort_unstable_by_key(|&(owner, idx, _)| (owner, idx));
         pairs.resize(pairs.len().max(adj_u.len()), (0, 0));
         let key = |&(owner, idx, _): &(usize, usize, usize)| (owner, idx);
         self.walk_spans(ep, wanted, key, words, |&(.., k), pair| {
@@ -258,19 +248,22 @@ impl RowReader {
 
     /// First get of the protocol for a batch of rows: the `(start, end)` pair
     /// of each of `keys` — remote `(owner, local index)` rows, sorted and
-    /// distinct, as the service's batch planner holds them — in key order.
-    /// Consecutive keys of one owner share a span while [`spans_join`] says
-    /// the gap is cheaper than a get under `ep`'s network model; each span is
-    /// one synchronous, self-healing get landed in `words`, the caller's
-    /// reusable span buffer. A span that exhausts its retries fails only the
-    /// keys inside it.
+    /// distinct, as the service's batch planner holds them — into `pairs`,
+    /// cleared first, in key order. Consecutive keys of one owner share a
+    /// span while [`spans_join`] says the gap is cheaper than a get under
+    /// `ep`'s network model; each span is one synchronous get, read in place
+    /// fault-free and otherwise landed, verified and healed in `words`. Both
+    /// are the caller's reusable buffers, so a read allocates nothing once
+    /// they have grown. A span that exhausts its retries fails only the keys
+    /// inside it.
     pub fn read_key_spans(
         &self,
         ep: &mut Endpoint,
         keys: &[(usize, usize)],
         words: &mut Vec<u64>,
-    ) -> Vec<Result<(usize, usize), RmaError>> {
-        let mut pairs = Vec::with_capacity(keys.len());
+        pairs: &mut Vec<Result<(usize, usize), RmaError>>,
+    ) {
+        pairs.clear();
         let Ok(()) = self.walk_spans(
             ep,
             keys,
@@ -281,16 +274,16 @@ impl RowReader {
                 Ok::<_, Infallible>(())
             },
         );
-        pairs
     }
 
     /// The span walk of [`RowReader::read_spans`] and
     /// [`RowReader::read_key_spans`]. `wanted` holds remote rows grouped by
     /// owner with ascending local indices, `key` gives each one's
     /// `(owner, local index)`. Consecutive rows of one owner join while
-    /// [`spans_join`] allows; each span is one [`Endpoint::get_into_with_retry`]
-    /// landed in `words`. `land` receives every row with its pair or its
-    /// span's error, in order; an error `land` returns stops the walk.
+    /// [`spans_join`] allows; each span is one synchronous [`read_unkept`]
+    /// (the pairs gate the adjacency gets), landed in `words` only under
+    /// faults. `land` receives every row with its pair or its span's error,
+    /// in order; an error `land` returns stops the walk.
     fn walk_spans<T, E>(
         &self,
         ep: &mut Endpoint,
@@ -309,12 +302,18 @@ impl RowReader {
             });
             let (span, tail) = rest.split_at(1 + joined.count());
             let len = key(&span[span.len() - 1]).1 + 2 - first;
-            let landed = ep.get_into_with_retry(&self.offsets_plain, owner, first, len, words);
+            let read = read_unkept(ep, &self.offsets_plain, owner, first, len, words);
+            let read = read.map(|(read, charge)| {
+                if let Some(charge) = charge {
+                    charge.wait(ep);
+                }
+                read
+            });
             for row in span {
                 let at = key(row).1 - first;
-                let pair = landed
+                let pair = read
                     .as_ref()
-                    .map(|()| (words[at] as usize, words[at + 1] as usize));
+                    .map(|read| (read[at] as usize, read[at + 1] as usize));
                 land(row, pair)?;
             }
             rest = tail;
@@ -342,10 +341,9 @@ impl RowReader {
     }
 
     /// Reads the adjacency list on rank `target` whose `(start, end)` offsets
-    /// pair the first get returned (for the service,
-    /// [`RowReader::read_key_spans`]), cache-intercepted where enabled, and waits
-    /// for it: the probe → get → admit of [`RowReader::start`], with the get
-    /// waited for in between.
+    /// pair the first get returned ([`RowReader::read_key_spans`]),
+    /// cache-intercepted where enabled, and waits for it: the probe → get →
+    /// admit of [`RowReader::start`], with the get waited for in between.
     ///
     /// The returned [`RowRef`] is a zero-copy view: local-rank reads borrow the
     /// window, cache hits share the cached buffer, and a miss allocates exactly
@@ -382,15 +380,16 @@ impl RowReader {
     }
 
     /// Reads the row on `target` whose `(start, end)` offsets pair the first
-    /// get returned ([`RowReader::read_offsets`] or [`RowReader::read_spans`])
-    /// and computes `edge`'s value over it ([`EdgeOp::stored`]) — in place on
-    /// an empty, local or cached row, over the landed buffer after a transfer,
-    /// landed where the module table says. The value is always final; the
-    /// charge is the completion a fault-free transfer still owes, which the
-    /// caller waits for when it likes ([`PendingCharge::wait`]). Under fault
-    /// injection every transfer is synchronous and self-healing, so nothing
-    /// is owed. `landing` is the caller's reusable buffer; it is free again as
-    /// soon as this returns.
+    /// get returned ([`RowReader::read_spans`]) and computes `edge`'s value
+    /// over it ([`EdgeOp::stored`]) — in place on an empty, local or cached
+    /// row or a fault-free transfer nobody keeps, and otherwise over the
+    /// buffer the transfer landed in, as the module table says. The value is
+    /// always final; the charge is the completion a fault-free transfer still
+    /// owes, which the caller waits for when it likes
+    /// ([`PendingCharge::wait`]). Under fault injection every transfer is
+    /// synchronous and self-healing, so nothing is owed. `landing` is the
+    /// caller's reusable buffer for a faulted read nobody keeps; it is free
+    /// again as soon as this returns.
     #[allow(clippy::too_many_arguments)]
     pub fn start<O: EdgeOp>(
         &self,
@@ -426,15 +425,30 @@ impl RowReader {
                 (value, charge)
             }
             CacheProbe::Bypass => {
-                let charge = if ep.faults_enabled() {
-                    ep.get_into_with_retry(adj, target, start, len, landing)?;
-                    None
-                } else {
-                    Some(ep.get_into(adj, target, start, len, landing))
-                };
-                (op.stored(edge, landing), charge)
+                let (row, charge) = read_unkept(ep, adj, target, start, len, landing)?;
+                (op.stored(edge, row), charge)
             }
         })
+    }
+}
+
+/// A remote read nobody keeps, of `len` elements at `offset` on `target`:
+/// fault-free, the target's region in place with the charge still owed;
+/// under faults, landed in `landing`, verified and healed, synchronously.
+fn read_unkept<'a, T: Copy + Send + Sync>(
+    ep: &mut Endpoint,
+    window: &'a Window<T>,
+    target: usize,
+    offset: usize,
+    len: usize,
+    landing: &'a mut Vec<T>,
+) -> Result<(&'a [T], Option<PendingCharge>), RmaError> {
+    if ep.faults_enabled() {
+        ep.get_into_with_retry(window, target, offset, len, landing)?;
+        Ok((landing, None))
+    } else {
+        let (row, charge) = ep.get_in_place(window, target, offset, len);
+        Ok((row, Some(charge)))
     }
 }
 
@@ -468,6 +482,19 @@ mod tests {
     use rmatc_rma::{FaultPlan, RankStats, RetryPolicy};
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// The offsets pair of one row alone: a one-key span, the single
+    /// two-word get of Algorithm 3.
+    fn read_pair(
+        reader: &RowReader,
+        ep: &mut Endpoint,
+        target: usize,
+        idx: usize,
+    ) -> Result<(usize, usize), RmaError> {
+        let mut pairs = Vec::new();
+        reader.read_key_spans(ep, &[(target, idx)], &mut Vec::new(), &mut pairs);
+        pairs.remove(0)
+    }
+
     /// Both gets of one row, one pair per row: the offsets pair, then the row.
     fn read_row<'r>(
         reader: &'r RowReader,
@@ -476,7 +503,7 @@ mod tests {
         target: usize,
         idx: usize,
     ) -> Result<RowRef<'r, VertexId>, RmaError> {
-        let pair = reader.read_offsets(ep, target, idx)?;
+        let pair = read_pair(reader, ep, target, idx)?;
         reader.read_row(ep, cache, target, pair)
     }
 
@@ -601,11 +628,11 @@ mod tests {
                                 continue;
                             }
                             let idx = pg.partitioner.local_index(v);
-                            let pair = by_row.read_offsets(&mut ep_row, 1, idx).unwrap();
+                            let pair = read_pair(&by_row, &mut ep_row, 1, idx).unwrap();
                             by_row
                                 .read_row(&mut ep_row, &mut row_cache, 1, pair)
                                 .unwrap();
-                            let pair = by_start.read_offsets(&mut ep_start, 1, idx).unwrap();
+                            let pair = read_pair(&by_start, &mut ep_start, 1, idx).unwrap();
                             let source = part.global_ids[local_idx];
                             let edge = Edge {
                                 slot: 0,
@@ -760,8 +787,8 @@ mod tests {
 
     #[test]
     fn key_spans_match_per_key_offsets_reads() {
-        // The service's keyed span read returns, key for key, the pair
-        // `read_offsets` reads alone, in one get per span of the join rule:
+        // The service's keyed span read returns, key for key, the pair each
+        // key reads alone, in one get per span of the join rule:
         // under Aries, where each owner's keys join into one span, and under
         // a network whose α is below 8·β, where only rows at most two local
         // indices apart share a span.
@@ -775,7 +802,7 @@ mod tests {
         let whole_owners = |_: usize, _: usize| false;
         let two_apart = |p: usize, q: usize| q > p + 2;
         let mut state = 0x9e37_79b9_7f4a_7c15;
-        let mut words = Vec::new();
+        let (mut words, mut pairs) = (Vec::new(), Vec::new());
         for _ in 0..8 {
             let keys = random_keys(&pg, &mut state);
             for (network, split) in [
@@ -788,10 +815,10 @@ mod tests {
                     (Endpoint::new(0, 4, network), Endpoint::new(0, 4, network));
                 ep.lock_all();
                 alone.lock_all();
-                let pairs = reader.read_key_spans(&mut ep, &keys, &mut words);
+                reader.read_key_spans(&mut ep, &keys, &mut words, &mut pairs);
                 assert_eq!(pairs.len(), keys.len());
-                for (&(owner, idx), pair) in keys.iter().zip(pairs) {
-                    let want = reader.read_offsets(&mut alone, owner, idx).unwrap();
+                for (&(owner, idx), pair) in keys.iter().zip(pairs.drain(..)) {
+                    let want = read_pair(&reader, &mut alone, owner, idx).unwrap();
                     assert_eq!(pair.unwrap(), want, "row {idx} of rank {owner}");
                 }
                 ep.unlock_all();
@@ -823,7 +850,7 @@ mod tests {
             }))
             .collect();
         let spans = span_of[span_of.len() - 1] as u64 + 1;
-        let mut words = Vec::new();
+        let (mut words, mut pairs) = (Vec::new(), Vec::new());
         let mut alone = Endpoint::new(0, 4, tight);
         alone.lock_all();
         let coin = FaultPlan {
@@ -835,7 +862,7 @@ mod tests {
                 .with_retry(RetryPolicy::no_retries())
                 .with_faults(plan.injector(0));
             ep.lock_all();
-            let pairs = reader.read_key_spans(&mut ep, &keys, &mut words);
+            reader.read_key_spans(&mut ep, &keys, &mut words, &mut pairs);
             ep.unlock_all();
             assert_eq!(pairs.len(), keys.len());
             // Whether each span failed, as its first key says.
@@ -844,7 +871,7 @@ mod tests {
                 let first = *outcome[span].get_or_insert(pair.is_err());
                 assert_eq!(first, pair.is_err(), "span {span} split its outcome");
                 if let Ok(pair) = pair {
-                    assert_eq!(*pair, reader.read_offsets(&mut alone, owner, idx).unwrap());
+                    assert_eq!(*pair, read_pair(&reader, &mut alone, owner, idx).unwrap());
                 }
             }
             let failed = outcome.iter().filter(|f| **f == Some(true)).count() as u64;
@@ -913,7 +940,7 @@ mod tests {
         type Value = ();
         type Item = ();
 
-        fn output(&self, _vertices: usize) -> Vec<()> {
+        fn output(&self, _part: &RankPartition) -> Vec<()> {
             Vec::new()
         }
 
@@ -1035,7 +1062,7 @@ mod tests {
                             let v_local = pg.partitioner.local_index(v);
                             let row = read_row(&plain_reader, &mut ep_b, &mut no_cache, 1, v_local)
                                 .unwrap();
-                            let pair = reader.read_offsets(&mut ep_a, 1, v_local).unwrap();
+                            let pair = read_pair(&reader, &mut ep_a, 1, v_local).unwrap();
                             let expected =
                                 count_closing_at(pg.direction, adj_u, &row, v, k, &intersector);
                             let edge = Edge {

@@ -10,7 +10,7 @@ use super::windows::GraphWindows;
 use crate::intersect::Intersector;
 use crate::local::{compressed_count_closing_at, count_closing_at};
 use rmatc_clampi::CacheStats;
-use rmatc_graph::partition::PartitionedGraph;
+use rmatc_graph::partition::{PartitionedGraph, RankPartition};
 use rmatc_graph::types::{Direction, VertexId};
 use rmatc_graph::GraphStorage;
 use rmatc_rma::{RankStats, RmaError};
@@ -98,8 +98,8 @@ impl EdgeOp for ClosingCount {
     type Value = u64;
     type Item = u64;
 
-    fn output(&self, vertices: usize) -> Vec<u64> {
-        vec![0; vertices]
+    fn output(&self, part: &RankPartition) -> Vec<u64> {
+        vec![0; part.local_vertex_count()]
     }
 
     fn local(&self, edge: &Edge<'_>, adj_v: &[VertexId]) -> u64 {

@@ -18,7 +18,7 @@ use crate::distributed::reader::{Edge, EdgeOp};
 use crate::distributed::windows::GraphWindows;
 use crate::intersect::{compressed_count_closing, CostModel, Intersector};
 use rmatc_graph::compressed::decoded_len;
-use rmatc_graph::partition::PartitionedGraph;
+use rmatc_graph::partition::{PartitionedGraph, RankPartition};
 use rmatc_graph::types::VertexId;
 use rmatc_graph::CsrGraph;
 use rmatc_graph::GraphStorage;
@@ -131,7 +131,7 @@ impl DistJaccard {
         let outputs = run_ranks(cfg.ranks, |rank| run_rank(rank, pg, &windows, cfg, &op))
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
-        let mut edges = Vec::new();
+        let mut edges = Vec::with_capacity(outputs.iter().map(|out| out.items.len()).sum());
         let mut rank_stats = Vec::with_capacity(cfg.ranks);
         let mut compute_ns = Vec::with_capacity(cfg.ranks);
         for out in outputs {
@@ -140,8 +140,10 @@ impl DistJaccard {
             compute_ns.push(out.compute_ns);
         }
         // Each rank folds its edges in source order, but a cyclic partition
-        // interleaves sources across ranks.
-        edges.sort_by_key(|e| (e.source, e.destination));
+        // interleaves sources across ranks. `(source, destination)` is unique
+        // per directed edge, so the unstable sort gives the one order without
+        // a scratch buffer.
+        edges.sort_unstable_by_key(|e| (e.source, e.destination));
         Ok(JaccardResult {
             edges,
             rank_stats,
@@ -209,8 +211,8 @@ impl EdgeOp for JaccardPair {
     type Value = (u64, usize);
     type Item = EdgeSimilarity;
 
-    fn output(&self, _vertices: usize) -> Vec<EdgeSimilarity> {
-        Vec::new()
+    fn output(&self, part: &RankPartition) -> Vec<EdgeSimilarity> {
+        Vec::with_capacity(part.local_edge_count() as usize)
     }
 
     fn local(&self, edge: &Edge<'_>, adj_v: &[VertexId]) -> (u64, usize) {

@@ -26,7 +26,8 @@ struct RankLane {
     ep: Endpoint,
     reader: RowReader,
     cache: AdjCache,
-    /// Where the batch's offsets spans land ([`RowReader::read_key_spans`]).
+    /// Where the batch's faulted offsets spans land
+    /// ([`RowReader::read_key_spans`]).
     words: Vec<u64>,
 }
 
@@ -522,7 +523,8 @@ fn exec_rank_group(
         cache,
         words,
     } = lane;
-    let pairs = reader.read_key_spans(ep, &keys, words);
+    let mut pairs = Vec::with_capacity(keys.len());
+    reader.read_key_spans(ep, &keys, words, &mut pairs);
     let rows: Vec<Result<RowRef<'_, VertexId>, RmaError>> = keys
         .iter()
         .zip(pairs)

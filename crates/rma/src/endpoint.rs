@@ -14,24 +14,26 @@
 //! fault machinery is entirely skipped (no checksum is computed), so the
 //! fault-off hot path is unchanged.
 //!
-//! There is one protocol and two *landers*. Every get is issued and completed
-//! by the same private pair (`Endpoint::issue` / `Endpoint::complete`); what
-//! differs is only who owns the buffer the transfer is copied into. The owned
-//! lander ([`Endpoint::get`] and its wrappers) copies into a fresh
-//! `Arc<[T]>` — right when a cache will retain the row or it is returned to
-//! the caller. The borrowed lander ([`Endpoint::get_into_with_retry`])
-//! copies into a [`Landing`] buffer the caller keeps across gets — right for
-//! every read whose buffer nobody retains, which then costs no heap
-//! allocation at all. Fault-free, neither
-//! read need be synchronous: the data moves at issue time, so
-//! [`Endpoint::get_into`] and [`PendingGet::split`] hand back only the
+//! There is one protocol and three ways to hold its data. Every get is
+//! issued and completed by the same private pair (`Endpoint::issue` /
+//! `Endpoint::complete`); what differs is only where the caller reads the
+//! transfer. The owned lander ([`Endpoint::get`] and its wrappers) copies
+//! into a fresh `Arc<[T]>` — right when a cache will retain the row or it is
+//! returned to the caller. The borrowed lander
+//! ([`Endpoint::get_into_with_retry`]) copies into a `Vec` the caller keeps
+//! across gets — right for a faulted read whose buffer nobody retains: it
+//! is verified and healed there without a heap allocation. A fault-free
+//! read nobody retains is not copied at all:
+//! [`Endpoint::get_in_place`] borrows the target's exposed region, as a NIC
+//! would have put the bytes where the caller reads them. Fault-free, no read
+//! need be synchronous: the data moves at issue time, so
+//! [`Endpoint::get_in_place`] and [`PendingGet::split`] hand back only the
 //! completion still owed ([`PendingCharge`]) and a pipelined caller keeps the
 //! latency in flight without a buffer to hold. With an injector attached,
 //! every read that needs its data is synchronous and self-healing
 //! ([`Endpoint::get_with_retry`], [`Endpoint::get_into_with_retry`]): an
-//! unverified transfer never outlives the call that issued it. Either way a
-//! lander only copies: what the caller computes from the data, it computes
-//! from the landed buffer.
+//! unverified transfer never outlives the call that issued it, and what the
+//! caller computes from it, it computes from the verified landed buffer.
 
 use crate::fault::{self, FaultInjector, RetryPolicy, RmaError};
 use crate::network::NetworkModel;
@@ -91,8 +93,8 @@ impl<T: Copy> PendingGet<T> {
 }
 
 /// The cost ticket of a fault-free get whose data needs nothing more from the
-/// endpoint — it landed in a buffer the caller owns ([`Endpoint::get_into`])
-/// or was handed out at issue time ([`PendingGet::split`]). Only the
+/// endpoint — it is read in place ([`Endpoint::get_in_place`]) or was handed
+/// out at issue time ([`PendingGet::split`]). Only the
 /// modeled completion is still owed: a pipeline slot holds this instead of an
 /// `Arc` nobody will read.
 #[derive(Debug)]
@@ -129,32 +131,6 @@ impl<T> PendingGet<T> {
             ticket: self.ticket,
         };
         (self.data, charge)
-    }
-}
-
-/// A buffer the borrowed landers ([`Endpoint::get_into_with_retry`],
-/// [`Endpoint::get_into`]) copy a transfer into, owned by the caller and
-/// reused across gets: a `Vec` is cleared and refilled, keeping its
-/// capacity; a fixed-size array, which must be exactly as long as the
-/// transfer, is overwritten.
-pub trait Landing<T>: AsRef<[T]> {
-    /// Replaces the buffer's contents with `wire`.
-    fn land(&mut self, wire: &[T]);
-}
-
-impl<T: Copy> Landing<T> for Vec<T> {
-    #[inline]
-    fn land(&mut self, wire: &[T]) {
-        self.clear();
-        self.extend_from_slice(wire);
-    }
-}
-
-impl<T: Copy, const N: usize> Landing<T> for [T; N] {
-    #[inline]
-    fn land(&mut self, wire: &[T]) {
-        assert_eq!(N, wire.len(), "transfer must land the full region");
-        self.copy_from_slice(wire);
     }
 }
 
@@ -430,14 +406,16 @@ impl Endpoint {
 
     /// The borrowed lander: a self-healing synchronous get whose transfer is
     /// copied into `landing`, a buffer the caller owns and reuses — the
-    /// paper's double buffer ([`Landing`]). Once this returns `Ok`, `landing`
-    /// holds the verified-clean region; a corrupted attempt is overwritten by
-    /// its retry before anyone can read it.
+    /// paper's double buffer, cleared and refilled without giving up its
+    /// capacity. Once this returns `Ok`, `landing` holds the verified-clean
+    /// region; a corrupted attempt is overwritten by its retry before anyone
+    /// can read it.
     ///
-    /// Use this for every read whose buffer nobody retains — the non-cached
-    /// protocol rounds, quarantine-bypass reads, offsets spans, the two-word
-    /// offsets read — and [`Endpoint::get_with_retry`] when the landed row
-    /// outlives the call (cache admission, a row handed back to the caller).
+    /// Use this for every faulted read whose buffer nobody retains — the
+    /// non-cached protocol rounds, quarantine-bypass reads, offsets spans —
+    /// ([`Endpoint::get_in_place`] when no injector is attached) and
+    /// [`Endpoint::get_with_retry`] when the landed row outlives the call
+    /// (cache admission, a row handed back to the caller).
     /// Epochs, fault rolls, checksums, timeouts, retries, statistics and
     /// overlap charging are those of [`Endpoint::get_with_retry`], operation
     /// for operation.
@@ -452,45 +430,53 @@ impl Endpoint {
         target: usize,
         offset: usize,
         len: usize,
-        landing: &mut impl Landing<T>,
+        landing: &mut Vec<T>,
     ) -> Result<(), RmaError> {
         self.retrying(target, |ep| {
-            let (ticket, ()) = ep.issue(window, target, offset, len, |wire| landing.land(wire))?;
-            ep.complete(&ticket, landing.as_ref())
+            let (ticket, ()) = ep.issue(window, target, offset, len, |wire| {
+                landing.clear();
+                landing.extend_from_slice(wire);
+            })?;
+            ep.complete(&ticket, landing)
         })
     }
 
-    /// The borrowed lander without the wait: issues a get whose transfer is
-    /// copied into `landing` exactly like [`Endpoint::get_into_with_retry`]
-    /// and returns the completion still owed for it, so a pipelined caller
-    /// keeps the modeled (and injected) latency in flight without holding a
-    /// buffer. The data is in `landing` as soon as this returns — the
-    /// simulator moves it at issue time.
+    /// The fault-free read in place: issues a get of `len` elements at
+    /// `offset` in `target`'s region of `window` and hands back that region
+    /// itself, borrowed from the window, with the completion still owed for
+    /// it. Nothing is copied: a fault-free transfer has nothing to verify,
+    /// and the model already charges β for the bytes a NIC would move. The
+    /// issue accounting — epoch assert, statistics, outstanding cost, the
+    /// cost ticket — is that of every get, so waiting the charge at once
+    /// leaves the endpoint exactly where [`Endpoint::get_into_with_retry`]
+    /// leaves it; a pipelined caller keeps the charge in flight instead.
     ///
-    /// Fault-free endpoints only: an unverified landing must not outlive the
-    /// call, so with an injector attached use the synchronous, self-healing
-    /// [`Endpoint::get_into_with_retry`].
+    /// Fault-free endpoints only: a faulted transfer must land and verify
+    /// before anyone reads it, so with an injector attached use the
+    /// synchronous, self-healing [`Endpoint::get_into_with_retry`].
     ///
     /// # Panics
     ///
     /// If a fault injector is attached.
     #[inline]
-    pub fn get_into<T: Copy + Send + Sync>(
+    pub fn get_in_place<'w, T: Copy + Send + Sync>(
         &mut self,
-        window: &Window<T>,
+        window: &'w Window<T>,
         target: usize,
         offset: usize,
         len: usize,
-        landing: &mut impl Landing<T>,
-    ) -> PendingCharge {
+    ) -> (&'w [T], PendingCharge) {
         assert!(
             !self.faults_enabled(),
-            "a deferred borrowed landing cannot be verified; use get_into_with_retry"
+            "an in-place read cannot be verified; use get_into_with_retry"
         );
         let (ticket, ()) = self
-            .issue(window, target, offset, len, |wire| landing.land(wire))
+            .issue(window, target, offset, len, |_| ())
             .expect("a fault-free issue cannot fail");
-        PendingCharge { ticket }
+        (
+            window.exposed(target, offset, len),
+            PendingCharge { ticket },
+        )
     }
 
     /// Reads the caller's own exposed region directly (no get, no charge beyond the
@@ -992,22 +978,11 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_lander_lands_in_a_stack_array() {
-        let w = Window::from_parts(vec![vec![0u64; 4], vec![5u64, 9, 12, 12]]);
-        let mut ep = Endpoint::new(0, 2, NetworkModel::aries());
-        ep.lock_all();
-        let mut pair = [0u64; 2];
-        ep.get_into_with_retry(&w, 1, 1, 2, &mut pair).unwrap();
-        ep.unlock_all();
-        assert_eq!(pair, [9, 12]);
-        assert_eq!((ep.stats().gets, ep.stats().bytes), (1, 16));
-    }
-
-    #[test]
     fn deferred_charges_complete_like_synchronous_borrowed_gets() {
-        // Issue-then-wait through `get_into` / `split` must leave the
+        // Issue-then-wait through `get_in_place` / `split` must leave the
         // endpoint exactly where the synchronous borrowed lander leaves it —
-        // every counter and every f64 charge — with overlap credit in play.
+        // every counter and every f64 charge — with overlap credit in play;
+        // the in-place read borrows the very region the lander copies.
         let w = Window::from_parts(vec![vec![1u32, 2, 3, 4], (10..74u32).collect()]);
         let endpoint = || {
             let mut ep = Endpoint::new(0, 2, NetworkModel::aries());
@@ -1015,52 +990,43 @@ mod tests {
             ep
         };
         let (mut sync, mut split, mut owned) = (endpoint(), endpoint(), endpoint());
-        let (mut landing_a, mut landing_b) = (Vec::new(), Vec::new());
+        let mut landing = Vec::new();
         for i in 0..50usize {
             let (offset, len) = (i % 7, 1 + (i * 5) % 57);
             for ep in [&mut sync, &mut split, &mut owned] {
                 ep.note_compute_ns(150.0);
             }
-            sync.get_into_with_retry(&w, 1, offset, len, &mut landing_a)
+            sync.get_into_with_retry(&w, 1, offset, len, &mut landing)
                 .unwrap();
-            split
-                .get_into(&w, 1, offset, len, &mut landing_b)
-                .wait(&mut split);
+            let (in_place, charge) = split.get_in_place(&w, 1, offset, len);
+            charge.wait(&mut split);
             let (data, charge) = owned.get(&w, 1, offset, len).unwrap().split();
             charge.wait(&mut owned);
-            assert_eq!(&*data, &landing_a[..], "read {i}");
-            assert_eq!(landing_a, landing_b, "read {i}");
+            assert_eq!(&*data, &landing[..], "read {i}");
+            assert_eq!(in_place, &landing[..], "read {i}");
+            assert!(std::ptr::eq(
+                in_place,
+                &w.local_part(1)[offset..offset + len]
+            ));
             assert_eq!(sync.stats(), split.stats(), "read {i}");
             assert_eq!(sync.stats(), owned.stats(), "read {i}");
         }
         // Several charges in flight, dropped unwaited: the epoch still closes
         // once the outstanding pool is flushed.
-        let _a = split.get_into(&w, 1, 0, 4, &mut landing_b);
-        let _b = split.get_into(&w, 1, 4, 4, &mut landing_b);
+        let _a = split.get_in_place(&w, 1, 0, 4);
+        let _b = split.get_in_place(&w, 1, 4, 4);
         assert!(split.flush_all() > 0.0);
         split.unlock_all();
     }
 
     #[test]
     #[should_panic(expected = "cannot be verified")]
-    fn deferred_borrowed_landings_refuse_a_fault_injector() {
+    fn in_place_reads_refuse_a_fault_injector() {
         let w = window2();
         let mut ep = Endpoint::new(0, 2, NetworkModel::zero())
             .with_faults(FaultPlan::reliable(1).injector(0));
         ep.lock_all();
-        let mut landing = Vec::new();
-        let _ = ep.get_into(&w, 1, 0, 2, &mut landing);
-    }
-
-    #[test]
-    #[should_panic(expected = "transfer must land the full region")]
-    fn borrowed_lander_rejects_a_short_landing() {
-        let w = window2();
-        let mut ep = Endpoint::new(0, 2, NetworkModel::zero());
-        ep.lock_all();
-        // A two-word array cannot hold a three-element region.
-        let mut pair = [0u32; 2];
-        let _ = ep.get_into_with_retry(&w, 1, 0, 3, &mut pair);
+        let _ = ep.get_in_place(&w, 1, 0, 2);
     }
 
     #[test]

@@ -34,13 +34,12 @@
 //! synchronization during computation.
 //!
 //! Transfers land either in a shared `Arc<[T]>` buffer — the get's single
-//! allocation, which the CLaMPI layer retains by refcount — or, for reads
-//! whose buffer nobody keeps, in a [`Landing`] buffer the caller reuses
-//! across gets ([`Endpoint::get_into_with_retry`], no allocation at all; its
-//! non-waiting form [`Endpoint::get_into`] leaves only a [`PendingCharge`]
-//! in flight). A lander only copies: the caller computes over the landed
-//! buffer afterwards, and under fault injection only once the buffer's
-//! checksum has verified.
+//! allocation, which the CLaMPI layer retains by refcount — or, for faulted
+//! reads whose buffer nobody keeps, in a `Vec` the caller reuses across gets
+//! ([`Endpoint::get_into_with_retry`], no allocation at all), where the
+//! caller computes only once the buffer's checksum has verified. A fault-free read nobody keeps is not copied at all:
+//! [`Endpoint::get_in_place`] borrows the target's exposed region and leaves
+//! only a [`PendingCharge`] in flight.
 //!
 //! # Paper map
 //!
@@ -63,7 +62,7 @@ pub mod stats;
 pub mod window;
 
 pub use cputime::{ComputeMeter, ThreadTimer};
-pub use endpoint::{Endpoint, Landing, PendingCharge, PendingGet};
+pub use endpoint::{Endpoint, PendingCharge, PendingGet};
 pub use fault::{FaultInjector, FaultPlan, RetryPolicy, RmaError};
 pub use network::NetworkModel;
 pub use runner::{run_ranks, SimBarrier};

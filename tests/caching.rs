@@ -108,16 +108,54 @@ fn compulsory_miss_floor_grows_with_rank_count() {
 
 #[test]
 fn offsets_spans_alone_already_save_communication() {
-    // A cached configuration whose budget leaves `C_adj` nothing still reads
-    // each source's offsets pairs by span: fewer gets and less communication
-    // than one pair get per remote edge, with the same answers.
+    // Both modes read each source's offsets pairs by span, so a cached
+    // configuration whose budget leaves `C_adj` nothing is the non-cached
+    // run: the same answers and the same integer statistics. That run issues
+    // fewer gets than Algorithm 3's per-edge loop — an offsets get per
+    // remote edge and a row get per non-empty row — and models less
+    // communication than those gets' α alone.
     let g = skewed_graph();
-    let baseline = DistLcc::new(DistConfig::non_cached(2)).run(&g);
+    let config = DistConfig::non_cached(2);
+    let baseline = DistLcc::new(config).run(&g);
     let spans = DistLcc::new(DistConfig::cached(2, 0)).run(&g);
     assert!(spans.adjacency_cache_totals().is_none());
     assert_eq!(spans.per_vertex_triangles, baseline.per_vertex_triangles);
-    assert!(spans.total_gets() < baseline.total_gets());
-    assert!(spans.max_comm_time_ns() < baseline.max_comm_time_ns());
+    assert_eq!(spans.lcc, baseline.lcc);
+    let integers = |s: &rmatc::rma::RankStats| rmatc::rma::RankStats {
+        comm_time_ns: 0.0,
+        overlapped_ns: 0.0,
+        local_time_ns: 0.0,
+        backoff_ns: 0.0,
+        ..s.clone()
+    };
+    for (a, b) in spans.ranks.iter().zip(&baseline.ranks) {
+        assert_eq!(integers(&a.rma), integers(&b.rma), "rank {}", a.rank);
+    }
+    let pg = PartitionedGraph::from_global(&g, config.scheme, config.ranks).unwrap();
+    let mut per_edge = 0u64;
+    for (rank, part) in pg.partitions.iter().enumerate() {
+        for local_idx in 0..part.local_vertex_count() {
+            for &v in part.neighbours_of_local(local_idx) {
+                let owner = pg.partitioner.owner(v);
+                if owner != rank {
+                    let idx = pg.partitioner.local_index(v);
+                    let row = pg.partitions[owner].neighbours_of_local(idx);
+                    per_edge += 1 + u64::from(!row.is_empty());
+                }
+            }
+        }
+    }
+    assert!(
+        baseline.total_gets() < per_edge,
+        "{} gets against {per_edge} per edge",
+        baseline.total_gets()
+    );
+    let comm: f64 = baseline
+        .ranks
+        .iter()
+        .map(|r| r.rma.comm_time_ns + r.rma.overlapped_ns)
+        .sum();
+    assert!(comm < per_edge as f64 * config.network.alpha_ns);
 }
 
 #[test]

@@ -299,9 +299,9 @@ mod differential {
 }
 
 /// The cached edge loop reads offsets by span; reading each remote edge's pair
-/// with its own get (Algorithm 3 verbatim) must see the same pairs and drive
-/// `C_adj` through the same decisions — under every partition scheme and
-/// storage, at depth 1 and 8.
+/// with its own get (Algorithm 3 verbatim, a one-key span) must see the same
+/// pairs and drive `C_adj` through the same decisions — under every partition
+/// scheme and storage, at depth 1 and 8.
 #[test]
 fn offsets_spans_match_per_edge_pair_reads() {
     use rmatc::core::distributed::reader::{OffsetSpans, RowReader};
@@ -333,7 +333,8 @@ fn offsets_spans_match_per_edge_pair_reads() {
                 let (reader, mut cache) = RowReader::new(&windows, &cfg, g.vertex_count());
                 let mut ep = Endpoint::new(rank, ranks, cfg.network);
                 ep.lock_all();
-                let mut spans = OffsetSpans::default();
+                let (mut spans, mut words, mut pairs) =
+                    (OffsetSpans::default(), Vec::new(), Vec::new());
                 for local_idx in 0..part.local_vertex_count() {
                     let adj_u = part.neighbours_of_local(local_idx);
                     let mut probe = Endpoint::new(rank, ranks, cfg.network);
@@ -347,9 +348,9 @@ fn offsets_spans_match_per_edge_pair_reads() {
                         if owner == rank {
                             continue;
                         }
-                        let pair = reader
-                            .read_offsets(&mut ep, owner, pg.partitioner.local_index(v))
-                            .unwrap();
+                        let key = (owner, pg.partitioner.local_index(v));
+                        reader.read_key_spans(&mut ep, &[key], &mut words, &mut pairs);
+                        let pair = pairs[0].clone().unwrap();
                         assert_eq!(spans.pair(k), pair, "{what}: edge ({local_idx}, {v})");
                         reader.read_row(&mut ep, &mut cache, owner, pair).unwrap();
                     }
@@ -385,6 +386,90 @@ fn offsets_spans_match_per_edge_pair_reads() {
             }
         }
     }
+}
+
+/// A fault-free read nobody keeps is read in place; under a fault plan it
+/// lands in the rank's buffer and is checksummed first. A reliable plan
+/// injects nothing, so both runs read the same bytes and must agree on
+/// answers, integer `RankStats` and `CacheStats` — plain and compressed,
+/// cached and non-cached, at depth 1 and 8.
+#[test]
+fn in_place_reads_match_landed_reads() {
+    let integers = |s: &rmatc::rma::RankStats| rmatc::rma::RankStats {
+        comm_time_ns: 0.0,
+        overlapped_ns: 0.0,
+        local_time_ns: 0.0,
+        backoff_ns: 0.0,
+        ..s.clone()
+    };
+    let g = RmatGenerator::paper(10, 16).generate_cleaned(5).into_csr();
+    let ranks = 3;
+    let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, ranks).unwrap();
+    let budget = g.csr_size_bytes() as usize / 4;
+    for storage in [GraphStorage::Plain, GraphStorage::Compressed] {
+        for base in [
+            DistConfig::non_cached(ranks),
+            DistConfig::cached(ranks, budget).with_degree_scores(),
+        ] {
+            for depth in [1usize, 8] {
+                let in_place = base.with_storage(storage).with_pipeline_depth(depth);
+                let landed = DistConfig {
+                    faults: Some(FaultPlan::reliable(17)),
+                    ..in_place
+                };
+                let what = format!(
+                    "{storage:?}, cached {}, depth {depth}",
+                    base.cache.is_some()
+                );
+                let a = DistLcc::new(in_place).run_partitioned(&pg);
+                let b = DistLcc::new(landed).run_partitioned(&pg);
+                assert_eq!(a.per_vertex_triangles, b.per_vertex_triangles, "{what}");
+                assert_eq!(a.lcc, b.lcc, "{what}");
+                for (x, y) in a.ranks.iter().zip(&b.ranks) {
+                    assert_eq!(
+                        integers(&x.rma),
+                        integers(&y.rma),
+                        "{what}, rank {}",
+                        x.rank
+                    );
+                    assert_eq!(
+                        x.adjacency_cache, y.adjacency_cache,
+                        "{what}, rank {}",
+                        x.rank
+                    );
+                }
+                assert!(a.total_gets() > 0, "{what}");
+            }
+        }
+    }
+}
+
+/// The non-cached loop by hand: rank 0's one source has three remote
+/// neighbours on consecutive rows of rank 1, so their offsets pairs share
+/// one span — one get — and each non-empty row is one get more. The edge
+/// `0 → 6` reaches an empty row, which needs no second get.
+#[test]
+fn a_source_whose_neighbours_share_a_span_pays_one_offsets_get() {
+    use rmatc::core::distributed::worker::run_worker;
+    use rmatc::core::distributed::GraphWindows;
+
+    let g = CsrGraph::from_edges(
+        8,
+        &[(0, 4), (0, 5), (0, 6), (4, 5), (5, 6)],
+        Direction::Directed,
+    );
+    let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
+    let windows = GraphWindows::build(&pg);
+    let config = DistConfig::non_cached(2);
+    let out = run_worker(0, &pg, &windows, &config).unwrap();
+    let non_empty_remote_rows = 2; // rows of 4 and 5; 6 has none
+    assert_eq!(out.rma.gets, 1 + non_empty_remote_rows);
+    // The span reads rows 0..=2 of rank 1: their three pairs, four words.
+    let row_bytes: u64 = [4u32, 5]
+        .iter()
+        .map(|&v| 4 * g.neighbours(v).len() as u64)
+        .sum();
+    assert_eq!(out.rma.bytes, 4 * 8 + row_bytes);
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! `f64` charges included), cache hits and local-rank reads perform no heap
 //! allocations, the single miss allocation is handed to the cache without a
 //! second copy, and reads nobody retains (non-cached rounds, quarantine
-//! bypasses) land in a reused buffer without allocating at all — however
-//! many of them are in flight.
+//! bypasses) are read in place, or land in a reused buffer under faults,
+//! without allocating at all — however many of them are in flight.
 
 use proptest::prelude::*;
 use rmatc::clampi::{CacheStats, RowRef};
@@ -89,7 +89,8 @@ fn base_config(ranks: usize) -> DistConfig {
     }
 }
 
-/// Both gets of one row, one pair per row: the offsets pair, then the row.
+/// Both gets of one row, one pair per row: the offsets pair (a one-key span,
+/// the single two-word get of Algorithm 3), then the row.
 fn read_row<'r>(
     reader: &'r RowReader,
     ep: &mut Endpoint,
@@ -97,8 +98,9 @@ fn read_row<'r>(
     target: usize,
     idx: usize,
 ) -> Result<RowRef<'r, u32>, RmaError> {
-    let pair = reader.read_offsets(ep, target, idx)?;
-    reader.read_row(ep, cache, target, pair)
+    let mut pairs = Vec::new();
+    reader.read_key_spans(ep, &[(target, idx)], &mut Vec::new(), &mut pairs);
+    reader.read_row(ep, cache, target, pairs.remove(0)?)
 }
 
 fn build_reader(
@@ -116,9 +118,8 @@ fn cache_stats(cache: &AdjCache) -> Option<CacheStats> {
 
 /// The pre-zero-copy worker, reconstructed — the test-side reference of the
 /// edge loop: reads every remote row into an owned buffer first
-/// (`RowReader::read_row`, waiting for every get), then intersects; cached,
-/// each source's offsets pairs are read by span first, as the edge loop
-/// does. Protocol order, cache interception and endpoint charging are
+/// (`RowReader::read_row`, waiting for every get), then intersects; each
+/// source's offsets pairs are read by span first, as the edge loop does. Protocol order, cache interception and endpoint charging are
 /// identical, so every observable statistic must match the edge loop at
 /// depth 1.
 fn materializing_worker(
@@ -133,15 +134,13 @@ fn materializing_worker(
     let intersector = Intersector::new(config.method);
     let direction = pg.direction;
     let mut triangles = vec![0u64; part.local_vertex_count()];
-    let mut spans = config.cache.map(|_| OffsetSpans::default());
+    let mut spans = OffsetSpans::default();
     ep.lock_all();
     for (local_idx, slot) in triangles.iter_mut().enumerate() {
         let adj_u = part.neighbours_of_local(local_idx);
-        if let Some(spans) = spans.as_mut() {
-            reader
-                .read_spans(&mut ep, &pg.partitioner, adj_u, spans)
-                .expect("no faults injected");
-        }
+        reader
+            .read_spans(&mut ep, &pg.partitioner, adj_u, &mut spans)
+            .expect("no faults injected");
         for (k, &v) in adj_u.iter().enumerate() {
             let owner = pg.partitioner.owner(v);
             let v_local = pg.partitioner.local_index(v);
@@ -149,12 +148,8 @@ fn materializing_worker(
                 let adj_v = part.neighbours_of_local(v_local);
                 count_closing_at(direction, adj_u, adj_v, v, k, &intersector)
             } else {
-                let pair = match &spans {
-                    Some(spans) => spans.pair(k),
-                    None => reader.read_offsets(&mut ep, owner, v_local).unwrap(),
-                };
                 let adj_v = reader
-                    .read_row(&mut ep, &mut cache, owner, pair)
+                    .read_row(&mut ep, &mut cache, owner, spans.pair(k))
                     .expect("no faults injected")
                     .to_vec();
                 count_closing_at(direction, adj_u, &adj_v, v, k, &intersector)
@@ -225,15 +220,22 @@ fn cache_hits_and_local_reads_allocate_nothing() {
     let mut ep = Endpoint::new(0, 2, config.network);
     ep.lock_all();
     let reads = pg.partitions[1].local_vertex_count().min(40);
-    // Warm: fetch and cache every row (allocations expected here).
+    let (mut words, mut pairs) = (Vec::new(), Vec::new());
+    let mut read = |ep: &mut Endpoint, cache: &mut AdjCache, target: usize, idx: usize| {
+        reader.read_key_spans(ep, &[(target, idx)], &mut words, &mut pairs);
+        let pair = pairs[0].clone().unwrap();
+        reader.read_row(ep, cache, target, pair).unwrap()
+    };
+    // Warm: fetch and cache every row and grow the span buffers
+    // (allocations expected here).
     for idx in 0..reads {
-        let _ = read_row(&reader, &mut ep, &mut cache, 1, idx).unwrap();
+        let _ = read(&mut ep, &mut cache, 1, idx);
     }
     // Measure: remote reads served from the cache.
     let before = allocations_on_this_thread();
     let mut checksum = 0u64;
     for idx in 0..reads {
-        let row = read_row(&reader, &mut ep, &mut cache, 1, idx).unwrap();
+        let row = read(&mut ep, &mut cache, 1, idx);
         checksum += row.iter().map(|&v| v as u64).sum::<u64>();
     }
     assert_eq!(
@@ -245,7 +247,7 @@ fn cache_hits_and_local_reads_allocate_nothing() {
     let local_reads = pg.partitions[0].local_vertex_count().min(40);
     let before = allocations_on_this_thread();
     for idx in 0..local_reads {
-        let row = read_row(&reader, &mut ep, &mut cache, 0, idx).unwrap();
+        let row = read(&mut ep, &mut cache, 0, idx);
         assert!(row.is_borrowed(), "local reads must borrow the window");
         checksum += row.len() as u64;
     }
@@ -259,10 +261,11 @@ fn cache_hits_and_local_reads_allocate_nothing() {
 }
 
 /// Rank 0's side of the split read: one reader with its endpoint and cache,
-/// the landing buffer, its offsets spans when it reads by span, and a
-/// FIFO that keeps up to `in_flight` adjacency charges owed before waiting
-/// the oldest — everything preallocated, so a measured pass allocates only
-/// what the read path itself allocates.
+/// the landing buffer, its offsets spans, and a FIFO that keeps up to
+/// `in_flight` adjacency charges owed before waiting the oldest — everything
+/// preallocated, so a measured pass allocates only what the read path itself
+/// allocates. It reads each source's offsets pairs by span, as the edge loop
+/// does, and counts the gets those span reads issue.
 struct Rounds<'a> {
     pg: &'a PartitionedGraph,
     reader: RowReader,
@@ -270,20 +273,19 @@ struct Rounds<'a> {
     op: ClosingCount,
     ep: Endpoint,
     landing: Vec<u32>,
-    spans: Option<OffsetSpans>,
+    spans: OffsetSpans,
+    span_gets: u64,
     flying: VecDeque<PendingCharge>,
     in_flight: usize,
 }
 
 impl<'a> Rounds<'a> {
-    /// Offsets are read by span when `by_span`, else one pair per edge.
     fn new(
         pg: &'a PartitionedGraph,
         windows: &GraphWindows,
         config: &DistConfig,
         mut ep: Endpoint,
         in_flight: usize,
-        by_span: bool,
     ) -> Self {
         ep.lock_all();
         let (reader, cache) = build_reader(pg, windows, config);
@@ -294,7 +296,8 @@ impl<'a> Rounds<'a> {
             op: ClosingCount::new(config, pg.direction, windows.storage),
             ep,
             landing: Vec::new(),
-            spans: by_span.then(OffsetSpans::default),
+            spans: OffsetSpans::default(),
+            span_gets: 0,
             flying: VecDeque::with_capacity(in_flight),
             in_flight,
         }
@@ -311,11 +314,11 @@ impl<'a> Rounds<'a> {
                 break;
             }
             let adj_u = part.neighbours_of_local(local_idx);
-            if let Some(spans) = self.spans.as_mut() {
-                self.reader
-                    .read_spans(&mut self.ep, &self.pg.partitioner, adj_u, spans)
-                    .unwrap();
-            }
+            let gets = self.ep.stats().gets;
+            self.reader
+                .read_spans(&mut self.ep, &self.pg.partitioner, adj_u, &mut self.spans)
+                .unwrap();
+            self.span_gets += self.ep.stats().gets - gets;
             for (k, &v) in adj_u.iter().enumerate() {
                 if self.pg.partitioner.owner(v) != 1 || rounds >= 64 {
                     continue;
@@ -328,13 +331,7 @@ impl<'a> Rounds<'a> {
                     v,
                     k,
                 };
-                let pair = match &self.spans {
-                    Some(spans) => spans.pair(k),
-                    None => {
-                        let v_local = self.pg.partitioner.local_index(v);
-                        self.reader.read_offsets(&mut self.ep, 1, v_local).unwrap()
-                    }
-                };
+                let pair = self.spans.pair(k);
                 let (count, charge) = self
                     .reader
                     .start(
@@ -382,7 +379,7 @@ fn fused_hit_path_allocates_nothing() {
     let ep = Endpoint::new(0, 2, config.network);
     // Offsets by span, as the cached edge loop reads them: the span buffers
     // are reused like the landing buffer.
-    let mut rounds = Rounds::new(&pg, &windows, &config, ep, 1, true);
+    let mut rounds = Rounds::new(&pg, &windows, &config, ep, 1);
     let warm = rounds.run();
     let before = allocations_on_this_thread();
     let hot = rounds.run();
@@ -407,7 +404,7 @@ fn compressed_fused_hit_path_allocates_nothing() {
     config.storage = rmatc::graph::GraphStorage::Compressed;
     config.cache = Some(hit_heavy_spec());
     let ep = Endpoint::new(0, 2, config.network);
-    let mut rounds = Rounds::new(&pg, &windows, &config, ep, 1, true);
+    let mut rounds = Rounds::new(&pg, &windows, &config, ep, 1);
     let warm = rounds.run();
     let before = allocations_on_this_thread();
     let hot = rounds.run();
@@ -422,7 +419,7 @@ fn compressed_fused_hit_path_allocates_nothing() {
     let mut plain_config = base_config(2);
     plain_config.cache = config.cache;
     let plain_ep = Endpoint::new(0, 2, plain_config.network);
-    let expected = Rounds::new(&pg, &plain_windows, &plain_config, plain_ep, 1, true).run();
+    let expected = Rounds::new(&pg, &plain_windows, &plain_config, plain_ep, 1).run();
     assert_eq!(hot, expected, "compressed counts must match plain counts");
     let stats = cache_stats(&rounds.cache).unwrap();
     assert!(
@@ -433,11 +430,11 @@ fn compressed_fused_hit_path_allocates_nothing() {
 
 #[test]
 fn non_cached_rounds_allocate_nothing_once_the_landing_buffer_has_grown() {
-    // Nobody retains a non-cached read, so it lands in the thread's reusable
-    // buffer (adjacency) or on the stack (the two-word offsets pair): after
-    // the first pass has grown the buffer to the longest row, a full protocol
-    // round performs zero heap allocations — under both storage modes, and
-    // with four reads in flight as with one (only cost tickets wait).
+    // Nobody retains a non-cached read, so a fault-free one — adjacency row
+    // or offsets span — is read in place: after the first pass has grown the
+    // span buffers to the widest source, a full protocol round performs zero
+    // heap allocations — under both storage modes, and with four reads in
+    // flight as with one (only cost tickets wait).
     let g = RmatGenerator::paper(8, 8).generate_cleaned(9).into_csr();
     let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
     let mut counts = Vec::new();
@@ -450,7 +447,7 @@ fn non_cached_rounds_allocate_nothing_once_the_landing_buffer_has_grown() {
             let mut config = base_config(2);
             config.storage = storage;
             let ep = Endpoint::new(0, 2, config.network);
-            let mut rounds = Rounds::new(&pg, &windows, &config, ep, in_flight, false);
+            let mut rounds = Rounds::new(&pg, &windows, &config, ep, in_flight);
             let warm = rounds.run();
             let gets = rounds.ep.stats().gets;
             let before = allocations_on_this_thread();
@@ -480,11 +477,11 @@ fn non_cached_rounds_allocate_nothing_once_the_landing_buffer_has_grown() {
 #[test]
 fn quarantine_bypass_reads_allocate_nothing() {
     // A quarantined cache retains nothing, so its bypass reads land in the
-    // same reusable buffer as the non-cached rounds — with the injector that
-    // sickened the cache still attached, and with four reads requested in
-    // flight as with one. Every lookup rots the resident entry, so the second
-    // pass trips the (default, three-strike) quarantine. Offsets are read one
-    // pair per edge, so every bypassed round is the plain two-get protocol.
+    // rank's reusable buffer — with the injector that sickened the cache
+    // still attached (so they land, verify and heal there), and with four
+    // reads requested in flight as with one. Every lookup rots the resident
+    // entry, so the second pass trips the (default, three-strike)
+    // quarantine. Beside its span reads, every bypassed row is one get.
     let g = RmatGenerator::paper(8, 8).generate_cleaned(9).into_csr();
     let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
     let plan = rmatc::rma::FaultPlan {
@@ -501,14 +498,18 @@ fn quarantine_bypass_reads_allocate_nothing() {
             config.storage = storage;
             config.cache = Some(CacheSpec::paper(1 << 22).with_degree_scores());
             let ep = Endpoint::new(0, 2, config.network).with_faults(plan.injector(0));
-            let mut rounds = Rounds::new(&pg, &windows, &config, ep, in_flight, false);
+            let mut rounds = Rounds::new(&pg, &windows, &config, ep, in_flight);
             let clean = rounds.run();
             let sick = rounds.run();
             assert!(
                 rounds.ep.stats().cache_bypass_reads > 0,
                 "the second pass must quarantine the cache ({storage:?})"
             );
-            let (bypasses, gets) = (rounds.ep.stats().cache_bypass_reads, rounds.ep.stats().gets);
+            let (bypasses, gets, span_gets) = (
+                rounds.ep.stats().cache_bypass_reads,
+                rounds.ep.stats().gets,
+                rounds.span_gets,
+            );
             let before = allocations_on_this_thread();
             let bypassed = rounds.run();
             assert_eq!(
@@ -520,9 +521,9 @@ fn quarantine_bypass_reads_allocate_nothing() {
             let adjacency_reads = rounds.ep.stats().cache_bypass_reads - bypasses;
             assert!(adjacency_reads > 0, "the measured pass must bypass");
             assert_eq!(
-                rounds.ep.stats().gets - gets,
-                2 * adjacency_reads,
-                "a bypass round is the plain two-get protocol"
+                rounds.ep.stats().gets - gets - (rounds.span_gets - span_gets),
+                adjacency_reads,
+                "a bypassed row is one get"
             );
             assert_eq!((clean, sick), (bypassed, bypassed), "{storage:?}");
             rounds.ep.unlock_all();
