@@ -16,20 +16,22 @@ use std::sync::Arc;
 /// as `rmatc-core`'s intersection suite. The variant records where the data
 /// came from, which the allocation tests and statistics assertions rely on:
 ///
-/// * [`Window`](RowRef::Window) — borrowed from the local window part
-///   (local-rank read): no allocation, no copy.
+/// * [`Window`](RowRef::Window) — borrowed from a window: a local-rank
+///   read, or a fault-free remote read nobody keeps, read in place. No
+///   allocation, no copy.
 /// * [`Cached`](RowRef::Cached) — a cache hit: shares the cached entry's
 ///   buffer via a refcount bump.
-/// * [`Fetched`](RowRef::Fetched) — a miss (or a read on a non-cached
-///   window): the transfer buffer itself. When the entry was cacheable the
-///   *same* allocation was handed to the cache, so no second copy exists.
+/// * [`Fetched`](RowRef::Fetched) — a miss (or a faulted read nobody
+///   keeps, copied out of the buffer it was verified in): the row's one
+///   buffer. When the entry was cacheable the *same* allocation was handed
+///   to the cache, so no second copy exists.
 #[derive(Debug, Clone)]
 pub enum RowRef<'a, T> {
-    /// Borrowed straight from the local window part.
+    /// Borrowed straight from a window region (local, or read in place).
     Window(&'a [T]),
     /// Cache hit sharing the cached entry's buffer.
     Cached(Arc<[T]>),
-    /// The freshly fetched transfer buffer of a miss or uncached read.
+    /// The freshly fetched buffer of a miss or of a faulted uncached read.
     Fetched(Arc<[T]>),
 }
 
@@ -51,7 +53,7 @@ impl<T> RowRef<'_, T> {
         }
     }
 
-    /// Whether this row borrows the local window (no shared buffer involved).
+    /// Whether this row borrows a window (no shared buffer involved).
     pub fn is_borrowed(&self) -> bool {
         matches!(self, RowRef::Window(_))
     }

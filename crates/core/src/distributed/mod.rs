@@ -46,7 +46,7 @@
 //! | 2 | Expose `offsets` / `adjacencies` in two RMA windows | [`windows`] |
 //! | 3 | Open the passive-target access epoch, no synchronization | [`pipeline`] (`lock_all`) |
 //! | 4 | Get the `(start, end)` pair from `w_offsets` (the edge loop, cached or not: every pair of a source, by span; the service: every pair of a batch, by span; the paper's non-cached loop reads one pair per edge) | [`reader`] (`read_spans`, `read_key_spans`) |
-//! | 5 | Get the adjacency list from `w_adj`, cache-intercepted | [`reader`] + `rmatc_clampi` |
+//! | 5 | Get the adjacency list from `w_adj`, cache-intercepted (the edge loop: one get per row; the service: every key of a batch probed first, then its missing rows by span) | [`reader`] (`start`, `read_key_rows`) + `rmatc_clampi` |
 //! | 6 | Intersect, accumulate per-vertex closed triplets | [`worker`] (`ClosingCount`) + [`crate::intersect`] |
 //! | — | The edge loop: gets kept in flight (§III-A's double buffer) | [`pipeline`] |
 //! | — | Assemble LCC scores and per-rank reports | [`report`] |
@@ -54,9 +54,9 @@
 //! # Zero-copy reads
 //!
 //! The remote-adjacency hot path never materializes a per-edge buffer:
-//! [`reader::RowReader::read_row`] returns a borrowed
-//! `rmatc_clampi::RowRef` view (local window slice, cached entry, or the
-//! miss's single transfer buffer), and the edge loop's
+//! [`reader::RowReader::read_key_rows`] returns borrowed
+//! `rmatc_clampi::RowRef` views (a window slice, a cached entry, or a
+//! miss's single buffer), and the edge loop's
 //! [`reader::RowReader::start`] computes over the row where it is —
 //! cache hits in place, misses over the landed buffer the cache then
 //! retains (under fault injection, only once its checksum has verified).

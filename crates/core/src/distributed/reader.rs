@@ -11,9 +11,8 @@
 //! neighbours — what the edge loop does, cached or not (rows are sorted, so
 //! the neighbours a rank owns ascend); [`RowReader::read_key_spans`] reads
 //! the pairs of a sorted list of `(owner, local index)` keys — what the
-//! service does for the unique rows of a batch before it reads each with
-//! [`RowReader::read_row`]. One key alone is the single two-word get of
-//! Algorithm 3.
+//! service does for the unique rows of a batch. One key alone is the single
+//! two-word get of Algorithm 3.
 //!
 //! This departs from the paper's non-cached baseline, which reads one pair
 //! per remote edge. The first get is α-bound, and the α+β rule only joins
@@ -25,8 +24,13 @@
 //! baseline that already reads spans.
 //!
 //! [`RowReader`] offers the adjacency read in two shapes.
-//! [`RowReader::read_row`] hands the row back as a zero-copy [`RowRef`] (the
-//! service plans a batch of rows first and answers from them afterwards).
+//! [`RowReader::read_key_rows`] reads the rows of a batch's sorted keys and
+//! hands each back as a zero-copy [`RowRef`] (the service plans a batch of
+//! rows first and answers from them afterwards). It probes every key in
+//! `C_adj` first; the rows that must still cross the network — misses, and
+//! every row nobody keeps — are read by span under the same join rule as
+//! the offsets, a row's adjacency words taking the place of a pair's two
+//! offsets words. One key alone is the single row get of Algorithm 3.
 //! [`RowReader::start`] computes a per-edge operation ([`EdgeOp`]) over the
 //! row *where it is* — in place on a local row, a cache hit or a fault-free
 //! transfer nobody keeps, over the landed buffer otherwise — and hands back
@@ -34,33 +38,44 @@
 //! ([`super::pipeline`]) overlaps that latency with the next edges. A
 //! faulted transfer is always landed first and computed on second, so no
 //! kernel ever runs over a transfer its checksum has not verified. One rule
-//! decides where a transfer is read — *who keeps the buffer*: a transfer
-//! the cache keeps lands in the get's one `Arc`; a fault-free read nobody
-//! keeps is read in place ([`Endpoint::get_in_place`]); a faulted one lands
-//! in the caller's buffer.
+//! decides where a transfer is read — *who keeps the buffer*: a fault-free
+//! read nobody keeps is read in place ([`Endpoint::get_in_place`]); a
+//! faulted one lands in the caller's buffer; a row the cache keeps is
+//! copied once, into the `Arc` the cache retains.
 //!
 //! | read | kept by | fault-free | faulted |
 //! |---|---|---|---|
-//! | cached miss (either entry point) | the cache (+ the caller of `read_row`) | the get's one `Arc` | the get's one `Arc` |
-//! | non-cached or quarantine-bypass adjacency row | nobody | in place | the caller's landing `Vec` |
+//! | edge-loop miss ([`RowReader::start`]) | the cache | the get's one `Arc` | the get's one `Arc` |
+//! | batch row span ([`RowReader::read_key_rows`]) | the cache (misses) and the caller | in place; each miss copied into its own `Arc` | the caller's landing `Vec`; each row copied into its own `Arc` |
+//! | non-cached or quarantine-bypass row in the edge loop | nobody | in place | the caller's landing `Vec` |
 //! | offsets span | nobody | in place | the caller's span buffer ([`OffsetSpans`], or the service lane's words) |
+//!
+//! The edge loops keep one get per row. In the non-cached loop the row
+//! spans' rule would cut `uniform14_lcc_noncached`'s modeled time by about
+//! 15%, but on the quick-scale R-MAT runs it would also cut non-cached
+//! communication by 58–74% (sized analytically), which puts the cache's
+//! modeled gain (`distributed.cache_gain_modeled`) near or below 1: the
+//! baseline would stop measuring what `C_adj` saves. In the cached loop the
+//! overlap bank already hides about 99% of the modeled communication, so
+//! spans there wait for the modeled clock to stop crediting unbounded
+//! overlap (`ROADMAP.md` item 14).
 //!
 //! The simulator materializes a get's data at issue time, so a fault-free
 //! read computes its value — and a miss admits its buffer — when it is
 //! issued, in exactly the order a loop that waits for every get would; only
 //! the cost ticket ([`rmatc_rma::PendingCharge`]) stays in flight. Under
 //! fault injection unverified data is never trusted, and every remote read
-//! is synchronous and self-healing: a row nobody keeps — offsets spans
-//! included — is verified and healed in the caller's buffer
-//! ([`Endpoint::get_into_with_retry`]); a cached miss is verified and healed
-//! in its own buffer ([`Endpoint::get_with_retry`]) before it is computed on
-//! and admitted. Nothing is left in flight.
+//! is synchronous and self-healing: a read nobody keeps — offsets spans
+//! and the service's row spans included — is verified and healed in the
+//! caller's buffer ([`Endpoint::get_into_with_retry`]); an edge-loop miss is
+//! verified and healed in its own buffer ([`Endpoint::get_with_retry`])
+//! before it is computed on and admitted. Nothing is left in flight.
 //!
 //! The reader is the rank's windows, read through `&self`. Its cache,
 //! [`AdjCache`], is a separate value the rank's one thread owns and lends to
-//! every read as `&mut`, next to its endpoint: the rows [`RowReader::read_row`]
-//! returns borrow the windows alone, so a caller may hold many of them while
-//! it keeps reading through the cache.
+//! every read as `&mut`, next to its endpoint: the rows
+//! [`RowReader::read_key_rows`] returns borrow the windows alone, so a
+//! caller may hold many of them while it keeps reading through the cache.
 
 use super::config::DistConfig;
 use super::windows::GraphWindows;
@@ -117,14 +132,20 @@ pub trait EdgeOp: Sync {
     fn fold(&self, out: &mut Vec<Self::Item>, edge: &Edge<'_>, value: Self::Value);
 }
 
-/// Whether the offsets pairs of two needed rows `p < q` of one owner share a
-/// span under `network`'s `t(s) = α + β·s`: one span reads the
-/// `8·(q − p − 2)` bytes between the two pairs (offsets are `u64`; adjacent
-/// rows share a word) and saves one get, so it pays iff
-/// `8·(q − p − 2)·β ≤ α`. The cost is additive over gaps, so deciding each
-/// gap on its own — the greedy split — is optimal.
-pub fn spans_join(network: &NetworkModel, p: usize, q: usize) -> bool {
-    8.0 * (q as f64 - p as f64 - 2.0) * network.beta_ns_per_byte <= network.alpha_ns
+/// Whether two needed runs of one owner's window share a span under
+/// `network`'s `t(s) = α + β·s`, given the `gap_bytes` between them: one span
+/// reads the gap and saves one get, so it pays iff `gap_bytes·β ≤ α`. The
+/// cost is additive over gaps, so deciding each gap on its own — the greedy
+/// split — is optimal. The one rule plans both gets: offsets spans over
+/// 8-byte words and the service's row spans over 4-byte adjacency words.
+pub fn spans_join(network: &NetworkModel, gap_bytes: usize) -> bool {
+    gap_bytes as f64 * network.beta_ns_per_byte <= network.alpha_ns
+}
+
+/// The bytes between the offsets pairs of rows `p ≤ q` of one owner:
+/// `8·(q − p − 2)`, none when they are adjacent (they share a word) or equal.
+fn pairs_gap_bytes(p: usize, q: usize) -> usize {
+    8 * q.saturating_sub(p + 2)
 }
 
 /// The `(start, end)` pairs of one source's remote neighbours, read by span
@@ -298,7 +319,7 @@ impl RowReader {
             let (owner, first) = key(head);
             let joined = rest.windows(2).take_while(|w| {
                 let (p, q) = (key(&w[0]), key(&w[1]));
-                q.0 == owner && spans_join(&network, p.1, q.1)
+                q.0 == owner && spans_join(&network, pairs_gap_bytes(p.1, q.1))
             });
             let (span, tail) = rest.split_at(1 + joined.count());
             let len = key(&span[span.len() - 1]).1 + 2 - first;
@@ -340,43 +361,121 @@ impl RowReader {
         cache.admit(ep, target, start, len, row, len as f64);
     }
 
-    /// Reads the adjacency list on rank `target` whose `(start, end)` offsets
-    /// pair the first get returned ([`RowReader::read_key_spans`]),
-    /// cache-intercepted where enabled, and waits for it: the probe → get →
-    /// admit of [`RowReader::start`], with the get waited for in between.
+    /// Second get of the protocol for a batch of rows: the row of each of
+    /// `keys` — the sorted, distinct `(owner, local index)` keys of
+    /// [`RowReader::read_key_spans`] — from its pair in `pairs`, into `rows`,
+    /// cleared first, in key order.
     ///
-    /// The returned [`RowRef`] is a zero-copy view: local-rank reads borrow the
-    /// window, cache hits share the cached buffer, and a miss allocates exactly
-    /// once — the transfer buffer, which the cache retains by refcount.
+    /// Every key is probed in the cache first, and hits are served from it.
+    /// Per owner, the rows that must still cross the network — misses, and
+    /// every row nobody keeps (no cache, or a quarantined one) — then share a
+    /// span while [`spans_join`] says the adjacency words between two of them
+    /// cost less than a get; each span is one synchronous get. Fault-free, a
+    /// span is read in place: each miss is copied into its own `Arc` and
+    /// admitted in key order, and a row nobody keeps is borrowed from the
+    /// window. Under faults a span lands in `landing`, is verified and
+    /// healed there, and each of its rows is copied out into its own `Arc`.
     ///
-    /// The row is returned exactly as stored: raw vertex ids under plain
-    /// storage, compressed words (decode with
-    /// [`rmatc_graph::compressed::decode_row`]) under compressed storage.
-    /// Every path is self-healing: transient failures and corrupted transfers
-    /// retry per the endpoint's [`rmatc_rma::RetryPolicy`].
-    pub fn read_row(
+    /// The rows are zero-copy views ([`RowRef`]): local rows and in-place
+    /// reads borrow the window, hits share the cached buffer, and a miss
+    /// allocates exactly once — the buffer the cache retains. They are
+    /// returned exactly as stored: raw vertex ids under plain storage,
+    /// compressed words (decode with [`rmatc_graph::compressed::decode_row`])
+    /// under compressed storage. A key whose pair failed fails its row, and a
+    /// span that exhausts its retries fails only the rows inside it.
+    /// `landing` and `rows` are the caller's reusable buffers: once they have
+    /// grown, a batch of hits and local rows allocates nothing. The span plan
+    /// lives only for the call, so a lane keeps no buffer sized by its
+    /// largest batch of misses.
+    pub fn read_key_rows<'r>(
+        &'r self,
+        ep: &mut Endpoint,
+        cache: &mut AdjCache,
+        keys: &[(usize, usize)],
+        pairs: &[Result<(usize, usize), RmaError>],
+        landing: &mut Vec<VertexId>,
+        rows: &mut Vec<Result<RowRef<'r, VertexId>, RmaError>>,
+    ) {
+        rows.clear();
+        // `(key index, kept, (start, end))` of every row that crosses the
+        // network, in key order: a cached miss is kept (admitted), a row read
+        // without a cache or past a quarantined one is not.
+        let mut wanted = Vec::new();
+        let adj = &self.adj_plain;
+        for (i, (&(target, _), pair)) in keys.iter().zip(pairs).enumerate() {
+            rows.push(pair.clone().map(|(start, end)| {
+                let len = end - start;
+                if len == 0 {
+                    return RowRef::Window(&[]);
+                }
+                if target == ep.rank() {
+                    return RowRef::Window(ep.local_read(adj, start, len));
+                }
+                match probe(ep, cache, target, start, len) {
+                    CacheProbe::Hit(row) => RowRef::Cached(row),
+                    probe => {
+                        // Filled in below, once the row's span is read.
+                        let kept = matches!(probe, CacheProbe::Miss);
+                        wanted.push((i, kept, (start, end)));
+                        RowRef::Window(&[])
+                    }
+                }
+            }));
+        }
+        let network = *ep.network();
+        let mut rest = &wanted[..];
+        while let Some(&(head, _, (first, _))) = rest.first() {
+            let owner = keys[head].0;
+            let joined = rest.windows(2).take_while(|w| {
+                let ((_, _, (_, end)), (q, _, (start, _))) = (w[0], w[1]);
+                keys[q].0 == owner && spans_join(&network, 4 * (start - end))
+            });
+            let (span, tail) = rest.split_at(1 + joined.count());
+            let (.., (_, last)) = span[span.len() - 1];
+            let len = last - first;
+            if ep.faults_enabled() {
+                let read = ep.get_into_with_retry(adj, owner, first, len, landing);
+                for &(i, kept, (start, end)) in span {
+                    rows[i] = match &read {
+                        Ok(()) => {
+                            let row = &landing[start - first..end - first];
+                            Ok(self.copy_out(ep, cache, kept, owner, start, row))
+                        }
+                        Err(e) => Err(e.clone()),
+                    };
+                }
+            } else {
+                let (region, charge) = ep.get_in_place(adj, owner, first, len);
+                charge.wait(ep);
+                for &(i, kept, (start, end)) in span {
+                    let row = &region[start - first..end - first];
+                    rows[i] = Ok(if kept {
+                        self.copy_out(ep, cache, kept, owner, start, row)
+                    } else {
+                        RowRef::Window(row)
+                    });
+                }
+            }
+            rest = tail;
+        }
+    }
+
+    /// A batch row copied out of its span into its own buffer, admitted to
+    /// the cache when it is `kept` (a miss).
+    fn copy_out(
         &self,
         ep: &mut Endpoint,
         cache: &mut AdjCache,
+        kept: bool,
         target: usize,
-        (start, end): (usize, usize),
-    ) -> Result<RowRef<'_, VertexId>, RmaError> {
-        let len = end - start;
-        if len == 0 {
-            return Ok(RowRef::Window(&[]));
-        }
-        if target == ep.rank() {
-            return Ok(RowRef::Window(ep.local_read(&self.adj_plain, start, len)));
-        }
-        let probe = probe(ep, cache, target, start, len);
-        if let CacheProbe::Hit(row) = probe {
-            return Ok(RowRef::Cached(row));
-        }
-        let row = ep.get_with_retry(&self.adj_plain, target, start, len)?;
-        if let CacheProbe::Miss = probe {
+        start: usize,
+        row: &[VertexId],
+    ) -> RowRef<'static, VertexId> {
+        let row: Arc<[VertexId]> = Arc::from(row);
+        if kept {
             self.admit(ep, cache, target, start, Arc::clone(&row));
         }
-        Ok(RowRef::Fetched(row))
+        RowRef::Fetched(row)
     }
 
     /// Reads the row on `target` whose `(start, end)` offsets pair the first
@@ -453,7 +552,7 @@ fn read_unkept<'a, T: Copy + Send + Sync>(
 }
 
 /// Looks the remote row of `len > 0` elements at `start` on `target` up in
-/// `cache`: the one issue-time decision [`RowReader::read_row`] and
+/// `cache`: the one issue-time decision [`RowReader::read_key_rows`] and
 /// [`RowReader::start`] share. Without a cache every row reads as an
 /// (uncounted) [`CacheProbe::Bypass`]: fetched, and kept by nobody.
 fn probe(
@@ -495,6 +594,20 @@ mod tests {
         pairs.remove(0)
     }
 
+    /// The row of one key whose pair the first get returned: a one-key
+    /// batch, the single row get of Algorithm 3.
+    fn read_pair_row<'r>(
+        reader: &'r RowReader,
+        ep: &mut Endpoint,
+        cache: &mut AdjCache,
+        key: (usize, usize),
+        pair: Result<(usize, usize), RmaError>,
+    ) -> Result<RowRef<'r, VertexId>, RmaError> {
+        let mut rows = Vec::new();
+        reader.read_key_rows(ep, cache, &[key], &[pair], &mut Vec::new(), &mut rows);
+        rows.remove(0)
+    }
+
     /// Both gets of one row, one pair per row: the offsets pair, then the row.
     fn read_row<'r>(
         reader: &'r RowReader,
@@ -503,8 +616,8 @@ mod tests {
         target: usize,
         idx: usize,
     ) -> Result<RowRef<'r, VertexId>, RmaError> {
-        let pair = read_pair(reader, ep, target, idx)?;
-        reader.read_row(ep, cache, target, pair)
+        let pair = read_pair(reader, ep, target, idx);
+        read_pair_row(reader, ep, cache, (target, idx), pair)
     }
 
     fn setup() -> (PartitionedGraph, DistConfig) {
@@ -591,11 +704,12 @@ mod tests {
     }
 
     #[test]
-    fn read_row_runs_the_protocol_of_start_and_complete() {
-        // The service reads rows with `read_row`, the edge loop with `start`
-        // and the charge it owes: one protocol. Two readers over the same windows read
-        // the same remote rows twice through an eviction-heavy cache, one
-        // reader per entry point, under both storages and both score rules:
+    fn a_one_key_batch_runs_the_protocol_of_start() {
+        // The service reads rows with `read_key_rows`, the edge loop with
+        // `start` and the charge it owes: one protocol, row by row. Two
+        // readers over the same windows read the same remote rows twice
+        // through an eviction-heavy cache, one reader per entry point (a
+        // one-key batch per edge), under both storages and both score rules:
         // their caches and the integer counters of their endpoints agree.
         let integers = |s: &RankStats| RankStats {
             comm_time_ns: 0.0,
@@ -628,9 +742,8 @@ mod tests {
                                 continue;
                             }
                             let idx = pg.partitioner.local_index(v);
-                            let pair = read_pair(&by_row, &mut ep_row, 1, idx).unwrap();
-                            by_row
-                                .read_row(&mut ep_row, &mut row_cache, 1, pair)
+                            let pair = read_pair(&by_row, &mut ep_row, 1, idx);
+                            read_pair_row(&by_row, &mut ep_row, &mut row_cache, (1, idx), pair)
                                 .unwrap();
                             let pair = read_pair(&by_start, &mut ep_start, 1, idx).unwrap();
                             let source = part.global_ids[local_idx];
@@ -734,7 +847,7 @@ mod tests {
             let (gets, needed) = span_gets(&pg, aries);
             let rule: u64 = needed
                 .iter()
-                .map(|rows| planned(rows, |p, q| !spans_join(&aries, p, q)))
+                .map(|rows| planned(rows, |p, q| !spans_join(&aries, pairs_gap_bytes(p, q))))
                 .sum();
             assert_eq!(gets, rule, "{scheme:?}");
             assert!((per_owner..=split).contains(&rule), "{scheme:?}");
@@ -744,19 +857,26 @@ mod tests {
     #[test]
     fn the_split_rule_prices_gap_bytes_against_one_get() {
         let aries = NetworkModel::aries();
-        // 8 B/word · 0.1 ns/B against α = 2 500 ns: gaps of up to 3 125
-        // unread words pay for themselves.
-        assert!(spans_join(&aries, 10, 10 + 2 + 3_125));
-        assert!(!spans_join(&aries, 10, 10 + 2 + 3_126));
-        // Adjacent rows share a word; duplicates overlap entirely.
+        // 0.1 ns/B against α = 2 500 ns: gaps of up to 25 000 unread bytes
+        // pay for themselves — 3 125 offsets words, 6 250 adjacency words.
+        assert!(spans_join(&aries, pairs_gap_bytes(10, 10 + 2 + 3_125)));
+        assert!(!spans_join(&aries, pairs_gap_bytes(10, 10 + 2 + 3_126)));
+        assert!(spans_join(&aries, 4 * 6_250));
+        assert!(!spans_join(&aries, 4 * 6_251));
+        // Adjacent pairs share a word; duplicates overlap entirely.
+        assert_eq!(pairs_gap_bytes(4, 4), 0);
+        assert_eq!(pairs_gap_bytes(4, 5), 0);
+        assert_eq!(pairs_gap_bytes(4, 6), 0);
+        assert_eq!(pairs_gap_bytes(4, 7), 8);
+        // Free gets: only a gap of no bytes joins.
         let bytes_only = NetworkModel {
             alpha_ns: 0.0,
             ..aries
         };
-        assert!(spans_join(&bytes_only, 4, 4));
-        assert!(spans_join(&bytes_only, 4, 5));
-        assert!(spans_join(&bytes_only, 4, 6));
-        assert!(!spans_join(&bytes_only, 4, 7));
+        assert!(spans_join(&bytes_only, 0));
+        assert!(!spans_join(&bytes_only, 4));
+        // Free bytes: every gap joins.
+        assert!(spans_join(&NetworkModel::zero(), usize::MAX));
     }
 
     /// Random sorted, distinct `(owner, local index)` keys on owners 1–3 of
@@ -809,7 +929,7 @@ mod tests {
                 (aries, &whole_owners as &dyn Fn(_, _) -> _),
                 (tight, &two_apart),
             ] {
-                let spans = planned(&keys, |p, q| !spans_join(&network, p, q));
+                let spans = planned(&keys, |p, q| !spans_join(&network, pairs_gap_bytes(p, q)));
                 assert_eq!(spans, planned(&keys, split));
                 let (mut ep, mut alone) =
                     (Endpoint::new(0, 4, network), Endpoint::new(0, 4, network));
@@ -845,7 +965,8 @@ mod tests {
         // Span number of each key, under the join rule.
         let span_of: Vec<usize> = std::iter::once(0)
             .chain(keys.windows(2).scan(0, |span, w| {
-                *span += usize::from(w[0].0 != w[1].0 || !spans_join(&tight, w[0].1, w[1].1));
+                let join = spans_join(&tight, pairs_gap_bytes(w[0].1, w[1].1));
+                *span += usize::from(w[0].0 != w[1].0 || !join);
                 Some(*span)
             }))
             .collect();
@@ -887,6 +1008,191 @@ mod tests {
             }
         }
         alone.unlock_all();
+    }
+
+    /// Whether `row`, as stored under `storage`, is the plain row `want`.
+    fn is_row(storage: GraphStorage, row: &[VertexId], want: &[VertexId]) -> bool {
+        match storage {
+            GraphStorage::Plain => row == want,
+            GraphStorage::Compressed => {
+                let mut decoded = Vec::new();
+                rmatc_graph::compressed::decode_row(row, &mut decoded);
+                decoded == want
+            }
+        }
+    }
+
+    /// Row spans the join rule plans under `network` over `(owner, start,
+    /// end)` rows in key order.
+    fn row_spans(network: &NetworkModel, rows: &[(usize, usize, usize)]) -> u64 {
+        let opens = |p: &(usize, usize, usize), q: &(usize, usize, usize)| {
+            p.0 != q.0 || !spans_join(network, 4 * (q.1 - p.2))
+        };
+        u64::from(!rows.is_empty()) + rows.windows(2).filter(|w| opens(&w[0], &w[1])).count() as u64
+    }
+
+    #[test]
+    fn key_rows_are_the_owners_rows_in_one_get_per_planned_span() {
+        // Random sorted keys on a 4-rank R-MAT-8, read with both gets of the
+        // batch: every row is its owner's partition row, under both storages,
+        // without a cache and through an eviction-heavy one, fault-free and
+        // under a heavy plan with retries. Fault-free, the gets are the
+        // offsets spans plus the row spans the join rule plans over the rows
+        // that crossed the network — every non-empty row not served from the
+        // cache — under Aries, a free network and free gets with priced bytes.
+        let g = RmatGenerator::paper(8, 8).generate_cleaned(3).into_csr();
+        let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 4).unwrap();
+        let aries = NetworkModel::aries();
+        let bytes_only = NetworkModel {
+            alpha_ns: 0.0,
+            ..aries
+        };
+        let heavy = Some(FaultPlan::heavy(7));
+        let eviction_heavy = Some(CacheSpec::paper(1 << 11).with_degree_scores());
+        let mut state = 0x853c_49e6_748f_ea9b;
+        for storage in [GraphStorage::Plain, GraphStorage::Compressed] {
+            let windows = GraphWindows::build_with(&pg, storage);
+            for cache in [None, eviction_heavy] {
+                for (faults, network) in [
+                    (None, aries),
+                    (None, NetworkModel::zero()),
+                    (None, bytes_only),
+                    (heavy, aries),
+                ] {
+                    let config = DistConfig {
+                        storage,
+                        cache,
+                        faults,
+                        network,
+                        retry: RetryPolicy {
+                            max_attempts: 32,
+                            ..RetryPolicy::default()
+                        },
+                        ..DistConfig::non_cached(4)
+                    };
+                    let what = format!("{storage:?} {cache:?} {faults:?} {network:?}");
+                    let (reader, mut cache) =
+                        RowReader::new(&windows, &config, pg.global_vertex_count());
+                    let mut ep = rank_endpoint(0, &config);
+                    ep.lock_all();
+                    let (mut words, mut pairs) = (Vec::new(), Vec::new());
+                    let (mut landing, mut rows) = (Vec::new(), Vec::new());
+                    let (mut crossed, mut saved) = (0, 0);
+                    for _round in 0..4 {
+                        let keys = random_keys(&pg, &mut state);
+                        let gets = ep.stats().gets;
+                        reader.read_key_spans(&mut ep, &keys, &mut words, &mut pairs);
+                        reader.read_key_rows(
+                            &mut ep,
+                            &mut cache,
+                            &keys,
+                            &pairs,
+                            &mut landing,
+                            &mut rows,
+                        );
+                        assert_eq!(rows.len(), keys.len(), "{what}");
+                        let mut network_rows = Vec::new();
+                        for ((&(owner, idx), pair), row) in keys.iter().zip(&pairs).zip(&rows) {
+                            let row = row.as_ref().expect(&what);
+                            let want = pg.partitions[owner].neighbours_of_local(idx);
+                            assert!(is_row(storage, row, want), "{what}: row {idx} of {owner}");
+                            let (start, end) = *pair.as_ref().unwrap();
+                            if end > start && !matches!(row, RowRef::Cached(_)) {
+                                network_rows.push((owner, start, end));
+                            }
+                        }
+                        if faults.is_none() {
+                            let offsets =
+                                planned(&keys, |p, q| !spans_join(&network, pairs_gap_bytes(p, q)));
+                            let spans = row_spans(&network, &network_rows);
+                            assert_eq!(ep.stats().gets - gets, offsets + spans, "{what}");
+                            crossed += network_rows.len() as u64;
+                            saved += network_rows.len() as u64 - spans;
+                        }
+                    }
+                    ep.unlock_all();
+                    if faults.is_some() {
+                        assert!(ep.stats().fault_events() > 0, "{what}: nothing injected");
+                    } else {
+                        assert!(crossed > 0, "{what}: no row crossed the network");
+                        // Free bytes join every owner's rows into one span.
+                        if network.beta_ns_per_byte == 0.0 {
+                            assert!(saved > 0, "{what}");
+                        }
+                    }
+                    // The heavy plan quarantines the cache before it fills.
+                    if let Some(cache) = cache {
+                        let stats = cache.stats();
+                        let evicted = stats.evictions() > 0 || faults.is_some();
+                        assert!(stats.hits > 0 && evicted, "{what}: {stats:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_row_span_fails_only_its_keys() {
+        // With no retries, each span of either get is one attempt, and half
+        // the attempts fail. A key whose offsets span failed fails its row;
+        // the keys of one row span share its outcome, and every success is
+        // the owner's row. Every span is attempted exactly once.
+        let (pg, reader) = four_ranks();
+        let tight = NetworkModel {
+            alpha_ns: 0.5,
+            beta_ns_per_byte: 0.1,
+            ..NetworkModel::aries()
+        };
+        let coin = FaultPlan {
+            get_failure_p: 0.5,
+            ..FaultPlan::reliable(11)
+        };
+        let mut ep = Endpoint::new(0, 4, tight)
+            .with_retry(RetryPolicy::no_retries())
+            .with_faults(coin.injector(0));
+        ep.lock_all();
+        let (mut words, mut pairs) = (Vec::new(), Vec::new());
+        let (mut landing, mut rows) = (Vec::new(), Vec::new());
+        let mut state = 0x2545_f491_4f6c_dd1d;
+        let (mut failed, mut attempted) = (0, 0);
+        for _round in 0..4 {
+            let keys = random_keys(&pg, &mut state);
+            reader.read_key_spans(&mut ep, &keys, &mut words, &mut pairs);
+            reader.read_key_rows(&mut ep, &mut None, &keys, &pairs, &mut landing, &mut rows);
+            // The rows that went to the network, with their outcomes.
+            let mut network_rows = Vec::new();
+            for ((&(owner, idx), pair), row) in keys.iter().zip(&pairs).zip(&rows) {
+                let Ok((start, end)) = *pair else {
+                    assert!(row.is_err(), "row {idx} of {owner} without its pair");
+                    continue;
+                };
+                match row {
+                    Ok(row) => {
+                        let want = pg.partitions[owner].neighbours_of_local(idx);
+                        assert_eq!(row.as_slice(), want, "row {idx} of {owner}");
+                    }
+                    Err(_) => assert!(end > start, "an empty row needs no get"),
+                }
+                if end > start {
+                    network_rows.push(((owner, start, end), row.is_err()));
+                }
+            }
+            // A row opens a span unless the rule joins it to the one before;
+            // a joined row shares its span's outcome.
+            for (k, &(row, err)) in network_rows.iter().enumerate() {
+                if k > 0 && row_spans(&tight, &[network_rows[k - 1].0, row]) == 1 {
+                    assert_eq!(err, network_rows[k - 1].1, "a row span split its outcome");
+                } else {
+                    attempted += 1;
+                    failed += u64::from(err);
+                }
+            }
+            attempted += planned(&keys, |p, q| !spans_join(&tight, pairs_gap_bytes(p, q)));
+        }
+        ep.unlock_all();
+        assert!(0 < failed && failed < attempted, "{failed} of {attempted}");
+        let stats = ep.stats();
+        assert_eq!(stats.gets + stats.transient_failures, attempted);
     }
 
     #[test]

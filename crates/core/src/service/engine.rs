@@ -29,6 +29,9 @@ struct RankLane {
     /// Where the batch's faulted offsets spans land
     /// ([`RowReader::read_key_spans`]).
     words: Vec<u64>,
+    /// Where the batch's faulted row spans land
+    /// ([`RowReader::read_key_rows`]).
+    landing: Vec<VertexId>,
 }
 
 /// The kernel/selection knobs every query runs with, mirroring the batch
@@ -137,6 +140,7 @@ impl QueryEngine {
                     reader,
                     cache,
                     words: Vec::new(),
+                    landing: Vec::new(),
                 }
             })
             .collect();
@@ -460,10 +464,10 @@ type GroupAnswers = Vec<(usize, Result<QueryAnswer, ServiceError>)>;
 
 /// Executes the members of one batch assigned to `lane`'s rank: plans the
 /// remote reads (sort + dedup), reads the offsets pairs of all of them by
-/// span ([`RowReader::read_key_spans`]), fetches each unique row once
-/// ([`RowReader::read_row`]), then answers each query from the landed rows —
-/// the same operands and kernels the batch pipelines use, so answers cannot
-/// diverge from them.
+/// span ([`RowReader::read_key_spans`]), fetches each unique row once, the
+/// cache's misses by span ([`RowReader::read_key_rows`]), then answers each
+/// query from the landed rows — the same operands and kernels the batch
+/// pipelines use, so answers cannot diverge from them.
 fn exec_rank_group(
     pg: &PartitionedGraph,
     lane: &mut RankLane,
@@ -508,28 +512,28 @@ fn exec_rank_group(
         unique_rows: keys.len() as u64,
     };
 
-    // 2. Fetch each unique row exactly once, in sorted key order, with the
-    // two-get protocol of the batch pipelines: the sorted keys are exactly
-    // the input of the span read, so the group's offsets pairs cost one get
-    // per span, then each row is one cache-intercepted get (compressed
-    // misses record logical vs stored bytes, keeping the compression win
-    // measurable in [`ServiceStats`]). A fetch failure (retry budget
-    // exhausted under an unrecoverable fault plan) is held per key: a failed
-    // span fails the keys inside it, a failed row its own key, and only the
-    // queries referencing those rows fail.
+    // 2. Fetch each unique row exactly once, with the two-get protocol of
+    // the batch pipelines, each get planned over the sorted keys: their
+    // offsets pairs cost one get per span, then every key is probed in the
+    // cache and the rows left to fetch cost one get per span of the same
+    // join rule (compressed misses record logical vs stored bytes, keeping
+    // the compression win measurable in [`ServiceStats`]). A fetch failure
+    // (retry budget exhausted under an unrecoverable fault plan) is held per
+    // key: a failed span of either get fails the keys inside it, and only
+    // the queries referencing those rows fail.
     let RankLane {
         ep,
         reader,
         cache,
         words,
+        landing,
     } = lane;
-    let mut pairs = Vec::with_capacity(keys.len());
+    let (mut pairs, mut rows) = (
+        Vec::with_capacity(keys.len()),
+        Vec::with_capacity(keys.len()),
+    );
     reader.read_key_spans(ep, &keys, words, &mut pairs);
-    let rows: Vec<Result<RowRef<'_, VertexId>, RmaError>> = keys
-        .iter()
-        .zip(pairs)
-        .map(|(&(target, _), pair)| reader.read_row(ep, cache, target, pair?))
-        .collect();
+    reader.read_key_rows(ep, cache, &keys, &pairs, landing, &mut rows);
 
     // 3. Answer each query from the landed rows.
     let out = members

@@ -335,6 +335,7 @@ fn offsets_spans_match_per_edge_pair_reads() {
                 ep.lock_all();
                 let (mut spans, mut words, mut pairs) =
                     (OffsetSpans::default(), Vec::new(), Vec::new());
+                let (mut landing, mut rows) = (Vec::new(), Vec::new());
                 for local_idx in 0..part.local_vertex_count() {
                     let adj_u = part.neighbours_of_local(local_idx);
                     let mut probe = Endpoint::new(rank, ranks, cfg.network);
@@ -348,11 +349,13 @@ fn offsets_spans_match_per_edge_pair_reads() {
                         if owner == rank {
                             continue;
                         }
-                        let key = (owner, pg.partitioner.local_index(v));
-                        reader.read_key_spans(&mut ep, &[key], &mut words, &mut pairs);
+                        let key = [(owner, pg.partitioner.local_index(v))];
+                        reader.read_key_spans(&mut ep, &key, &mut words, &mut pairs);
                         let pair = pairs[0].clone().unwrap();
                         assert_eq!(spans.pair(k), pair, "{what}: edge ({local_idx}, {v})");
-                        reader.read_row(&mut ep, &mut cache, owner, pair).unwrap();
+                        let (cache, landing) = (&mut cache, &mut landing);
+                        reader.read_key_rows(&mut ep, cache, &key, &pairs, landing, &mut rows);
+                        rows[0].as_ref().unwrap();
                     }
                 }
                 ep.unlock_all();

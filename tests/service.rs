@@ -11,6 +11,8 @@
 
 use proptest::prelude::*;
 use rmatc::prelude::*;
+use rmatc_core::distributed::reader::spans_join;
+use rmatc_core::distributed::GraphWindows;
 use rmatc_core::jaccard::{similarity_order, top_k_edges, EdgeSimilarity};
 use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
 use rmatc_graph::types::{Direction, VertexId};
@@ -550,8 +552,9 @@ fn one_batch_answers_every_drained_query_in_admission_order() {
 fn a_batch_reads_one_owners_close_offsets_pairs_in_one_get() {
     // Five remote rows on rank 1, all within the join distance of Aries
     // (gaps of up to 3 125 unread words pay for themselves): their offsets
-    // pairs are one span, so the batch costs one offsets get plus one
-    // adjacency get per non-empty row — not one offsets get per row.
+    // pairs are one span, so the batch costs one offsets get — not one per
+    // row — plus one adjacency get per span the same α+β rule plans over
+    // the non-empty rows' `(start, end)` pairs in the adjacency window.
     let g = RmatGenerator::paper(7, 8).generate_cleaned(77).into_csr();
     let mut engine = QueryEngine::new(&g, ServiceConfig::new(DistConfig::non_cached(2))).unwrap();
     let pg = engine.partitioned_graph();
@@ -572,23 +575,32 @@ fn a_batch_reads_one_owners_close_offsets_pairs_in_one_get() {
         .take(5)
         .collect();
     assert!(pg.partitions[1].local_vertex_count() <= 3_125);
-    let non_empty = remote
+    // The rows' pairs in rank 1's adjacency window, of the engine's storage.
+    let dist = engine.config().dist;
+    let windows = GraphWindows::build_with(pg, dist.storage);
+    let offsets = windows.offsets.local_part(1);
+    let rows: Vec<(u64, u64)> = remote
         .iter()
-        .filter(|&&v| {
-            !pg.partitions[1]
-                .neighbours_of_local(pg.partitioner.local_index(v))
-                .is_empty()
-        })
-        .count() as u64;
+        .map(|&v| pg.partitioner.local_index(v))
+        .map(|idx| (offsets[idx], offsets[idx + 1]))
+        .filter(|&(start, end)| end > start)
+        .collect();
+    let opens = |w: &[(u64, u64)]| !spans_join(&dist.network, 4 * (w[1].0 - w[0].1) as usize);
+    let row_spans =
+        u64::from(!rows.is_empty()) + rows.windows(2).filter(|w| opens(w)).count() as u64;
     for &v in &remote {
         engine.submit(Query::CommonNeighbors { u, v }).unwrap();
     }
     let responses = engine.run_batch();
     assert_eq!(responses.len(), 5);
-    assert!(responses.iter().all(|r| r.result.is_ok()));
+    let (map, lcc) = baselines(&g, 2);
+    for response in &responses {
+        let want = expected_answer(response.query, &map, &lcc);
+        assert_eq!(response.result.as_ref().unwrap(), &want);
+    }
     let stats = engine.stats();
     assert_eq!(stats.unique_row_reads, 5);
-    assert_eq!(stats.rma.gets, 1 + non_empty, "{stats:?}");
+    assert_eq!(stats.rma.gets, 1 + row_spans, "{stats:?}");
 }
 
 #[test]

@@ -89,8 +89,9 @@ fn base_config(ranks: usize) -> DistConfig {
     }
 }
 
-/// Both gets of one row, one pair per row: the offsets pair (a one-key span,
-/// the single two-word get of Algorithm 3), then the row.
+/// Both gets of one row as a one-key batch, one pair per row: the offsets
+/// pair (a one-key span, the single two-word get of Algorithm 3), then the
+/// row.
 fn read_row<'r>(
     reader: &'r RowReader,
     ep: &mut Endpoint,
@@ -98,9 +99,10 @@ fn read_row<'r>(
     target: usize,
     idx: usize,
 ) -> Result<RowRef<'r, u32>, RmaError> {
-    let mut pairs = Vec::new();
-    reader.read_key_spans(ep, &[(target, idx)], &mut Vec::new(), &mut pairs);
-    reader.read_row(ep, cache, target, pairs.remove(0)?)
+    let (key, mut pairs, mut rows) = ((target, idx), Vec::new(), Vec::new());
+    reader.read_key_spans(ep, &[key], &mut Vec::new(), &mut pairs);
+    reader.read_key_rows(ep, cache, &[key], &pairs, &mut Vec::new(), &mut rows);
+    rows.remove(0)
 }
 
 fn build_reader(
@@ -117,10 +119,11 @@ fn cache_stats(cache: &AdjCache) -> Option<CacheStats> {
 }
 
 /// The pre-zero-copy worker, reconstructed — the test-side reference of the
-/// edge loop: reads every remote row into an owned buffer first
-/// (`RowReader::read_row`, waiting for every get), then intersects; each
-/// source's offsets pairs are read by span first, as the edge loop does. Protocol order, cache interception and endpoint charging are
-/// identical, so every observable statistic must match the edge loop at
+/// edge loop: reads every remote row into an owned buffer first (a one-key
+/// `RowReader::read_key_rows` batch per edge, waiting for every get), then
+/// intersects; each source's offsets pairs are read by span first, as the
+/// edge loop does. Protocol order, cache interception and endpoint charging
+/// are identical, so every observable statistic must match the edge loop at
 /// depth 1.
 fn materializing_worker(
     rank: usize,
@@ -135,6 +138,7 @@ fn materializing_worker(
     let direction = pg.direction;
     let mut triangles = vec![0u64; part.local_vertex_count()];
     let mut spans = OffsetSpans::default();
+    let (mut landing, mut rows) = (Vec::new(), Vec::new());
     ep.lock_all();
     for (local_idx, slot) in triangles.iter_mut().enumerate() {
         let adj_u = part.neighbours_of_local(local_idx);
@@ -148,10 +152,16 @@ fn materializing_worker(
                 let adj_v = part.neighbours_of_local(v_local);
                 count_closing_at(direction, adj_u, adj_v, v, k, &intersector)
             } else {
-                let adj_v = reader
-                    .read_row(&mut ep, &mut cache, owner, spans.pair(k))
-                    .expect("no faults injected")
-                    .to_vec();
+                let (key, pair) = ((owner, v_local), Ok(spans.pair(k)));
+                reader.read_key_rows(
+                    &mut ep,
+                    &mut cache,
+                    &[key],
+                    &[pair],
+                    &mut landing,
+                    &mut rows,
+                );
+                let adj_v = rows[0].as_ref().expect("no faults injected").to_vec();
                 count_closing_at(direction, adj_u, &adj_v, v, k, &intersector)
             };
         }
@@ -221,12 +231,15 @@ fn cache_hits_and_local_reads_allocate_nothing() {
     ep.lock_all();
     let reads = pg.partitions[1].local_vertex_count().min(40);
     let (mut words, mut pairs) = (Vec::new(), Vec::new());
+    let (mut landing, mut rows) = (Vec::new(), Vec::new());
+    // A one-key batch over the caller's reusable buffers.
     let mut read = |ep: &mut Endpoint, cache: &mut AdjCache, target: usize, idx: usize| {
-        reader.read_key_spans(ep, &[(target, idx)], &mut words, &mut pairs);
-        let pair = pairs[0].clone().unwrap();
-        reader.read_row(ep, cache, target, pair).unwrap()
+        let key = [(target, idx)];
+        reader.read_key_spans(ep, &key, &mut words, &mut pairs);
+        reader.read_key_rows(ep, cache, &key, &pairs, &mut landing, &mut rows);
+        rows.pop().unwrap().unwrap()
     };
-    // Warm: fetch and cache every row and grow the span buffers
+    // Warm: fetch and cache every row and grow the span and row buffers
     // (allocations expected here).
     for idx in 0..reads {
         let _ = read(&mut ep, &mut cache, 1, idx);
