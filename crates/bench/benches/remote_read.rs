@@ -233,8 +233,7 @@ fn bench_remote_read(c: &mut Criterion) {
 /// *injection* (`NetworkModel::with_injection`), so the modeled Aries α/β
 /// really is spun for in wall time. At depth 1 the loop pays every spin
 /// back-to-back; at depth 8 it issues gets early enough that their modeled
-/// latency elapses while it computes. A rank runs one thread, so neither
-/// row touches the work-stealing pool.
+/// latency elapses while it computes. A rank runs one thread.
 fn bench_overlap(c: &mut Criterion) {
     let g = RmatGenerator::paper(8, 16).generate_cleaned(11).into_csr();
     let mut config = DistConfig::non_cached(2);

@@ -7,7 +7,7 @@
 
 /// The score the eviction rule weighs against recency (see
 /// [`Clampi`](crate::Clampi)).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScorePolicy {
     /// CLaMPI's default: least-recently-used weighted by a positional score that
     /// prefers evicting entries whose removal merges adjacent free regions.
@@ -20,7 +20,7 @@ pub enum ScorePolicy {
 }
 
 /// Full CLaMPI configuration for one cached window.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClampiConfig {
     /// Capacity of the memory buffer reserved for cached data, in bytes.
     pub capacity_bytes: usize,

@@ -6,7 +6,7 @@ use std::sync::Arc;
 /// Key identifying one cached remote region: which window, which target rank, and
 /// which `[offset, offset + len)` element range. This mirrors CLaMPI's indexing of
 /// gets by their `(window, target, displacement, size)` tuple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EntryKey {
     /// Window the get targeted.
     pub window: WindowId,

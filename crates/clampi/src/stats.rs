@@ -3,7 +3,7 @@
 //! the self-healing path's counters.
 
 /// Counters kept by one CLaMPI cache instance.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheStats {
     /// Lookups that found the requested region in the cache.
     pub hits: u64,

@@ -14,7 +14,7 @@ use rmatc_rma::{FaultPlan, NetworkModel, RetryPolicy};
 /// (`C_adj`); the cached configuration reads the offsets of each source's
 /// remote neighbours by span instead of through a second cache (see
 /// [`super::reader`]).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheSpec {
     /// Total bytes reserved per rank for CLaMPI.
     pub total_bytes: usize,
@@ -78,7 +78,7 @@ pub struct ResolvedCaches {
 }
 
 /// Full configuration of a distributed run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistConfig {
     /// Number of ranks (the paper's "computing nodes").
     pub ranks: usize,

@@ -12,7 +12,7 @@ use rmatc_rma::RankStats;
 
 /// Timing breakdown of one rank, combining measured computation with modeled
 /// communication (see the crate documentation of [`rmatc_rma`] for the model).
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TimingBreakdown {
     /// CPU time of the rank's edge loop, in nanoseconds.
     pub compute_ns: f64,
@@ -42,7 +42,7 @@ impl TimingBreakdown {
 }
 
 /// Report of one rank's run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankReport {
     /// Rank id.
     pub rank: usize,
@@ -70,7 +70,7 @@ impl RankReport {
 }
 
 /// Result of a distributed run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistResult {
     /// LCC score of every global vertex.
     pub lcc: Vec<f64>,

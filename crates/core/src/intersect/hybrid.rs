@@ -27,7 +27,7 @@
 //! floating-point definitions ([`ssi_is_faster`], [`galloping_is_faster`]).
 
 /// Which intersection kernel to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntersectMethod {
     /// Always use scalar sorted set intersection (Algorithm 2).
     SortedSetIntersection,
@@ -83,7 +83,7 @@ impl IntersectMethod {
 /// paper's Eq. (3) plus the `|B| < |A|²` probe rule, identical on every host.
 /// It has one variant; the type survives so configurations that name it
 /// keep compiling.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CostModel {
     /// Eq. (3) + `|B| < |A|²`, as written in the paper.
     #[default]

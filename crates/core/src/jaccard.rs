@@ -25,7 +25,7 @@ use rmatc_graph::GraphStorage;
 use rmatc_rma::{run_ranks, RankStats, RmaError};
 
 /// Similarity score of one directed edge.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeSimilarity {
     /// Source vertex (the locally owned endpoint).
     pub source: VertexId,
@@ -38,7 +38,7 @@ pub struct EdgeSimilarity {
 }
 
 /// Result of a distributed Jaccard computation.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JaccardResult {
     /// Per-edge similarities, in CSR order of the global graph.
     pub edges: Vec<EdgeSimilarity>,

@@ -13,7 +13,7 @@
 //!   paper's analytic ones on every host.
 //! * [`local`] — shared-memory edge-centric TC/LCC over one CSR graph: the code path
 //!   measured in Table III and Figure 6. One loop over degree-weighted vertex
-//!   ranges on the work-stealing pool replaces the paper's Section III-C
+//!   ranges on scoped threads replaces the paper's Section III-C
 //!   intersection-parallel scheme, and the upper-triangle offset is maintained
 //!   incrementally in O(1) instead of two binary searches per edge.
 //! * [`distributed`] — the fully asynchronous distributed algorithm (Algorithm 3):

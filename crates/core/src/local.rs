@@ -18,31 +18,34 @@
 //! repository measured that scheme slower than one thread and keeps the vertex
 //! ranges only (`docs/TUNING.md`, "Shared-memory parallelism").
 //!
-//! The ranges run on the persistent work-stealing pool behind the `rayon`
-//! facade; the pool is built once (sized by `RMATC_THREADS` or the first
-//! configuration's thread count) and reused across calls, so repeated small
-//! invocations pay a queue push instead of a `thread::spawn` per call.
+//! The ranges run on `threads` scoped threads (`std::thread::scope`) spawned
+//! per call: each pulls the next range index from one shared atomic cursor
+//! until none are left, so a range that takes longer than its edge mass
+//! predicts delays only the thread running it.
 
 use crate::intersect::compressed::compressed_count_closing;
 use crate::intersect::{CostModel, IntersectMethod, Intersector};
 use crate::lcc;
-use rayon::prelude::*;
 use rmatc_graph::compressed::{decode_row, CompressedCsr};
 use rmatc_graph::split::balanced_vertex_bounds;
 use rmatc_graph::types::{Direction, VertexId};
 use rmatc_graph::{CsrGraph, GraphStorage};
+use std::panic;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 use std::time::Instant;
 
-/// Ranges per thread: oversplitting lets the pool's stealing absorb what the
-/// degree weighting leaves uneven.
+/// Ranges per thread: oversplitting lets the threads' shared cursor absorb
+/// what the degree weighting leaves uneven.
 const RANGES_PER_THREAD: usize = 8;
 
 /// Configuration for the shared-memory computation.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalConfig {
     /// Intersection kernel selection.
     pub method: IntersectMethod,
-    /// Number of threads (1 = one range, fully sequential).
+    /// Number of threads that run the ranges (0 or 1 = one range on the
+    /// calling thread).
     pub threads: usize,
     /// Adjacency representation the computation runs on. With
     /// [`GraphStorage::Compressed`] every row is delta/varint compressed and
@@ -96,7 +99,7 @@ impl Default for LocalConfig {
 }
 
 /// Result of a shared-memory run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalResult {
     /// Closed-triplet count per vertex (LCC numerators before the formula's factor).
     pub per_vertex_triangles: Vec<u64>,
@@ -146,12 +149,6 @@ impl LocalLcc {
     /// Runs triangle counting and LCC over `g`.
     pub fn run(&self, g: &CsrGraph) -> LocalResult {
         let threads = self.config.threads;
-        if threads > 1 {
-            // Build the persistent pool before the timed section so the first
-            // measured run does not pay one-time worker spawn cost. The first
-            // call sizes it (environment overrides win); later calls no-op.
-            rayon::ensure_pool(threads);
-        }
         // Compression happens outside the timed section, like CSR
         // construction does for the plain path: the timed computation is the
         // fused decompress+intersect traversal itself.
@@ -170,11 +167,12 @@ impl LocalLcc {
 }
 
 /// The range driver: cuts `0..n` into `threads · 8` degree-weighted vertex
-/// ranges (one range when `threads <= 1` or `n == 0`), runs each on the pool
-/// and stitches the per-vertex counts in range order. `count(u, scratch)`
-/// returns `u`'s closed triplets and directed edges; `scratch` is a
-/// buffer reused across the vertices of one range. Returns the per-vertex
-/// counts and the directed edges processed.
+/// ranges (one range when `threads <= 1` or `n == 0`), runs them on
+/// `threads` scoped threads that share one range cursor, and stitches the
+/// per-vertex counts in range order; a thread's panic is re-raised on the
+/// caller. `count(u, scratch)` returns `u`'s closed triplets and directed
+/// edges; `scratch` is a buffer reused across the vertices of one range.
+/// Returns the per-vertex counts and the directed edges processed.
 fn count_ranges<F>(g: &CsrGraph, threads: usize, count: F) -> (Vec<u64>, u64)
 where
     F: Fn(VertexId, &mut Vec<VertexId>) -> (u64, u64) + Sync,
@@ -195,13 +193,34 @@ where
         return count_range(0, n);
     }
     let bounds = balanced_vertex_bounds(g.offsets(), threads * RANGES_PER_THREAD);
-    let partials: Vec<(Vec<u64>, u64)> = (0..bounds.len() - 1)
-        .into_par_iter()
-        .map(|r| count_range(bounds[r], bounds[r + 1]))
-        .collect();
+    let ranges = bounds.len() - 1;
+    // `Relaxed`: the cursor only hands out indices; the partials reach the
+    // caller through `join`.
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let r = cursor.fetch_add(1, Ordering::Relaxed);
+            if r >= ranges {
+                return done;
+            }
+            done.push((r, count_range(bounds[r], bounds[r + 1])));
+        }
+    };
+    let mut partials: Vec<(usize, (Vec<u64>, u64))> = thread::scope(|s| {
+        let workers: Vec<_> = (0..threads.min(ranges)).map(|_| s.spawn(worker)).collect();
+        workers
+            .into_iter()
+            .flat_map(|w| {
+                w.join()
+                    .unwrap_or_else(|payload| panic::resume_unwind(payload))
+            })
+            .collect()
+    });
+    partials.sort_unstable_by_key(|&(r, _)| r);
     let mut per_vertex = Vec::with_capacity(n);
     let mut edges = 0u64;
-    for (counts, e) in partials {
+    for (_, (counts, e)) in partials {
         per_vertex.extend_from_slice(&counts);
         edges += e;
     }

@@ -44,7 +44,7 @@ pub fn remote_read_counts_from_rank(pg: &PartitionedGraph, rank: usize) -> Vec<u
 
 /// One bar of the Figure 1 (right) histogram: `reads` distinct remote regions were
 /// each read `repetitions` times.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepetitionBucket {
     /// Number of times a region was read.
     pub repetitions: u64,
@@ -92,7 +92,7 @@ pub fn top_fraction_share(pg: &PartitionedGraph, top: f64) -> f64 {
 
 /// One point of Figure 5: a remotely accessed vertex's degree, how many times it is
 /// read, and the size its adjacency list occupies as a `C_adj` entry.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VertexReuse {
     /// Global vertex id.
     pub vertex: VertexId,

@@ -52,7 +52,7 @@ use rmatc_graph::types::VertexId;
 use rmatc_rma::RmaError;
 
 /// A point query against the resident engine.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Query {
     /// Number of common neighbours of `u` and `v`.
     CommonNeighbors {
@@ -100,7 +100,7 @@ impl Query {
 }
 
 /// The answer to one [`Query`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QueryAnswer {
     /// Answer to [`Query::CommonNeighbors`].
     CommonNeighbors(u64),

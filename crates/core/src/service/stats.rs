@@ -7,7 +7,7 @@ use rmatc_rma::RankStats;
 
 /// Nearest-rank latency percentiles over one timebase, in nanoseconds.
 /// All zero when no query has completed yet.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LatencyPercentiles {
     /// Median latency.
     pub p50_ns: f64,
@@ -49,7 +49,7 @@ impl LatencyPercentiles {
 /// exactly once as accepted, shed, or rejected, and every accepted query is
 /// exactly one of completed, failed, or still queued —
 /// [`ServiceStats::reconciles`] checks both identities.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
     /// Total `submit` calls, including shed and rejected ones.
     pub submitted: u64,

@@ -9,7 +9,7 @@ use crate::types::Direction;
 use crate::{CsrGraph, EdgeList, Result};
 
 /// How vertices are relabeled before partitioning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RelabelStrategy {
     /// Keep the input labels (the default when the input is not degree-ordered).
     None,

@@ -71,9 +71,7 @@ const COUNT_BITS: u32 = 6;
 /// Which adjacency representation a pipeline runs on. Defaults to
 /// [`GraphStorage::Plain`]; every path accepts either and the differential
 /// suite proves scores identical across the two.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GraphStorage {
     /// Uncompressed CSR: rows are raw sorted `u32` ids.
     #[default]
@@ -435,7 +433,7 @@ pub fn decode_block_scalar(
 /// A whole graph (or rank partition) with every adjacency row compressed.
 /// `row_offsets[v] .. row_offsets[v + 1]` indexes the words of row `v` in
 /// `words` — the compressed analogue of Figure 2's two CSR arrays.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressedCsr {
     row_offsets: Vec<u64>,
     words: Vec<u32>,

@@ -9,7 +9,7 @@ use crate::types::{Direction, Edge, VertexId};
 
 /// Immutable CSR graph. Offsets use `u64` because edge counts can exceed `u32::MAX`
 /// for the paper's largest graphs; adjacency entries are `u32` vertex ids.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     offsets: Vec<u64>,
     adjacencies: Vec<VertexId>,

@@ -6,13 +6,15 @@
 //! reproduces the *family* of the original (degree-distribution shape, direction,
 //! clustering level) at a configurable scale. The original |V| and |E| from Table II
 //! are kept alongside so reports can show "paper size" vs "reproduced size".
+//!
+//! Users: the `rmatc-bench` figure and table bins, its `local_lcc` bench, the `cache_tuning` example and test inputs.
 
 use crate::gen::{BarabasiAlbert, EgoCircles, GraphGenerator, RmatGenerator, UniformRandom};
 use crate::types::Direction;
 use crate::CsrGraph;
 
 /// Scale at which stand-ins are generated, as a divisor on the paper's vertex count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetScale {
     /// Tiny graphs for unit tests (hundreds to thousands of vertices).
     Tiny,
@@ -33,7 +35,7 @@ impl DatasetScale {
 }
 
 /// The named datasets of Table II plus the Facebook-circles graph of Figures 1 and 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// SNAP com-Orkut: 3 M vertices, 117.2 M undirected edges.
     Orkut,
@@ -60,7 +62,7 @@ pub enum Dataset {
 }
 
 /// Static description of a dataset: the paper's reported size and our stand-in.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetInfo {
     /// Table II name.
     pub name: &'static str,

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 
 /// Barabási–Albert generator: starts from a small clique and attaches every new
 /// vertex to `attach` existing vertices chosen proportionally to their degree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BarabasiAlbert {
     /// Final number of vertices.
     pub vertices: usize,

@@ -7,6 +7,8 @@
 //! with high probability, and adding hub vertices that join many communities. The
 //! resulting degree distribution and clustering are what the data-reuse figures
 //! depend on.
+//!
+//! Users: `datasets`' Facebook-circles stand-in and two examples (`community_detection`, `similarity_search`).
 
 use super::GraphGenerator;
 use crate::types::{Direction, VertexId};
@@ -16,7 +18,7 @@ use rand::SeedableRng;
 use rand_distr::{Distribution, Zipf};
 
 /// Ego-circle community graph generator.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EgoCircles {
     /// Number of vertices.
     pub vertices: usize,

@@ -17,7 +17,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 /// R-MAT generator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RmatGenerator {
     /// log2 of the number of vertices.
     pub scale: u32,

@@ -15,7 +15,7 @@ use rand::SeedableRng;
 
 /// Watts–Strogatz ring lattice with `k` nearest neighbours per vertex (k must be even)
 /// and rewiring probability `beta`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WattsStrogatz {
     /// Number of vertices in the ring.
     pub vertices: usize,

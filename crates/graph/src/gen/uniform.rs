@@ -11,7 +11,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 /// Uniform random multigraph with a fixed number of edges (G(n, m) model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UniformRandom {
     /// Number of vertices.
     pub vertices: usize,

@@ -19,7 +19,6 @@
 //!   shared by the shared-memory schedulers and the balanced partitioner.
 //! * [`mod@reference`] — simple sequential triangle counting and LCC used as ground truth.
 //! * [`stats`] — degree distributions, CSR sizes, cut fractions and skew metrics.
-//! * [`io`] — plain-text edge list reading/writing (SNAP format).
 //!
 //! # Paper map
 //!
@@ -42,7 +41,6 @@ pub mod csr;
 pub mod datasets;
 pub mod edge_list;
 pub mod gen;
-pub mod io;
 pub mod partition;
 pub mod reference;
 pub mod relabel;
@@ -77,15 +75,6 @@ pub enum GraphError {
         /// Number of vertices available.
         n: usize,
     },
-    /// A parse error while reading a graph from text.
-    Parse {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// Explanation of what failed to parse.
-        message: String,
-    },
-    /// An I/O error, stringified (io::Error is not Clone/PartialEq).
-    Io(String),
     /// A generator was asked for parameters it cannot satisfy.
     InvalidGeneratorParams(String),
 }
@@ -102,10 +91,6 @@ impl std::fmt::Display for GraphError {
             GraphError::InvalidPartitionCount { parts, n } => {
                 write!(f, "cannot split {n} vertices into {parts} partitions")
             }
-            GraphError::Parse { line, message } => {
-                write!(f, "parse error on line {line}: {message}")
-            }
-            GraphError::Io(msg) => write!(f, "I/O error: {msg}"),
             GraphError::InvalidGeneratorParams(msg) => {
                 write!(f, "invalid generator parameters: {msg}")
             }
@@ -114,9 +99,3 @@ impl std::fmt::Display for GraphError {
 }
 
 impl std::error::Error for GraphError {}
-
-impl From<std::io::Error> for GraphError {
-    fn from(e: std::io::Error) -> Self {
-        GraphError::Io(e.to_string())
-    }
-}

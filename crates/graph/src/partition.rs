@@ -15,7 +15,7 @@ use crate::types::{Edge, VertexId};
 use crate::{GraphError, Result};
 
 /// How vertices are assigned to ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionScheme {
     /// Contiguous blocks of `n / p` vertices per rank (the paper's scheme).
     Block1D,
@@ -37,7 +37,7 @@ pub enum PartitionScheme {
 }
 
 /// Maps vertices to owning ranks under a chosen scheme.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partitioner {
     scheme: PartitionScheme,
     n: usize,
@@ -175,7 +175,7 @@ impl Partitioner {
 
 /// The partition owned by one rank: the CSR rows of its vertices, indexed locally,
 /// plus the mapping information needed to resolve global ids.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankPartition {
     /// Owning rank.
     pub rank: usize,
@@ -205,7 +205,7 @@ impl RankPartition {
 
 /// A complete 1D-partitioned graph: one [`RankPartition`] per rank plus the shared
 /// [`Partitioner`]. This is the input handed to the distributed runners.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionedGraph {
     /// Vertex→rank mapping.
     pub partitioner: Partitioner,

@@ -1,12 +1,14 @@
 //! Graph statistics used by the evaluation: degree distributions, skew metrics,
 //! CSR sizes (Table II), remote-edge/cut fractions (Section IV-D), and the
 //! top-degree contribution curves behind Figure 4.
+//!
+//! Users: `rmatc-core`'s `reuse` (the Figure 4 curves) and the `table2_graphs` bin.
 
 use crate::csr::CsrGraph;
 use crate::types::VertexId;
 
 /// Summary of a graph, matching the columns of Table II plus a few derived metrics.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphSummary {
     /// Dataset or generator name.
     pub name: String,
@@ -105,7 +107,7 @@ pub fn cut_fraction(g: &CsrGraph, owner: &dyn Fn(VertexId) -> usize) -> f64 {
 
 /// A point on the Figure 4 curve: after sorting vertices by descending in-degree,
 /// `vertex_fraction` of the vertices receive `read_fraction` of all remote reads.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkewPoint {
     /// Fraction of vertices considered (sorted by descending remote-read count).
     pub vertex_fraction: f64,

@@ -14,7 +14,7 @@ pub type Edge = (VertexId, VertexId);
 
 /// Direction of a graph. The paper handles both: LCC uses Eq. (1) for directed and
 /// Eq. (2) for undirected graphs, and Table II mixes both kinds of datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Every edge (u, v) is also present as (v, u).
     Undirected,

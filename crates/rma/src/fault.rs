@@ -124,7 +124,7 @@ impl std::error::Error for RmaError {
 /// and the retried message's α+βs cost are both charged to the rank's
 /// communication time, so fault recovery shows up honestly in the simulated
 /// timings.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per read (first try included). Clamped to at least 1.
     pub max_attempts: u32,
@@ -288,49 +288,6 @@ impl FaultPlan {
             rank: rank as u64,
             events: 0,
         }
-    }
-}
-
-// The seed is serialized as a decimal *string*: the stub's JSON numbers are
-// f64, which would silently round seeds above 2^53 and break reproduction.
-impl serde::Serialize for FaultPlan {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::object([
-            ("seed", serde::Value::String(self.seed.to_string())),
-            ("get_failure_p", self.get_failure_p.to_value()),
-            ("delay_p", self.delay_p.to_value()),
-            ("delay_factor", self.delay_factor.to_value()),
-            ("corrupt_p", self.corrupt_p.to_value()),
-            ("cache_reject_p", self.cache_reject_p.to_value()),
-            ("cache_corrupt_p", self.cache_corrupt_p.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for FaultPlan {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| serde::Error::field(name, "a value"))
-        };
-        let seed = field("seed")?
-            .as_str()
-            .ok_or_else(|| serde::Error::field("seed", "a decimal string"))?
-            .parse::<u64>()
-            .map_err(|e| serde::Error::new(format!("seed: {e}")))?;
-        let num = |name: &str| -> Result<f64, serde::Error> { f64::from_value(field(name)?) };
-        let plan = FaultPlan {
-            seed,
-            get_failure_p: num("get_failure_p")?,
-            delay_p: num("delay_p")?,
-            delay_factor: num("delay_factor")?,
-            corrupt_p: num("corrupt_p")?,
-            cache_reject_p: num("cache_reject_p")?,
-            cache_corrupt_p: num("cache_corrupt_p")?,
-        };
-        plan.validate().map_err(serde::Error::new)?;
-        Ok(plan)
     }
 }
 
@@ -535,13 +492,16 @@ mod tests {
     }
 
     #[test]
-    fn plan_json_roundtrips_including_large_seeds() {
-        // A seed above 2^53 would be rounded by the f64 JSON number model;
-        // the string encoding must preserve it bit-exactly.
+    fn plan_repro_text_names_every_field_exactly() {
+        // The chaos suite's repro file is this `{:?}` text: a `FaultPlan`
+        // expression whose seed stays exact above 2^53 and whose
+        // probabilities are shortest round-trip `f64`s.
         let plan = FaultPlan::heavy(u64::MAX - 12345);
-        let text = serde::json::to_string(&plan).expect("finite fields");
-        let back: FaultPlan = serde::json::from_str(&text).expect("roundtrip");
-        assert_eq!(back, plan);
+        assert_eq!(
+            format!("{plan:?}"),
+            "FaultPlan { seed: 18446744073709539270, get_failure_p: 0.25, delay_p: 0.15, \
+             delay_factor: 50.0, corrupt_p: 0.15, cache_reject_p: 0.3, cache_corrupt_p: 0.2 }"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! adjacency list saves `α` plus a large `s·β` term.
 
 /// Parameters of the `t(s) = α + β·s` remote-read model, in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// Per-operation setup overhead α, in nanoseconds.
     pub alpha_ns: f64,

@@ -5,7 +5,7 @@
 //! with the number of ranks.
 
 /// Statistics accumulated by one rank's [`crate::Endpoint`].
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankStats {
     /// Number of RMA get operations issued.
     pub gets: u64,

@@ -4,7 +4,7 @@ use rmatc_graph::partition::PartitionScheme;
 use rmatc_rma::{FaultPlan, NetworkModel};
 
 /// Configuration of a TriC run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TricConfig {
     /// Number of ranks.
     pub ranks: usize,

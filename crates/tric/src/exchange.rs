@@ -6,8 +6,8 @@
 //! `Σ_dest (α + β·bytes_sent_to_dest)` plus the barrier cost; the real time spent
 //! waiting at the barrier (load imbalance) is measured separately by the caller.
 
-use parking_lot::Mutex;
 use rmatc_rma::{NetworkModel, SimBarrier};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A mailbox matrix: `boxes[dest][src]` holds what `src` sent to `dest` in the
 /// current exchange round.
@@ -57,20 +57,27 @@ impl<T: Send> Mailboxes<T> {
                 let bytes = payload.len() * std::mem::size_of::<T>();
                 cost += self.network.remote_cost_ns(bytes);
             }
-            *self.boxes[dest][src].lock() = payload;
+            *lock(&self.boxes[dest][src]) = payload;
         }
         // The blocking collective: no rank proceeds before every rank has posted.
         cost += self.barrier.wait();
         // Drain this rank's inbox.
         let mut incoming = Vec::with_capacity(self.ranks());
         for s in 0..self.ranks() {
-            incoming.push(std::mem::take(&mut *self.boxes[src][s].lock()));
+            incoming.push(std::mem::take(&mut *lock(&self.boxes[src][s])));
         }
         // A second barrier guarantees that nobody starts the next round's posting
         // while a slower rank is still draining this round's inbox.
         cost += self.barrier.wait();
         (incoming, cost)
     }
+}
+
+/// Locks one mailbox. Each critical section is a single assignment or take,
+/// so a rank that panicked while holding the lock left a whole vector behind:
+/// a poisoned lock is taken as it stands.
+fn lock<T>(mailbox: &Mutex<T>) -> MutexGuard<'_, T> {
+    mailbox.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! [`rmatc_core::DistResult`] so Figure 9/10 harnesses can treat both uniformly.
 
 /// Report of one TriC rank.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TricRankReport {
     /// Rank id.
     pub rank: usize,
@@ -51,7 +51,7 @@ impl TricRankReport {
 }
 
 /// Result of a TriC run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TricResult {
     /// LCC score per global vertex.
     pub lcc: Vec<f64>,

@@ -32,9 +32,9 @@ docs:
     cargo test --workspace --doc -q
 
 # AddressSanitizer (nightly only: -Zsanitizer is unstable) over the cache and
-# RMA lib suites, the vendored rayon pool, rmatc-core's unit tests (the SIMD
-# block steps' lane-boundary tests, the galloping and compressed decoders)
-# and the kernel tests. The explicit
+# RMA lib suites, rmatc-core's unit tests (the SIMD block steps'
+# lane-boundary tests, the galloping and compressed decoders) and the kernel
+# tests. The explicit
 # --target keeps the sanitizer off build scripts and proc macros and gives the
 # instrumented build its own directory under target/.
 asan:
@@ -43,7 +43,6 @@ asan:
     export RUSTFLAGS=-Zsanitizer=address
     asan="cargo +nightly test -q --target x86_64-unknown-linux-gnu"
     $asan -p rmatc-clampi -p rmatc-rma --lib
-    $asan -p rayon --lib
     $asan -p rmatc-core --lib
     $asan --test kernels --test properties
 

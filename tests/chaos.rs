@@ -7,8 +7,9 @@
 //!
 //! Seeds are pinned for CI; set `RMATC_CHAOS_SEED=<u64>` to add one more to
 //! the matrix (the scheduled randomized CI job does this). When a pinned-seed
-//! check fails, the failing [`FaultPlan`] is written as JSON to
-//! `target/chaos/` so the schedule can be replayed exactly.
+//! check fails, the failing [`FaultPlan`] is written to `target/chaos/` as
+//! its `{:?}` text, a `FaultPlan { .. }` expression with the exact seed, so
+//! the schedule can be replayed exactly.
 
 use proptest::prelude::*;
 use rmatc::graph::gen::{GraphGenerator, RmatGenerator};
@@ -31,20 +32,18 @@ fn chaos_seeds() -> Vec<u64> {
     seeds
 }
 
-/// Runs `f` under `plan`; if it panics (a failed assertion), the plan is
-/// dumped as JSON to `target/chaos/` before the panic is re-raised, so the
-/// exact fault schedule can be replayed with `RMATC_CHAOS_SEED`.
+/// Runs `f` under `plan`; if it panics (a failed assertion), the plan's
+/// `{:?}` text is written to `target/chaos/<label>-seed-<seed>.txt` before
+/// the panic is re-raised, so the exact fault schedule can be replayed with
+/// `RMATC_CHAOS_SEED`.
 fn with_plan_artifact<R>(plan: &FaultPlan, label: &str, f: impl FnOnce() -> R) -> R {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(r) => r,
         Err(payload) => {
             let dir = std::path::Path::new("target").join("chaos");
-            let path = dir.join(format!("{label}-seed-{}.json", plan.seed));
-            let dumped = std::fs::create_dir_all(&dir).and_then(|()| {
-                let json =
-                    serde::json::to_string_pretty(plan).expect("a FaultPlan always serializes");
-                std::fs::write(&path, json)
-            });
+            let path = dir.join(format!("{label}-seed-{}.txt", plan.seed));
+            let dumped = std::fs::create_dir_all(&dir)
+                .and_then(|()| std::fs::write(&path, format!("{plan:?}\n")));
             match dumped {
                 Ok(()) => eprintln!("chaos: failing fault plan written to {}", path.display()),
                 Err(e) => eprintln!("chaos: could not write failing fault plan: {e}"),

@@ -1,14 +1,13 @@
-//! Stress tests of the persistent work-stealing pool behind the `rayon`
-//! facade: many repeated small parallel invocations must reuse the same
-//! worker threads (no spawn per call), return deterministic counts, and
-//! survive concurrent submitters.
+//! Stress tests of `LocalLcc`'s range driver, which runs the degree-weighted
+//! vertex ranges on scoped threads spawned per call: repeated small parallel
+//! runs must return the sequential counts and leave no thread behind, runs
+//! nested inside other threads and concurrent callers must stay correct, and
+//! a panic inside a range must reach the caller without breaking later runs.
 
-use rayon::prelude::*;
 use rmatc::prelude::*;
 use rmatc_graph::gen::{GraphGenerator, RmatGenerator, WattsStrogatz};
 
-/// Current OS-thread count of this process, from /proc (Linux-only; the
-/// portable `rayon::threads_spawned` counter is the primary assertion).
+/// Current OS-thread count of this process, from /proc (Linux-only).
 #[cfg(target_os = "linux")]
 fn os_thread_count() -> Option<usize> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -16,6 +15,12 @@ fn os_thread_count() -> Option<usize> {
         .lines()
         .find_map(|line| line.strip_prefix("Threads:"))
         .and_then(|v| v.trim().parse().ok())
+}
+
+fn sequential_counts(g: &CsrGraph) -> Vec<u64> {
+    LocalLcc::new(LocalConfig::sequential())
+        .run(g)
+        .per_vertex_triangles
 }
 
 #[test]
@@ -26,170 +31,99 @@ fn repeated_small_parallel_runs_reuse_the_pool_and_stay_deterministic() {
             .generate_cleaned(2)
             .into_csr(),
     ];
+    let expected: Vec<Vec<u64>> = graphs.iter().map(sequential_counts).collect();
     let configs = [LocalConfig::parallel(4), LocalConfig::parallel(2)];
-
-    // Warm the pool, then snapshot both thread counters.
-    let baseline: Vec<u64> = graphs
-        .iter()
-        .map(|g| LocalLcc::new(configs[0]).run(g).triangle_count)
-        .collect();
-    let spawned_before = rayon::threads_spawned();
-    assert!(
-        spawned_before > 0 && spawned_before <= rayon::current_num_threads(),
-        "pool must exist after the first parallel run"
-    );
     #[cfg(target_os = "linux")]
     let os_threads_before = os_thread_count();
 
-    // Hammer the pool with many small invocations at both thread counts.
     for round in 0..50 {
         let config = configs[round % configs.len()];
-        for (g, &expected) in graphs.iter().zip(&baseline) {
+        for (g, expected) in graphs.iter().zip(&expected) {
             let result = LocalLcc::new(config).run(g);
             assert_eq!(
-                result.triangle_count, expected,
+                &result.per_vertex_triangles, expected,
                 "round {round} at {} threads diverged",
                 config.threads
             );
         }
     }
 
-    assert_eq!(
-        rayon::threads_spawned(),
-        spawned_before,
-        "parallel calls must not spawn OS threads once the pool exists"
-    );
+    // Every run joins its threads before returning, so the count must come
+    // back to the baseline. The sibling tests of this binary start and end
+    // threads of their own meanwhile: wait for them to finish, not for a
+    // leaked thread, which would never go.
     #[cfg(target_os = "linux")]
-    if let (Some(before), Some(after)) = (os_threads_before, os_thread_count()) {
-        // Slack of 4: the sibling test in this binary may be running its
-        // scoped rank threads concurrently. The hard no-spawn guarantee is
-        // the `threads_spawned` assertion above.
+    if let Some(before) = os_threads_before {
+        use std::time::{Duration, Instant};
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut after = os_thread_count().expect("readable once");
+        while after > before && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+            after = os_thread_count().expect("readable once");
+        }
         assert!(
-            after <= before + 4,
-            "process thread count grew from {before} to {after} — the pool leaked threads"
+            after <= before,
+            "process thread count grew from {before} to {after}: a run leaked threads"
         );
     }
-}
-
-/// The nested-parallelism stress body, run in a child process so the pool
-/// size (fixed per process) can be varied: a parallel map whose workers open
-/// `scope`s that spawn tasks that themselves open parallel regions — nesting
-/// depth 3 — repeated enough to exercise stealing, with thread counters
-/// asserted flat throughout.
-fn nested_stress_body() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let size = rayon::ensure_pool(0);
-    let spawned = rayon::threads_spawned();
-    assert_eq!(spawned, size, "pool spawns exactly its size");
-    for round in 0..20 {
-        let hits = AtomicUsize::new(0);
-        let total: u64 = (0..32usize)
-            .into_par_iter()
-            .map(|i| {
-                rayon::scope(|s| {
-                    for _ in 0..4 {
-                        s.spawn(|inner| {
-                            hits.fetch_add(1, Ordering::Relaxed);
-                            inner.spawn(|_| {
-                                hits.fetch_add(1, Ordering::Relaxed);
-                                // Depth 3: a parallel sum from inside a task
-                                // spawned by a task spawned inside a worker.
-                                let s: u64 = (0..16usize).into_par_iter().map(|x| x as u64).sum();
-                                assert_eq!(s, 120);
-                            });
-                        });
-                    }
-                });
-                i as u64
-            })
-            .sum();
-        assert_eq!(total, (0..32).sum::<usize>() as u64, "round {round}");
-        assert_eq!(hits.load(Ordering::Relaxed), 32 * 8, "round {round}");
-    }
-    assert_eq!(
-        rayon::threads_spawned(),
-        spawned,
-        "nested parallelism must not spawn threads beyond the pool"
-    );
-}
-
-/// Runs one test of this binary in a child process with a forced pool size,
-/// killing it if it exceeds `timeout` (a deadlocked nested pool must fail the
-/// suite, not hang it).
-fn run_child(test_name: &str, child_var: &str, threads: &str, timeout: std::time::Duration) {
-    let exe = std::env::current_exe().expect("test binary path");
-    let mut child = std::process::Command::new(&exe)
-        .args(["--exact", test_name, "--nocapture", "--test-threads=1"])
-        .env(child_var, "1")
-        .env("RMATC_THREADS", threads)
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn child test process");
-    let deadline = std::time::Instant::now() + timeout;
-    let status = loop {
-        match child.try_wait().expect("poll child") {
-            Some(status) => break status,
-            None if std::time::Instant::now() > deadline => {
-                let _ = child.kill();
-                panic!("RMATC_THREADS={threads}: child deadlocked (killed after {timeout:?})");
-            }
-            None => std::thread::sleep(std::time::Duration::from_millis(20)),
-        }
-    };
-    let out = child.wait_with_output().expect("collect child output");
-    assert!(
-        status.success(),
-        "RMATC_THREADS={threads}: child failed\nstdout:\n{}\nstderr:\n{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr),
-    );
 }
 
 #[test]
 fn nested_scope_inside_worker_survives_all_pool_sizes() {
-    if std::env::var("RMATC_POOL_NESTED_CHILD").is_ok() {
-        nested_stress_body();
-        return;
-    }
-    // Pool size 1 (the deadlock-critical case: nothing to split to), 2 (one
-    // thief), and N (whatever this host gives, stealing under contention).
-    for threads in ["1", "2", "8"] {
-        run_child(
-            "nested_scope_inside_worker_survives_all_pool_sizes",
-            "RMATC_POOL_NESTED_CHILD",
-            threads,
-            std::time::Duration::from_secs(120),
-        );
-    }
+    let g = RmatGenerator::paper(8, 8).generate_cleaned(4).into_csr();
+    let expected = sequential_counts(&g);
+    // One thread (the range loop runs on the caller), two and eight, each
+    // started from inside the workers of an outer scope.
+    std::thread::scope(|outer| {
+        for worker in 0..3 {
+            let (g, expected) = (&g, &expected);
+            outer.spawn(move || {
+                for round in 0..4 {
+                    for threads in [1, 2, 8] {
+                        let result = LocalLcc::new(LocalConfig::parallel(threads)).run(g);
+                        assert_eq!(
+                            &result.per_vertex_triangles, expected,
+                            "outer worker {worker}, round {round}, {threads} threads"
+                        );
+                    }
+                }
+            });
+        }
+    });
 }
 
 #[test]
 fn nested_panics_propagate_and_pool_survives() {
-    rayon::ensure_pool(4);
-    let result = std::panic::catch_unwind(|| {
-        let _: Vec<u64> = (0..8usize)
-            .into_par_iter()
-            .map(|i| {
-                rayon::scope(|s| {
-                    s.spawn(move |_| {
-                        if i == 3 {
-                            panic!("nested boom");
-                        }
-                    });
-                });
-                i as u64
-            })
-            .collect();
-    });
+    // A valid graph plus one extra vertex whose only neighbour is out of
+    // range: counting that row panics inside whichever thread runs the last
+    // range.
+    let g = RmatGenerator::paper(8, 8).generate_cleaned(5).into_csr();
+    let n = g.vertex_count() as u32;
+    let mut offsets = g.offsets().to_vec();
+    let mut adjacencies: Vec<u32> = (0..n).flat_map(|u| g.neighbours(u).to_vec()).collect();
+    adjacencies.push(n + 1_000);
+    offsets.push(adjacencies.len() as u64);
+    let broken = CsrGraph::from_raw_parts(offsets, adjacencies, g.direction());
+    let config = LocalConfig::parallel(4).with_storage(GraphStorage::Plain);
+
+    let payload = std::panic::catch_unwind(|| LocalLcc::new(config).run(&broken))
+        .expect_err("a panic inside a range must reach the caller");
+    // The caller sees the range's own panic, not a later one caused by a
+    // missing partial.
+    let message = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
     assert!(
-        result.is_err(),
-        "a panic inside a task spawned from a worker must reach the submitter"
+        message.contains("index out of bounds") && message.contains(&(n + 1_000).to_string()),
+        "unexpected panic: {message:?}"
     );
-    // The pool must absorb the unwound job and stay usable.
-    let total: u64 = (0..100usize).into_par_iter().map(|x| x as u64).sum();
-    assert_eq!(total, 4_950);
+    // The next run starts fresh threads and must succeed.
+    assert_eq!(
+        LocalLcc::new(config).run(&g).per_vertex_triangles,
+        sequential_counts(&g)
+    );
 }
 
 #[test]
