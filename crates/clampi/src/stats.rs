@@ -128,6 +128,15 @@ impl CacheStats {
         self.logical_bytes += other.logical_bytes;
         self.stored_bytes += other.stored_bytes;
     }
+
+    /// The sum of `all`, or `None` when it is empty. Every counter is
+    /// additive, so the sum of one is its clone.
+    pub fn merged<'a>(all: impl IntoIterator<Item = &'a CacheStats>) -> Option<CacheStats> {
+        let mut all = all.into_iter();
+        let mut sum = all.next()?.clone();
+        all.for_each(|stats| sum.merge(stats));
+        Some(sum)
+    }
 }
 
 #[cfg(test)]
@@ -190,6 +199,39 @@ mod tests {
         assert_eq!(a.flushes, 1);
         assert_eq!(a.evicted_bytes, 7);
         assert_eq!(a.admission_rejections, 2);
+    }
+
+    #[test]
+    fn merged_is_none_for_no_stats_and_sums_the_rest() {
+        assert_eq!(CacheStats::merged([]), None);
+        let a = CacheStats {
+            hits: 4,
+            misses: 2,
+            evicted_bytes: 64,
+            stored_bytes: 8,
+            ..Default::default()
+        };
+        assert_eq!(CacheStats::merged([&a]), Some(a.clone()));
+        let b = CacheStats {
+            hits: 1,
+            compulsory_misses: 3,
+            evicted_bytes: 16,
+            logical_bytes: 5,
+            ..Default::default()
+        };
+        let sum = CacheStats::merged([&a, &b]).unwrap();
+        assert_eq!(
+            sum,
+            CacheStats {
+                hits: 5,
+                misses: 2,
+                compulsory_misses: 3,
+                evicted_bytes: 80,
+                logical_bytes: 5,
+                stored_bytes: 8,
+                ..Default::default()
+            }
+        );
     }
 
     #[test]

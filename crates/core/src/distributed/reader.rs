@@ -109,7 +109,9 @@ pub struct Edge<'a> {
 /// to fold the result into the rank's output. The edge loop calls
 /// [`EdgeOp::local`] on a plain row of the rank's own partition; the reader
 /// calls [`EdgeOp::stored`] on every row it reads — a window slice, a cache
-/// hit, or a transfer once it has landed.
+/// hit, or a transfer once it has landed. Its second caller is the resident
+/// service ([`crate::service`]), which folds the same operations over one
+/// query's edges, one output per query, on the rows its batch landed.
 pub trait EdgeOp: Sync {
     /// The result of one edge.
     type Value;

@@ -134,15 +134,7 @@ impl DistResult {
     /// Aggregated adjacency-cache statistics across ranks (Figure 7/8 report the
     /// adjacency cache's miss rate).
     pub fn adjacency_cache_totals(&self) -> Option<CacheStats> {
-        let mut any = false;
-        let mut out = CacheStats::default();
-        for r in &self.ranks {
-            if let Some(c) = &r.adjacency_cache {
-                out.merge(c);
-                any = true;
-            }
-        }
-        any.then_some(out)
+        CacheStats::merged(self.ranks.iter().filter_map(|r| r.adjacency_cache.as_ref()))
     }
 
     /// Always `None`: there is no offsets cache — the cached configuration

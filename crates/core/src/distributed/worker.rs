@@ -62,7 +62,8 @@ pub fn run_worker(
 }
 
 /// The LCC per-edge operation: the number of vertices closing a triangle over
-/// the edge `(u, v)` ([`count_closing_at`]), accumulated per owned vertex.
+/// the edge `(u, v)` ([`count_closing_at`]), accumulated per owned vertex —
+/// by the edge loop, and by the resident service for one `LccOf` query.
 ///
 /// Every row is intersected where it lives — the rank's own partition, a
 /// window slice, a cache entry, or the buffer a transfer landed in — with

@@ -124,10 +124,7 @@ impl DistJaccard {
     pub fn try_run_partitioned(&self, pg: &PartitionedGraph) -> Result<JaccardResult, RmaError> {
         let cfg = &self.config;
         let windows = GraphWindows::build_with(pg, cfg.storage);
-        let op = JaccardPair {
-            intersector: Intersector::new(cfg.method),
-            storage: windows.storage,
-        };
+        let op = JaccardPair::new(cfg, windows.storage);
         let outputs = run_ranks(cfg.ranks, |rank| run_rank(rank, pg, &windows, cfg, &op))
             .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
@@ -174,7 +171,7 @@ pub fn top_k_edges(edges: &[EdgeSimilarity], k: usize) -> Vec<EdgeSimilarity> {
 
 /// Builds one edge's similarity record from the endpoint degrees and the
 /// common-neighbour count.
-pub(crate) fn edge_similarity(
+fn edge_similarity(
     source: VertexId,
     destination: VertexId,
     degree_u: usize,
@@ -196,13 +193,25 @@ pub(crate) fn edge_similarity(
 }
 
 /// The Jaccard per-edge operation of the distributed edge loop
-/// ([`crate::distributed::pipeline`]): the common-neighbour count of the two
-/// endpoints and the degree of `v`, folded into one [`EdgeSimilarity`] per
-/// edge. The whole intersection counts — no upper-triangle bound.
-struct JaccardPair {
+/// ([`crate::distributed::pipeline`]) and of the resident service's pair and
+/// top-k queries: the common-neighbour count of the two endpoints and the
+/// degree of `v`, folded into one [`EdgeSimilarity`] per edge. The whole
+/// intersection counts — no upper-triangle bound.
+pub(crate) struct JaccardPair {
     intersector: Intersector,
     /// Representation remote rows arrive in (local rows are always plain).
     storage: GraphStorage,
+}
+
+impl JaccardPair {
+    /// The operation over remote rows encoded as `storage` (that of the
+    /// windows being read), with `config`'s intersection method.
+    pub(crate) fn new(config: &DistConfig, storage: GraphStorage) -> Self {
+        Self {
+            intersector: Intersector::new(config.method),
+            storage,
+        }
+    }
 }
 
 impl EdgeOp for JaccardPair {

@@ -4,17 +4,15 @@
 use super::stats::{LatencyPercentiles, ServiceStats};
 use super::{Query, QueryAnswer, QueryId, ServiceConfig, ServiceError};
 use crate::distributed::pipeline::rank_endpoint;
-use crate::distributed::reader::{AdjCache, RowReader};
+use crate::distributed::reader::{AdjCache, Edge, EdgeOp, RowReader};
 use crate::distributed::windows::GraphWindows;
-use crate::intersect::{compressed_count_closing, CostModel, Intersector};
-use crate::jaccard::{edge_similarity, top_k_edges, EdgeSimilarity};
+use crate::distributed::worker::ClosingCount;
+use crate::jaccard::{top_k_edges, JaccardPair};
 use crate::lcc::lcc_from_triangles;
-use crate::local::{compressed_count_closing_at, count_closing_at};
 use rmatc_clampi::{CacheStats, RowRef};
-use rmatc_graph::compressed::decoded_len;
 use rmatc_graph::partition::PartitionedGraph;
-use rmatc_graph::types::{Direction, VertexId};
-use rmatc_graph::{CsrGraph, GraphError, GraphStorage};
+use rmatc_graph::types::VertexId;
+use rmatc_graph::{CsrGraph, GraphError};
 use rmatc_rma::{Endpoint, RankStats, RmaError, ThreadTimer};
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -32,15 +30,6 @@ struct RankLane {
     /// Where the batch's faulted row spans land
     /// ([`RowReader::read_key_rows`]).
     landing: Vec<VertexId>,
-}
-
-/// The kernel/selection knobs every query runs with, mirroring the batch
-/// pipelines: `intersector` is both the Jaccard pair kernel and the LCC
-/// closing-count kernel.
-struct Kernels {
-    intersector: Intersector,
-    storage: GraphStorage,
-    direction: Direction,
 }
 
 /// An admitted query waiting in the bounded queue.
@@ -87,7 +76,10 @@ struct GroupMetrics {
 pub struct QueryEngine {
     pg: PartitionedGraph,
     lanes: Vec<RankLane>,
-    kernels: Kernels,
+    /// The batch pipelines' per-edge operations: `LccOf` folds
+    /// [`crate::DistLcc`]'s, every other query [`crate::DistJaccard`]'s.
+    closing: ClosingCount,
+    pair: JaccardPair,
     config: ServiceConfig,
     queue: VecDeque<Pending>,
     next_id: u64,
@@ -144,15 +136,11 @@ impl QueryEngine {
                 }
             })
             .collect();
-        let kernels = Kernels {
-            intersector: Intersector::new(dist.method),
-            storage: dist.storage,
-            direction: pg.direction,
-        };
         Self {
+            closing: ClosingCount::new(dist, pg.direction, dist.storage),
+            pair: JaccardPair::new(dist, dist.storage),
             pg,
             lanes,
-            kernels,
             config,
             queue: VecDeque::new(),
             next_id: 0,
@@ -334,7 +322,8 @@ impl QueryEngine {
             let (answers, metrics) = exec_rank_group(
                 &self.pg,
                 &mut self.lanes[rank],
-                &self.kernels,
+                &self.closing,
+                &self.pair,
                 &batch,
                 members,
             );
@@ -407,13 +396,10 @@ impl QueryEngine {
     /// A point-in-time statistics snapshot (see [`ServiceStats`]).
     pub fn stats(&self) -> ServiceStats {
         let mut rma = RankStats::new(self.pg.ranks());
-        let mut adjacency_cache: Option<CacheStats> = None;
         for lane in &self.lanes {
             rma.merge(lane.ep.stats());
-            if let Some(cache) = &lane.cache {
-                merge_into(&mut adjacency_cache, cache.stats());
-            }
         }
+        let caches = self.lanes.iter().filter_map(|lane| lane.cache.as_ref());
         ServiceStats {
             submitted: self.submitted,
             accepted: self.accepted,
@@ -428,7 +414,7 @@ impl QueryEngine {
             virtual_now_ns: self.virtual_now_ns(),
             rma,
             offsets_cache: None,
-            adjacency_cache,
+            adjacency_cache: CacheStats::merged(caches.map(|cache| cache.stats())),
             wall_latency: LatencyPercentiles::from_samples(&self.wall_latencies_ns),
             virtual_latency: LatencyPercentiles::from_samples(&self.virtual_latencies_ns),
         }
@@ -444,67 +430,54 @@ impl Drop for QueryEngine {
     }
 }
 
-fn merge_into(acc: &mut Option<CacheStats>, stats: &CacheStats) {
-    match acc {
-        Some(merged) => merged.merge(stats),
-        None => *acc = Some(stats.clone()),
-    }
-}
-
-/// A query operand row: the home partition's plain CSR row, or a fetched /
-/// cached remote row in the window's storage representation (plain vertex ids
-/// or compressed words).
-enum Side<'a> {
-    Local(&'a [VertexId]),
-    Stored(&'a [VertexId]),
-}
-
 /// Per-member outcomes of one rank group, keyed by batch index.
 type GroupAnswers = Vec<(usize, Result<QueryAnswer, ServiceError>)>;
+
+/// The edges one query intersects: its home vertex, the home's plain
+/// partition row, and the vertices whose rows it reads, in edge order.
+type QueryEdges<'a> = (VertexId, &'a [VertexId], &'a [VertexId]);
+
+/// The edges of `query` ([`QueryEdges`]): a pair query reads its other
+/// endpoint's row, `TopK` and `LccOf` every neighbour's.
+fn query_edges<'a>(pg: &'a PartitionedGraph, query: &'a Query) -> QueryEdges<'a> {
+    let home = query.home_vertex();
+    let part = &pg.partitions[pg.partitioner.owner(home)];
+    let adj = part.neighbours_of_local(pg.partitioner.local_index(home));
+    let targets = match query {
+        Query::CommonNeighbors { v, .. } | Query::Jaccard { v, .. } => std::slice::from_ref(v),
+        Query::TopK { .. } | Query::LccOf { .. } => adj,
+    };
+    (home, adj, targets)
+}
 
 /// Executes the members of one batch assigned to `lane`'s rank: plans the
 /// remote reads (sort + dedup), reads the offsets pairs of all of them by
 /// span ([`RowReader::read_key_spans`]), fetches each unique row once, the
 /// cache's misses by span ([`RowReader::read_key_rows`]), then answers each
-/// query from the landed rows — the same operands and kernels the batch
-/// pipelines use, so answers cannot diverge from them.
+/// query by folding the batch pipelines' own per-edge operations over the
+/// landed rows, so answers cannot diverge from theirs.
 fn exec_rank_group(
     pg: &PartitionedGraph,
     lane: &mut RankLane,
-    kernels: &Kernels,
+    closing: &ClosingCount,
+    pair: &JaccardPair,
     batch: &[Pending],
     members: &[usize],
 ) -> (GroupAnswers, GroupMetrics) {
     let rank = lane.ep.rank();
-    let part = &pg.partitions[rank];
 
     // 1. Plan: every remote row the group needs, as (owner, local index).
     let mut keys: Vec<(usize, usize)> = Vec::new();
-    let mut row_refs = 0u64;
-    {
-        let mut note = |v: VertexId| {
+    for &i in members {
+        let (_, _, targets) = query_edges(pg, &batch[i].query);
+        for &v in targets {
             let owner = pg.partitioner.owner(v);
             if owner != rank {
-                row_refs += 1;
                 keys.push((owner, pg.partitioner.local_index(v)));
-            }
-        };
-        for &i in members {
-            match batch[i].query {
-                Query::CommonNeighbors { v, .. } | Query::Jaccard { v, .. } => note(v),
-                Query::TopK { u, .. } => {
-                    for &v in part.neighbours_of_local(pg.partitioner.local_index(u)) {
-                        note(v);
-                    }
-                }
-                Query::LccOf { v } => {
-                    for &w in part.neighbours_of_local(pg.partitioner.local_index(v)) {
-                        note(w);
-                    }
-                }
             }
         }
     }
+    let row_refs = keys.len() as u64;
     keys.sort_unstable();
     keys.dedup();
     let metrics = GroupMetrics {
@@ -536,144 +509,86 @@ fn exec_rank_group(
     reader.read_key_rows(ep, cache, &keys, &pairs, landing, &mut rows);
 
     // 3. Answer each query from the landed rows.
+    let landed = Landed {
+        pg,
+        rank,
+        keys: &keys,
+        rows: &rows,
+    };
     let out = members
         .iter()
         .map(|&i| {
-            let result = run_query(pg, part, rank, kernels, &keys, &rows, batch[i].query);
-            (i, result)
+            let query = &batch[i].query;
+            let edges = query_edges(pg, query);
+            let (_, adj_u, targets) = edges;
+            let similarities = || landed.fold(pair, Vec::with_capacity(targets.len()), edges);
+            let answer = match *query {
+                Query::CommonNeighbors { .. } => {
+                    similarities().map(|s| QueryAnswer::CommonNeighbors(s[0].common_neighbours))
+                }
+                Query::Jaccard { .. } => similarities().map(|s| QueryAnswer::Jaccard(s[0])),
+                Query::TopK { k, .. } => {
+                    similarities().map(|s| QueryAnswer::TopK(top_k_edges(&s, k)))
+                }
+                Query::LccOf { .. } => landed.fold(closing, vec![0], edges).map(|t| {
+                    QueryAnswer::Lcc(lcc_from_triangles(pg.direction, adj_u.len() as u32, t[0]))
+                }),
+            };
+            (i, answer)
         })
         .collect();
     (out, metrics)
 }
 
-/// Resolves the operand row of vertex `v` for a query executing on `rank`:
-/// locally owned rows come straight from the partition (plain ids, exactly as
-/// the batch workers read them), remote rows from the batch's landed set.
-fn side_of<'a>(
-    pg: &PartitionedGraph,
-    part: &'a rmatc_graph::partition::RankPartition,
+/// Where a rank group's rows are: the rank's own partition, and the rows the
+/// batch landed for its sorted keys.
+struct Landed<'a, 'r> {
+    pg: &'a PartitionedGraph,
     rank: usize,
-    keys: &[(usize, usize)],
-    rows: &'a [Result<RowRef<'a, VertexId>, RmaError>],
-    v: VertexId,
-) -> Result<Side<'a>, ServiceError> {
-    let owner = pg.partitioner.owner(v);
-    let v_local = pg.partitioner.local_index(v);
-    if owner == rank {
-        return Ok(Side::Local(part.neighbours_of_local(v_local)));
-    }
-    let idx = keys
-        .binary_search(&(owner, v_local))
-        .expect("every referenced remote row was planned");
-    match &rows[idx] {
-        Ok(row) => Ok(Side::Stored(row.as_slice())),
-        Err(e) => Err(ServiceError::Read(e.clone())),
-    }
+    keys: &'a [(usize, usize)],
+    rows: &'a [Result<RowRef<'r, VertexId>, RmaError>],
 }
 
-/// Common-neighbour count and degree of the `v` side of a pair query — the
-/// exact kernel dispatch of the Jaccard pipeline's rank loop (plain rows run
-/// `Intersector::count`, compressed remote rows the fused in-place kernel with
-/// the degree taken from the decoded count word).
-fn pair_common(kernels: &Kernels, adj_u: &[VertexId], side: &Side<'_>) -> (u64, usize) {
-    match *side {
-        Side::Local(adj_v) => (kernels.intersector.count(adj_u, adj_v), adj_v.len()),
-        Side::Stored(row) => match kernels.storage {
-            GraphStorage::Plain => (kernels.intersector.count(adj_u, row), row.len()),
-            GraphStorage::Compressed => (
-                compressed_count_closing(adj_u, row, None, &CostModel::Analytic),
-                decoded_len(row),
-            ),
-        },
-    }
-}
-
-/// Closing-count contribution of the edge `(v, w)` for an LCC query — the
-/// exact kernel dispatch of the LCC worker (`count_closing_at` over plain
-/// rows, the fused compressed variant over compressed remote rows).
-fn lcc_closing(
-    kernels: &Kernels,
-    adj_v: &[VertexId],
-    side: &Side<'_>,
-    w: VertexId,
-    neighbour_idx: usize,
-) -> u64 {
-    match *side {
-        Side::Local(adj_w) => count_closing_at(
-            kernels.direction,
-            adj_v,
-            adj_w,
-            w,
-            neighbour_idx,
-            &kernels.intersector,
-        ),
-        Side::Stored(row) => match kernels.storage {
-            GraphStorage::Plain => count_closing_at(
-                kernels.direction,
-                adj_v,
-                row,
-                w,
-                neighbour_idx,
-                &kernels.intersector,
-            ),
-            GraphStorage::Compressed => {
-                compressed_count_closing_at(kernels.direction, adj_v, row, w, neighbour_idx)
-            }
-        },
-    }
-}
-
-/// Answers one query from the batch's landed rows.
-fn run_query(
-    pg: &PartitionedGraph,
-    part: &rmatc_graph::partition::RankPartition,
-    rank: usize,
-    kernels: &Kernels,
-    keys: &[(usize, usize)],
-    rows: &[Result<RowRef<'_, VertexId>, RmaError>],
-    query: Query,
-) -> Result<QueryAnswer, ServiceError> {
-    match query {
-        Query::CommonNeighbors { u, v } => {
-            let adj_u = part.neighbours_of_local(pg.partitioner.local_index(u));
-            let side = side_of(pg, part, rank, keys, rows, v)?;
-            let (common, _) = pair_common(kernels, adj_u, &side);
-            Ok(QueryAnswer::CommonNeighbors(common))
-        }
-        Query::Jaccard { u, v } => {
-            let adj_u = part.neighbours_of_local(pg.partitioner.local_index(u));
-            let side = side_of(pg, part, rank, keys, rows, v)?;
-            let (common, degree_v) = pair_common(kernels, adj_u, &side);
-            Ok(QueryAnswer::Jaccard(edge_similarity(
-                u,
+impl Landed<'_, '_> {
+    /// Folds `op` over the edges `(source, targets[k])` into `out`, computing
+    /// each edge where its row is, as the edge loop does: [`EdgeOp::local`]
+    /// on the rank's own plain row, [`EdgeOp::stored`] on a landed one. A
+    /// failed read fails the query.
+    fn fold<O: EdgeOp>(
+        &self,
+        op: &O,
+        mut out: Vec<O::Item>,
+        (source, adj_u, targets): QueryEdges<'_>,
+    ) -> Result<Vec<O::Item>, ServiceError> {
+        for (k, &v) in targets.iter().enumerate() {
+            let edge = Edge {
+                slot: 0,
+                source,
+                adj_u,
                 v,
-                adj_u.len(),
-                degree_v,
-                common,
-            )))
+                k,
+            };
+            let (owner, v_local) = (
+                self.pg.partitioner.owner(v),
+                self.pg.partitioner.local_index(v),
+            );
+            let value = if owner == self.rank {
+                op.local(
+                    &edge,
+                    self.pg.partitions[owner].neighbours_of_local(v_local),
+                )
+            } else {
+                let idx = self
+                    .keys
+                    .binary_search(&(owner, v_local))
+                    .expect("every referenced remote row was planned");
+                let row = self.rows[idx]
+                    .as_ref()
+                    .map_err(|e| ServiceError::Read(e.clone()))?;
+                op.stored(&edge, row.as_slice())
+            };
+            op.fold(&mut out, &edge, value);
         }
-        Query::TopK { u, k } => {
-            let adj_u = part.neighbours_of_local(pg.partitioner.local_index(u));
-            let mut edges: Vec<EdgeSimilarity> = Vec::with_capacity(adj_u.len());
-            for &v in adj_u {
-                let side = side_of(pg, part, rank, keys, rows, v)?;
-                let (common, degree_v) = pair_common(kernels, adj_u, &side);
-                edges.push(edge_similarity(u, v, adj_u.len(), degree_v, common));
-            }
-            Ok(QueryAnswer::TopK(top_k_edges(&edges, k)))
-        }
-        Query::LccOf { v } => {
-            let adj_v = part.neighbours_of_local(pg.partitioner.local_index(v));
-            let mut triangles = 0u64;
-            for (neighbour_idx, &w) in adj_v.iter().enumerate() {
-                let side = side_of(pg, part, rank, keys, rows, w)?;
-                triangles += lcc_closing(kernels, adj_v, &side, w, neighbour_idx);
-            }
-            Ok(QueryAnswer::Lcc(lcc_from_triangles(
-                kernels.direction,
-                adj_v.len() as u32,
-                triangles,
-            )))
-        }
+        Ok(out)
     }
 }

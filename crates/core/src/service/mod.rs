@@ -21,11 +21,14 @@
 //!
 //! # Answer equivalence
 //!
-//! Every answer is produced by the *same* kernels over the *same* operands the
-//! batch pipelines use (`Intersector::count`, [`crate::local::count_closing_at`],
-//! the fused compressed kernels), so service answers are bit-identical to
-//! `DistJaccard` / `DistLcc` results — `tests/service.rs` holds the engine to
-//! that across storage modes, eviction scores and batch sizes.
+//! Every answer is a fold of the batch pipelines' own per-edge operations
+//! ([`crate::distributed::reader::EdgeOp`]: `DistLcc`'s closing count for
+//! `LccOf`, `DistJaccard`'s pair similarity for the rest) over the same
+//! operands — the home vertex's partition row and each other row where the
+//! batch landed it. There is no second kernel dispatch, so service answers
+//! are bit-identical to `DistJaccard` / `DistLcc` results by construction;
+//! `tests/service.rs` still holds the engine to that across storage modes,
+//! eviction scores and batch sizes, and for pairs that are not edges.
 //!
 //! # Overload and deadlines
 //!

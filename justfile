@@ -49,8 +49,8 @@ asan:
 # The size yardstick ROADMAP item 1 is counted with: per first-party crate,
 # non-blank non-comment lines before each file's `#[cfg(test)]` module
 # ("code") and, separately, the unit-test lines from it on; then the
-# integration tests (`tests/` + `crates/*/tests`). Compare two trees by
-# running it in each.
+# integration tests (`tests/` + `crates/*/tests`) and the vendored stubs
+# (`vendor/*/src`). Compare two trees by running it in each.
 loc:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -64,6 +64,7 @@ loc:
             xargs -0 awk -v name="$c" "$count"
     done
     find tests crates/*/tests -name '*.rs' -print0 | xargs -0 awk -v name="integration" "$count"
+    find vendor/*/src -name '*.rs' -print0 | xargs -0 awk -v name="vendor" "$count"
 
 # The repo benchmark (BENCHMARK.json's command, suite mode): every workload,
 # untraced then traced, one fresh process per pass; prints every metric by

@@ -65,6 +65,31 @@ fn expected_answer(query: Query, map: &EdgeMap, lcc: &[f64]) -> QueryAnswer {
     }
 }
 
+/// The reference answer to a pair query over any `(u, v)`, an edge or not:
+/// the sorted-merge common-neighbour count and the two degrees, under the
+/// batch pipeline's `common / union` formula.
+fn reference_pair_answer(g: &CsrGraph, query: Query) -> QueryAnswer {
+    let (Query::CommonNeighbors { u, v } | Query::Jaccard { u, v }) = query else {
+        panic!("{query:?} is not a pair query");
+    };
+    let common = rmatc_graph::reference::common_neighbours(g, u, v);
+    let union = g.degree(u) as u64 + g.degree(v) as u64 - common;
+    let jaccard = if union == 0 {
+        0.0
+    } else {
+        common as f64 / union as f64
+    };
+    match query {
+        Query::CommonNeighbors { .. } => QueryAnswer::CommonNeighbors(common),
+        _ => QueryAnswer::Jaccard(EdgeSimilarity {
+            source: u,
+            destination: v,
+            common_neighbours: common,
+            jaccard,
+        }),
+    }
+}
+
 /// Deterministic xorshift64* stream, the workspace's bench idiom.
 fn xorshift(state: &mut u64) -> u64 {
     *state ^= *state >> 12;
@@ -241,7 +266,13 @@ proptest! {
         cached in any::<bool>(),
         rule_idx in 0usize..2,
         batch_size in 1usize..=9,
-        picks in prop::collection::vec((any::<prop::sample::Index>(), 0u8..4, 0usize..8), 1..40),
+        (picks, pairs) in (
+            prop::collection::vec((any::<prop::sample::Index>(), 0u8..4, 0usize..8), 1..40),
+            prop::collection::vec(
+                (any::<prop::sample::Index>(), any::<prop::sample::Index>(), 0u8..4),
+                1..12,
+            ),
+        ),
     ) {
         let g = build_csr(n, &edges);
         if g.vertex_count() == 0 {
@@ -271,6 +302,21 @@ proptest! {
                 },
             })
             .collect();
+        // Pairs that need not be edges, half of them `u == v`, answered from
+        // the reference.
+        let n = g.vertex_count();
+        let pair_queries: Vec<Query> = pairs
+            .iter()
+            .map(|&(a, b, kind)| {
+                let u = a.index(n) as VertexId;
+                let v = if kind < 2 { b.index(n) as VertexId } else { u };
+                if kind % 2 == 0 {
+                    Query::CommonNeighbors { u, v }
+                } else {
+                    Query::Jaccard { u, v }
+                }
+            })
+            .collect();
         let storage = if compressed { GraphStorage::Compressed } else { GraphStorage::Plain };
         let dist = if cached {
             let dist = DistConfig::cached(ranks, (g.csr_size_bytes() as usize / 2).max(512));
@@ -280,18 +326,32 @@ proptest! {
         };
         let cfg = ServiceConfig::new(dist)
             .with_batch_size(batch_size)
-            .with_queue_capacity(queries.len());
+            .with_queue_capacity(queries.len() + pair_queries.len());
         let mut engine = QueryEngine::new(&g, cfg).unwrap();
-        for &q in &queries {
-            engine.submit(q).unwrap();
+        // Interleaved, so pair queries share batch windows with the rest.
+        let mut expected = Vec::with_capacity(queries.len() + pair_queries.len());
+        for (i, &q) in queries.iter().enumerate() {
+            expected.push((q, expected_answer(q, &map, &lcc)));
+            if let Some(&p) = pair_queries.get(i) {
+                expected.push((p, reference_pair_answer(&g, p)));
+            }
         }
-        for (resp, &q) in engine.drain().iter().zip(&queries) {
+        for &p in pair_queries.iter().skip(queries.len()) {
+            expected.push((p, reference_pair_answer(&g, p)));
+        }
+        for (q, _) in &expected {
+            engine.submit(*q).unwrap();
+        }
+        let responses = engine.drain();
+        prop_assert_eq!(responses.len(), expected.len());
+        for (resp, (q, want)) in responses.iter().zip(&expected) {
+            prop_assert_eq!(resp.query, *q);
             let got = resp.result.as_ref().expect("fault-free queries succeed");
-            prop_assert_eq!(got, &expected_answer(q, &map, &lcc), "query {:?}", q);
+            prop_assert_eq!(got, want, "query {:?}", q);
         }
         let stats = engine.stats();
         prop_assert!(stats.reconciles(), "{:?}", stats);
-        prop_assert_eq!(stats.completed, queries.len() as u64);
+        prop_assert_eq!(stats.completed, expected.len() as u64);
         prop_assert!(stats.offsets_cache.is_none());
         if let Some(cache) = &stats.adjacency_cache {
             prop_assert_eq!(cache.hits + cache.misses, cache.lookups());
