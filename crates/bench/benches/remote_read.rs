@@ -3,17 +3,17 @@
 //! isolating what the zero-copy refactor changed: hit-heavy reads served in
 //! place from the CLaMPI cache, cold reads that land each row in the buffer
 //! the cache retains and intersect it there, and the non-cached
-//! transfer-per-edge baseline. The
-//! cached rows read each source's offsets pairs by span, as the edge loop
-//! does; the non-cached rows read one pair per edge (a one-key span), the
-//! two gets per edge of Algorithm 3.
+//! transfer-per-edge baseline. Every row takes its offsets pair from the
+//! reader's copy of rank 1's offsets window ([`OwnerOffsets`]), read with
+//! one get the first time it is needed, as the edge loop does; a pass over a
+//! held copy reads one row get per edge.
 //!
 //! Wired into `just bench-smoke` / CI with `--json BENCH_remote_read.json
 //! --history bench-history/remote_read.ndjson`, so the `bench-diff` gate
 //! watches this path for regressions like it does the kernels.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rmatc_core::distributed::reader::{AdjCache, Edge, OffsetSpans, RowReader};
+use rmatc_core::distributed::reader::{AdjCache, Edge, OwnerOffsets, RowReader};
 use rmatc_core::distributed::worker::{run_worker, ClosingCount};
 use rmatc_core::distributed::{CacheSpec, DistConfig, GraphWindows};
 use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
@@ -71,29 +71,18 @@ fn bench_remote_read(c: &mut Criterion) {
         .sum();
 
     // One protocol round per edge, each get completed before the next is
-    // issued (pipeline depth 1); `by_span` reads each source's offsets pairs
-    // in spans first, as the cached edge loop does.
+    // issued (pipeline depth 1), the pair taken from the reader's copy of
+    // rank 1's offsets window, as the edge loop does.
     let mut landing = Vec::new();
-    let (mut spans, mut words, mut pairs) = (OffsetSpans::default(), Vec::new(), Vec::new());
-    let mut run = |(reader, cache): &mut (RowReader, AdjCache),
+    let mut run = |(reader, cache, offsets): &mut (RowReader, AdjCache, OwnerOffsets),
                    op: &ClosingCount,
-                   ep: &mut Endpoint,
-                   by_span: bool| {
-        let (mut total, mut source) = (0, None);
+                   ep: &mut Endpoint| {
+        let mut total = 0;
         for e in &edges {
             let adj_u = part.neighbours_of_local(e.u_local);
-            if by_span && source != Some(e.u_local) {
-                source = Some(e.u_local);
-                reader
-                    .read_spans(ep, &pg.partitioner, adj_u, &mut spans)
-                    .expect("no faults injected");
-            }
-            let pair = if by_span {
-                spans.pair(e.k)
-            } else {
-                reader.read_key_spans(ep, &[(1, e.v_local)], &mut words, &mut pairs);
-                pairs[0].clone().expect("no faults injected")
-            };
+            let pair = reader
+                .pair(ep, offsets, 1, e.v_local)
+                .expect("no faults injected");
             let edge = Edge {
                 slot: 0,
                 source: part.global_ids[e.u_local],
@@ -112,12 +101,13 @@ fn bench_remote_read(c: &mut Criterion) {
         total
     };
     let op = ClosingCount::new(&config, pg.direction, GraphStorage::Plain);
-    let make_reader = |spec: Option<CacheSpec>| -> (RowReader, AdjCache) {
+    let make_reader = |spec: Option<CacheSpec>| -> (RowReader, AdjCache, OwnerOffsets) {
         let config = DistConfig {
             cache: spec,
             ..config
         };
-        RowReader::new(&windows, &config, pg.global_vertex_count())
+        let (reader, cache) = RowReader::new(&windows, &config, pg.global_vertex_count());
+        (reader, cache, OwnerOffsets::new(2))
     };
 
     // Compressed storage over the same protocol: the adjacency window
@@ -127,12 +117,13 @@ fn bench_remote_read(c: &mut Criterion) {
     let cconfig = DistConfig::non_cached(2).with_storage(GraphStorage::Compressed);
     let compressed_spec = CacheSpec::paper(2 * cwindows.adjacency_bytes()).with_degree_scores();
     let cop = ClosingCount::new(&cconfig, pg.direction, GraphStorage::Compressed);
-    let make_compressed_reader = || -> (RowReader, AdjCache) {
+    let make_compressed_reader = || -> (RowReader, AdjCache, OwnerOffsets) {
         let config = DistConfig {
             cache: Some(compressed_spec),
             ..cconfig
         };
-        RowReader::new(&cwindows, &config, pg.global_vertex_count())
+        let (reader, cache) = RowReader::new(&cwindows, &config, pg.global_vertex_count());
+        (reader, cache, OwnerOffsets::new(2))
     };
 
     // Deterministic metric rows first (recorded even when a `--filter` skips
@@ -142,7 +133,7 @@ fn bench_remote_read(c: &mut Criterion) {
         let mut reader = make_compressed_reader();
         let mut ep = Endpoint::new(0, 2, cconfig.network);
         ep.lock_all();
-        let _warm = run(&mut reader, &cop, &mut ep, true);
+        let _warm = run(&mut reader, &cop, &mut ep);
         let stats = reader.1.as_ref().expect("adjacency cache on").stats();
         c.report_metric(
             "remote_read",
@@ -167,8 +158,8 @@ fn bench_remote_read(c: &mut Criterion) {
         let mut reader = make_compressed_reader();
         let mut ep = Endpoint::new(0, 2, cconfig.network);
         ep.lock_all();
-        let _warm = run(&mut reader, &cop, &mut ep, true);
-        b.iter(|| run(&mut reader, &cop, &mut ep, true))
+        let _warm = run(&mut reader, &cop, &mut ep);
+        b.iter(|| run(&mut reader, &cop, &mut ep))
     });
 
     // Cold compressed misses: every read transfers and admits a compressed
@@ -178,7 +169,7 @@ fn bench_remote_read(c: &mut Criterion) {
         ep.lock_all();
         b.iter_batched(
             make_compressed_reader,
-            |mut reader| run(&mut reader, &cop, &mut ep, true),
+            |mut reader| run(&mut reader, &cop, &mut ep),
             criterion::BatchSize::LargeInput,
         )
     });
@@ -189,8 +180,8 @@ fn bench_remote_read(c: &mut Criterion) {
         let mut reader = make_reader(Some(cached_spec));
         let mut ep = Endpoint::new(0, 2, config.network);
         ep.lock_all();
-        let _warm = run(&mut reader, &op, &mut ep, true);
-        b.iter(|| run(&mut reader, &op, &mut ep, true))
+        let _warm = run(&mut reader, &op, &mut ep);
+        b.iter(|| run(&mut reader, &op, &mut ep))
     });
 
     // Cold: every read misses, lands its row in the buffer the cache
@@ -200,30 +191,32 @@ fn bench_remote_read(c: &mut Criterion) {
         ep.lock_all();
         b.iter_batched(
             || make_reader(Some(cached_spec)),
-            |mut reader| run(&mut reader, &op, &mut ep, true),
+            |mut reader| run(&mut reader, &op, &mut ep),
             criterion::BatchSize::LargeInput,
         )
     });
 
-    // Baseline: no cache, two gets per edge — the offsets pair, then the
-    // row, intersected in place.
+    // Baseline: no cache, one row get per edge, intersected in place; the
+    // pairs come from the copy of rank 1's offsets window the first
+    // iteration reads.
     group.bench_function("non_cached", |b| {
         let mut reader = make_reader(None);
         let mut ep = Endpoint::new(0, 2, config.network);
         ep.lock_all();
-        b.iter(|| run(&mut reader, &op, &mut ep, false))
+        b.iter(|| run(&mut reader, &op, &mut ep))
     });
 
     // The self-healing path with injection disabled: an explicit retry policy
     // but no `FaultInjector`, so no checksums are computed and no fault is
-    // ever rolled. Guards the robustness layer's promise that the fault-off
-    // read path costs nothing over `non_cached`.
+    // ever rolled, over the same held offsets copy. Guards the robustness
+    // layer's promise that the fault-off read path costs nothing over
+    // `non_cached`.
     group.bench_function("faulty_path_off", |b| {
         let mut reader = make_reader(None);
         let mut ep =
             Endpoint::new(0, 2, config.network).with_retry(rmatc_rma::RetryPolicy::default());
         ep.lock_all();
-        b.iter(|| run(&mut reader, &op, &mut ep, false))
+        b.iter(|| run(&mut reader, &op, &mut ep))
     });
 
     group.finish();

@@ -120,7 +120,8 @@ fn next_random(state: &mut u64) -> u32 {
 
 /// One CLaMPI cache instance: in the paper there are two per rank, `C_offsets` over
 /// the offsets window and `C_adj` over the adjacencies window; this reproduction
-/// keeps `C_adj` and reads offsets by span instead (see `rmatc-core`'s reader).
+/// keeps `C_adj` and copies each owner's offsets window once per rank instead
+/// (see `rmatc-core`'s reader).
 #[derive(Debug)]
 pub struct Clampi<T> {
     config: ClampiConfig,

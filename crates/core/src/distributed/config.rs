@@ -11,9 +11,9 @@ use rmatc_rma::{FaultPlan, NetworkModel, RetryPolicy};
 /// CLaMPI cache of one rank: its budget and the score its eviction rule
 /// weighs against recency — the one place a run's cache configuration is
 /// decided ([`CacheSpec::resolve`]). Only the adjacency window is cached
-/// (`C_adj`); the cached configuration reads the offsets of each source's
-/// remote neighbours by span instead of through a second cache (see
-/// [`super::reader`]).
+/// (`C_adj`); every configuration takes its offsets pairs from one copy of
+/// each owner's offsets window per rank instead of through a second cache
+/// (see [`super::reader`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheSpec {
     /// Total bytes reserved per rank for CLaMPI.
@@ -102,9 +102,8 @@ pub struct DistConfig {
     /// and every integer counter are identical either way.
     pub double_buffering: bool,
     /// CLaMPI caching — budget and eviction score; `None` runs the
-    /// non-cached variant. `Some` also switches the edge loop to offsets
-    /// spans: one get per run of a source's remote neighbours instead of one
-    /// `(start, end)` get per edge.
+    /// non-cached variant. Offsets are read the same way either way: one get
+    /// per owner's offsets window per rank ([`super::reader::RowReader::pair`]).
     pub cache: Option<CacheSpec>,
     /// Retry policy of the self-healing remote-read path: attempt budget,
     /// exponential backoff and completion timeout, all charged through the
@@ -155,8 +154,7 @@ impl DistConfig {
         }
     }
 
-    /// Cached configuration: `cache_bytes` per rank for `C_adj`, offsets
-    /// read by span.
+    /// Cached configuration: `cache_bytes` per rank for `C_adj`.
     pub fn cached(ranks: usize, cache_bytes: usize) -> Self {
         Self {
             cache: Some(CacheSpec::paper(cache_bytes)),

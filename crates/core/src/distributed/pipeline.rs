@@ -22,12 +22,12 @@
 //! (and, with [`rmatc_rma::NetworkModel::with_injection`], real) transfer
 //! latency hides behind the issue-side compute. Offsets reads stay
 //! synchronous — their result gates the adjacency get, exactly the
-//! dependency the two-get protocol imposes. Each source first reads the
-//! pairs of all its remote neighbours in α+β-planned spans
-//! ([`RowReader::read_spans`]), so its edges start from known pairs. The
-//! paper's non-cached baseline reads one pair per remote edge instead; here
-//! the cached and non-cached loops differ only in `C_adj` (the reasons are
-//! in [`super::reader`]).
+//! dependency the two-get protocol imposes. A remote edge takes its pair
+//! from the rank's copy of the owner's offsets window
+//! ([`RowReader::pair`]), which the rank reads with one get the first time
+//! it needs that owner. The paper's non-cached baseline reads one pair per
+//! remote edge instead; here the cached and non-cached loops differ only in
+//! `C_adj` (the reasons are in [`super::reader`]).
 //!
 //! # Equivalence across depths
 //!
@@ -45,7 +45,7 @@
 //! surfaces the error.
 
 use super::config::DistConfig;
-use super::reader::{AdjCache, Edge, EdgeOp, OffsetSpans, RowReader};
+use super::reader::{AdjCache, Edge, EdgeOp, OwnerOffsets, RowReader};
 use super::windows::GraphWindows;
 use rmatc_clampi::CacheStats;
 use rmatc_graph::partition::PartitionedGraph;
@@ -156,12 +156,11 @@ fn edge_loop<O: EdgeOp>(
     // buffer. It grows to the longest row read and is then reused
     // allocation-free. Fault-free, those reads are read in place.
     let mut landing = Vec::new();
-    // The offsets pairs of the source's remote neighbours, read by span.
-    let mut spans = OffsetSpans::default();
+    // The rank's copies of the other owners' offsets windows.
+    let mut offsets = OwnerOffsets::new(pg.ranks());
     for local_idx in 0..part.local_vertex_count() {
         let adj_u = part.neighbours_of_local(local_idx);
         let source = part.global_ids[local_idx];
-        reader.read_spans(ep, &pg.partitioner, adj_u, &mut spans)?;
         // `v` walks `adj_u` in sorted order, so `k` locates it for the
         // operation in O(1) (the upper-triangle suffix is `adj_u[k + 1..]`).
         for (k, &v) in adj_u.iter().enumerate() {
@@ -176,16 +175,15 @@ fn edge_loop<O: EdgeOp>(
                 v,
                 k,
             };
-            let owner = pg.partitioner.owner(v);
+            let (owner, v_local) = (pg.partitioner.owner(v), pg.partitioner.local_index(v));
             if owner == rank {
                 // Neighbour owned locally: its row is in this rank's partition.
-                let adj_v = part.neighbours_of_local(pg.partitioner.local_index(v));
-                let value = op.local(&edge, adj_v);
+                let value = op.local(&edge, part.neighbours_of_local(v_local));
                 op.fold(&mut out.items, &edge, value);
                 continue;
             }
             out.remote_edges += 1;
-            let row = spans.pair(k);
+            let row = reader.pair(ep, &mut offsets, owner, v_local)?;
             let (value, charge) = reader.start(ep, cache, owner, row, &mut landing, op, &edge)?;
             op.fold(&mut out.items, &edge, value);
             if let Some(charge) = charge {

@@ -3,34 +3,32 @@
 //! [`crate::DistLcc`], [`crate::DistJaccard`] and the resident query service.
 //!
 //! The first get reads a row's `(start, end)` pair from the offsets window.
-//! Both readers take many rows at once, grouped by owner with ascending local
-//! indices, so each owner's pairs lie in one index range of its offsets
-//! window. The range is split into spans where a gap would cost more bytes
-//! than a get ([`spans_join`]), and each span is one get.
-//! [`RowReader::read_spans`] reads the pairs of all of one source's remote
-//! neighbours — what the edge loop does, cached or not (rows are sorted, so
-//! the neighbours a rank owns ascend); [`RowReader::read_key_spans`] reads
-//! the pairs of a sorted list of `(owner, local index)` keys — what the
-//! service does for the unique rows of a batch. One key alone is the single
-//! two-word get of Algorithm 3.
+//! A rank reads it once per owner, not once per row: the first time it needs
+//! a row of another owner, it reads that owner's whole offsets window with
+//! one self-healing get and keeps the copy ([`OwnerOffsets`]), and every
+//! later pair of that owner is answered from the copy
+//! ([`RowReader::pair`]). A read that exhausts its retries keeps nothing, so
+//! the next need reads the window again. The rank's own pairs come from its
+//! own window, with no get.
 //!
-//! This departs from the paper's non-cached baseline, which reads one pair
-//! per remote edge. The first get is α-bound, and the α+β rule only joins
-//! pairs whose gap costs less than the get it saves, so both modes read
-//! spans: on the uniform degree-64 benchmark graph this halves the gets and
-//! cuts the modeled time by 44%. A fault-free span is read in place, so the
-//! wider reads cost the host nothing; the model charges β for their bytes.
-//! The cache's measured gain is therefore `C_adj`'s alone, against a
-//! baseline that already reads spans.
+//! This departs from Algorithm 3, which reads one pair per remote edge, and
+//! from the paper's `C_offsets`, which caches pairs inside a budget of
+//! `0.8·|V|` bytes ([`super::CacheSpec::resolve`] gives `C_adj` the whole
+//! budget instead). The copies have no budget and no knob: one owner's window
+//! is `8·(n/p + 1)` bytes, so a rank holds at most about `8·n` bytes of
+//! copies — 64 KB per owner at scale 14 on 2 ranks, but 512 MB at scale 26.
+//! Cached or not, every loop reads offsets this way, so the cache's measured
+//! gain is `C_adj`'s alone, against a baseline that reads rows by single get
+//! with offsets copied once.
 //!
 //! [`RowReader`] offers the adjacency read in two shapes.
 //! [`RowReader::read_key_rows`] reads the rows of a batch's sorted keys and
 //! hands each back as a zero-copy [`RowRef`] (the service plans a batch of
 //! rows first and answers from them afterwards). It probes every key in
 //! `C_adj` first; the rows that must still cross the network — misses, and
-//! every row nobody keeps — are read by span under the same join rule as
-//! the offsets, a row's adjacency words taking the place of a pair's two
-//! offsets words. One key alone is the single row get of Algorithm 3.
+//! every row nobody keeps — are read by span: consecutive rows of one owner
+//! share a get while the adjacency words between them cost less than a get
+//! ([`spans_join`]). One key alone is the single row get of Algorithm 3.
 //! [`RowReader::start`] computes a per-edge operation ([`EdgeOp`]) over the
 //! row *where it is* — in place on a local row, a cache hit or a fault-free
 //! transfer nobody keeps, over the landed buffer otherwise — and hands back
@@ -40,15 +38,16 @@
 //! kernel ever runs over a transfer its checksum has not verified. One rule
 //! decides where a transfer is read — *who keeps the buffer*: a fault-free
 //! read nobody keeps is read in place ([`Endpoint::get_in_place`]); a
-//! faulted one lands in the caller's buffer; a row the cache keeps is
-//! copied once, into the `Arc` the cache retains.
+//! faulted one lands in the caller's buffer; a row the cache keeps, and an
+//! owner's offsets window the rank keeps, is copied once, into the `Arc`
+//! that keeps it.
 //!
 //! | read | kept by | fault-free | faulted |
 //! |---|---|---|---|
+//! | an owner's offsets window ([`RowReader::pair`]) | the rank ([`OwnerOffsets`]) | the get's one `Arc` | the get's one `Arc`, verified and healed |
 //! | edge-loop miss ([`RowReader::start`]) | the cache | the get's one `Arc` | the get's one `Arc` |
 //! | batch row span ([`RowReader::read_key_rows`]) | the cache (misses) and the caller | in place; each miss copied into its own `Arc` | the caller's landing `Vec`; each row copied into its own `Arc` |
 //! | non-cached or quarantine-bypass row in the edge loop | nobody | in place | the caller's landing `Vec` |
-//! | offsets span | nobody | in place | the caller's span buffer ([`OffsetSpans`], or the service lane's words) |
 //!
 //! The edge loops keep one get per row. In the non-cached loop the row
 //! spans' rule would cut `uniform14_lcc_noncached`'s modeled time by about
@@ -63,29 +62,31 @@
 //! The simulator materializes a get's data at issue time, so a fault-free
 //! read computes its value — and a miss admits its buffer — when it is
 //! issued, in exactly the order a loop that waits for every get would; only
-//! the cost ticket ([`rmatc_rma::PendingCharge`]) stays in flight. Under
-//! fault injection unverified data is never trusted, and every remote read
-//! is synchronous and self-healing: a read nobody keeps — offsets spans
-//! and the service's row spans included — is verified and healed in the
-//! caller's buffer ([`Endpoint::get_into_with_retry`]); an edge-loop miss is
-//! verified and healed in its own buffer ([`Endpoint::get_with_retry`])
-//! before it is computed on and admitted. Nothing is left in flight.
+//! the cost ticket ([`rmatc_rma::PendingCharge`]) stays in flight. An
+//! owner's offsets window is read synchronously: its pairs gate the row
+//! gets. Under fault injection unverified data is never trusted, and every
+//! remote read is synchronous and self-healing: a read nobody keeps — the
+//! service's row spans included — is verified and healed in the caller's
+//! buffer ([`Endpoint::get_into_with_retry`]); an offsets window or an
+//! edge-loop miss is verified and healed in its own buffer
+//! ([`Endpoint::get_with_retry`]) before it is kept. Nothing is left in
+//! flight.
 //!
 //! The reader is the rank's windows, read through `&self`. Its cache,
-//! [`AdjCache`], is a separate value the rank's one thread owns and lends to
-//! every read as `&mut`, next to its endpoint: the rows
-//! [`RowReader::read_key_rows`] returns borrow the windows alone, so a
-//! caller may hold many of them while it keeps reading through the cache.
+//! [`AdjCache`], and its offsets copies, [`OwnerOffsets`], are separate
+//! values the rank's one thread owns and lends to every read as `&mut`, next
+//! to its endpoint: the rows [`RowReader::read_key_rows`] returns borrow the
+//! windows alone, so a caller may hold many of them while it keeps reading
+//! through the cache.
 
 use super::config::DistConfig;
 use super::windows::GraphWindows;
 use rmatc_clampi::{CacheProbe, CachedWindow, RowRef};
 use rmatc_graph::compressed::decoded_len;
-use rmatc_graph::partition::{Partitioner, RankPartition};
+use rmatc_graph::partition::RankPartition;
 use rmatc_graph::types::VertexId;
 use rmatc_graph::GraphStorage;
 use rmatc_rma::{Endpoint, NetworkModel, PendingCharge, RmaError, Window};
-use std::convert::Infallible;
 use std::sync::Arc;
 
 /// One directed edge `(u, v)` of a locally owned vertex `u`, as the edge loop
@@ -134,41 +135,27 @@ pub trait EdgeOp: Sync {
     fn fold(&self, out: &mut Vec<Self::Item>, edge: &Edge<'_>, value: Self::Value);
 }
 
-/// Whether two needed runs of one owner's window share a span under
-/// `network`'s `t(s) = α + β·s`, given the `gap_bytes` between them: one span
-/// reads the gap and saves one get, so it pays iff `gap_bytes·β ≤ α`. The
-/// cost is additive over gaps, so deciding each gap on its own — the greedy
-/// split — is optimal. The one rule plans both gets: offsets spans over
-/// 8-byte words and the service's row spans over 4-byte adjacency words.
+/// Whether two needed rows of one owner's adjacency window share a span
+/// under `network`'s `t(s) = α + β·s`, given the `gap_bytes` between them:
+/// one span reads the gap and saves one get, so it pays iff
+/// `gap_bytes·β ≤ α`. The cost is additive over gaps, so deciding each gap on
+/// its own — the greedy split — is optimal. It plans the service's row spans
+/// ([`RowReader::read_key_rows`]).
 pub fn spans_join(network: &NetworkModel, gap_bytes: usize) -> bool {
     gap_bytes as f64 * network.beta_ns_per_byte <= network.alpha_ns
 }
 
-/// The bytes between the offsets pairs of rows `p ≤ q` of one owner:
-/// `8·(q − p − 2)`, none when they are adjacent (they share a word) or equal.
-fn pairs_gap_bytes(p: usize, q: usize) -> usize {
-    8 * q.saturating_sub(p + 2)
-}
+/// A rank's copies of other owners' offsets windows, one slot per owner,
+/// each filled by [`RowReader::pair`] the first time the rank needs a row of
+/// that owner and kept from then on. Like [`AdjCache`], it belongs to the
+/// rank's thread and is lent to every read as `&mut`, next to the cache.
+#[derive(Debug)]
+pub struct OwnerOffsets(Vec<Option<Arc<[u64]>>>);
 
-/// The `(start, end)` pairs of one source's remote neighbours, read by span
-/// ([`RowReader::read_spans`]): a rank's reusable buffers, which stop
-/// allocating once they have grown to the widest source.
-#[derive(Debug, Default)]
-pub struct OffsetSpans {
-    /// `(owner, local index, position in the source's row)` of every remote
-    /// neighbour, in `(owner, local index)` order.
-    wanted: Vec<(usize, usize, usize)>,
-    /// Where a faulted span lands (a fault-free one is read in place).
-    words: Vec<u64>,
-    /// The pair of the neighbour at each position of the source's row.
-    pairs: Vec<(usize, usize)>,
-}
-
-impl OffsetSpans {
-    /// The `(start, end)` pair of the remote neighbour at position `k` of the
-    /// row last passed to [`RowReader::read_spans`].
-    pub fn pair(&self, k: usize) -> (usize, usize) {
-        self.pairs[k]
+impl OwnerOffsets {
+    /// No copy yet, for a run of `ranks` owners.
+    pub fn new(ranks: usize) -> Self {
+        Self(vec![None; ranks])
     }
 }
 
@@ -181,8 +168,8 @@ pub type AdjCache = Option<CachedWindow<VertexId>>;
 /// windows.
 ///
 /// Reading the adjacency of a remote vertex requires two RMA gets: the first reads
-/// the `(start, end)` pair from the target's `offsets` array (in a span with the
-/// other rows of that target read with it), the second reads
+/// the `(start, end)` pair from the target's `offsets` array (once per target: the
+/// rank keeps a copy of the whole array, [`OwnerOffsets`]), the second reads
 /// `end − start` vertex ids from the target's `adjacencies` array. When caching is
 /// enabled the second get is first looked up in the CLaMPI cache `C_adj`; every
 /// admitted row carries its length — the vertex degree — as its
@@ -231,117 +218,37 @@ impl RowReader {
         (reader, cache)
     }
 
-    /// First get of the protocol for every remote neighbour of one source at
-    /// once: reads the `(start, end)` pairs of the rows in `adj_u` that
-    /// `partitioner` places on other ranks than `ep.rank()` into `spans`
-    /// ([`OffsetSpans::pair`]). Per owner, the needed local indices ascend
-    /// (rows are sorted and every scheme maps ids monotonically within a
-    /// rank), so they split into spans as [`RowReader::read_key_spans`]
-    /// splits its keys. The first span that exhausts its retries fails the
-    /// whole read.
-    pub fn read_spans(
+    /// First get of the protocol: the `(start, end)` pair of row `idx` of
+    /// `owner`. The rank's own pairs are read from its own window, with no
+    /// get. Another owner's come from the rank's copy of that owner's window
+    /// in `offsets`, which the first call for that owner reads with one
+    /// self-healing get ([`Endpoint::get_with_retry`]): one get fault-free,
+    /// a verified and healed one under faults. Every later call for that
+    /// owner issues no get.
+    ///
+    /// # Errors
+    ///
+    /// The window's read exhausted its retries. Nothing is kept, so the next
+    /// call for that owner reads the window again.
+    pub fn pair(
         &self,
         ep: &mut Endpoint,
-        partitioner: &Partitioner,
-        adj_u: &[VertexId],
-        spans: &mut OffsetSpans,
-    ) -> Result<(), RmaError> {
-        let OffsetSpans {
-            wanted,
-            words,
-            pairs,
-        } = spans;
-        wanted.clear();
-        for (k, &v) in adj_u.iter().enumerate() {
-            let owner = partitioner.owner(v);
-            if owner != ep.rank() {
-                wanted.push((owner, partitioner.local_index(v), k));
-            }
-        }
-        // `(owner, local index)` is unique per neighbour, so an unstable sort
-        // gives the one order, without scratch.
-        wanted.sort_unstable_by_key(|&(owner, idx, _)| (owner, idx));
-        pairs.resize(pairs.len().max(adj_u.len()), (0, 0));
-        let key = |&(owner, idx, _): &(usize, usize, usize)| (owner, idx);
-        self.walk_spans(ep, wanted, key, words, |&(.., k), pair| {
-            pairs[k] = pair.map_err(RmaError::clone)?;
-            Ok(())
-        })
-    }
-
-    /// First get of the protocol for a batch of rows: the `(start, end)` pair
-    /// of each of `keys` — remote `(owner, local index)` rows, sorted and
-    /// distinct, as the service's batch planner holds them — into `pairs`,
-    /// cleared first, in key order. Consecutive keys of one owner share a
-    /// span while [`spans_join`] says the gap is cheaper than a get under
-    /// `ep`'s network model; each span is one synchronous get, read in place
-    /// fault-free and otherwise landed, verified and healed in `words`. Both
-    /// are the caller's reusable buffers, so a read allocates nothing once
-    /// they have grown. A span that exhausts its retries fails only the keys
-    /// inside it.
-    pub fn read_key_spans(
-        &self,
-        ep: &mut Endpoint,
-        keys: &[(usize, usize)],
-        words: &mut Vec<u64>,
-        pairs: &mut Vec<Result<(usize, usize), RmaError>>,
-    ) {
-        pairs.clear();
-        let Ok(()) = self.walk_spans(
-            ep,
-            keys,
-            |&key| key,
-            words,
-            |_, pair| {
-                pairs.push(pair.map_err(RmaError::clone));
-                Ok::<_, Infallible>(())
-            },
-        );
-    }
-
-    /// The span walk of [`RowReader::read_spans`] and
-    /// [`RowReader::read_key_spans`]. `wanted` holds remote rows grouped by
-    /// owner with ascending local indices, `key` gives each one's
-    /// `(owner, local index)`. Consecutive rows of one owner join while
-    /// [`spans_join`] allows; each span is one synchronous [`read_unkept`]
-    /// (the pairs gate the adjacency gets), landed in `words` only under
-    /// faults. `land` receives every row with its pair or its span's error,
-    /// in order; an error `land` returns stops the walk.
-    fn walk_spans<T, E>(
-        &self,
-        ep: &mut Endpoint,
-        wanted: &[T],
-        key: impl Fn(&T) -> (usize, usize),
-        words: &mut Vec<u64>,
-        mut land: impl FnMut(&T, Result<(usize, usize), &RmaError>) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let network = *ep.network();
-        let mut rest = wanted;
-        while let Some(head) = rest.first() {
-            let (owner, first) = key(head);
-            let joined = rest.windows(2).take_while(|w| {
-                let (p, q) = (key(&w[0]), key(&w[1]));
-                q.0 == owner && spans_join(&network, pairs_gap_bytes(p.1, q.1))
-            });
-            let (span, tail) = rest.split_at(1 + joined.count());
-            let len = key(&span[span.len() - 1]).1 + 2 - first;
-            let read = read_unkept(ep, &self.offsets_plain, owner, first, len, words);
-            let read = read.map(|(read, charge)| {
-                if let Some(charge) = charge {
-                    charge.wait(ep);
+        offsets: &mut OwnerOffsets,
+        owner: usize,
+        idx: usize,
+    ) -> Result<(usize, usize), RmaError> {
+        let window = &self.offsets_plain;
+        let words = if owner == ep.rank() {
+            window.local_part(owner)
+        } else {
+            match &mut offsets.0[owner] {
+                Some(copy) => &copy[..],
+                slot => {
+                    &slot.insert(ep.get_with_retry(window, owner, 0, window.len_of(owner))?)[..]
                 }
-                read
-            });
-            for row in span {
-                let at = key(row).1 - first;
-                let pair = read
-                    .as_ref()
-                    .map(|read| (read[at] as usize, read[at + 1] as usize));
-                land(row, pair)?;
             }
-            rest = tail;
-        }
-        Ok(())
+        };
+        Ok((words[idx] as usize, words[idx + 1] as usize))
     }
 
     /// Admits a cached miss's landed (and verified) buffer, scored by its
@@ -363,10 +270,12 @@ impl RowReader {
         cache.admit(ep, target, start, len, row, len as f64);
     }
 
-    /// Second get of the protocol for a batch of rows: the row of each of
-    /// `keys` — the sorted, distinct `(owner, local index)` keys of
-    /// [`RowReader::read_key_spans`] — from its pair in `pairs`, into `rows`,
-    /// cleared first, in key order.
+    /// Both gets of the protocol for a batch of rows: the row of each of
+    /// `keys` — remote `(owner, local index)` rows, sorted and distinct, as
+    /// the service's batch planner holds them — into `rows`, cleared first,
+    /// in key order. Each key's pair comes from [`RowReader::pair`] over
+    /// `offsets`; an owner whose window read fails fails every key of that
+    /// owner in the call, and is not read again before the next call.
     ///
     /// Every key is probed in the cache first, and hits are served from it.
     /// Per owner, the rows that must still cross the network — misses, and
@@ -383,8 +292,8 @@ impl RowReader {
     /// allocates exactly once — the buffer the cache retains. They are
     /// returned exactly as stored: raw vertex ids under plain storage,
     /// compressed words (decode with [`rmatc_graph::compressed::decode_row`])
-    /// under compressed storage. A key whose pair failed fails its row, and a
-    /// span that exhausts its retries fails only the rows inside it.
+    /// under compressed storage. A span that exhausts its retries fails only
+    /// the rows inside it.
     /// `landing` and `rows` are the caller's reusable buffers: once they have
     /// grown, a batch of hits and local rows allocates nothing. The span plan
     /// lives only for the call, so a lane keeps no buffer sized by its
@@ -393,8 +302,8 @@ impl RowReader {
         &'r self,
         ep: &mut Endpoint,
         cache: &mut AdjCache,
+        offsets: &mut OwnerOffsets,
         keys: &[(usize, usize)],
-        pairs: &[Result<(usize, usize), RmaError>],
         landing: &mut Vec<VertexId>,
         rows: &mut Vec<Result<RowRef<'r, VertexId>, RmaError>>,
     ) {
@@ -403,9 +312,18 @@ impl RowReader {
         // network, in key order: a cached miss is kept (admitted), a row read
         // without a cache or past a quarantined one is not.
         let mut wanted = Vec::new();
+        // The owner whose window read failed in this call, with its error;
+        // keys are grouped by owner, so its later keys fail unread.
+        let mut failed: Option<(usize, RmaError)> = None;
         let adj = &self.adj_plain;
-        for (i, (&(target, _), pair)) in keys.iter().zip(pairs).enumerate() {
-            rows.push(pair.clone().map(|(start, end)| {
+        for (i, &(target, idx)) in keys.iter().enumerate() {
+            let pair = match &failed {
+                Some((owner, e)) if *owner == target => Err(e.clone()),
+                _ => self
+                    .pair(ep, offsets, target, idx)
+                    .inspect_err(|e| failed = Some((target, e.clone()))),
+            };
+            rows.push(pair.map(|(start, end)| {
                 let len = end - start;
                 if len == 0 {
                     return RowRef::Window(&[]);
@@ -481,7 +399,7 @@ impl RowReader {
     }
 
     /// Reads the row on `target` whose `(start, end)` offsets pair the first
-    /// get returned ([`RowReader::read_spans`]) and computes `edge`'s value
+    /// get returned ([`RowReader::pair`]) and computes `edge`'s value
     /// over it ([`EdgeOp::stored`]) — in place on an empty, local or cached
     /// row or a fault-free transfer nobody keeps, and otherwise over the
     /// buffer the transfer landed in, as the module table says. The value is
@@ -583,43 +501,21 @@ mod tests {
     use rmatc_rma::{FaultPlan, RankStats, RetryPolicy};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// The offsets pair of one row alone: a one-key span, the single
-    /// two-word get of Algorithm 3.
-    fn read_pair(
-        reader: &RowReader,
-        ep: &mut Endpoint,
-        target: usize,
-        idx: usize,
-    ) -> Result<(usize, usize), RmaError> {
-        let mut pairs = Vec::new();
-        reader.read_key_spans(ep, &[(target, idx)], &mut Vec::new(), &mut pairs);
-        pairs.remove(0)
-    }
-
-    /// The row of one key whose pair the first get returned: a one-key
-    /// batch, the single row get of Algorithm 3.
-    fn read_pair_row<'r>(
-        reader: &'r RowReader,
-        ep: &mut Endpoint,
-        cache: &mut AdjCache,
-        key: (usize, usize),
-        pair: Result<(usize, usize), RmaError>,
-    ) -> Result<RowRef<'r, VertexId>, RmaError> {
-        let mut rows = Vec::new();
-        reader.read_key_rows(ep, cache, &[key], &[pair], &mut Vec::new(), &mut rows);
-        rows.remove(0)
-    }
-
-    /// Both gets of one row, one pair per row: the offsets pair, then the row.
+    /// Both gets of one row as a one-key batch: the pair from the rank's
+    /// copy of the owner's offsets window, then the row — the single row get
+    /// of Algorithm 3.
     fn read_row<'r>(
         reader: &'r RowReader,
         ep: &mut Endpoint,
         cache: &mut AdjCache,
+        offsets: &mut OwnerOffsets,
         target: usize,
         idx: usize,
     ) -> Result<RowRef<'r, VertexId>, RmaError> {
-        let pair = read_pair(reader, ep, target, idx);
-        read_pair_row(reader, ep, cache, (target, idx), pair)
+        let mut rows = Vec::new();
+        let key = [(target, idx)];
+        reader.read_key_rows(ep, cache, offsets, &key, &mut Vec::new(), &mut rows);
+        rows.remove(0)
     }
 
     fn setup() -> (PartitionedGraph, DistConfig) {
@@ -642,14 +538,19 @@ mod tests {
         let windows = GraphWindows::build(&pg);
         let (reader, mut cache) = RowReader::new(&windows, &config, pg.global_vertex_count());
         let mut ep = endpoint(&config);
+        let mut offsets = OwnerOffsets::new(2);
         let remote = &pg.partitions[1];
-        for (local_idx, _) in remote.global_ids.iter().enumerate().take(20) {
-            let got = read_row(&reader, &mut ep, &mut cache, 1, local_idx).unwrap();
+        let mut non_empty = 0;
+        for local_idx in 0..remote.local_vertex_count().min(20) {
+            let got = read_row(&reader, &mut ep, &mut cache, &mut offsets, 1, local_idx);
+            let got = got.unwrap();
             assert_eq!(got.as_slice(), remote.neighbours_of_local(local_idx));
+            non_empty += u64::from(!got.is_empty());
         }
         ep.unlock_all();
-        // Two gets per non-empty row, one per empty row.
-        assert!(ep.stats().gets >= 20);
+        // One get for rank 1's offsets window, one per non-empty row.
+        assert!(non_empty > 0);
+        assert_eq!(ep.stats().gets, 1 + non_empty);
     }
 
     #[test]
@@ -686,10 +587,12 @@ mod tests {
         config.cache = Some(CacheSpec::paper(1 << 20).with_degree_scores());
         let (reader, mut cache) = RowReader::new(&windows, &config, pg.global_vertex_count());
         let mut ep = endpoint(&config);
+        let mut offsets = OwnerOffsets::new(2);
         let remote = &pg.partitions[1];
         for round in 0..2 {
-            for (local_idx, _) in remote.global_ids.iter().enumerate().take(10) {
-                let got = read_row(&reader, &mut ep, &mut cache, 1, local_idx).unwrap();
+            for local_idx in 0..remote.local_vertex_count().min(10) {
+                let got = read_row(&reader, &mut ep, &mut cache, &mut offsets, 1, local_idx);
+                let got = got.unwrap();
                 assert_eq!(
                     got.as_slice(),
                     remote.neighbours_of_local(local_idx),
@@ -735,6 +638,8 @@ mod tests {
                 let (by_start, mut start_cache) = RowReader::new(&windows, &config, n);
                 let op = ClosingCount::new(&config, pg.direction, storage);
                 let (mut ep_row, mut ep_start) = (endpoint(&config), endpoint(&config));
+                let (mut row_offsets, mut start_offsets) =
+                    (OwnerOffsets::new(2), OwnerOffsets::new(2));
                 let mut landing = Vec::new();
                 for _round in 0..2 {
                     for local_idx in 0..part.local_vertex_count() {
@@ -744,10 +649,10 @@ mod tests {
                                 continue;
                             }
                             let idx = pg.partitioner.local_index(v);
-                            let pair = read_pair(&by_row, &mut ep_row, 1, idx);
-                            read_pair_row(&by_row, &mut ep_row, &mut row_cache, (1, idx), pair)
-                                .unwrap();
-                            let pair = read_pair(&by_start, &mut ep_start, 1, idx).unwrap();
+                            let (ep, cache) = (&mut ep_row, &mut row_cache);
+                            read_row(&by_row, ep, cache, &mut row_offsets, 1, idx).unwrap();
+                            let offsets = &mut start_offsets;
+                            let pair = by_start.pair(&mut ep_start, offsets, 1, idx).unwrap();
                             let source = part.global_ids[local_idx];
                             let edge = Edge {
                                 slot: 0,
@@ -781,95 +686,13 @@ mod tests {
         }
     }
 
-    /// Reads the spans of every source of rank 0 of `pg` under `network`,
-    /// checking each pair against the owner's partition. Returns the gets
-    /// issued and, per source, its remote neighbours' `(owner, local index)`
-    /// in plan order.
-    fn span_gets(pg: &PartitionedGraph, network: NetworkModel) -> (u64, Vec<Vec<(usize, usize)>>) {
-        let windows = GraphWindows::build(pg);
-        let config = DistConfig::cached(pg.ranks(), 1 << 20);
-        let (reader, _) = RowReader::new(&windows, &config, pg.global_vertex_count());
-        let mut ep = Endpoint::new(0, pg.ranks(), network);
-        ep.lock_all();
-        let mut spans = OffsetSpans::default();
-        let part = &pg.partitions[0];
-        let mut needed = Vec::new();
-        for local_idx in 0..part.local_vertex_count() {
-            let adj_u = part.neighbours_of_local(local_idx);
-            reader
-                .read_spans(&mut ep, &pg.partitioner, adj_u, &mut spans)
-                .unwrap();
-            let mut rows = Vec::new();
-            for (k, &v) in adj_u.iter().enumerate() {
-                let (owner, idx) = (pg.partitioner.owner(v), pg.partitioner.local_index(v));
-                if owner != 0 {
-                    let offsets = pg.partitions[owner].csr.offsets();
-                    let pair = (offsets[idx] as usize, offsets[idx + 1] as usize);
-                    assert_eq!(spans.pair(k), pair, "edge ({local_idx}, {v})");
-                    rows.push((owner, idx));
-                }
-            }
-            rows.sort_unstable();
-            needed.push(rows);
-        }
-        ep.unlock_all();
-        (ep.stats().gets, needed)
-    }
-
-    /// Spans the plan opens for one source: one per owner, plus one per gap
-    /// between consecutive rows of an owner that `split` says to cut.
-    fn planned(rows: &[(usize, usize)], split: impl Fn(usize, usize) -> bool) -> u64 {
-        let opened = |w: &[(usize, usize)]| w[0].0 != w[1].0 || split(w[0].1, w[1].1);
-        u64::from(!rows.is_empty()) + rows.windows(2).filter(|w| opened(w)).count() as u64
-    }
-
-    #[test]
-    fn span_gets_follow_the_network_model() {
-        let g = RmatGenerator::paper(8, 8).generate_cleaned(3).into_csr();
-        for scheme in [PartitionScheme::Block1D, PartitionScheme::Cyclic] {
-            let pg = PartitionedGraph::from_global(&g, scheme, 3).unwrap();
-            // Free bytes and free gets: one span per (source, owner).
-            let (gets, needed) = span_gets(&pg, NetworkModel::zero());
-            let per_owner: u64 = needed.iter().map(|rows| planned(rows, |_, _| false)).sum();
-            assert_eq!(gets, per_owner, "{scheme:?}");
-            // Free gets, priced bytes: a gap that leaves a word unread splits.
-            let bytes_only = NetworkModel {
-                alpha_ns: 0.0,
-                ..NetworkModel::aries()
-            };
-            let (gets, needed) = span_gets(&pg, bytes_only);
-            let split: u64 = needed
-                .iter()
-                .map(|rows| planned(rows, |p, q| q > p + 2))
-                .sum();
-            assert_eq!(gets, split, "{scheme:?}");
-            assert!(split > per_owner, "{scheme:?}: some gap must split");
-            // Aries: exactly the spans the rule plans, between the two.
-            let aries = NetworkModel::aries();
-            let (gets, needed) = span_gets(&pg, aries);
-            let rule: u64 = needed
-                .iter()
-                .map(|rows| planned(rows, |p, q| !spans_join(&aries, pairs_gap_bytes(p, q))))
-                .sum();
-            assert_eq!(gets, rule, "{scheme:?}");
-            assert!((per_owner..=split).contains(&rule), "{scheme:?}");
-        }
-    }
-
     #[test]
     fn the_split_rule_prices_gap_bytes_against_one_get() {
         let aries = NetworkModel::aries();
         // 0.1 ns/B against α = 2 500 ns: gaps of up to 25 000 unread bytes
-        // pay for themselves — 3 125 offsets words, 6 250 adjacency words.
-        assert!(spans_join(&aries, pairs_gap_bytes(10, 10 + 2 + 3_125)));
-        assert!(!spans_join(&aries, pairs_gap_bytes(10, 10 + 2 + 3_126)));
+        // pay for themselves — 6 250 adjacency words.
         assert!(spans_join(&aries, 4 * 6_250));
         assert!(!spans_join(&aries, 4 * 6_251));
-        // Adjacent pairs share a word; duplicates overlap entirely.
-        assert_eq!(pairs_gap_bytes(4, 4), 0);
-        assert_eq!(pairs_gap_bytes(4, 5), 0);
-        assert_eq!(pairs_gap_bytes(4, 6), 0);
-        assert_eq!(pairs_gap_bytes(4, 7), 8);
         // Free gets: only a gap of no bytes joins.
         let bytes_only = NetworkModel {
             alpha_ns: 0.0,
@@ -907,111 +730,6 @@ mod tests {
         (pg, reader)
     }
 
-    #[test]
-    fn key_spans_match_per_key_offsets_reads() {
-        // The service's keyed span read returns, key for key, the pair each
-        // key reads alone, in one get per span of the join rule:
-        // under Aries, where each owner's keys join into one span, and under
-        // a network whose α is below 8·β, where only rows at most two local
-        // indices apart share a span.
-        let (pg, reader) = four_ranks();
-        let aries = NetworkModel::aries();
-        let tight = NetworkModel {
-            alpha_ns: 0.5,
-            beta_ns_per_byte: 0.1,
-            ..aries
-        };
-        let whole_owners = |_: usize, _: usize| false;
-        let two_apart = |p: usize, q: usize| q > p + 2;
-        let mut state = 0x9e37_79b9_7f4a_7c15;
-        let (mut words, mut pairs) = (Vec::new(), Vec::new());
-        for _ in 0..8 {
-            let keys = random_keys(&pg, &mut state);
-            for (network, split) in [
-                (aries, &whole_owners as &dyn Fn(_, _) -> _),
-                (tight, &two_apart),
-            ] {
-                let spans = planned(&keys, |p, q| !spans_join(&network, pairs_gap_bytes(p, q)));
-                assert_eq!(spans, planned(&keys, split));
-                let (mut ep, mut alone) =
-                    (Endpoint::new(0, 4, network), Endpoint::new(0, 4, network));
-                ep.lock_all();
-                alone.lock_all();
-                reader.read_key_spans(&mut ep, &keys, &mut words, &mut pairs);
-                assert_eq!(pairs.len(), keys.len());
-                for (&(owner, idx), pair) in keys.iter().zip(pairs.drain(..)) {
-                    let want = read_pair(&reader, &mut alone, owner, idx).unwrap();
-                    assert_eq!(pair.unwrap(), want, "row {idx} of rank {owner}");
-                }
-                ep.unlock_all();
-                alone.unlock_all();
-                assert_eq!(ep.stats().gets, spans);
-                assert!(spans < keys.len() as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn a_failed_span_fails_only_its_keys() {
-        // With no retries, each span is one attempt. Under an unrecoverable
-        // plan every key returns its span's error; when half the attempts
-        // fail, the keys of one span share its outcome and every success is
-        // the right pair. Nothing panics either way.
-        let (pg, reader) = four_ranks();
-        let tight = NetworkModel {
-            alpha_ns: 0.5,
-            beta_ns_per_byte: 0.1,
-            ..NetworkModel::aries()
-        };
-        let keys = random_keys(&pg, &mut 0x2545_f491_4f6c_dd1d);
-        // Span number of each key, under the join rule.
-        let span_of: Vec<usize> = std::iter::once(0)
-            .chain(keys.windows(2).scan(0, |span, w| {
-                let join = spans_join(&tight, pairs_gap_bytes(w[0].1, w[1].1));
-                *span += usize::from(w[0].0 != w[1].0 || !join);
-                Some(*span)
-            }))
-            .collect();
-        let spans = span_of[span_of.len() - 1] as u64 + 1;
-        let (mut words, mut pairs) = (Vec::new(), Vec::new());
-        let mut alone = Endpoint::new(0, 4, tight);
-        alone.lock_all();
-        let coin = FaultPlan {
-            get_failure_p: 0.5,
-            ..FaultPlan::reliable(11)
-        };
-        for plan in [FaultPlan::unrecoverable(7), coin] {
-            let mut ep = Endpoint::new(0, 4, tight)
-                .with_retry(RetryPolicy::no_retries())
-                .with_faults(plan.injector(0));
-            ep.lock_all();
-            reader.read_key_spans(&mut ep, &keys, &mut words, &mut pairs);
-            ep.unlock_all();
-            assert_eq!(pairs.len(), keys.len());
-            // Whether each span failed, as its first key says.
-            let mut outcome = vec![None; spans as usize];
-            for ((&(owner, idx), pair), &span) in keys.iter().zip(&pairs).zip(&span_of) {
-                let first = *outcome[span].get_or_insert(pair.is_err());
-                assert_eq!(first, pair.is_err(), "span {span} split its outcome");
-                if let Ok(pair) = pair {
-                    assert_eq!(*pair, read_pair(&reader, &mut alone, owner, idx).unwrap());
-                }
-            }
-            let failed = outcome.iter().filter(|f| **f == Some(true)).count() as u64;
-            assert_eq!(ep.stats().transient_failures, failed, "{plan:?}");
-            assert_eq!(ep.stats().gets, spans - failed, "{plan:?}");
-            if plan.is_recoverable() {
-                assert!(
-                    0 < failed && failed < spans,
-                    "{plan:?}: {failed} of {spans}"
-                );
-            } else {
-                assert_eq!(failed, spans);
-            }
-        }
-        alone.unlock_all();
-    }
-
     /// Whether `row`, as stored under `storage`, is the plain row `want`.
     fn is_row(storage: GraphStorage, row: &[VertexId], want: &[VertexId]) -> bool {
         match storage {
@@ -1022,6 +740,17 @@ mod tests {
                 decoded == want
             }
         }
+    }
+
+    /// The owners of the sorted `keys` whose offsets window `offsets` does not
+    /// hold yet: the window reads a batch of `keys` attempts.
+    fn unheld_owners(offsets: &OwnerOffsets, keys: &[(usize, usize)]) -> u64 {
+        let mut owners: Vec<usize> = keys.iter().map(|&(owner, _)| owner).collect();
+        owners.dedup();
+        owners
+            .iter()
+            .filter(|&&owner| offsets.0[owner].is_none())
+            .count() as u64
     }
 
     /// Row spans the join rule plans under `network` over `(owner, start,
@@ -1038,10 +767,11 @@ mod tests {
         // Random sorted keys on a 4-rank R-MAT-8, read with both gets of the
         // batch: every row is its owner's partition row, under both storages,
         // without a cache and through an eviction-heavy one, fault-free and
-        // under a heavy plan with retries. Fault-free, the gets are the
-        // offsets spans plus the row spans the join rule plans over the rows
-        // that crossed the network — every non-empty row not served from the
-        // cache — under Aries, a free network and free gets with priced bytes.
+        // under a heavy plan with retries. Fault-free, the gets are one per
+        // owner whose offsets window the rank does not hold yet, plus the row
+        // spans the join rule plans over the rows that crossed the network —
+        // every non-empty row not served from the cache — under Aries, a free
+        // network and free gets with priced bytes.
         let g = RmatGenerator::paper(8, 8).generate_cleaned(3).into_csr();
         let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 4).unwrap();
         let aries = NetworkModel::aries();
@@ -1077,37 +807,29 @@ mod tests {
                         RowReader::new(&windows, &config, pg.global_vertex_count());
                     let mut ep = rank_endpoint(0, &config);
                     ep.lock_all();
-                    let (mut words, mut pairs) = (Vec::new(), Vec::new());
+                    let mut offsets = OwnerOffsets::new(4);
                     let (mut landing, mut rows) = (Vec::new(), Vec::new());
                     let (mut crossed, mut saved) = (0, 0);
                     for _round in 0..4 {
                         let keys = random_keys(&pg, &mut state);
-                        let gets = ep.stats().gets;
-                        reader.read_key_spans(&mut ep, &keys, &mut words, &mut pairs);
-                        reader.read_key_rows(
-                            &mut ep,
-                            &mut cache,
-                            &keys,
-                            &pairs,
-                            &mut landing,
-                            &mut rows,
-                        );
+                        let (gets, copies) = (ep.stats().gets, unheld_owners(&offsets, &keys));
+                        let (ep, cache, offsets) = (&mut ep, &mut cache, &mut offsets);
+                        reader.read_key_rows(ep, cache, offsets, &keys, &mut landing, &mut rows);
                         assert_eq!(rows.len(), keys.len(), "{what}");
                         let mut network_rows = Vec::new();
-                        for ((&(owner, idx), pair), row) in keys.iter().zip(&pairs).zip(&rows) {
+                        for (&(owner, idx), row) in keys.iter().zip(&rows) {
                             let row = row.as_ref().expect(&what);
                             let want = pg.partitions[owner].neighbours_of_local(idx);
                             assert!(is_row(storage, row, want), "{what}: row {idx} of {owner}");
-                            let (start, end) = *pair.as_ref().unwrap();
+                            let words = windows.offsets.local_part(owner);
+                            let (start, end) = (words[idx] as usize, words[idx + 1] as usize);
                             if end > start && !matches!(row, RowRef::Cached(_)) {
                                 network_rows.push((owner, start, end));
                             }
                         }
                         if faults.is_none() {
-                            let offsets =
-                                planned(&keys, |p, q| !spans_join(&network, pairs_gap_bytes(p, q)));
                             let spans = row_spans(&network, &network_rows);
-                            assert_eq!(ep.stats().gets - gets, offsets + spans, "{what}");
+                            assert_eq!(ep.stats().gets - gets, copies + spans, "{what}");
                             crossed += network_rows.len() as u64;
                             saved += network_rows.len() as u64 - spans;
                         }
@@ -1135,10 +857,11 @@ mod tests {
 
     #[test]
     fn a_failed_row_span_fails_only_its_keys() {
-        // With no retries, each span of either get is one attempt, and half
-        // the attempts fail. A key whose offsets span failed fails its row;
-        // the keys of one row span share its outcome, and every success is
-        // the owner's row. Every span is attempted exactly once.
+        // With no retries, each offsets window read and each row span is one
+        // attempt, and half the attempts fail. A failed window read fails
+        // every key of its owner in the batch, and the next batch reads it
+        // again; the keys of one row span share its outcome, and every
+        // success is the owner's row. Every read is attempted exactly once.
         let (pg, reader) = four_ranks();
         let tight = NetworkModel {
             alpha_ns: 0.5,
@@ -1153,21 +876,28 @@ mod tests {
             .with_retry(RetryPolicy::no_retries())
             .with_faults(coin.injector(0));
         ep.lock_all();
-        let (mut words, mut pairs) = (Vec::new(), Vec::new());
+        let mut offsets = OwnerOffsets::new(4);
         let (mut landing, mut rows) = (Vec::new(), Vec::new());
         let mut state = 0x2545_f491_4f6c_dd1d;
-        let (mut failed, mut attempted) = (0, 0);
+        let (mut failed, mut attempted, mut failed_copies) = (0, 0, 0);
         for _round in 0..4 {
             let keys = random_keys(&pg, &mut state);
-            reader.read_key_spans(&mut ep, &keys, &mut words, &mut pairs);
-            reader.read_key_rows(&mut ep, &mut None, &keys, &pairs, &mut landing, &mut rows);
+            let copies = unheld_owners(&offsets, &keys);
+            let (ep, offsets) = (&mut ep, &mut offsets);
+            reader.read_key_rows(ep, &mut None, offsets, &keys, &mut landing, &mut rows);
+            let still = unheld_owners(offsets, &keys);
+            attempted += copies;
+            failed += still;
+            failed_copies += still;
             // The rows that went to the network, with their outcomes.
             let mut network_rows = Vec::new();
-            for ((&(owner, idx), pair), row) in keys.iter().zip(&pairs).zip(&rows) {
-                let Ok((start, end)) = *pair else {
+            for (&(owner, idx), row) in keys.iter().zip(&rows) {
+                if offsets.0[owner].is_none() {
                     assert!(row.is_err(), "row {idx} of {owner} without its pair");
                     continue;
-                };
+                }
+                let words = pg.partitions[owner].csr.offsets();
+                let (start, end) = (words[idx] as usize, words[idx + 1] as usize);
                 match row {
                     Ok(row) => {
                         let want = pg.partitions[owner].neighbours_of_local(idx);
@@ -1189,12 +919,62 @@ mod tests {
                     failed += u64::from(err);
                 }
             }
-            attempted += planned(&keys, |p, q| !spans_join(&tight, pairs_gap_bytes(p, q)));
         }
         ep.unlock_all();
         assert!(0 < failed && failed < attempted, "{failed} of {attempted}");
+        assert!(failed_copies > 0, "no offsets window read failed");
         let stats = ep.stats();
         assert_eq!(stats.gets + stats.transient_failures, attempted);
+    }
+
+    #[test]
+    fn a_failed_copy_is_not_kept() {
+        // With no retries, each offsets window read is one attempt, and half
+        // the attempts fail. A failed `pair` leaves its owner's slot empty,
+        // so the next call reads the window again; once the copy is held,
+        // every pair of that owner is the owner's and issues no get. The
+        // rank's own pairs never issue one.
+        let (pg, reader) = four_ranks();
+        let coin = FaultPlan {
+            get_failure_p: 0.5,
+            ..FaultPlan::reliable(11)
+        };
+        let mut ep = Endpoint::new(0, 4, NetworkModel::aries())
+            .with_retry(RetryPolicy::no_retries())
+            .with_faults(coin.injector(0));
+        ep.lock_all();
+        let mut offsets = OwnerOffsets::new(4);
+        let attempts = |ep: &Endpoint| ep.stats().gets + ep.stats().transient_failures;
+        let mut failures = 0;
+        for owner in 0..4 {
+            let words = pg.partitions[owner].csr.offsets();
+            let want = |idx: usize| (words[idx] as usize, words[idx + 1] as usize);
+            if owner != 0 {
+                loop {
+                    let before = attempts(&ep);
+                    let pair = reader.pair(&mut ep, &mut offsets, owner, 0);
+                    assert_eq!(attempts(&ep), before + 1, "owner {owner}");
+                    match pair {
+                        Ok(pair) => break assert_eq!(pair, want(0)),
+                        Err(_) => failures += 1,
+                    }
+                    assert!(offsets.0[owner].is_none(), "a failed copy was kept");
+                }
+            }
+            let before = attempts(&ep);
+            for idx in 0..pg.partitions[owner].local_vertex_count() {
+                let pair = reader.pair(&mut ep, &mut offsets, owner, idx).unwrap();
+                assert_eq!(pair, want(idx), "row {idx} of {owner}");
+            }
+            assert_eq!(
+                attempts(&ep),
+                before,
+                "owner {owner}: a held copy issued a get"
+            );
+        }
+        ep.unlock_all();
+        assert!(failures > 0, "no window read failed");
+        assert!(offsets.0[0].is_none(), "the rank copied its own window");
     }
 
     #[test]
@@ -1210,9 +990,11 @@ mod tests {
         let windows = GraphWindows::build(&pg);
         let (reader, mut cache) = RowReader::new(&windows, &config, pg.global_vertex_count());
         let mut ep = endpoint(&config);
-        // Vertex 6 lives on rank 1 (block [4..8)) and has no neighbours.
+        // Vertex 6 lives on rank 1 (block [4..8)) and has no neighbours: the
+        // one get reads rank 1's offsets window.
         let local_idx = pg.partitioner.local_index(6);
-        let got = read_row(&reader, &mut ep, &mut cache, 1, local_idx).unwrap();
+        let mut offsets = OwnerOffsets::new(2);
+        let got = read_row(&reader, &mut ep, &mut cache, &mut offsets, 1, local_idx).unwrap();
         assert!(got.is_empty());
         assert_eq!(ep.stats().gets, 1);
         ep.unlock_all();
@@ -1358,6 +1140,7 @@ mod tests {
                 let mut ep_a = rank_endpoint(0, &config);
                 ep_a.lock_all();
                 let mut ep_b = endpoint(&config);
+                let (mut offsets_a, mut offsets_b) = (OwnerOffsets::new(2), OwnerOffsets::new(2));
                 let mut landing = Vec::new();
                 let mut flying = std::collections::VecDeque::new();
                 for _round in 0..2 {
@@ -1368,9 +1151,11 @@ mod tests {
                                 continue;
                             }
                             let v_local = pg.partitioner.local_index(v);
-                            let row = read_row(&plain_reader, &mut ep_b, &mut no_cache, 1, v_local)
-                                .unwrap();
-                            let pair = read_pair(&reader, &mut ep_a, 1, v_local).unwrap();
+                            let (ep_b, offsets_b) = (&mut ep_b, &mut offsets_b);
+                            let row =
+                                read_row(&plain_reader, ep_b, &mut no_cache, offsets_b, 1, v_local)
+                                    .unwrap();
+                            let pair = reader.pair(&mut ep_a, &mut offsets_a, 1, v_local).unwrap();
                             let expected =
                                 count_closing_at(pg.direction, adj_u, &row, v, k, &intersector);
                             let edge = Edge {

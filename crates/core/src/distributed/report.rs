@@ -137,8 +137,8 @@ impl DistResult {
         CacheStats::merged(self.ranks.iter().filter_map(|r| r.adjacency_cache.as_ref()))
     }
 
-    /// Always `None`: there is no offsets cache — the cached configuration
-    /// reads offsets by span. Kept for callers written against `C_offsets`.
+    /// Always `None`: there is no offsets cache — a rank copies each owner's
+    /// offsets window once. Kept for callers written against `C_offsets`.
     pub fn offsets_cache_totals(&self) -> Option<CacheStats> {
         None
     }

@@ -19,7 +19,7 @@
 //! * [`distributed`] — the fully asynchronous distributed algorithm (Algorithm 3):
 //!   1D partitioning, CSR windows exposed via RMA, the two-get remote-adjacency
 //!   protocol, optional CLaMPI caching of the adjacency window with LRU or
-//!   degree-centrality scores (offsets then read by span), and double buffering
+//!   degree-centrality scores (offsets copied once per owner), and double buffering
 //!   of communication with computation. This is the code path measured in
 //!   Figures 7–10.
 //! * [`reuse`] — the remote-access data-reuse analyses behind Figures 1, 4 and 5.

@@ -4,7 +4,7 @@
 use super::stats::{LatencyPercentiles, ServiceStats};
 use super::{Query, QueryAnswer, QueryId, ServiceConfig, ServiceError};
 use crate::distributed::pipeline::rank_endpoint;
-use crate::distributed::reader::{AdjCache, Edge, EdgeOp, RowReader};
+use crate::distributed::reader::{AdjCache, Edge, EdgeOp, OwnerOffsets, RowReader};
 use crate::distributed::windows::GraphWindows;
 use crate::distributed::worker::ClosingCount;
 use crate::jaccard::{top_k_edges, JaccardPair};
@@ -19,14 +19,15 @@ use std::time::Instant;
 
 /// One rank's resident serving state: a long-lived endpoint (its passive-target
 /// epoch stays open for the engine's lifetime), the reader over the shared
-/// windows, and the rank's CLaMPI cache, which stays warm across batches.
+/// windows, and the rank's CLaMPI cache and offsets copies, which stay warm
+/// across batches.
 struct RankLane {
     ep: Endpoint,
     reader: RowReader,
     cache: AdjCache,
-    /// Where the batch's faulted offsets spans land
-    /// ([`RowReader::read_key_spans`]).
-    words: Vec<u64>,
+    /// The other owners' offsets windows, each read once for the engine's
+    /// life ([`RowReader::pair`]).
+    offsets: OwnerOffsets,
     /// Where the batch's faulted row spans land
     /// ([`RowReader::read_key_rows`]).
     landing: Vec<VertexId>,
@@ -131,7 +132,7 @@ impl QueryEngine {
                     ep,
                     reader,
                     cache,
-                    words: Vec::new(),
+                    offsets: OwnerOffsets::new(dist.ranks),
                     landing: Vec::new(),
                 }
             })
@@ -451,9 +452,9 @@ fn query_edges<'a>(pg: &'a PartitionedGraph, query: &'a Query) -> QueryEdges<'a>
 }
 
 /// Executes the members of one batch assigned to `lane`'s rank: plans the
-/// remote reads (sort + dedup), reads the offsets pairs of all of them by
-/// span ([`RowReader::read_key_spans`]), fetches each unique row once, the
-/// cache's misses by span ([`RowReader::read_key_rows`]), then answers each
+/// remote reads (sort + dedup), fetches each unique row once, its pair from
+/// the lane's offsets copies and the cache's misses by span
+/// ([`RowReader::read_key_rows`]), then answers each
 /// query by folding the batch pipelines' own per-edge operations over the
 /// landed rows, so answers cannot diverge from theirs.
 fn exec_rank_group(
@@ -486,27 +487,24 @@ fn exec_rank_group(
     };
 
     // 2. Fetch each unique row exactly once, with the two-get protocol of
-    // the batch pipelines, each get planned over the sorted keys: their
-    // offsets pairs cost one get per span, then every key is probed in the
-    // cache and the rows left to fetch cost one get per span of the same
-    // join rule (compressed misses record logical vs stored bytes, keeping
-    // the compression win measurable in [`ServiceStats`]). A fetch failure
-    // (retry budget exhausted under an unrecoverable fault plan) is held per
-    // key: a failed span of either get fails the keys inside it, and only
+    // the batch pipelines: each key's pair comes from the lane's copy of its
+    // owner's offsets window (read with one get the first time the lane
+    // needs that owner), then every key is probed in the cache and the rows
+    // left to fetch cost one get per α+β-planned span (compressed misses
+    // record logical vs stored bytes, keeping the compression win measurable
+    // in [`ServiceStats`]). A fetch failure (retry budget exhausted under an
+    // unrecoverable fault plan) is held per key: a failed window read fails
+    // the keys of its owner, a failed row span the keys inside it, and only
     // the queries referencing those rows fail.
     let RankLane {
         ep,
         reader,
         cache,
-        words,
+        offsets,
         landing,
     } = lane;
-    let (mut pairs, mut rows) = (
-        Vec::with_capacity(keys.len()),
-        Vec::with_capacity(keys.len()),
-    );
-    reader.read_key_spans(ep, &keys, words, &mut pairs);
-    reader.read_key_rows(ep, cache, &keys, &pairs, landing, &mut rows);
+    let mut rows = Vec::with_capacity(keys.len());
+    reader.read_key_rows(ep, cache, offsets, &keys, landing, &mut rows);
 
     // 3. Answer each query from the landed rows.
     let landed = Landed {

@@ -76,9 +76,9 @@ pub struct ServiceStats {
     pub virtual_now_ns: f64,
     /// RMA-layer counters merged across all rank endpoints.
     pub rma: RankStats,
-    /// Always `None`: there is no offsets cache (a batch reads its rows'
-    /// offsets pairs by span, uncached). Kept for callers written against
-    /// `C_offsets`.
+    /// Always `None`: there is no offsets cache (a lane takes its rows'
+    /// offsets pairs from one copy of each owner's offsets window). Kept for
+    /// callers written against `C_offsets`.
     pub offsets_cache: Option<CacheStats>,
     /// Adjacency-cache counters merged across ranks (when caching is enabled).
     pub adjacency_cache: Option<CacheStats>,

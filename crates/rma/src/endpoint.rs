@@ -412,10 +412,11 @@ impl Endpoint {
     /// can read it.
     ///
     /// Use this for every faulted read whose buffer nobody retains — the
-    /// non-cached protocol rounds, quarantine-bypass reads, offsets spans —
+    /// non-cached protocol rounds, quarantine-bypass reads, batch row spans —
     /// ([`Endpoint::get_in_place`] when no injector is attached) and
-    /// [`Endpoint::get_with_retry`] when the landed row outlives the call
-    /// (cache admission, a row handed back to the caller).
+    /// [`Endpoint::get_with_retry`] when the landed data outlives the call
+    /// (cache admission, a kept offsets window, a row handed back to the
+    /// caller).
     /// Epochs, fault rolls, checksums, timeouts, retries, statistics and
     /// overlap charging are those of [`Endpoint::get_with_retry`], operation
     /// for operation.

@@ -1,6 +1,6 @@
 //! The distributed pipeline end to end, with every knob spelled out: rank
 //! setup and partitioning, the CLaMPI adjacency cache (`CacheSpec::paper`)
-//! with offsets read by span, degree-centrality eviction scores, double
+//! with each owner's offsets copied once, degree-centrality eviction scores, double
 //! buffering, and the full per-rank statistics report (timing breakdown, RMA
 //! counters, cache statistics).
 //!
@@ -31,11 +31,11 @@ fn main() {
 
     // -- Cache configuration -----------------------------------------------
     // `CacheSpec::paper` gives the budget to C_adj, the CLaMPI cache of the
-    // adjacency window. The cached configuration reads each source's (start,
-    // end) offsets pairs in spans — one get per run of remote neighbours on a
-    // rank, split where a gap costs more bytes than a get — instead of caching
-    // them. Degree-centrality scores protect high-degree (high-reuse) rows
-    // from eviction — the paper's CLaMPI extension.
+    // adjacency window. Instead of caching (start, end) offsets pairs, each
+    // rank reads another rank's whole offsets window with one get the first
+    // time it needs a row there, and takes every later pair from that copy.
+    // Degree-centrality scores protect high-degree (high-reuse) rows from
+    // eviction — the paper's CLaMPI extension.
     let budget = graph.csr_size_bytes() as usize / 2;
     let config = DistConfig {
         ranks,
@@ -91,10 +91,10 @@ fn main() {
     }
 
     // -- Aggregated cache statistics ----------------------------------------
-    // Every get that is not a C_adj miss is an offsets span.
+    // Every get that is not a C_adj miss reads an offsets window.
     let adj = result.adjacency_cache_totals().expect("C_adj enabled");
     let remote: u64 = result.ranks.iter().map(|r| r.remote_edges).sum();
-    let spans = result.total_gets() - adj.misses;
+    let windows = result.total_gets() - adj.misses;
     println!(
         "\nC_adj: {:.1}% hits, {:.1}% compulsory-miss floor, {} evictions",
         100.0 * adj.hit_rate(),
@@ -102,8 +102,8 @@ fn main() {
         adj.evictions()
     );
     println!(
-        "Offsets: {spans} span gets for {remote} remote edges ({:.1} edges per get)",
-        remote as f64 / spans.max(1) as f64
+        "Offsets: {windows} window gets for {remote} remote edges ({:.1} edges per get)",
+        remote as f64 / windows.max(1) as f64
     );
     println!(
         "Longest rank: {:.1} ms modeled ({:.1}% communication), imbalance {:.2}x",

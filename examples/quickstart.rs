@@ -38,7 +38,7 @@ fn main() {
     );
 
     // 4. The same computation with CLaMPI caching of the adjacency window,
-    //    degree-centrality eviction scores and offsets read by span.
+    //    degree-centrality eviction scores and each owner's offsets copied once.
     let cache_budget = graph.csr_size_bytes() as usize / 2;
     let cached = DistLcc::new(DistConfig::cached(8, cache_budget).with_degree_scores()).run(&graph);
     let adj_stats = cached

@@ -108,9 +108,10 @@ fn compulsory_miss_floor_grows_with_rank_count() {
 
 #[test]
 fn offsets_spans_alone_already_save_communication() {
-    // Both modes read each source's offsets pairs by span, so a cached
-    // configuration whose budget leaves `C_adj` nothing is the non-cached
-    // run: the same answers and the same integer statistics. That run issues
+    // Both modes take every offsets pair from the rank's one copy of each
+    // owner's offsets window, so a cached configuration whose budget leaves
+    // `C_adj` nothing is the non-cached run: the same answers and the same
+    // integer statistics. That run issues
     // fewer gets than Algorithm 3's per-edge loop — an offsets get per
     // remote edge and a row get per non-empty row — and models less
     // communication than those gets' α alone.

@@ -176,10 +176,11 @@ fn cached_lcc_heals_corrupted_cache_entries() {
 
 #[test]
 fn offsets_spans_heal_light_plans_to_the_reference_answers() {
-    // The cached configuration reads offsets by span through the same
-    // verified, self-healing get as a single pair: dropped, corrupted and
-    // delayed spans heal to the reference answers — with `C_adj` and without
-    // it (a budget of 0 leaves only the spans), at depth 1 and 8.
+    // The cached configuration reads each owner's offsets window once,
+    // through the same verified, self-healing get as a row: dropped,
+    // corrupted and delayed window reads heal to the reference answers —
+    // with `C_adj` and without it (a budget of 0 leaves only the offsets
+    // copies), at depth 1 and 8.
     let g = graph();
     let expected = rmatc::graph::reference::per_vertex_triangles(&g);
     for seed in chaos_seeds() {

@@ -223,8 +223,8 @@ mod differential {
                     lookups(&a.adjacency_cache),
                     lookups(&b.adjacency_cache)
                 );
-                // The gets that are not `C_adj` misses — offsets spans or
-                // pairs, uncached rows — are planned per source or per edge.
+                // The gets that are not `C_adj` misses — offsets windows,
+                // uncached rows — are fixed per rank or per edge.
                 prop_assert_eq!(
                     a.rma.gets - misses(&a.adjacency_cache),
                     b.rma.gets - misses(&b.adjacency_cache)
@@ -298,13 +298,15 @@ mod differential {
     }
 }
 
-/// The cached edge loop reads offsets by span; reading each remote edge's pair
-/// with its own get (Algorithm 3 verbatim, a one-key span) must see the same
-/// pairs and drive `C_adj` through the same decisions — under every partition
-/// scheme and storage, at depth 1 and 8.
+/// The cached edge loop reads each owner's offsets window once per rank and
+/// takes every pair from that copy: each copied pair must be the owner's
+/// window, and reading each remote edge's row as its own one-key batch must
+/// drive `C_adj` through the same decisions — under every partition scheme
+/// and storage, at depth 1 and 8. Beside its `C_adj` misses a rank issues
+/// one get per other owner at most.
 #[test]
 fn offsets_spans_match_per_edge_pair_reads() {
-    use rmatc::core::distributed::reader::{OffsetSpans, RowReader};
+    use rmatc::core::distributed::reader::{OwnerOffsets, RowReader};
     use rmatc::core::distributed::GraphWindows;
     use rmatc::rma::Endpoint;
 
@@ -325,36 +327,36 @@ fn offsets_spans_match_per_edge_pair_reads() {
                 .with_storage(storage);
             cfg.scheme = scheme;
             let windows = GraphWindows::build_with(&pg, storage);
-            // The per-edge reference, rank by rank: every span pair equals
-            // the pair its own get reads, and the rows read from those pairs
-            // go through a cache of the run's configuration.
+            // The per-edge reference, rank by rank: every copied pair equals
+            // the owner's window, and the rows read from those pairs go
+            // through a cache of the run's configuration.
             let mut per_edge = Vec::new();
             for (rank, part) in pg.partitions.iter().enumerate() {
                 let (reader, mut cache) = RowReader::new(&windows, &cfg, g.vertex_count());
+                let mut offsets = OwnerOffsets::new(ranks);
                 let mut ep = Endpoint::new(rank, ranks, cfg.network);
                 ep.lock_all();
-                let (mut spans, mut words, mut pairs) =
-                    (OffsetSpans::default(), Vec::new(), Vec::new());
                 let (mut landing, mut rows) = (Vec::new(), Vec::new());
                 for local_idx in 0..part.local_vertex_count() {
-                    let adj_u = part.neighbours_of_local(local_idx);
-                    let mut probe = Endpoint::new(rank, ranks, cfg.network);
-                    probe.lock_all();
-                    reader
-                        .read_spans(&mut probe, &pg.partitioner, adj_u, &mut spans)
-                        .unwrap();
-                    probe.unlock_all();
-                    for (k, &v) in adj_u.iter().enumerate() {
-                        let owner = pg.partitioner.owner(v);
+                    for &v in part.neighbours_of_local(local_idx) {
+                        let (owner, idx) = (pg.partitioner.owner(v), pg.partitioner.local_index(v));
                         if owner == rank {
                             continue;
                         }
-                        let key = [(owner, pg.partitioner.local_index(v))];
-                        reader.read_key_spans(&mut ep, &key, &mut words, &mut pairs);
-                        let pair = pairs[0].clone().unwrap();
-                        assert_eq!(spans.pair(k), pair, "{what}: edge ({local_idx}, {v})");
+                        let words = windows.offsets.local_part(owner);
+                        let want = (words[idx] as usize, words[idx + 1] as usize);
+                        let pair = reader.pair(&mut ep, &mut offsets, owner, idx).unwrap();
+                        assert_eq!(pair, want, "{what}: edge ({local_idx}, {v})");
                         let (cache, landing) = (&mut cache, &mut landing);
-                        reader.read_key_rows(&mut ep, cache, &key, &pairs, landing, &mut rows);
+                        let key = [(owner, idx)];
+                        reader.read_key_rows(
+                            &mut ep,
+                            cache,
+                            &mut offsets,
+                            &key,
+                            landing,
+                            &mut rows,
+                        );
                         rows[0].as_ref().unwrap();
                     }
                 }
@@ -366,24 +368,24 @@ fn offsets_spans_match_per_edge_pair_reads() {
                 let result = DistLcc::new(cfg.with_pipeline_depth(depth)).run_partitioned(&pg);
                 let what = format!("{what}, depth {depth}");
                 assert_eq!(result.per_vertex_triangles, expected, "{what}");
-                // Span gets: every get that is not a `C_adj` miss, fixed
-                // per source at any depth.
-                let spans: Vec<u64> = result
+                // Offsets gets: every get that is not a `C_adj` miss, the
+                // same at any depth.
+                let copies: Vec<u64> = result
                     .ranks
                     .iter()
                     .map(|r| r.rma.gets - r.adjacency_cache.as_ref().unwrap().misses)
                     .collect();
                 assert_eq!(
-                    *planned.get_or_insert_with(|| spans.clone()),
-                    spans,
+                    *planned.get_or_insert_with(|| copies.clone()),
+                    copies,
                     "{what}"
                 );
                 for (report, reference) in result.ranks.iter().zip(&per_edge) {
                     let adj = report.adjacency_cache.as_ref().unwrap();
                     assert_eq!(adj, reference, "{what}, rank {}", report.rank);
                     assert!(
-                        report.rma.gets - adj.misses < report.remote_edges,
-                        "{what}: spans must save gets over one pair per edge"
+                        report.rma.gets - adj.misses < ranks as u64,
+                        "{what}: a rank reads each other owner's offsets once at most"
                     );
                 }
             }
@@ -448,9 +450,10 @@ fn in_place_reads_match_landed_reads() {
 }
 
 /// The non-cached loop by hand: rank 0's one source has three remote
-/// neighbours on consecutive rows of rank 1, so their offsets pairs share
-/// one span — one get — and each non-empty row is one get more. The edge
-/// `0 → 6` reaches an empty row, which needs no second get.
+/// neighbours on rank 1, so their offsets pairs come from one copy of rank
+/// 1's offsets window — one get of its five words — and each non-empty row
+/// is one get more. The edge `0 → 6` reaches an empty row, which needs no
+/// second get.
 #[test]
 fn a_source_whose_neighbours_share_a_span_pays_one_offsets_get() {
     use rmatc::core::distributed::worker::run_worker;
@@ -467,12 +470,12 @@ fn a_source_whose_neighbours_share_a_span_pays_one_offsets_get() {
     let out = run_worker(0, &pg, &windows, &config).unwrap();
     let non_empty_remote_rows = 2; // rows of 4 and 5; 6 has none
     assert_eq!(out.rma.gets, 1 + non_empty_remote_rows);
-    // The span reads rows 0..=2 of rank 1: their three pairs, four words.
+    // The copy is rank 1's whole window: four rows, five words.
     let row_bytes: u64 = [4u32, 5]
         .iter()
         .map(|&v| 4 * g.neighbours(v).len() as u64)
         .sum();
-    assert_eq!(out.rma.bytes, 4 * 8 + row_bytes);
+    assert_eq!(out.rma.bytes, 5 * 8 + row_bytes);
 }
 
 #[test]

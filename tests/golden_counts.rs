@@ -41,6 +41,16 @@
 //! follows the budget (`n · f²`), and in a table of a few dozen slots the
 //! new modulus lands hot rows on colliding slots (225 conflict evictions
 //! where there were 71). Answers did not move.
+//!
+//! The `rma` columns were re-pinned a third time, on purpose, when the
+//! offsets spans were deleted: a rank now reads each other owner's whole
+//! offsets window with one get the first time it needs a row there, and
+//! takes every later pair from that copy. Each rank's gets became its
+//! `C_adj` misses plus one (rank 0 at 1 MiB plain: 170 → 91 = 90 misses + 1
+//! window), and its bytes the cache's network bytes plus the other rank's
+//! window (33 324 → 3 836 = 3 108 + 91 words of 8 bytes). Every `C_adj`
+//! counter, `local_reads` and every answer stayed as recorded; the test
+//! checks both identities beside the literals.
 
 use rmatc::clampi::CacheStats;
 use rmatc::core::distributed::worker::run_worker;
@@ -112,18 +122,18 @@ const GOLDEN: &[Golden] = &[
         lcc: [
             LccRank {
                 adjacency: [481, 90, 90, 0, 0, 0, 41148, 3108, 0, 0, 0, 0, 0, 0],
-                rma: [170, 33324, 170, 481, 0, 170, 0, 33324, 0],
+                rma: [91, 3836, 91, 481, 0, 91, 0, 3836, 0],
                 triangles: 9494,
             },
             LccRank {
                 adjacency: [489, 82, 80, 0, 2, 0, 99616, 7024, 0, 0, 116, 0, 0, 0],
-                rma: [172, 44448, 172, 489, 172, 0, 44448, 0, 0],
+                rma: [83, 7760, 83, 489, 83, 0, 7760, 0, 0],
                 triangles: 2806,
             },
         ],
         jaccard: [
-            [170, 33324, 170, 481, 0, 170, 0, 33324, 0],
-            [172, 44448, 172, 489, 172, 0, 44448, 0, 0],
+            [91, 3836, 91, 481, 0, 91, 0, 3836, 0],
+            [83, 7760, 83, 489, 83, 0, 7760, 0, 0],
         ],
     },
     Golden {
@@ -132,18 +142,18 @@ const GOLDEN: &[Golden] = &[
         lcc: [
             LccRank {
                 adjacency: [481, 90, 90, 0, 0, 0, 13316, 1788, 0, 0, 0, 0, 3108, 1788],
-                rma: [170, 32004, 170, 481, 0, 170, 0, 32004, 0],
+                rma: [91, 2516, 91, 481, 0, 91, 0, 2516, 0],
                 triangles: 9494,
             },
             LccRank {
                 adjacency: [491, 80, 80, 0, 0, 0, 20480, 2220, 0, 0, 0, 0, 6908, 2220],
-                rma: [170, 39644, 170, 491, 170, 0, 39644, 0, 0],
+                rma: [81, 2956, 81, 491, 81, 0, 2956, 0, 0],
                 triangles: 2806,
             },
         ],
         jaccard: [
-            [170, 32004, 170, 481, 0, 170, 0, 32004, 0],
-            [170, 39644, 170, 491, 170, 0, 39644, 0, 0],
+            [91, 2516, 91, 481, 0, 91, 0, 2516, 0],
+            [81, 2956, 81, 491, 81, 0, 2956, 0, 0],
         ],
     },
     Golden {
@@ -152,18 +162,18 @@ const GOLDEN: &[Golden] = &[
         lcc: [
             LccRank {
                 adjacency: [480, 91, 90, 0, 1, 0, 13300, 1804, 0, 0, 16, 0, 3132, 1804],
-                rma: [171, 32020, 171, 480, 0, 171, 0, 32020, 0],
+                rma: [92, 2532, 92, 480, 0, 92, 0, 2532, 0],
                 triangles: 9494,
             },
             LccRank {
                 adjacency: [491, 80, 80, 0, 0, 0, 20480, 2220, 0, 0, 0, 0, 6908, 2220],
-                rma: [170, 39644, 170, 491, 170, 0, 39644, 0, 0],
+                rma: [81, 2956, 81, 491, 81, 0, 2956, 0, 0],
                 triangles: 2806,
             },
         ],
         jaccard: [
-            [171, 32020, 171, 480, 0, 171, 0, 32020, 0],
-            [170, 39644, 170, 491, 170, 0, 39644, 0, 0],
+            [92, 2532, 92, 480, 0, 92, 0, 2532, 0],
+            [81, 2956, 81, 491, 81, 0, 2956, 0, 0],
         ],
     },
     Golden {
@@ -172,18 +182,18 @@ const GOLDEN: &[Golden] = &[
         lcc: [
             LccRank {
                 adjacency: [410, 161, 90, 0, 105, 0, 39360, 4896, 0, 0, 2280, 0, 0, 0],
-                rma: [241, 35112, 241, 410, 0, 241, 0, 35112, 0],
+                rma: [162, 5624, 162, 410, 0, 162, 0, 5624, 0],
                 triangles: 9494,
             },
             LccRank {
                 adjacency: [319, 252, 80, 133, 3, 95, 86132, 20508, 0, 0, 7480, 95, 0, 0],
-                rma: [342, 57932, 342, 319, 342, 0, 57932, 0, 0],
+                rma: [253, 21244, 253, 319, 253, 0, 21244, 0, 0],
                 triangles: 2806,
             },
         ],
         jaccard: [
-            [241, 35112, 241, 410, 0, 241, 0, 35112, 0],
-            [342, 57932, 342, 319, 342, 0, 57932, 0, 0],
+            [162, 5624, 162, 410, 0, 162, 0, 5624, 0],
+            [253, 21244, 253, 319, 253, 0, 21244, 0, 0],
         ],
     },
     Golden {
@@ -192,18 +202,18 @@ const GOLDEN: &[Golden] = &[
         lcc: [
             LccRank {
                 adjacency: [309, 262, 90, 0, 225, 0, 9552, 5552, 0, 0, 4676, 0, 11396, 5552],
-                rma: [342, 35768, 342, 309, 0, 342, 0, 35768, 0],
+                rma: [263, 6280, 263, 309, 0, 263, 0, 6280, 0],
                 triangles: 9494,
             },
             LccRank {
                 adjacency: [425, 146, 80, 0, 86, 0, 18716, 3984, 0, 0, 2212, 0, 12188, 3984],
-                rma: [236, 41408, 236, 425, 236, 0, 41408, 0, 0],
+                rma: [147, 4720, 147, 425, 147, 0, 4720, 0, 0],
                 triangles: 2806,
             },
         ],
         jaccard: [
-            [342, 35768, 342, 309, 0, 342, 0, 35768, 0],
-            [236, 41408, 236, 425, 236, 0, 41408, 0, 0],
+            [263, 6280, 263, 309, 0, 263, 0, 6280, 0],
+            [147, 4720, 147, 425, 147, 0, 4720, 0, 0],
         ],
     },
 ];
@@ -233,6 +243,32 @@ fn the_edge_loop_reproduces_the_sequential_workers_counts() {
                     "{what}, rank {rank}"
                 );
                 assert_eq!(rank_counts(&out.rma), expected.rma, "{what}, rank {rank}");
+                // Beside its `C_adj` misses, a rank reads each other owner
+                // it needs a row of once: that owner's whole offsets window.
+                let owners_read: Vec<usize> = (0..pg.ranks())
+                    .filter(|&owner| owner != rank)
+                    .filter(|&owner| {
+                        let part = &pg.partitions[rank];
+                        (0..part.local_vertex_count()).any(|idx| {
+                            let row = part.neighbours_of_local(idx);
+                            row.iter().any(|&v| pg.partitioner.owner(v) == owner)
+                        })
+                    })
+                    .collect();
+                let window_bytes: u64 = owners_read
+                    .iter()
+                    .map(|&owner| 8 * (pg.partitions[owner].local_vertex_count() as u64 + 1))
+                    .sum();
+                assert_eq!(
+                    out.rma.gets,
+                    adjacency.misses + owners_read.len() as u64,
+                    "{what}, rank {rank}"
+                );
+                assert_eq!(
+                    out.rma.bytes,
+                    adjacency.bytes_from_network + window_bytes,
+                    "{what}, rank {rank}"
+                );
                 assert_eq!(out.local_triangles.iter().sum::<u64>(), expected.triangles);
                 for (local_idx, &gv) in pg.partitions[rank].global_ids.iter().enumerate() {
                     assert_eq!(

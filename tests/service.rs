@@ -610,11 +610,12 @@ fn one_batch_answers_every_drained_query_in_admission_order() {
 
 #[test]
 fn a_batch_reads_one_owners_close_offsets_pairs_in_one_get() {
-    // Five remote rows on rank 1, all within the join distance of Aries
-    // (gaps of up to 3 125 unread words pay for themselves): their offsets
-    // pairs are one span, so the batch costs one offsets get — not one per
-    // row — plus one adjacency get per span the same α+β rule plans over
-    // the non-empty rows' `(start, end)` pairs in the adjacency window.
+    // Five remote rows on rank 1: their offsets pairs come from the lane's
+    // copy of rank 1's offsets window, so the first batch costs one offsets
+    // get — not one per row — plus one adjacency get per span the α+β rule
+    // plans over the non-empty rows' `(start, end)` pairs in the adjacency
+    // window. The lane keeps the copy, so the same batch again costs only
+    // its row spans.
     let g = RmatGenerator::paper(7, 8).generate_cleaned(77).into_csr();
     let mut engine = QueryEngine::new(&g, ServiceConfig::new(DistConfig::non_cached(2))).unwrap();
     let pg = engine.partitioned_graph();
@@ -634,7 +635,6 @@ fn a_batch_reads_one_owners_close_offsets_pairs_in_one_get() {
         .filter(|&v| pg.partitioner.owner(v) == 1)
         .take(5)
         .collect();
-    assert!(pg.partitions[1].local_vertex_count() <= 3_125);
     // The rows' pairs in rank 1's adjacency window, of the engine's storage.
     let dist = engine.config().dist;
     let windows = GraphWindows::build_with(pg, dist.storage);
@@ -648,19 +648,27 @@ fn a_batch_reads_one_owners_close_offsets_pairs_in_one_get() {
     let opens = |w: &[(u64, u64)]| !spans_join(&dist.network, 4 * (w[1].0 - w[0].1) as usize);
     let row_spans =
         u64::from(!rows.is_empty()) + rows.windows(2).filter(|w| opens(w)).count() as u64;
-    for &v in &remote {
-        engine.submit(Query::CommonNeighbors { u, v }).unwrap();
-    }
-    let responses = engine.run_batch();
-    assert_eq!(responses.len(), 5);
     let (map, lcc) = baselines(&g, 2);
-    for response in &responses {
-        let want = expected_answer(response.query, &map, &lcc);
-        assert_eq!(response.result.as_ref().unwrap(), &want);
+    for (batch, offsets_gets) in [(1, 1), (2, 0)] {
+        let gets = engine.stats().rma.gets;
+        for &v in &remote {
+            engine.submit(Query::CommonNeighbors { u, v }).unwrap();
+        }
+        let responses = engine.run_batch();
+        assert_eq!(responses.len(), 5);
+        for response in &responses {
+            let want = expected_answer(response.query, &map, &lcc);
+            assert_eq!(response.result.as_ref().unwrap(), &want);
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.unique_row_reads, 5 * batch);
+        let batch_gets = stats.rma.gets - gets;
+        assert_eq!(
+            batch_gets,
+            offsets_gets + row_spans,
+            "batch {batch}: {stats:?}"
+        );
     }
-    let stats = engine.stats();
-    assert_eq!(stats.unique_row_reads, 5);
-    assert_eq!(stats.rma.gets, 1 + row_spans, "{stats:?}");
 }
 
 #[test]

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use rmatc::clampi::{CacheStats, RowRef};
-use rmatc::core::distributed::reader::{AdjCache, Edge, OffsetSpans, RowReader};
+use rmatc::core::distributed::reader::{AdjCache, Edge, OwnerOffsets, RowReader};
 use rmatc::core::distributed::worker::{run_worker, ClosingCount};
 use rmatc::core::distributed::{CacheSpec, DistConfig, GraphWindows};
 use rmatc::core::intersect::{CostModel, IntersectMethod, Intersector};
@@ -89,19 +89,20 @@ fn base_config(ranks: usize) -> DistConfig {
     }
 }
 
-/// Both gets of one row as a one-key batch, one pair per row: the offsets
-/// pair (a one-key span, the single two-word get of Algorithm 3), then the
-/// row.
+/// Both gets of one row as a one-key batch: the offsets pair from the rank's
+/// copy of the owner's window (read with one get the first time), then the
+/// row — the single row get of Algorithm 3.
 fn read_row<'r>(
     reader: &'r RowReader,
     ep: &mut Endpoint,
     cache: &mut AdjCache,
+    offsets: &mut OwnerOffsets,
     target: usize,
     idx: usize,
 ) -> Result<RowRef<'r, u32>, RmaError> {
-    let (key, mut pairs, mut rows) = ((target, idx), Vec::new(), Vec::new());
-    reader.read_key_spans(ep, &[key], &mut Vec::new(), &mut pairs);
-    reader.read_key_rows(ep, cache, &[key], &pairs, &mut Vec::new(), &mut rows);
+    let mut rows = Vec::new();
+    let key = [(target, idx)];
+    reader.read_key_rows(ep, cache, offsets, &key, &mut Vec::new(), &mut rows);
     rows.remove(0)
 }
 
@@ -121,8 +122,8 @@ fn cache_stats(cache: &AdjCache) -> Option<CacheStats> {
 /// The pre-zero-copy worker, reconstructed — the test-side reference of the
 /// edge loop: reads every remote row into an owned buffer first (a one-key
 /// `RowReader::read_key_rows` batch per edge, waiting for every get), then
-/// intersects; each source's offsets pairs are read by span first, as the
-/// edge loop does. Protocol order, cache interception and endpoint charging
+/// intersects; each pair comes from the rank's copy of the owner's offsets
+/// window, as in the edge loop. Protocol order, cache interception and endpoint charging
 /// are identical, so every observable statistic must match the edge loop at
 /// depth 1.
 fn materializing_worker(
@@ -137,14 +138,11 @@ fn materializing_worker(
     let intersector = Intersector::new(config.method);
     let direction = pg.direction;
     let mut triangles = vec![0u64; part.local_vertex_count()];
-    let mut spans = OffsetSpans::default();
+    let mut offsets = OwnerOffsets::new(pg.ranks());
     let (mut landing, mut rows) = (Vec::new(), Vec::new());
     ep.lock_all();
     for (local_idx, slot) in triangles.iter_mut().enumerate() {
         let adj_u = part.neighbours_of_local(local_idx);
-        reader
-            .read_spans(&mut ep, &pg.partitioner, adj_u, &mut spans)
-            .expect("no faults injected");
         for (k, &v) in adj_u.iter().enumerate() {
             let owner = pg.partitioner.owner(v);
             let v_local = pg.partitioner.local_index(v);
@@ -152,12 +150,11 @@ fn materializing_worker(
                 let adj_v = part.neighbours_of_local(v_local);
                 count_closing_at(direction, adj_u, adj_v, v, k, &intersector)
             } else {
-                let (key, pair) = ((owner, v_local), Ok(spans.pair(k)));
                 reader.read_key_rows(
                     &mut ep,
                     &mut cache,
-                    &[key],
-                    &[pair],
+                    &mut offsets,
+                    &[(owner, v_local)],
                     &mut landing,
                     &mut rows,
                 );
@@ -230,17 +227,16 @@ fn cache_hits_and_local_reads_allocate_nothing() {
     let mut ep = Endpoint::new(0, 2, config.network);
     ep.lock_all();
     let reads = pg.partitions[1].local_vertex_count().min(40);
-    let (mut words, mut pairs) = (Vec::new(), Vec::new());
+    let mut offsets = OwnerOffsets::new(2);
     let (mut landing, mut rows) = (Vec::new(), Vec::new());
     // A one-key batch over the caller's reusable buffers.
     let mut read = |ep: &mut Endpoint, cache: &mut AdjCache, target: usize, idx: usize| {
         let key = [(target, idx)];
-        reader.read_key_spans(ep, &key, &mut words, &mut pairs);
-        reader.read_key_rows(ep, cache, &key, &pairs, &mut landing, &mut rows);
+        reader.read_key_rows(ep, cache, &mut offsets, &key, &mut landing, &mut rows);
         rows.pop().unwrap().unwrap()
     };
-    // Warm: fetch and cache every row and grow the span and row buffers
-    // (allocations expected here).
+    // Warm: copy rank 1's offsets window, fetch and cache every row and grow
+    // the row buffer (allocations expected here).
     for idx in 0..reads {
         let _ = read(&mut ep, &mut cache, 1, idx);
     }
@@ -274,11 +270,11 @@ fn cache_hits_and_local_reads_allocate_nothing() {
 }
 
 /// Rank 0's side of the split read: one reader with its endpoint and cache,
-/// the landing buffer, its offsets spans, and a FIFO that keeps up to
+/// the landing buffer, its offsets copies, and a FIFO that keeps up to
 /// `in_flight` adjacency charges owed before waiting the oldest — everything
 /// preallocated, so a measured pass allocates only what the read path itself
-/// allocates. It reads each source's offsets pairs by span, as the edge loop
-/// does, and counts the gets those span reads issue.
+/// allocates. It takes each pair from its copy of rank 1's offsets window,
+/// as the edge loop does, and counts the gets the window reads issue.
 struct Rounds<'a> {
     pg: &'a PartitionedGraph,
     reader: RowReader,
@@ -286,8 +282,8 @@ struct Rounds<'a> {
     op: ClosingCount,
     ep: Endpoint,
     landing: Vec<u32>,
-    spans: OffsetSpans,
-    span_gets: u64,
+    offsets: OwnerOffsets,
+    copy_gets: u64,
     flying: VecDeque<PendingCharge>,
     in_flight: usize,
 }
@@ -309,8 +305,8 @@ impl<'a> Rounds<'a> {
             op: ClosingCount::new(config, pg.direction, windows.storage),
             ep,
             landing: Vec::new(),
-            spans: OffsetSpans::default(),
-            span_gets: 0,
+            offsets: OwnerOffsets::new(pg.ranks()),
+            copy_gets: 0,
             flying: VecDeque::with_capacity(in_flight),
             in_flight,
         }
@@ -327,11 +323,6 @@ impl<'a> Rounds<'a> {
                 break;
             }
             let adj_u = part.neighbours_of_local(local_idx);
-            let gets = self.ep.stats().gets;
-            self.reader
-                .read_spans(&mut self.ep, &self.pg.partitioner, adj_u, &mut self.spans)
-                .unwrap();
-            self.span_gets += self.ep.stats().gets - gets;
             for (k, &v) in adj_u.iter().enumerate() {
                 if self.pg.partitioner.owner(v) != 1 || rounds >= 64 {
                     continue;
@@ -344,7 +335,13 @@ impl<'a> Rounds<'a> {
                     v,
                     k,
                 };
-                let pair = self.spans.pair(k);
+                let gets = self.ep.stats().gets;
+                let v_local = self.pg.partitioner.local_index(v);
+                let pair = self
+                    .reader
+                    .pair(&mut self.ep, &mut self.offsets, 1, v_local)
+                    .unwrap();
+                self.copy_gets += self.ep.stats().gets - gets;
                 let (count, charge) = self
                     .reader
                     .start(
@@ -390,8 +387,8 @@ fn fused_hit_path_allocates_nothing() {
     let mut config = base_config(2);
     config.cache = Some(hit_heavy_spec());
     let ep = Endpoint::new(0, 2, config.network);
-    // Offsets by span, as the cached edge loop reads them: the span buffers
-    // are reused like the landing buffer.
+    // Offsets from the copy of rank 1's window, as the cached edge loop
+    // reads them: the warm pass reads the window once.
     let mut rounds = Rounds::new(&pg, &windows, &config, ep, 1);
     let warm = rounds.run();
     let before = allocations_on_this_thread();
@@ -443,11 +440,11 @@ fn compressed_fused_hit_path_allocates_nothing() {
 
 #[test]
 fn non_cached_rounds_allocate_nothing_once_the_landing_buffer_has_grown() {
-    // Nobody retains a non-cached read, so a fault-free one — adjacency row
-    // or offsets span — is read in place: after the first pass has grown the
-    // span buffers to the widest source, a full protocol round performs zero
-    // heap allocations — under both storage modes, and with four reads in
-    // flight as with one (only cost tickets wait).
+    // Nobody retains a non-cached row read, so a fault-free one is read in
+    // place: after the first pass has copied rank 1's offsets window, a full
+    // protocol round performs zero heap allocations — under both storage
+    // modes, and with four reads in flight as with one (only cost tickets
+    // wait).
     let g = RmatGenerator::paper(8, 8).generate_cleaned(9).into_csr();
     let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
     let mut counts = Vec::new();
@@ -472,9 +469,10 @@ fn non_cached_rounds_allocate_nothing_once_the_landing_buffer_has_grown() {
                  ({storage:?}, {in_flight} in flight)"
             );
             assert_eq!(warm, hot);
+            // Every row read still goes to the network; the window does not.
             assert_eq!(
                 rounds.ep.stats().gets,
-                2 * gets,
+                2 * gets - 1,
                 "every round still goes to the network"
             );
             rounds.ep.unlock_all();
@@ -494,7 +492,8 @@ fn quarantine_bypass_reads_allocate_nothing() {
     // still attached (so they land, verify and heal there), and with four
     // reads requested in flight as with one. Every lookup rots the resident
     // entry, so the second pass trips the (default, three-strike)
-    // quarantine. Beside its span reads, every bypassed row is one get.
+    // quarantine. Beside the offsets window's read, every bypassed row is
+    // one get.
     let g = RmatGenerator::paper(8, 8).generate_cleaned(9).into_csr();
     let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
     let plan = rmatc::rma::FaultPlan {
@@ -518,10 +517,10 @@ fn quarantine_bypass_reads_allocate_nothing() {
                 rounds.ep.stats().cache_bypass_reads > 0,
                 "the second pass must quarantine the cache ({storage:?})"
             );
-            let (bypasses, gets, span_gets) = (
+            let (bypasses, gets, copy_gets) = (
                 rounds.ep.stats().cache_bypass_reads,
                 rounds.ep.stats().gets,
-                rounds.span_gets,
+                rounds.copy_gets,
             );
             let before = allocations_on_this_thread();
             let bypassed = rounds.run();
@@ -534,7 +533,7 @@ fn quarantine_bypass_reads_allocate_nothing() {
             let adjacency_reads = rounds.ep.stats().cache_bypass_reads - bypasses;
             assert!(adjacency_reads > 0, "the measured pass must bypass");
             assert_eq!(
-                rounds.ep.stats().gets - gets - (rounds.span_gets - span_gets),
+                rounds.ep.stats().gets - gets - (rounds.copy_gets - copy_gets),
                 adjacency_reads,
                 "a bypassed row is one get"
             );
@@ -554,18 +553,21 @@ fn miss_buffer_is_shared_with_the_cache_not_copied() {
     let (reader, mut cache) = build_reader(&pg, &windows, &config);
     let mut ep = Endpoint::new(0, 2, config.network);
     ep.lock_all();
+    let mut offsets = OwnerOffsets::new(2);
     // Find a non-empty remote row.
     let idx = (0..pg.partitions[1].local_vertex_count())
         .find(|&i| !pg.partitions[1].neighbours_of_local(i).is_empty())
         .expect("some remote row is non-empty");
-    let fetched: Arc<[u32]> = match read_row(&reader, &mut ep, &mut cache, 1, idx).unwrap() {
-        RowRef::Fetched(arc) => arc,
-        other => panic!("first read must miss, got {other:?}"),
-    };
-    let cached: Arc<[u32]> = match read_row(&reader, &mut ep, &mut cache, 1, idx).unwrap() {
-        RowRef::Cached(arc) => arc,
-        other => panic!("second read must hit, got {other:?}"),
-    };
+    let fetched: Arc<[u32]> =
+        match read_row(&reader, &mut ep, &mut cache, &mut offsets, 1, idx).unwrap() {
+            RowRef::Fetched(arc) => arc,
+            other => panic!("first read must miss, got {other:?}"),
+        };
+    let cached: Arc<[u32]> =
+        match read_row(&reader, &mut ep, &mut cache, &mut offsets, 1, idx).unwrap() {
+            RowRef::Cached(arc) => arc,
+            other => panic!("second read must hit, got {other:?}"),
+        };
     assert!(
         Arc::ptr_eq(&fetched, &cached),
         "the cache must retain the transfer buffer itself — no second copy"
@@ -596,25 +598,29 @@ proptest! {
         let (reader, mut cache) = build_reader(&pg, &windows, &config);
         let mut ep = Endpoint::new(0, 4, config.network);
         ep.lock_all();
-        let (mut remote_reads, mut non_empty_remote_reads) = (0u64, 0u64);
+        let mut offsets = OwnerOffsets::new(4);
+        let mut non_empty_remote_reads = 0u64;
+        let mut owners_read = [false; 4];
         for (target, idx) in accesses {
             let part = &pg.partitions[target];
             let idx = idx % part.local_vertex_count();
-            let row = read_row(&reader, &mut ep, &mut cache, target, idx)
+            let row = read_row(&reader, &mut ep, &mut cache, &mut offsets, target, idx)
                 .expect("no faults injected");
             prop_assert_eq!(row.as_slice(), part.neighbours_of_local(idx),
                 "target {} idx {}", target, idx);
             if target == 0 {
                 prop_assert!(row.is_borrowed(), "own-rank reads must borrow the window");
             } else {
-                remote_reads += 1;
                 non_empty_remote_reads += u64::from(!row.is_empty());
+                owners_read[target] = true;
             }
         }
         ep.unlock_all();
         let stats = ep.into_stats();
-        // Every remote read gets its offsets pair; its row goes to the
-        // network on a miss (cached) or whenever it is non-empty.
+        // Each remote owner's offsets window is one get, the first time one
+        // of its rows is read; a row goes to the network on a miss (cached)
+        // or whenever it is non-empty.
+        let copies = owners_read.iter().filter(|&&read| read).count() as u64;
         match cache_stats(&cache) {
             Some(adj) => {
                 prop_assert_eq!(adj.lookups(), adj.hits + adj.misses);
@@ -622,9 +628,9 @@ proptest! {
                 prop_assert!(adj.compulsory_misses <= adj.misses);
                 // Every uncacheable insert was preceded by a lookup miss.
                 prop_assert!(adj.uncacheable <= adj.misses);
-                prop_assert_eq!(stats.gets, remote_reads + adj.misses);
+                prop_assert_eq!(stats.gets, copies + adj.misses);
             }
-            None => prop_assert_eq!(stats.gets, remote_reads + non_empty_remote_reads),
+            None => prop_assert_eq!(stats.gets, copies + non_empty_remote_reads),
         }
     }
 }
