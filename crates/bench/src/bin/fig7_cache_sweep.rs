@@ -8,9 +8,10 @@
 //! C_adj saves ~30% of the communication time, 51.6% at full size in the paper.
 //!
 //! Deliberate deviation: only the right-hand (adjacency) panels are reproduced.
-//! This reproduction has no offsets cache — the cached configuration reads each
-//! source's offsets pairs in α+β-planned spans instead — so the left-hand panels
-//! have nothing to sweep. The spans are part of every row below.
+//! This reproduction has no offsets cache — a rank reads each other owner's
+//! whole offsets window with one get the first time it needs a row there and
+//! keeps the copy — so the left-hand panels have nothing to sweep. Those
+//! `p − 1` window reads are part of every row below.
 
 use rmatc_bench::{experiment_scale, fmt_ms, seed, Table};
 use rmatc_core::{CacheSpec, DistConfig, DistLcc};

@@ -4,8 +4,8 @@
 //! (`table2_graphs`, `table3_intersection`, `fig1_reuse`, …, `fig10_large_scale`);
 //! each prints the rows/series of the corresponding artefact from this
 //! reproduction's simulator, next to the paper's reference numbers where those are
-//! scale-independent. Criterion micro-benchmarks for the individual kernels live in
-//! `benches/`.
+//! scale-independent. `table3_intersection` also times the individual kernels
+//! per list shape, plain and compressed.
 //!
 //! Measurement methodology follows the paper (which uses LibLSB): experiments are
 //! repeated until the 95% confidence interval of the median is within 5% of the
@@ -25,19 +25,16 @@
 //! | `fig4_reuse_skew` | Figure 4 | Reuse vs degree skew |
 //! | `fig5_entry_sizes` | Figure 5 | Cached-entry size distribution |
 //! | `fig6_shared_scaling` | Figure 6 | Shared-memory strong scaling of the intersection strategies |
-//! | `fig7_cache_sweep` | Figure 7 | LCC runtime vs cache budget, offsets-only / adjacencies-only panels |
+//! | `fig7_cache_sweep` | Figure 7 | LCC runtime vs cache budget, adjacency panels only (there is no offsets cache) |
 //! | `fig8_scores` | Figure 8 | LRU vs degree-centrality eviction scores |
 //! | `fig9_small_scale` | Figure 9 | Small-scale distributed comparison (non-cached, cached, TriC) |
 //! | `fig10_large_scale` | Figure 10 | Large-scale distributed runs |
 //! | `text_comm_fractions` | §IV-C prose | Communication-time fractions quoted in the text |
-//! | `bench-diff` | — (this reproduction) | Per-commit regression gate over the criterion history, with per-benchmark thresholds |
 
-pub mod history;
 pub mod measure;
 pub mod runs;
 pub mod table;
 
-pub use history::{compare_latest, parse_history, Comparison, HistoryRun};
 pub use measure::{measure_until, Measurement};
 pub use runs::{experiment_scale, fmt_ms, fmt_ns, ranks_small_scale, seed};
 pub use table::Table;

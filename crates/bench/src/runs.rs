@@ -19,20 +19,14 @@ pub fn experiment_scale() -> DatasetScale {
 
 /// Deterministic seed shared by all experiments; override with `RMATC_SEED`.
 pub fn seed() -> u64 {
-    std::env::var("RMATC_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
+    env_or("RMATC_SEED", 42)
 }
 
 /// The node counts of the paper's small-scale experiments (Figures 8 and 9).
 /// Override with `RMATC_MAX_RANKS` to cap the sweep.
 pub fn ranks_small_scale() -> Vec<usize> {
-    let cap: usize = std::env::var("RMATC_MAX_RANKS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
-    [4usize, 8, 16, 32, 64]
+    let cap = env_or("RMATC_MAX_RANKS", 64);
+    [4, 8, 16, 32, 64]
         .into_iter()
         .filter(|&r| r <= cap)
         .collect()
@@ -40,14 +34,17 @@ pub fn ranks_small_scale() -> Vec<usize> {
 
 /// The node counts of the paper's large-scale experiments (Figure 10).
 pub fn ranks_large_scale() -> Vec<usize> {
-    let cap: usize = std::env::var("RMATC_MAX_RANKS")
+    let cap = env_or("RMATC_MAX_RANKS", 512);
+    [128, 256, 512].into_iter().filter(|&r| r <= cap).collect()
+}
+
+/// The environment variable `name` parsed as a `T`, or `default` when it is
+/// unset or does not parse.
+fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+    std::env::var(name)
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(512);
-    [128usize, 256, 512]
-        .into_iter()
-        .filter(|&r| r <= cap)
-        .collect()
+        .unwrap_or(default)
 }
 
 /// Formats nanoseconds as milliseconds with three significant decimals.

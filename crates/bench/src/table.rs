@@ -29,16 +29,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table as an aligned plain-text block.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
@@ -88,7 +78,6 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         // Header, separator and two rows after the title line.
         assert_eq!(lines.len(), 5);
-        assert_eq!(t.len(), 2);
     }
 
     #[test]
@@ -101,7 +90,6 @@ mod tests {
     #[test]
     fn empty_table_renders_header_only() {
         let t = Table::new("Empty", &["col"]);
-        assert!(t.is_empty());
         assert_eq!(t.render().lines().count(), 3);
     }
 }

@@ -19,8 +19,7 @@
 //! FIFO: *push the new charge, then wait the oldest while `len ≥ depth`*.
 //! At depth 1 that is issue-wait-compute by construction; at depth `D` the
 //! get of edge *i+D−1* is issued before edge *i* completes, so the modeled
-//! (and, with [`rmatc_rma::NetworkModel::with_injection`], real) transfer
-//! latency hides behind the issue-side compute. Offsets reads stay
+//! transfer latency hides behind the issue-side compute. Offsets reads stay
 //! synchronous — their result gates the adjacency get, exactly the
 //! dependency the two-get protocol imposes. A remote edge takes its pair
 //! from the rank's copy of the owner's offsets window

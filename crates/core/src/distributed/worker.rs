@@ -223,7 +223,6 @@ mod tests {
             alpha_ns: 200.0,
             beta_ns_per_byte: 0.05,
             local_read_ns: 10.0,
-            injection_scale: 0.0,
         };
         let without = run_worker(0, &pg, &windows, &config).unwrap();
         config.double_buffering = true;
@@ -246,7 +245,6 @@ mod tests {
             alpha_ns: 1e6,
             beta_ns_per_byte: 1.0,
             local_read_ns: 10.0,
-            injection_scale: 0.0,
         };
         for depth in [1usize, 4] {
             config.pipeline_depth = depth;

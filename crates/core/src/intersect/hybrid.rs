@@ -19,7 +19,8 @@
 //!
 //! The Eq. (3) crossover is kept as the paper's approximation of the class
 //! boundary, not re-derived per kernel; what each arm costs on the benchmark
-//! graphs is recorded in `docs/TUNING.md` and `BENCH_intersect.json`.
+//! graphs is recorded in `docs/TUNING.md`, and per list shape in the second
+//! table of the `table3_intersection` bin.
 //!
 //! Both rules are stated over `log2`, but the per-pair dispatch decides them
 //! from integer brackets and evaluates the floating-point expression only
@@ -91,11 +92,6 @@ pub enum CostModel {
 }
 
 impl CostModel {
-    /// The kernel for a `(short, long)` pair: [`select_kernel`].
-    pub fn select(&self, short_len: usize, long_len: usize) -> IntersectMethod {
-        select_kernel(short_len, long_len)
-    }
-
     /// Class boundary of the fused decompress+intersect kernels: Eq. (3)
     /// unchanged ([`ssi_is_faster`]).
     pub fn compressed_merge_is_faster(&self, short_len: usize, long_len: usize) -> bool {

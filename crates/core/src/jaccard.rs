@@ -405,7 +405,6 @@ mod tests {
             alpha_ns,
             beta_ns_per_byte,
             local_read_ns: 10.0,
-            injection_scale: 0.0,
         }
     }
 

@@ -188,7 +188,8 @@ impl QueryEngine {
         comm + self.compute_ns_total as f64
     }
 
-    /// Admits `query` with the configured default deadline.
+    /// Admits `query` without a deadline: it waits in the queue until a batch
+    /// drains it.
     ///
     /// # Errors
     ///
@@ -196,7 +197,7 @@ impl QueryEngine {
     /// never silently dropped), [`ServiceError::UnknownVertex`] when an
     /// endpoint is out of range.
     pub fn submit(&mut self, query: Query) -> Result<QueryId, ServiceError> {
-        self.submit_with_deadline(query, self.config.default_deadline_ns)
+        self.submit_with_deadline(query, None)
     }
 
     /// Admits `query` with an explicit per-query deadline in virtual
@@ -384,7 +385,7 @@ impl QueryEngine {
     /// [`ServiceError::UnknownVertex`]) and the query's own execution failure
     /// ([`ServiceError::Read`]).
     pub fn oneshot(&mut self, query: Query) -> Result<QueryAnswer, ServiceError> {
-        let id = self.submit_with_deadline(query, None)?;
+        let id = self.submit(query)?;
         loop {
             let responses = self.run_batch();
             debug_assert!(!responses.is_empty(), "the queue holds our query");

@@ -208,21 +208,16 @@ pub struct ServiceConfig {
     /// Maximum queries drained into one batch window by
     /// [`QueryEngine::run_batch`] (values below 1 behave as 1).
     pub batch_size: usize,
-    /// Default per-query deadline in virtual nanoseconds; `None` means
-    /// queries wait indefinitely. Override per query with
-    /// [`QueryEngine::submit_with_deadline`].
-    pub default_deadline_ns: Option<f64>,
 }
 
 impl ServiceConfig {
-    /// Service defaults (1024-deep queue, 64-query batches, no deadline) over
-    /// the given distributed configuration.
+    /// Service defaults (1024-deep queue, 64-query batches) over the given
+    /// distributed configuration.
     pub fn new(dist: DistConfig) -> Self {
         Self {
             dist,
             queue_capacity: 1024,
             batch_size: 64,
-            default_deadline_ns: None,
         }
     }
 
@@ -235,12 +230,6 @@ impl ServiceConfig {
     /// Same configuration with a different batch window size.
     pub fn with_batch_size(mut self, batch: usize) -> Self {
         self.batch_size = batch;
-        self
-    }
-
-    /// Same configuration with a default per-query deadline (virtual ns).
-    pub fn with_deadline_ns(mut self, deadline_ns: f64) -> Self {
-        self.default_deadline_ns = Some(deadline_ns);
         self
     }
 }

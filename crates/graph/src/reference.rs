@@ -8,18 +8,6 @@
 use crate::csr::CsrGraph;
 use crate::types::{Direction, VertexId};
 
-/// Number of triangles that the edge `(u, v)` closes, counting only the third vertex
-/// `w > v` (the "upper triangle" offsetting described in Section II-C that removes
-/// double counting in the edge-centric method).
-pub fn triangles_on_edge_upper(g: &CsrGraph, u: VertexId, v: VertexId) -> u64 {
-    let a = g.neighbours(u);
-    let b = g.neighbours(v);
-    // Only count common neighbours w with w > v.
-    let start_a = a.partition_point(|&x| x <= v);
-    let start_b = b.partition_point(|&x| x <= v);
-    sorted_intersection_count(&a[start_a..], &b[start_b..])
-}
-
 /// Number of common neighbours of `u` and `v` (no offsetting).
 pub fn common_neighbours(g: &CsrGraph, u: VertexId, v: VertexId) -> u64 {
     sorted_intersection_count(g.neighbours(u), g.neighbours(v))

@@ -68,10 +68,6 @@ struct Ticket {
     expected_checksum: Option<u64>,
     /// Injected straggler multiplier on the completion cost (≥ 1), if any.
     delay_factor: Option<f64>,
-    /// Wall-clock issue stamp, taken only when latency injection is enabled:
-    /// the completion spin covers the *remaining* modeled latency, so time
-    /// the caller spent computing since issue overlaps the transfer for real.
-    issued_at: Option<std::time::Instant>,
 }
 
 impl<T: Copy> PendingGet<T> {
@@ -103,8 +99,8 @@ pub struct PendingCharge {
 }
 
 impl PendingCharge {
-    /// Completes the get: the flush accounting, overlap charging and latency
-    /// injection of [`PendingGet::wait`]. Infallible — without an injector
+    /// Completes the get: the flush accounting and overlap charging of
+    /// [`PendingGet::wait`]. Infallible — without an injector
     /// there is no straggler to time out and no checksum to fail.
     #[inline]
     pub fn wait(self, ep: &mut Endpoint) {
@@ -307,14 +303,13 @@ impl Endpoint {
             target,
             expected_checksum,
             delay_factor,
-            issued_at: (self.network.injection_scale > 0.0).then(std::time::Instant::now),
         };
         Ok((ticket, landed))
     }
 
     /// The completion half every get shares (see [`PendingGet::wait`] for the
-    /// contract): flush accounting, straggler timeout, overlap charging,
-    /// latency injection, and checksum verification over `landed`.
+    /// contract): flush accounting, straggler timeout, overlap charging and
+    /// checksum verification over `landed`.
     #[inline]
     fn complete<T: Copy>(&mut self, ticket: &Ticket, landed: &[T]) -> Result<(), RmaError> {
         assert_eq!(
@@ -343,7 +338,6 @@ impl Endpoint {
             self.stats.delayed_gets += 1;
         }
         self.charge_raw(total_ns);
-        self.network.maybe_inject_since(total_ns, ticket.issued_at);
         if let Some(expected) = ticket.expected_checksum {
             if fault::checksum(landed) != expected {
                 self.stats.checksum_failures += 1;

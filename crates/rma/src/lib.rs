@@ -23,9 +23,7 @@
 //!   Cray Aries numbers quoted in the paper (≈2–3 µs per get).
 //! * Communication time is accumulated per rank in *virtual time* ([`RankStats`]),
 //!   while computation is measured in real time by the caller; the two are combined
-//!   by the algorithm crates when reporting per-rank running times. An optional
-//!   injection mode spins for the modeled latency instead, for end-to-end wall-clock
-//!   realism at small scales.
+//!   by the algorithm crates when reporting per-rank running times.
 //!
 //! What is deliberately preserved from the paper: the two-window exposure, the
 //! get/flush discipline, per-get setup cost (which makes caching worthwhile even for

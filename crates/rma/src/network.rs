@@ -17,10 +17,6 @@ pub struct NetworkModel {
     /// contrasts the microseconds of a remote get with the hundreds of nanoseconds
     /// of a DRAM access; cache hits are charged this cost.
     pub local_read_ns: f64,
-    /// When non-zero, every charged cost is also spun for in real time, scaled by
-    /// this factor (1.0 = realistic, 0.001 = fast simulation). Zero disables
-    /// injection and keeps accounting purely virtual.
-    pub injection_scale: f64,
 }
 
 impl NetworkModel {
@@ -31,7 +27,6 @@ impl NetworkModel {
             alpha_ns: 2_500.0,
             beta_ns_per_byte: 0.1,
             local_read_ns: 100.0,
-            injection_scale: 0.0,
         }
     }
 
@@ -42,7 +37,6 @@ impl NetworkModel {
             alpha_ns: 10_000.0,
             beta_ns_per_byte: 1.0,
             local_read_ns: 100.0,
-            injection_scale: 0.0,
         }
     }
 
@@ -52,14 +46,7 @@ impl NetworkModel {
             alpha_ns: 0.0,
             beta_ns_per_byte: 0.0,
             local_read_ns: 0.0,
-            injection_scale: 0.0,
         }
-    }
-
-    /// Enables latency injection (real spinning) scaled by `scale`.
-    pub fn with_injection(mut self, scale: f64) -> Self {
-        self.injection_scale = scale;
-        self
     }
 
     /// Modeled cost of a remote read of `bytes` bytes, in nanoseconds.
@@ -83,24 +70,6 @@ impl NetworkModel {
         }
         let rounds = (ranks as f64).log2().ceil();
         rounds * self.alpha_ns
-    }
-
-    /// Spins until `cost_ns * injection_scale` of wall time has passed since
-    /// `issued` (since now, when `None`). A get whose modeled latency already
-    /// elapsed while the caller computed — the NIC moved the bytes in the
-    /// background, as real one-sided hardware does — costs no spin at all.
-    /// This is what makes the pipelined worker's communication/compute
-    /// overlap a *wall-clock* win under injection, not only a virtual-time
-    /// accounting win.
-    pub(crate) fn maybe_inject_since(&self, cost_ns: f64, issued: Option<std::time::Instant>) {
-        if self.injection_scale <= 0.0 {
-            return;
-        }
-        let target = std::time::Duration::from_nanos((cost_ns * self.injection_scale) as u64);
-        let start = issued.unwrap_or_else(std::time::Instant::now);
-        while start.elapsed() < target {
-            std::hint::spin_loop();
-        }
     }
 }
 
@@ -154,21 +123,5 @@ mod tests {
         assert_eq!(m.remote_cost_ns(1 << 20), 0.0);
         assert_eq!(m.local_cost_ns(0), 0.0);
         assert_eq!(m.barrier_cost_ns(128), 0.0);
-    }
-
-    #[test]
-    fn injection_spins_for_roughly_the_requested_time() {
-        let m = NetworkModel::aries().with_injection(1.0);
-        let start = std::time::Instant::now();
-        m.maybe_inject_since(2_000_000.0, None); // 2 ms
-        assert!(start.elapsed() >= std::time::Duration::from_millis(1));
-    }
-
-    #[test]
-    fn injection_disabled_returns_immediately() {
-        let m = NetworkModel::aries();
-        let start = std::time::Instant::now();
-        m.maybe_inject_since(1e12, None);
-        assert!(start.elapsed() < std::time::Duration::from_millis(100));
     }
 }

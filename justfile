@@ -188,20 +188,3 @@ chaos seed="random":
     fi
     echo "chaos seed: $seed"
     RMATC_CHAOS_SEED="$seed" cargo test -q --test chaos
-
-# The bench-smoke job: JSON snapshots plus an appended bench-history record,
-# then the regression gate (median regression past the per-benchmark
-# threshold fails; default 15%). Each bench runs 3 times and records the
-# median-of-medians with its spread, so one noisy run cannot move the gate.
-#
-# `hist` is the history directory: locally the repository-seeded
-# `bench-history/`, in CI the artifact-chained `ci-bench-history/` — CI runs
-# exactly `just bench-smoke ci-bench-history`, so this recipe is the single
-# definition of which benches are smoked and gated.
-bench-smoke hist="bench-history":
-    cargo bench -p rmatc-bench --bench intersect -- --repeat 3 --json BENCH_intersect.json --history {{hist}}/intersect.ndjson
-    cargo bench -p rmatc-bench --bench local_lcc -- --repeat 3 --json BENCH_local_lcc.json --history {{hist}}/local_lcc.ndjson
-    cargo bench -p rmatc-bench --bench remote_read -- --repeat 3 --json BENCH_remote_read.json --history {{hist}}/remote_read.ndjson
-    cargo bench -p rmatc-bench --bench cache_policy -- --repeat 3 --json BENCH_cache_policy.json --history {{hist}}/cache_policy.ndjson
-    cargo bench -p rmatc-bench --bench service -- --repeat 3 --json BENCH_service.json --history {{hist}}/service.ndjson
-    cargo run -p rmatc-bench --bin bench-diff -- {{hist}}/intersect.ndjson {{hist}}/local_lcc.ndjson {{hist}}/remote_read.ndjson {{hist}}/cache_policy.ndjson {{hist}}/service.ndjson

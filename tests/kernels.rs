@@ -61,6 +61,33 @@ fn kernels_agree_on_handpicked_adversarial_shapes() {
     }
 }
 
+#[test]
+fn compressed_kernel_shapes_keep_their_compression_ratios() {
+    // The fused decode kernels' three list shapes, drawn as the kernel
+    // timing table draws them (seed 7, in this order): the long list of each
+    // pair is the compressed row. Ratio = plain bytes / compressed bytes,
+    // ×1000; exact, so any change of the row encoding fails here.
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let mut sorted_random = |len: usize, universe: u32| {
+        sorted_dedup((0..len).map(|_| rng.gen_range(0..universe)).collect())
+    };
+    let mut ratios = Vec::new();
+    for (short, long, universe) in [
+        (4_096, 4_096, 1 << 20),
+        (64, 65_536, 1 << 20),
+        (1_024, 65_536, 1 << 22),
+    ] {
+        let _keys = sorted_random(short, universe);
+        let row = sorted_random(long, universe);
+        let mut words = Vec::new();
+        rmatc_graph::compressed::compress_row(&row, &mut words);
+        ratios.push((row.len() as f64 / words.len() as f64 * 1e3).round() as u64);
+    }
+    // balanced 4k, hub-leaf 1024x, skewed 64x
+    assert_eq!(ratios, [2_747, 4_146, 3_310]);
+}
+
 fn sorted_dedup(mut v: Vec<u32>) -> Vec<u32> {
     v.sort_unstable();
     v.dedup();

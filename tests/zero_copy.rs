@@ -316,15 +316,20 @@ impl<'a> Rounds<'a> {
     /// the row where it landed) per remote edge of rank 0's first vertices,
     /// up to 64, summed.
     fn run(&mut self) -> u64 {
+        self.run_up_to(64)
+    }
+
+    /// [`Rounds::run`] over up to `limit` remote edges.
+    fn run_up_to(&mut self, limit: usize) -> u64 {
         let part = &self.pg.partitions[0];
         let (mut total, mut rounds) = (0, 0);
         for local_idx in 0..part.local_vertex_count() {
-            if rounds >= 64 {
+            if rounds >= limit {
                 break;
             }
             let adj_u = part.neighbours_of_local(local_idx);
             for (k, &v) in adj_u.iter().enumerate() {
-                if self.pg.partitioner.owner(v) != 1 || rounds >= 64 {
+                if self.pg.partitioner.owner(v) != 1 || rounds >= limit {
                     continue;
                 }
                 rounds += 1;
@@ -436,6 +441,27 @@ fn compressed_fused_hit_path_allocates_nothing() {
         stats.logical_bytes > stats.stored_bytes && stats.stored_bytes > 0,
         "compressed misses must record logical vs stored bytes"
     );
+}
+
+#[test]
+fn compressed_reader_pins_its_stored_footprint() {
+    // One pass over rank 0's first 2 048 remote edges of a two-rank
+    // R-MAT(10, 16), through a degree-scored cache twice the size of the
+    // compressed window. Exact: how much smaller the stored rows are than
+    // the rows they decode to (×1000), and the stored bytes per lookup.
+    let g = RmatGenerator::paper(10, 16).generate_cleaned(11).into_csr();
+    let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
+    let windows = GraphWindows::build_with(&pg, rmatc::graph::GraphStorage::Compressed);
+    let mut config = base_config(2);
+    config.storage = rmatc::graph::GraphStorage::Compressed;
+    config.cache = Some(CacheSpec::paper(2 * windows.adjacency_bytes()).with_degree_scores());
+    let ep = Endpoint::new(0, 2, config.network);
+    let mut rounds = Rounds::new(&pg, &windows, &config, ep, 1);
+    rounds.run_up_to(2_048);
+    let stats = cache_stats(&rounds.cache).unwrap();
+    assert_eq!((stats.compression_ratio() * 1e3).round(), 2_349.0);
+    let stored_per_lookup = stats.stored_bytes as f64 / stats.lookups() as f64;
+    assert_eq!(stored_per_lookup.round(), 5.0);
 }
 
 #[test]
