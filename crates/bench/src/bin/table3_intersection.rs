@@ -1,7 +1,12 @@
 //! Table III — performance comparison of the intersection methods (hybrid, SSI,
-//! binary search), reported as edges processed per microsecond with 16 threads
-//! of `LocalLcc`'s degree-weighted vertex-range loop (the paper parallelizes each
-//! intersection instead; see `docs/TUNING.md`, "Shared-memory parallelism").
+//! binary search), reported as edges processed per microsecond by
+//! `LocalLcc`'s degree-weighted vertex-range loop on the paper's 16 threads,
+//! or on as many as the host has cores if that is fewer (the paper
+//! parallelizes each intersection instead; see `docs/TUNING.md`,
+//! "Shared-memory parallelism"). The table's title and rows name the thread
+//! count and R-MAT scales actually run (`RMATC_SCALE`: 11, 15 or 17).
+//! Besides the pairwise kernels, the `Hybrid` column counts by source marks
+//! where those win (`docs/TUNING.md`, "Source marks").
 //!
 //! Paper reference (edges/µs): R-MAT S20 EF8 0.540/0.508/0.449, EF16
 //! 0.425/0.403/0.340, EF32 0.325/0.311/0.250, LiveJournal 1.084/1.018/0.984,
@@ -26,12 +31,18 @@ use rmatc_graph::compressed::compress_row;
 use rmatc_graph::datasets::{Dataset, DatasetScale};
 use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
 use std::hint::black_box;
+use std::num::NonZeroUsize;
+use std::thread;
 use std::time::Instant;
+
+/// The paper's thread count for Table III.
+const PAPER_THREADS: usize = 16;
 
 fn main() {
     let scale = experiment_scale();
     let seed = seed();
-    let threads = 16;
+    let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let threads = cores.min(PAPER_THREADS);
     let log_n = match scale {
         DatasetScale::Tiny => 11,
         DatasetScale::Small => 15,
@@ -43,23 +54,24 @@ fn main() {
             .into_csr()
     };
     let graphs = [
-        ("R-MAT S20 EF8", rmat(8)),
-        ("R-MAT S20 EF16", rmat(16)),
-        ("R-MAT S20 EF32", rmat(32)),
-        ("LiveJournal", Dataset::LiveJournal.generate(scale, seed)),
-        ("Orkut", Dataset::Orkut.generate(scale, seed)),
+        (format!("R-MAT S{log_n} EF8"), rmat(8)),
+        (format!("R-MAT S{log_n} EF16"), rmat(16)),
+        (format!("R-MAT S{log_n} EF32"), rmat(32)),
+        (
+            "LiveJournal".to_string(),
+            Dataset::LiveJournal.generate(scale, seed),
+        ),
+        ("Orkut".to_string(), Dataset::Orkut.generate(scale, seed)),
     ];
     // Header follows IntersectMethod::all(): the paper's three columns plus
     // this reproduction's SIMD and galloping kernel upgrades.
     let mut header = vec!["Name".to_string()];
     header.extend(IntersectMethod::all().iter().map(|m| m.label().to_string()));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut table = Table::new(
-        "Table III: edges processed per microsecond (16 threads)",
-        &header_refs,
-    );
+    let title = format!("Table III: edges processed per microsecond ({threads} threads)");
+    let mut table = Table::new(&title, &header_refs);
     for (name, g) in &graphs {
-        let mut cells = vec![name.to_string()];
+        let mut cells = vec![name.clone()];
         for method in IntersectMethod::all() {
             let cfg = LocalConfig::parallel(threads).with_method(method);
             let runner = LocalLcc::new(cfg);
@@ -71,7 +83,11 @@ fn main() {
     table.print();
     println!(
         "Expected shape from the paper: the hybrid rule (Eq. 3) is never slower than using \
-         SSI or binary search exclusively."
+         SSI or binary search exclusively. Here the Hybrid column also counts an edge by \
+         probing its source's marked row where that beats the pairwise kernel \
+         (docs/TUNING.md, \"Source marks\"); every other column runs the one kernel it \
+         names. Paper: R-MAT S20 on 16 threads; here R-MAT S{log_n} on {threads} \
+         thread(s) of a host with {cores} core(s)."
     );
     kernel_shapes().print();
 }

@@ -28,6 +28,16 @@
 //! remote edge instead; here the cached and non-cached loops differ only in
 //! `C_adj` (the reasons are in [`super::reader`]).
 //!
+//! An operation that probes [`SourceMarks`](crate::intersect::SourceMarks)
+//! ([`EdgeOp::marks`]: LCC's closing count under `Hybrid` on plain rows) gets
+//! one bitset per rank: the loop sets the bits of `adj_u` before the source's
+//! first edge and clears them after its last ([`with_marked`]), and every
+//! [`Edge`] of that source carries them, so an edge whose other row is at
+//! most [`MARKS_FACTOR`](crate::intersect::MARKS_FACTOR) times the source's
+//! remaining row is counted by bit probes wherever that row turns up. The
+//! marks change which host kernel counts an edge, never what is read or
+//! cached.
+//!
 //! # Equivalence across depths
 //!
 //! At any depth and without faults, scores, cache statistics and integer
@@ -46,6 +56,7 @@
 use super::config::DistConfig;
 use super::reader::{AdjCache, Edge, EdgeOp, OwnerOffsets, RowReader};
 use super::windows::GraphWindows;
+use crate::intersect::with_marked;
 use rmatc_clampi::CacheStats;
 use rmatc_graph::partition::PartitionedGraph;
 use rmatc_rma::{ComputeMeter, Endpoint, PendingCharge, RankStats, RmaError, ThreadTimer};
@@ -157,39 +168,46 @@ fn edge_loop<O: EdgeOp>(
     let mut landing = Vec::new();
     // The rank's copies of the other owners' offsets windows.
     let mut offsets = OwnerOffsets::new(pg.ranks());
+    // The source's row as a bitset, when the operation probes one.
+    let mut marks = op.marks();
     for local_idx in 0..part.local_vertex_count() {
         let adj_u = part.neighbours_of_local(local_idx);
         let source = part.global_ids[local_idx];
         // `v` walks `adj_u` in sorted order, so `k` locates it for the
         // operation in O(1) (the upper-triangle suffix is `adj_u[k + 1..]`).
-        for (k, &v) in adj_u.iter().enumerate() {
-            out.edges_processed += 1;
-            if let Some(meter) = meter.as_mut() {
-                meter.tick(ep);
-            }
-            let edge = Edge {
-                slot: local_idx,
-                source,
-                adj_u,
-                v,
-                k,
-            };
-            let (owner, v_local) = (pg.partitioner.owner(v), pg.partitioner.local_index(v));
-            if owner == rank {
-                // Neighbour owned locally: its row is in this rank's partition.
-                let value = op.local(&edge, part.neighbours_of_local(v_local));
+        with_marked(marks.as_mut(), adj_u, |marks| {
+            for (k, &v) in adj_u.iter().enumerate() {
+                out.edges_processed += 1;
+                if let Some(meter) = meter.as_mut() {
+                    meter.tick(ep);
+                }
+                let edge = Edge {
+                    slot: local_idx,
+                    source,
+                    adj_u,
+                    v,
+                    k,
+                    marks,
+                };
+                let (owner, v_local) = (pg.partitioner.owner(v), pg.partitioner.local_index(v));
+                if owner == rank {
+                    // Neighbour owned locally: its row is in this rank's partition.
+                    let value = op.local(&edge, part.neighbours_of_local(v_local));
+                    op.fold(&mut out.items, &edge, value);
+                    continue;
+                }
+                out.remote_edges += 1;
+                let row = reader.pair(ep, &mut offsets, owner, v_local)?;
+                let (value, charge) =
+                    reader.start(ep, cache, owner, row, &mut landing, op, &edge)?;
                 op.fold(&mut out.items, &edge, value);
-                continue;
+                if let Some(charge) = charge {
+                    fifo.push_back(charge);
+                    drain(&mut fifo, depth - 1, ep);
+                }
             }
-            out.remote_edges += 1;
-            let row = reader.pair(ep, &mut offsets, owner, v_local)?;
-            let (value, charge) = reader.start(ep, cache, owner, row, &mut landing, op, &edge)?;
-            op.fold(&mut out.items, &edge, value);
-            if let Some(charge) = charge {
-                fifo.push_back(charge);
-                drain(&mut fifo, depth - 1, ep);
-            }
-        }
+            Ok(())
+        })?;
     }
     if let Some(meter) = meter.as_mut() {
         // The tail since the last stride hides the drain's completions.

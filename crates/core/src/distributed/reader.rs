@@ -81,6 +81,7 @@
 
 use super::config::DistConfig;
 use super::windows::GraphWindows;
+use crate::intersect::SourceMarks;
 use rmatc_clampi::{CacheProbe, CachedWindow, RowRef};
 use rmatc_graph::compressed::decoded_len;
 use rmatc_graph::partition::RankPartition;
@@ -103,6 +104,9 @@ pub struct Edge<'a> {
     pub v: VertexId,
     /// Index of `v` within `adj_u`.
     pub k: usize,
+    /// `adj_u` marked, when the operation asked for marks
+    /// ([`EdgeOp::marks`]).
+    pub marks: Option<&'a SourceMarks>,
 }
 
 /// The per-edge operation of a distributed edge loop: what to compute from
@@ -133,6 +137,13 @@ pub trait EdgeOp: Sync {
 
     /// Folds the value of `edge` into the rank's output.
     fn fold(&self, out: &mut Vec<Self::Item>, edge: &Edge<'_>, value: Self::Value);
+
+    /// The cleared [`SourceMarks`] this operation probes, if any: a loop
+    /// that gets them marks each source's row for the duration of its
+    /// edges ([`Edge::marks`]). None by default.
+    fn marks(&self) -> Option<SourceMarks> {
+        None
+    }
 }
 
 /// Whether two needed rows of one owner's adjacency window share a span
@@ -660,6 +671,7 @@ mod tests {
                                 adj_u,
                                 v,
                                 k,
+                                marks: None,
                             };
                             let cache = &mut start_cache;
                             let (_, charge) = by_start
@@ -1156,14 +1168,22 @@ mod tests {
                                 read_row(&plain_reader, ep_b, &mut no_cache, offsets_b, 1, v_local)
                                     .unwrap();
                             let pair = reader.pair(&mut ep_a, &mut offsets_a, 1, v_local).unwrap();
-                            let expected =
-                                count_closing_at(pg.direction, adj_u, &row, v, k, &intersector);
+                            let expected = count_closing_at(
+                                pg.direction,
+                                adj_u,
+                                &row,
+                                v,
+                                k,
+                                &intersector,
+                                None,
+                            );
                             let edge = Edge {
                                 slot: 0,
                                 source: part.global_ids[local_idx],
                                 adj_u,
                                 v,
                                 k,
+                                marks: None,
                             };
                             let (got, charge) = reader
                                 .start(&mut ep_a, &mut cache, 1, pair, &mut landing, &op, &edge)

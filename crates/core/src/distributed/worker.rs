@@ -7,7 +7,7 @@ use super::config::DistConfig;
 use super::pipeline::run_rank;
 use super::reader::{Edge, EdgeOp};
 use super::windows::GraphWindows;
-use crate::intersect::Intersector;
+use crate::intersect::{Intersector, SourceMarks};
 use crate::local::{compressed_count_closing_at, count_closing_at};
 use rmatc_clampi::CacheStats;
 use rmatc_graph::partition::{PartitionedGraph, RankPartition};
@@ -67,7 +67,9 @@ pub fn run_worker(
 ///
 /// Every row is intersected where it lives — the rank's own partition, a
 /// window slice, a cache entry, or the buffer a transfer landed in — with
-/// zero heap allocations, by the configured kernel ([`count_closing_at`]).
+/// zero heap allocations, by the configured kernel ([`count_closing_at`]),
+/// and under `Hybrid` on plain rows by bit probes of the source's marks
+/// where those win ([`EdgeOp::marks`]).
 /// Under compressed storage a remote row stays compressed wherever it lands
 /// and the fused decompress+intersect kernels count it
 /// ([`compressed_count_closing_at`]). Both slice their operands the same
@@ -104,8 +106,10 @@ impl EdgeOp for ClosingCount {
     }
 
     fn local(&self, edge: &Edge<'_>, adj_v: &[VertexId]) -> u64 {
-        let Edge { adj_u, v, k, .. } = *edge;
-        count_closing_at(self.direction, adj_u, adj_v, v, k, &self.intersector)
+        let Edge {
+            adj_u, v, k, marks, ..
+        } = *edge;
+        count_closing_at(self.direction, adj_u, adj_v, v, k, &self.intersector, marks)
     }
 
     fn stored(&self, edge: &Edge<'_>, row: &[VertexId]) -> u64 {
@@ -120,6 +124,15 @@ impl EdgeOp for ClosingCount {
 
     fn fold(&self, out: &mut Vec<u64>, edge: &Edge<'_>, value: u64) {
         out[edge.slot] += value;
+    }
+
+    /// Marks under `Hybrid` when remote rows arrive plain: compressed rows
+    /// are counted by the fused kernels, which probe none.
+    fn marks(&self) -> Option<SourceMarks> {
+        match self.storage {
+            GraphStorage::Plain => SourceMarks::for_method(self.intersector.method()),
+            GraphStorage::Compressed => None,
+        }
     }
 }
 
@@ -197,13 +210,24 @@ mod tests {
     #[test]
     fn remote_edges_are_counted() {
         let (pg, windows, config) = setup(4);
+        // Undirected: every remote neighbour `v` of `u` has `u` in its row,
+        // so no remote row is empty and each costs one get.
+        assert_eq!(pg.direction, Direction::Undirected);
         let out = run_worker(0, &pg, &windows, &config).unwrap();
         assert!(out.remote_edges > 0);
         assert!(out.remote_edges <= out.edges_processed);
-        // Non-cached: every remote edge issues exactly two gets (offsets + list),
-        // except edges towards empty rows which issue one.
-        assert!(out.rma.gets >= out.remote_edges);
-        assert!(out.rma.gets <= 2 * out.remote_edges);
+        // Non-cached: one get per remote edge for its row, plus one copy of
+        // each other owner's offsets window the rank needed.
+        let part = &pg.partitions[0];
+        let mut owners: Vec<usize> = (0..part.local_vertex_count())
+            .flat_map(|i| part.neighbours_of_local(i))
+            .map(|&v| pg.partitioner.owner(v))
+            .filter(|&owner| owner != 0)
+            .collect();
+        owners.sort_unstable();
+        owners.dedup();
+        assert!(owners.len() < config.ranks);
+        assert_eq!(out.rma.gets, out.remote_edges + owners.len() as u64);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The hybrid method selection rule (Section III-C, Eq. 3), extended from the
-//! paper's two kernels to a three-way cost model over four kernels.
+//! paper's two kernels to a three-way cost model over four pairwise kernels,
+//! plus a source-marks arm where the loop has marked the source's row.
 //!
 //! Comparing the asymptotic costs `O(|A| · log |B|)` (search-class kernels)
 //! and `O(|A| + |B|)` (merge-class kernels) for `|A| ≤ |B|` gives the paper's
@@ -22,10 +23,20 @@
 //! graphs is recorded in `docs/TUNING.md`, and per list shape in the second
 //! table of the `table3_intersection` bin.
 //!
-//! Both rules are stated over `log2`, but the per-pair dispatch decides them
-//! from integer brackets and evaluates the floating-point expression only
-//! where the brackets cannot tell — with answers identical to the
-//! floating-point definitions ([`ssi_is_faster`], [`galloping_is_faster`]).
+//! The pairwise rule is all [`IntersectMethod::resolve`] decides. The loops
+//! that walk one source's edges in a row also hold the source's row as
+//! [`SourceMarks`](super::marks::SourceMarks) under `Hybrid`, and there an
+//! edge whose other row `B` is at most [`MARKS_FACTOR`] times the source's
+//! remaining row `A` is counted by one bit probe per element of `B`
+//! ([`marks_are_faster`]) before the pairwise rule is asked — a deviation
+//! from the paper's pairwise Section III-C, costed in `docs/TUNING.md`
+//! ("Source marks").
+//!
+//! Both pairwise rules are stated over `log2`, but the per-pair dispatch
+//! decides them from integer brackets and evaluates the floating-point
+//! expression only where the brackets cannot tell — with answers identical
+//! to the floating-point definitions ([`ssi_is_faster`],
+//! [`galloping_is_faster`]).
 
 /// Which intersection kernel to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -191,6 +202,21 @@ pub fn select_kernel(short_len: usize, long_len: usize) -> IntersectMethod {
     }
 }
 
+/// How much longer than the source's remaining row `A` the other row `B` of
+/// an edge may be for the bit probes of source marks to beat the pairwise
+/// kernel: one probe per element of `B` against the block merge's
+/// `|A| + |B|` elements or the search kernels' `|A|` searches. Fixed from
+/// the replay of every closing pair of the seed-7 R-MAT-14 graph in
+/// `docs/TUNING.md` ("Source marks"): 2 and 4 cost alike there, 1 and 8 more.
+pub const MARKS_FACTOR: usize = 4;
+
+/// The source-marks arm: with the source's row marked, returns true when
+/// counting the `b_len` elements of `B` by bit probes is expected to beat
+/// the pairwise kernel on `(A, B)` — `|B| ≤ MARKS_FACTOR · |A|`.
+pub fn marks_are_faster(a_len: usize, b_len: usize) -> bool {
+    b_len <= MARKS_FACTOR.saturating_mul(a_len)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,6 +290,15 @@ mod tests {
                 assert_eq!(m.resolve(500, 500), m);
             }
         }
+    }
+
+    #[test]
+    fn marks_take_the_rows_at_most_the_factor_longer() {
+        assert!(marks_are_faster(10, 10 * MARKS_FACTOR));
+        assert!(!marks_are_faster(10, 10 * MARKS_FACTOR + 1));
+        assert!(marks_are_faster(1_000, 3));
+        assert!(marks_are_faster(0, 0));
+        assert!(!marks_are_faster(0, 1));
     }
 
     #[test]

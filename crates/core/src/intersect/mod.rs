@@ -25,7 +25,10 @@
 //!   decoding.
 //!
 //! Which kernel runs is fixed by the analytic rule of [`hybrid`] — Eq. (3)
-//! for the class, `|B| < |A|²` for the search kernel — on every host.
+//! for the class, `|B| < |A|²` for the search kernel — on every host. Loops
+//! that walk one source's edges in a row add [`marks`] under `Hybrid`: the
+//! source's row as a bitset, probed once per element of the other row when
+//! that row is at most [`MARKS_FACTOR`] times the source's.
 //!
 //! Every kernel is a plain-slice entry point (`&[VertexId]`), so callers can
 //! run them directly over borrowed views — local CSR rows, cached CLaMPI
@@ -35,6 +38,7 @@ pub mod binary;
 pub mod compressed;
 pub mod galloping;
 pub mod hybrid;
+pub mod marks;
 pub mod simd;
 pub mod ssi;
 
@@ -43,7 +47,11 @@ pub use compressed::{
     compressed_count_closing, compressed_scalar_count, compressed_simd_count, compressed_skip_count,
 };
 pub use galloping::galloping_count;
-pub use hybrid::{galloping_is_faster, select_kernel, ssi_is_faster, CostModel, IntersectMethod};
+pub use hybrid::{
+    galloping_is_faster, marks_are_faster, select_kernel, ssi_is_faster, CostModel,
+    IntersectMethod, MARKS_FACTOR,
+};
+pub use marks::{with_marked, SourceMarks};
 pub use simd::simd_count;
 pub use ssi::ssi_count;
 

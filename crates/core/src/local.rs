@@ -21,10 +21,14 @@
 //! The ranges run on `threads` scoped threads (`std::thread::scope`) spawned
 //! per call: each pulls the next range index from one shared atomic cursor
 //! until none are left, so a range that takes longer than its edge mass
-//! predicts delays only the thread running it.
+//! predicts delays only the thread running it. Under `Hybrid` on plain rows
+//! each thread owns one [`SourceMarks`] bitset (at most `n` bits), which
+//! holds the row of the vertex it is counting ([`count_closing_at`]).
 
 use crate::intersect::compressed::compressed_count_closing;
-use crate::intersect::{CostModel, IntersectMethod, Intersector};
+use crate::intersect::{
+    marks_are_faster, with_marked, CostModel, IntersectMethod, Intersector, SourceMarks,
+};
 use crate::lcc;
 use rmatc_graph::compressed::{decode_row, CompressedCsr};
 use rmatc_graph::split::balanced_vertex_bounds;
@@ -157,8 +161,13 @@ impl LocalLcc {
         let intersector = Intersector::new(self.config.method);
         let start = Instant::now();
         let (per_vertex, edges) = match &ccsr {
-            None => count_ranges(g, threads, |u, _| count_vertex(g, u, &intersector)),
-            Some(ccsr) => count_ranges(g, threads, |u, adj_u| {
+            None => count_ranges(
+                g,
+                threads,
+                || SourceMarks::for_method(self.config.method),
+                |u, marks| count_vertex(g, u, &intersector, marks.as_mut()),
+            ),
+            Some(ccsr) => count_ranges(g, threads, Vec::new, |u, adj_u| {
                 compressed_count_vertex(ccsr, u, adj_u)
             }),
         };
@@ -171,18 +180,23 @@ impl LocalLcc {
 /// `threads` scoped threads that share one range cursor, and stitches the
 /// per-vertex counts in range order; a thread's panic is re-raised on the
 /// caller. `count(u, scratch)` returns `u`'s closed triplets and directed
-/// edges; `scratch` is a buffer reused across the vertices of one range.
-/// Returns the per-vertex counts and the directed edges processed.
-fn count_ranges<F>(g: &CsrGraph, threads: usize, count: F) -> (Vec<u64>, u64)
+/// edges; `scratch` is state each thread makes once (`make_scratch`) and
+/// reuses across the vertices of all its ranges. Returns the per-vertex
+/// counts and the directed edges processed.
+fn count_ranges<S, F>(
+    g: &CsrGraph,
+    threads: usize,
+    make_scratch: impl Fn() -> S + Sync,
+    count: F,
+) -> (Vec<u64>, u64)
 where
-    F: Fn(VertexId, &mut Vec<VertexId>) -> (u64, u64) + Sync,
+    F: Fn(VertexId, &mut S) -> (u64, u64) + Sync,
 {
-    let count_range = |lo: usize, hi: usize| {
-        let mut scratch = Vec::new();
+    let count_range = |lo: usize, hi: usize, scratch: &mut S| {
         let mut counts = vec![0u64; hi - lo];
         let mut edges = 0u64;
         for (u, slot) in (lo..hi).zip(counts.iter_mut()) {
-            let (t, e) = count(u as VertexId, &mut scratch);
+            let (t, e) = count(u as VertexId, scratch);
             *slot = t;
             edges += e;
         }
@@ -190,7 +204,7 @@ where
     };
     let n = g.vertex_count();
     if threads <= 1 || n == 0 {
-        return count_range(0, n);
+        return count_range(0, n, &mut make_scratch());
     }
     let bounds = balanced_vertex_bounds(g.offsets(), threads * RANGES_PER_THREAD);
     let ranges = bounds.len() - 1;
@@ -198,13 +212,14 @@ where
     // caller through `join`.
     let cursor = AtomicUsize::new(0);
     let worker = || {
+        let mut scratch = make_scratch();
         let mut done = Vec::new();
         loop {
             let r = cursor.fetch_add(1, Ordering::Relaxed);
             if r >= ranges {
                 return done;
             }
-            done.push((r, count_range(bounds[r], bounds[r + 1])));
+            done.push((r, count_range(bounds[r], bounds[r + 1], &mut scratch)));
         }
     };
     let mut partials: Vec<(usize, (Vec<u64>, u64))> = thread::scope(|s| {
@@ -270,15 +285,22 @@ pub fn compressed_count_closing_at(
 /// Counts the closed triplets anchored at `u`, using the O(1) incremental
 /// upper-triangle offset: because `v` iterates `adj_u` in sorted order, the
 /// suffix of `adj_u` past `v` starts right after the running neighbour index —
-/// no `partition_point` over `adj_u` needed.
-fn count_vertex(g: &CsrGraph, u: VertexId, intersector: &Intersector) -> (u64, u64) {
+/// no `partition_point` over `adj_u` needed. With `marks`, `adj_u` is marked
+/// for the duration of `u`'s edges.
+fn count_vertex(
+    g: &CsrGraph,
+    u: VertexId,
+    intersector: &Intersector,
+    marks: Option<&mut SourceMarks>,
+) -> (u64, u64) {
     let adj_u = g.neighbours(u);
     let direction = g.direction();
-    let mut t = 0u64;
-    for (k, &v) in adj_u.iter().enumerate() {
-        let adj_v = g.neighbours(v);
-        t += count_closing_at(direction, adj_u, adj_v, v, k, intersector);
-    }
+    let t = with_marked(marks, adj_u, |marks| {
+        let closing = |(k, &v): (usize, &VertexId)| {
+            count_closing_at(direction, adj_u, g.neighbours(v), v, k, intersector, marks)
+        };
+        adj_u.iter().enumerate().map(closing).sum()
+    });
     (t, adj_u.len() as u64)
 }
 
@@ -314,6 +336,13 @@ pub fn count_closing(
 /// `neighbour_idx` is the index of `v` within `adj_u`, so the upper-triangle
 /// suffix of `adj_u` is `adj_u[neighbour_idx + 1..]` — O(1) instead of a
 /// binary search. Only the `adj_v` side still needs its `partition_point`.
+///
+/// `marks`, when given, must hold exactly `adj_u` (callers build them for
+/// `Hybrid` only, [`SourceMarks::for_method`]): with `A = adj_u ∩ (v, ∞)`
+/// and `B = adj_v ∩ (v, ∞)` (whole rows on directed graphs), an edge with
+/// `|B| ≤ MARKS_FACTOR · |A|` ([`marks_are_faster`]) is counted as the
+/// marked elements of `B` — every marked `w > v` is in `A` — and every
+/// other edge by the pairwise kernel.
 pub fn count_closing_at(
     direction: Direction,
     adj_u: &[VertexId],
@@ -321,17 +350,22 @@ pub fn count_closing_at(
     v: VertexId,
     neighbour_idx: usize,
     intersector: &Intersector,
+    marks: Option<&SourceMarks>,
 ) -> u64 {
     debug_assert!(
         direction == Direction::Directed || adj_u[neighbour_idx] == v,
         "neighbour_idx must locate v in adj_u"
     );
-    match direction {
-        Direction::Undirected => {
-            let b = &adj_v[adj_v.partition_point(|&x| x <= v)..];
-            intersector.count(&adj_u[neighbour_idx + 1..], b)
-        }
-        Direction::Directed => intersector.count(adj_u, adj_v),
+    let (a, b) = match direction {
+        Direction::Undirected => (
+            &adj_u[neighbour_idx + 1..],
+            &adj_v[adj_v.partition_point(|&x| x <= v)..],
+        ),
+        Direction::Directed => (adj_u, adj_v),
+    };
+    match marks {
+        Some(marks) if marks_are_faster(a.len(), b.len()) => marks.count(b),
+        _ => intersector.count(a, b),
     }
 }
 
@@ -495,7 +529,7 @@ mod tests {
                 let adj_v = g.neighbours(v);
                 assert_eq!(
                     count_closing(g.direction(), adj_u, adj_v, v, &ix),
-                    count_closing_at(g.direction(), adj_u, adj_v, v, k, &ix),
+                    count_closing_at(g.direction(), adj_u, adj_v, v, k, &ix, None),
                     "u={u} v={v}"
                 );
             }

@@ -7,6 +7,7 @@ use crate::distributed::pipeline::rank_endpoint;
 use crate::distributed::reader::{AdjCache, Edge, EdgeOp, OwnerOffsets, RowReader};
 use crate::distributed::windows::GraphWindows;
 use crate::distributed::worker::ClosingCount;
+use crate::intersect::{with_marked, SourceMarks};
 use crate::jaccard::{top_k_edges, JaccardPair};
 use crate::lcc::lcc_from_triangles;
 use rmatc_clampi::{CacheStats, RowRef};
@@ -81,6 +82,10 @@ pub struct QueryEngine {
     /// [`crate::DistLcc`]'s, every other query [`crate::DistJaccard`]'s.
     closing: ClosingCount,
     pair: JaccardPair,
+    /// The home vertex's row as a bitset while an `LccOf` query folds
+    /// `closing`, when it probes one ([`EdgeOp::marks`]); the engine runs
+    /// on one thread, so one serves every lane.
+    marks: Option<SourceMarks>,
     config: ServiceConfig,
     queue: VecDeque<Pending>,
     next_id: u64,
@@ -137,8 +142,10 @@ impl QueryEngine {
                 }
             })
             .collect();
+        let closing = ClosingCount::new(dist, pg.direction, dist.storage);
         Self {
-            closing: ClosingCount::new(dist, pg.direction, dist.storage),
+            marks: closing.marks(),
+            closing,
             pair: JaccardPair::new(dist, dist.storage),
             pg,
             lanes,
@@ -326,6 +333,7 @@ impl QueryEngine {
                 &mut self.lanes[rank],
                 &self.closing,
                 &self.pair,
+                &mut self.marks,
                 &batch,
                 members,
             );
@@ -463,6 +471,7 @@ fn exec_rank_group(
     lane: &mut RankLane,
     closing: &ClosingCount,
     pair: &JaccardPair,
+    marks: &mut Option<SourceMarks>,
     batch: &[Pending],
     members: &[usize],
 ) -> (GroupAnswers, GroupMetrics) {
@@ -520,7 +529,7 @@ fn exec_rank_group(
             let query = &batch[i].query;
             let edges = query_edges(pg, query);
             let (_, adj_u, targets) = edges;
-            let similarities = || landed.fold(pair, Vec::with_capacity(targets.len()), edges);
+            let similarities = || landed.fold(pair, None, Vec::with_capacity(targets.len()), edges);
             let answer = match *query {
                 Query::CommonNeighbors { .. } => {
                     similarities().map(|s| QueryAnswer::CommonNeighbors(s[0].common_neighbours))
@@ -529,9 +538,11 @@ fn exec_rank_group(
                 Query::TopK { k, .. } => {
                     similarities().map(|s| QueryAnswer::TopK(top_k_edges(&s, k)))
                 }
-                Query::LccOf { .. } => landed.fold(closing, vec![0], edges).map(|t| {
-                    QueryAnswer::Lcc(lcc_from_triangles(pg.direction, adj_u.len() as u32, t[0]))
-                }),
+                Query::LccOf { .. } => {
+                    let t = landed.fold(closing, marks.as_mut(), vec![0], edges);
+                    let degree = adj_u.len() as u32;
+                    t.map(|t| QueryAnswer::Lcc(lcc_from_triangles(pg.direction, degree, t[0])))
+                }
             };
             (i, answer)
         })
@@ -551,43 +562,48 @@ struct Landed<'a, 'r> {
 impl Landed<'_, '_> {
     /// Folds `op` over the edges `(source, targets[k])` into `out`, computing
     /// each edge where its row is, as the edge loop does: [`EdgeOp::local`]
-    /// on the rank's own plain row, [`EdgeOp::stored`] on a landed one. A
-    /// failed read fails the query.
+    /// on the rank's own plain row, [`EdgeOp::stored`] on a landed one, with
+    /// `adj_u` marked in `marks` while they run. A failed read fails the
+    /// query.
     fn fold<O: EdgeOp>(
         &self,
         op: &O,
+        marks: Option<&mut SourceMarks>,
         mut out: Vec<O::Item>,
         (source, adj_u, targets): QueryEdges<'_>,
     ) -> Result<Vec<O::Item>, ServiceError> {
-        for (k, &v) in targets.iter().enumerate() {
-            let edge = Edge {
-                slot: 0,
-                source,
-                adj_u,
-                v,
-                k,
-            };
-            let (owner, v_local) = (
-                self.pg.partitioner.owner(v),
-                self.pg.partitioner.local_index(v),
-            );
-            let value = if owner == self.rank {
-                op.local(
-                    &edge,
-                    self.pg.partitions[owner].neighbours_of_local(v_local),
-                )
-            } else {
-                let idx = self
-                    .keys
-                    .binary_search(&(owner, v_local))
-                    .expect("every referenced remote row was planned");
-                let row = self.rows[idx]
-                    .as_ref()
-                    .map_err(|e| ServiceError::Read(e.clone()))?;
-                op.stored(&edge, row.as_slice())
-            };
-            op.fold(&mut out, &edge, value);
-        }
-        Ok(out)
+        with_marked(marks, adj_u, |marks| {
+            for (k, &v) in targets.iter().enumerate() {
+                let edge = Edge {
+                    slot: 0,
+                    source,
+                    adj_u,
+                    v,
+                    k,
+                    marks,
+                };
+                let (owner, v_local) = (
+                    self.pg.partitioner.owner(v),
+                    self.pg.partitioner.local_index(v),
+                );
+                let value = if owner == self.rank {
+                    op.local(
+                        &edge,
+                        self.pg.partitions[owner].neighbours_of_local(v_local),
+                    )
+                } else {
+                    let idx = self
+                        .keys
+                        .binary_search(&(owner, v_local))
+                        .expect("every referenced remote row was planned");
+                    let row = self.rows[idx]
+                        .as_ref()
+                        .map_err(|e| ServiceError::Read(e.clone()))?;
+                    op.stored(&edge, row.as_slice())
+                };
+                op.fold(&mut out, &edge, value);
+            }
+            Ok(out)
+        })
     }
 }

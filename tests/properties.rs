@@ -5,6 +5,9 @@
 use proptest::prelude::*;
 use rmatc::prelude::*;
 use rmatc_clampi::{Clampi, EntryKey};
+use rmatc_core::intersect::{with_marked, SourceMarks};
+use rmatc_core::local::{count_closing, count_closing_at};
+use rmatc_core::Intersector;
 use rmatc_graph::reference;
 use rmatc_graph::types::Direction;
 use rmatc_rma::WindowId;
@@ -14,6 +17,36 @@ fn arb_undirected_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32)>)> {
     (4usize..40).prop_flat_map(|n| {
         let edges = prop::collection::vec((0..n as u32, 0..n as u32), 0..200);
         (Just(n), edges)
+    })
+}
+
+/// Strategy: a random graph of either direction with up to three planted
+/// hubs, each adjacent to about two thirds of the vertices, so hub–leaf
+/// edges (`|B|` far above or below `|A|`) sit next to balanced ones.
+fn arb_hub_graph() -> impl Strategy<Value = CsrGraph> {
+    (8usize..64, any::<bool>()).prop_flat_map(|(n, directed)| {
+        let edges = prop::collection::vec((0..n as u32, 0..n as u32), 0..150);
+        let hubs = prop::collection::vec(0..n as u32, 0..4);
+        (edges, hubs).prop_map(move |(mut edges, hubs)| {
+            for h in hubs {
+                edges.extend(
+                    (0..n as u32)
+                        .filter(|&w| (w * 7 + h) % 3 != 0)
+                        .map(|w| (h, w)),
+                );
+            }
+            let direction = if directed {
+                Direction::Directed
+            } else {
+                Direction::Undirected
+            };
+            let mut el = EdgeList::from_edges(n, edges, direction).unwrap();
+            el.remove_self_loops();
+            if !directed {
+                el.symmetrize();
+            }
+            el.into_csr()
+        })
     })
 }
 
@@ -78,6 +111,45 @@ proptest! {
             let ix = rmatc_core::Intersector::new(method);
             prop_assert_eq!(ix.count(&a, &b), expected);
             prop_assert_eq!(ix.count(&b, &a), expected);
+        }
+    }
+
+    #[test]
+    fn marked_closing_counts_equal_the_general_form(g in arb_hub_graph()) {
+        // One set of marks walks every source in order, as the loops do, so
+        // a mark left over from one source would surface in a later one.
+        let direction = g.direction();
+        for method in IntersectMethod::all() {
+            let ix = Intersector::new(method);
+            let mut marks = SourceMarks::default();
+            for u in 0..g.vertex_count() as u32 {
+                let adj_u = g.neighbours(u);
+                with_marked(Some(&mut marks), adj_u, |marks| {
+                    for (k, &v) in adj_u.iter().enumerate() {
+                        let adj_v = g.neighbours(v);
+                        prop_assert_eq!(
+                            count_closing_at(direction, adj_u, adj_v, v, k, &ix, marks),
+                            count_closing(direction, adj_u, adj_v, v, &ix),
+                            "{:?} u={} v={}", method, u, v
+                        );
+                    }
+                    Ok(())
+                })?;
+            }
+            let local = LocalLcc::new(
+                LocalConfig::sequential()
+                    .with_method(method)
+                    .with_storage(GraphStorage::Plain),
+            )
+            .run(&g);
+            prop_assert_eq!(&local.per_vertex_triangles, &reference::per_vertex_triangles(&g));
+        }
+        let ranks = 3.min(g.vertex_count());
+        let dist = DistLcc::new(DistConfig::non_cached(ranks).with_storage(GraphStorage::Plain))
+            .run(&g);
+        let expected = reference::lcc_scores(&g);
+        for (a, b) in dist.lcc.iter().zip(expected.iter()) {
+            prop_assert!((a - b).abs() < 1e-12);
         }
     }
 
@@ -187,4 +259,60 @@ proptest! {
         prop_assert!(stats.compulsory_misses <= stats.misses);
         prop_assert!(cache.occupied_bytes() <= cache.config().capacity_bytes);
     }
+}
+
+/// Two consecutive sources with overlapping neighbourhoods: `0` is adjacent
+/// to `2..=7` and `1` to `2` and `8`. On the edge `(1, 2)`, `A = {8}` and
+/// `B = adj(2) ∩ (2, ∞) = {3, 4, 5, 8}`, so `Hybrid` counts it by probing
+/// `1`'s marks (`|B| ≤ 4·|A|`); marks of `0` still set would add `3, 4, 5`.
+/// Every loop that marks sources — `LocalLcc`'s ranges, the distributed edge
+/// loop and the service's `LccOf` fold — must count `1` one triangle.
+#[test]
+fn source_marks_are_cleared_before_the_next_source() {
+    let edges = vec![
+        (0, 2),
+        (0, 3),
+        (0, 4),
+        (0, 5),
+        (0, 6),
+        (0, 7),
+        (1, 2),
+        (1, 8),
+        (2, 3),
+        (2, 4),
+        (2, 5),
+        (2, 8),
+    ];
+    let g = build_csr(9, &edges);
+    let expected = reference::per_vertex_triangles(&g);
+    assert_eq!(&expected[..2], &[3, 1]);
+    let scores = reference::lcc_scores(&g);
+
+    for threads in [1, 2] {
+        let config = LocalConfig::parallel(threads).with_storage(GraphStorage::Plain);
+        let local = LocalLcc::new(config).run(&g);
+        assert_eq!(local.per_vertex_triangles, expected, "{threads} threads");
+    }
+    for (ranks, cached) in [(1, false), (2, false), (2, true)] {
+        let mut config = DistConfig::non_cached(ranks).with_storage(GraphStorage::Plain);
+        if cached {
+            config.cache = Some(CacheSpec::paper(1 << 16));
+        }
+        let dist = DistLcc::new(config).run(&g);
+        assert_eq!(dist.lcc, scores, "{ranks} ranks, cached={cached}");
+    }
+    let config = ServiceConfig::new(DistConfig::non_cached(1).with_storage(GraphStorage::Plain));
+    let mut engine = QueryEngine::new(&g, config).unwrap();
+    for v in [0, 1] {
+        engine.submit(Query::LccOf { v }).unwrap();
+    }
+    let answers: Vec<QueryAnswer> = engine
+        .run_batch()
+        .into_iter()
+        .map(|r| r.result.unwrap())
+        .collect();
+    assert_eq!(
+        answers,
+        vec![QueryAnswer::Lcc(scores[0]), QueryAnswer::Lcc(scores[1])]
+    );
 }

@@ -148,7 +148,7 @@ fn materializing_worker(
             let v_local = pg.partitioner.local_index(v);
             *slot += if owner == rank {
                 let adj_v = part.neighbours_of_local(v_local);
-                count_closing_at(direction, adj_u, adj_v, v, k, &intersector)
+                count_closing_at(direction, adj_u, adj_v, v, k, &intersector, None)
             } else {
                 reader.read_key_rows(
                     &mut ep,
@@ -159,7 +159,7 @@ fn materializing_worker(
                     &mut rows,
                 );
                 let adj_v = rows[0].as_ref().expect("no faults injected").to_vec();
-                count_closing_at(direction, adj_u, &adj_v, v, k, &intersector)
+                count_closing_at(direction, adj_u, &adj_v, v, k, &intersector, None)
             };
         }
     }
@@ -339,6 +339,7 @@ impl<'a> Rounds<'a> {
                     adj_u,
                     v,
                     k,
+                    marks: None,
                 };
                 let gets = self.ep.stats().gets;
                 let v_local = self.pg.partitioner.local_index(v);
