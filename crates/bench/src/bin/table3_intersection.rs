@@ -13,11 +13,14 @@
 //! Orkut 0.596/0.552/0.503 — the expected *ordering* is hybrid ≥ SSI ≥ binary.
 //!
 //! A second table times every kernel on one list pair per shape: Table III's
-//! balanced and 1024× hub–leaf shapes, a 64k balanced pair for the SIMD merge
-//! and a 1000× skew for the search kernels, plus the fused decode kernels of
-//! compressed rows against the plain hybrid on the same lists. The lists are
-//! seeded draws of fixed sizes, independent of `RMATC_SCALE` and
-//! `RMATC_SEED`; their compression ratios are pinned in `tests/kernels.rs`.
+//! balanced and 1024× hub–leaf shapes, a 64k balanced pair for the SIMD merge,
+//! a 1000× skew for the search kernels and 16×/32×/64× skews either side of
+//! the hybrid rule's merge boundary, plus the fused decode kernels of
+//! compressed rows against the plain hybrid on the same lists. Its caption
+//! names the rule's three factors, so they can be re-measured with this bin.
+//! The lists are seeded draws of fixed sizes, independent of `RMATC_SCALE`
+//! and `RMATC_SEED`; their compression ratios are pinned in
+//! `tests/kernels.rs`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,6 +28,7 @@ use rmatc_bench::{experiment_scale, measure_until, seed, Table};
 use rmatc_core::intersect::{
     binary_search_count, compressed_count_closing, compressed_scalar_count, compressed_simd_count,
     compressed_skip_count, galloping_count, simd_count, ssi_count, CostModel,
+    COMPRESSED_MERGE_FACTOR, MARKS_FACTOR, MERGE_FACTOR,
 };
 use rmatc_core::{IntersectMethod, Intersector, LocalConfig, LocalLcc};
 use rmatc_graph::compressed::compress_row;
@@ -82,7 +86,7 @@ fn main() {
     }
     table.print();
     println!(
-        "Expected shape from the paper: the hybrid rule (Eq. 3) is never slower than using \
+        "Expected shape from the paper: the hybrid rule is never slower than using \
          SSI or binary search exclusively. Here the Hybrid column also counts an edge by \
          probing its source's marked row where that beats the pairwise kernel \
          (docs/TUNING.md, \"Source marks\"); every other column runs the one kernel it \
@@ -90,6 +94,14 @@ fn main() {
          thread(s) of a host with {cores} core(s)."
     );
     kernel_shapes().print();
+    println!(
+        "Hybrid runs the SIMD block merge while |B| <= {MERGE_FACTOR}·|A| (MERGE_FACTOR) and \
+         the galloping block probe beyond; \"auto\" runs the SIMD decode while |B| <= \
+         {COMPRESSED_MERGE_FACTOR}·|A| (COMPRESSED_MERGE_FACTOR) and the skip decode beyond. \
+         The LCC loops count an edge by source marks while |B| <= {MARKS_FACTOR}·|A| \
+         (MARKS_FACTOR), which no row of this table runs. All three live in \
+         crates/core/src/intersect/hybrid.rs (docs/TUNING.md, \"Merge/search boundary\")."
+    );
 }
 
 fn sorted_random(rng: &mut impl Rng, len: usize, universe: u32) -> Vec<u32> {
@@ -150,6 +162,9 @@ fn kernel_shapes() -> Table {
         ("balanced64k", 65_536, 65_536, 1 << 22),
         ("hubleaf1024x", 64, 65_536, 1 << 20),
         ("skewed1000x", 4_200, 4_200_000, 1 << 25),
+        ("skewed16x", 1_024, 16_384, 1 << 22),
+        ("skewed32x", 1_024, 32_768, 1 << 22),
+        ("skewed64x", 1_024, 65_536, 1 << 22),
     ] {
         let a = &sorted_random(&mut rng, short, universe)[..];
         let b = &sorted_random(&mut rng, long, universe)[..];

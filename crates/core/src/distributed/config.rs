@@ -87,7 +87,8 @@ pub struct DistConfig {
     /// Intersection kernel.
     pub method: IntersectMethod,
     /// Cost model [`IntersectMethod::Hybrid`] resolves kernels through on
-    /// every rank; [`CostModel`] has one variant, the paper's analytic rule.
+    /// every rank; [`CostModel`] has one variant, the fixed ratio rules of
+    /// `intersect::hybrid`.
     pub cost_model: CostModel,
     /// Network cost model for remote reads.
     pub network: NetworkModel,

@@ -21,7 +21,12 @@
 //!   64-entry stack buffer.
 //!
 //! [`compressed_count_closing`] picks between the two accelerated kernels
-//! per pair by Eq. (3) — the compressed analogue of the hybrid rule.
+//! per pair by the compressed analogue of the hybrid rule: the merge while
+//! the longer operand is at most
+//! [`COMPRESSED_MERGE_FACTOR`](super::hybrid::COMPRESSED_MERGE_FACTOR)
+//! times the shorter, the skip kernel beyond. The factor is lower than the
+//! plain rows' because decoding makes every merged element dearer
+//! (`docs/TUNING.md`, "Merge/search boundary").
 //!
 //! They run wherever a compressed row lives — a local window slice, a
 //! cached entry, or a transfer buffer the RMA layer has landed (and, under
@@ -33,7 +38,7 @@
 //! loops (`None` intersects against the whole row). Every kernel returns
 //! identical counts; only the work shape differs.
 
-use super::hybrid::CostModel;
+use super::hybrid::{compressed_merge_is_faster, CostModel};
 use super::simd::simd_count;
 use rmatc_graph::compressed::{decode_block_scalar, BlockHeader, RowCursor, BLOCK_VALUES};
 use rmatc_graph::types::VertexId;
@@ -234,19 +239,20 @@ pub fn compressed_skip_count(a: &[VertexId], row: &[u32], bound: Option<VertexId
 /// Merge-class shapes (and every pair where the keys outnumber the row, for
 /// which key-wise search degenerates) run [`compressed_simd_count`]; skewed
 /// few-keys pairs run [`compressed_skip_count`]. The class boundary is
-/// Eq. (3) ([`CostModel::compressed_merge_is_faster`]).
+/// `|B| ≤ COMPRESSED_MERGE_FACTOR · |A|` ([`compressed_merge_is_faster`]),
+/// the one rule [`CostModel`] names.
 pub fn compressed_count_closing(
     a: &[VertexId],
     row: &[u32],
     bound: Option<VertexId>,
-    model: &CostModel,
+    _model: &CostModel,
 ) -> u64 {
     let n = rmatc_graph::compressed::decoded_len(row);
     if a.is_empty() || n == 0 {
         return 0;
     }
     let (short, long) = (a.len().min(n), a.len().max(n));
-    if a.len() > n || model.compressed_merge_is_faster(short, long) {
+    if a.len() > n || compressed_merge_is_faster(short, long) {
         compressed_simd_count(a, row, bound)
     } else {
         compressed_skip_count(a, row, bound)

@@ -18,9 +18,11 @@
 //!
 //! Total work is `O(|A| · (1 + log(|B| / |A|)))` — the information-theoretic
 //! optimum for intersecting sorted lists of very different lengths. This is
-//! the search-class kernel the three-way hybrid rule picks for skewed edges
-//! with enough keys to amortize (see [`super::hybrid`]), and what the block
-//! merge of [`simd`](super::simd) hands its sub-block remainders to.
+//! the search kernel the hybrid rule runs past its merge boundary (see
+//! [`super::hybrid`]): on R-MAT-17 and R-MAT-18 it beats restart binary
+//! search there by more than the replay's spread (`docs/TUNING.md`,
+//! "Merge/search boundary"). The block merge of [`simd`](super::simd) also
+//! hands it its sub-block remainders.
 
 use super::simd::Isa;
 use rmatc_graph::types::VertexId;

@@ -1,42 +1,35 @@
-//! The hybrid method selection rule (Section III-C, Eq. 3), extended from the
-//! paper's two kernels to a three-way cost model over four pairwise kernels,
-//! plus a source-marks arm where the loop has marked the source's row.
+//! The hybrid method selection rule (Section III-C), with the boundaries
+//! measured for this repository's kernels instead of Eq. (3).
 //!
-//! Comparing the asymptotic costs `O(|A| · log |B|)` (search-class kernels)
-//! and `O(|A| + |B|)` (merge-class kernels) for `|A| ≤ |B|` gives the paper's
-//! rule: merging is faster when `|B| / |A| ≤ log2(|B|) − 1`. The hybrid method
-//! evaluates this per edge, so hub–leaf edges use a search kernel and balanced
-//! edges use a merge kernel — which Table III shows beats either class used
-//! exclusively.
+//! The paper compares the asymptotic costs `O(|A| · log |B|)` (binary
+//! search) and `O(|A| + |B|)` (SSI) for `|A| ≤ |B|` and merges while the
+//! ratio `|B| / |A|` is at most one less than the binary logarithm of `|B|`
+//! (Eq. 3), so hub–leaf edges search and balanced edges merge — which
+//! Table III shows beats either kernel used exclusively. Eq. (3) was derived
+//! for scalar SSI. The block merge ([`simd_count`](super::simd::simd_count))
+//! that replaces SSI here costs a fraction of it per element, which moves
+//! the crossover.
 //!
-//! This reproduction keeps Eq. (3) as the class boundary but upgrades the
-//! kernel chosen *within* each class:
+//! So every per-pair decision here is a length ratio, `long ≤ FACTOR ·
+//! short`, the way Lemire, Boytsov and Kurz pick between a SIMD merge and a
+//! search kernel ("SIMD compression and the intersection of sorted
+//! integers", SP&E 2016). Each factor is a constant fixed from a recorded
+//! replay (`docs/TUNING.md`, "Merge/search boundary" and "Source marks"):
 //!
-//! * merge class — [`simd_count`](super::simd::simd_count) (the SIMD block
-//!   merge) instead of scalar SSI;
-//! * search class — [`galloping_count`](super::galloping::galloping_count)
-//!   (the block probe with a running cursor) instead of restart-from-zero
-//!   binary search, which keeps the pairs with `|B| ≥ |A|²`.
+//! * [`MARKS_FACTOR`] — where a loop walking one source's edges in a row has
+//!   marked the source's row as [`SourceMarks`](super::marks::SourceMarks),
+//!   an edge whose other row `B` is within it of the source's remaining row
+//!   `A` is counted by one bit probe per element of `B`
+//!   ([`marks_are_faster`]);
+//! * [`MERGE_FACTOR`] — otherwise, on plain rows, the block merge runs
+//!   within it and the block probe
+//!   ([`galloping_count`](super::galloping::galloping_count)) beyond it
+//!   ([`select_kernel`]);
+//! * [`COMPRESSED_MERGE_FACTOR`] — the same boundary between the fused
+//!   kernels of compressed rows ([`compressed_merge_is_faster`]).
 //!
-//! The Eq. (3) crossover is kept as the paper's approximation of the class
-//! boundary, not re-derived per kernel; what each arm costs on the benchmark
-//! graphs is recorded in `docs/TUNING.md`, and per list shape in the second
-//! table of the `table3_intersection` bin.
-//!
-//! The pairwise rule is all [`IntersectMethod::resolve`] decides. The loops
-//! that walk one source's edges in a row also hold the source's row as
-//! [`SourceMarks`](super::marks::SourceMarks) under `Hybrid`, and there an
-//! edge whose other row `B` is at most [`MARKS_FACTOR`] times the source's
-//! remaining row `A` is counted by one bit probe per element of `B`
-//! ([`marks_are_faster`]) before the pairwise rule is asked — a deviation
-//! from the paper's pairwise Section III-C, costed in `docs/TUNING.md`
-//! ("Source marks").
-//!
-//! Both pairwise rules are stated over `log2`, but the per-pair dispatch
-//! decides them from integer brackets and evaluates the floating-point
-//! expression only where the brackets cannot tell — with answers identical
-//! to the floating-point definitions ([`ssi_is_faster`],
-//! [`galloping_is_faster`]).
+//! The pairwise rule is all [`IntersectMethod::resolve`] decides, so
+//! `Hybrid` resolves to exactly two kernels.
 
 /// Which intersection kernel to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,11 +42,9 @@ pub enum IntersectMethod {
     Simd,
     /// Always use galloping search, shorter list as keys.
     Galloping,
-    /// Decide per pair with the three-way cost model: Eq. (3) picks the class
-    /// ([`Simd`](IntersectMethod::Simd) merge for balanced pairs, search for
-    /// skewed ones) and the probe model picks the search kernel
-    /// ([`Galloping`](IntersectMethod::Galloping) when `|B| < |A|²`, else
-    /// [`BinarySearch`](IntersectMethod::BinarySearch)).
+    /// Decide per pair ([`select_kernel`]): the
+    /// [`Simd`](IntersectMethod::Simd) merge while `|B| ≤ MERGE_FACTOR ·
+    /// |A|`, [`Galloping`](IntersectMethod::Galloping) beyond.
     Hybrid,
 }
 
@@ -81,8 +72,8 @@ impl IntersectMethod {
         }
     }
 
-    /// Resolves the per-pair decision: `Hybrid` applies the three-way cost
-    /// model ([`select_kernel`]), every other method is already concrete.
+    /// Resolves the per-pair decision: `Hybrid` applies [`select_kernel`],
+    /// every other method is already concrete.
     pub fn resolve(self, short_len: usize, long_len: usize) -> IntersectMethod {
         match self {
             IntersectMethod::Hybrid => select_kernel(short_len, long_len),
@@ -91,23 +82,14 @@ impl IntersectMethod {
     }
 }
 
-/// The rule [`IntersectMethod::Hybrid`] resolves kernels through: the
-/// paper's Eq. (3) plus the `|B| < |A|²` probe rule, identical on every host.
-/// It has one variant; the type survives so configurations that name it
-/// keep compiling.
+/// The rule [`IntersectMethod::Hybrid`] resolves kernels through: the fixed
+/// factors of this module, identical on every host. It has one variant; the
+/// type survives so configurations that name it keep compiling.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CostModel {
-    /// Eq. (3) + `|B| < |A|²`, as written in the paper.
+    /// The ratio rules of this module.
     #[default]
     Analytic,
-}
-
-impl CostModel {
-    /// Class boundary of the fused decompress+intersect kernels: Eq. (3)
-    /// unchanged ([`ssi_is_faster`]).
-    pub fn compressed_merge_is_faster(&self, short_len: usize, long_len: usize) -> bool {
-        ssi_is_faster(short_len, long_len)
-    }
 }
 
 impl std::fmt::Display for IntersectMethod {
@@ -116,146 +98,62 @@ impl std::fmt::Display for IntersectMethod {
     }
 }
 
-/// Lengths from which the integer brackets below defer to the
-/// floating-point definitions outright: beneath it both lengths convert to
-/// `f64` exactly and `log2` of a length stays well clear of the next integer,
-/// which is what makes the brackets exact. (Rows of `u32` vertex ids cannot
-/// reach it.)
-const BRACKET_LIMIT: usize = 1 << 40;
-
-/// Eq. (3): for `short_len ≤ long_len`, returns true when a merge-class kernel
-/// (SSI / SIMD) is expected to beat a search-class kernel (binary search /
-/// galloping): `|B| / |A| ≤ log2(|B|) − 1`.
-///
-/// Decided without `log2` wherever `⌊log2 |B|⌋` already settles it — the
-/// threshold lies in `[⌊log2 |B|⌋ − 1, ⌊log2 |B|⌋)`, so a ratio at or below
-/// the lower end is merge class, one at or above the upper end is search
-/// class, and only ratios strictly inside the band evaluate the expression.
-pub fn ssi_is_faster(short_len: usize, long_len: usize) -> bool {
-    debug_assert!(short_len <= long_len);
-    if short_len == 0 || long_len == 0 {
-        return true;
-    }
-    if long_len < BRACKET_LIMIT {
-        let floor_log = long_len.ilog2() as usize;
-        if long_len >= floor_log * short_len {
-            return false;
-        }
-        if long_len <= (floor_log - 1) * short_len {
-            return true;
-        }
-    }
-    eq3_f64(short_len, long_len)
+/// `long ≤ factor · short`: the one shape of every per-pair decision.
+fn within(factor: usize, short_len: usize, long_len: usize) -> bool {
+    long_len <= factor.saturating_mul(short_len)
 }
 
-/// Eq. (3) as defined, for non-empty lists: the floating-point expression.
-fn eq3_f64(short_len: usize, long_len: usize) -> bool {
-    let ratio = long_len as f64 / short_len as f64;
-    ratio <= (long_len as f64).log2() - 1.0
-}
+/// How much longer than the short list the long one may be for the block
+/// merge ([`simd_count`](super::simd::simd_count)) to beat the block probe
+/// on plain rows. Fixed from the replay of the closing pairs the source marks
+/// leave on R-MAT-14 (seeds 7 and 11), R-MAT-17 and R-MAT-18, and of every
+/// whole-row pair on R-MAT-14, in `docs/TUNING.md` ("Merge/search boundary").
+pub const MERGE_FACTOR: usize = 32;
 
-/// Within the search class: returns true when galloping is expected to beat
-/// restart-from-zero binary search.
-///
-/// With `|A|` uniformly spread keys the cursor advances `|B| / |A|` positions
-/// per key on average, so galloping pays `≈ 2·log2(|B| / |A|)` probes per key
-/// (exponential probe + window binary search) against binary search's
-/// `log2(|B|)` — galloping wins exactly when `|B| < |A|²`. Its probes are also
-/// nearly sequential while binary search's are random, so past the cache the
-/// inequality is conservative in galloping's favour.
-///
-/// The rule is defined as `2·log2(|B| / |A|) < log2(|B|)` in `f64`; the two
-/// sides differ by `log2(|B| / |A|²)`, at least `2⁻⁴⁰` in magnitude unless
-/// `|B| = |A|²` — far above the rounding error of the expression — so the
-/// integer comparison decides every other pair.
-pub fn galloping_is_faster(short_len: usize, long_len: usize) -> bool {
-    debug_assert!(short_len <= long_len);
-    if short_len == 0 || long_len == 0 {
-        return true;
-    }
-    if long_len < BRACKET_LIMIT {
-        // `short_len ≤ long_len < 2⁴⁰`, so the square fits a `u128`.
-        let square = (short_len as u128) * (short_len as u128);
-        if long_len as u128 != square {
-            return (long_len as u128) < square;
-        }
-    }
-    square_rule_f64(short_len, long_len)
-}
-
-/// The square rule as defined, for non-empty lists.
-fn square_rule_f64(short_len: usize, long_len: usize) -> bool {
-    let gap = (long_len as f64 / short_len as f64).max(1.0);
-    2.0 * gap.log2() < (long_len as f64).log2()
-}
-
-/// The three-way cost model: Eq. (3) decides merge vs search, and the probe
-/// model above decides which search kernel. Returns the concrete kernel for a
-/// `(short, long)` pair.
-pub fn select_kernel(short_len: usize, long_len: usize) -> IntersectMethod {
-    if ssi_is_faster(short_len, long_len) {
-        IntersectMethod::Simd
-    } else if galloping_is_faster(short_len, long_len) {
-        IntersectMethod::Galloping
-    } else {
-        IntersectMethod::BinarySearch
-    }
-}
+/// The same boundary between the fused kernels of compressed rows
+/// ([`compressed_simd_count`](super::compressed::compressed_simd_count)
+/// against [`compressed_skip_count`](super::compressed::compressed_skip_count)),
+/// lower because decoding makes every merged element dearer. Fixed from the
+/// replay of every whole-row and closing pair of R-MAT-14 over compressed
+/// rows in `docs/TUNING.md` ("Merge/search boundary").
+pub const COMPRESSED_MERGE_FACTOR: usize = 8;
 
 /// How much longer than the source's remaining row `A` the other row `B` of
 /// an edge may be for the bit probes of source marks to beat the pairwise
 /// kernel: one probe per element of `B` against the block merge's
-/// `|A| + |B|` elements or the search kernels' `|A|` searches. Fixed from
-/// the replay of every closing pair of the seed-7 R-MAT-14 graph in
+/// `|A| + |B|` elements or the block probe's `|A|` searches. Fixed from the
+/// replay of every closing pair of the seed-7 R-MAT-14 graph in
 /// `docs/TUNING.md` ("Source marks"): 2 and 4 cost alike there, 1 and 8 more.
 pub const MARKS_FACTOR: usize = 4;
+
+/// For `short_len ≤ long_len`: true when the fused block merge is expected
+/// to beat the header-skipping search on a compressed row,
+/// `|B| ≤ COMPRESSED_MERGE_FACTOR · |A|`.
+pub fn compressed_merge_is_faster(short_len: usize, long_len: usize) -> bool {
+    within(COMPRESSED_MERGE_FACTOR, short_len, long_len)
+}
+
+/// The kernel [`IntersectMethod::Hybrid`] runs on a `(short, long)` pair of
+/// plain rows: the block merge while `|B| ≤ MERGE_FACTOR · |A|`, the block
+/// probe beyond.
+pub fn select_kernel(short_len: usize, long_len: usize) -> IntersectMethod {
+    if within(MERGE_FACTOR, short_len, long_len) {
+        IntersectMethod::Simd
+    } else {
+        IntersectMethod::Galloping
+    }
+}
 
 /// The source-marks arm: with the source's row marked, returns true when
 /// counting the `b_len` elements of `B` by bit probes is expected to beat
 /// the pairwise kernel on `(A, B)` — `|B| ≤ MARKS_FACTOR · |A|`.
 pub fn marks_are_faster(a_len: usize, b_len: usize) -> bool {
-    b_len <= MARKS_FACTOR.saturating_mul(a_len)
+    within(MARKS_FACTOR, a_len, b_len)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn balanced_lists_prefer_ssi() {
-        // |B|/|A| = 1, log2(1024) - 1 = 9: SSI.
-        assert!(ssi_is_faster(1024, 1024));
-    }
-
-    #[test]
-    fn highly_skewed_lists_prefer_binary_search() {
-        // |B|/|A| = 1000, log2(100000) - 1 ≈ 15.6: binary search.
-        assert!(!ssi_is_faster(100, 100_000));
-    }
-
-    #[test]
-    fn boundary_follows_equation_three() {
-        // |B| = 4096 → log2 - 1 = 11; ratio 11 exactly satisfies "≤".
-        let b = 4096usize;
-        let a_at_boundary = ((b as f64) / 11.0).ceil() as usize;
-        assert!(ssi_is_faster(a_at_boundary, b));
-        // A slightly shorter key list pushes the ratio above the threshold.
-        let a_below = (b as f64 / 12.5) as usize;
-        assert!(!ssi_is_faster(a_below, b));
-    }
-
-    #[test]
-    fn degenerate_lengths_default_to_ssi() {
-        assert!(ssi_is_faster(0, 10));
-        assert!(ssi_is_faster(0, 0));
-    }
-
-    #[test]
-    fn tiny_lists_prefer_binary_search_by_the_formula() {
-        // log2(4) - 1 = 1, ratio = 2 > 1 → binary search. (In practice both are
-        // instantaneous; the rule is only about the asymptotic model.)
-        assert!(!ssi_is_faster(2, 4));
-    }
 
     #[test]
     fn labels_match_table3_columns() {
@@ -267,105 +165,35 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_resolves_by_class() {
-        // Balanced: merge class, SIMD kernel.
-        assert_eq!(
-            IntersectMethod::Hybrid.resolve(1024, 1024),
-            IntersectMethod::Simd
-        );
-        // Extreme skew with few keys (|B| >= |A|^2): restart binary search.
-        assert_eq!(
-            IntersectMethod::Hybrid.resolve(64, 65_536),
-            IntersectMethod::BinarySearch
-        );
-        // Large skew with enough keys (|B| < |A|^2): galloping amortizes.
-        assert_eq!(
-            IntersectMethod::Hybrid.resolve(4_096, 4_000_000),
-            IntersectMethod::Galloping
-        );
+    fn each_rule_switches_kernel_at_its_factor() {
+        use IntersectMethod::{Galloping, Simd};
+        for short in [1, 10, 4_096] {
+            let at = MERGE_FACTOR * short;
+            assert_eq!(IntersectMethod::Hybrid.resolve(short, at), Simd);
+            assert_eq!(IntersectMethod::Hybrid.resolve(short, at + 1), Galloping);
+            let at = COMPRESSED_MERGE_FACTOR * short;
+            assert!(compressed_merge_is_faster(short, at));
+            assert!(!compressed_merge_is_faster(short, at + 1));
+            let at = MARKS_FACTOR * short;
+            assert!(marks_are_faster(short, at));
+            assert!(!marks_are_faster(short, at + 1));
+        }
+        // The kernel table's hub-leaf and 1000x shapes stay with the search
+        // kernel; balanced pairs merge.
+        assert_eq!(IntersectMethod::Hybrid.resolve(64, 65_536), Galloping);
+        assert_eq!(IntersectMethod::Hybrid.resolve(4_200, 4_200_000), Galloping);
+        assert_eq!(IntersectMethod::Hybrid.resolve(4_096, 4_096), Simd);
+        // Empty key lists search (nothing); the marks take only empty rows.
+        assert_eq!(IntersectMethod::Hybrid.resolve(0, 10), Galloping);
+        assert_eq!(IntersectMethod::Hybrid.resolve(0, 0), Simd);
+        assert!(marks_are_faster(1_000, 3));
+        assert!(marks_are_faster(0, 0));
+        assert!(!marks_are_faster(0, 1));
         // Concrete methods resolve to themselves regardless of shape.
         for m in IntersectMethod::all() {
             if m != IntersectMethod::Hybrid {
                 assert_eq!(m.resolve(1, 1_000_000), m);
                 assert_eq!(m.resolve(500, 500), m);
-            }
-        }
-    }
-
-    #[test]
-    fn marks_take_the_rows_at_most_the_factor_longer() {
-        assert!(marks_are_faster(10, 10 * MARKS_FACTOR));
-        assert!(!marks_are_faster(10, 10 * MARKS_FACTOR + 1));
-        assert!(marks_are_faster(1_000, 3));
-        assert!(marks_are_faster(0, 0));
-        assert!(!marks_are_faster(0, 1));
-    }
-
-    #[test]
-    fn galloping_rule_is_the_square_boundary() {
-        assert!(galloping_is_faster(1_000, 999_000 / 2));
-        assert!(!galloping_is_faster(100, 100_000));
-        // Degenerate inputs never panic and default to galloping.
-        assert!(galloping_is_faster(0, 0));
-        assert!(galloping_is_faster(0, 50));
-    }
-
-    fn assert_brackets_agree(short: usize, long: usize) {
-        // Empty lists never reach the expressions: both rules answer true.
-        let empty = short == 0 || long == 0;
-        assert_eq!(
-            ssi_is_faster(short, long),
-            empty || eq3_f64(short, long),
-            "Eq. (3) at ({short}, {long})"
-        );
-        assert_eq!(
-            galloping_is_faster(short, long),
-            empty || square_rule_f64(short, long),
-            "square rule at ({short}, {long})"
-        );
-    }
-
-    #[test]
-    fn integer_brackets_answer_exactly_like_the_float_definitions() {
-        for long in 0..=4096usize {
-            for short in 0..=long {
-                assert_brackets_agree(short, long);
-            }
-        }
-        // Large lengths: random pairs, plus the places the brackets are
-        // tightest — powers of two and their neighbours, ratios on the
-        // integer ends of the Eq. (3) band, and `|B|` around `|A|²`.
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
-        for _ in 0..200_000 {
-            let (long_bits, short_bits) = (rng.gen_range(4..usize::BITS), rng.gen_range(1..40));
-            let long = rng.gen_range(1..usize::MAX >> (usize::BITS - long_bits));
-            let short = rng.gen_range(1..=long.min(1 << short_bits));
-            assert_brackets_agree(short, long);
-            let floor_log = long.ilog2() as usize;
-            for ratio in [floor_log.saturating_sub(1), floor_log, floor_log + 1] {
-                for short in [long / ratio.max(1), long / ratio.max(1) + 1] {
-                    if (1..=long).contains(&short) {
-                        assert_brackets_agree(short, long);
-                    }
-                }
-            }
-            if let Some(square) = short.checked_mul(short) {
-                for long in [square.saturating_sub(1), square, square.saturating_add(1)] {
-                    if long >= short {
-                        assert_brackets_agree(short, long);
-                    }
-                }
-            }
-        }
-        for exp in 1..usize::BITS {
-            let pow = 1usize << exp;
-            for long in [pow - 1, pow, pow.saturating_add(1)] {
-                for short in [1, 2, 3, exp as usize, long / exp as usize, long / 2, long] {
-                    if (1..=long).contains(&short) {
-                        assert_brackets_agree(short, long);
-                    }
-                }
             }
         }
     }

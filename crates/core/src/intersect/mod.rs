@@ -2,14 +2,14 @@
 //!
 //! Triangle counting reduces to computing `|adj(v_i) ∩ adj(v_j)|` for every edge.
 //! The paper uses two kernels — binary search and sorted set intersection (SSI) —
-//! plus a hybrid rule (Eq. 3) that picks per edge. It also parallelizes each
+//! plus a hybrid rule (Eq. 3) that picks one per edge. It also parallelizes each
 //! intersection across threads (Section III-C); this reproduction runs every
 //! intersection sequentially and parallelizes over vertex ranges instead
 //! ([`crate::local`]).
 //!
 //! This reproduction extends the suite with two block kernels in the same two
-//! cost classes, selected by the same Eq. (3) boundary, both written once
-//! over a per-ISA block step (AVX2, SSE2, scalar):
+//! cost classes, both written once over a per-ISA block step (AVX2, SSE2,
+//! scalar):
 //!
 //! * [`simd`] — the block merge (`O(|A| + |B|)`), the merge-class upgrade of
 //!   SSI: all-pairs compares of one block from each list, advancing the block
@@ -24,8 +24,10 @@
 //!   header-skipping search variant that gallops across block maxima without
 //!   decoding.
 //!
-//! Which kernel runs is fixed by the analytic rule of [`hybrid`] — Eq. (3)
-//! for the class, `|B| < |A|²` for the search kernel — on every host. Loops
+//! Which kernel `Hybrid` runs is fixed by the ratio rules of [`hybrid`], the
+//! same on every host: the block merge while the long list is at most
+//! [`MERGE_FACTOR`] times the short one, the block probe beyond, and the
+//! compressed pair of kernels split at [`COMPRESSED_MERGE_FACTOR`]. Loops
 //! that walk one source's edges in a row add [`marks`] under `Hybrid`: the
 //! source's row as a bitset, probed once per element of the other row when
 //! that row is at most [`MARKS_FACTOR`] times the source's.
@@ -48,8 +50,8 @@ pub use compressed::{
 };
 pub use galloping::galloping_count;
 pub use hybrid::{
-    galloping_is_faster, marks_are_faster, select_kernel, ssi_is_faster, CostModel,
-    IntersectMethod, MARKS_FACTOR,
+    compressed_merge_is_faster, marks_are_faster, select_kernel, CostModel, IntersectMethod,
+    COMPRESSED_MERGE_FACTOR, MARKS_FACTOR, MERGE_FACTOR,
 };
 pub use marks::{with_marked, SourceMarks};
 pub use simd::simd_count;

@@ -8,9 +8,9 @@
 //!   of Eq. (3), each run sequentially. This reproduction adds two faster
 //!   kernels in the same cost classes — a SIMD/branchless block-compare merge
 //!   ([`intersect::simd`]) and a galloping search with a running cursor
-//!   ([`intersect::galloping`]) — and extends the hybrid rule to pick the best
-//!   kernel of the winning class per edge. The class boundaries are the
-//!   paper's analytic ones on every host.
+//!   ([`intersect::galloping`]). Its hybrid rule runs one of these two per
+//!   edge, split at a fixed length ratio measured for them instead of
+//!   Eq. (3) ([`intersect::hybrid`]).
 //! * [`local`] — shared-memory edge-centric TC/LCC over one CSR graph: the code path
 //!   measured in Table III and Figure 6. One loop over degree-weighted vertex
 //!   ranges on scoped threads replaces the paper's Section III-C

@@ -69,6 +69,7 @@ fn main() {
     }
     println!(
         "\nEvery recommended edge closes at least one triangle; the scores reuse the same \
-         hybrid intersection kernel (Eq. 3) as the triangle-counting core."
+         hybrid intersection rule (block merge or galloping per pair) as the \
+         triangle-counting core."
     );
 }

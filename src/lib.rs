@@ -9,7 +9,7 @@
 //!   cost model).
 //! * [`clampi`] — the CLaMPI RMA caching layer with application-defined scores.
 //! * [`core`] — intersection kernels (scalar, SIMD/branchless, binary-search and
-//!   galloping, with the per-edge hybrid cost model), shared-memory LCC over
+//!   galloping, with the per-edge hybrid rule), shared-memory LCC over
 //!   degree-weighted vertex ranges, and the fully
 //!   asynchronous distributed LCC/TC algorithm, plus the resident similarity
 //!   query service built on it.

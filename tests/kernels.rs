@@ -5,7 +5,10 @@
 
 use proptest::prelude::*;
 use rmatc::prelude::*;
-use rmatc_core::intersect::{binary_search_count, galloping_count, simd_count, ssi_count};
+use rmatc_core::intersect::{
+    binary_search_count, compressed_count_closing, galloping_count, simd_count, ssi_count,
+    with_marked, SourceMarks, COMPRESSED_MERGE_FACTOR, MARKS_FACTOR, MERGE_FACTOR,
+};
 use rmatc_core::Intersector;
 use rmatc_graph::reference;
 
@@ -59,6 +62,71 @@ fn kernels_agree_on_handpicked_adversarial_shapes() {
     for (a, b) in cases {
         assert_all_kernels_agree(a, b);
     }
+}
+
+#[test]
+fn every_kernel_agrees_on_both_sides_of_each_factor() {
+    // `|B| ∈ {f·|A| − 1, f·|A|, f·|A| + 1}` for the three factors of the
+    // hybrid rule: every method in both argument orders, the source marks and
+    // the compressed dispatcher (either list as the compressed row, with and
+    // without an upper-triangle bound) must count what the reference counts,
+    // whichever kernel the boundary sends the pair to.
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+    for factor in [MARKS_FACTOR, COMPRESSED_MERGE_FACTOR, MERGE_FACTOR] {
+        for a_len in [1usize, 3, 17, 256] {
+            for b_len in [factor * a_len - 1, factor * a_len, factor * a_len + 1] {
+                let universe = 4 * b_len as u32 + 64;
+                let b = distinct_sorted(&mut rng, b_len, universe);
+                // Half of A drawn from B, so the pair has common elements.
+                let mut a: Vec<u32> = (0..a_len)
+                    .map(|i| match i % 2 {
+                        0 => b[rng.gen_range(0..b.len())],
+                        _ => rng.gen_range(0..universe),
+                    })
+                    .collect();
+                // Top up past the universe to exactly `a_len` after dedup.
+                a = sorted_dedup(a);
+                a.extend(universe..universe + (a_len - a.len()) as u32);
+                assert_eq!((a.len(), b.len()), (a_len, b_len));
+                let expected = reference::sorted_intersection_count(&a, &b);
+                assert_all_kernels_agree(&a, &b);
+                let mut marks = SourceMarks::default();
+                let marked = with_marked(Some(&mut marks), &a, |m| {
+                    m.expect("marks were given").count(&b)
+                });
+                assert_eq!(marked, expected, "marks at |A|={a_len} |B|={b_len}");
+                for (keys, row) in [(&a, &b), (&b, &a)] {
+                    let mut words = Vec::new();
+                    rmatc_graph::compressed::compress_row(row, &mut words);
+                    for bound in [None, Some(universe / 2)] {
+                        let upper: Vec<u32> = row
+                            .iter()
+                            .copied()
+                            .filter(|&x| bound.is_none_or(|v| x > v))
+                            .collect();
+                        assert_eq!(
+                            compressed_count_closing(keys, &words, bound, &CostModel::Analytic),
+                            reference::sorted_intersection_count(keys, &upper),
+                            "compressed at |keys|={} |row|={} bound {bound:?}",
+                            keys.len(),
+                            row.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `len` distinct sorted values below `universe` (`len < universe`).
+fn distinct_sorted(rng: &mut impl rand::Rng, len: usize, universe: u32) -> Vec<u32> {
+    let mut v = Vec::with_capacity(len);
+    while v.len() < len {
+        v.extend((0..len - v.len()).map(|_| rng.gen_range(0..universe)));
+        v = sorted_dedup(v);
+    }
+    v
 }
 
 #[test]
