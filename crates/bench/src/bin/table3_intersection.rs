@@ -10,7 +10,8 @@
 //!
 //! Paper reference (edges/µs): R-MAT S20 EF8 0.540/0.508/0.449, EF16
 //! 0.425/0.403/0.340, EF32 0.325/0.311/0.250, LiveJournal 1.084/1.018/0.984,
-//! Orkut 0.596/0.552/0.503 — the expected *ordering* is hybrid ≥ SSI ≥ binary.
+//! Orkut 0.596/0.552/0.503 — the expected shape is hybrid ≥ both SSI and
+//! binary search.
 //!
 //! A second table times every kernel on one list pair per shape: Table III's
 //! balanced and 1024× hub–leaf shapes, a 64k balanced pair for the SIMD merge,

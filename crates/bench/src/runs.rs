@@ -22,7 +22,7 @@ pub fn seed() -> u64 {
     env_or("RMATC_SEED", 42)
 }
 
-/// The node counts of the paper's small-scale experiments (Figures 8 and 9).
+/// The node counts of the paper's small-scale experiments (Figure 9).
 /// Override with `RMATC_MAX_RANKS` to cap the sweep.
 pub fn ranks_small_scale() -> Vec<usize> {
     let cap = env_or("RMATC_MAX_RANKS", 64);
@@ -50,17 +50,6 @@ fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
 /// Formats nanoseconds as milliseconds with three significant decimals.
 pub fn fmt_ms(ns: f64) -> String {
     format!("{:.3}", ns / 1e6)
-}
-
-/// Formats nanoseconds as microseconds.
-pub fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e6 {
-        format!("{:.2} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.2} µs", ns / 1e3)
-    } else {
-        format!("{ns:.0} ns")
-    }
 }
 
 #[cfg(test)]
@@ -93,8 +82,5 @@ mod tests {
     #[test]
     fn time_formatting() {
         assert_eq!(fmt_ms(2_500_000.0), "2.500");
-        assert_eq!(fmt_ns(500.0), "500 ns");
-        assert_eq!(fmt_ns(2_500.0), "2.50 µs");
-        assert_eq!(fmt_ns(3_000_000.0), "3.00 ms");
     }
 }

@@ -150,7 +150,7 @@ impl DistLcc {
         // Lowest failing rank wins: rank order, not completion order, keeps
         // the surfaced error deterministic.
         .collect::<Result<Vec<_>, _>>()?;
-        Ok(report::assemble(pg, cfg, outputs))
+        Ok(report::assemble(pg, outputs))
     }
 }
 
@@ -267,29 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn balanced_block_partitioning_is_correct_and_balances_compute() {
-        // The degree-weighted boundaries of `BalancedBlock1D` must preserve
-        // results and distribute per-rank edge work more evenly than the
-        // equal-count blocks on a hub-heavy graph.
-        let g = small_graph();
-        let mut cfg = base_config(4);
-        cfg.scheme = PartitionScheme::BalancedBlock1D;
-        let balanced = DistLcc::new(cfg).run(&g);
-        assert_eq!(balanced.triangle_count, reference::count_triangles(&g));
-        let block = DistLcc::new(base_config(4)).run(&g);
-        let spread = |r: &DistResult| {
-            let edges: Vec<u64> = r.ranks.iter().map(|rank| rank.edges_processed).collect();
-            *edges.iter().max().unwrap() as f64 / *edges.iter().min().unwrap().max(&1) as f64
-        };
-        assert!(
-            spread(&balanced) <= spread(&block),
-            "balanced per-rank edge spread {} must not exceed block {}",
-            spread(&balanced),
-            spread(&block)
-        );
-    }
-
-    #[test]
     fn work_balanced_partitioning_is_correct_and_balances_compute() {
         // `WorkBalancedBlock1D` equalizes intersection work (deg(u)+deg(v)
         // summed over owned edges) instead of edge count. It must preserve
@@ -344,6 +321,35 @@ mod tests {
         }
         assert!(result.max_rank_time_ns() >= result.ranks[0].timing.total_ns() - 1e-9);
         assert!(result.remote_edge_fraction > 0.0);
+    }
+
+    #[test]
+    fn remote_edge_fraction_is_bit_equal_to_the_partition_walk() {
+        // The result takes the fraction from the ranks' own edge counts
+        // instead of walking the partitions again.
+        let directed = Dataset::LiveJournal1.generate(DatasetScale::Tiny, 3);
+        for g in [small_graph(), directed] {
+            for scheme in [
+                PartitionScheme::Block1D,
+                PartitionScheme::Cyclic,
+                PartitionScheme::WorkBalancedBlock1D,
+            ] {
+                for ranks in [1, 3, 8] {
+                    let pg = PartitionedGraph::from_global(&g, scheme, ranks).unwrap();
+                    let cfg = DistConfig {
+                        scheme,
+                        ..base_config(ranks)
+                    };
+                    let result = DistLcc::new(cfg).run_partitioned(&pg);
+                    assert_eq!(
+                        result.remote_edge_fraction.to_bits(),
+                        pg.remote_edge_fraction().to_bits(),
+                        "{scheme:?} on {ranks} ranks, {:?}",
+                        g.direction()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -64,14 +64,15 @@ use std::collections::VecDeque;
 
 /// Everything the edge loop produces for one rank.
 #[derive(Debug)]
-pub(crate) struct RankOutput<T> {
+pub struct RankOutput<T> {
     /// The folded per-edge results ([`EdgeOp::output`]).
     pub items: Vec<T>,
     /// RMA statistics.
     pub rma: RankStats,
     /// `C_adj` statistics, when that cache is enabled.
     pub adjacency_cache: Option<CacheStats>,
-    /// Thread-CPU time of the loop.
+    /// Thread-CPU time of the loop, in nanoseconds (so oversubscribing the
+    /// simulator's host does not inflate it).
     pub compute_ns: u64,
     /// Directed edges processed.
     pub edges_processed: u64,

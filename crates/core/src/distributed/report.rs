@@ -2,8 +2,7 @@
 //! reports (timing breakdown, communication and cache statistics) that the
 //! evaluation figures are built from.
 
-use super::config::DistConfig;
-use super::worker::WorkerOutput;
+use super::pipeline::RankOutput;
 use crate::lcc;
 use rmatc_clampi::CacheStats;
 use rmatc_graph::partition::PartitionedGraph;
@@ -170,24 +169,21 @@ impl DistResult {
     }
 }
 
-/// Combines worker outputs into the global [`DistResult`].
-pub fn assemble(
-    pg: &PartitionedGraph,
-    _config: &DistConfig,
-    outputs: Vec<WorkerOutput>,
-) -> DistResult {
+/// Combines the worker outputs of every rank, in rank order
+/// ([`super::worker::run_worker`]), into the global [`DistResult`].
+pub fn assemble(pg: &PartitionedGraph, outputs: Vec<RankOutput<u64>>) -> DistResult {
     let n = pg.global_vertex_count();
     let mut per_vertex_triangles = vec![0u64; n];
     let mut degrees = vec![0u32; n];
     let mut ranks = Vec::with_capacity(outputs.len());
-    for out in outputs {
-        let part = &pg.partitions[out.rank];
+    for (rank, out) in outputs.into_iter().enumerate() {
+        let part = &pg.partitions[rank];
         for (local_idx, &gv) in part.global_ids.iter().enumerate() {
-            per_vertex_triangles[gv as usize] = out.local_triangles[local_idx];
+            per_vertex_triangles[gv as usize] = out.items[local_idx];
             degrees[gv as usize] = part.csr.degree(local_idx as u32);
         }
         ranks.push(RankReport {
-            rank: out.rank,
+            rank,
             local_vertices: part.local_vertex_count(),
             edges_processed: out.edges_processed,
             remote_edges: out.remote_edges,
@@ -201,18 +197,26 @@ pub fn assemble(
             adjacency_cache: out.adjacency_cache,
         });
     }
-    ranks.sort_by_key(|r| r.rank);
     let lcc = lcc::scores_from_counts(pg.direction, &degrees, &per_vertex_triangles);
     let total: u64 = per_vertex_triangles.iter().sum();
     let triangle_count = match pg.direction {
         Direction::Undirected => total / 3,
         Direction::Directed => total,
     };
+    // Every rank walked each of its stored edges once and counted the remote
+    // ones: the same two sums `PartitionedGraph::remote_edge_fraction` walks
+    // the partitions again for.
+    let edges: u64 = ranks.iter().map(|r| r.edges_processed).sum();
+    let remote: u64 = ranks.iter().map(|r| r.remote_edges).sum();
     DistResult {
         lcc,
         per_vertex_triangles,
         triangle_count,
-        remote_edge_fraction: pg.remote_edge_fraction(),
+        remote_edge_fraction: if edges == 0 {
+            0.0
+        } else {
+            remote as f64 / edges as f64
+        },
         rank_count: pg.ranks(),
         ranks,
     }

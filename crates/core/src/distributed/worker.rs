@@ -4,39 +4,19 @@
 //! closed-triplet counts per locally owned vertex.
 
 use super::config::DistConfig;
-use super::pipeline::run_rank;
+use super::pipeline::{run_rank, RankOutput};
 use super::reader::{Edge, EdgeOp};
 use super::windows::GraphWindows;
 use crate::intersect::{Intersector, SourceMarks};
 use crate::local::{compressed_count_closing_at, count_closing_at};
-use rmatc_clampi::CacheStats;
 use rmatc_graph::partition::{PartitionedGraph, RankPartition};
 use rmatc_graph::types::{Direction, VertexId};
 use rmatc_graph::GraphStorage;
-use rmatc_rma::{RankStats, RmaError};
+use rmatc_rma::RmaError;
 
-/// Everything a rank produces: its local triangle counts plus the statistics the
-/// evaluation aggregates.
-#[derive(Debug, Clone)]
-pub struct WorkerOutput {
-    /// The rank that produced this output.
-    pub rank: usize,
-    /// Closed-triplet count per locally owned vertex (local indexing).
-    pub local_triangles: Vec<u64>,
-    /// RMA statistics (gets, bytes, modeled communication time).
-    pub rma: RankStats,
-    /// `C_adj` statistics, when that cache is enabled.
-    pub adjacency_cache: Option<CacheStats>,
-    /// CPU time of the rank's compute loop, in nanoseconds (thread CPU time, so
-    /// that oversubscribing the simulator's host does not inflate the measurement).
-    pub compute_ns: u64,
-    /// Directed edges processed by this rank.
-    pub edges_processed: u64,
-    /// Edges whose destination lived on another rank (each required a remote read).
-    pub remote_edges: u64,
-}
-
-/// Runs one rank of the asynchronous distributed LCC computation.
+/// Runs one rank of the asynchronous distributed LCC computation. Its
+/// [`RankOutput::items`] are the closed-triplet counts per locally owned
+/// vertex (local indexing).
 ///
 /// Remote reads go through the self-healing path: transient failures,
 /// corrupted transfers and stragglers past the timeout retry up to
@@ -47,18 +27,9 @@ pub fn run_worker(
     pg: &PartitionedGraph,
     windows: &GraphWindows,
     config: &DistConfig,
-) -> Result<WorkerOutput, RmaError> {
+) -> Result<RankOutput<u64>, RmaError> {
     let op = ClosingCount::new(config, pg.direction, windows.storage);
-    let out = run_rank(rank, pg, windows, config, &op)?;
-    Ok(WorkerOutput {
-        rank,
-        local_triangles: out.items,
-        rma: out.rma,
-        adjacency_cache: out.adjacency_cache,
-        compute_ns: out.compute_ns,
-        edges_processed: out.edges_processed,
-        remote_edges: out.remote_edges,
-    })
+    run_rank(rank, pg, windows, config, &op)
 }
 
 /// The LCC per-edge operation: the number of vertices closing a triangle over
@@ -144,7 +115,7 @@ mod tests {
     use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
     use rmatc_graph::partition::PartitionScheme;
     use rmatc_graph::reference;
-    use rmatc_rma::NetworkModel;
+    use rmatc_rma::{NetworkModel, RankStats};
 
     fn setup(ranks: usize) -> (PartitionedGraph, GraphWindows, DistConfig) {
         let g = RmatGenerator::paper(8, 8).generate_cleaned(5).into_csr();
@@ -176,7 +147,7 @@ mod tests {
             let out = run_worker(rank, &pg, &windows, &config).unwrap();
             for (local_idx, &gv) in pg.partitions[rank].global_ids.iter().enumerate() {
                 assert_eq!(
-                    out.local_triangles[local_idx], expected[gv as usize],
+                    out.items[local_idx], expected[gv as usize],
                     "vertex {gv} on rank {rank}"
                 );
             }
@@ -199,7 +170,7 @@ mod tests {
                 let out = run_worker(rank, &pg, &windows, &config).unwrap();
                 for (local_idx, &gv) in pg.partitions[rank].global_ids.iter().enumerate() {
                     assert_eq!(
-                        out.local_triangles[local_idx], expected[gv as usize],
+                        out.items[local_idx], expected[gv as usize],
                         "vertex {gv} on rank {rank} cached={cached}"
                     );
                 }
@@ -330,7 +301,7 @@ mod tests {
                     config.pipeline_depth = depth;
                     let piped = run_worker(0, &pg, &windows, &config).unwrap();
                     let what = format!("{storage:?} cached={cached} d={depth}");
-                    assert_eq!(piped.local_triangles, baseline.local_triangles, "{what}");
+                    assert_eq!(piped.items, baseline.items, "{what}");
                     assert_eq!(piped.adjacency_cache, baseline.adjacency_cache, "{what}");
                     assert_stats_equivalent(&piped.rma, &baseline.rma);
                     assert_eq!(piped.edges_processed, baseline.edges_processed);
@@ -353,9 +324,9 @@ mod tests {
         // are per-edge deterministic. Cached, there is one lookup per remote
         // non-empty row and one read of the other rank's offsets window, so
         // the gets that are not `C_adj` misses are fixed too.
-        let adj = |out: &WorkerOutput| out.adjacency_cache.clone().unwrap_or_default();
-        let lookups = |out: &WorkerOutput| adj(out).lookups();
-        let misses = |out: &WorkerOutput| adj(out).misses;
+        let adj = |out: &RankOutput<u64>| out.adjacency_cache.clone().unwrap_or_default();
+        let lookups = |out: &RankOutput<u64>| adj(out).lookups();
+        let misses = |out: &RankOutput<u64>| adj(out).misses;
         for cached in [false, true] {
             let (pg, windows, mut config) = setup(2);
             if cached {
@@ -369,7 +340,7 @@ mod tests {
             config.pipeline_depth = 4;
             let out = run_worker(0, &pg, &windows, &config).unwrap();
             let what = format!("cached={cached}");
-            assert_eq!(out.local_triangles, baseline.local_triangles, "{what}");
+            assert_eq!(out.items, baseline.items, "{what}");
             assert_eq!(out.edges_processed, baseline.edges_processed, "{what}");
             assert_eq!(lookups(&out), lookups(&baseline), "{what}");
             assert_eq!(out.rma.gets - misses(&out), planned, "{what}");

@@ -4,13 +4,13 @@
 //! The real downloads are unavailable offline and several are far larger than a
 //! single machine, so every named dataset maps to a generator configuration that
 //! reproduces the *family* of the original (degree-distribution shape, direction,
-//! clustering level) at a configurable scale. The original |V| and |E| from Table II
-//! are kept alongside so reports can show "paper size" vs "reproduced size".
+//! clustering level) at a configurable scale. The README's "Paper figures and
+//! tables" section lists each dataset's size in the paper next to its stand-in.
 //!
-//! Users: the `rmatc-bench` figure and table bins, its `local_lcc` bench, the `cache_tuning` example and test inputs.
+//! Users: the `table3_intersection`, `fig9_small_scale` and `fig10_large_scale`
+//! bins, the `cache_tuning` example, and test inputs.
 
 use crate::gen::{BarabasiAlbert, EgoCircles, GraphGenerator, RmatGenerator, UniformRandom};
-use crate::types::Direction;
 use crate::CsrGraph;
 
 /// Scale at which stand-ins are generated, as a divisor on the paper's vertex count.
@@ -61,40 +61,7 @@ pub enum Dataset {
     Uniform,
 }
 
-/// Static description of a dataset: the paper's reported size and our stand-in.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DatasetInfo {
-    /// Table II name.
-    pub name: &'static str,
-    /// Directed or undirected, as listed in Table II.
-    pub direction: Direction,
-    /// |V| reported in the paper.
-    pub paper_vertices: u64,
-    /// |E| reported in the paper.
-    pub paper_edges: u64,
-    /// CSR size reported in the paper (bytes, approximate).
-    pub paper_csr_bytes: u64,
-    /// Short description of the stand-in generator used here.
-    pub standin: &'static str,
-}
-
 impl Dataset {
-    /// All datasets that appear in Table II (excludes FacebookCircles and Uniform,
-    /// which appear only in the figures).
-    pub fn table2() -> Vec<Dataset> {
-        vec![
-            Dataset::Orkut,
-            Dataset::LiveJournal,
-            Dataset::LiveJournal1,
-            Dataset::Skitter,
-            Dataset::Uk2005,
-            Dataset::WikiEn,
-            Dataset::RmatS21Ef16,
-            Dataset::RmatS23Ef16,
-            Dataset::RmatS30Ef16,
-        ]
-    }
-
     /// The six datasets of the small-scale strong-scaling experiments (Figure 9).
     pub fn figure9() -> Vec<Dataset> {
         vec![
@@ -110,102 +77,6 @@ impl Dataset {
     /// The three datasets of the large-scale experiments (Figure 10).
     pub fn figure10() -> Vec<Dataset> {
         vec![Dataset::RmatS30Ef16, Dataset::Uk2005, Dataset::WikiEn]
-    }
-
-    /// Static information about the dataset.
-    pub fn info(&self) -> DatasetInfo {
-        const MIB: u64 = 1024 * 1024;
-        const GIB: u64 = 1024 * 1024 * 1024;
-        match self {
-            Dataset::Orkut => DatasetInfo {
-                name: "SNAP-Orkut",
-                direction: Direction::Undirected,
-                paper_vertices: 3_000_000,
-                paper_edges: 117_200_000,
-                paper_csr_bytes: (905.8 * MIB as f64) as u64,
-                standin: "Barabási–Albert with triangle closure (dense social network)",
-            },
-            Dataset::LiveJournal => DatasetInfo {
-                name: "SNAP-LiveJournal",
-                direction: Direction::Undirected,
-                paper_vertices: 4_000_000,
-                paper_edges: 34_700_000,
-                paper_csr_bytes: (273.8 * MIB as f64) as u64,
-                standin: "Barabási–Albert with triangle closure (sparser social network)",
-            },
-            Dataset::LiveJournal1 => DatasetInfo {
-                name: "SNAP-LiveJournal1",
-                direction: Direction::Directed,
-                paper_vertices: 4_800_000,
-                paper_edges: 69_000_000,
-                paper_csr_bytes: (273.7 * MIB as f64) as u64,
-                standin: "directed R-MAT with the paper's skew parameters",
-            },
-            Dataset::Skitter => DatasetInfo {
-                name: "SNAP-Skitter",
-                direction: Direction::Undirected,
-                paper_vertices: 1_700_000,
-                paper_edges: 11_100_000,
-                paper_csr_bytes: (89.5 * MIB as f64) as u64,
-                standin: "Barabási–Albert (internet-topology-like power law)",
-            },
-            Dataset::Uk2005 => DatasetInfo {
-                name: "uk-2005",
-                direction: Direction::Directed,
-                paper_vertices: 39_500_000,
-                paper_edges: 936_400_000,
-                paper_csr_bytes: (3.6 * GIB as f64) as u64,
-                standin: "directed R-MAT, milder skew (web crawl)",
-            },
-            Dataset::WikiEn => DatasetInfo {
-                name: "wiki-en",
-                direction: Direction::Directed,
-                paper_vertices: 13_600_000,
-                paper_edges: 437_200_000,
-                paper_csr_bytes: (1.7 * GIB as f64) as u64,
-                standin: "directed R-MAT (hyperlink graph)",
-            },
-            Dataset::FacebookCircles => DatasetInfo {
-                name: "Facebook circles",
-                direction: Direction::Undirected,
-                paper_vertices: 4_039,
-                paper_edges: 88_234,
-                paper_csr_bytes: 4_040 * 8 + 2 * 88_234 * 4,
-                standin: "ego-circle community generator at full scale",
-            },
-            Dataset::RmatS21Ef16 => DatasetInfo {
-                name: "R-MAT S21 EF16",
-                direction: Direction::Undirected,
-                paper_vertices: 2_100_000,
-                paper_edges: 33_600_000,
-                paper_csr_bytes: (251.1 * MIB as f64) as u64,
-                standin: "R-MAT a=0.57 b=c=0.19 d=0.05, reduced scale",
-            },
-            Dataset::RmatS23Ef16 => DatasetInfo {
-                name: "R-MAT S23 EF16",
-                direction: Direction::Undirected,
-                paper_vertices: 8_400_000,
-                paper_edges: 134_200_000,
-                paper_csr_bytes: 1021 * MIB,
-                standin: "R-MAT a=0.57 b=c=0.19 d=0.05, reduced scale",
-            },
-            Dataset::RmatS30Ef16 => DatasetInfo {
-                name: "R-MAT S30 EF16",
-                direction: Direction::Undirected,
-                paper_vertices: 1_073_700_000,
-                paper_edges: 17_179_900_000,
-                paper_csr_bytes: 130 * GIB,
-                standin: "R-MAT a=0.57 b=c=0.19 d=0.05, heavily reduced scale",
-            },
-            Dataset::Uniform => DatasetInfo {
-                name: "Uniform",
-                direction: Direction::Undirected,
-                paper_vertices: 1 << 20,
-                paper_edges: 1 << 24,
-                paper_csr_bytes: ((1u64 << 20) + 1) * 8 + (1u64 << 25) * 4,
-                standin: "uniform G(n, m) random graph",
-            },
-        }
     }
 
     /// Generates the stand-in graph at the requested scale. The result is cleaned
@@ -302,24 +173,12 @@ fn log2_budget(budget: usize) -> u32 {
 mod tests {
     use super::*;
     use crate::stats;
-
-    #[test]
-    fn table2_lists_all_nine_graphs() {
-        assert_eq!(Dataset::table2().len(), 9);
-    }
+    use crate::types::Direction;
 
     #[test]
     fn figure9_and_10_dataset_counts_match_paper() {
         assert_eq!(Dataset::figure9().len(), 6);
         assert_eq!(Dataset::figure10().len(), 3);
-    }
-
-    #[test]
-    fn info_direction_matches_table2() {
-        assert_eq!(Dataset::Orkut.info().direction, Direction::Undirected);
-        assert_eq!(Dataset::LiveJournal1.info().direction, Direction::Directed);
-        assert_eq!(Dataset::Uk2005.info().direction, Direction::Directed);
-        assert_eq!(Dataset::RmatS21Ef16.info().direction, Direction::Undirected);
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //! * [`datasets`] — a registry of named stand-ins for the real-world datasets the
 //!   paper evaluates on (Orkut, LiveJournal, Skitter, uk-2005, wiki-en, Facebook
 //!   circles), generated synthetically at laptop scale with matching degree shapes.
-//! * [`partition`] — 1D block (equal-count and degree-balanced) and cyclic vertex
+//! * [`partition`] — 1D block (equal-count and work-balanced) and cyclic vertex
 //!   partitioning plus the per-rank CSR construction used by the distributed
 //!   algorithm.
 //! * [`split`] — degree-weighted (equal-work) range splitting over CSR offsets,
-//!   shared by the shared-memory schedulers and the balanced partitioner.
+//!   shared by the shared-memory range loop and the work-balanced partitioner.
 //! * [`mod@reference`] — simple sequential triangle counting and LCC used as ground truth.
-//! * [`stats`] — degree distributions, CSR sizes, cut fractions and skew metrics.
+//! * [`stats`] — degree skew and the top-degree contribution curves of Figure 4.
 //!
 //! # Paper map
 //!
@@ -27,15 +27,14 @@
 //! | [`csr`] | §II-B, Fig. 2 | The CSR representation (`offsets` + sorted `adjacencies`) every kernel reads |
 //! | [`compressed`] | §II-B, Fig. 2 | The same CSR arrays with delta/varint-compressed adjacency rows (`GraphStorage::Compressed`), shrinking the bytes every remote get and cache slot pays for |
 //! | [`edge_list`] | §IV-A | The cleaning pipeline of the evaluation inputs: dedup, self-loop removal, symmetrization, triangle-free vertex pruning |
-//! | [`partition`] | §III-A / §IV | The distribution scheme: 1D block ownership of contiguous vertex ranges (plus this reproduction's degree-balanced and cyclic variants), and the per-rank CSR each computing node exposes through its windows |
-//! | [`split`] | §IV (load balance) | Weighted range boundaries — equal edge mass (`PartitionScheme::BalancedBlock1D`, shared-memory schedulers) and equal intersection work `Σ (deg(u)+deg(v))` (`PartitionScheme::WorkBalancedBlock1D`) |
+//! | [`partition`] | §III-A / §IV | The distribution scheme: 1D block ownership of contiguous vertex ranges (plus this reproduction's work-balanced and cyclic variants), and the per-rank CSR each computing node exposes through its windows |
+//! | [`split`] | §IV (load balance) | Weighted range boundaries — equal edge mass (`LocalLcc`'s vertex ranges) and equal intersection work `Σ (deg(u)+deg(v))` (`PartitionScheme::WorkBalancedBlock1D`) |
 //! | [`gen`] | §IV-A, Table II | R-MAT with the paper's `(A,B,C)` skew, plus the synthetic counterpoints (uniform, Barabási–Albert, Watts–Strogatz, ego circles) |
 //! | [`datasets`] | §IV-A, Table II | Named laptop-scale stand-ins for Orkut, LiveJournal, Skitter, uk-2005, wiki-en, Facebook circles |
 //! | [`relabel`] | §IV-A | The random vertex relabeling the paper applies so block partitions do not inherit crawl-order locality |
 //! | [`mod@reference`] | Eq. (1)–(2) | Ground-truth triangle counts and LCC the differential suites compare every path against |
-//! | [`stats`] | Table II | The `\|V\|`, `\|E\|`, degree-skew and cut-fraction columns |
+//! | [`stats`] | Fig. 4 | Degree skew and the share of remote reads that target the top-degree vertices |
 
-pub mod builder;
 pub mod compressed;
 pub mod csr;
 pub mod datasets;
@@ -48,7 +47,6 @@ pub mod split;
 pub mod stats;
 pub mod types;
 
-pub use builder::GraphBuilder;
 pub use compressed::{CompressedCsr, GraphStorage};
 pub use csr::CsrGraph;
 pub use edge_list::EdgeList;

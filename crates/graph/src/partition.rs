@@ -4,13 +4,14 @@
 //! rank `k` owns the contiguous vertex range `((k-1)·n/p, k·n/p]` (0-based here:
 //! `[k·n/p, (k+1)·n/p)`), and stores the CSR rows of exactly those vertices. The
 //! cyclic distribution of Lumsdaine et al. is provided as the alternative the paper
-//! discusses for balancing skewed degrees, and
-//! [`PartitionScheme::BalancedBlock1D`] keeps the contiguous-block shape but draws
-//! the rank boundaries by prefix-summing degrees ([`crate::split`]), so every rank
-//! stores roughly the same number of edges even on hub-heavy graphs.
+//! discusses for balancing skewed degrees (TriC runs it), and
+//! [`PartitionScheme::WorkBalancedBlock1D`] keeps the contiguous-block shape but
+//! draws the rank boundaries over the prefix sum of per-vertex intersection work
+//! ([`crate::split`]), so every rank walks roughly the same list mass even on
+//! hub-heavy graphs.
 
 use crate::csr::CsrGraph;
-use crate::split::{balanced_prefix_bounds, balanced_vertex_bounds, intersection_work_prefix};
+use crate::split::{balanced_prefix_bounds, intersection_work_prefix};
 use crate::types::{Edge, VertexId};
 use crate::{GraphError, Result};
 
@@ -21,11 +22,6 @@ pub enum PartitionScheme {
     Block1D,
     /// Vertex `v` is owned by rank `v mod p` (Lumsdaine et al. cyclic distribution).
     Cyclic,
-    /// Contiguous blocks with degree-weighted boundaries: rank `k` owns the
-    /// vertex range holding the `k`-th equal share of edge mass. Needs the
-    /// degree sequence ([`Partitioner::with_offsets`]); without it, boundaries
-    /// degrade to the equal-count blocks of [`PartitionScheme::Block1D`].
-    BalancedBlock1D,
     /// Contiguous blocks with *intersection-work*-weighted boundaries: each
     /// rank owns an equal share of `Σ_edges (deg(u) + deg(v))` — the length
     /// mass the per-edge intersections actually walk, a better proxy for
@@ -45,14 +41,14 @@ pub struct Partitioner {
     /// Ceiling of n / ranks; used by the block scheme.
     block: usize,
     /// Explicit vertex boundaries (`ranks + 1` entries), used by the
-    /// degree-balanced block scheme; `None` for the closed-form schemes.
+    /// work-balanced block scheme; `None` for the closed-form schemes.
     bounds: Option<Vec<usize>>,
 }
 
 impl Partitioner {
     /// Creates a partitioner for `n` vertices over `ranks` ranks. For
-    /// [`PartitionScheme::BalancedBlock1D`] this falls back to equal-count
-    /// boundaries; use [`Partitioner::with_offsets`] to balance by degree.
+    /// [`PartitionScheme::WorkBalancedBlock1D`] this falls back to equal-count
+    /// boundaries; use [`Partitioner::with_graph`] to balance by work.
     pub fn new(scheme: PartitionScheme, n: usize, ranks: usize) -> Result<Self> {
         if ranks == 0 || (n > 0 && ranks > n) {
             return Err(GraphError::InvalidPartitionCount { parts: ranks, n });
@@ -67,25 +63,11 @@ impl Partitioner {
         })
     }
 
-    /// Creates a partitioner with access to the graph's CSR offsets, enabling
-    /// degree-weighted boundaries for [`PartitionScheme::BalancedBlock1D`].
-    /// Other schemes ignore the offsets
-    /// ([`PartitionScheme::WorkBalancedBlock1D`] needs the adjacency array
-    /// too — use [`Partitioner::with_graph`]).
-    pub fn with_offsets(scheme: PartitionScheme, offsets: &[u64], ranks: usize) -> Result<Self> {
-        let mut partitioner = Self::new(scheme, offsets.len() - 1, ranks)?;
-        if scheme == PartitionScheme::BalancedBlock1D {
-            partitioner.bounds = Some(balanced_vertex_bounds(offsets, ranks));
-        }
-        Ok(partitioner)
-    }
-
     /// Creates a partitioner with access to the full CSR graph, enabling the
-    /// weighted boundaries of both balanced block schemes
-    /// ([`PartitionScheme::BalancedBlock1D`] by edge mass,
-    /// [`PartitionScheme::WorkBalancedBlock1D`] by intersection-work mass).
+    /// intersection-work-weighted boundaries of
+    /// [`PartitionScheme::WorkBalancedBlock1D`]. Other schemes ignore the graph.
     pub fn with_graph(scheme: PartitionScheme, g: &CsrGraph, ranks: usize) -> Result<Self> {
-        let mut partitioner = Self::with_offsets(scheme, g.offsets(), ranks)?;
+        let mut partitioner = Self::new(scheme, g.vertex_count(), ranks)?;
         if scheme == PartitionScheme::WorkBalancedBlock1D {
             let prefix = intersection_work_prefix(g.offsets(), g.adjacencies());
             partitioner.bounds = Some(balanced_prefix_bounds(&prefix, ranks));
@@ -219,27 +201,26 @@ impl PartitionedGraph {
     /// Splits a global CSR graph into per-rank partitions.
     pub fn from_global(g: &CsrGraph, scheme: PartitionScheme, ranks: usize) -> Result<Self> {
         let partitioner = Partitioner::with_graph(scheme, g, ranks)?;
-        let mut partitions = Vec::with_capacity(ranks);
-        for rank in 0..ranks {
-            let global_ids = partitioner.owned_vertices(rank);
-            // Build a local CSR whose row `i` holds the (global-id) neighbours of
-            // global vertex `global_ids[i]`.
-            let mut edges: Vec<Edge> = Vec::new();
-            for (local, &gv) in global_ids.iter().enumerate() {
-                for &w in g.neighbours(gv) {
-                    edges.push((local as VertexId, w));
+        let partitions = (0..ranks)
+            .map(|rank| {
+                let global_ids = partitioner.owned_vertices(rank);
+                // Local row `i` is global row `global_ids[i]` (global ids),
+                // copied as it is: CSR rows are already sorted and unique.
+                let mut offsets = Vec::with_capacity(global_ids.len() + 1);
+                offsets.push(0);
+                let edges = global_ids.iter().map(|&gv| g.degree(gv) as usize).sum();
+                let mut adjacencies = Vec::with_capacity(edges);
+                for &gv in &global_ids {
+                    adjacencies.extend_from_slice(g.neighbours(gv));
+                    offsets.push(adjacencies.len() as u64);
                 }
-            }
-            // Local rows already sorted because neighbour lists are sorted and locals
-            // increase monotonically; from_edges re-sorts defensively anyway.
-            let local_n = global_ids.len();
-            let csr = build_local_csr(local_n, &edges, g.direction());
-            partitions.push(RankPartition {
-                rank,
-                csr,
-                global_ids,
-            });
-        }
+                RankPartition {
+                    rank,
+                    csr: CsrGraph::from_raw_parts(offsets, adjacencies, g.direction()),
+                    global_ids,
+                }
+            })
+            .collect();
         Ok(Self {
             partitioner,
             partitions,
@@ -314,23 +295,6 @@ impl PartitionedGraph {
         }
         CsrGraph::from_edges(n, &edges, self.direction)
     }
-}
-
-/// Builds a local CSR allowing adjacency entries (global ids) to exceed the local
-/// vertex count, which `CsrGraph::from_edges` would otherwise be free to assume.
-fn build_local_csr(local_n: usize, edges: &[Edge], direction: crate::types::Direction) -> CsrGraph {
-    let mut sorted = edges.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let mut offsets = vec![0u64; local_n + 1];
-    for &(u, _) in &sorted {
-        offsets[u as usize + 1] += 1;
-    }
-    for i in 0..local_n {
-        offsets[i + 1] += offsets[i];
-    }
-    let adjacencies = sorted.iter().map(|&(_, v)| v).collect();
-    CsrGraph::from_raw_parts(offsets, adjacencies, direction)
 }
 
 #[cfg(test)]
@@ -453,41 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn balanced_partitioner_covers_all_vertices_exactly_once() {
-        let g = RmatGenerator::paper(10, 8).generate_cleaned(2).into_csr();
-        let p =
-            Partitioner::with_offsets(PartitionScheme::BalancedBlock1D, g.offsets(), 8).unwrap();
-        let mut seen = vec![false; g.vertex_count()];
-        for rank in 0..8 {
-            for v in p.owned_vertices(rank) {
-                assert_eq!(p.owner(v), rank);
-                assert_eq!(p.global_index(rank, p.local_index(v)), v);
-                assert!(!seen[v as usize]);
-                seen[v as usize] = true;
-            }
-            assert_eq!(p.owned_vertices(rank).len(), p.owned_count(rank));
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn balanced_blocks_beat_equal_count_blocks_on_skewed_graphs() {
-        // R-MAT is hub-heavy: equal-count contiguous blocks concentrate edge
-        // mass in the low-id ranks, degree-weighted boundaries spread it out.
-        let g = RmatGenerator::paper(11, 16).generate_cleaned(5).into_csr();
-        let block = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 8).unwrap();
-        let balanced =
-            PartitionedGraph::from_global(&g, PartitionScheme::BalancedBlock1D, 8).unwrap();
-        assert!(
-            balanced.edge_imbalance() < block.edge_imbalance(),
-            "balanced {} vs block {}",
-            balanced.edge_imbalance(),
-            block.edge_imbalance()
-        );
-        assert_eq!(balanced.reassemble(), g);
-    }
-
-    #[test]
     fn work_balanced_partitioner_covers_all_vertices_exactly_once() {
         let g = RmatGenerator::paper(10, 8).generate_cleaned(2).into_csr();
         let p = Partitioner::with_graph(PartitionScheme::WorkBalancedBlock1D, &g, 8).unwrap();
@@ -560,22 +489,62 @@ mod tests {
     }
 
     #[test]
-    fn balanced_scheme_without_offsets_degrades_to_equal_count_blocks() {
-        let with = Partitioner::new(PartitionScheme::BalancedBlock1D, 64, 4).unwrap();
-        let block = Partitioner::new(PartitionScheme::Block1D, 64, 4).unwrap();
-        for v in 0..64u32 {
-            assert_eq!(with.owner(v), block.owner(v));
-            assert_eq!(with.local_index(v), block.local_index(v));
-        }
-    }
-
-    #[test]
     fn local_rows_match_global_rows() {
         let g = sample_graph();
         let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 4).unwrap();
         for part in &pg.partitions {
             for (local, &gv) in part.global_ids.iter().enumerate() {
                 assert_eq!(part.neighbours_of_local(local), g.neighbours(gv));
+            }
+        }
+    }
+
+    #[test]
+    fn row_copies_equal_the_edge_list_construction() {
+        // The construction row copying replaced: collect a `(local, w)` pair
+        // per owned edge, then sort and deduplicate them into a local CSR.
+        let from_pairs = |g: &CsrGraph, scheme, ranks| {
+            let partitioner = Partitioner::with_graph(scheme, g, ranks).unwrap();
+            let partitions = (0..ranks)
+                .map(|rank| {
+                    let global_ids = partitioner.owned_vertices(rank);
+                    let pairs: Vec<Edge> = global_ids
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(local, &gv)| {
+                            g.neighbours(gv)
+                                .iter()
+                                .map(move |&w| (local as VertexId, w))
+                        })
+                        .collect();
+                    RankPartition {
+                        rank,
+                        csr: CsrGraph::from_edges(global_ids.len(), &pairs, g.direction()),
+                        global_ids,
+                    }
+                })
+                .collect();
+            PartitionedGraph {
+                partitioner,
+                partitions,
+                direction: g.direction(),
+            }
+        };
+        let rmat = RmatGenerator::paper(10, 16).generate_cleaned(3).into_csr();
+        let directed = RmatGenerator::paper_directed(9, 8)
+            .generate_cleaned(4)
+            .into_csr();
+        assert_eq!(directed.direction(), Direction::Directed);
+        for g in [&rmat, &directed] {
+            for scheme in [
+                PartitionScheme::Block1D,
+                PartitionScheme::Cyclic,
+                PartitionScheme::WorkBalancedBlock1D,
+            ] {
+                for ranks in [1, 3, 8] {
+                    let pg = PartitionedGraph::from_global(g, scheme, ranks).unwrap();
+                    assert_eq!(pg, from_pairs(g, scheme, ranks), "{scheme:?} on {ranks}");
+                }
             }
         }
     }

@@ -17,21 +17,6 @@ pub fn random_permutation(n: usize, seed: u64) -> Vec<VertexId> {
     perm
 }
 
-/// Generates the identity permutation of `0..n`.
-pub fn identity_permutation(n: usize) -> Vec<VertexId> {
-    (0..n as VertexId).collect()
-}
-
-/// Generates a permutation that orders vertices by descending degree, i.e. vertex with
-/// the highest degree becomes vertex 0. Useful for constructing the *worst case* for
-/// 1D partitioning that random relabeling is meant to avoid, and for tests.
-pub fn degree_ordered_permutation(degrees: &[u32]) -> Vec<VertexId> {
-    let mut order: Vec<VertexId> = (0..degrees.len() as VertexId).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(degrees[v as usize]));
-    // `order[rank] = old vertex` — invert it to get `perm[old vertex] = rank`.
-    invert_permutation(&order)
-}
-
 /// Inverts a permutation: if `perm[i] = j` then `inverse[j] = i`.
 pub fn invert_permutation(perm: &[VertexId]) -> Vec<VertexId> {
     let mut inv = vec![0 as VertexId; perm.len()];
@@ -69,25 +54,6 @@ mod tests {
     fn random_permutation_is_deterministic_per_seed() {
         assert_eq!(random_permutation(100, 7), random_permutation(100, 7));
         assert_ne!(random_permutation(100, 7), random_permutation(100, 8));
-    }
-
-    #[test]
-    fn identity_permutation_maps_to_self() {
-        let perm = identity_permutation(5);
-        assert_eq!(perm, vec![0, 1, 2, 3, 4]);
-        assert!(is_permutation(&perm));
-    }
-
-    #[test]
-    fn degree_ordered_puts_highest_degree_first() {
-        let degrees = vec![1, 5, 3, 7];
-        let perm = degree_ordered_permutation(&degrees);
-        // Vertex 3 (degree 7) should be relabeled to 0, vertex 1 (degree 5) to 1, etc.
-        assert_eq!(perm[3], 0);
-        assert_eq!(perm[1], 1);
-        assert_eq!(perm[2], 2);
-        assert_eq!(perm[0], 3);
-        assert!(is_permutation(&perm));
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! handful of binary searches: chunk `j` starts at the first vertex whose row
 //! begins at or after `j/parts` of the total edge mass.
 //!
-//! Used by the shared-memory vertex-range loop (`rmatc-core`'s `LocalLcc`)
-//! and by the distributed
-//! [`PartitionScheme::BalancedBlock1D`](crate::partition::PartitionScheme)
-//! partitioner, which applies the same splitting to rank boundaries.
+//! Used by the shared-memory vertex-range loop (`rmatc-core`'s `LocalLcc`);
+//! the distributed
+//! [`PartitionScheme::WorkBalancedBlock1D`](crate::partition::PartitionScheme)
+//! partitioner splits the intersection-work prefix
+//! ([`intersection_work_prefix`]) with [`balanced_prefix_bounds`] instead.
 
 /// Splits the vertex range `0..offsets.len()-1` into `parts` contiguous
 /// chunks of approximately equal edge count. Returns `parts + 1` boundaries:

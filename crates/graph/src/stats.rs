@@ -1,55 +1,8 @@
-//! Graph statistics used by the evaluation: degree distributions, skew metrics,
-//! CSR sizes (Table II), remote-edge/cut fractions (Section IV-D), and the
-//! top-degree contribution curves behind Figure 4.
+//! Graph statistics used by the evaluation: the degree-skew metric the
+//! generators' tests check, and the top-degree contribution curves behind
+//! Figure 4.
 //!
-//! Users: `rmatc-core`'s `reuse` (the Figure 4 curves) and the `table2_graphs` bin.
-
-use crate::csr::CsrGraph;
-use crate::types::VertexId;
-
-/// Summary of a graph, matching the columns of Table II plus a few derived metrics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphSummary {
-    /// Dataset or generator name.
-    pub name: String,
-    /// "U" or "D" per Table II.
-    pub direction: String,
-    /// Number of vertices after cleaning.
-    pub vertices: usize,
-    /// Number of stored (directed) edges after cleaning.
-    pub directed_edges: u64,
-    /// Number of logical edges (undirected edges counted once).
-    pub logical_edges: u64,
-    /// CSR size in bytes (offsets + adjacencies).
-    pub csr_size_bytes: u64,
-    /// Maximum out-degree.
-    pub max_degree: u32,
-    /// Mean out-degree.
-    pub mean_degree: f64,
-    /// Degree skewness (third standardized moment); > ~2 indicates a heavy tail.
-    pub degree_skewness: f64,
-}
-
-/// Builds a [`GraphSummary`] for a named graph.
-pub fn summarize(name: &str, g: &CsrGraph) -> GraphSummary {
-    let degrees = g.degrees();
-    let mean = if degrees.is_empty() {
-        0.0
-    } else {
-        degrees.iter().map(|&d| d as f64).sum::<f64>() / degrees.len() as f64
-    };
-    GraphSummary {
-        name: name.to_string(),
-        direction: g.direction().label().to_string(),
-        vertices: g.vertex_count(),
-        directed_edges: g.edge_count(),
-        logical_edges: g.logical_edge_count(),
-        csr_size_bytes: g.csr_size_bytes(),
-        max_degree: g.max_degree(),
-        mean_degree: mean,
-        degree_skewness: degree_skewness(&degrees),
-    }
-}
+//! Users: `rmatc-core`'s `reuse` (the Figure 4 curves) and the generators' tests.
 
 /// Sample skewness of a degree sequence. Used in tests and reports to distinguish
 /// power-law-like graphs (large positive skew) from uniform ones (skew near zero).
@@ -74,35 +27,6 @@ pub fn degree_skewness(degrees: &[u32]) -> f64 {
         return 0.0;
     }
     m3 / m2.powf(1.5)
-}
-
-/// Degree histogram: `hist[d]` is the number of vertices with out-degree `d`.
-pub fn degree_histogram(g: &CsrGraph) -> Vec<u64> {
-    let mut hist = vec![0u64; g.max_degree() as usize + 1];
-    for v in 0..g.vertex_count() as VertexId {
-        hist[g.degree(v) as usize] += 1;
-    }
-    hist
-}
-
-/// Fraction of directed edges whose endpoints fall in different partitions under the
-/// given vertex→rank assignment. The paper reports, e.g., 95% cross-partition edges
-/// for an R-MAT 2^20-vertex graph on 8 processes and the growth from 66% to 98% for
-/// R-MAT S21 EF16 between 4 and 64 nodes.
-pub fn cut_fraction(g: &CsrGraph, owner: &dyn Fn(VertexId) -> usize) -> f64 {
-    let mut total = 0u64;
-    let mut cut = 0u64;
-    for (u, v) in g.edges() {
-        total += 1;
-        if owner(u) != owner(v) {
-            cut += 1;
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        cut as f64 / total as f64
-    }
 }
 
 /// A point on the Figure 4 curve: after sorting vertices by descending in-degree,
@@ -152,48 +76,9 @@ pub fn fraction_of_reads_to_top(read_counts: &[u64], top: f64) -> f64 {
     best
 }
 
-/// Formats a byte count the way Table II does (MiB / GiB with one decimal).
-pub fn format_bytes(bytes: u64) -> String {
-    const KIB: f64 = 1024.0;
-    const MIB: f64 = 1024.0 * 1024.0;
-    const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
-    let b = bytes as f64;
-    if b >= GIB {
-        format!("{:.1} GiB", b / GIB)
-    } else if b >= MIB {
-        format!("{:.1} MiB", b / MIB)
-    } else if b >= KIB {
-        format!("{:.1} KiB", b / KIB)
-    } else {
-        format!("{bytes} B")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Direction;
-
-    fn path_graph(n: usize) -> CsrGraph {
-        let mut edges = Vec::new();
-        for i in 0..(n - 1) as u32 {
-            edges.push((i, i + 1));
-            edges.push((i + 1, i));
-        }
-        CsrGraph::from_edges(n, &edges, Direction::Undirected)
-    }
-
-    #[test]
-    fn summary_fields_are_consistent() {
-        let g = path_graph(5);
-        let s = summarize("path", &g);
-        assert_eq!(s.vertices, 5);
-        assert_eq!(s.directed_edges, 8);
-        assert_eq!(s.logical_edges, 4);
-        assert_eq!(s.csr_size_bytes, g.csr_size_bytes());
-        assert_eq!(s.max_degree, 2);
-        assert_eq!(s.direction, "U");
-    }
 
     #[test]
     fn skewness_of_constant_degrees_is_zero() {
@@ -207,22 +92,6 @@ mod tests {
         let mut degrees = vec![2u32; 1000];
         degrees.extend([500, 800, 1000]);
         assert!(degree_skewness(&degrees) > 5.0);
-    }
-
-    #[test]
-    fn degree_histogram_counts_vertices() {
-        let g = path_graph(4);
-        let hist = degree_histogram(&g);
-        assert_eq!(hist, vec![0, 2, 2]);
-    }
-
-    #[test]
-    fn cut_fraction_extremes() {
-        let g = path_graph(8);
-        // Everybody on one rank: no cut edges.
-        assert_eq!(cut_fraction(&g, &|_v| 0), 0.0);
-        // Each vertex on its own rank: every edge is cut.
-        assert_eq!(cut_fraction(&g, &|v| v as usize), 1.0);
     }
 
     #[test]
@@ -243,13 +112,5 @@ mod tests {
         assert!(top_degree_contribution(&[]).is_empty());
         assert!(top_degree_contribution(&[0, 0, 0]).is_empty());
         assert_eq!(fraction_of_reads_to_top(&[0, 0], 0.1), 0.0);
-    }
-
-    #[test]
-    fn format_bytes_matches_table2_style() {
-        assert_eq!(format_bytes(512), "512 B");
-        assert_eq!(format_bytes(2 * 1024), "2.0 KiB");
-        assert_eq!(format_bytes(949_900_000), "905.9 MiB");
-        assert_eq!(format_bytes(4 * 1024 * 1024 * 1024), "4.0 GiB");
     }
 }

@@ -23,8 +23,8 @@ fn main() {
     // -- Rank setup --------------------------------------------------------
     // 8 simulated ranks, each owning a contiguous block of vertices and the
     // CSR rows of exactly those vertices (the paper's 1D block scheme —
-    // `PartitionScheme::BalancedBlock1D` would draw degree-balanced
-    // boundaries instead). Every rank runs as a thread over a shared
+    // `PartitionScheme::WorkBalancedBlock1D` would draw the boundaries so
+    // every rank gets an equal share of intersection work). Every rank runs as a thread over a shared
     // passive-target RMA window pair, with no synchronization whatsoever
     // between ranks during the computation.
     let ranks = 8;

@@ -50,7 +50,7 @@ pub mod prelude {
     };
     pub use rmatc_graph::partition::{PartitionScheme, PartitionedGraph};
     pub use rmatc_graph::types::Direction;
-    pub use rmatc_graph::{CompressedCsr, CsrGraph, EdgeList, GraphBuilder, GraphStorage};
+    pub use rmatc_graph::{CompressedCsr, CsrGraph, EdgeList, GraphStorage};
     pub use rmatc_rma::{FaultPlan, NetworkModel, RetryPolicy, RmaError};
     pub use rmatc_tric::{Tric, TricConfig};
 }

@@ -269,12 +269,9 @@ fn the_edge_loop_reproduces_the_sequential_workers_counts() {
                     adjacency.bytes_from_network + window_bytes,
                     "{what}, rank {rank}"
                 );
-                assert_eq!(out.local_triangles.iter().sum::<u64>(), expected.triangles);
+                assert_eq!(out.items.iter().sum::<u64>(), expected.triangles);
                 for (local_idx, &gv) in pg.partitions[rank].global_ids.iter().enumerate() {
-                    assert_eq!(
-                        out.local_triangles[local_idx], triangles[gv as usize],
-                        "{what}"
-                    );
+                    assert_eq!(out.items[local_idx], triangles[gv as usize], "{what}");
                 }
             }
             let jaccard = DistJaccard::new(cfg).try_run_partitioned(&pg).unwrap();

@@ -1,7 +1,8 @@
 //! Integration tests of the scaling behaviour the evaluation section reports:
 //! remote-edge growth, communication dominance, strong-scaling speedup of the
-//! asynchronous algorithm, and the relative cost of the TriC baseline on
-//! scale-free graphs.
+//! asynchronous algorithm, the relative cost of the TriC baseline on
+//! scale-free graphs, Figure 7's adjacency-miss curve over cache budgets and
+//! §IV-D's compulsory-miss share over rank counts.
 
 use rmatc::prelude::*;
 use rmatc_core::reuse;
@@ -168,4 +169,76 @@ fn network_model_scales_the_modeled_times() {
     let fast = DistLcc::new(DistConfig::non_cached(4)).run(&g);
     let slow = DistLcc::new(slow).run(&g);
     assert!(slow.max_comm_time_ns() > fast.max_comm_time_ns() * 2.0);
+}
+
+/// Figure 7 (right panels): `C_adj`'s misses over cache budgets of 5% to 100%
+/// of the adjacency data, on R-MAT S12 EF16 over two ranks with plain rows.
+/// The paper's power-law reuse shows as a steep fall at small budgets, and a
+/// cache that holds every row misses only on first reads (the grey area of
+/// the figure). Exact counts, no timing: the lookups and the compulsory
+/// misses are the same at every budget, the misses are pinned per budget.
+#[test]
+fn fig7_adjacency_misses_fall_steeply_to_the_compulsory_floor() {
+    let g = RmatGenerator::paper(12, 16).generate_cleaned(42).into_csr();
+    let adj_bytes = g.edge_count() as f64 * 4.0;
+    let (lookups, compulsory) = (41_432, 2_717);
+    // (fraction of the adjacency data, misses): miss rates 0.979, 0.903,
+    // 0.684, 0.326, 0.135, 0.067 and 0.066 against a compulsory rate of 0.066.
+    let expected = [
+        (0.05, 40_565),
+        (0.1, 37_406),
+        (0.2, 28_358),
+        (0.4, 13_491),
+        (0.6, 5_578),
+        (0.8, 2_785),
+        (1.0, 2_722),
+    ];
+    let mut previous = u64::MAX;
+    for (fraction, misses) in expected {
+        let cfg = DistConfig::cached(2, (adj_bytes * fraction) as usize)
+            .with_storage(GraphStorage::Plain);
+        let stats = DistLcc::new(cfg).run(&g).adjacency_cache_totals().unwrap();
+        let what = format!("budget {fraction} of the adjacency data");
+        assert_eq!(stats.lookups(), lookups, "{what}");
+        assert_eq!(stats.compulsory_misses, compulsory, "{what}");
+        assert_eq!(stats.misses, misses, "{what}");
+        assert!(
+            stats.misses <= previous,
+            "{what}: misses rose with the budget"
+        );
+        previous = stats.misses;
+    }
+    let misses = |fraction| expected.iter().find(|e| e.0 == fraction).unwrap().1;
+    // Steep at small budgets: 40% of the data already removes two thirds of
+    // the misses a 5% cache takes.
+    assert!(3 * misses(0.4) < misses(0.05));
+    // On the floor at the full budget: within 0.1% of the lookups.
+    assert!(misses(1.0) - compulsory <= lookups / 1_000);
+}
+
+/// Section IV-D: the compulsory-miss share of `C_adj` lookups grows with the
+/// rank count (15.5% at 4 nodes to 64.9% at 64 in the paper), here on the
+/// LiveJournal stand-in with degree scores and a cache of half its CSR:
+/// 20.2%, 31.1% and 43.6% at 4, 8 and 16 ranks. Exact counts, plain rows.
+#[test]
+fn compulsory_miss_share_grows_with_ranks_on_livejournal() {
+    let g = Dataset::LiveJournal.generate(DatasetScale::Tiny, 42);
+    let budget = g.csr_size_bytes() as usize / 2;
+    let mut previous = 0.0;
+    // (ranks, lookups, misses, compulsory misses)
+    for (ranks, lookups, misses, compulsory) in [
+        (4, 27_436, 10_662, 5_542),
+        (8, 34_684, 16_048, 10_774),
+        (16, 39_116, 20_581, 17_072),
+    ] {
+        let cfg = DistConfig::cached(ranks, budget)
+            .with_degree_scores()
+            .with_storage(GraphStorage::Plain);
+        let stats = DistLcc::new(cfg).run(&g).adjacency_cache_totals().unwrap();
+        let counts = (stats.lookups(), stats.misses, stats.compulsory_misses);
+        assert_eq!(counts, (lookups, misses, compulsory), "{ranks} ranks");
+        let share = stats.compulsory_miss_rate();
+        assert!(share > previous, "{ranks} ranks: {share} after {previous}");
+        previous = share;
+    }
 }

@@ -191,7 +191,7 @@ fn fused_worker_is_observationally_identical_to_materializing_reads() {
             let fused = run_worker(rank, &pg, &windows, &config).expect("no faults injected");
             let (triangles, adj_stats, rma) = materializing_worker(rank, &pg, &windows, &config);
             assert_eq!(
-                fused.local_triangles, triangles,
+                fused.items, triangles,
                 "triangle counts differ (rank {rank}, cache {cache:?})"
             );
             assert_eq!(
@@ -204,7 +204,7 @@ fn fused_worker_is_observationally_identical_to_materializing_reads() {
             );
             for (local_idx, &gv) in pg.partitions[rank].global_ids.iter().enumerate() {
                 assert_eq!(
-                    fused.local_triangles[local_idx], expected[gv as usize],
+                    fused.items[local_idx], expected[gv as usize],
                     "vertex {gv} disagrees with the reference"
                 );
             }
