@@ -534,7 +534,9 @@ impl<T: Clone> Clampi<T> {
         if entry.data.is_empty() {
             return false;
         }
-        entry.data = rmatc_rma::fault::corrupt_copy(&entry.data, salt);
+        let mut rotten: Arc<[T]> = Arc::from(&entry.data[..]);
+        rmatc_rma::fault::corrupt(Arc::get_mut(&mut rotten).expect("a fresh buffer"), salt);
+        entry.data = rotten;
         true
     }
 }

@@ -228,6 +228,15 @@ mod tests {
         CachedWindow::new(window.id(), config)
     }
 
+    /// One self-healing get of `len` words at `offset` on rank 1, copied
+    /// out of its landing buffer into a buffer of its own.
+    fn fetch(ep: &mut Endpoint, window: &Window<u32>, offset: usize, len: usize) -> Arc<[u32]> {
+        let mut landing = Vec::new();
+        ep.get_into_with_retry(window, 1, offset, len, &mut landing)
+            .unwrap();
+        landing.into()
+    }
+
     /// One read through the protocol: probe, fetch on a miss or a bypass,
     /// admit a miss's buffer.
     fn read(
@@ -240,11 +249,11 @@ mod tests {
         match cw.probe(ep, 1, offset, len) {
             CacheProbe::Hit(row) => row,
             CacheProbe::Miss => {
-                let row = ep.get_with_retry(window, 1, offset, len).unwrap();
+                let row = fetch(ep, window, offset, len);
                 cw.admit(ep, 1, offset, len, Arc::clone(&row), score);
                 row
             }
-            CacheProbe::Bypass => ep.get_with_retry(window, 1, offset, len).unwrap(),
+            CacheProbe::Bypass => fetch(ep, window, offset, len),
         }
     }
 
@@ -281,7 +290,7 @@ mod tests {
                     data
                 }
                 None => {
-                    let arc = ep2.get_with_retry(&window, 1, offset, len).unwrap();
+                    let arc = fetch(&mut ep2, &window, offset, len);
                     cache.insert_with_checksum(key, Arc::clone(&arc), score, None);
                     arc
                 }
@@ -375,9 +384,7 @@ mod tests {
         let (window, mut ep) = setup();
         let mut cw = front(&window, ClampiConfig::always_cache(4096, 64));
         assert!(matches!(cw.probe(&mut ep, 1, 10, 5), CacheProbe::Miss));
-        // The pipelined flight: issue, wait, admit at completion.
-        let pending = ep.get(&window, 1, 10, 5).unwrap();
-        let fetched = pending.wait(&mut ep).unwrap();
+        let fetched = fetch(&mut ep, &window, 10, 5);
         cw.admit(&mut ep, 1, 10, 5, Arc::clone(&fetched), 0.0);
         let miss_time = ep.stats().comm_time_ns;
         let cached = match cw.probe(&mut ep, 1, 10, 5) {

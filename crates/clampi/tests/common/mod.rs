@@ -15,8 +15,10 @@ pub fn read(
     score: f64,
 ) -> Arc<[u32]> {
     let fetch = |ep: &mut Endpoint| {
-        ep.get_with_retry(window, target, offset, len)
-            .expect("reliable network")
+        let mut landing = Vec::new();
+        ep.get_into_with_retry(window, target, offset, len, &mut landing)
+            .expect("reliable network");
+        Arc::from(landing)
     };
     match front.probe(ep, target, offset, len) {
         CacheProbe::Hit(row) => row,

@@ -58,13 +58,15 @@
 //! `rmatc_clampi::RowRef` views (a window slice, a cached entry, or a
 //! miss's single buffer), and the edge loop's
 //! [`reader::RowReader::start`] computes over the row where it is —
-//! cache hits in place, misses over the landed buffer the cache then
-//! retains (under fault injection, only once its checksum has verified).
-//! Hits and local-rank reads perform zero heap
-//! allocations; a miss performs exactly one; a read nobody retains
-//! (non-cached, quarantine bypass) is read in place, or under
-//! fault injection lands in the rank's reused buffer and, once that has
-//! grown, performs none.
+//! cache hits in place, and every transfer where the reader's one lander
+//! read it: in place fault-free, in the rank's reused landing buffer under
+//! fault injection (only once its checksum has verified; a corrupted
+//! attempt flips a byte of that buffer, not of a copy). Hits and
+//! local-rank reads perform zero heap allocations; a miss performs one for
+//! its row, the copy the cache retains, however many attempts it took (a
+//! key's first miss may also grow the cache's set of keys seen); a read
+//! nobody retains (non-cached, quarantine bypass) performs none once the
+//! landing buffer has grown.
 //!
 //! # Compressed adjacency
 //!

@@ -30,24 +30,22 @@
 //! share a get while the adjacency words between them cost less than a get
 //! ([`spans_join`]). One key alone is the single row get of Algorithm 3.
 //! [`RowReader::start`] computes a per-edge operation ([`EdgeOp`]) over the
-//! row *where it is* — in place on a local row, a cache hit or a fault-free
-//! transfer nobody keeps, over the landed buffer otherwise — and hands back
-//! the finished value with the transfer's cost still owed, so the edge loop
-//! ([`super::pipeline`]) overlaps that latency with the next edges. A
-//! faulted transfer is always landed first and computed on second, so no
-//! kernel ever runs over a transfer its checksum has not verified. One rule
-//! decides where a transfer is read — *who keeps the buffer*: a fault-free
-//! read nobody keeps is read in place ([`Endpoint::get_in_place`]); a
-//! faulted one lands in the caller's buffer; a row the cache keeps, and an
-//! owner's offsets window the rank keeps, is copied once, into the `Arc`
-//! that keeps it.
+//! row *where it is* — a local row, a cache hit, or wherever its transfer
+//! was read — and hands back the finished value with the transfer's cost
+//! still owed, so the edge loop ([`super::pipeline`]) overlaps that latency
+//! with the next edges.
 //!
-//! | read | kept by | fault-free | faulted |
-//! |---|---|---|---|
-//! | an owner's offsets window ([`RowReader::pair`]) | the rank ([`OwnerOffsets`]) | the get's one `Arc` | the get's one `Arc`, verified and healed |
-//! | edge-loop miss ([`RowReader::start`]) | the cache | the get's one `Arc` | the get's one `Arc` |
-//! | batch row span ([`RowReader::read_key_rows`]) | the cache (misses) and the caller | in place; each miss copied into its own `Arc` | the caller's landing `Vec`; each row copied into its own `Arc` |
-//! | non-cached or quarantine-bypass row in the edge loop | nobody | in place | the caller's landing `Vec` |
+//! Every read that crosses the network — an owner's offsets window, an
+//! edge-loop row, a batch's row span — goes through one lander, by one
+//! rule. Fault-free, it is read in place ([`Endpoint::get_in_place`]) and
+//! its charge may stay in flight. Under faults, it lands in the caller's
+//! landing buffer ([`Endpoint::get_into_with_retry`]), synchronously, and is
+//! verified and healed there, so no kernel ever runs over a transfer its
+//! checksum has not verified and nothing is left in flight. A row someone
+//! keeps — a `C_adj` miss, an owner's offsets window, a batch row the
+//! caller holds past its landing buffer's next use — is then copied once,
+//! from where it was read, into the `Arc` that keeps it; a batch row read
+//! in place and kept by nobody borrows the window.
 //!
 //! The edge loops keep one get per row. In the non-cached loop the row
 //! spans' rule would cut `uniform14_lcc_noncached`'s modeled time by about
@@ -60,17 +58,11 @@
 //! overlap (`ROADMAP.md` item 14).
 //!
 //! The simulator materializes a get's data at issue time, so a fault-free
-//! read computes its value — and a miss admits its buffer — when it is
+//! read computes its value — and a miss admits its copy — when it is
 //! issued, in exactly the order a loop that waits for every get would; only
 //! the cost ticket ([`rmatc_rma::PendingCharge`]) stays in flight. An
-//! owner's offsets window is read synchronously: its pairs gate the row
-//! gets. Under fault injection unverified data is never trusted, and every
-//! remote read is synchronous and self-healing: a read nobody keeps — the
-//! service's row spans included — is verified and healed in the caller's
-//! buffer ([`Endpoint::get_into_with_retry`]); an offsets window or an
-//! edge-loop miss is verified and healed in its own buffer
-//! ([`Endpoint::get_with_retry`]) before it is kept. Nothing is left in
-//! flight.
+//! owner's offsets window and a batch's row span are waited at once: the
+//! window's pairs gate the row gets, and a batch hands its rows back.
 //!
 //! The reader is the rank's windows, read through `&self`. Its cache,
 //! [`AdjCache`], and its offsets copies, [`OwnerOffsets`], are separate
@@ -232,10 +224,10 @@ impl RowReader {
     /// First get of the protocol: the `(start, end)` pair of row `idx` of
     /// `owner`. The rank's own pairs are read from its own window, with no
     /// get. Another owner's come from the rank's copy of that owner's window
-    /// in `offsets`, which the first call for that owner reads with one
-    /// self-healing get ([`Endpoint::get_with_retry`]): one get fault-free,
-    /// a verified and healed one under faults. Every later call for that
-    /// owner issues no get.
+    /// in `offsets`, which the first call for that owner reads through the
+    /// one lander — one get fault-free, a verified and healed one under
+    /// faults — and copies into the `Arc` it keeps. Every later call for
+    /// that owner issues no get.
     ///
     /// # Errors
     ///
@@ -255,14 +247,20 @@ impl RowReader {
             match &mut offsets.0[owner] {
                 Some(copy) => &copy[..],
                 slot => {
-                    &slot.insert(ep.get_with_retry(window, owner, 0, window.len_of(owner))?)[..]
+                    let mut landing = Vec::new();
+                    let len = window.len_of(owner);
+                    let (words, charge) = land(ep, window, owner, 0, len, &mut landing)?;
+                    if let Some(charge) = charge {
+                        charge.wait(ep);
+                    }
+                    &slot.insert(Arc::from(words))[..]
                 }
             }
         };
         Ok((words[idx] as usize, words[idx + 1] as usize))
     }
 
-    /// Admits a cached miss's landed (and verified) buffer, scored by its
+    /// Admits a cached miss's copy of its verified row, scored by its
     /// length, after recording its compression — logical vs stored bytes —
     /// under compressed storage.
     fn admit(
@@ -363,63 +361,44 @@ impl RowReader {
             });
             let (span, tail) = rest.split_at(1 + joined.count());
             let (.., (_, last)) = span[span.len() - 1];
-            let len = last - first;
-            if ep.faults_enabled() {
-                let read = ep.get_into_with_retry(adj, owner, first, len, landing);
-                for &(i, kept, (start, end)) in span {
-                    rows[i] = match &read {
-                        Ok(()) => {
-                            let row = &landing[start - first..end - first];
-                            Ok(self.copy_out(ep, cache, kept, owner, start, row))
+            let read = land(ep, adj, owner, first, last - first, landing);
+            let in_place = matches!(read, Ok((_, Some(_))));
+            let read = read.map(|(region, charge)| {
+                if let Some(charge) = charge {
+                    charge.wait(ep);
+                }
+                region
+            });
+            for &(i, kept, (start, end)) in span {
+                rows[i] = match &read {
+                    Err(e) => Err(e.clone()),
+                    // Read in place and kept by nobody: the window's own row.
+                    Ok(_) if in_place && !kept => {
+                        Ok(RowRef::Window(&adj.local_part(owner)[start..end]))
+                    }
+                    Ok(region) => {
+                        let row: Arc<[VertexId]> = Arc::from(&region[start - first..end - first]);
+                        if kept {
+                            self.admit(ep, cache, owner, start, Arc::clone(&row));
                         }
-                        Err(e) => Err(e.clone()),
-                    };
-                }
-            } else {
-                let (region, charge) = ep.get_in_place(adj, owner, first, len);
-                charge.wait(ep);
-                for &(i, kept, (start, end)) in span {
-                    let row = &region[start - first..end - first];
-                    rows[i] = Ok(if kept {
-                        self.copy_out(ep, cache, kept, owner, start, row)
-                    } else {
-                        RowRef::Window(row)
-                    });
-                }
+                        Ok(RowRef::Fetched(row))
+                    }
+                };
             }
             rest = tail;
         }
     }
 
-    /// A batch row copied out of its span into its own buffer, admitted to
-    /// the cache when it is `kept` (a miss).
-    fn copy_out(
-        &self,
-        ep: &mut Endpoint,
-        cache: &mut AdjCache,
-        kept: bool,
-        target: usize,
-        start: usize,
-        row: &[VertexId],
-    ) -> RowRef<'static, VertexId> {
-        let row: Arc<[VertexId]> = Arc::from(row);
-        if kept {
-            self.admit(ep, cache, target, start, Arc::clone(&row));
-        }
-        RowRef::Fetched(row)
-    }
-
     /// Reads the row on `target` whose `(start, end)` offsets pair the first
     /// get returned ([`RowReader::pair`]) and computes `edge`'s value
     /// over it ([`EdgeOp::stored`]) — in place on an empty, local or cached
-    /// row or a fault-free transfer nobody keeps, and otherwise over the
-    /// buffer the transfer landed in, as the module table says. The value is
-    /// always final; the charge is the completion a fault-free transfer still
-    /// owes, which the caller waits for when it likes
-    /// ([`PendingCharge::wait`]). Under fault injection every transfer is
-    /// synchronous and self-healing, so nothing is owed. `landing` is the
-    /// caller's reusable buffer for a faulted read nobody keeps; it is free
-    /// again as soon as this returns.
+    /// row, and otherwise wherever the one lander read the transfer; a miss
+    /// is then copied into the `Arc` the cache keeps. The value is always
+    /// final; the charge is the completion a fault-free transfer still owes,
+    /// which the caller waits for when it likes ([`PendingCharge::wait`]).
+    /// Under fault injection every transfer is synchronous and self-healing,
+    /// so nothing is owed. `landing` is the caller's reusable buffer for a
+    /// faulted read; it is free again as soon as this returns.
     #[allow(clippy::too_many_arguments)]
     pub fn start<O: EdgeOp>(
         &self,
@@ -439,33 +418,26 @@ impl RowReader {
             let row = ep.local_read(&self.adj_plain, start, len);
             return Ok((op.stored(edge, row), None));
         }
-        // Who keeps the buffer: the cache on a miss, nobody otherwise.
-        let adj = &self.adj_plain;
         Ok(match probe(ep, cache, target, start, len) {
             CacheProbe::Hit(row) => (op.stored(edge, &row), None),
-            CacheProbe::Miss => {
-                let (row, charge) = if ep.faults_enabled() {
-                    (ep.get_with_retry(adj, target, start, len)?, None)
-                } else {
-                    let (row, charge) = ep.get(adj, target, start, len)?.split();
-                    (row, Some(charge))
-                };
-                let value = op.stored(edge, &row);
-                self.admit(ep, cache, target, start, row);
+            probe => {
+                let (row, charge) = land(ep, &self.adj_plain, target, start, len, landing)?;
+                let value = op.stored(edge, row);
+                // Who keeps the row: the cache on a miss, nobody otherwise.
+                if matches!(probe, CacheProbe::Miss) {
+                    self.admit(ep, cache, target, start, Arc::from(row));
+                }
                 (value, charge)
-            }
-            CacheProbe::Bypass => {
-                let (row, charge) = read_unkept(ep, adj, target, start, len, landing)?;
-                (op.stored(edge, row), charge)
             }
         })
     }
 }
 
-/// A remote read nobody keeps, of `len` elements at `offset` on `target`:
-/// fault-free, the target's region in place with the charge still owed;
-/// under faults, landed in `landing`, verified and healed, synchronously.
-fn read_unkept<'a, T: Copy + Send + Sync>(
+/// The one lander of every remote read, of `len` elements at `offset` on
+/// `target`: fault-free, the target's region in place with the charge still
+/// owed; under faults, landed in `landing`, verified and healed,
+/// synchronously. A caller that keeps the data copies it from here.
+fn land<'a, T: Copy + Send + Sync>(
     ep: &mut Endpoint,
     window: &'a Window<T>,
     target: usize,

@@ -5,35 +5,30 @@
 //! attached [`FaultInjector`] a get can fail at issue time, land a corrupted
 //! buffer (detected by the [`crate::fault::checksum`] stamped at the source
 //! window), or straggle past the [`RetryPolicy`] timeout. [`Endpoint::get`]
-//! therefore returns `Result`, and the [`Endpoint::get_with_retry`] /
-//! [`Endpoint::get_into_with_retry`] wrappers implement the self-healing
-//! path: exponential backoff between attempts, every retry and backoff
-//! nanosecond charged through the same α+βs cost accounting as ordinary
-//! traffic. Epoch misuse remains a panic — that is a programming error, the
-//! moral equivalent of an `MPI_ERR_RMA_SYNC` abort. Without an injector the
-//! fault machinery is entirely skipped (no checksum is computed), so the
-//! fault-off hot path is unchanged.
+//! therefore returns `Result`, and [`Endpoint::get_into_with_retry`]
+//! implements the self-healing path: exponential backoff between attempts,
+//! every retry and backoff nanosecond charged through the same α+βs cost
+//! accounting as ordinary traffic. Epoch misuse remains a panic — that is a
+//! programming error, the moral equivalent of an `MPI_ERR_RMA_SYNC` abort.
+//! Without an injector the fault machinery is entirely skipped (no checksum
+//! is computed), so the fault-off hot path is unchanged.
 //!
-//! There is one protocol and three ways to hold its data. Every get is
-//! issued and completed by the same private pair (`Endpoint::issue` /
-//! `Endpoint::complete`); what differs is only where the caller reads the
-//! transfer. The owned lander ([`Endpoint::get`] and its wrappers) copies
-//! into a fresh `Arc<[T]>` — right when a cache will retain the row or it is
-//! returned to the caller. The borrowed lander
-//! ([`Endpoint::get_into_with_retry`]) copies into a `Vec` the caller keeps
-//! across gets — right for a faulted read whose buffer nobody retains: it
-//! is verified and healed there without a heap allocation. A fault-free
-//! read nobody retains is not copied at all:
+//! Every get is issued and completed by the same private pair
+//! (`Endpoint::issue` / `Endpoint::complete`), and one rule decides where the
+//! caller reads the transfer. Fault-free, it is not copied at all:
 //! [`Endpoint::get_in_place`] borrows the target's exposed region, as a NIC
-//! would have put the bytes where the caller reads them. Fault-free, no read
-//! need be synchronous: the data moves at issue time, so
-//! [`Endpoint::get_in_place`] and [`PendingGet::split`] hand back only the
-//! completion still owed ([`PendingCharge`]) and a pipelined caller keeps the
-//! latency in flight without a buffer to hold. With an injector attached,
-//! every read that needs its data is synchronous and self-healing
-//! ([`Endpoint::get_with_retry`], [`Endpoint::get_into_with_retry`]): an
-//! unverified transfer never outlives the call that issued it, and what the
-//! caller computes from it, it computes from the verified landed buffer.
+//! would have put the bytes where the caller reads them, and hands back only
+//! the completion still owed ([`PendingCharge`]), so a pipelined caller keeps
+//! the latency in flight without a buffer to hold. Under faults it lands in
+//! a buffer the caller owns and reuses ([`Endpoint::get_into_with_retry`]),
+//! synchronously, and is verified and healed there: a corrupted attempt
+//! flips a byte of that buffer, so once it has grown no attempt allocates,
+//! and an unverified transfer never outlives the call that issued it. A
+//! caller that keeps the data copies it once, from wherever it was read,
+//! into the buffer that keeps it. [`Endpoint::get`] lands each transfer in a
+//! fresh `Arc<[T]>` for [`PendingGet::wait`] to verify: the plain
+//! `MPI_Get` + `MPI_Win_flush` pair, which no read path of the workspace
+//! needs.
 
 use crate::fault::{self, FaultInjector, RetryPolicy, RmaError};
 use crate::network::NetworkModel;
@@ -47,9 +42,8 @@ use std::sync::Arc;
 /// completed; [`PendingGet::wait`] performs the per-operation flush and hands the
 /// data out, and [`Endpoint::flush_all`] completes every outstanding operation.
 ///
-/// The transferred data lives in a shared `Arc<[T]>` buffer — the single
-/// allocation of the transfer — so downstream layers (the CLaMPI cache) can
-/// retain it with a refcount bump instead of copying the payload again.
+/// The transferred data lives in the get's own `Arc<[T]>`, which
+/// [`PendingGet::wait`] hands out once it has verified.
 #[derive(Debug)]
 pub struct PendingGet<T> {
     data: Arc<[T]>,
@@ -88,11 +82,10 @@ impl<T: Copy> PendingGet<T> {
     }
 }
 
-/// The cost ticket of a fault-free get whose data needs nothing more from the
-/// endpoint — it is read in place ([`Endpoint::get_in_place`]) or was handed
-/// out at issue time ([`PendingGet::split`]). Only the
-/// modeled completion is still owed: a pipeline slot holds this instead of an
-/// `Arc` nobody will read.
+/// The cost ticket of a fault-free get read in place
+/// ([`Endpoint::get_in_place`]): its data needs nothing more from the
+/// endpoint, only the modeled completion is still owed, and a pipeline slot
+/// holds this instead of a buffer.
 #[derive(Debug)]
 pub struct PendingCharge {
     ticket: Ticket,
@@ -106,27 +99,6 @@ impl PendingCharge {
     pub fn wait(self, ep: &mut Endpoint) {
         ep.complete::<u8>(&self.ticket, &[])
             .expect("a fault-free completion cannot fail");
-    }
-}
-
-impl<T> PendingGet<T> {
-    /// Hands out the landed buffer now and leaves only the completion owed
-    /// for it — for a fault-free get whose data the caller consumes at issue
-    /// time (the simulator materializes a transfer when it is issued).
-    ///
-    /// # Panics
-    ///
-    /// If the get carries a checksum stamp: a faulted transfer must be
-    /// verified against its buffer by [`PendingGet::wait`].
-    pub fn split(self) -> (Arc<[T]>, PendingCharge) {
-        assert!(
-            self.ticket.expected_checksum.is_none(),
-            "a checksummed transfer must be verified by PendingGet::wait"
-        );
-        let charge = PendingCharge {
-            ticket: self.ticket,
-        };
-        (self.data, charge)
     }
 }
 
@@ -247,23 +219,27 @@ impl Endpoint {
         offset: usize,
         len: usize,
     ) -> Result<PendingGet<T>, RmaError> {
-        let (ticket, data) = self.issue(window, target, offset, len, |wire| Arc::from(wire))?;
+        let (ticket, src, corruption) = self.issue(window, target, offset, len)?;
+        let mut data = Arc::from(src);
+        if let Some(salt) = corruption {
+            fault::corrupt(Arc::get_mut(&mut data).expect("a fresh buffer"), salt);
+        }
         Ok(PendingGet { data, ticket })
     }
 
     /// The issue half every get shares: epoch assertion, fault rolls, the
-    /// source checksum stamp, the transfer itself (`land` copies the wire —
-    /// corrupted when the injector says so — to wherever its lander keeps
-    /// it), statistics and the outstanding-cost pool.
+    /// source checksum stamp, statistics and the outstanding-cost pool.
+    /// Returns the ticket, the source region the transfer reads, and the
+    /// salt of the byte flip its lander must apply once it has copied that
+    /// region, when the injector corrupts the transfer.
     #[inline]
-    fn issue<T: Copy + Send + Sync, R>(
+    fn issue<'w, T: Copy + Send + Sync>(
         &mut self,
-        window: &Window<T>,
+        window: &'w Window<T>,
         target: usize,
         offset: usize,
         len: usize,
-        land: impl FnOnce(&[T]) -> R,
-    ) -> Result<(Ticket, R), RmaError> {
+    ) -> Result<(Ticket, &'w [T], Option<u64>), RmaError> {
         assert!(self.epoch_open, "RMA get issued outside an access epoch");
         let src = window.exposed(target, offset, len);
         let remote = target != self.rank;
@@ -284,10 +260,6 @@ impl Endpoint {
                 delay_factor = inj.completion_delay();
             }
         }
-        let landed = match corruption {
-            Some(salt) => land(&fault::corrupt_copy(src, salt)),
-            None => land(src),
-        };
         let bytes = len * window.element_size();
         let cost_ns = if remote {
             self.stats.record_get(target, bytes);
@@ -304,7 +276,7 @@ impl Endpoint {
             expected_checksum,
             delay_factor,
         };
-        Ok((ticket, landed))
+        Ok((ticket, src, corruption))
     }
 
     /// The completion half every get shares (see [`PendingGet::wait`] for the
@@ -349,71 +321,21 @@ impl Endpoint {
         Ok(())
     }
 
-    /// The retry loop every self-healing read shares: runs `attempt` until it
-    /// succeeds or the [`RetryPolicy`] budget is spent, with exponential
-    /// backoff before each retry — an idle stall, charged as communication
-    /// time without consuming overlap credit.
-    #[inline]
-    fn retrying<R>(
-        &mut self,
-        target: usize,
-        mut attempt: impl FnMut(&mut Self) -> Result<R, RmaError>,
-    ) -> Result<R, RmaError> {
-        let attempts = self.retry.max_attempts.max(1);
-        let mut last = None;
-        for n in 1..=attempts {
-            if n > 1 {
-                let backoff = self.retry.backoff_ns(n - 1);
-                self.stats.retries += 1;
-                self.stats.backoff_ns += backoff;
-                self.stats.record_completion(backoff, 0.0);
-            }
-            match attempt(self) {
-                Ok(out) => return Ok(out),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(RmaError::RetriesExhausted {
-            target,
-            attempts,
-            last: Box::new(last.expect("at least one attempt always runs")),
-        })
-    }
-
-    /// A self-healing [`Endpoint::get`]: retries transient failures, timeouts
-    /// and checksum mismatches with exponential backoff per the endpoint's
-    /// [`RetryPolicy`], charging every attempt and every backoff through the
-    /// cost accounting.
+    /// The self-healing read: a synchronous get whose transfer is copied
+    /// into `landing`, a buffer the caller owns and reuses — the paper's
+    /// double buffer, cleared and refilled without giving up its capacity —
+    /// and retried on transient failures, timeouts and checksum mismatches
+    /// with exponential backoff per the endpoint's [`RetryPolicy`], every
+    /// attempt and every backoff charged through the cost accounting. A
+    /// corrupted attempt flips a byte of `landing` itself and is overwritten
+    /// by its retry before anyone can read it, so once `landing` has grown
+    /// no attempt allocates. Once this returns `Ok`, `landing` holds the
+    /// verified-clean region; a caller that keeps it copies it from there.
+    /// A backoff is an idle stall, charged as communication time without
+    /// consuming overlap credit.
     ///
-    /// # Errors
-    ///
-    /// [`RmaError::RetriesExhausted`] when every allowed attempt failed.
-    pub fn get_with_retry<T: Copy + Send + Sync>(
-        &mut self,
-        window: &Window<T>,
-        target: usize,
-        offset: usize,
-        len: usize,
-    ) -> Result<Arc<[T]>, RmaError> {
-        self.retrying(target, |ep| ep.get(window, target, offset, len)?.wait(ep))
-    }
-
-    /// The borrowed lander: a self-healing synchronous get whose transfer is
-    /// copied into `landing`, a buffer the caller owns and reuses — the
-    /// paper's double buffer, cleared and refilled without giving up its
-    /// capacity. Once this returns `Ok`, `landing` holds the verified-clean
-    /// region; a corrupted attempt is overwritten by its retry before anyone
-    /// can read it.
-    ///
-    /// Use this for every faulted read whose buffer nobody retains — the
-    /// non-cached protocol rounds, quarantine-bypass reads, batch row spans —
-    /// ([`Endpoint::get_in_place`] when no injector is attached) and
-    /// [`Endpoint::get_with_retry`] when the landed data outlives the call
-    /// (cache admission, a kept offsets window, a row handed back to the
-    /// caller).
-    /// Epochs, fault rolls, checksums, timeouts, retries, statistics and
-    /// overlap charging are those of [`Endpoint::get_with_retry`], operation
-    /// for operation.
+    /// Use this for every read under an attached injector, and
+    /// [`Endpoint::get_in_place`] for every read without one.
     ///
     /// # Errors
     ///
@@ -427,12 +349,33 @@ impl Endpoint {
         len: usize,
         landing: &mut Vec<T>,
     ) -> Result<(), RmaError> {
-        self.retrying(target, |ep| {
-            let (ticket, ()) = ep.issue(window, target, offset, len, |wire| {
-                landing.clear();
-                landing.extend_from_slice(wire);
-            })?;
+        let mut attempt = |ep: &mut Self| {
+            let (ticket, src, corruption) = ep.issue(window, target, offset, len)?;
+            landing.clear();
+            landing.extend_from_slice(src);
+            if let Some(salt) = corruption {
+                fault::corrupt(landing, salt);
+            }
             ep.complete(&ticket, landing)
+        };
+        let attempts = self.retry.max_attempts.max(1);
+        let mut last = None;
+        for n in 1..=attempts {
+            if n > 1 {
+                let backoff = self.retry.backoff_ns(n - 1);
+                self.stats.retries += 1;
+                self.stats.backoff_ns += backoff;
+                self.stats.record_completion(backoff, 0.0);
+            }
+            match attempt(self) {
+                Ok(()) => return Ok(()),
+                Err(e) => last = Some(e),
+            }
+        }
+        Err(RmaError::RetriesExhausted {
+            target,
+            attempts,
+            last: Box::new(last.expect("at least one attempt always runs")),
         })
     }
 
@@ -465,13 +408,10 @@ impl Endpoint {
             !self.faults_enabled(),
             "an in-place read cannot be verified; use get_into_with_retry"
         );
-        let (ticket, ()) = self
-            .issue(window, target, offset, len, |_| ())
+        let (ticket, region, _) = self
+            .issue(window, target, offset, len)
             .expect("a fault-free issue cannot fail");
-        (
-            window.exposed(target, offset, len),
-            PendingCharge { ticket },
-        )
+        (region, PendingCharge { ticket })
     }
 
     /// Reads the caller's own exposed region directly (no get, no charge beyond the
@@ -845,9 +785,10 @@ mod tests {
             .with_faults(plan.injector(0));
         ep.lock_all();
         let mut saw_retry = false;
+        let mut landing = Vec::new();
         for _ in 0..50 {
-            let data = ep.get_with_retry(&w, 1, 0, 3).unwrap();
-            assert_eq!(&*data, &[10, 20, 30]);
+            ep.get_into_with_retry(&w, 1, 0, 3, &mut landing).unwrap();
+            assert_eq!(landing, [10, 20, 30]);
             saw_retry |= ep.stats().retries > 0;
         }
         ep.unlock_all();
@@ -856,29 +797,34 @@ mod tests {
         assert!(ep.stats().backoff_ns > 0.0);
     }
 
-    #[test]
-    fn retry_returns_clean_data_after_corrupted_transfers() {
-        let w = window2();
-        let plan = FaultPlan {
-            corrupt_p: 0.5,
-            ..FaultPlan::reliable(6)
-        };
-        let retry = RetryPolicy {
-            max_attempts: 64,
-            ..RetryPolicy::default()
-        };
-        let mut ep = Endpoint::new(0, 2, NetworkModel::zero())
-            .with_retry(retry)
-            .with_faults(plan.injector(0));
-        ep.lock_all();
-        for _ in 0..30 {
-            // However many corrupted attempts preceded it, the returned
-            // buffer always comes from a verified-clean transfer.
-            let data = ep.get_with_retry(&w, 1, 1, 3).unwrap();
-            assert_eq!(&*data, &[20, 30, 40]);
+    /// The self-healing read spelled out over the owned lander, as the
+    /// reference of the borrowed one: [`Endpoint::get`] + [`PendingGet::wait`]
+    /// per attempt, with the policy's backoff before each retry.
+    fn owned_read(
+        ep: &mut Endpoint,
+        w: &Window<u32>,
+        offset: usize,
+        len: usize,
+    ) -> Result<Arc<[u32]>, RmaError> {
+        let attempts = ep.retry.max_attempts.max(1);
+        let mut last = None;
+        for n in 1..=attempts {
+            if n > 1 {
+                let backoff = ep.retry.backoff_ns(n - 1);
+                ep.stats.retries += 1;
+                ep.stats.backoff_ns += backoff;
+                ep.stats.record_completion(backoff, 0.0);
+            }
+            match ep.get(w, 1, offset, len).and_then(|get| get.wait(ep)) {
+                Ok(data) => return Ok(data),
+                Err(e) => last = Some(e),
+            }
         }
-        ep.unlock_all();
-        assert!(ep.stats().checksum_failures > 0, "p=0.5 must corrupt some");
+        Err(RmaError::RetriesExhausted {
+            target: 1,
+            attempts,
+            last: Box::new(last.unwrap()),
+        })
     }
 
     #[test]
@@ -915,7 +861,7 @@ mod tests {
                     let (offset, len) = (i % 7, 1 + (i * 5) % 57);
                     owned.note_compute_ns(150.0);
                     borrowed.note_compute_ns(150.0);
-                    let a = owned.get_with_retry(&w, 1, offset, len);
+                    let a = owned_read(&mut owned, &w, offset, len);
                     let b = borrowed.get_into_with_retry(&w, 1, offset, len, &mut landing);
                     match (a, b) {
                         (Ok(data), Ok(())) => {
@@ -974,44 +920,45 @@ mod tests {
 
     #[test]
     fn deferred_charges_complete_like_synchronous_borrowed_gets() {
-        // Issue-then-wait through `get_in_place` / `split` must leave the
-        // endpoint exactly where the synchronous borrowed lander leaves it —
-        // every counter and every f64 charge — with overlap credit in play;
-        // the in-place read borrows the very region the lander copies.
+        // Issue-then-wait through `get_in_place` must leave the endpoint
+        // exactly where the synchronous borrowed lander and the owned
+        // `get` + `wait` leave it — every counter and every f64 charge — with
+        // overlap credit in play; the in-place read borrows the very region
+        // the landers copy.
         let w = Window::from_parts(vec![vec![1u32, 2, 3, 4], (10..74u32).collect()]);
         let endpoint = || {
             let mut ep = Endpoint::new(0, 2, NetworkModel::aries());
             ep.lock_all();
             ep
         };
-        let (mut sync, mut split, mut owned) = (endpoint(), endpoint(), endpoint());
+        let (mut sync, mut deferred, mut owned) = (endpoint(), endpoint(), endpoint());
         let mut landing = Vec::new();
         for i in 0..50usize {
             let (offset, len) = (i % 7, 1 + (i * 5) % 57);
-            for ep in [&mut sync, &mut split, &mut owned] {
+            for ep in [&mut sync, &mut deferred, &mut owned] {
                 ep.note_compute_ns(150.0);
             }
             sync.get_into_with_retry(&w, 1, offset, len, &mut landing)
                 .unwrap();
-            let (in_place, charge) = split.get_in_place(&w, 1, offset, len);
-            charge.wait(&mut split);
-            let (data, charge) = owned.get(&w, 1, offset, len).unwrap().split();
-            charge.wait(&mut owned);
+            let (in_place, charge) = deferred.get_in_place(&w, 1, offset, len);
+            charge.wait(&mut deferred);
+            let data = owned.get(&w, 1, offset, len).unwrap().wait(&mut owned);
+            let data = data.unwrap();
             assert_eq!(&*data, &landing[..], "read {i}");
             assert_eq!(in_place, &landing[..], "read {i}");
             assert!(std::ptr::eq(
                 in_place,
                 &w.local_part(1)[offset..offset + len]
             ));
-            assert_eq!(sync.stats(), split.stats(), "read {i}");
+            assert_eq!(sync.stats(), deferred.stats(), "read {i}");
             assert_eq!(sync.stats(), owned.stats(), "read {i}");
         }
         // Several charges in flight, dropped unwaited: the epoch still closes
         // once the outstanding pool is flushed.
-        let _a = split.get_in_place(&w, 1, 0, 4);
-        let _b = split.get_in_place(&w, 1, 4, 4);
-        assert!(split.flush_all() > 0.0);
-        split.unlock_all();
+        let _a = deferred.get_in_place(&w, 1, 0, 4);
+        let _b = deferred.get_in_place(&w, 1, 4, 4);
+        assert!(deferred.flush_all() > 0.0);
+        deferred.unlock_all();
     }
 
     #[test]
@@ -1035,7 +982,9 @@ mod tests {
             .with_retry(retry)
             .with_faults(FaultPlan::unrecoverable(7).injector(0));
         ep.lock_all();
-        let err = ep.get_with_retry(&w, 1, 0, 2).unwrap_err();
+        let err = ep
+            .get_into_with_retry(&w, 1, 0, 2, &mut Vec::new())
+            .unwrap_err();
         match err {
             RmaError::RetriesExhausted {
                 target: 1,
@@ -1051,7 +1000,7 @@ mod tests {
     }
 
     #[test]
-    fn get_with_retry_exhausts_cleanly_on_unrecoverable_corruption() {
+    fn retries_exhaust_cleanly_on_unrecoverable_corruption() {
         let w = window2();
         let plan = FaultPlan {
             corrupt_p: 1.0,
@@ -1065,7 +1014,9 @@ mod tests {
             .with_retry(retry)
             .with_faults(plan.injector(0));
         ep.lock_all();
-        let err = ep.get_with_retry(&w, 1, 0, 2).unwrap_err();
+        let err = ep
+            .get_into_with_retry(&w, 1, 0, 2, &mut Vec::new())
+            .unwrap_err();
         match err {
             RmaError::RetriesExhausted {
                 target: 1,
@@ -1086,10 +1037,11 @@ mod tests {
             .with_faults(FaultPlan::reliable(8).injector(0));
         plain.lock_all();
         faulted.lock_all();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
         for _ in 0..10 {
-            let a = plain.get_with_retry(&w, 1, 0, 4).unwrap();
-            let b = faulted.get_with_retry(&w, 1, 0, 4).unwrap();
-            assert_eq!(&*a, &*b);
+            plain.get_into_with_retry(&w, 1, 0, 4, &mut a).unwrap();
+            faulted.get_into_with_retry(&w, 1, 0, 4, &mut b).unwrap();
+            assert_eq!(a, b);
         }
         plain.unlock_all();
         faulted.unlock_all();

@@ -20,10 +20,10 @@
 //! * [`RetryPolicy`] — attempts, exponential backoff and completion timeout;
 //!   carried by the endpoint so backoff is charged through the α+βs cost
 //!   accounting like any other communication time.
-//! * [`checksum`] / [`corrupt_copy`] — the transfer-integrity primitives: a
+//! * [`checksum`] / [`corrupt`] — the transfer-integrity primitives: a
 //!   cheap FNV-1a stamp computed over the source window region, and the
-//!   byte-flipping corruption the injector applies to in-flight buffers and
-//!   cache entries. Corruption is *real* — the landed bytes are wrong, so a
+//!   byte flip the injector applies to a landed buffer or a cache entry's
+//!   fresh copy. Corruption is *real* — the landed bytes are wrong, so a
 //!   read path that skipped verification would produce wrong counts, and the
 //!   chaos suite genuinely proves detection and healing.
 //!
@@ -36,8 +36,6 @@
 //! plain two-get protocol — i.e. a sick cache degrades to the paper's
 //! *non-cached* baseline (Figure 9's comparison point) instead of wrong
 //! answers.
-
-use std::sync::Arc;
 
 /// Runtime failure of a remote read. Programming errors (epoch misuse, out of
 /// bounds offsets) remain panics, exactly like an `MPI_ERR_RMA_SYNC` abort;
@@ -401,21 +399,19 @@ pub fn checksum<T: Copy>(data: &[T]) -> u64 {
     h
 }
 
-/// A corrupted copy of `data`: one byte (chosen by `salt`) is XOR-flipped, so
-/// the copy is guaranteed to differ while keeping the same length. Empty
-/// buffers are returned unchanged (there is nothing to corrupt).
-pub fn corrupt_copy<T: Copy>(data: &[T], salt: u64) -> Arc<[T]> {
-    let mut copy: Vec<T> = data.to_vec();
-    let nbytes = std::mem::size_of_val(&copy[..]);
+/// Corrupts `data` in place: one byte (chosen by `salt`) is XOR-flipped, so
+/// the buffer is guaranteed to differ from what it held. An empty buffer is
+/// left unchanged (there is nothing to corrupt).
+pub fn corrupt<T: Copy>(data: &mut [T], salt: u64) {
+    let nbytes = std::mem::size_of_val(data);
     if nbytes > 0 {
         let idx = (salt % nbytes as u64) as usize;
         // SAFETY: same padding-free-scalar invariant as `as_bytes`; `idx` is
-        // in bounds and the Vec is uniquely owned.
+        // in bounds and `data` is borrowed exclusively.
         unsafe {
-            *copy.as_mut_ptr().cast::<u8>().add(idx) ^= 0xA5;
+            *data.as_mut_ptr().cast::<u8>().add(idx) ^= 0xA5;
         }
     }
-    Arc::from(copy)
 }
 
 #[cfg(test)]
@@ -475,20 +471,20 @@ mod tests {
         let data: Vec<u32> = (0..100).collect();
         let stamp = checksum(&data);
         for salt in [0u64, 1, 17, 399, u64::MAX] {
-            let bad = corrupt_copy(&data, salt);
-            assert_eq!(bad.len(), data.len(), "corruption preserves length");
-            assert_ne!(&*bad, &data[..], "salt {salt} must change the data");
+            let mut bad = data.clone();
+            corrupt(&mut bad, salt);
+            assert_ne!(bad, data, "salt {salt} must change the data");
             assert_ne!(checksum(&bad), stamp, "salt {salt} must change the sum");
         }
-        assert_eq!(checksum(&data), stamp, "source is untouched");
     }
 
     #[test]
     fn empty_buffers_are_uncorruptible() {
-        let data: Vec<u64> = Vec::new();
-        let copy = corrupt_copy(&data, 5);
-        assert!(copy.is_empty());
-        assert_eq!(checksum(&data), checksum(&copy));
+        let mut data: Vec<u64> = Vec::new();
+        let stamp = checksum(&data);
+        corrupt(&mut data, 5);
+        assert!(data.is_empty());
+        assert_eq!(checksum(&data), stamp);
     }
 
     #[test]

@@ -31,13 +31,14 @@
 //! vertices especially worthwhile), and the complete absence of target-side
 //! synchronization during computation.
 //!
-//! Transfers land either in a shared `Arc<[T]>` buffer — the get's single
-//! allocation, which the CLaMPI layer retains by refcount — or, for faulted
-//! reads whose buffer nobody keeps, in a `Vec` the caller reuses across gets
-//! ([`Endpoint::get_into_with_retry`], no allocation at all), where the
-//! caller computes only once the buffer's checksum has verified. A fault-free read nobody keeps is not copied at all:
-//! [`Endpoint::get_in_place`] borrows the target's exposed region and leaves
-//! only a [`PendingCharge`] in flight.
+//! One rule decides where a transfer is read. Fault-free it is not copied at
+//! all: [`Endpoint::get_in_place`] borrows the target's exposed region and
+//! leaves only a [`PendingCharge`] in flight. Under fault injection it lands
+//! in a `Vec` the caller reuses across gets
+//! ([`Endpoint::get_into_with_retry`]), where it is verified and healed
+//! without allocating, and the caller computes only once its checksum has
+//! verified. A caller that keeps the data — a cache admitting a row —
+//! copies it once from there into the buffer that keeps it.
 //!
 //! # Paper map
 //!

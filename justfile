@@ -33,8 +33,9 @@ docs:
 
 # AddressSanitizer (nightly only: -Zsanitizer is unstable) over the cache and
 # RMA lib suites, rmatc-core's unit tests (the SIMD block steps'
-# lane-boundary tests, the galloping and compressed decoders) and the kernel
-# tests. The explicit
+# lane-boundary tests, the galloping and compressed decoders), the kernel
+# tests, and the zero-copy suite, where faulted reads land, are corrupted in
+# place and meet the cache. The explicit
 # --target keeps the sanitizer off build scripts and proc macros and gives the
 # instrumented build its own directory under target/.
 asan:
@@ -44,9 +45,9 @@ asan:
     asan="cargo +nightly test -q --target x86_64-unknown-linux-gnu"
     $asan -p rmatc-clampi -p rmatc-rma --lib
     $asan -p rmatc-core --lib
-    $asan --test kernels --test properties
+    $asan --test kernels --test properties --test zero_copy
 
-# The size yardstick ROADMAP item 1 is counted with: per first-party crate,
+# The size yardstick of deletion PRs (ROADMAP aim 2): per first-party crate,
 # non-blank non-comment lines before each file's `#[cfg(test)]` module
 # ("code") and, separately, the unit-test lines from it on; then the
 # integration tests (`tests/` + `crates/*/tests`) and the vendored stubs

@@ -3,8 +3,9 @@
 //! loop (same LCC values, same cache statistics, same endpoint counters,
 //! `f64` charges included), cache hits and local-rank reads perform no heap
 //! allocations, the single miss allocation is handed to the cache without a
-//! second copy, and reads nobody retains (non-cached rounds, quarantine
-//! bypasses) are read in place, or land in a reused buffer under faults,
+//! second copy (under faults too, however many attempts it takes), and reads
+//! nobody retains (non-cached rounds, quarantine bypasses) are read in place,
+//! or land in a reused buffer under faults, corrupted attempts included,
 //! without allocating at all — however many of them are in flight.
 
 use proptest::prelude::*;
@@ -17,7 +18,9 @@ use rmatc::core::local::count_closing_at;
 use rmatc::graph::gen::{GraphGenerator, RmatGenerator};
 use rmatc::graph::partition::{PartitionScheme, PartitionedGraph};
 use rmatc::graph::reference;
-use rmatc::rma::{Endpoint, NetworkModel, PendingCharge, RankStats, RmaError};
+use rmatc::rma::{
+    Endpoint, FaultPlan, NetworkModel, PendingCharge, RankStats, RetryPolicy, RmaError,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -32,16 +35,24 @@ use std::sync::Arc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Address and size of this thread's latest allocation.
+    static LATEST: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
 }
 
 struct CountingAllocator;
 
+/// Counts one allocation of `size` bytes at `ptr` and returns `ptr`.
+fn counted(ptr: *mut u8, size: usize) -> *mut u8 {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+    LATEST.with(|c| c.set((ptr as usize, size)));
+    ptr
+}
+
 // SAFETY: delegates every operation to `System`; the counter update performs
-// no allocation (const-initialized, Drop-free thread-local).
+// no allocation (const-initialized, Drop-free thread-locals).
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
+        counted(unsafe { System.alloc(layout) }, layout.size())
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -49,13 +60,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
+        counted(unsafe { System.realloc(ptr, layout, new_size) }, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc_zeroed(layout) }
+        counted(unsafe { System.alloc_zeroed(layout) }, layout.size())
     }
 }
 
@@ -64,6 +73,17 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 fn allocations_on_this_thread() -> u64 {
     ALLOCATIONS.with(|c| c.get())
+}
+
+/// Address and size of this thread's latest allocation.
+fn latest() -> (usize, usize) {
+    LATEST.with(|c| c.get())
+}
+
+/// Whether `data` lies inside the allocation at `(start, size)`.
+fn within<T>(data: &[T], (start, size): (usize, usize)) -> bool {
+    let range = data.as_ptr_range();
+    start <= range.start as usize && range.end as usize <= start + size
 }
 
 // ---------------------------------------------------------------------------
@@ -81,7 +101,7 @@ fn base_config(ranks: usize) -> DistConfig {
         // modeled communication times non-deterministic across the two loops.
         double_buffering: false,
         cache: None,
-        retry: rmatc::rma::RetryPolicy::default(),
+        retry: RetryPolicy::default(),
         faults: None,
         pipeline_depth: 1,
         storage: rmatc::graph::GraphStorage::Plain,
@@ -519,13 +539,20 @@ fn quarantine_bypass_reads_allocate_nothing() {
     // still attached (so they land, verify and heal there), and with four
     // reads requested in flight as with one. Every lookup rots the resident
     // entry, so the second pass trips the (default, three-strike)
-    // quarantine. Beside the offsets window's read, every bypassed row is
-    // one get.
+    // quarantine. A third of the transfers are corrupted too: a corrupted
+    // attempt flips a byte of the landing buffer itself, so healing it
+    // allocates nothing either. Beside the offsets window's read, every
+    // bypassed row is one get.
     let g = RmatGenerator::paper(8, 8).generate_cleaned(9).into_csr();
     let pg = PartitionedGraph::from_global(&g, PartitionScheme::Block1D, 2).unwrap();
-    let plan = rmatc::rma::FaultPlan {
+    let plan = FaultPlan {
         cache_corrupt_p: 1.0,
-        ..rmatc::rma::FaultPlan::reliable(5)
+        corrupt_p: 0.3,
+        ..FaultPlan::reliable(5)
+    };
+    let retry = RetryPolicy {
+        max_attempts: 32,
+        ..RetryPolicy::default()
     };
     for storage in [
         rmatc::graph::GraphStorage::Plain,
@@ -536,7 +563,9 @@ fn quarantine_bypass_reads_allocate_nothing() {
             let mut config = base_config(2);
             config.storage = storage;
             config.cache = Some(CacheSpec::paper(1 << 22).with_degree_scores());
-            let ep = Endpoint::new(0, 2, config.network).with_faults(plan.injector(0));
+            let ep = Endpoint::new(0, 2, config.network)
+                .with_retry(retry)
+                .with_faults(plan.injector(0));
             let mut rounds = Rounds::new(&pg, &windows, &config, ep, in_flight);
             let clean = rounds.run();
             let sick = rounds.run();
@@ -544,10 +573,11 @@ fn quarantine_bypass_reads_allocate_nothing() {
                 rounds.ep.stats().cache_bypass_reads > 0,
                 "the second pass must quarantine the cache ({storage:?})"
             );
-            let (bypasses, gets, copy_gets) = (
+            let (bypasses, gets, copy_gets, corrupted) = (
                 rounds.ep.stats().cache_bypass_reads,
                 rounds.ep.stats().gets,
                 rounds.copy_gets,
+                rounds.ep.stats().checksum_failures,
             );
             let before = allocations_on_this_thread();
             let bypassed = rounds.run();
@@ -559,10 +589,15 @@ fn quarantine_bypass_reads_allocate_nothing() {
             );
             let adjacency_reads = rounds.ep.stats().cache_bypass_reads - bypasses;
             assert!(adjacency_reads > 0, "the measured pass must bypass");
+            let retries = rounds.ep.stats().checksum_failures - corrupted;
+            assert!(
+                retries > 0,
+                "the measured pass must heal corrupted transfers"
+            );
             assert_eq!(
                 rounds.ep.stats().gets - gets - (rounds.copy_gets - copy_gets),
-                adjacency_reads,
-                "a bypassed row is one get"
+                adjacency_reads + retries,
+                "a bypassed row is one get, and one more per corrupted attempt"
             );
             assert_eq!((clean, sick), (bypassed, bypassed), "{storage:?}");
             rounds.ep.unlock_all();
@@ -600,6 +635,102 @@ fn miss_buffer_is_shared_with_the_cache_not_copied() {
         "the cache must retain the transfer buffer itself — no second copy"
     );
     ep.unlock_all();
+
+    // Faulted: half the transfers corrupted and a third of the completions
+    // straggling past the retry timeout, so a miss often takes several
+    // attempts. They all land in the landing buffer: once it has grown, an
+    // admitted miss allocates exactly the one `Arc` the cache then holds.
+    // The warm pass grows the buffer and the cache's record of seen keys;
+    // the flush empties the cache, so the measured pass misses again.
+    let plan = FaultPlan {
+        corrupt_p: 0.5,
+        delay_p: 0.3,
+        delay_factor: 100.0,
+        ..FaultPlan::reliable(9)
+    };
+    let retry = RetryPolicy {
+        max_attempts: 64,
+        timeout_ns: Some(
+            config
+                .network
+                .remote_cost_ns(4 * windows.adjacencies.len_of(1))
+                * 10.0,
+        ),
+        ..RetryPolicy::default()
+    };
+    let ep = Endpoint::new(0, 2, config.network)
+        .with_retry(retry)
+        .with_faults(plan.injector(0));
+    let mut rounds = Rounds::new(&pg, &windows, &config, ep, 1);
+    let part = &pg.partitions[0];
+    let mut misses = 0;
+    for pass in ["warm", "measured"] {
+        let faults = rounds.ep.stats().fault_events();
+        for local_idx in 0..part.local_vertex_count().min(64) {
+            let adj_u = part.neighbours_of_local(local_idx);
+            for (k, &v) in adj_u.iter().enumerate() {
+                if pg.partitioner.owner(v) != 1 {
+                    continue;
+                }
+                let v_local = pg.partitioner.local_index(v);
+                let Rounds {
+                    reader,
+                    cache,
+                    op,
+                    ep,
+                    landing,
+                    offsets,
+                    ..
+                } = &mut rounds;
+                let pair = reader.pair(ep, offsets, 1, v_local).unwrap();
+                let edge = Edge {
+                    slot: 0,
+                    source: part.global_ids[local_idx],
+                    adj_u,
+                    v,
+                    k,
+                    marks: None,
+                };
+                let missed = cache_stats(cache).unwrap().misses;
+                let before = allocations_on_this_thread();
+                let (_, charge) = reader
+                    .start(ep, cache, 1, pair, landing, op, &edge)
+                    .unwrap();
+                let (allocated, latest) = (allocations_on_this_thread() - before, latest());
+                assert!(charge.is_none(), "a faulted read leaves nothing in flight");
+                if pass == "warm" {
+                    continue;
+                }
+                if cache_stats(cache).unwrap().misses == missed {
+                    assert_eq!(allocated, 0, "a hit allocates nothing");
+                    continue;
+                }
+                misses += 1;
+                assert_eq!(allocated, 1, "a faulted miss allocates its one Arc");
+                match read_row(reader, ep, cache, offsets, 1, v_local).unwrap() {
+                    RowRef::Cached(row) => assert!(
+                        within(&row, latest),
+                        "the cache must hold the miss's one Arc"
+                    ),
+                    other => panic!("the admitted miss must hit, got {other:?}"),
+                }
+            }
+        }
+        assert!(
+            rounds.ep.stats().fault_events() > faults,
+            "the {pass} pass injected nothing"
+        );
+        if pass == "warm" {
+            rounds.cache.as_mut().unwrap().flush();
+        }
+    }
+    assert!(misses > 0, "the measured pass must miss");
+    let stats = rounds.ep.stats();
+    assert!(
+        stats.checksum_failures > 0 && stats.timeouts > 0,
+        "{stats:?}"
+    );
+    rounds.ep.unlock_all();
 }
 
 // ---------------------------------------------------------------------------
