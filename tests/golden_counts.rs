@@ -51,6 +51,15 @@
 //! window (33 324 → 3 836 = 3 108 + 91 words of 8 bytes). Every `C_adj`
 //! counter, `local_reads` and every answer stayed as recorded; the test
 //! checks both identities beside the literals.
+//!
+//! TriC's rows pin its whole modeled communication, not only its answers:
+//! R-MAT(8, 8) seed 5 on 4 cyclic ranks, plain, buffered at 128 queries per
+//! destination, and plain under `FaultPlan::heavy(31)`'s stragglers. Per
+//! rank: every counter of [`TricRankReport`](rmatc::tric::TricRankReport)
+//! and the exact bits of `comm_ns`, which sums the per-message `α + β·s`
+//! charges and two barrier charges per exchange in a fixed order, with one
+//! straggler draw per exchange. `compute_ns` and `sync_ns` are host time
+//! and are not pinned.
 
 use rmatc::clampi::CacheStats;
 use rmatc::core::distributed::worker::run_worker;
@@ -59,7 +68,8 @@ use rmatc::core::DistJaccard;
 use rmatc::graph::gen::{GraphGenerator, RmatGenerator};
 use rmatc::graph::partition::{PartitionScheme, PartitionedGraph};
 use rmatc::graph::{reference, GraphStorage};
-use rmatc::rma::RankStats;
+use rmatc::rma::{FaultPlan, RankStats};
+use rmatc::tric::{Tric, TricConfig, TricRankReport};
 
 /// Every `CacheStats` counter, in declaration order.
 fn cache_counts(s: &CacheStats) -> [u64; 14] {
@@ -283,6 +293,57 @@ fn the_edge_loop_reproduces_the_sequential_workers_counts() {
                     "jaccard, {what}, rank {rank}"
                 );
             }
+        }
+    }
+}
+
+/// Every counter of one TriC rank, then `comm_ns.to_bits()`: `queries_sent`,
+/// `queries_answered`, `responses_received`, `bytes_sent`, `rounds`,
+/// `peak_buffered_queries`, `delayed_exchanges`, `comm_ns`.
+fn tric_counts(r: &TricRankReport) -> [u64; 8] {
+    [
+        r.queries_sent,
+        r.queries_answered,
+        r.responses_received,
+        r.bytes_sent,
+        r.rounds,
+        r.peak_buffered_queries,
+        r.delayed_exchanges,
+        r.comm_ns.to_bits(),
+    ]
+}
+
+#[test]
+#[rustfmt::skip]
+fn tric_reproduces_its_recorded_traffic_and_modeled_communication() {
+    let g = RmatGenerator::paper(8, 8).generate_cleaned(5).into_csr();
+    let runs: [(&str, TricConfig, [[u64; 8]; 4]); 3] = [
+        ("plain", TricConfig::plain(4), [
+            [15400, 7957, 2876, 199492, 1, 15400, 0, 0x40efb6a666666666],
+            [5097, 9090, 1986, 69292, 1, 5097, 0, 0x40e95b2666666666],
+            [7432, 8274, 2372, 97268, 1, 7432, 0, 0x40eab8d99999999a],
+            [5236, 7844, 2043, 69036, 1, 5236, 0, 0x40e957f333333333],
+        ]),
+        ("buffered 128", TricConfig::buffered_with(4, 128), [
+            [15400, 7957, 2876, 199492, 43, 15400, 0, 0x4134acc533333333],
+            [5097, 9090, 1986, 69292, 43, 5097, 0, 0x4131b10533333334],
+            [7432, 8274, 2372, 97268, 43, 7432, 0, 0x41323122cccccccc],
+            [5236, 7844, 2043, 69036, 43, 5236, 0, 0x4131590799999998],
+        ]),
+        ("heavy stragglers", TricConfig::plain(4).with_faults(FaultPlan::heavy(31)), [
+            [15400, 7957, 2876, 199492, 1, 15400, 1, 0x413be48133333333],
+            [5097, 9090, 1986, 69292, 1, 5097, 0, 0x40e95b2666666666],
+            [7432, 8274, 2372, 97268, 1, 7432, 1, 0x41209fad9999999a],
+            [5236, 7844, 2043, 69036, 1, 5236, 0, 0x40e957f333333333],
+        ]),
+    ];
+    for (what, cfg, expected) in runs {
+        let result = Tric::new(cfg).run(&g);
+        assert_eq!(result.triangle_count, 4100, "{what}");
+        assert_eq!(result.triangle_count, reference::count_triangles(&g), "{what}");
+        for (rank, (report, expected)) in result.ranks.iter().zip(expected).enumerate() {
+            assert_eq!(report.rank, rank, "{what}");
+            assert_eq!(tric_counts(report), expected, "{what}, rank {rank}");
         }
     }
 }
