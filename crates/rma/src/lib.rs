@@ -47,7 +47,7 @@
 //! | [`window`] | Fig. 3 (`w_offsets`, `w_adj`); §III-A | `MPI_Win_create` exposure: one read-only slice per rank |
 //! | [`endpoint`] | Fig. 3 steps 4–5; §II-E | `MPI_Win_lock_all` epochs, `MPI_Get`, `MPI_Win_flush`, overlap credit |
 //! | [`network`] | §IV-D1 | The linear cost model `t(s) = α + β·s`, calibrated to Cray Aries |
-//! | [`runner`] | §IV-A | One thread per MPI rank, plus the barrier used only by the TriC baseline |
+//! | [`runner`] | §IV-A | One thread per MPI rank, no synchronization between them |
 //! | [`stats`] | §IV-D | Per-rank gets/bytes/virtual-time counters the figures aggregate |
 //! | [`cputime`] | §IV-C | Per-thread CPU time so oversubscribed hosts do not inflate compute |
 //! | [`fault`] | — (robustness layer) | Seeded fault injection, retries with backoff, checksummed transfers; a sick cache degrades to the paper's non-cached baseline |
@@ -64,6 +64,6 @@ pub use cputime::{ComputeMeter, ThreadTimer};
 pub use endpoint::{Endpoint, PendingCharge, PendingGet};
 pub use fault::{FaultInjector, FaultPlan, RetryPolicy, RmaError};
 pub use network::NetworkModel;
-pub use runner::{run_ranks, SimBarrier};
+pub use runner::run_ranks;
 pub use stats::RankStats;
 pub use window::{Window, WindowId};

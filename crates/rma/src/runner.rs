@@ -1,54 +1,52 @@
-//! Rank spawning and setup-phase synchronization.
+//! Rank spawning.
 //!
-//! [`run_ranks`] plays the role of `mpirun`: it launches one worker thread per rank
-//! and collects their results. The only synchronization primitive offered is
-//! [`SimBarrier`], which exists for (a) the untimed setup phase and (b) the
-//! bulk-synchronous TriC baseline, where each barrier is *charged* to the ranks via
-//! the network model — the asynchronous algorithm of the paper never calls it during
-//! computation.
+//! [`run_ranks`] plays the role of `mpirun`: it launches one worker thread per
+//! rank and collects their results. It offers no synchronization between the
+//! ranks: the asynchronous algorithm of the paper never synchronizes during
+//! computation, and the bulk-synchronous TriC baseline runs its ranks in
+//! lockstep on one thread instead.
 //!
-//! Both are panic-safe: a rank that panics no longer strands the surviving
-//! ranks at a barrier. [`run_ranks`] catches each rank's panic and re-raises
-//! the *first* one with its rank id once every thread has been joined, and a
-//! [`SimBarrier`] whose run has a panicked rank is poisoned — every waiter
-//! (current and future) panics with the origin rank instead of deadlocking,
-//! the moral equivalent of an `MPI_Abort` taking the whole job down.
+//! It is panic-safe: every rank thread is joined, and a panic is re-raised
+//! with its rank id only then — the *lowest* panicking rank's, so the report
+//! does not depend on which thread panicked first.
 
-use crate::network::NetworkModel;
-use std::cell::RefCell;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
-
-/// Shared record of the first panic within one [`run_ranks`] invocation,
-/// distributed to the rank threads through a thread-local so concurrent
-/// `run_ranks` calls (common under `cargo test`) cannot observe each other.
-#[derive(Debug, Default)]
-struct RunState {
-    first_panic: Mutex<Option<(usize, String)>>,
-}
-
-impl RunState {
-    fn record(&self, rank: usize, message: String) {
-        let mut guard = recover(self.first_panic.lock());
-        if guard.is_none() {
-            *guard = Some((rank, message));
-        }
+/// Spawns `ranks` worker threads, runs `body(rank)` on each, and returns the results
+/// indexed by rank.
+///
+/// If any rank panics, every thread is still joined, and then the panic of the
+/// lowest panicking rank is re-raised as `"rank {rank} panicked: {message}"` —
+/// in rank order, as the fallible runners surface the lowest failing rank's
+/// error.
+pub fn run_ranks<R, F>(ranks: usize, body: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    assert!(ranks > 0, "need at least one rank");
+    if ranks == 1 {
+        return vec![body(0)];
     }
-
-    fn panicked_rank(&self) -> Option<usize> {
-        recover(self.first_panic.lock()).as_ref().map(|&(r, _)| r)
-    }
-}
-
-thread_local! {
-    static RUN_STATE: RefCell<Option<Arc<RunState>>> = const { RefCell::new(None) };
-}
-
-/// Recovers a mutex guard even if a previous holder panicked: every critical
-/// section below leaves the state consistent before unwinding, so the standard
-/// poison flag is noise here.
-fn recover<G>(result: Result<G, std::sync::PoisonError<G>>) -> G {
-    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+    let outcomes: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..ranks)
+            .map(|rank| {
+                let body = &body;
+                scope.spawn(move || body(rank))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(rank, outcome)| {
+            outcome.unwrap_or_else(|payload| {
+                panic!(
+                    "rank {rank} panicked: {}",
+                    payload_message(payload.as_ref())
+                )
+            })
+        })
+        .collect()
 }
 
 fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -61,169 +59,11 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Spawns `ranks` worker threads, runs `body(rank)` on each, and returns the results
-/// indexed by rank.
-///
-/// A panicking rank does not strand the others: its panic is caught, any
-/// [`SimBarrier`] the surviving ranks are waiting at is poisoned, and after all
-/// threads have been joined the first panic is re-raised as
-/// `"rank {rank} panicked: {message}"`.
-pub fn run_ranks<R, F>(ranks: usize, body: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    assert!(ranks > 0, "need at least one rank");
-    if ranks == 1 {
-        return vec![body(0)];
-    }
-    let run = Arc::new(RunState::default());
-    let results: Vec<Option<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..ranks)
-            .map(|rank| {
-                let body = &body;
-                let run = Arc::clone(&run);
-                scope.spawn(move || {
-                    RUN_STATE.with(|s| *s.borrow_mut() = Some(Arc::clone(&run)));
-                    let outcome =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(rank)));
-                    RUN_STATE.with(|s| *s.borrow_mut() = None);
-                    match outcome {
-                        Ok(value) => Some(value),
-                        Err(payload) => {
-                            run.record(rank, payload_message(payload.as_ref()));
-                            None
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank thread infrastructure panicked"))
-            .collect()
-    });
-    let first_panic = recover(run.first_panic.lock()).take();
-    if let Some((rank, message)) = first_panic {
-        panic!("rank {rank} panicked: {message}");
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("rank returned no result yet recorded no panic"))
-        .collect()
-}
-
-#[derive(Debug)]
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-    poisoned: Option<usize>,
-}
-
-#[derive(Debug)]
-struct BarrierInner {
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-}
-
-/// A barrier over all ranks that also knows its modeled synchronization cost.
-///
-/// `wait()` blocks until every rank arrives (real synchronization between the rank
-/// threads) and returns the modeled cost in nanoseconds of a dissemination barrier,
-/// which bulk-synchronous algorithms add to their per-rank communication time.
-///
-/// The barrier is *poisonable*: while blocked, each waiter periodically checks
-/// whether a sibling rank of its [`run_ranks`] invocation has panicked; if so
-/// the barrier is marked poisoned with the origin rank and every waiter —
-/// including ranks arriving later — panics instead of waiting forever for a
-/// rank that will never come.
-#[derive(Debug, Clone)]
-pub struct SimBarrier {
-    inner: Arc<BarrierInner>,
-    ranks: usize,
-    network: NetworkModel,
-}
-
-impl SimBarrier {
-    /// Creates a barrier for `ranks` ranks with the given network model.
-    pub fn new(ranks: usize, network: NetworkModel) -> Self {
-        Self {
-            inner: Arc::new(BarrierInner {
-                state: Mutex::new(BarrierState {
-                    arrived: 0,
-                    generation: 0,
-                    poisoned: None,
-                }),
-                cv: Condvar::new(),
-            }),
-            ranks,
-            network,
-        }
-    }
-
-    /// Waits for all ranks; returns the modeled cost of the barrier in nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// If a sibling rank panicked (see the type-level docs): the barrier is
-    /// poisoned and `wait` panics with the origin rank id.
-    pub fn wait(&self) -> f64 {
-        let cost = self.network.barrier_cost_ns(self.ranks);
-        let mut state = recover(self.inner.state.lock());
-        Self::check_poison(&state);
-        state.arrived += 1;
-        if state.arrived == self.ranks {
-            state.arrived = 0;
-            state.generation += 1;
-            self.inner.cv.notify_all();
-            return cost;
-        }
-        let generation = state.generation;
-        loop {
-            state = self.block(state);
-            Self::check_poison(&state);
-            if state.generation != generation {
-                return cost;
-            }
-            if let Some(rank) = RUN_STATE
-                .with(|s| s.borrow().clone())
-                .and_then(|run| run.panicked_rank())
-            {
-                state.poisoned = Some(rank);
-                self.inner.cv.notify_all();
-                Self::check_poison(&state);
-            }
-        }
-    }
-
-    /// Blocks on the condvar for one poll interval; the timeout exists solely so
-    /// a stranded waiter can notice a panicked sibling and poison the barrier.
-    fn block<'m>(&'m self, state: MutexGuard<'m, BarrierState>) -> MutexGuard<'m, BarrierState> {
-        recover(
-            self.inner
-                .cv
-                .wait_timeout(state, Duration::from_millis(2))
-                .map(|(guard, _timeout)| guard)
-                .map_err(|e| std::sync::PoisonError::new(e.into_inner().0)),
-        )
-    }
-
-    fn check_poison(state: &BarrierState) {
-        if let Some(rank) = state.poisoned {
-            panic!("rank {rank} panicked; SimBarrier poisoned");
-        }
-    }
-
-    /// Number of ranks participating.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn run_ranks_returns_results_in_rank_order() {
@@ -239,7 +79,7 @@ mod tests {
     #[test]
     fn run_ranks_actually_runs_concurrently() {
         // All ranks must be alive at the same time for a barrier to pass.
-        let barrier = SimBarrier::new(4, NetworkModel::zero());
+        let barrier = Barrier::new(4);
         let counter = AtomicUsize::new(0);
         run_ranks(4, |_| {
             counter.fetch_add(1, Ordering::SeqCst);
@@ -255,15 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_reports_modeled_cost() {
-        let b = SimBarrier::new(16, NetworkModel::aries());
-        let costs = run_ranks(16, |_| b.wait());
-        let expected = NetworkModel::aries().barrier_cost_ns(16);
-        assert!(costs.iter().all(|&c| (c - expected).abs() < 1e-9));
-        assert_eq!(b.ranks(), 16);
-    }
-
-    #[test]
     #[should_panic(expected = "rank 1 panicked: boom")]
     fn panics_are_propagated_with_the_rank_id() {
         run_ranks(2, |rank| {
@@ -274,46 +105,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rank 3 panicked")]
-    fn a_panicking_rank_does_not_strand_the_others_at_a_barrier() {
-        // Pre-fix this deadlocked: ranks 0–2 waited forever for rank 3.
-        // Now the barrier is poisoned and the original panic is re-raised.
-        let barrier = SimBarrier::new(4, NetworkModel::zero());
-        run_ranks(4, |rank| {
-            if rank == 3 {
-                panic!("boom before the barrier");
-            }
-            barrier.wait();
-        });
-    }
-
-    #[test]
-    fn the_first_panic_wins_over_poison_cascades() {
-        // Ranks 0–2 die at the poisoned barrier *after* rank 3's original
-        // panic; the report must name rank 3, not a victim.
-        let barrier = SimBarrier::new(4, NetworkModel::zero());
+    fn the_lowest_panicking_rank_is_reported() {
+        // Rank 3 panics first in time; rank 1 only once rank 3 is about to.
+        // The report names rank 1 whatever the order.
+        let rank3_failing = AtomicBool::new(false);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_ranks(4, |rank| {
-                if rank == 3 {
-                    panic!("original failure");
+            run_ranks(4, |rank| match rank {
+                3 => {
+                    rank3_failing.store(true, Ordering::SeqCst);
+                    panic!("rank 3's failure");
                 }
-                barrier.wait();
+                1 => {
+                    while !rank3_failing.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                    panic!("rank 1's failure");
+                }
+                _ => {}
             });
         }))
         .expect_err("the run must panic");
         let message = payload_message(caught.as_ref());
         assert!(
-            message.contains("rank 3 panicked: original failure"),
+            message.contains("rank 1 panicked: rank 1's failure"),
             "unexpected panic report: {message}"
         );
-    }
-
-    #[test]
-    fn a_poisoned_barrier_rejects_late_arrivals() {
-        let barrier = SimBarrier::new(2, NetworkModel::zero());
-        recover(barrier.inner.state.lock()).poisoned = Some(7);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| barrier.wait()))
-            .expect_err("waiting on a poisoned barrier must panic");
-        assert!(payload_message(caught.as_ref()).contains("rank 7 panicked"));
     }
 }

@@ -11,23 +11,23 @@
 //! uses 16 MiB) and loops over multiple exchange rounds, trading memory for even more
 //! synchronization.
 //!
-//! The reproduction runs every rank as a thread over the same
-//! [`rmatc_rma::NetworkModel`] used by the asynchronous algorithm, so the comparison
-//! in Figures 9 and 10 charges both systems identically: per-destination message
-//! costs `α + β·s`, a logarithmic barrier cost per round, and real barrier waiting
-//! time caused by load imbalance.
+//! The reproduction runs the ranks in lockstep on the calling thread — each
+//! bulk-synchronous superstep for every rank in turn, each all-to-all a transpose
+//! of the ranks' outgoing buffers — over the same [`rmatc_rma::NetworkModel`] used
+//! by the asynchronous algorithm, so the comparison in Figures 9 and 10 charges
+//! both systems identically: per-destination message costs `α + β·s`, a
+//! logarithmic barrier cost per exchange, and a modeled barrier wait for the load
+//! imbalance, taken from the ranks' measured compute times.
 
 //! # Paper map
 //!
 //! | Module | Paper location | What it reproduces |
 //! |---|---|---|
-//! | [`runner`] | §II-D, Figs. 9–10 | The query–response rounds of TriC and TriC Buffered |
-//! | [`exchange`] | §II-D | Blocking all-to-all exchanges with modeled message + barrier costs |
+//! | [`runner`] | §II-D, Figs. 9–10 | The query–response rounds of TriC and TriC Buffered, and their blocking all-to-all exchanges with modeled message + barrier costs |
 //! | [`config`] | §IV-B | Rank count, buffered-mode cap (the paper's 16 MiB), network model |
 //! | [`report`] | Figs. 9–10 | Per-rank timing/communication totals compared against the async runner |
 
 pub mod config;
-pub mod exchange;
 pub mod report;
 pub mod runner;
 

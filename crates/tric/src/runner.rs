@@ -1,15 +1,21 @@
 //! The TriC algorithm: per-vertex neighbour-pair queries answered through
 //! bulk-synchronous all-to-all rounds.
+//!
+//! The ranks run in lockstep on the calling thread. In Valiant's BSP model a
+//! superstep's effects exist only at its closing barrier, so each phase
+//! (generate, fill the round's buffers, answer, accumulate) runs for every
+//! rank in rank order, and each blocking all-to-all is a transpose of the
+//! ranks' outgoing buffers. No rank waits on another: the waiting a real
+//! run pays at the collectives is modeled from the phases' measured compute
+//! times.
 
 use crate::config::TricConfig;
-use crate::exchange::Mailboxes;
 use crate::report::{TricRankReport, TricResult};
 use rmatc_core::lcc;
 use rmatc_graph::partition::{PartitionedGraph, RankPartition};
 use rmatc_graph::types::{Direction, VertexId};
 use rmatc_graph::CsrGraph;
-use rmatc_rma::{run_ranks, ThreadTimer};
-use std::sync::atomic::{AtomicU64, Ordering};
+use rmatc_rma::{FaultInjector, NetworkModel, ThreadTimer};
 
 /// An edge-existence query: "does the edge `(j, k)` exist?", tagged with the local
 /// index of the origin vertex whose LCC numerator the answer contributes to.
@@ -44,210 +50,281 @@ impl Tric {
         self.run_partitioned(&pg)
     }
 
-    /// Runs TriC on an already partitioned graph.
+    /// Runs TriC on an already partitioned graph, every rank in lockstep on
+    /// the calling thread.
     pub fn run_partitioned(&self, pg: &PartitionedGraph) -> TricResult {
         let cfg = &self.config;
-        let query_mail: Mailboxes<[u32; 3]> = Mailboxes::new(cfg.ranks, cfg.network);
-        let response_mail: Mailboxes<u32> = Mailboxes::new(cfg.ranks, cfg.network);
-        let global_rounds = AtomicU64::new(0);
-        let outputs = run_ranks(cfg.ranks, |rank| {
-            run_rank(rank, pg, cfg, &query_mail, &response_mail, &global_rounds)
-        });
-        assemble(pg, outputs)
+        let mut ranks: Vec<RankState<'_>> = (0..cfg.ranks)
+            .map(|rank| RankState::new(rank, pg, cfg))
+            .collect();
+
+        // --- Superstep 0: local counting and query generation ----------------
+        for state in &mut ranks {
+            state.timed(|s| s.generate(pg));
+        }
+        // Every rank must take part in the same number of collective rounds:
+        // the round count is agreed on in an (empty) alignment exchange, which
+        // every rank pays for like any other — exactly the extra
+        // synchronization a bulk-synchronous design pays.
+        let agreed_rounds = ranks
+            .iter()
+            .map(|s| s.rounds_needed(cfg.buffer_entries))
+            .max()
+            .unwrap_or(0);
+        let empty: Vec<Vec<Vec<[u32; 3]>>> = vec![vec![Vec::new(); cfg.ranks]; cfg.ranks];
+        exchange(&mut ranks, empty, &cfg.network);
+
+        // --- Bulk-synchronous query/response rounds ---------------------------
+        for _ in 0..agreed_rounds {
+            let queries = ranks
+                .iter_mut()
+                .map(|s| s.timed(|s| s.fill_round(cfg.buffer_entries)))
+                .collect();
+            let incoming = exchange(&mut ranks, queries, &cfg.network);
+            let responses = ranks
+                .iter_mut()
+                .zip(incoming)
+                .map(|(s, queries)| s.timed(|s| s.answer(pg, queries)))
+                .collect();
+            let incoming = exchange(&mut ranks, responses, &cfg.network);
+            for (state, responses) in ranks.iter_mut().zip(incoming) {
+                state.timed(|s| s.accumulate(responses));
+            }
+        }
+        assemble(pg, ranks)
     }
 }
 
-struct RankOutput {
-    rank: usize,
+/// One rank of a lockstep run: its partition, its per-vertex counts, its
+/// outgoing query queues and the counters of its report.
+struct RankState<'g> {
+    part: &'g RankPartition,
     local_triangles: Vec<u64>,
+    /// Queries per destination rank, generated once, sent in rounds.
+    pending: Vec<Vec<Query>>,
+    /// Per destination, how many of its queries earlier rounds sent.
+    cursors: Vec<usize>,
+    /// TriC's blocking collectives are reliable-completion, so of the fault
+    /// classes only straggler delays apply: a delayed exchange multiplies
+    /// this rank's modeled collective cost. Decisions are drawn per rank from
+    /// the plan's seed, one per exchange.
+    injector: Option<FaultInjector>,
     report: TricRankReport,
 }
 
-fn run_rank(
-    rank: usize,
-    pg: &PartitionedGraph,
-    cfg: &TricConfig,
-    query_mail: &Mailboxes<[u32; 3]>,
-    response_mail: &Mailboxes<u32>,
-    global_rounds: &AtomicU64,
-) -> RankOutput {
-    let part = &pg.partitions[rank];
-    let ranks = cfg.ranks;
-    let direction = pg.direction;
-    let mut local_triangles = vec![0u64; part.local_vertex_count()];
-    let mut comm_ns = 0.0;
-    let mut queries_answered = 0u64;
-    let mut responses_received = 0u64;
-    let mut bytes_sent = 0u64;
-    let mut rounds = 0u64;
-    let mut delayed_exchanges = 0u64;
-    // TriC's blocking collectives are reliable-completion, so of the fault
-    // classes only straggler delays apply: a delayed exchange multiplies this
-    // rank's modeled collective cost. Decisions are drawn per rank from the
-    // plan's seed, so they are reproducible across thread interleavings.
-    let mut injector = cfg.faults.map(|plan| plan.injector(rank));
-    let mut charge_exchange = |cost: f64, comm_ns: &mut f64, delayed: &mut u64| match injector
-        .as_mut()
-        .and_then(|inj| inj.completion_delay())
-    {
-        Some(factor) if cost > 0.0 => {
-            *comm_ns += cost * factor;
-            *delayed += 1;
+impl<'g> RankState<'g> {
+    fn new(rank: usize, pg: &'g PartitionedGraph, cfg: &TricConfig) -> Self {
+        let part = &pg.partitions[rank];
+        Self {
+            part,
+            local_triangles: vec![0; part.local_vertex_count()],
+            pending: vec![Vec::new(); cfg.ranks],
+            cursors: vec![0; cfg.ranks],
+            injector: cfg.faults.map(|plan| plan.injector(rank)),
+            report: TricRankReport {
+                rank,
+                local_vertices: part.local_vertex_count(),
+                queries_sent: 0,
+                queries_answered: 0,
+                responses_received: 0,
+                bytes_sent: 0,
+                rounds: 0,
+                peak_buffered_queries: 0,
+                compute_ns: 0.0,
+                comm_ns: 0.0,
+                delayed_exchanges: 0,
+                // Filled in by `assemble`.
+                sync_ns: 0.0,
+            },
         }
-        _ => *comm_ns += cost,
-    };
+    }
 
-    // --- Phase 1: local counting and query generation -------------------------
-    // Per-thread CPU time: rank threads share the simulator host's cores, so wall
-    // clock would measure scheduling rather than work.
-    let timer = ThreadTimer::start();
-    let mut pending: Vec<Vec<Query>> = vec![Vec::new(); ranks];
-    for (local_idx, triangles_slot) in local_triangles.iter_mut().enumerate() {
-        let adj = part.neighbours_of_local(local_idx);
-        for (a_pos, &j) in adj.iter().enumerate() {
-            let partners: &[VertexId] = match direction {
-                // Undirected: each unordered neighbour pair {j, k} once (k > j).
-                Direction::Undirected => &adj[a_pos + 1..],
-                // Directed: ordered pairs (j, k), j ≠ k (Eq. 1 numerator).
-                Direction::Directed => adj,
-            };
-            let owner_j = pg.partitioner.owner(j);
-            for &k in partners {
-                if direction == Direction::Directed && k == j {
-                    continue;
-                }
-                if owner_j == rank {
-                    // The edge (j, k) can be checked locally.
-                    let j_local = pg.partitioner.local_index(j);
-                    if part.neighbours_of_local(j_local).binary_search(&k).is_ok() {
-                        *triangles_slot += 1;
+    /// Runs one phase of this rank and adds its thread CPU time to the
+    /// rank's compute: the ranks take turns on one thread, so wall clock
+    /// would also count the other ranks' phases.
+    fn timed<R>(&mut self, phase: impl FnOnce(&mut Self) -> R) -> R {
+        let timer = ThreadTimer::start();
+        let out = phase(self);
+        self.report.compute_ns += timer.elapsed_ns() as f64;
+        out
+    }
+
+    /// Counts the closed triplets this rank can check itself and queues a
+    /// query to `j`'s owner for every other neighbour pair `(j, k)`.
+    fn generate(&mut self, pg: &PartitionedGraph) {
+        let rank = self.report.rank;
+        let part = self.part;
+        for (local_idx, triangles_slot) in self.local_triangles.iter_mut().enumerate() {
+            let adj = part.neighbours_of_local(local_idx);
+            for (a_pos, &j) in adj.iter().enumerate() {
+                let partners: &[VertexId] = match pg.direction {
+                    // Undirected: each unordered neighbour pair {j, k} once (k > j).
+                    Direction::Undirected => &adj[a_pos + 1..],
+                    // Directed: ordered pairs (j, k), j ≠ k (Eq. 1 numerator).
+                    Direction::Directed => adj,
+                };
+                let owner_j = pg.partitioner.owner(j);
+                for &k in partners {
+                    if pg.direction == Direction::Directed && k == j {
+                        continue;
                     }
-                } else {
-                    pending[owner_j].push(Query {
-                        j,
-                        k,
-                        origin_local: local_idx as u32,
-                    });
+                    if owner_j == rank {
+                        // The edge (j, k) can be checked locally.
+                        let j_local = pg.partitioner.local_index(j);
+                        if part.neighbours_of_local(j_local).binary_search(&k).is_ok() {
+                            *triangles_slot += 1;
+                        }
+                    } else {
+                        self.pending[owner_j].push(Query {
+                            j,
+                            k,
+                            origin_local: local_idx as u32,
+                        });
+                    }
                 }
             }
         }
+        let total_pending: u64 = self.pending.iter().map(|q| q.len() as u64).sum();
+        self.report.queries_sent = total_pending;
+        self.report.peak_buffered_queries = total_pending;
     }
-    let mut compute_ns = timer.elapsed_ns() as f64;
-    let mut compute_marker = timer.elapsed_ns();
-    let total_pending: u64 = pending.iter().map(|q| q.len() as u64).sum();
-    let peak_buffered_queries = total_pending;
-    let queries_sent = total_pending;
-    // Every rank must participate in the same number of collective rounds, so the
-    // round count is agreed on collectively: each rank publishes how many rounds its
-    // own buffers require, and after an (empty) alignment exchange all ranks adopt
-    // the maximum — exactly the extra synchronization a bulk-synchronous design pays.
-    let my_rounds = match cfg.buffer_entries {
-        None => u64::from(total_pending > 0),
-        Some(cap) => pending
-            .iter()
-            .map(|q| q.len().div_ceil(cap) as u64)
-            .max()
-            .unwrap_or(0),
-    };
-    global_rounds.fetch_max(my_rounds, Ordering::SeqCst);
-    let (_, align_cost) = query_mail.alltoall(rank, vec![Vec::new(); ranks]);
-    charge_exchange(align_cost, &mut comm_ns, &mut delayed_exchanges);
-    let agreed_rounds = global_rounds.load(Ordering::SeqCst);
 
-    // --- Phase 2..n: bulk-synchronous query/response rounds -------------------
-    let mut cursors = vec![0usize; ranks];
-    for _ in 0..agreed_rounds {
-        rounds += 1;
-        // Assemble this round's (possibly capped) per-destination buffers.
-        let mut outgoing: Vec<Vec<[u32; 3]>> = Vec::with_capacity(ranks);
-        for dest in 0..ranks {
-            let queue = &pending[dest];
-            let start = cursors[dest];
-            let end = match cfg.buffer_entries {
+    /// Rounds this rank's own queues need under the per-destination cap.
+    fn rounds_needed(&self, buffer_entries: Option<usize>) -> u64 {
+        match buffer_entries {
+            None => u64::from(self.report.queries_sent > 0),
+            Some(cap) => self
+                .pending
+                .iter()
+                .map(|q| q.len().div_ceil(cap) as u64)
+                .max()
+                .unwrap_or(0),
+        }
+    }
+
+    /// This round's (possibly capped) per-destination query buffers.
+    fn fill_round(&mut self, buffer_entries: Option<usize>) -> Vec<Vec<[u32; 3]>> {
+        self.report.rounds += 1;
+        let mut outgoing = Vec::with_capacity(self.pending.len());
+        for (queue, cursor) in self.pending.iter().zip(&mut self.cursors) {
+            let start = *cursor;
+            let end = match buffer_entries {
                 Some(cap) => (start + cap).min(queue.len()),
                 None => queue.len(),
             };
-            cursors[dest] = end;
+            *cursor = end;
             let msgs: Vec<[u32; 3]> = queue[start..end]
                 .iter()
                 .map(|q| [q.j, q.k, q.origin_local])
                 .collect();
-            bytes_sent += (msgs.len() * 12) as u64;
+            self.report.bytes_sent += (msgs.len() * 12) as u64;
             outgoing.push(msgs);
         }
-        compute_ns += (timer.elapsed_ns() - compute_marker) as f64;
+        outgoing
+    }
 
-        // Exchange queries (blocking all-to-all).
-        let (incoming_queries, cost_q) = query_mail.alltoall(rank, outgoing);
-        charge_exchange(cost_q, &mut comm_ns, &mut delayed_exchanges);
-
-        // Answer the queries addressed to this rank.
-        compute_marker = timer.elapsed_ns();
-        let mut responses: Vec<Vec<u32>> = vec![Vec::new(); ranks];
-        for (src, queries) in incoming_queries.iter().enumerate() {
-            for q in queries {
-                queries_answered += 1;
-                let [j, k, origin_local] = *q;
-                debug_assert_eq!(pg.partitioner.owner(j), rank);
+    /// Answers the queries addressed to this rank: one origin index back to
+    /// each sender per edge that exists.
+    fn answer(&mut self, pg: &PartitionedGraph, incoming: Vec<Vec<[u32; 3]>>) -> Vec<Vec<u32>> {
+        let mut responses: Vec<Vec<u32>> = vec![Vec::new(); incoming.len()];
+        for (queries, response) in incoming.iter().zip(&mut responses) {
+            for &[j, k, origin_local] in queries {
+                self.report.queries_answered += 1;
+                debug_assert_eq!(pg.partitioner.owner(j), self.report.rank);
                 let j_local = pg.partitioner.local_index(j);
-                if part.neighbours_of_local(j_local).binary_search(&k).is_ok() {
-                    responses[src].push(origin_local);
+                if self
+                    .part
+                    .neighbours_of_local(j_local)
+                    .binary_search(&k)
+                    .is_ok()
+                {
+                    response.push(origin_local);
                 }
             }
         }
         for resp in &responses {
-            bytes_sent += (resp.len() * 4) as u64;
+            self.report.bytes_sent += (resp.len() * 4) as u64;
         }
-        compute_ns += (timer.elapsed_ns() - compute_marker) as f64;
-
-        // Exchange responses (second blocking all-to-all of the round).
-        let (incoming_responses, cost_r) = response_mail.alltoall(rank, responses);
-        charge_exchange(cost_r, &mut comm_ns, &mut delayed_exchanges);
-
-        // Accumulate positive answers into the per-vertex counts.
-        compute_marker = timer.elapsed_ns();
-        for resp in incoming_responses {
-            for origin_local in resp {
-                responses_received += 1;
-                local_triangles[origin_local as usize] += 1;
-            }
-        }
-        compute_ns += (timer.elapsed_ns() - compute_marker) as f64;
+        responses
     }
 
-    RankOutput {
-        rank,
-        local_triangles,
-        report: TricRankReport {
-            rank,
-            local_vertices: part.local_vertex_count(),
-            queries_sent,
-            queries_answered,
-            responses_received,
-            bytes_sent,
-            rounds,
-            peak_buffered_queries,
-            compute_ns,
-            comm_ns,
-            delayed_exchanges,
-            // Filled in by `assemble`: the time this rank waits for the slowest rank
-            // at the blocking collectives is modeled as the compute imbalance.
-            sync_ns: 0.0,
-        },
+    /// Adds the positive answers to the per-vertex counts.
+    fn accumulate(&mut self, incoming: Vec<Vec<u32>>) {
+        for origin_local in incoming.into_iter().flatten() {
+            self.report.responses_received += 1;
+            self.local_triangles[origin_local as usize] += 1;
+        }
+    }
+
+    /// Charges one exchange's modeled cost, stretched when the injector
+    /// draws a straggler delay for it.
+    fn charge(&mut self, cost: f64) {
+        match self
+            .injector
+            .as_mut()
+            .and_then(|inj| inj.completion_delay())
+        {
+            Some(factor) if cost > 0.0 => {
+                self.report.comm_ns += cost * factor;
+                self.report.delayed_exchanges += 1;
+            }
+            _ => self.report.comm_ns += cost,
+        }
     }
 }
 
-fn assemble(pg: &PartitionedGraph, outputs: Vec<RankOutput>) -> TricResult {
+/// One blocking all-to-all over every rank: `outgoing[src][dest]` becomes
+/// `incoming[dest][src]`, and each sender's cost is returned beside it, as
+/// an `MPI_Alltoallv` would charge it: `α + β·s` per non-empty message to
+/// another rank (self-messages are free), then the barrier cost twice — once
+/// for the collective's implicit synchronization and once for the
+/// synchronization that keeps the next round's posting behind this round's
+/// draining.
+fn alltoall<T>(outgoing: Vec<Vec<Vec<T>>>, network: &NetworkModel) -> (Vec<Vec<Vec<T>>>, Vec<f64>) {
+    let ranks = outgoing.len();
+    let barrier = network.barrier_cost_ns(ranks);
+    let mut incoming: Vec<Vec<Vec<T>>> = (0..ranks).map(|_| Vec::with_capacity(ranks)).collect();
+    let mut costs = Vec::with_capacity(ranks);
+    for (src, row) in outgoing.into_iter().enumerate() {
+        assert_eq!(row.len(), ranks, "one outgoing vector per destination");
+        let mut cost = 0.0;
+        for (dest, payload) in row.into_iter().enumerate() {
+            if dest != src && !payload.is_empty() {
+                cost += network.remote_cost_ns(payload.len() * std::mem::size_of::<T>());
+            }
+            incoming[dest].push(payload);
+        }
+        cost += barrier;
+        cost += barrier;
+        costs.push(cost);
+    }
+    (incoming, costs)
+}
+
+/// [`alltoall`] with each rank charged for its part.
+fn exchange<T>(
+    ranks: &mut [RankState<'_>],
+    outgoing: Vec<Vec<Vec<T>>>,
+    network: &NetworkModel,
+) -> Vec<Vec<Vec<T>>> {
+    let (incoming, costs) = alltoall(outgoing, network);
+    for (state, cost) in ranks.iter_mut().zip(costs) {
+        state.charge(cost);
+    }
+    incoming
+}
+
+fn assemble(pg: &PartitionedGraph, states: Vec<RankState<'_>>) -> TricResult {
     let n = pg.global_vertex_count();
     let mut per_vertex_triangles = vec![0u64; n];
     let mut degrees = vec![0u32; n];
-    let mut ranks = Vec::with_capacity(outputs.len());
-    let max_compute = outputs
+    let mut ranks = Vec::with_capacity(states.len());
+    let max_compute = states
         .iter()
         .map(|o| o.report.compute_ns)
         .fold(0.0, f64::max);
-    for out in outputs {
-        let part: &RankPartition = &pg.partitions[out.rank];
+    for out in states {
+        let part = out.part;
         for (local_idx, &gv) in part.global_ids.iter().enumerate() {
             per_vertex_triangles[gv as usize] = out.local_triangles[local_idx];
             degrees[gv as usize] = part.csr.degree(local_idx as u32);
@@ -259,7 +336,6 @@ fn assemble(pg: &PartitionedGraph, outputs: Vec<RankOutput>) -> TricResult {
         report.sync_ns = max_compute - report.compute_ns;
         ranks.push(report);
     }
-    ranks.sort_by_key(|r| r.rank);
     let lcc = lcc::scores_from_counts(pg.direction, &degrees, &per_vertex_triangles);
     let total: u64 = per_vertex_triangles.iter().sum();
     let triangle_count = match pg.direction {
@@ -395,5 +471,58 @@ mod tests {
             tric.total_queries(),
             asynchronous.total_gets()
         );
+    }
+
+    #[test]
+    fn alltoall_delivers_every_message_to_its_destination() {
+        let ranks = 4;
+        // Rank r sends the value 100*r + dest to every destination.
+        let outgoing: Vec<Vec<Vec<u64>>> = (0..ranks)
+            .map(|r| (0..ranks).map(|d| vec![(100 * r + d) as u64]).collect())
+            .collect();
+        let (incoming, _) = alltoall(outgoing, &NetworkModel::zero());
+        for (dest, inbox) in incoming.iter().enumerate() {
+            for (src, msgs) in inbox.iter().enumerate() {
+                assert_eq!(
+                    msgs,
+                    &vec![(100 * src + dest) as u64],
+                    "src {src} -> dest {dest}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_messages_cost_nothing_but_barrier() {
+        let ranks = 2;
+        let net = NetworkModel::aries();
+        let outgoing: Vec<Vec<Vec<u8>>> = vec![vec![Vec::new(); ranks]; ranks];
+        let (_, costs) = alltoall(outgoing, &net);
+        let barrier_only = 2.0 * net.barrier_cost_ns(ranks);
+        assert_eq!(costs.len(), ranks);
+        for c in costs {
+            assert!((c - barrier_only).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one outgoing vector per destination")]
+    fn wrong_destination_count_panics() {
+        let outgoing: Vec<Vec<Vec<u8>>> = vec![vec![Vec::new()], vec![Vec::new(); 2]];
+        alltoall(outgoing, &NetworkModel::zero());
+    }
+
+    #[test]
+    fn message_costs_follow_the_network_model() {
+        let ranks = 2;
+        let net = NetworkModel::aries();
+        // Each rank sends 100 words to the other rank and 100 to itself,
+        // which is free.
+        let outgoing: Vec<Vec<Vec<u64>>> = vec![vec![vec![0u64; 100]; ranks]; ranks];
+        let (_, costs) = alltoall(outgoing, &net);
+        let expected = net.remote_cost_ns(800) + 2.0 * net.barrier_cost_ns(ranks);
+        for c in costs {
+            assert!((c - expected).abs() < 1e-6);
+        }
     }
 }
