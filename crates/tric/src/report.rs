@@ -28,8 +28,9 @@ pub struct TricRankReport {
     /// Exchanges whose completion was slowed by an injected straggler delay
     /// (zero on fault-free runs).
     pub delayed_exchanges: u64,
-    /// Time spent waiting at the blocking collectives, modeled as this rank's
-    /// compute-time gap to the slowest rank (bulk-synchronous load imbalance), ns.
+    /// Time spent waiting at the blocking collectives (bulk-synchronous load
+    /// imbalance), ns: summed over the supersteps, the gap between the
+    /// slowest rank's compute in that superstep and this rank's.
     pub sync_ns: f64,
 }
 

@@ -109,6 +109,11 @@ struct RankState<'g> {
     /// this rank's modeled collective cost. Decisions are drawn per rank from
     /// the plan's seed, one per exchange.
     injector: Option<FaultInjector>,
+    /// Compute of each closed superstep: the phases between two consecutive
+    /// collectives, one entry per exchange.
+    supersteps: Vec<f64>,
+    /// Compute of the superstep still open.
+    open_superstep_ns: f64,
     report: TricRankReport,
 }
 
@@ -121,6 +126,8 @@ impl<'g> RankState<'g> {
             pending: vec![Vec::new(); cfg.ranks],
             cursors: vec![0; cfg.ranks],
             injector: cfg.faults.map(|plan| plan.injector(rank)),
+            supersteps: Vec::new(),
+            open_superstep_ns: 0.0,
             report: TricRankReport {
                 rank,
                 local_vertices: part.local_vertex_count(),
@@ -145,7 +152,9 @@ impl<'g> RankState<'g> {
     fn timed<R>(&mut self, phase: impl FnOnce(&mut Self) -> R) -> R {
         let timer = ThreadTimer::start();
         let out = phase(self);
-        self.report.compute_ns += timer.elapsed_ns() as f64;
+        let ns = timer.elapsed_ns() as f64;
+        self.report.compute_ns += ns;
+        self.open_superstep_ns += ns;
         out
     }
 
@@ -256,9 +265,12 @@ impl<'g> RankState<'g> {
         }
     }
 
-    /// Charges one exchange's modeled cost, stretched when the injector
-    /// draws a straggler delay for it.
+    /// Closes this rank's superstep at an exchange and charges the
+    /// exchange's modeled cost, stretched when the injector draws a
+    /// straggler delay for it.
     fn charge(&mut self, cost: f64) {
+        self.supersteps
+            .push(std::mem::take(&mut self.open_superstep_ns));
         match self
             .injector
             .as_mut()
@@ -314,27 +326,42 @@ fn exchange<T>(
     incoming
 }
 
-fn assemble(pg: &PartitionedGraph, states: Vec<RankState<'_>>) -> TricResult {
+/// The time each rank waits at the blocking collectives, ns. Every rank
+/// leaves a collective only when the slowest rank arrives, so in each
+/// superstep a rank waits for the gap between the slowest rank's compute and
+/// its own; the waits add up over the supersteps. `supersteps[rank][s]` is
+/// the rank's compute in superstep `s`; compute after the last collective
+/// meets no barrier and is not listed.
+fn barrier_waits(supersteps: &[Vec<f64>]) -> Vec<f64> {
+    let steps = supersteps.first().map_or(0, Vec::len);
+    let slowest: Vec<f64> = (0..steps)
+        .map(|s| supersteps.iter().map(|own| own[s]).fold(0.0, f64::max))
+        .collect();
+    supersteps
+        .iter()
+        .map(|own| own.iter().zip(&slowest).map(|(c, max)| max - c).sum())
+        .collect()
+}
+
+fn assemble(pg: &PartitionedGraph, mut states: Vec<RankState<'_>>) -> TricResult {
     let n = pg.global_vertex_count();
     let mut per_vertex_triangles = vec![0u64; n];
     let mut degrees = vec![0u32; n];
     let mut ranks = Vec::with_capacity(states.len());
-    let max_compute = states
-        .iter()
-        .map(|o| o.report.compute_ns)
-        .fold(0.0, f64::max);
-    for out in states {
+    let supersteps: Vec<Vec<f64>> = states
+        .iter_mut()
+        .map(|s| std::mem::take(&mut s.supersteps))
+        .collect();
+    for (out, sync_ns) in states.into_iter().zip(barrier_waits(&supersteps)) {
         let part = out.part;
         for (local_idx, &gv) in part.global_ids.iter().enumerate() {
             per_vertex_triangles[gv as usize] = out.local_triangles[local_idx];
             degrees[gv as usize] = part.csr.degree(local_idx as u32);
         }
-        let mut report = out.report;
-        // Bulk-synchronous execution: every rank leaves each collective only when the
-        // slowest rank arrives, so the waiting time of a rank over the whole run is
-        // the compute-time gap to the slowest rank.
-        report.sync_ns = max_compute - report.compute_ns;
-        ranks.push(report);
+        ranks.push(TricRankReport {
+            sync_ns,
+            ..out.report
+        });
     }
     let lcc = lcc::scores_from_counts(pg.direction, &degrees, &per_vertex_triangles);
     let total: u64 = per_vertex_triangles.iter().sum();
@@ -471,6 +498,30 @@ mod tests {
             tric.total_queries(),
             asynchronous.total_gets()
         );
+    }
+
+    #[test]
+    fn each_superstep_waits_for_its_own_slowest_rank() {
+        // Rank 0 is slow in the second superstep, rank 1 in the first: each
+        // waits 2 ns, although both compute 4 ns in total.
+        let waits = barrier_waits(&[vec![1.0, 3.0], vec![3.0, 1.0]]);
+        assert_eq!(waits, vec![2.0, 2.0]);
+        assert_eq!(barrier_waits(&[vec![], vec![]]), vec![0.0, 0.0]);
+        assert_eq!(barrier_waits(&[vec![5.0, 1.0]]), vec![0.0]);
+    }
+
+    #[test]
+    fn barrier_waits_are_bounded_and_vanish_on_one_rank() {
+        // A rank never waits longer than all ranks compute together, and a
+        // lone rank never waits.
+        let g = small_graph();
+        let result = Tric::new(TricConfig::buffered_with(4, 64)).run(&g);
+        let all_compute: f64 = result.ranks.iter().map(|r| r.compute_ns).sum();
+        for r in &result.ranks {
+            assert!((0.0..=all_compute).contains(&r.sync_ns), "rank {}", r.rank);
+        }
+        let single = Tric::new(TricConfig::plain(1)).run(&g);
+        assert_eq!(single.ranks[0].sync_ns, 0.0);
     }
 
     #[test]
