@@ -6,7 +6,6 @@ use super::pipeline::RankOutput;
 use crate::lcc;
 use rmatc_clampi::CacheStats;
 use rmatc_graph::partition::PartitionedGraph;
-use rmatc_graph::types::Direction;
 use rmatc_rma::RankStats;
 
 /// Timing breakdown of one rank, combining measured computation with modeled
@@ -172,16 +171,14 @@ impl DistResult {
 /// Combines the worker outputs of every rank, in rank order
 /// ([`super::worker::run_worker`]), into the global [`DistResult`].
 pub fn assemble(pg: &PartitionedGraph, outputs: Vec<RankOutput<u64>>) -> DistResult {
-    let n = pg.global_vertex_count();
-    let mut per_vertex_triangles = vec![0u64; n];
-    let mut degrees = vec![0u32; n];
+    let lcc::VertexCounts {
+        per_vertex_triangles,
+        lcc,
+        triangle_count,
+    } = lcc::VertexCounts::gather(pg, outputs.iter().map(|out| out.items.as_slice()));
     let mut ranks = Vec::with_capacity(outputs.len());
     for (rank, out) in outputs.into_iter().enumerate() {
         let part = &pg.partitions[rank];
-        for (local_idx, &gv) in part.global_ids.iter().enumerate() {
-            per_vertex_triangles[gv as usize] = out.items[local_idx];
-            degrees[gv as usize] = part.csr.degree(local_idx as u32);
-        }
         ranks.push(RankReport {
             rank,
             local_vertices: part.local_vertex_count(),
@@ -197,12 +194,6 @@ pub fn assemble(pg: &PartitionedGraph, outputs: Vec<RankOutput<u64>>) -> DistRes
             adjacency_cache: out.adjacency_cache,
         });
     }
-    let lcc = lcc::scores_from_counts(pg.direction, &degrees, &per_vertex_triangles);
-    let total: u64 = per_vertex_triangles.iter().sum();
-    let triangle_count = match pg.direction {
-        Direction::Undirected => total / 3,
-        Direction::Directed => total,
-    };
     // Every rank walked each of its stored edges once and counted the remote
     // ones: the same two sums `PartitionedGraph::remote_edge_fraction` walks
     // the partitions again for.

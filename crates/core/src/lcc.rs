@@ -1,18 +1,64 @@
 //! Local clustering coefficient formulas (Watts & Strogatz; Eqs. 1 and 2 of the
-//! paper), shared by the local and distributed implementations.
+//! paper), shared by the local and distributed implementations, and the one
+//! place that turns per-vertex closed-triplet counts into results.
 
+use rmatc_graph::partition::PartitionedGraph;
 pub use rmatc_graph::reference::lcc_from_triangles;
 use rmatc_graph::types::Direction;
 
-/// Computes LCC scores for a whole vertex set given per-vertex degrees and closed
-/// triplet counts.
-pub fn scores_from_counts(direction: Direction, degrees: &[u32], triangles: &[u64]) -> Vec<f64> {
-    assert_eq!(degrees.len(), triangles.len());
-    degrees
-        .iter()
-        .zip(triangles.iter())
-        .map(|(&d, &t)| lcc_from_triangles(direction, d, t))
-        .collect()
+/// Per-vertex closed-triplet counts with the LCC scores and the global count
+/// they give.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VertexCounts {
+    /// Closed-triplet count per global vertex.
+    pub per_vertex_triangles: Vec<u64>,
+    /// LCC score per global vertex.
+    pub lcc: Vec<f64>,
+    /// Global triangle count (undirected: every triangle is counted at its
+    /// three corners) or closed-triplet total (directed).
+    pub triangle_count: u64,
+}
+
+impl VertexCounts {
+    /// The scores and global count of per-vertex counts, given the vertices'
+    /// degrees.
+    pub fn new(direction: Direction, degrees: &[u32], per_vertex_triangles: Vec<u64>) -> Self {
+        assert_eq!(degrees.len(), per_vertex_triangles.len());
+        let lcc = degrees
+            .iter()
+            .zip(&per_vertex_triangles)
+            .map(|(&d, &t)| lcc_from_triangles(direction, d, t))
+            .collect();
+        let total: u64 = per_vertex_triangles.iter().sum();
+        let triangle_count = match direction {
+            Direction::Undirected => total / 3,
+            Direction::Directed => total,
+        };
+        Self {
+            per_vertex_triangles,
+            lcc,
+            triangle_count,
+        }
+    }
+
+    /// Scatters each rank's counts, indexed by local vertex and given in rank
+    /// order, into global arrays beside the vertices' degrees, then scores
+    /// them as [`VertexCounts::new`].
+    pub fn gather<'a>(
+        pg: &PartitionedGraph,
+        per_rank: impl IntoIterator<Item = &'a [u64]>,
+    ) -> Self {
+        let n = pg.global_vertex_count();
+        let mut per_vertex_triangles = vec![0u64; n];
+        let mut degrees = vec![0u32; n];
+        for (part, counts) in pg.partitions.iter().zip(per_rank) {
+            for (local_idx, &gv) in part.global_ids.iter().enumerate() {
+                per_vertex_triangles[gv as usize] = counts[local_idx];
+                degrees[gv as usize] = part.csr.degree(local_idx as u32);
+            }
+        }
+        Self::new(pg.direction, &degrees, per_vertex_triangles)
+    }
 }
 
 /// Average LCC over a score vector; empty input gives 0.
@@ -27,19 +73,45 @@ pub fn average(scores: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rmatc_graph::gen::{GraphGenerator, RmatGenerator};
+    use rmatc_graph::partition::PartitionScheme;
+    use rmatc_graph::reference;
 
     #[test]
     fn scores_match_formula() {
-        let s = scores_from_counts(Direction::Undirected, &[3, 2, 0], &[2, 1, 0]);
-        assert!((s[0] - 2.0 * 2.0 / 6.0).abs() < 1e-12);
-        assert!((s[1] - 1.0).abs() < 1e-12);
-        assert_eq!(s[2], 0.0);
+        let c = VertexCounts::new(Direction::Undirected, &[3, 2, 0], vec![2, 1, 0]);
+        assert!((c.lcc[0] - 2.0 * 2.0 / 6.0).abs() < 1e-12);
+        assert!((c.lcc[1] - 1.0).abs() < 1e-12);
+        assert_eq!(c.lcc[2], 0.0);
+        assert_eq!(c.triangle_count, 1, "three corners per triangle");
     }
 
     #[test]
     fn directed_scores_have_no_factor_two() {
-        let s = scores_from_counts(Direction::Directed, &[3], &[3]);
-        assert!((s[0] - 0.5).abs() < 1e-12);
+        let c = VertexCounts::new(Direction::Directed, &[3], vec![3]);
+        assert!((c.lcc[0] - 0.5).abs() < 1e-12);
+        assert_eq!(c.triangle_count, 3, "closed triplets, not triangles");
+    }
+
+    #[test]
+    fn gathered_rank_counts_match_the_reference() {
+        let g = RmatGenerator::paper(7, 8).generate_cleaned(3).into_csr();
+        let pg = PartitionedGraph::from_global(&g, PartitionScheme::Cyclic, 3).unwrap();
+        let triangles = reference::per_vertex_triangles(&g);
+        let per_rank: Vec<Vec<u64>> = pg
+            .partitions
+            .iter()
+            .map(|p| {
+                p.global_ids
+                    .iter()
+                    .map(|&v| triangles[v as usize])
+                    .collect()
+            })
+            .collect();
+        let c = VertexCounts::gather(&pg, per_rank.iter().map(Vec::as_slice));
+        assert_eq!(c.per_vertex_triangles, triangles);
+        assert_eq!(c.lcc, reference::lcc_scores(&g));
+        assert_eq!(c.triangle_count, reference::count_triangles(&g));
     }
 
     #[test]
@@ -51,6 +123,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn mismatched_lengths_panic() {
-        scores_from_counts(Direction::Undirected, &[1, 2], &[0]);
+        VertexCounts::new(Direction::Undirected, &[1, 2], vec![0]);
     }
 }

@@ -376,13 +376,11 @@ pub fn finish(
     edges_processed: u64,
     elapsed_ns: u64,
 ) -> LocalResult {
-    let degrees = g.degrees();
-    let lcc = lcc::scores_from_counts(g.direction(), &degrees, &per_vertex_triangles);
-    let total: u64 = per_vertex_triangles.iter().sum();
-    let triangle_count = match g.direction() {
-        Direction::Undirected => total / 3,
-        Direction::Directed => total,
-    };
+    let lcc::VertexCounts {
+        per_vertex_triangles,
+        lcc,
+        triangle_count,
+    } = lcc::VertexCounts::new(g.direction(), &g.degrees(), per_vertex_triangles);
     LocalResult {
         per_vertex_triangles,
         lcc,

@@ -332,8 +332,8 @@ fn exchange<T>(
 /// its own; the waits add up over the supersteps. `supersteps[rank][s]` is
 /// the rank's compute in superstep `s`; compute after the last collective
 /// meets no barrier and is not listed.
-fn barrier_waits(supersteps: &[Vec<f64>]) -> Vec<f64> {
-    let steps = supersteps.first().map_or(0, Vec::len);
+fn barrier_waits(supersteps: &[&[f64]]) -> Vec<f64> {
+    let steps = supersteps.first().map_or(0, |own| own.len());
     let slowest: Vec<f64> = (0..steps)
         .map(|s| supersteps.iter().map(|own| own[s]).fold(0.0, f64::max))
         .collect();
@@ -343,32 +343,22 @@ fn barrier_waits(supersteps: &[Vec<f64>]) -> Vec<f64> {
         .collect()
 }
 
-fn assemble(pg: &PartitionedGraph, mut states: Vec<RankState<'_>>) -> TricResult {
-    let n = pg.global_vertex_count();
-    let mut per_vertex_triangles = vec![0u64; n];
-    let mut degrees = vec![0u32; n];
-    let mut ranks = Vec::with_capacity(states.len());
-    let supersteps: Vec<Vec<f64>> = states
-        .iter_mut()
-        .map(|s| std::mem::take(&mut s.supersteps))
-        .collect();
-    for (out, sync_ns) in states.into_iter().zip(barrier_waits(&supersteps)) {
-        let part = out.part;
-        for (local_idx, &gv) in part.global_ids.iter().enumerate() {
-            per_vertex_triangles[gv as usize] = out.local_triangles[local_idx];
-            degrees[gv as usize] = part.csr.degree(local_idx as u32);
-        }
-        ranks.push(TricRankReport {
+fn assemble(pg: &PartitionedGraph, states: Vec<RankState<'_>>) -> TricResult {
+    let lcc::VertexCounts {
+        per_vertex_triangles,
+        lcc,
+        triangle_count,
+    } = lcc::VertexCounts::gather(pg, states.iter().map(|s| s.local_triangles.as_slice()));
+    let supersteps: Vec<&[f64]> = states.iter().map(|s| s.supersteps.as_slice()).collect();
+    let waits = barrier_waits(&supersteps);
+    let ranks = states
+        .into_iter()
+        .zip(waits)
+        .map(|(s, sync_ns)| TricRankReport {
             sync_ns,
-            ..out.report
-        });
-    }
-    let lcc = lcc::scores_from_counts(pg.direction, &degrees, &per_vertex_triangles);
-    let total: u64 = per_vertex_triangles.iter().sum();
-    let triangle_count = match pg.direction {
-        Direction::Undirected => total / 3,
-        Direction::Directed => total,
-    };
+            ..s.report
+        })
+        .collect();
     TricResult {
         lcc,
         per_vertex_triangles,
@@ -504,10 +494,10 @@ mod tests {
     fn each_superstep_waits_for_its_own_slowest_rank() {
         // Rank 0 is slow in the second superstep, rank 1 in the first: each
         // waits 2 ns, although both compute 4 ns in total.
-        let waits = barrier_waits(&[vec![1.0, 3.0], vec![3.0, 1.0]]);
+        let waits = barrier_waits(&[&[1.0, 3.0], &[3.0, 1.0]]);
         assert_eq!(waits, vec![2.0, 2.0]);
-        assert_eq!(barrier_waits(&[vec![], vec![]]), vec![0.0, 0.0]);
-        assert_eq!(barrier_waits(&[vec![5.0, 1.0]]), vec![0.0]);
+        assert_eq!(barrier_waits(&[&[], &[]]), vec![0.0, 0.0]);
+        assert_eq!(barrier_waits(&[&[5.0, 1.0]]), vec![0.0]);
     }
 
     #[test]
