@@ -17,6 +17,7 @@ use crate::distributed::pipeline::run_rank;
 use crate::distributed::reader::{Edge, EdgeOp};
 use crate::distributed::windows::GraphWindows;
 use crate::intersect::{compressed_count_closing, CostModel, Intersector};
+use rmatc_clampi::CacheStats;
 use rmatc_graph::compressed::decoded_len;
 use rmatc_graph::partition::{PartitionedGraph, RankPartition};
 use rmatc_graph::types::VertexId;
@@ -46,6 +47,9 @@ pub struct JaccardResult {
     pub rank_stats: Vec<RankStats>,
     /// Per-rank compute time (thread CPU time), in nanoseconds.
     pub compute_ns: Vec<u64>,
+    /// Per-rank adjacency-cache statistics, `None` where the rank ran without
+    /// a cache.
+    pub adjacency_cache: Vec<Option<CacheStats>>,
 }
 
 impl JaccardResult {
@@ -75,6 +79,12 @@ impl JaccardResult {
             .iter()
             .map(|s| s.comm_time_ns)
             .fold(0.0, f64::max)
+    }
+
+    /// Aggregated adjacency-cache statistics across ranks, as
+    /// [`crate::DistResult::adjacency_cache_totals`].
+    pub fn adjacency_cache_totals(&self) -> Option<CacheStats> {
+        CacheStats::merged(self.adjacency_cache.iter().flatten())
     }
 }
 
@@ -131,10 +141,12 @@ impl DistJaccard {
         let mut edges = Vec::with_capacity(outputs.iter().map(|out| out.items.len()).sum());
         let mut rank_stats = Vec::with_capacity(cfg.ranks);
         let mut compute_ns = Vec::with_capacity(cfg.ranks);
+        let mut adjacency_cache = Vec::with_capacity(cfg.ranks);
         for out in outputs {
             edges.extend(out.items);
             rank_stats.push(out.rma);
             compute_ns.push(out.compute_ns);
+            adjacency_cache.push(out.adjacency_cache);
         }
         // Each rank folds its edges in source order, but a cyclic partition
         // interleaves sources across ranks. `(source, destination)` is unique
@@ -145,6 +157,7 @@ impl DistJaccard {
             edges,
             rank_stats,
             compute_ns,
+            adjacency_cache,
         })
     }
 }

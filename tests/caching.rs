@@ -55,6 +55,50 @@ fn miss_rate_decreases_monotonically_with_cache_size() {
 }
 
 #[test]
+fn jaccard_reports_the_same_cache_statistics_as_lcc() {
+    // `DistJaccard` runs `DistLcc`'s edge loop with another per-edge
+    // operation, so the two issue identical reads and each rank's cache
+    // sees the same stream.
+    let g = RmatGenerator::paper(10, 8).generate_cleaned(21).into_csr();
+    let csr = g.csr_size_bytes() as usize;
+    for storage in [GraphStorage::Plain, GraphStorage::Compressed] {
+        for budget in [csr / 2, csr / 8] {
+            for depth in [1, 8] {
+                let what = format!("{storage:?}, budget {budget}, depth {depth}");
+                let cfg = DistConfig::cached(4, budget)
+                    .with_degree_scores()
+                    .with_storage(storage)
+                    .with_pipeline_depth(depth);
+                let lcc = DistLcc::new(cfg).run(&g);
+                let jaccard = DistJaccard::new(cfg).run(&g);
+                assert_eq!(jaccard.adjacency_cache.len(), 4, "{what}");
+                for (rank, report) in lcc.ranks.iter().enumerate() {
+                    assert!(report.adjacency_cache.is_some(), "{what}");
+                    assert_eq!(
+                        jaccard.adjacency_cache[rank], report.adjacency_cache,
+                        "{what}, rank {rank}"
+                    );
+                    let (a, b) = (&jaccard.rank_stats[rank], &report.rma);
+                    assert_eq!(
+                        (a.gets, a.bytes, a.local_reads),
+                        (b.gets, b.bytes, b.local_reads),
+                        "{what}, rank {rank}"
+                    );
+                }
+                assert_eq!(
+                    jaccard.adjacency_cache_totals(),
+                    lcc.adjacency_cache_totals(),
+                    "{what}"
+                );
+            }
+        }
+    }
+    let non_cached = DistJaccard::new(DistConfig::non_cached(4)).run(&g);
+    assert_eq!(non_cached.adjacency_cache, vec![None; 4]);
+    assert_eq!(non_cached.adjacency_cache_totals(), None);
+}
+
+#[test]
 fn degree_scores_do_not_hit_less_than_lru_under_pressure() {
     let g = skewed_graph();
     // 25% of the adjacency data as the windows store it (plain ids, or
