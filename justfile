@@ -47,6 +47,45 @@ asan:
     $asan -p rmatc-core --lib
     $asan --test kernels --test properties --test zero_copy
 
+# Mutation checks: each `mutants/<name>.patch` is a small break of the
+# library whose `kill:` header line names, as `cargo test` arguments, the test
+# that must fail under it. Exports the committed tree (`git archive HEAD`, as
+# `bench-ab` does) into target/mutants/, applies each patch in turn, builds
+# and runs its test, and fails if a patch no longer applies, a mutant does not
+# build, or its test passes. A change that moves the patched code re-makes
+# the patch.
+mutants:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    root=$(pwd)
+    work="$root/target/mutants"
+    rm -rf "$work/tree"
+    mkdir -p "$work/tree"
+    git archive HEAD | tar -x -C "$work/tree"
+    # Its own repository, so `git apply` takes the patch paths from its root.
+    git -C "$work/tree" init -q
+    export CARGO_TARGET_DIR="$work/target"
+    failed=0
+    for patch in "$root"/mutants/*.patch; do
+        name=$(basename "$patch" .patch)
+        read -r -a kill <<< "$(sed -n 's/^kill: //p' "$patch")"
+        if [ "${#kill[@]}" -eq 0 ]; then
+            echo "mutant $name: no kill: line"; failed=1; continue
+        fi
+        if ! git -C "$work/tree" apply "$patch"; then
+            echo "mutant $name: patch no longer applies"; failed=1; continue
+        fi
+        if ! (cd "$work/tree" && cargo test -q --no-run "${kill[@]}") > "$work/$name.log" 2>&1; then
+            echo "mutant $name: does not build (see $work/$name.log)"; failed=1
+        elif (cd "$work/tree" && cargo test -q "${kill[@]}") >> "$work/$name.log" 2>&1; then
+            echo "mutant $name: SURVIVED cargo test ${kill[*]}"; failed=1
+        else
+            echo "mutant $name: killed by cargo test ${kill[*]}"
+        fi
+        git -C "$work/tree" apply -R "$patch"
+    done
+    exit "$failed"
+
 # The size yardstick of deletion PRs (ROADMAP aim 2): per first-party crate,
 # non-blank non-comment lines before each file's `#[cfg(test)]` module
 # ("code") and, separately, the unit-test lines from it on; then the
