@@ -8,7 +8,8 @@
 //! not available here, so this crate reproduces the *programming model* and the
 //! *cost model* in-process:
 //!
-//! * Each MPI rank becomes a worker thread (spawned by [`runner::run_ranks`]).
+//! * Each MPI rank of the asynchronous algorithm becomes a worker thread
+//!   (spawned by [`runner::run_ranks`]).
 //! * [`Window`] is a logically distributed, read-only memory region: one exposed
 //!   slice per rank, accessible from any rank without involving the target —
 //!   exactly the passive-target exposure epoch of MPI-3.

@@ -21,8 +21,7 @@ pub struct TricConfig {
     /// Deterministic fault injection. TriC's collectives are reliable-completion
     /// (a blocking all-to-all either finishes or the job aborts), so only
     /// straggler delays apply: a delayed exchange multiplies that rank's modeled
-    /// collective cost — and, through the bulk-synchronous barrier, stretches
-    /// everyone's wait. `None` (the default) runs fault-free.
+    /// collective cost. `None` (the default) runs fault-free.
     pub faults: Option<FaultPlan>,
 }
 
